@@ -6,7 +6,9 @@
 //! existing cloud cluster managers use and the baseline all of the paper's
 //! cost numbers are normalized against.
 
-use eva_core::{reservation_price, Assignment, Plan, PlannedInstance, Scheduler, SchedulerContext};
+use eva_core::{
+    reservation_price, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
+};
 
 /// See the module docs.
 #[derive(Debug, Default)]
@@ -25,19 +27,19 @@ impl Scheduler for NoPackingScheduler {
     }
 
     fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
-        let mut assignments = Vec::new();
+        let view = ClusterView::of(ctx);
         // Keep every running task where it is.
-        for inst in ctx.instances {
-            let tasks: Vec<_> = ctx.tasks_on(inst.id).iter().map(|t| t.id).collect();
-            if !tasks.is_empty() {
-                assignments.push(Assignment {
-                    instance: PlannedInstance::Existing(inst.id),
-                    tasks,
-                });
-            }
-        }
+        let mut assignments: Vec<Assignment> = view
+            .instances
+            .iter()
+            .filter(|inst| !inst.residents.is_empty())
+            .map(|inst| Assignment {
+                instance: PlannedInstance::Existing(inst.id),
+                tasks: inst.task_ids(),
+            })
+            .collect();
         // New instances for pending tasks.
-        for task in ctx.pending_tasks() {
+        for task in view.pending() {
             if let Some((ty, _)) = reservation_price(ctx.catalog, &task.demand) {
                 assignments.push(Assignment {
                     instance: PlannedInstance::New(ty),
@@ -46,17 +48,7 @@ impl Scheduler for NoPackingScheduler {
             }
         }
         // Drop empty instances.
-        let terminate = ctx
-            .instances
-            .iter()
-            .map(|i| i.id)
-            .filter(|id| ctx.tasks_on(*id).is_empty())
-            .collect();
-        Plan {
-            assignments,
-            terminate,
-            full_reconfiguration: false,
-        }
+        view.plan(assignments)
     }
 }
 

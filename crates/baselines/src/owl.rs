@@ -12,10 +12,10 @@
 use std::collections::{BTreeSet, HashMap};
 
 use eva_core::{
-    reservation_price, Assignment, Plan, PlannedInstance, ReservationPrices, Scheduler,
-    SchedulerContext, TaskSnapshot, TputEstimator,
+    reservation_price, Assignment, ClusterView, Plan, PlannedInstance, ReservationPrices,
+    Scheduler, SchedulerContext, TaskSnapshot, TputEstimator,
 };
-use eva_types::{TaskId, WorkloadKind};
+use eva_types::{InstanceId, InstanceTypeId, TaskId, WorkloadKind};
 
 /// An offline pairwise interference profile (the ground truth the paper
 /// grants Owl).
@@ -89,19 +89,22 @@ impl Scheduler for OwlScheduler {
 
     fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
         let prices = ReservationPrices::compute(ctx.catalog, ctx.tasks.iter());
+        let view = ClusterView::of(ctx);
 
         let mut assignments: Vec<Assignment> = Vec::new();
         // Running tasks stay put unless their instance is no longer
         // cost-efficient under the oracle profile (e.g. a pair member
         // finished, stranding its partner on an oversized box) — such
-        // tasks rejoin the pending pool for re-placement.
+        // tasks rejoin the pending pool for re-placement. `kept[i]` is the
+        // assignment of listed instance `i` when it stays.
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
-        for inst in ctx.instances {
-            let residents = ctx.tasks_on(inst.id);
+        let mut kept: Vec<Option<usize>> = vec![None; view.instances.len()];
+        for (i, inst) in view.instances.iter().enumerate() {
+            let residents = &inst.residents;
             if residents.is_empty() {
                 continue;
             }
-            let efficient = ctx.catalog.get(inst.type_id).is_some_and(|ty| {
+            let efficient = inst.ty.is_some_and(|ty| {
                 let tnrp: f64 = residents
                     .iter()
                     .map(|t| {
@@ -116,14 +119,16 @@ impl Scheduler for OwlScheduler {
                 tnrp + 1e-9 >= ty.hourly_cost.as_dollars()
             });
             if efficient {
+                kept[i] = Some(assignments.len());
                 assignments.push(Assignment {
                     instance: PlannedInstance::Existing(inst.id),
-                    tasks: residents.iter().map(|t| t.id).collect(),
+                    tasks: inst.task_ids(),
                 });
             } else {
-                evicted.extend(residents.iter().copied());
+                evicted.extend(residents);
             }
         }
+        let pool: Vec<&TaskSnapshot> = view.pending().chain(evicted).collect();
 
         // Join pending tasks onto instances currently hosting exactly one
         // running task, when the profiled pair interference is low and the
@@ -133,36 +138,25 @@ impl Scheduler for OwlScheduler {
         {
             struct Join {
                 task: TaskId,
-                instance: eva_types::InstanceId,
+                instance: InstanceId,
+                slot: usize,
                 ratio: f64,
             }
             let mut joins: Vec<Join> = Vec::new();
-            let mut pool: Vec<&TaskSnapshot> = ctx.pending_tasks();
-            pool.extend(evicted.iter().copied());
             for task in &pool {
-                for inst in ctx.instances {
+                for (inst, slot) in view.instances.iter().zip(&kept) {
                     // Only instances kept above (cost-efficient) can host
                     // a join; evicted ones are being drained.
-                    if !assignments
-                        .iter()
-                        .any(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == inst.id))
-                    {
+                    let (Some(slot), [resident], Some(ty)) = (*slot, &inst.residents[..], inst.ty)
+                    else {
                         continue;
-                    }
-                    let residents = ctx.tasks_on(inst.id);
-                    if residents.len() != 1 {
-                        continue;
-                    }
-                    let resident = residents[0];
+                    };
                     let tput_new = self.profile.estimate(task.workload, &[resident.workload]);
                     let tput_res = self.profile.estimate(resident.workload, &[task.workload]);
                     if tput_new < self.tput_floor || tput_res < self.tput_floor {
                         continue;
                     }
-                    let Some(ty) = ctx.catalog.get(inst.type_id) else {
-                        continue;
-                    };
-                    let total = ty.demand_of(&task.demand) + ty.demand_of(&resident.demand);
+                    let total = ty.demand_of(&task.demand) + inst.used;
                     if !total.fits_within(&ty.capacity) {
                         continue;
                     }
@@ -171,41 +165,35 @@ impl Scheduler for OwlScheduler {
                     joins.push(Join {
                         task: task.id,
                         instance: inst.id,
+                        slot,
                         ratio: tnrp / ty.hourly_cost.as_dollars().max(1e-9),
                     });
                 }
             }
             joins.sort_by(|a, b| {
                 b.ratio
-                    .partial_cmp(&a.ratio)
-                    .unwrap()
+                    .total_cmp(&a.ratio)
                     .then_with(|| (a.task, a.instance).cmp(&(b.task, b.instance)))
             });
-            let mut used_instances: BTreeSet<eva_types::InstanceId> = BTreeSet::new();
+            let mut used_instances: BTreeSet<InstanceId> = BTreeSet::new();
             for j in joins {
                 if joined.contains(&j.task) || used_instances.contains(&j.instance) {
                     continue;
                 }
                 joined.insert(j.task);
                 used_instances.insert(j.instance);
-                if let Some(a) = assignments
-                    .iter_mut()
-                    .find(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == j.instance))
-                {
-                    a.tasks.push(j.task);
-                }
+                assignments[j.slot].tasks.push(j.task);
             }
         }
 
         // Enumerate candidate pairs among the remaining pool tasks.
-        let mut pending: Vec<&TaskSnapshot> = ctx.pending_tasks();
-        pending.extend(evicted.iter().copied());
+        let mut pending = pool;
         pending.retain(|t| !joined.contains(&t.id));
         struct Candidate {
             a: usize,
             b: usize,
             ratio: f64,
-            type_id: eva_types::InstanceTypeId,
+            type_id: InstanceTypeId,
         }
         let mut candidates: Vec<Candidate> = Vec::new();
         for i in 0..pending.len() {
@@ -239,7 +227,7 @@ impl Scheduler for OwlScheduler {
                 .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
         });
         let mut taken: BTreeSet<usize> = BTreeSet::new();
-        let mut paired: Vec<(usize, usize, eva_types::InstanceTypeId)> = Vec::new();
+        let mut paired: Vec<(usize, usize, InstanceTypeId)> = Vec::new();
         for c in candidates {
             if taken.contains(&c.a) || taken.contains(&c.b) {
                 continue;
@@ -267,11 +255,13 @@ impl Scheduler for OwlScheduler {
             }
         }
 
-        let terminate = ctx
+        // Owl releases only instances that are already empty: one evicted
+        // above still holds its tasks and goes once they have left.
+        let terminate = view
             .instances
             .iter()
-            .map(|i| i.id)
-            .filter(|id| ctx.tasks_on(*id).is_empty())
+            .filter(|inst| inst.residents.is_empty())
+            .map(|inst| inst.id)
             .collect();
         Plan {
             assignments,
@@ -279,11 +269,6 @@ impl Scheduler for OwlScheduler {
             full_reconfiguration: false,
         }
     }
-}
-
-/// Convenience: collect the planned co-resident task ids per assignment.
-pub fn assignment_pairs(plan: &Plan) -> Vec<Vec<TaskId>> {
-    plan.assignments.iter().map(|a| a.tasks.clone()).collect()
 }
 
 #[cfg(test)]
@@ -420,6 +405,33 @@ mod tests {
         let plan = OwlScheduler::new(friendly_profile()).plan(&ctx);
         assert!(plan.migrations(&tasks, false).is_empty());
         assert_eq!(plan.terminate, vec![InstanceId(1)]);
+    }
+
+    #[test]
+    fn nan_profile_entry_does_not_panic() {
+        let catalog = Catalog::aws_eval_2025();
+        let ty = catalog.by_name("p3.8xlarge").unwrap().id;
+        let mut profile = friendly_profile();
+        profile.set(WorkloadKind(1), WorkloadKind(0), f64::NAN);
+        // A kept solo resident (its 20 vCPUs price it at the p3.8xlarge)
+        // and two pending tasks that could join it: one join ratio is NaN,
+        // and sorting the joins used to unwrap a `partial_cmp` on it.
+        let mut running = task(1, 1, 20, 24, 0);
+        running.assigned_to = Some(InstanceId(0));
+        let tasks = vec![running, task(2, 0, 4, 8, 1), task(3, 0, 4, 8, 2)];
+        let instances = vec![eva_core::InstanceSnapshot {
+            id: InstanceId(0),
+            type_id: ty,
+        }];
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            catalog: &catalog,
+            tasks: &tasks,
+            instances: &instances,
+        };
+        let plan = OwlScheduler::new(profile).plan(&ctx);
+        let placed: usize = plan.assignments.iter().map(|a| a.tasks.len()).sum();
+        assert_eq!(placed, 3);
     }
 
     #[test]

@@ -17,9 +17,10 @@
 use std::collections::BTreeMap;
 
 use eva_core::{
-    reservation_price, Assignment, Plan, PlannedInstance, Scheduler, SchedulerContext, TaskSnapshot,
+    reservation_price, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
+    TaskSnapshot,
 };
-use eva_types::{InstanceId, ResourceVector, SimDuration};
+use eva_types::{ResourceVector, SimDuration};
 
 /// See the module docs.
 #[derive(Debug, Default)]
@@ -44,107 +45,78 @@ impl Scheduler for StratusScheduler {
     }
 
     fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
-        // Current usage and dominant runtime bin per instance.
-        let mut used: BTreeMap<InstanceId, ResourceVector> = BTreeMap::new();
-        let mut residents: BTreeMap<InstanceId, Vec<&TaskSnapshot>> = BTreeMap::new();
-        for inst in ctx.instances {
-            used.insert(inst.id, ResourceVector::ZERO);
-            residents.insert(inst.id, Vec::new());
-        }
-        for t in ctx.tasks {
-            if let Some(id) = t.assigned_to {
-                if let Some(inst) = ctx.instances.iter().find(|i| i.id == id) {
-                    if let Some(ty) = ctx.catalog.get(inst.type_id) {
-                        *used.entry(id).or_default() += ty.demand_of(&t.demand);
-                    }
-                    residents.entry(id).or_default().push(t);
-                }
-            }
-        }
+        let view = ClusterView::of(ctx);
+        // Per listed instance: the residents that stay and the capacity
+        // in use (residents plus tasks placed this round).
+        let mut residents: Vec<&[&TaskSnapshot]> =
+            view.instances.iter().map(|i| &i.residents[..]).collect();
+        let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
 
         // Scale-in consolidation (the source of Stratus's rare
         // migrations): when a group has partially completed and the
         // leftovers' reservation prices no longer cover the instance, the
         // leftovers are re-placed and the instance released.
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
-        for inst in ctx.instances {
-            let Some(ty) = ctx.catalog.get(inst.type_id) else {
+        for (i, inst) in view.instances.iter().enumerate() {
+            let Some(ty) = inst.ty else {
                 continue;
             };
-            let set = residents.get(&inst.id).cloned().unwrap_or_default();
-            if set.is_empty() {
+            if inst.residents.is_empty() {
                 continue;
             }
-            let rp_sum: f64 = set
+            let rp_sum: f64 = inst
+                .residents
                 .iter()
                 .filter_map(|t| reservation_price(ctx.catalog, &t.demand))
                 .map(|(_, c)| c.as_dollars())
                 .sum();
             if rp_sum + 1e-9 < ty.hourly_cost.as_dollars() {
-                evicted.extend(set);
-                residents.insert(inst.id, Vec::new());
-                used.insert(inst.id, ResourceVector::ZERO);
+                evicted.extend(&inst.residents);
+                residents[i] = &[];
+                used[i] = ResourceVector::ZERO;
             }
         }
 
+        // Keep current placements; `slot[i]` is instance `i`'s assignment.
         let mut assignments: Vec<Assignment> = Vec::new();
-        // Keep current placements.
-        for inst in ctx.instances {
-            let tasks: Vec<_> = residents
-                .get(&inst.id)
-                .map(|v| v.iter().map(|t| t.id).collect())
-                .unwrap_or_default();
-            if !tasks.is_empty() {
+        let mut slot: Vec<Option<usize>> = vec![None; view.instances.len()];
+        for (i, inst) in view.instances.iter().enumerate() {
+            if !residents[i].is_empty() {
+                slot[i] = Some(assignments.len());
                 assignments.push(Assignment {
                     instance: PlannedInstance::Existing(inst.id),
-                    tasks,
+                    tasks: inst.task_ids(),
                 });
             }
         }
 
         // Place pending tasks bin-first.
-        let mut extra_used: BTreeMap<InstanceId, ResourceVector> = BTreeMap::new();
         let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
-        let mut pool: Vec<&TaskSnapshot> = ctx.pending_tasks();
-        pool.extend(evicted);
-        for task in pool {
+        for task in view.pending().chain(evicted) {
             let bin = task.remaining_hint.map(Self::runtime_bin);
             // Candidate instances: capacity for the task, ranked by
             // (same-bin residents desc, spare capacity asc).
-            let mut best: Option<(InstanceId, usize)> = None;
-            for inst in ctx.instances {
-                let Some(ty) = ctx.catalog.get(inst.type_id) else {
+            let mut best: Option<(usize, usize)> = None;
+            for (i, inst) in view.instances.iter().enumerate() {
+                let Some(ty) = inst.ty else {
                     continue;
                 };
-                let demand = ty.demand_of(&task.demand);
-                let current = used.get(&inst.id).copied().unwrap_or(ResourceVector::ZERO)
-                    + extra_used
-                        .get(&inst.id)
-                        .copied()
-                        .unwrap_or(ResourceVector::ZERO);
-                let Some(total) = current.checked_add(&demand) else {
+                let Some(total) = used[i].checked_add(&ty.demand_of(&task.demand)) else {
                     continue;
                 };
                 if !total.fits_within(&ty.capacity) {
                     continue;
                 }
-                let same_bin = residents
-                    .get(&inst.id)
-                    .map(|v| {
-                        v.iter()
-                            .filter(|r| match (bin, r.remaining_hint.map(Self::runtime_bin)) {
-                                (Some(a), Some(b)) => a == b,
-                                _ => false,
-                            })
-                            .count()
+                let same_bin = residents[i]
+                    .iter()
+                    .filter(|r| match (bin, r.remaining_hint.map(Self::runtime_bin)) {
+                        (Some(a), Some(b)) => a == b,
+                        _ => false,
                     })
-                    .unwrap_or(0);
+                    .count();
                 // Stratus only co-locates when bins match (or the instance
                 // is one it just opened this round for the same bin).
-                let occupied = residents
-                    .get(&inst.id)
-                    .map(|v| !v.is_empty())
-                    .unwrap_or(false);
+                let occupied = !residents[i].is_empty();
                 if occupied && same_bin == 0 {
                     continue;
                 }
@@ -160,31 +132,23 @@ impl Scheduler for StratusScheduler {
                     }
                 }
                 if best.is_none_or(|(_, s)| same_bin > s) {
-                    best = Some((inst.id, same_bin));
+                    best = Some((i, same_bin));
                 }
             }
             match best {
-                Some((id, _)) => {
-                    // Append to the existing assignment for that instance.
-                    if let Some(ty) = ctx
-                        .instances
-                        .iter()
-                        .find(|i| i.id == id)
-                        .and_then(|i| ctx.catalog.get(i.type_id))
-                    {
-                        *extra_used.entry(id).or_default() += ty.demand_of(&task.demand);
+                Some((i, _)) => {
+                    let inst = &view.instances[i];
+                    if let Some(ty) = inst.ty {
+                        used[i] += ty.demand_of(&task.demand);
                     }
-                    if let Some(a) = assignments
-                        .iter_mut()
-                        .find(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == id))
-                    {
-                        a.tasks.push(task.id);
-                    } else {
+                    let at = *slot[i].get_or_insert_with(|| {
                         assignments.push(Assignment {
-                            instance: PlannedInstance::Existing(id),
-                            tasks: vec![task.id],
+                            instance: PlannedInstance::Existing(inst.id),
+                            tasks: Vec::new(),
                         });
-                    }
+                        assignments.len() - 1
+                    });
+                    assignments[at].tasks.push(task.id);
                 }
                 None => leftover_by_bin.entry(bin).or_default().push(task),
             }
@@ -242,21 +206,7 @@ impl Scheduler for StratusScheduler {
             }
         }
 
-        let terminate = ctx
-            .instances
-            .iter()
-            .map(|i| i.id)
-            .filter(|id| {
-                !assignments
-                    .iter()
-                    .any(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == *id))
-            })
-            .collect();
-        Plan {
-            assignments,
-            terminate,
-            full_reconfiguration: false,
-        }
+        view.plan(assignments)
     }
 }
 
@@ -265,7 +215,7 @@ mod tests {
     use super::*;
     use eva_cloud::Catalog;
     use eva_core::InstanceSnapshot;
-    use eva_types::{DemandSpec, JobId, SimTime, TaskId, WorkloadKind};
+    use eva_types::{DemandSpec, InstanceId, JobId, SimTime, TaskId, WorkloadKind};
 
     fn task(
         job: u64,

@@ -11,14 +11,14 @@
 //! longer covers the instance cost, then (2) best-fit places evicted and
 //! newly arrived tasks.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use eva_core::{
-    reservation_price, Assignment, JobObservation, Plan, PlannedInstance, ReservationPrices,
-    Scheduler, SchedulerContext, TaskSnapshot, TnrpEvaluator,
+    reservation_price, Assignment, ClusterView, JobObservation, Plan, PlannedInstance,
+    ReservationPrices, Scheduler, SchedulerContext, TaskSnapshot, TnrpEvaluator,
 };
 use eva_interference::ThroughputMonitor;
-use eva_types::{InstanceId, ResourceVector};
+use eva_types::{ResourceVector, TaskId};
 
 /// See the module docs.
 pub struct SynergyScheduler {
@@ -49,61 +49,46 @@ impl Scheduler for SynergyScheduler {
         let prices = ReservationPrices::compute(ctx.catalog, ctx.tasks.iter());
         let eval = TnrpEvaluator::new(self.monitor.table(), &prices, false);
 
-        let mut used: BTreeMap<InstanceId, ResourceVector> = BTreeMap::new();
-        let mut residents: BTreeMap<InstanceId, Vec<&TaskSnapshot>> = BTreeMap::new();
-        for inst in ctx.instances {
-            used.insert(inst.id, ResourceVector::ZERO);
-            residents.insert(inst.id, Vec::new());
-        }
-        for t in ctx.tasks {
-            if let Some(id) = t.assigned_to {
-                if let Some(inst) = ctx.instances.iter().find(|i| i.id == id) {
-                    if let Some(ty) = ctx.catalog.get(inst.type_id) {
-                        *used.entry(id).or_default() += ty.demand_of(&t.demand);
-                    }
-                    residents.entry(id).or_default().push(t);
-                }
-            }
-        }
+        let view = ClusterView::of(ctx);
+        let mut residents: Vec<Vec<&TaskSnapshot>> =
+            view.instances.iter().map(|i| i.residents.clone()).collect();
+        let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
 
         // Phase 1: evict residents of no-longer-cost-efficient instances.
-        let mut pool: Vec<&TaskSnapshot> = ctx.pending_tasks();
-        for inst in ctx.instances {
-            let Some(ty) = ctx.catalog.get(inst.type_id) else {
+        let mut pool: Vec<&TaskSnapshot> = view.pending().collect();
+        for (i, inst) in view.instances.iter().enumerate() {
+            let Some(ty) = inst.ty else {
                 continue;
             };
-            let set = residents.get(&inst.id).cloned().unwrap_or_default();
-            if !set.is_empty() && !eval.is_cost_efficient(&set, ty.hourly_cost) {
-                pool.extend(set);
-                residents.insert(inst.id, Vec::new());
-                used.insert(inst.id, ResourceVector::ZERO);
+            let set = &mut residents[i];
+            if !set.is_empty() && !eval.is_cost_efficient(set, ty.hourly_cost) {
+                pool.append(set);
+                used[i] = ResourceVector::ZERO;
             }
         }
         // Stable large-first placement order.
         pool.sort_by(|a, b| {
             prices
                 .rp_dollars(b.id)
-                .partial_cmp(&prices.rp_dollars(a.id))
-                .unwrap()
+                .total_cmp(&prices.rp_dollars(a.id))
                 .then(a.id.cmp(&b.id))
         });
 
-        // Phase 2: best-fit place the pool.
+        // Phase 2: best-fit place the pool; a task no instance takes is
+        // left out of `residents` and opens its own instance in phase 3.
         for task in pool {
-            let mut best: Option<(InstanceId, f64)> = None;
-            for inst in ctx.instances {
-                let Some(ty) = ctx.catalog.get(inst.type_id) else {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, inst) in view.instances.iter().enumerate() {
+                let Some(ty) = inst.ty else {
                     continue;
                 };
-                let demand = ty.demand_of(&task.demand);
-                let current = used.get(&inst.id).copied().unwrap_or(ResourceVector::ZERO);
-                let Some(total) = current.checked_add(&demand) else {
+                let Some(total) = used[i].checked_add(&ty.demand_of(&task.demand)) else {
                     continue;
                 };
                 if !total.fits_within(&ty.capacity) {
                     continue;
                 }
-                let set = residents.get(&inst.id).cloned().unwrap_or_default();
+                let set = &residents[i];
                 if set.is_empty() {
                     // An empty box is only worth keeping when it is no more
                     // expensive than the task's reservation-price type.
@@ -113,7 +98,7 @@ impl Scheduler for SynergyScheduler {
                 } else {
                     // Interference-aware admission: a running box is a sunk
                     // cost, but joining it must not destroy value.
-                    let before = eval.tnrp_set(&set);
+                    let before = eval.tnrp_set(set);
                     let mut joined = set.clone();
                     joined.push(task);
                     if eval.tnrp_set(&joined) < before {
@@ -125,44 +110,30 @@ impl Scheduler for SynergyScheduler {
                     + f64::from(leftover.cpu) / 8.0
                     + leftover.ram_mb as f64 / (64.0 * 1024.0);
                 if best.is_none_or(|(_, b)| frag < b) {
-                    best = Some((inst.id, frag));
+                    best = Some((i, frag));
                 }
             }
-            match best {
-                Some((id, _)) => {
-                    if let Some(ty) = ctx
-                        .instances
-                        .iter()
-                        .find(|i| i.id == id)
-                        .and_then(|i| ctx.catalog.get(i.type_id))
-                    {
-                        *used.entry(id).or_default() += ty.demand_of(&task.demand);
-                    }
-                    residents.entry(id).or_default().push(task);
+            if let Some((i, _)) = best {
+                if let Some(ty) = view.instances[i].ty {
+                    used[i] += ty.demand_of(&task.demand);
                 }
-                None => {
-                    if reservation_price(ctx.catalog, &task.demand).is_some() {
-                        // Defer to phase 3 — tracked by leaving the task
-                        // out of `residents`; collected below.
-                    }
-                }
+                residents[i].push(task);
             }
         }
 
-        // Phase 3: build assignments; unplaced pool tasks open their
-        // reservation-price instance.
+        // Phase 3: build assignments; every task resident nowhere opens
+        // its reservation-price instance.
         let mut assignments: Vec<Assignment> = Vec::new();
-        let mut placed: std::collections::BTreeSet<eva_types::TaskId> =
-            std::collections::BTreeSet::new();
-        for inst in ctx.instances {
-            let set = residents.get(&inst.id).cloned().unwrap_or_default();
+        let mut placed: BTreeSet<TaskId> = BTreeSet::new();
+        for (inst, set) in view.instances.iter().zip(&residents) {
             if set.is_empty() {
                 continue;
             }
-            placed.extend(set.iter().map(|t| t.id));
+            let tasks: Vec<TaskId> = set.iter().map(|t| t.id).collect();
+            placed.extend(&tasks);
             assignments.push(Assignment {
                 instance: PlannedInstance::Existing(inst.id),
-                tasks: set.iter().map(|t| t.id).collect(),
+                tasks,
             });
         }
         for task in ctx.tasks {
@@ -176,22 +147,7 @@ impl Scheduler for SynergyScheduler {
                 });
             }
         }
-
-        let terminate = ctx
-            .instances
-            .iter()
-            .map(|i| i.id)
-            .filter(|id| {
-                !assignments
-                    .iter()
-                    .any(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == *id))
-            })
-            .collect();
-        Plan {
-            assignments,
-            terminate,
-            full_reconfiguration: false,
-        }
+        view.plan(assignments)
     }
 
     fn observe(&mut self, observations: &[JobObservation]) {
@@ -215,7 +171,7 @@ mod tests {
     use eva_cloud::Catalog;
     use eva_core::InstanceSnapshot;
     use eva_interference::TaskContext;
-    use eva_types::{DemandSpec, JobId, SimDuration, SimTime, TaskId, WorkloadKind};
+    use eva_types::{DemandSpec, InstanceId, JobId, SimDuration, SimTime, WorkloadKind};
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
         TaskSnapshot {

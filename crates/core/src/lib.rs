@@ -22,6 +22,9 @@
 //!   criterion `S_F·D̂ − M_F > S_P·D̂ − M_P` with the Poisson/geometric
 //!   estimate `D̂ = −1/(λ·ln(1−p))` of the time to the next Full
 //!   Reconfiguration (§4.5).
+//! * **The current configuration** ([`plan`]): [`ClusterView`] derives
+//!   which tasks sit on which instance once per snapshot, for Eva, the
+//!   baselines and the plan executor alike.
 //! * **The scheduler** ([`scheduler`]): [`EvaScheduler`] combines all of
 //!   the above behind the [`Scheduler`] trait that the simulator and the
 //!   live runtime drive; the baseline schedulers implement the same trait.
@@ -39,8 +42,8 @@ pub use decision::{DecisionInputs, EventRateEstimator, ReconfigDecision};
 pub use packing::{full_reconfiguration, PackedConfig, PackedInstance};
 pub use partial::partial_reconfiguration;
 pub use plan::{
-    Assignment, InstanceSnapshot, JobObservation, Plan, PlannedInstance, Scheduler,
-    SchedulerContext, TaskSnapshot,
+    Assignment, ClusterView, InstanceSnapshot, InstanceView, JobObservation, Move, Plan,
+    PlannedInstance, Scheduler, SchedulerContext, TaskSnapshot,
 };
 pub use reservation::{
     reservation_price, ReservationPrices, TnrpEvaluator, TputEstimator, UnitTput,

@@ -14,13 +14,14 @@
 //! faithful configuration) first tries to place subset tasks into spare
 //! capacity on kept instances.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 use eva_cloud::Catalog;
-use eva_types::{InstanceId, ResourceVector, TaskId};
+use eva_types::{InstanceId, TaskId};
 
 use crate::packing::{full_reconfiguration, PackedConfig};
-use crate::plan::{InstanceSnapshot, TaskSnapshot};
+use crate::plan::{ClusterView, TaskSnapshot};
 use crate::reservation::TnrpEvaluator;
 
 /// The outcome of Partial Reconfiguration.
@@ -39,81 +40,51 @@ pub struct PartialOutcome {
 impl PartialOutcome {
     /// Instantaneous provisioning saving `S_P` in dollars: kept instances'
     /// `TNRP − C` plus the packed instances' savings.
-    pub fn total_saving_dollars(
-        &self,
-        tasks: &[TaskSnapshot],
-        catalog: &Catalog,
-        eval: &TnrpEvaluator<'_>,
-        instance_types: &BTreeMap<InstanceId, eva_types::InstanceTypeId>,
-    ) -> f64 {
+    pub fn total_saving_dollars(&self, view: &ClusterView<'_>, eval: &TnrpEvaluator<'_>) -> f64 {
         let mut saving = self.packed.total_saving_dollars();
         for (id, task_ids) in &self.kept {
-            let Some(type_id) = instance_types.get(id) else {
+            let Some(ty) = view.instance(*id).and_then(|i| i.ty) else {
                 continue;
             };
-            let Some(ty) = catalog.get(*type_id) else {
-                continue;
-            };
-            let set: Vec<&TaskSnapshot> = task_ids
-                .iter()
-                .filter_map(|tid| tasks.iter().find(|t| t.id == *tid))
-                .collect();
+            let set: Vec<&TaskSnapshot> = task_ids.iter().filter_map(|t| view.task(*t)).collect();
             saving += eval.tnrp_set(&set) - ty.hourly_cost.as_dollars();
         }
         saving
     }
 }
 
-/// Runs Partial Reconfiguration.
+/// Runs Partial Reconfiguration on the current configuration `view`.
 ///
 /// `refill_existing` enables the ablation where subset tasks may also fill
 /// spare capacity on kept instances (cheapest-instance-first) when doing so
 /// keeps the instance cost-efficient.
 pub fn partial_reconfiguration(
-    tasks: &[TaskSnapshot],
-    instances: &[InstanceSnapshot],
+    view: &ClusterView<'_>,
     catalog: &Catalog,
     eval: &TnrpEvaluator<'_>,
     refill_existing: bool,
 ) -> PartialOutcome {
-    // Group current assignments.
-    let mut on_instance: BTreeMap<InstanceId, Vec<&TaskSnapshot>> = BTreeMap::new();
-    for inst in instances {
-        on_instance.entry(inst.id).or_default();
-    }
-    let mut subset: Vec<&TaskSnapshot> = Vec::new();
-    for t in tasks {
-        match t.assigned_to {
-            Some(id) if on_instance.contains_key(&id) => on_instance.get_mut(&id).unwrap().push(t),
-            // Unassigned, or assigned to an instance the context no longer
-            // lists (e.g. being drained): reconsider.
-            _ => subset.push(t),
-        }
-    }
+    // Unassigned tasks, and tasks on an instance the context no longer
+    // lists (e.g. being drained), are reconsidered.
+    let mut subset: Vec<&TaskSnapshot> = view.unplaced.clone();
 
     // Instances that stopped being cost-efficient surrender their tasks.
-    let mut kept: Vec<(InstanceId, Vec<&TaskSnapshot>)> = Vec::new();
+    let mut kept = Vec::new();
     let mut terminate: Vec<InstanceId> = Vec::new();
-    for inst in instances {
-        let set = on_instance.remove(&inst.id).unwrap_or_default();
-        if set.is_empty() {
-            terminate.push(inst.id);
-            continue;
-        }
-        let ty = match catalog.get(inst.type_id) {
-            Some(ty) => ty,
-            None => {
-                // Unknown type: treat as inefficient so tasks escape.
-                subset.extend(set);
-                terminate.push(inst.id);
-                continue;
+    for inst in &view.instances {
+        match inst.ty {
+            Some(ty)
+                if !inst.residents.is_empty()
+                    && eval.is_cost_efficient(&inst.residents, ty.hourly_cost) =>
+            {
+                kept.push((inst, ty, inst.residents.clone()));
             }
-        };
-        if eval.is_cost_efficient(&set, ty.hourly_cost) {
-            kept.push((inst.id, set));
-        } else {
-            subset.extend(set);
-            terminate.push(inst.id);
+            // Empty, inefficient, or of an unknown type (treated as
+            // inefficient so tasks escape).
+            _ => {
+                subset.extend(&inst.residents);
+                terminate.push(inst.id);
+            }
         }
     }
 
@@ -125,40 +96,10 @@ pub fn partial_reconfiguration(
         // Visit kept instances by descending hourly cost, mirroring
         // Algorithm 1's type ordering.
         let mut order: Vec<usize> = (0..kept.len()).collect();
-        order.sort_by(|a, b| {
-            let ca = catalog
-                .get(
-                    instances
-                        .iter()
-                        .find(|i| i.id == kept[*a].0)
-                        .unwrap()
-                        .type_id,
-                )
-                .map(|t| t.hourly_cost)
-                .unwrap_or_default();
-            let cb = catalog
-                .get(
-                    instances
-                        .iter()
-                        .find(|i| i.id == kept[*b].0)
-                        .unwrap()
-                        .type_id,
-                )
-                .map(|t| t.hourly_cost)
-                .unwrap_or_default();
-            cb.cmp(&ca)
-        });
+        order.sort_by_key(|slot| Reverse(kept[*slot].1.hourly_cost));
         for slot in order {
-            let (inst_id, set) = &mut kept[slot];
-            let Some(snap) = instances.iter().find(|i| i.id == *inst_id) else {
-                continue;
-            };
-            let Some(ty) = catalog.get(snap.type_id) else {
-                continue;
-            };
-            let mut used = set
-                .iter()
-                .fold(ResourceVector::ZERO, |acc, t| acc + ty.demand_of(&t.demand));
+            let (inst, ty, set) = &mut kept[slot];
+            let mut used = inst.used;
             loop {
                 // Pick the candidate maximizing the refilled set's TNRP.
                 let mut best: Option<(usize, f64)> = None;
@@ -202,7 +143,7 @@ pub fn partial_reconfiguration(
     PartialOutcome {
         kept: kept
             .into_iter()
-            .map(|(id, set)| (id, set.iter().map(|t| t.id).collect()))
+            .map(|(inst, _, set)| (inst.id, set.iter().map(|t| t.id).collect()))
             .collect(),
         packed,
         terminate,
@@ -213,9 +154,38 @@ pub fn partial_reconfiguration(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{InstanceSnapshot, SchedulerContext};
     use crate::reservation::{ReservationPrices, UnitTput};
     use eva_interference::ThroughputTable;
-    use eva_types::{DemandSpec, InstanceTypeId, JobId, SimDuration, WorkloadKind};
+    use eva_types::{DemandSpec, JobId, ResourceVector, SimDuration, SimTime, WorkloadKind};
+
+    fn view<'a>(
+        tasks: &'a [TaskSnapshot],
+        instances: &'a [InstanceSnapshot],
+        catalog: &'a Catalog,
+    ) -> ClusterView<'a> {
+        ClusterView::of(&SchedulerContext {
+            now: SimTime::ZERO,
+            catalog,
+            tasks,
+            instances,
+        })
+    }
+
+    fn run(
+        tasks: &[TaskSnapshot],
+        instances: &[InstanceSnapshot],
+        catalog: &Catalog,
+        eval: &TnrpEvaluator<'_>,
+        refill_existing: bool,
+    ) -> PartialOutcome {
+        partial_reconfiguration(
+            &view(tasks, instances, catalog),
+            catalog,
+            eval,
+            refill_existing,
+        )
+    }
 
     fn t(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
         TaskSnapshot {
@@ -246,7 +216,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it1")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         assert_eq!(
             out.kept,
             vec![(InstanceId(0), vec![TaskId::new(JobId(1), 0)])]
@@ -268,7 +238,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it1")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         assert!(out.kept.is_empty());
         assert_eq!(out.terminate, vec![InstanceId(0)]);
         assert_eq!(out.reconsidered, vec![TaskId::new(JobId(4), 0)]);
@@ -286,7 +256,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it2")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         assert_eq!(out.terminate, vec![InstanceId(0)]);
         assert!(out.packed.instances.is_empty());
     }
@@ -302,7 +272,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it1")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         assert_eq!(out.terminate, vec![InstanceId(0)]);
         assert_eq!(out.reconsidered.len(), 2);
         // Each lands on its own it2.
@@ -317,7 +287,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it1")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, true);
+        let out = run(&tasks, &instances, &catalog, &eval, true);
         assert_eq!(
             out.kept,
             vec![(
@@ -336,7 +306,7 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it2")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, true);
+        let out = run(&tasks, &instances, &catalog, &eval, true);
         assert_eq!(out.kept[0].1.len(), 1);
         assert_eq!(out.packed.instances.len(), 1);
     }
@@ -352,11 +322,9 @@ mod tests {
         let instances = vec![instance(0, &catalog, "it1")];
         let prices = ReservationPrices::compute(&catalog, tasks.iter());
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
-        let types: BTreeMap<InstanceId, InstanceTypeId> =
-            instances.iter().map(|i| (i.id, i.type_id)).collect();
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         // Kept it1 holds τ1 + τ2: RP 15 − 12 = 3; τ3 on it3: 0.8 − 0.8 = 0.
-        let s = out.total_saving_dollars(&tasks, &catalog, &eval, &types);
+        let s = out.total_saving_dollars(&view(&tasks, &instances, &catalog), &eval);
         assert!((s - 3.0).abs() < 1e-9, "saving {s}");
     }
 
@@ -375,7 +343,7 @@ mod tests {
         table.record(WorkloadKind(0), &[WorkloadKind(1)], 0.5);
         table.record(WorkloadKind(1), &[WorkloadKind(0)], 0.5);
         let eval = TnrpEvaluator::new(&table, &prices, true);
-        let out = partial_reconfiguration(&tasks, &instances, &catalog, &eval, false);
+        let out = run(&tasks, &instances, &catalog, &eval, false);
         assert_eq!(out.terminate, vec![InstanceId(0)]);
         assert_eq!(out.packed.instances.len(), 2);
     }

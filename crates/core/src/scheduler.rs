@@ -7,16 +7,19 @@
 //! type with maximal task overlap so that unchanged assignments migrate
 //! nothing — and (4) picks one via the Equation 1 criterion.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use eva_cloud::Catalog;
 use eva_interference::ThroughputMonitor;
-use eva_types::{InstanceId, InstanceTypeId, JobId, TaskId};
+use eva_types::{InstanceId, JobId, TaskId};
 
 use crate::config::{EvaConfig, ReconfigMode};
 use crate::decision::{DecisionInputs, EventRateEstimator, ReconfigDecision};
 use crate::packing::{full_reconfiguration, PackedConfig};
 use crate::partial::partial_reconfiguration;
-use crate::plan::{Assignment, JobObservation, Plan, PlannedInstance, Scheduler, SchedulerContext};
+use crate::plan::{
+    Assignment, ClusterView, JobObservation, Plan, PlannedInstance, Scheduler, SchedulerContext,
+};
 use crate::reservation::{ReservationPrices, TnrpEvaluator, TputEstimator, UnitTput};
 
 /// The Eva scheduler (§4).
@@ -84,21 +87,10 @@ impl EvaScheduler {
     fn concretize(
         packed: &PackedConfig,
         kept: Vec<(InstanceId, Vec<TaskId>)>,
-        ctx: &SchedulerContext<'_>,
-        reusable: &[InstanceId],
+        view: &ClusterView<'_>,
+        reusable: impl IntoIterator<Item = InstanceId>,
     ) -> Plan {
-        let mut current_on: BTreeMap<InstanceId, BTreeSet<TaskId>> = BTreeMap::new();
-        let mut type_of: BTreeMap<InstanceId, InstanceTypeId> = BTreeMap::new();
-        for inst in ctx.instances {
-            type_of.insert(inst.id, inst.type_id);
-            current_on.entry(inst.id).or_default();
-        }
-        for t in ctx.tasks {
-            if let Some(id) = t.assigned_to {
-                current_on.entry(id).or_default().insert(t.id);
-            }
-        }
-        let mut available: BTreeSet<InstanceId> = reusable.iter().copied().collect();
+        let mut available: BTreeSet<InstanceId> = reusable.into_iter().collect();
         let mut assignments: Vec<Assignment> = kept
             .into_iter()
             .map(|(id, tasks)| Assignment {
@@ -111,13 +103,11 @@ impl EvaScheduler {
             let want: BTreeSet<TaskId> = inst.tasks.iter().copied().collect();
             let best = available
                 .iter()
-                .filter(|id| type_of.get(id) == Some(&inst.type_id))
-                .map(|id| {
-                    let overlap = current_on
-                        .get(id)
-                        .map(|cur| cur.intersection(&want).count())
-                        .unwrap_or(0);
-                    (*id, overlap)
+                .filter_map(|id| view.instance(*id))
+                .filter(|live| live.type_id == inst.type_id)
+                .map(|live| {
+                    let overlap = live.residents.iter().filter(|t| want.contains(&t.id));
+                    (live.id, overlap.count())
                 })
                 .max_by_key(|(id, overlap)| (*overlap, std::cmp::Reverse(*id)));
             let target = match best {
@@ -134,25 +124,7 @@ impl EvaScheduler {
         }
 
         // Anything live and unclaimed is terminated once drained.
-        let used: BTreeSet<InstanceId> = assignments
-            .iter()
-            .filter_map(|a| match a.instance {
-                PlannedInstance::Existing(id) => Some(id),
-                PlannedInstance::New(_) => None,
-            })
-            .collect();
-        let terminate: Vec<InstanceId> = ctx
-            .instances
-            .iter()
-            .map(|i| i.id)
-            .filter(|id| !used.contains(id))
-            .collect();
-
-        Plan {
-            assignments,
-            terminate,
-            full_reconfiguration: false,
-        }
+        view.plan(assignments)
     }
 
     /// Migration cost `M` of adopting `plan` (dollars): each moved task's
@@ -160,37 +132,15 @@ impl EvaScheduler {
     /// (the paper computes `M` from "task migration delays and the cost of
     /// the involved instances"). First placements cost the same under both
     /// candidate plans and are excluded.
-    fn migration_cost_dollars(&self, plan: &Plan, ctx: &SchedulerContext<'_>) -> f64 {
-        let type_cost = |instance: &PlannedInstance| -> f64 {
-            let type_id = match instance {
-                PlannedInstance::Existing(id) => ctx
-                    .instances
-                    .iter()
-                    .find(|i| i.id == *id)
-                    .map(|i| i.type_id),
-                PlannedInstance::New(ty) => Some(*ty),
-            };
-            type_id
-                .and_then(|ty| ctx.catalog.get(ty))
-                .map(|t| t.hourly_cost.as_dollars())
-                .unwrap_or(0.0)
-        };
+    fn migration_cost_dollars(plan: &Plan, view: &ClusterView<'_>, catalog: &Catalog) -> f64 {
         let mut cost = 0.0;
-        for a in &plan.assignments {
-            let dest_cost = type_cost(&a.instance);
-            for tid in &a.tasks {
-                let Some(snap) = ctx.tasks.iter().find(|t| t.id == *tid) else {
-                    continue;
-                };
-                let moved = match (&a.instance, snap.assigned_to) {
-                    (PlannedInstance::Existing(target), Some(cur)) => *target != cur,
-                    (PlannedInstance::New(_), Some(_)) => true,
-                    (_, None) => false,
-                };
-                if moved {
-                    cost += snap.migration_delay().as_hours_f64() * dest_cost;
-                }
-            }
+        for m in plan.moves(view).filter(|m| !m.is_initial()) {
+            let dest = match plan.assignments[m.slot].instance {
+                PlannedInstance::Existing(id) => view.instance(id).and_then(|i| i.ty),
+                PlannedInstance::New(ty) => catalog.get(ty),
+            };
+            let dest_cost = dest.map_or(0.0, |t| t.hourly_cost.as_dollars());
+            cost += m.task.migration_delay().as_hours_f64() * dest_cost;
         }
         cost
     }
@@ -224,34 +174,29 @@ impl Scheduler for EvaScheduler {
         };
         let eval = TnrpEvaluator::new(tput, &prices, self.cfg.multi_task_aware);
 
+        let view = ClusterView::of(ctx);
+
         // Candidate 1: Full Reconfiguration over every task.
         let full_packed = full_reconfiguration(ctx.tasks, ctx.catalog, &eval);
-        let all_ids: Vec<InstanceId> = ctx.instances.iter().map(|i| i.id).collect();
-        let mut full_plan = Self::concretize(&full_packed, Vec::new(), ctx, &all_ids);
+        let all_ids = view.instances.iter().map(|i| i.id);
+        let mut full_plan = Self::concretize(&full_packed, Vec::new(), &view, all_ids);
         full_plan.full_reconfiguration = true;
 
         // Candidate 2: Partial Reconfiguration.
-        let partial_out = partial_reconfiguration(
-            ctx.tasks,
-            ctx.instances,
-            ctx.catalog,
-            &eval,
-            self.cfg.refill_existing,
-        );
+        let partial_out =
+            partial_reconfiguration(&view, ctx.catalog, &eval, self.cfg.refill_existing);
         let partial_plan = Self::concretize(
             &partial_out.packed,
             partial_out.kept.clone(),
-            ctx,
-            &partial_out.terminate,
+            &view,
+            partial_out.terminate.iter().copied(),
         );
 
         // Savings and migration costs.
         let s_f = full_packed.total_saving_dollars();
-        let instance_types: BTreeMap<InstanceId, InstanceTypeId> =
-            ctx.instances.iter().map(|i| (i.id, i.type_id)).collect();
-        let s_p = partial_out.total_saving_dollars(ctx.tasks, ctx.catalog, &eval, &instance_types);
-        let m_f = self.migration_cost_dollars(&full_plan, ctx);
-        let m_p = self.migration_cost_dollars(&partial_plan, ctx);
+        let s_p = partial_out.total_saving_dollars(&view, &eval);
+        let m_f = Self::migration_cost_dollars(&full_plan, &view, ctx.catalog);
+        let m_p = Self::migration_cost_dollars(&partial_plan, &view, ctx.catalog);
 
         let decision = match self.cfg.mode {
             ReconfigMode::FullOnly => ReconfigDecision::Full,
@@ -265,18 +210,10 @@ impl Scheduler for EvaScheduler {
             }
             .decide(),
         };
-        if std::env::var_os("EVA_DEBUG_DECISION").is_some() {
-            eprintln!(
-                "t={:.2}h tasks={} S_F={s_f:.2} S_P={s_p:.2} M_F={m_f:.2} M_P={m_p:.2} D={:.2}h -> {decision:?}",
-                ctx.now.as_hours_f64(),
-                ctx.tasks.len(),
-                self.estimator.estimated_duration_hours(),
-            );
-        }
 
         // A Full adoption that actually changes something counts as a
         // "triggered" event for the p estimator.
-        let full_changes = !full_plan.migrations(ctx.tasks, false).is_empty()
+        let full_changes = full_plan.moves(&view).any(|m| !m.is_initial())
             || full_plan.new_instance_count() > 0
             || !full_plan.terminate.is_empty();
         let triggered = decision == ReconfigDecision::Full && full_changes;
@@ -307,18 +244,6 @@ impl Scheduler for EvaScheduler {
             }
         }
     }
-}
-
-/// Helper shared with tests and the simulator: collect the task ids per
-/// planned instance from a plan.
-pub fn plan_assignment_map(plan: &Plan) -> BTreeMap<TaskId, PlannedInstance> {
-    let mut map = BTreeMap::new();
-    for a in &plan.assignments {
-        for t in &a.tasks {
-            map.insert(*t, a.instance);
-        }
-    }
-    map
 }
 
 #[cfg(test)]
@@ -428,11 +353,11 @@ mod tests {
         let mut eva = EvaScheduler::new(EvaConfig::eva());
         let plan = eva.plan(&ctx_with(&catalog, &tasks, &instances, 1.0));
         // Whatever branch wins, τ4 must not stay alone on it1.
-        let map = plan_assignment_map(&plan);
-        let target = map.get(&TaskId::new(JobId(4), 0)).unwrap();
-        match target {
+        let tau4 = TaskId::new(JobId(4), 0);
+        let target = plan.assignments.iter().find(|a| a.tasks.contains(&tau4));
+        match target.unwrap().instance {
             PlannedInstance::New(ty) => {
-                assert_eq!(catalog.get(*ty).unwrap().name, "it4");
+                assert_eq!(catalog.get(ty).unwrap().name, "it4");
             }
             PlannedInstance::Existing(id) => panic!("should not stay on {id}"),
         }

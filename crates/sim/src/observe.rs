@@ -8,7 +8,10 @@
 use std::collections::BTreeMap;
 
 use eva_cloud::ProvisionRequest;
-use eva_core::{InstanceSnapshot, JobObservation, Plan, PlannedInstance, SchedulerContext, TaskSnapshot};
+use eva_core::{
+    ClusterView, InstanceSnapshot, JobObservation, Plan, PlannedInstance, SchedulerContext,
+    TaskSnapshot,
+};
 use eva_interference::TaskContext;
 use eva_types::{InstanceId, SimDuration, TaskId, WorkloadKind};
 
@@ -194,61 +197,36 @@ impl ClusterSim {
         (tasks, instances)
     }
 
-    /// Executes a plan: provisions new instances, transfers tasks, marks
-    /// terminations.
-    pub(crate) fn execute_plan(&mut self, plan: &Plan) {
-        let mut target: BTreeMap<TaskId, InstanceId> = BTreeMap::new();
-        for a in &plan.assignments {
-            let inst = match a.instance {
-                PlannedInstance::Existing(id) => id,
-                PlannedInstance::New(ty) => {
-                    match self.cloud.provision(
-                        ProvisionRequest {
-                            type_id: ty,
-                            at: self.now(),
-                        },
-                        &mut self.rng,
-                    ) {
-                        Ok(id) => {
-                            self.world.insts.ensure(id);
-                            self.count_provision(id);
-                            id
-                        }
-                        Err(_) => continue,
-                    }
-                }
-            };
-            for tid in &a.tasks {
-                target.insert(*tid, inst);
-            }
-        }
-        let moves: Vec<(TaskId, InstanceId)> = target
+    /// Executes a plan: provisions new instances, transfers the tasks in
+    /// `moves` (task → index of its destination in `plan.assignments`, as
+    /// [`Plan::moves`] found them), marks terminations.
+    pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: BTreeMap<TaskId, usize>) {
+        let dest: Vec<Option<InstanceId>> = plan
+            .assignments
             .iter()
-            .filter(|(tid, dest)| {
-                self.world
-                    .tasks
-                    .slot_of(**tid)
-                    .map(|s| {
-                        let a = self.world.tasks.assigned[s as usize];
-                        a == NO_SLOT || self.world.insts.ids[a as usize] != **dest
-                    })
-                    .unwrap_or(false)
+            .map(|a| match a.instance {
+                PlannedInstance::Existing(id) => Some(id),
+                PlannedInstance::New(ty) => {
+                    let request = ProvisionRequest {
+                        type_id: ty,
+                        at: self.now(),
+                    };
+                    let id = self.cloud.provision(request, &mut self.rng).ok()?;
+                    self.world.insts.ensure(id);
+                    self.count_provision(id);
+                    Some(id)
+                }
             })
-            .map(|(t, d)| (*t, *d))
             .collect();
-        for (tid, dest) in moves {
-            self.transfer_task(tid, dest);
-        }
-        for id in &plan.terminate {
-            // Defensive: never drain an instance the plan also assigns to.
-            let assigned_here = plan
-                .assignments
-                .iter()
-                .any(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == *id));
-            if !assigned_here {
-                self.draining.insert(*id);
+        for (tid, slot) in moves {
+            if let Some(inst) = dest[slot] {
+                self.transfer_task(tid, inst);
             }
         }
+        // Defensive: never drain an instance the plan also assigns to.
+        let claimed = plan.claimed();
+        let released = plan.terminate.iter().filter(|id| !claimed.contains(id));
+        self.draining.extend(released);
         self.try_terminations();
     }
 
@@ -272,39 +250,17 @@ impl ClusterSim {
             instances: &instances,
         };
         let plan = self.scheduler.plan(&ctx);
+        // Diffed against the snapshot the scheduler saw; in task order, a
+        // task listed twice going where its last listing says.
+        let moves = plan
+            .moves(&ClusterView::of(&ctx))
+            .map(|m| (m.task.id, m.slot))
+            .collect();
         self.rounds += 1;
-        if self.rounds.is_multiple_of(50) && std::env::var_os("EVA_SIM_TRACE_STATE").is_some() {
-            let live: Vec<_> = self.cloud.live_instances(self.now()).collect();
-            let rate: f64 = live
-                .iter()
-                .filter_map(|i| self.catalog.get(i.type_id))
-                .map(|t| t.hourly_cost.as_dollars())
-                .sum();
-            let running = self
-                .world
-                .tasks
-                .state
-                .iter()
-                .filter(|s| **s == TaskState::Running)
-                .count();
-            let transit = self
-                .world
-                .tasks
-                .state
-                .iter()
-                .filter(|s| matches!(s, TaskState::InTransit { .. }))
-                .count();
-            eprintln!(
-                "round {:>5} t={:>7.2}h tasks r{running}/x{transit} inst {} rate ${rate:.0}/h",
-                self.rounds,
-                self.now().as_hours_f64(),
-                live.len()
-            );
-        }
         if plan.full_reconfiguration {
             self.full_rounds += 1;
         }
-        self.execute_plan(&plan);
+        self.execute_plan(&plan, moves);
         self.recompute_completions();
 
         if !self.world.jobs.active.is_empty() {

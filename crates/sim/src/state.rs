@@ -1,6 +1,6 @@
 //! Simulation state: task lifecycle and job progress.
 
-use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskId};
+use eva_types::{JobSpec, SimDuration, SimTime};
 
 /// Lifecycle of one task inside the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,36 +19,6 @@ pub enum TaskState {
     Running,
     /// Its job completed.
     Done,
-}
-
-/// One task's dynamic bookkeeping.
-#[derive(Debug, Clone)]
-pub struct TaskRuntime {
-    /// The task.
-    pub id: TaskId,
-    /// Target instance (set even while in transit).
-    pub assigned_to: Option<InstanceId>,
-    /// Lifecycle state.
-    pub state: TaskState,
-    /// Migrations performed so far (initial placement not counted).
-    pub migrations: u32,
-}
-
-impl TaskRuntime {
-    /// A fresh pending task.
-    pub fn new(id: TaskId) -> Self {
-        TaskRuntime {
-            id,
-            assigned_to: None,
-            state: TaskState::Pending,
-            migrations: 0,
-        }
-    }
-
-    /// True when the task currently computes (and therefore interferes).
-    pub fn is_running(&self) -> bool {
-        self.state == TaskState::Running
-    }
 }
 
 /// One job's dynamic bookkeeping.
@@ -143,7 +113,7 @@ impl JobProgress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_types::{DemandSpec, JobId, ResourceVector, TaskSpec, WorkloadKind};
+    use eva_types::{DemandSpec, JobId, ResourceVector, TaskId, TaskSpec, WorkloadKind};
 
     fn spec(hours: f64) -> JobSpec {
         let id = JobId(1);
@@ -204,18 +174,5 @@ mod tests {
         let mut p = JobProgress::new(spec(2.0));
         p.advance(0.5, 1.0);
         assert_eq!(p.remaining_hint(), SimDuration::from_hours_f64(1.5));
-    }
-
-    #[test]
-    fn task_runtime_lifecycle() {
-        let mut t = TaskRuntime::new(TaskId::new(JobId(1), 0));
-        assert!(!t.is_running());
-        t.state = TaskState::InTransit {
-            generation: 1,
-            ready_at: SimTime::from_secs(30),
-        };
-        assert!(!t.is_running());
-        t.state = TaskState::Running;
-        assert!(t.is_running());
     }
 }

@@ -1,20 +1,22 @@
 //! Contract tests every scheduler must satisfy: plans must be executable
 //! (capacity-respecting, no duplicated tasks, terminate only untouched
-//! instances) on randomized cluster states.
+//! instances) on randomized cluster states — including tasks whose
+//! `assigned_to` names an instance the snapshot does not list, which is
+//! what the world produces while an instance drains.
 
 use proptest::prelude::*;
 
 use eva::baselines::{
     NoPackingScheduler, OracleProfile, OwlScheduler, StratusScheduler, SynergyScheduler,
 };
-use eva::core::{InstanceSnapshot, PlannedInstance, TaskSnapshot};
+use eva::core::{ClusterView, InstanceSnapshot, PlannedInstance, TaskSnapshot};
 use eva::prelude::*;
 
 fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot>)> {
     let catalog = Catalog::aws_eval_2025();
     let n_types = catalog.len() as u32;
     (
-        proptest::collection::vec((0u32..=2, 1u32..=16, 1u64..=128, 0u32..8), 1..16),
+        proptest::collection::vec((0u32..=2, 1u32..=16, 1u64..=128, 0u32..8, 0u32..5), 1..16),
         proptest::collection::vec(0u32..n_types, 0..6),
     )
         .prop_map(move |(task_specs, instance_types)| {
@@ -30,7 +32,7 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
             let mut tasks: Vec<TaskSnapshot> = task_specs
                 .into_iter()
                 .enumerate()
-                .map(|(i, (gpu, cpu, ram_gb, workload))| TaskSnapshot {
+                .map(|(i, (gpu, cpu, ram_gb, workload, orphan))| TaskSnapshot {
                     id: TaskId::new(JobId(i as u64), 0),
                     workload: WorkloadKind(workload),
                     demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
@@ -38,7 +40,9 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
                     launch_delay: SimDuration::from_secs(10),
                     gang_size: 1,
                     gang_coupled: false,
-                    assigned_to: None,
+                    // One task in five sits on an instance (id ≥ 100) that
+                    // `instances` does not list.
+                    assigned_to: (orphan == 0).then_some(InstanceId(100 + i as u64 % 2)),
                     remaining_hint: Some(SimDuration::from_mins(30 + i as u64 * 13)),
                 })
                 .collect();
@@ -46,7 +50,7 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
             let mut used: Vec<ResourceVector> =
                 instances.iter().map(|_| ResourceVector::ZERO).collect();
             for (i, task) in tasks.iter_mut().enumerate() {
-                if instances.is_empty() || i % 3 == 0 {
+                if instances.is_empty() || i % 3 == 0 || task.assigned_to.is_some() {
                     continue; // Leave some pending.
                 }
                 let slot = i % instances.len();
@@ -63,11 +67,15 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
         })
 }
 
+/// `replaces_orphans`: whether the scheduler re-places a task assigned to
+/// an unlisted instance (Eva and Synergy do) or leaves it out of the plan
+/// (No-Packing, Stratus and Owl).
 fn check_plan(
     name: &str,
     plan: &eva::core::Plan,
     tasks: &[TaskSnapshot],
     instances: &[InstanceSnapshot],
+    replaces_orphans: bool,
 ) -> Result<(), TestCaseError> {
     let catalog = Catalog::aws_eval_2025();
     // No task appears twice.
@@ -77,7 +85,19 @@ fn check_plan(
             prop_assert!(seen.insert(*t), "{name}: task {t} duplicated");
         }
     }
-    // Capacity respected per planned instance.
+    for t in tasks {
+        let listed = |id| instances.iter().any(|i| i.id == id);
+        if t.assigned_to.is_some_and(|id| !listed(id)) {
+            prop_assert_eq!(
+                seen.contains(&t.id),
+                replaces_orphans,
+                "{}: orphan {}",
+                name,
+                t.id
+            );
+        }
+    }
+    // Capacity respected per planned instance; none targets an unlisted one.
     for a in &plan.assignments {
         let type_id = match a.instance {
             PlannedInstance::Existing(id) => {
@@ -127,18 +147,50 @@ proptest! {
         let kinds: Vec<WorkloadKind> = workloads.iter().map(|w| w.kind).collect();
         let profile = OracleProfile::from_fn(&kinds, |_, _| 0.95);
 
-        let mut schedulers: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(NoPackingScheduler::new()),
-            Box::new(StratusScheduler::new()),
-            Box::new(SynergyScheduler::new()),
-            Box::new(OwlScheduler::new(profile)),
-            Box::new(EvaScheduler::new(EvaConfig::eva())),
-            Box::new(EvaScheduler::new(EvaConfig::without_partial())),
-            Box::new(EvaScheduler::new(EvaConfig::without_full())),
+        let mut schedulers: Vec<(Box<dyn Scheduler>, bool)> = vec![
+            (Box::new(NoPackingScheduler::new()), false),
+            (Box::new(StratusScheduler::new()), false),
+            (Box::new(SynergyScheduler::new()), true),
+            (Box::new(OwlScheduler::new(profile)), false),
+            (Box::new(EvaScheduler::new(EvaConfig::eva())), true),
+            (Box::new(EvaScheduler::new(EvaConfig::without_partial())), true),
+            (Box::new(EvaScheduler::new(EvaConfig::without_full())), true),
         ];
-        for sched in &mut schedulers {
+        for (sched, replaces_orphans) in &mut schedulers {
             let plan = sched.plan(&ctx);
-            check_plan(sched.name(), &plan, &tasks, &instances)?;
+            check_plan(sched.name(), &plan, &tasks, &instances, *replaces_orphans)?;
+        }
+    }
+
+    #[test]
+    fn cluster_view_is_the_naive_derivation((tasks, instances) in arb_state()) {
+        let catalog = Catalog::aws_eval_2025();
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            catalog: &catalog,
+            tasks: &tasks,
+            instances: &instances,
+        };
+        let view = ClusterView::of(&ctx);
+        prop_assert_eq!(view.instances.len(), instances.len());
+        for (got, inst) in view.instances.iter().zip(&instances) {
+            let ty = catalog.get(inst.type_id).unwrap();
+            let residents = ctx.tasks_on(inst.id);
+            let used: ResourceVector = residents.iter().map(|t| ty.demand_of(&t.demand)).sum();
+            prop_assert_eq!((got.id, got.type_id, got.ty), (inst.id, inst.type_id, Some(ty)));
+            prop_assert_eq!(&got.residents, &residents);
+            prop_assert_eq!(got.used, used);
+            prop_assert_eq!(view.instance(inst.id).map(|i| i.id), Some(inst.id));
+        }
+        prop_assert_eq!(view.pending().collect::<Vec<_>>(), ctx.pending_tasks());
+        let unplaced: Vec<&TaskSnapshot> = tasks
+            .iter()
+            .filter(|t| t.assigned_to.is_none_or(|id| view.instance(id).is_none()))
+            .collect();
+        prop_assert_eq!(&view.unplaced, &unplaced);
+        prop_assert!(view.instance(InstanceId(100)).is_none());
+        for t in &tasks {
+            prop_assert_eq!(view.task(t.id), Some(t));
         }
     }
 }
