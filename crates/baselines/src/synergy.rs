@@ -98,10 +98,8 @@ impl Scheduler for SynergyScheduler {
                 } else {
                     // Interference-aware admission: a running box is a sunk
                     // cost, but joining it must not destroy value.
-                    let before = eval.tnrp_set(set);
-                    let mut joined = set.clone();
-                    joined.push(task);
-                    if eval.tnrp_set(&joined) < before {
+                    let joined = eval.join(set, task.workload)(eval.priced(task));
+                    if joined < eval.tnrp_set(set) {
                         continue;
                     }
                 }

@@ -17,10 +17,10 @@
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-use eva_cloud::Catalog;
+use eva_cloud::{Catalog, InstanceType};
 use eva_types::{InstanceId, TaskId};
 
-use crate::packing::{full_reconfiguration, PackedConfig};
+use crate::packing::{pack, PackedConfig};
 use crate::plan::{ClusterView, TaskSnapshot};
 use crate::reservation::TnrpEvaluator;
 
@@ -64,6 +64,16 @@ pub fn partial_reconfiguration(
     eval: &TnrpEvaluator<'_>,
     refill_existing: bool,
 ) -> PartialOutcome {
+    partial_over(view, &catalog.types_by_cost_desc(), eval, refill_existing)
+}
+
+/// [`partial_reconfiguration`] with `types` as [`crate::packing::pack`] takes them.
+pub(crate) fn partial_over(
+    view: &ClusterView<'_>,
+    types: &[&InstanceType],
+    eval: &TnrpEvaluator<'_>,
+    refill_existing: bool,
+) -> PartialOutcome {
     // Unassigned tasks, and tasks on an instance the context no longer
     // lists (e.g. being drained), are reconsidered.
     let mut subset: Vec<&TaskSnapshot> = view.unplaced.clone();
@@ -102,6 +112,8 @@ pub fn partial_reconfiguration(
             let mut used = inst.used;
             loop {
                 // Pick the candidate maximizing the refilled set's TNRP.
+                // The set's TNRP as it is, wanted once a candidate fits.
+                let mut before: Option<f64> = None;
                 let mut best: Option<(usize, f64)> = None;
                 for (idx, task) in subset.iter().enumerate() {
                     if refilled.contains(&task.id) {
@@ -114,10 +126,8 @@ pub fn partial_reconfiguration(
                     if !total.fits_within(&ty.capacity) {
                         continue;
                     }
-                    let mut candidate = set.clone();
-                    candidate.push(task);
-                    let tnrp = eval.tnrp_set(&candidate);
-                    if tnrp >= eval.tnrp_set(set)
+                    let tnrp = eval.join(set, task.workload)(eval.priced(task));
+                    if tnrp >= *before.get_or_insert_with(|| eval.tnrp_set(set))
                         && tnrp + 1e-9 >= ty.hourly_cost.as_dollars()
                         && best.is_none_or(|(_, b)| tnrp > b)
                     {
@@ -137,8 +147,7 @@ pub fn partial_reconfiguration(
     }
 
     // Pack the remaining subset into new instances with Algorithm 1.
-    let subset_owned: Vec<TaskSnapshot> = subset.iter().map(|t| (*t).clone()).collect();
-    let packed = full_reconfiguration(&subset_owned, catalog, eval);
+    let packed = pack(&subset, types, eval);
 
     PartialOutcome {
         kept: kept

@@ -1,5 +1,6 @@
 //! Reservation price and throughput-normalized reservation price (§4.2–4.4).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use eva_cloud::Catalog;
@@ -116,6 +117,21 @@ impl ReservationPrices {
     }
 }
 
+/// The two scalars of a task's TNRP term, resolved once so that a scan
+/// over candidate tasks touches no map.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced {
+    rp: f64,
+    gang: f64,
+}
+
+impl Priced {
+    /// `TNRP(τ, T)` in dollars at `tput(τ, T)`; may be negative (§4.4).
+    pub fn tnrp(self, tput: f64) -> f64 {
+        self.rp * (1.0 - self.gang * (1.0 - tput))
+    }
+}
+
 /// Evaluates throughput-normalized reservation prices for task sets.
 ///
 /// For a single-task job: `TNRP(τ, T) = tput(τ, T) × RP(τ)` (§4.3).
@@ -130,6 +146,8 @@ pub struct TnrpEvaluator<'a> {
     tput: &'a dyn TputEstimator,
     prices: &'a ReservationPrices,
     multi_task_aware: bool,
+    /// Scratch for a task's co-located others.
+    others: RefCell<Vec<WorkloadKind>>,
 }
 
 impl<'a> TnrpEvaluator<'a> {
@@ -143,35 +161,48 @@ impl<'a> TnrpEvaluator<'a> {
             tput,
             prices,
             multi_task_aware,
+            others: RefCell::default(),
         }
     }
 
+    /// `RP(τ)` and the number of tasks its slowdown is charged for.
+    pub fn priced(&self, task: &TaskSnapshot) -> Priced {
+        let coupled = self.multi_task_aware && task.gang_coupled;
+        let gang = f64::from(if coupled { task.gang_size } else { 1 });
+        let rp = self.prices.rp_dollars(task.id);
+        Priced { rp, gang }
+    }
+
     /// The throughput a task retains inside `set` (its co-located others
-    /// are every *other* member of the set).
-    pub fn tput_in_set(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
-        let others: Vec<WorkloadKind> = set
-            .iter()
-            .filter(|t| t.id != task.id)
-            .map(|t| t.workload)
-            .collect();
-        self.tput.estimate(task.workload, &others)
+    /// are every *other* member of the set), joined last by `with`.
+    fn tput_in(&self, of: &TaskSnapshot, set: &[&TaskSnapshot], with: Option<WorkloadKind>) -> f64 {
+        let mut others = self.others.borrow_mut();
+        others.clear();
+        others.extend(set.iter().filter(|t| t.id != of.id).map(|t| t.workload));
+        others.extend(with);
+        self.tput.estimate(of.workload, &others)
     }
 
     /// `TNRP(τ, T)` in dollars (negative values allowed, §4.4).
     pub fn tnrp_task(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
-        let rp = self.prices.rp_dollars(task.id);
-        let tput = self.tput_in_set(task, set);
-        let gang = if self.multi_task_aware && task.gang_coupled {
-            f64::from(task.gang_size)
-        } else {
-            1.0
-        };
-        rp * (1.0 - gang * (1.0 - tput))
+        self.priced(task).tnrp(self.tput_in(task, set, None))
     }
 
     /// `TNRP(T) = Σ_{τ∈T} TNRP(τ, T)` in dollars.
     pub fn tnrp_set(&self, set: &[&TaskSnapshot]) -> f64 {
         set.iter().map(|t| self.tnrp_task(t, set)).sum()
+    }
+
+    /// `TNRP(T ∪ {τ})` in dollars as a function of the [`Priced`] scalars of
+    /// a joiner `τ` of workload `w` outside `set` — all else it depends on.
+    /// Bit-equal to [`Self::tnrp_set`] over `set` then `τ`: the members'
+    /// terms are added in set order, the joiner's last.
+    pub fn join(&self, set: &[&TaskSnapshot], w: WorkloadKind) -> impl Fn(Priced) -> f64 + Copy {
+        let term = |m: &&TaskSnapshot| self.priced(m).tnrp(self.tput_in(m, set, Some(w)));
+        let members: f64 = set.iter().map(term).sum();
+        let all: Vec<WorkloadKind> = set.iter().map(|t| t.workload).collect();
+        let tput = self.tput.estimate(w, &all);
+        move |joiner| members + joiner.tnrp(tput)
     }
 
     /// Whether assigning `set` to an instance of hourly cost `cost` is
@@ -183,7 +214,7 @@ impl<'a> TnrpEvaluator<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use eva_types::{JobId, ResourceVector, SimDuration};
 
@@ -336,5 +367,60 @@ mod tests {
         let eval = TnrpEvaluator::new(&UnitTput, &prices, true);
         let set: Vec<&TaskSnapshot> = tasks.iter().collect();
         assert!((eval.tnrp_set(&set) - 16.2).abs() < 1e-9);
+    }
+
+    use proptest::prelude::*;
+
+    /// A table holding exact group entries, pairwise entries (the groups
+    /// of one) and, for everything else, its default.
+    pub(crate) fn arb_table() -> impl Strategy<Value = ThroughputTable> {
+        let group = (0u32..5, collection::vec(0u32..5, 1..5), -0.2f64..1.2);
+        (0.5f64..1.0, collection::vec(group, 0..24)).prop_map(|(default_tput, groups)| {
+            let mut table = ThroughputTable::new(default_tput);
+            for (task, others, tput) in groups {
+                let others: Vec<WorkloadKind> = others.into_iter().map(WorkloadKind).collect();
+                table.record(WorkloadKind(task), &others, tput);
+            }
+            table
+        })
+    }
+
+    /// Up to `max` tasks of five workloads and five reservation prices,
+    /// gang-coupled or not; ids are distinct.
+    fn arb_tasks(max: usize) -> impl Strategy<Value = Vec<TaskSnapshot>> {
+        let spec = (0u32..5, 0usize..5, 1u32..5, 0u32..2);
+        collection::vec(spec, 1..=max).prop_map(|specs| {
+            let demands = [(2, 8, 24), (1, 4, 10), (0, 6, 20), (0, 4, 12), (0, 1, 1)];
+            let task = |(job, (workload, demand, gang_size, coupled))| {
+                let (gpu, cpu, ram_gb) = demands[demand];
+                let demand = ResourceVector::with_ram_gb(gpu, cpu, ram_gb);
+                task_gang(job as u64, demand, workload, gang_size, coupled == 1)
+            };
+            specs.into_iter().enumerate().map(task).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The join is the definition, to the bit: `tnrp_set` over the set
+        /// with the joiner appended.
+        #[test]
+        fn join_is_bit_equal_to_tnrp_of_the_joined_set(
+            table in arb_table(),
+            tasks in arb_tasks(9),
+            multi_task_aware in 0u32..2,
+        ) {
+            let catalog = Catalog::table3_example();
+            let prices = ReservationPrices::compute(&catalog, tasks.iter());
+            let (joiner, members) = tasks.split_last().unwrap();
+            let set: Vec<&TaskSnapshot> = members.iter().collect();
+            let joined: Vec<&TaskSnapshot> = tasks.iter().collect();
+            for tput in [&table as &dyn TputEstimator, &UnitTput] {
+                let eval = TnrpEvaluator::new(tput, &prices, multi_task_aware == 1);
+                let join = eval.join(&set, joiner.workload)(eval.priced(joiner));
+                prop_assert_eq!(join.to_bits(), eval.tnrp_set(&joined).to_bits());
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! type with maximal task overlap so that unchanged assignments migrate
 //! nothing — and (4) picks one via the Equation 1 criterion.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use eva_cloud::Catalog;
@@ -15,8 +16,8 @@ use eva_types::{InstanceId, JobId, TaskId};
 
 use crate::config::{EvaConfig, ReconfigMode};
 use crate::decision::{DecisionInputs, EventRateEstimator, ReconfigDecision};
-use crate::packing::{full_reconfiguration, PackedConfig};
-use crate::partial::partial_reconfiguration;
+use crate::packing::{pack, PackedConfig};
+use crate::partial::partial_over;
 use crate::plan::{
     Assignment, ClusterView, JobObservation, Plan, PlannedInstance, Scheduler, SchedulerContext,
 };
@@ -83,7 +84,7 @@ impl EvaScheduler {
 
     /// Turns an abstract packed configuration into a concrete plan by
     /// reusing existing instances: each packed instance grabs the unused
-    /// live instance of the same type with the largest task overlap.
+    /// live instance of its type that hosts most of its tasks, if any does.
     fn concretize(
         packed: &PackedConfig,
         kept: Vec<(InstanceId, Vec<TaskId>)>,
@@ -100,22 +101,21 @@ impl EvaScheduler {
             .collect();
 
         for inst in &packed.instances {
-            let want: BTreeSet<TaskId> = inst.tasks.iter().copied().collect();
-            let best = available
-                .iter()
-                .filter_map(|id| view.instance(*id))
-                .filter(|live| live.type_id == inst.type_id)
-                .map(|live| {
-                    let overlap = live.residents.iter().filter(|t| want.contains(&t.id));
-                    (live.id, overlap.count())
-                })
-                .max_by_key(|(id, overlap)| (*overlap, std::cmp::Reverse(*id)));
+            // Only the current hosts of these tasks can overlap them.
+            let hosts = inst.tasks.iter().filter_map(|t| view.task(*t)?.assigned_to);
+            let reusable = |id: &InstanceId| {
+                let type_id = view.instance(*id).map(|live| live.type_id);
+                available.contains(id) && type_id == Some(inst.type_id)
+            };
+            let hosts: Vec<InstanceId> = hosts.filter(reusable).collect();
+            let overlap = |id: &InstanceId| hosts.iter().filter(|host| *host == id).count();
+            let best = hosts.iter().map(|id| (overlap(id), Reverse(*id))).max();
             let target = match best {
-                Some((id, overlap)) if overlap > 0 => {
+                Some((_, Reverse(id))) => {
                     available.remove(&id);
                     PlannedInstance::Existing(id)
                 }
-                _ => PlannedInstance::New(inst.type_id),
+                None => PlannedInstance::New(inst.type_id),
             };
             assignments.push(Assignment {
                 instance: target,
@@ -177,14 +177,14 @@ impl Scheduler for EvaScheduler {
         let view = ClusterView::of(ctx);
 
         // Candidate 1: Full Reconfiguration over every task.
-        let full_packed = full_reconfiguration(ctx.tasks, ctx.catalog, &eval);
+        let types = ctx.catalog.types_by_cost_desc();
+        let full_packed = pack(&ctx.tasks.iter().collect::<Vec<_>>(), &types, &eval);
         let all_ids = view.instances.iter().map(|i| i.id);
         let mut full_plan = Self::concretize(&full_packed, Vec::new(), &view, all_ids);
         full_plan.full_reconfiguration = true;
 
         // Candidate 2: Partial Reconfiguration.
-        let partial_out =
-            partial_reconfiguration(&view, ctx.catalog, &eval, self.cfg.refill_existing);
+        let partial_out = partial_over(&view, &types, &eval, self.cfg.refill_existing);
         let partial_plan = Self::concretize(
             &partial_out.packed,
             partial_out.kept.clone(),
@@ -249,10 +249,14 @@ impl Scheduler for EvaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packing::PackedInstance;
     use crate::plan::{InstanceSnapshot, TaskSnapshot};
     use eva_cloud::Catalog;
     use eva_interference::TaskContext;
-    use eva_types::{DemandSpec, ResourceVector, SimDuration, SimTime, WorkloadKind};
+    use eva_types::{
+        DemandSpec, InstanceTypeId, ResourceVector, SimDuration, SimTime, WorkloadKind,
+    };
+    use proptest::prelude::*;
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
         TaskSnapshot {
@@ -482,5 +486,138 @@ mod tests {
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].tasks.len(), 2);
         assert_eq!(eva.name(), "Eva-RP");
+    }
+
+    /// `concretize` as it was: every available instance of the type is
+    /// scanned for its overlap with the packed instance's tasks.
+    fn concretize_by_scan(
+        packed: &PackedConfig,
+        view: &ClusterView<'_>,
+        reusable: impl IntoIterator<Item = InstanceId>,
+    ) -> Plan {
+        let mut available: BTreeSet<InstanceId> = reusable.into_iter().collect();
+        let mut assignments: Vec<Assignment> = Vec::new();
+        for inst in &packed.instances {
+            let want: BTreeSet<TaskId> = inst.tasks.iter().copied().collect();
+            let best = available
+                .iter()
+                .filter_map(|id| view.instance(*id))
+                .filter(|live| live.type_id == inst.type_id)
+                .map(|live| {
+                    let overlap = live.residents.iter().filter(|t| want.contains(&t.id));
+                    (live.id, overlap.count())
+                })
+                .max_by_key(|(id, overlap)| (*overlap, std::cmp::Reverse(*id)));
+            let target = match best {
+                Some((id, overlap)) if overlap > 0 => {
+                    available.remove(&id);
+                    PlannedInstance::Existing(id)
+                }
+                _ => PlannedInstance::New(inst.type_id),
+            };
+            assignments.push(Assignment {
+                instance: target,
+                tasks: inst.tasks.clone(),
+            });
+        }
+        view.plan(assignments)
+    }
+
+    fn packed(type_id: InstanceTypeId, jobs: &[u64]) -> PackedInstance {
+        PackedInstance {
+            type_id,
+            tasks: jobs.iter().map(|job| TaskId::new(JobId(*job), 0)).collect(),
+            tnrp_dollars: 0.0,
+            cost_dollars: 0.0,
+        }
+    }
+
+    #[test]
+    fn concretize_breaks_overlap_ties_by_lowest_id_and_skips_unlisted_hosts() {
+        let catalog = Catalog::table3_example();
+        let it1 = catalog.by_name("it1").unwrap().id;
+        // Tasks 1 and 2 sit on two it1s, task 3 on an instance the
+        // context does not list, task 4 nowhere.
+        let tasks = vec![
+            task(1, 0, 1, 1, Some(7)),
+            task(2, 0, 1, 1, Some(5)),
+            task(3, 0, 1, 1, Some(100)),
+            task(4, 0, 1, 1, None),
+        ];
+        let instances: Vec<InstanceSnapshot> = [5, 7]
+            .into_iter()
+            .map(|id| InstanceSnapshot {
+                id: InstanceId(id),
+                type_id: it1,
+            })
+            .collect();
+        let ctx = ctx_with(&catalog, &tasks, &instances, 0.0);
+        let view = ClusterView::of(&ctx);
+        let config = PackedConfig {
+            instances: vec![packed(it1, &[1, 2, 3]), packed(it1, &[4])],
+            unassigned: Vec::new(),
+        };
+        let all = || view.instances.iter().map(|i| i.id);
+        let plan = EvaScheduler::concretize(&config, Vec::new(), &view, all());
+        assert_eq!(plan, concretize_by_scan(&config, &view, all()));
+        let targets: Vec<PlannedInstance> = plan.assignments.iter().map(|a| a.instance).collect();
+        let expect = [
+            PlannedInstance::Existing(InstanceId(5)),
+            PlannedInstance::New(it1),
+        ];
+        assert_eq!(targets, expect);
+        assert_eq!(plan.terminate, vec![InstanceId(7)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Looking only at the hosts of a packed instance's own tasks
+        /// picks what scanning every available instance picked.
+        #[test]
+        fn concretize_picks_what_the_scan_of_all_instances_picks(
+            instance_types in collection::vec(0u32..2, 0..6),
+            hosts in collection::vec(0u64..8, 1..14),
+            packing in collection::vec((0u32..2, 0usize..5), 14),
+            reusable in collection::vec(0u32..4, 6),
+        ) {
+            let catalog = Catalog::table3_example();
+            let instances: Vec<InstanceSnapshot> = instance_types
+                .iter()
+                .enumerate()
+                .map(|(id, ty)| InstanceSnapshot {
+                    id: InstanceId(id as u64),
+                    type_id: InstanceTypeId(*ty),
+                })
+                .collect();
+            // Host ids 0..6 may be listed; 6 stands for "unassigned" and 7
+            // for an instance the context does not list.
+            let tasks: Vec<TaskSnapshot> = hosts
+                .iter()
+                .enumerate()
+                .map(|(job, host)| task(job as u64, 0, 1, 1, (*host != 6).then_some(*host)))
+                .collect();
+            let ctx = ctx_with(&catalog, &tasks, &instances, 0.0);
+            let view = ClusterView::of(&ctx);
+            // Task `i` goes to packed instance `packing[i].1`, whose type
+            // is the first one drawn for it.
+            let mut config = PackedConfig::default();
+            for slot in 0..5 {
+                let members: Vec<u64> = (0..tasks.len() as u64)
+                    .filter(|job| packing[*job as usize].1 == slot)
+                    .collect();
+                if let Some(first) = members.first() {
+                    let type_id = InstanceTypeId(packing[*first as usize].0);
+                    config.instances.push(packed(type_id, &members));
+                }
+            }
+            // Three in four listed instances may be reused.
+            let reusable = || {
+                let listed = view.instances.iter().map(|i| i.id);
+                listed.filter(|id| reusable[id.0 as usize] != 0)
+            };
+            let plan = EvaScheduler::concretize(&config, Vec::new(), &view, reusable());
+            prop_assert_eq!(plan, concretize_by_scan(&config, &view, reusable()));
+        }
     }
 }

@@ -21,7 +21,7 @@ pub mod monitor;
 pub mod table;
 
 pub use monitor::{TaskContext, ThroughputMonitor};
-pub use table::{ColocationKey, ThroughputTable};
+pub use table::ThroughputTable;
 
 /// The paper's default optimistic throughput for unknown pairs (§4.3).
 pub const DEFAULT_PAIRWISE_TPUT: f64 = 0.95;

@@ -1,42 +1,22 @@
 //! The co-location throughput table (§4.3).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use eva_types::WorkloadKind;
 
-/// Key of one table entry: a workload plus the sorted multiset of workloads
-/// co-located with it.
-///
-/// # Examples
-///
-/// ```
-/// use eva_interference::ColocationKey;
-/// use eva_types::WorkloadKind;
-///
-/// let a = ColocationKey::new(WorkloadKind(0), &[WorkloadKind(2), WorkloadKind(1)]);
-/// let b = ColocationKey::new(WorkloadKind(0), &[WorkloadKind(1), WorkloadKind(2)]);
-/// assert_eq!(a, b); // Order of co-located tasks is irrelevant.
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColocationKey {
-    /// The observed workload.
-    pub task: WorkloadKind,
-    /// Sorted workloads sharing the instance.
-    pub others: Vec<WorkloadKind>,
+thread_local! {
+    /// Scratch for the key of a lookup.
+    static LOOKUP_KEY: RefCell<Vec<WorkloadKind>> = const { RefCell::new(Vec::new()) };
 }
 
-impl ColocationKey {
-    /// Builds a key, sorting the co-located multiset.
-    pub fn new(task: WorkloadKind, others: &[WorkloadKind]) -> Self {
-        let mut others = others.to_vec();
-        others.sort();
-        ColocationKey { task, others }
-    }
-
-    /// True when the task runs alone.
-    pub fn is_solo(&self) -> bool {
-        self.others.is_empty()
-    }
+/// Writes the key of the group entry for `task` among `others` into `key`:
+/// the task, then the others sorted, since their order is irrelevant.
+fn fill_key(key: &mut Vec<WorkloadKind>, task: WorkloadKind, others: &[WorkloadKind]) {
+    key.clear();
+    key.push(task);
+    key.extend_from_slice(others);
+    key[1..].sort_unstable();
 }
 
 /// The co-location throughput table.
@@ -62,7 +42,8 @@ impl ColocationKey {
 #[derive(Debug, Clone)]
 pub struct ThroughputTable {
     default_tput: f64,
-    exact: HashMap<ColocationKey, f64>,
+    /// By [`fill_key`]'s keys, which a lookup can borrow from scratch.
+    exact: HashMap<Vec<WorkloadKind>, f64>,
     pairwise: HashMap<(WorkloadKind, WorkloadKind), f64>,
 }
 
@@ -97,7 +78,10 @@ impl ThroughputTable {
         if others.is_empty() {
             return Some(1.0);
         }
-        self.exact.get(&ColocationKey::new(task, others)).copied()
+        LOOKUP_KEY.with_borrow_mut(|key| {
+            fill_key(key, task, others);
+            self.exact.get(key.as_slice()).copied()
+        })
     }
 
     /// Recorded pairwise throughput, if observed.
@@ -118,17 +102,15 @@ impl ThroughputTable {
     /// 3. otherwise the product of pairwise throughputs, defaulting unknown
     ///    pairs to `t`.
     pub fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64 {
-        if others.is_empty() {
-            return 1.0;
+        match others {
+            [] => 1.0,
+            // `record` and `clear` keep `pairwise` equal to `exact` on pairs.
+            [other] => self.pairwise_or_default(task, *other),
+            _ => self.recorded(task, others).unwrap_or_else(|| {
+                let pairs = others.iter().map(|o| self.pairwise_or_default(task, *o));
+                pairs.product::<f64>().clamp(0.0, 1.0)
+            }),
         }
-        if let Some(v) = self.recorded(task, others) {
-            return v;
-        }
-        others
-            .iter()
-            .map(|o| self.pairwise_or_default(task, *o))
-            .product::<f64>()
-            .clamp(0.0, 1.0)
     }
 
     /// Records an observed throughput for a group. Pair observations also
@@ -140,10 +122,11 @@ impl ThroughputTable {
             return;
         }
         let tput = tput.clamp(0.0, 1.0);
-        let key = ColocationKey::new(task, others);
-        if key.others.len() == 1 {
-            self.pairwise.insert((task, key.others[0]), tput);
+        if let [other] = others {
+            self.pairwise.insert((task, *other), tput);
         }
+        let mut key = Vec::new();
+        fill_key(&mut key, task, others);
         self.exact.insert(key, tput);
     }
 
@@ -206,11 +189,11 @@ mod tests {
 
     #[test]
     fn key_is_order_insensitive_multiset() {
-        let k1 = ColocationKey::new(A, &[C, B, B]);
-        let k2 = ColocationKey::new(A, &[B, C, B]);
-        let k3 = ColocationKey::new(A, &[B, C]);
-        assert_eq!(k1, k2);
-        assert_ne!(k1, k3); // Multiplicity matters.
+        let mut table = ThroughputTable::new(0.95);
+        table.record(A, &[C, B, B], 0.5);
+        assert_eq!(table.recorded(A, &[B, C, B]), Some(0.5));
+        assert_eq!(table.recorded(A, &[B, C]), None); // Multiplicity matters.
+        assert_eq!(table.recorded(B, &[A, B, C]), None); // So does whose entry it is.
     }
 
     #[test]

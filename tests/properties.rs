@@ -71,6 +71,14 @@ proptest! {
         let others: Vec<WorkloadKind> = query_others.into_iter().map(WorkloadKind).collect();
         let est = table.estimate(WorkloadKind(query_task), &others);
         prop_assert!((0.0..=1.0).contains(&est), "estimate {est}");
+        // The recorded group if there is one (for a pair, whichever map
+        // answers), else the pairwise product in the order given.
+        let task = WorkloadKind(query_task);
+        let expect = table.recorded(task, &others).unwrap_or_else(|| {
+            let pairs = others.iter().map(|o| table.pairwise_or_default(task, *o));
+            pairs.product::<f64>().clamp(0.0, 1.0)
+        });
+        prop_assert_eq!(est.to_bits(), expect.to_bits());
         // Solo is always 1.0.
         prop_assert_eq!(table.estimate(WorkloadKind(query_task), &[]), 1.0);
     }
