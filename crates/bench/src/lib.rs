@@ -149,20 +149,18 @@ pub fn procs_setting_from(args: impl IntoIterator<Item = String>) -> Result<usiz
 /// federated across `--procs`/`EVA_PROCS` processes when more than one
 /// was requested (or when this process *is* a spawned worker).
 pub fn runner() -> SweepRunner {
-    let mut runner = SweepRunner::new(default_threads());
-    let cache = cache_setting();
+    let runner = SweepRunner::new(default_threads());
     let procs = procs_setting();
-    if procs > 1 || worker_role() {
-        if cache.is_none() {
+    let federated = procs > 1 || worker_role();
+    match cache_setting() {
+        Some(cache) if federated => runner.with_federation(Federation::new(procs), cache),
+        Some(cache) => runner.with_cache(cache),
+        None if federated => {
             eprintln!(
                 "error: --procs: federated sweeps coordinate through the cache dir; drop --no-cache"
             );
             std::process::exit(2);
         }
-        runner = runner.with_federation(Federation::new(procs));
-    }
-    match cache {
-        Some(cache) => runner.with_cache(cache),
         None => runner,
     }
 }

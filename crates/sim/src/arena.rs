@@ -36,11 +36,10 @@
 //! million-job world costs a few flat vectors, not a second copy of the
 //! trace.
 //!
-//! The reference semantics of a single job/task (advance arithmetic,
-//! lifecycle states) remain specified — and unit-tested — by
-//! [`crate::state`]; the arena stores the same quantities in SoA form
-//! and must evolve them identically. `tests/arena_parity.rs` pins the
-//! end-to-end equivalence byte-for-byte against a pre-arena golden.
+//! A task's lifecycle states are specified by [`crate::state`], whose
+//! unit tests also pin a single job's advance arithmetic on a one-job
+//! arena. `tests/arena_parity.rs` pins the end-to-end equivalence
+//! byte-for-byte against a pre-arena golden.
 //!
 //! # Dirty-set invariants (the O(changed) hot loop)
 //!
@@ -235,9 +234,8 @@ impl JobArena {
         self.free.push(slot);
     }
 
-    /// Advances the job by `dt_hours` at effective throughput `tput` —
-    /// the SoA form of [`crate::state::JobProgress::advance`], operation
-    /// for operation.
+    /// Advances the job by `dt_hours` at effective throughput `tput`
+    /// (0 when not executing).
     pub fn advance(&mut self, slot: u32, dt_hours: f64, tput: f64) {
         let s = slot as usize;
         if self.completed_at[s].is_some() || dt_hours <= 0.0 {
@@ -252,8 +250,7 @@ impl JobArena {
         }
     }
 
-    /// Hours until completion at throughput `tput`, if it is positive
-    /// (see [`crate::state::JobProgress::eta_hours`]).
+    /// Hours until completion at throughput `tput`, if it is positive.
     pub fn eta_hours(&self, slot: u32, tput: f64) -> Option<f64> {
         let s = slot as usize;
         if self.completed_at[s].is_some() || tput <= 0.0 {
@@ -263,8 +260,8 @@ impl JobArena {
         }
     }
 
-    /// Average normalized throughput while executing (see
-    /// [`crate::state::JobProgress::mean_tput`]).
+    /// Average normalized throughput while executing (1.0 for a job that
+    /// never experienced interference).
     pub fn mean_tput(&self, slot: u32) -> f64 {
         let s = slot as usize;
         if self.executing_hours[s] <= 0.0 {
@@ -470,12 +467,6 @@ impl InstArena {
     pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
         self.slot_by_id.iter().copied().filter(|&s| s != NO_SLOT)
     }
-
-    /// Size of the `InstanceId → slot` table (grows with the largest
-    /// provider ID ever seen, 4 bytes per ID).
-    pub fn id_space(&self) -> usize {
-        self.slot_by_id.len()
-    }
 }
 
 /// The complete interned world state: jobs + tasks + instances.
@@ -489,33 +480,6 @@ pub(crate) struct WorldArena {
 }
 
 impl WorldArena {
-    /// Element counts of every growable structure, for memory
-    /// diagnosis (the streaming tiers must keep all of these bounded
-    /// by the in-flight window, not total jobs ingested).
-    #[doc(hidden)]
-    pub fn dims(&self) -> String {
-        let task_free: usize = self
-            .tasks
-            .free_ranges
-            .values()
-            .map(|starts| starts.len())
-            .sum();
-        format!(
-            "job_rows={} job_free={} job_lookup={} task_rows={} task_free_ranges={} \
-             task_lookup={} inst_rows={} inst_id_space={} seg_log={} slot_of_spec={}",
-            self.jobs.ids.len(),
-            self.jobs.free.len(),
-            self.jobs.lookup.as_ref().map_or(0, |m| m.len()),
-            self.tasks.ids.len(),
-            task_free,
-            self.tasks.lookup.as_ref().map_or(0, |m| m.len()),
-            self.insts.ids.len(),
-            self.insts.id_space(),
-            self.jobs.seg_log.len(),
-            self.slot_of_spec.len(),
-        )
-    }
-
     /// Interns every job and task ID of `trace` into slots. All dynamic
     /// state starts at its pre-arrival default; instances intern lazily
     /// as the provider provisions them.
@@ -948,22 +912,28 @@ mod tests {
 
     #[test]
     fn arena_advance_matches_reference_job_progress() {
-        use crate::state::JobProgress;
         let trace = SyntheticTraceConfig::small_scale().generate(9);
         let mut world = WorldArena::from_trace(&trace);
-        let spec = trace.jobs()[0].clone();
         let slot = world.slot_of_spec[0];
-        let mut reference = JobProgress::new(spec);
+        // The reference: one job's four accumulators as plain scalars.
+        let mut remaining = trace.jobs()[0].duration_at_full_tput.as_hours_f64();
+        let (mut executing, mut idle, mut integral) = (0.0f64, 0.0f64, 0.0f64);
         for (dt, tput) in [(0.25, 1.0), (0.5, 0.0), (1.0, 0.8), (4.0, 1.0)] {
-            reference.advance(dt, tput);
+            if tput > 0.0 {
+                remaining = (remaining - dt * tput).max(0.0);
+                executing += dt;
+                integral += dt * tput;
+            } else {
+                idle += dt;
+            }
             world.jobs.advance(slot, dt, tput);
         }
         let s = slot as usize;
-        assert_eq!(world.jobs.remaining_hours[s], reference.remaining_hours);
-        assert_eq!(world.jobs.executing_hours[s], reference.executing_hours);
-        assert_eq!(world.jobs.idle_hours[s], reference.idle_hours);
-        assert_eq!(world.jobs.tput_integral[s], reference.tput_integral);
-        assert_eq!(world.jobs.mean_tput(slot), reference.mean_tput());
+        assert_eq!(world.jobs.remaining_hours[s], remaining);
+        assert_eq!(world.jobs.executing_hours[s], executing);
+        assert_eq!(world.jobs.idle_hours[s], idle);
+        assert_eq!(world.jobs.tput_integral[s], integral);
+        assert_eq!(world.jobs.mean_tput(slot), integral / executing);
     }
 
     #[test]

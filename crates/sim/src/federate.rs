@@ -40,21 +40,6 @@ use std::time::Duration;
 /// federation workers; unset/anything else = coordinator).
 pub const ROLE_ENV: &str = "EVA_FED_ROLE";
 
-/// Environment variable carrying a worker's 0-based fleet rank (the
-/// coordinator is rank 0; workers are spawned with 1, 2, …). Drives
-/// [`Federation::claim_stride`] so processes start their claim sweeps on
-/// disjoint prefixes of the longest-first order.
-pub const RANK_ENV: &str = "EVA_FED_RANK";
-
-/// This process's fleet rank: `EVA_FED_RANK`, or 0 (coordinator /
-/// unparsable).
-pub fn fed_rank() -> usize {
-    std::env::var(RANK_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Default claim staleness deadline (env override `EVA_CLAIM_STALE_SECS`).
 const CLAIM_STALE_SECS_DEFAULT: u64 = 600;
 
@@ -86,7 +71,6 @@ pub struct Federation {
     procs: usize,
     stale: Duration,
     poll: Duration,
-    worker_args: Option<Vec<String>>,
 }
 
 impl Federation {
@@ -97,17 +81,7 @@ impl Federation {
             procs: procs.max(1),
             stale: claim_stale_deadline(),
             poll: POLL_DEFAULT,
-            worker_args: None,
         }
-    }
-
-    /// Overrides the arguments workers are spawned with (default: this
-    /// process's own argv, which is right for single-grid binaries;
-    /// multi-probe binaries pass a flag that jumps workers straight to
-    /// the federated grid).
-    pub fn worker_args(mut self, args: Vec<String>) -> Self {
-        self.worker_args = Some(args);
-        self
     }
 
     /// Overrides the claim staleness deadline (tests use short ones).
@@ -126,11 +100,6 @@ impl Federation {
         self.stale
     }
 
-    /// The cache re-poll interval while waiting on a peer.
-    pub fn poll_interval(&self) -> Duration {
-        self.poll
-    }
-
     /// Both timing knobs bundled for [`crate::CellPool::run_federated`].
     pub fn claim_timing(&self) -> crate::pool::ClaimTiming {
         crate::pool::ClaimTiming {
@@ -139,21 +108,10 @@ impl Federation {
         }
     }
 
-    /// This process's claim-prefix stride for
-    /// [`crate::CellPool::run_federated`]: its `EVA_FED_RANK` over the
-    /// federation's process count.
-    pub fn claim_stride(&self) -> crate::pool::ClaimStride {
-        crate::pool::ClaimStride {
-            rank: fed_rank(),
-            procs: self.procs,
-        }
-    }
-
     /// Spawns the `procs - 1` worker processes, once. Workers re-execute
-    /// this binary (same argv unless [`Federation::worker_args`]
-    /// overrode it) with `EVA_FED_ROLE=worker`; their stdout is
-    /// discarded — the coordinator prints the merged result. Inside a
-    /// worker this is a no-op, so shared run paths can call it
+    /// this binary with the same argv and `EVA_FED_ROLE=worker`; their
+    /// stdout is discarded — the coordinator prints the merged result.
+    /// Inside a worker this is a no-op, so shared run paths can call it
     /// unconditionally. Spawn failures warn and degrade: the coordinator
     /// alone still completes the grid.
     pub fn ensure_workers(&self) {
@@ -171,15 +129,11 @@ impl Federation {
                 return;
             }
         };
-        let args: Vec<String> = self
-            .worker_args
-            .clone()
-            .unwrap_or_else(|| std::env::args().skip(1).collect());
+        let args: Vec<String> = std::env::args().skip(1).collect();
         for n in 1..self.procs {
             match Command::new(&exe)
                 .args(&args)
                 .env(ROLE_ENV, "worker")
-                .env(RANK_ENV, n.to_string())
                 .stdout(Stdio::null())
                 .spawn()
             {
@@ -187,11 +141,6 @@ impl Federation {
                 Err(e) => eprintln!("warning: federation worker {n} failed to spawn: {e}"),
             }
         }
-    }
-
-    /// Number of live spawned workers (diagnostics).
-    pub fn spawned_workers() -> usize {
-        WORKERS.lock().unwrap().len()
     }
 }
 
@@ -226,7 +175,7 @@ mod tests {
     fn single_proc_federation_spawns_nothing() {
         let fed = Federation::new(1);
         fed.ensure_workers();
-        assert_eq!(Federation::spawned_workers(), 0);
+        assert!(WORKERS.lock().unwrap().is_empty());
         join_workers();
     }
 

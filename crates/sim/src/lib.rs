@@ -65,16 +65,16 @@ pub use cache::{
 };
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
-pub use federate::{claim_stale_deadline, fed_rank, join_workers, worker_role, Federation};
+pub use federate::{claim_stale_deadline, join_workers, worker_role, Federation};
 pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
-pub use pool::{CellPool, ClaimStride, ClaimTiming, PoolStats, RunPlan};
+pub use pool::{CellPool, ClaimTiming, PoolStats, RunPlan};
 pub use report::{splice, PartitionAudit, SplicedReport, EXACT_METRICS, INEXACT_METRICS};
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};
 pub use serve::{serve, ServeConfig, ServeOutcome};
-pub use state::{JobProgress, TaskState};
+pub use state::TaskState;
 pub use sweep::{
-    fidelity_label, CellKey, CellOutcome, Experiment, SplicedOutcome, SplicedResult, SweepArtifact,
-    SweepCell, SweepGrid, SweepResult, SweepRunner,
+    fidelity_label, CellKey, CellOutcome, SplicedOutcome, SplicedResult, SweepArtifact, SweepCell,
+    SweepGrid, SweepResult, SweepRunner,
 };
 pub use world::ClusterSim;

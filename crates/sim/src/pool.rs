@@ -36,34 +36,6 @@ pub struct ClaimTiming {
     pub poll: Duration,
 }
 
-/// Where a federated process starts its phase-1 sweep of the
-/// longest-first claim order. With every process starting at index 0
-/// the whole fleet races for the same head cells, and most early
-/// `try_claim`s land on a peer's fresh claim — a *contested* attempt
-/// that burns a filesystem round-trip and defers the cell to phase 2.
-/// Striding rank `r` of `p` processes to offset `n·r/p` spreads the
-/// fleet across disjoint prefixes of the order; each sweep still visits
-/// all `n` entries (indices wrap mod `n`), so peer publication,
-/// stealing, and phase 2 behave exactly as before.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClaimStride {
-    /// This process's 0-based rank in the fleet (0 = coordinator).
-    pub rank: usize,
-    /// Total processes sweeping the shared cache (`< 2` disables
-    /// striding).
-    pub procs: usize,
-}
-
-impl ClaimStride {
-    /// Starting index into a claim order of length `n`.
-    pub fn offset(&self, n: usize) -> usize {
-        if n == 0 || self.procs < 2 {
-            return 0;
-        }
-        n * self.rank.min(self.procs - 1) / self.procs
-    }
-}
-
 /// What a pool run did: logical cells, unique representatives, and how
 /// many representatives were actually executed vs served from the cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,11 +52,6 @@ pub struct PoolStats {
     /// run (they were missing when this process planned, and appeared in
     /// the cache while it executed). Always 0 outside federation.
     pub peer: usize,
-    /// Phase-1 claim attempts that found a live peer already holding the
-    /// claim — wasted filesystem round-trips that defer the cell to
-    /// phase 2. [`ClaimStride`] prefix biasing exists to drive this
-    /// down. Always 0 outside federation.
-    pub contested: usize,
 }
 
 impl PoolStats {
@@ -103,9 +70,6 @@ impl PoolStats {
         );
         if self.peer > 0 {
             line.push_str(&format!(", {} from peers", self.peer));
-        }
-        if self.contested > 0 {
-            line.push_str(&format!(", {} contested", self.contested));
         }
         line
     }
@@ -222,11 +186,106 @@ impl CellPool {
     where
         R: Clone + Send + Serialize + Deserialize,
     {
+        self.sweep(count, fingerprint, cost, cache, None, run)
+    }
+
+    /// [`CellPool::run_flagged`] for a **federated** run: several
+    /// processes share one cache dir and divide the representatives
+    /// between them by claiming (see [`ReportCache::try_claim`]).
+    ///
+    /// Phase 1 sweeps the longest-first order on this pool's threads:
+    /// cached representatives hit as usual, unclaimed ones are claimed,
+    /// executed, published, and released; representatives claimed by a
+    /// peer are left pending. Phase 2 settles the pending ones — each is
+    /// either published by its peer (a `peer` hit) or its claim goes
+    /// stale/dead and this process steals and runs it, so a killed
+    /// worker never wedges the run.
+    ///
+    /// The merged output is **byte-identical** to [`CellPool::run_flagged`]
+    /// with the same cache for any process count: results come from the
+    /// cache's deterministic serialization either way, and merging in
+    /// logical cell order erases scheduling entirely. Per-cell flags
+    /// report `true` for everything this process did not compute
+    /// (cache + peer).
+    pub fn run_federated<R>(
+        &self,
+        count: usize,
+        fingerprint: &(dyn Fn(usize) -> String + Sync),
+        cost: &(dyn Fn(usize) -> u64 + Sync),
+        cache: &ReportCache,
+        timing: ClaimTiming,
+        run: &(dyn Fn(usize) -> R + Sync),
+    ) -> (Vec<R>, Vec<bool>, PoolStats)
+    where
+        R: Clone + Send + Serialize + Deserialize,
+    {
+        self.sweep(count, fingerprint, cost, Some(cache), Some(timing), run)
+    }
+
+    /// The one pool loop behind every entry point; `claims` is `Some`
+    /// when peers share the cache dir.
+    fn sweep<R>(
+        &self,
+        count: usize,
+        fingerprint: &(dyn Fn(usize) -> String + Sync),
+        cost: &(dyn Fn(usize) -> u64 + Sync),
+        cache: Option<&ReportCache>,
+        claims: Option<ClaimTiming>,
+        run: &(dyn Fn(usize) -> R + Sync),
+    ) -> (Vec<R>, Vec<bool>, PoolStats)
+    where
+        R: Clone + Send + Serialize + Deserialize,
+    {
         let plan = RunPlan::build(count, fingerprint, cost);
-        let slots: Vec<Mutex<Option<(R, bool)>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
         let executed = AtomicUsize::new(0);
         let cache_hits = AtomicUsize::new(0);
+        let peer = AtomicUsize::new(0);
+
+        // One attempt at representative `i`, as `(result, replayed)`;
+        // `None` when a live peer holds its claim. A first-lookup hit
+        // counts into `hits`.
+        let settle = |i: usize, hits: &AtomicUsize| -> Option<(R, bool)> {
+            let key = &plan.keys[i];
+            let compute = || {
+                executed.fetch_add(1, Ordering::Relaxed);
+                let fresh = run(i);
+                if let Some(cache) = cache {
+                    cache.store(key, &fresh);
+                }
+                (fresh, false)
+            };
+            let Some(cache) = cache else {
+                return Some(compute());
+            };
+            if let Some(hit) = cache.lookup::<R>(key) {
+                hits.fetch_add(1, Ordering::Relaxed);
+                return Some((hit, true));
+            }
+            let Some(timing) = claims else {
+                return Some(compute());
+            };
+            match cache.try_claim(key, timing.stale) {
+                ClaimAttempt::Acquired(guard) => {
+                    // A peer may have published between the miss and
+                    // the claim; don't redo its work.
+                    let result = match cache.lookup::<R>(key) {
+                        Some(hit) => {
+                            peer.fetch_add(1, Ordering::Relaxed);
+                            (hit, true)
+                        }
+                        None => compute(),
+                    };
+                    guard.release();
+                    Some(result)
+                }
+                ClaimAttempt::Held(_) => None,
+            }
+        };
+
+        // Phase 1: every representative once, longest first, on the
+        // pool's threads.
+        let slots: Vec<Mutex<Option<(R, bool)>>> = (0..count).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
         let workers = self.threads.min(plan.order.len()).max(1);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -235,190 +294,32 @@ impl CellPool {
                     let Some(&i) = plan.order.get(k) else {
                         break;
                     };
-                    let result = match cache {
-                        Some(cache) => {
-                            let key = &plan.keys[i];
-                            match cache.lookup::<R>(key) {
-                                Some(hit) => {
-                                    cache_hits.fetch_add(1, Ordering::Relaxed);
-                                    (hit, true)
-                                }
-                                None => {
-                                    executed.fetch_add(1, Ordering::Relaxed);
-                                    let fresh = run(i);
-                                    cache.store(key, &fresh);
-                                    (fresh, false)
-                                }
-                            }
-                        }
-                        None => {
-                            executed.fetch_add(1, Ordering::Relaxed);
-                            (run(i), false)
-                        }
-                    };
-                    *slots[i].lock().unwrap() = Some(result);
+                    if let Some(result) = settle(i, &cache_hits) {
+                        *slots[i].lock().unwrap() = Some(result);
+                    }
                 });
             }
         });
-        let representatives: Vec<Option<(R, bool)>> = slots
+        let mut representatives: Vec<Option<(R, bool)>> = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("no worker panicked holding a slot lock")
             })
             .collect();
-        let (results, from_cache): (Vec<R>, Vec<bool>) = plan
-            .rep_of
-            .iter()
-            .map(|&rep| {
-                let (result, cached) = representatives[rep]
-                    .as_ref()
-                    .expect("every representative cell was claimed and completed");
-                (result.clone(), *cached)
-            })
-            .unzip();
-        let stats = PoolStats {
-            total: count,
-            unique: plan.unique_count(),
-            executed: executed.into_inner(),
-            cache_hits: cache_hits.into_inner(),
-            peer: 0,
-            contested: 0,
-        };
-        (results, from_cache, stats)
-    }
 
-    /// [`CellPool::run_flagged`] for a **federated** run: several
-    /// processes share one cache dir and divide the representatives
-    /// between them by claiming (see [`ReportCache::try_claim`]).
-    ///
-    /// Phase 1 sweeps the longest-first order on this pool's threads,
-    /// starting from this process's [`ClaimStride`] offset (wrapping mod
-    /// the order length, so coverage is unchanged): cached
-    /// representatives hit as usual, unclaimed ones are claimed,
-    /// executed, published, and released; representatives claimed by a
-    /// peer are left pending (counted as `contested`). Phase 2 settles
-    /// the pending ones — each is either published by its peer (a `peer`
-    /// hit) or its claim goes stale/dead and this process steals and
-    /// runs it, so a killed worker never wedges the run.
-    ///
-    /// The merged output is **byte-identical** to [`CellPool::run_flagged`]
-    /// with the same cache for any process count: results come from the
-    /// cache's deterministic serialization either way, and merging in
-    /// logical cell order erases scheduling entirely. Per-cell flags
-    /// report `true` for everything this process did not compute
-    /// (cache + peer).
-    // Eight closure/config inputs mirror `run_flagged` plus the two
-    // federation knobs; bundling them would only obscure the call sites.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_federated<R>(
-        &self,
-        count: usize,
-        fingerprint: &(dyn Fn(usize) -> String + Sync),
-        cost: &(dyn Fn(usize) -> u64 + Sync),
-        cache: &ReportCache,
-        timing: ClaimTiming,
-        stride: ClaimStride,
-        run: &(dyn Fn(usize) -> R + Sync),
-    ) -> (Vec<R>, Vec<bool>, PoolStats)
-    where
-        R: Clone + Send + Serialize + Deserialize,
-    {
-        let plan = RunPlan::build(count, fingerprint, cost);
-        let slots: Vec<Mutex<Option<(R, bool)>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let executed = AtomicUsize::new(0);
-        let cache_hits = AtomicUsize::new(0);
-        let peer = AtomicUsize::new(0);
-        let contested = AtomicUsize::new(0);
-        let offset = stride.offset(plan.order.len());
-
-        // Phase 1: claim-or-skip sweep over the longest-first order,
-        // rotated to this process's stride offset.
-        let workers = self.threads.min(plan.order.len()).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= plan.order.len() {
-                        break;
+        // Phase 2: wait out (or steal) the representatives peers held.
+        if let Some(timing) = claims {
+            for &i in &plan.order {
+                while representatives[i].is_none() {
+                    match settle(i, &peer) {
+                        None => std::thread::sleep(timing.poll),
+                        settled => representatives[i] = settled,
                     }
-                    let i = plan.order[(offset + k) % plan.order.len()];
-                    let key = &plan.keys[i];
-                    if let Some(hit) = cache.lookup::<R>(key) {
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                        *slots[i].lock().unwrap() = Some((hit, true));
-                        continue;
-                    }
-                    match cache.try_claim(key, timing.stale) {
-                        ClaimAttempt::Acquired(guard) => {
-                            // A peer may have published between the miss
-                            // and the claim; don't redo its work.
-                            let result = match cache.lookup::<R>(key) {
-                                Some(hit) => {
-                                    peer.fetch_add(1, Ordering::Relaxed);
-                                    (hit, true)
-                                }
-                                None => {
-                                    executed.fetch_add(1, Ordering::Relaxed);
-                                    let fresh = run(i);
-                                    cache.store(key, &fresh);
-                                    (fresh, false)
-                                }
-                            };
-                            guard.release();
-                            *slots[i].lock().unwrap() = Some(result);
-                        }
-                        // A live peer is on it — settle in phase 2.
-                        ClaimAttempt::Held(_) => {
-                            contested.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-
-        // Phase 2: wait out (or steal) the representatives peers claimed.
-        for &i in &plan.order {
-            if slots[i].lock().unwrap().is_some() {
-                continue;
-            }
-            let key = &plan.keys[i];
-            let result = loop {
-                if let Some(hit) = cache.lookup::<R>(key) {
-                    peer.fetch_add(1, Ordering::Relaxed);
-                    break (hit, true);
                 }
-                match cache.try_claim(key, timing.stale) {
-                    ClaimAttempt::Acquired(guard) => {
-                        let result = match cache.lookup::<R>(key) {
-                            Some(hit) => {
-                                peer.fetch_add(1, Ordering::Relaxed);
-                                (hit, true)
-                            }
-                            None => {
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                let fresh = run(i);
-                                cache.store(key, &fresh);
-                                (fresh, false)
-                            }
-                        };
-                        guard.release();
-                        break result;
-                    }
-                    ClaimAttempt::Held(_) => std::thread::sleep(timing.poll),
-                }
-            };
-            *slots[i].lock().unwrap() = Some(result);
+            }
         }
 
-        let representatives: Vec<Option<(R, bool)>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("no worker panicked holding a slot lock")
-            })
-            .collect();
         let (results, from_cache): (Vec<R>, Vec<bool>) = plan
             .rep_of
             .iter()
@@ -435,7 +336,6 @@ impl CellPool {
             executed: executed.into_inner(),
             cache_hits: cache_hits.into_inner(),
             peer: peer.into_inner(),
-            contested: contested.into_inner(),
         };
         (results, from_cache, stats)
     }
@@ -447,19 +347,6 @@ mod tests {
 
     fn ident(i: usize) -> String {
         format!("cell-{i}")
-    }
-
-    #[test]
-    fn stride_offsets_partition_the_order() {
-        let s = |rank| ClaimStride { rank, procs: 4 };
-        assert_eq!(s(0).offset(8), 0);
-        assert_eq!(s(1).offset(8), 2);
-        assert_eq!(s(3).offset(8), 6);
-        // Out-of-fleet ranks clamp to the last stripe.
-        assert_eq!(s(9).offset(8), 6);
-        // Unfederated runs and empty orders never stride.
-        assert_eq!(ClaimStride::default().offset(8), 0);
-        assert_eq!(s(2).offset(0), 0);
     }
 
     #[test]
@@ -584,32 +471,43 @@ mod tests {
 
     #[test]
     fn federated_alone_matches_plain_run_and_leaves_no_claims() {
-        let dir = fed_dir("alone");
-        let cache = ReportCache::new(&dir);
-        let run = |i: usize| (i as u64) * 7;
-        let pool = CellPool::new(2);
-        let (fed, flags, stats) =
-            pool.run_federated(5, &ident, &|_| 1, &cache, TIMING, ClaimStride::default(), &run);
-        let (plain, _) = CellPool::new(2).run(5, &ident, &|_| 1, None, &run);
-        assert_eq!(fed, plain);
-        assert_eq!(flags, vec![false; 5]);
-        assert_eq!(stats.executed, 5);
-        assert_eq!(stats.peer, 0);
-        assert!(!stats.summary().contains("from peers"));
-        // No claim files survive a completed run.
-        let claims = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
-            .count();
-        assert_eq!(claims, 0);
-        // Warm federated rerun is pure cache.
-        let (warm, flags, stats) =
-            pool.run_federated(5, &ident, &|_| 1, &cache, TIMING, ClaimStride::default(), &run);
-        assert_eq!(warm, fed);
-        assert_eq!(flags, vec![true; 5]);
-        assert!(stats.all_cached());
-        let _ = std::fs::remove_dir_all(&dir);
+        // The claiming and the non-claiming entry point run one routine:
+        // alone on a cache dir they must agree on everything, cold and
+        // warm, with duplicates (7 cells, 5 unique), on 1 and 4 threads.
+        let fp = |i: usize| format!("cell-{}", i % 5);
+        let run = |i: usize| (i % 5) as u64 * 7;
+        let counters = |s: PoolStats| (s.total, s.unique, s.executed, s.cache_hits);
+        for threads in [1, 4] {
+            let pool = CellPool::new(threads);
+            let claim_dir = fed_dir(&format!("alone-claim-{threads}"));
+            let plain_dir = fed_dir(&format!("alone-plain-{threads}"));
+            let (fed_cache, plain_cache) =
+                (ReportCache::new(&claim_dir), ReportCache::new(&plain_dir));
+            for (pass, replayed, executed) in [("cold", false, 5), ("warm", true, 0)] {
+                let (fed, fed_flags, fed_stats) =
+                    pool.run_federated(7, &fp, &|_| 1, &fed_cache, TIMING, &run);
+                let (plain, plain_flags, plain_stats) =
+                    pool.run_flagged(7, &fp, &|_| 1, Some(&plain_cache), &run);
+                let at = format!("{pass} on {threads} thread(s)");
+                assert_eq!((&fed, &fed_flags), (&plain, &plain_flags), "{at}");
+                assert_eq!(counters(fed_stats), counters(plain_stats), "{at}");
+                assert_eq!(fed, (0..7).map(run).collect::<Vec<_>>());
+                assert_eq!(fed_flags, vec![replayed; 7]);
+                assert_eq!(counters(fed_stats), (7, 5, executed, 5 - executed));
+                assert_eq!(fed_stats.peer, 0);
+                assert!(!fed_stats.summary().contains("from peers"));
+                assert_eq!(fed_stats.all_cached(), replayed);
+                // No claim files survive a completed run.
+                let claims = std::fs::read_dir(&claim_dir)
+                    .unwrap()
+                    .filter_map(|e| e.ok())
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "claim"))
+                    .count();
+                assert_eq!(claims, 0);
+            }
+            let _ = std::fs::remove_dir_all(&claim_dir);
+            let _ = std::fs::remove_dir_all(&plain_dir);
+        }
     }
 
     #[test]
@@ -627,15 +525,8 @@ mod tests {
             format!("{{\"pid\":4294967295,\"host\":\"{host}\",\"ts_ms\":1,\"key\":\"cell-1\"}}"),
         )
         .unwrap();
-        let (results, _, stats) = CellPool::new(2).run_federated(
-            3,
-            &ident,
-            &|_| 1,
-            &cache,
-            TIMING,
-            ClaimStride::default(),
-            &|i| (i as u64) * 3,
-        );
+        let (results, _, stats) =
+            CellPool::new(2).run_federated(3, &ident, &|_| 1, &cache, TIMING, &|i| (i as u64) * 3);
         assert_eq!(results, vec![0, 3, 6]);
         assert_eq!(stats.executed, 3);
         assert!(cache.read_claim("cell-1").is_none());
@@ -660,23 +551,16 @@ mod tests {
                 guard.release();
             })
         };
-        let (results, flags, stats) = CellPool::new(2).run_federated(
-            1,
-            &ident,
-            &|_| 1,
-            &cache,
-            TIMING,
-            ClaimStride::default(),
-            &|_| -> u64 { unreachable!("the peer owns this cell") },
-        );
+        let (results, flags, stats) =
+            CellPool::new(2).run_federated(1, &ident, &|_| 1, &cache, TIMING, &|_| -> u64 {
+                unreachable!("the peer owns this cell")
+            });
         publisher.join().unwrap();
         assert_eq!(results, vec![123u64]);
         assert_eq!(flags, vec![true]);
         assert_eq!(stats.peer, 1);
         assert_eq!(stats.executed, 0);
-        // Phase 1 found the peer's live claim once before settling.
-        assert_eq!(stats.contested, 1);
-        assert!(stats.summary().ends_with("1 from peers, 1 contested"));
+        assert!(stats.summary().ends_with("1 from peers"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

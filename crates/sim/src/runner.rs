@@ -127,16 +127,6 @@ pub struct SimConfig {
     /// Adversarial fault axis: which regime (if any) to compile into a
     /// pre-run [`crate::FaultPlan`] and inject on both backends.
     pub faults: crate::FaultSpec,
-    /// Debug-only reference semantics: advance every active job eagerly
-    /// at each clock segment and accumulate allocation/capacity
-    /// integrals by full scan, instead of the O(changed) dirty-set
-    /// path. Completion rescheduling stays dirty-triggered in both
-    /// modes — re-deriving a clean job's due time from a later anchor
-    /// can flip by ±1 ms of rounding. Output is byte-identical either
-    /// way (the lazy-oracle proptest holds the two in lockstep); this
-    /// exists so that equivalence stays testable. Not a sweep axis —
-    /// cache fingerprints ignore it.
-    pub reference_full_scan: bool,
     /// Release each completed job's arena slots back to a free list
     /// after folding its report contribution into the completed-job
     /// log, so live state tracks the in-flight window instead of every
@@ -160,7 +150,6 @@ impl SimConfig {
             interference: InterferenceSpec::Measured,
             migration_delay_scale: 1.0,
             faults: crate::FaultSpec::none(),
-            reference_full_scan: false,
             retire_completed: false,
         }
     }

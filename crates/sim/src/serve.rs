@@ -1,10 +1,10 @@
 //! Long-lived service mode: drive a streaming [`ClusterSim`] from a
 //! [`JobSource`] and emit rolling metrics as JSON lines.
 //!
-//! `eva serve` is the CLI face of this module; `exp_perf`'s serve probe
-//! and the streaming tests call [`serve`] directly. The loop is pure
-//! simulation — the metrics interval is *simulated* time, so a fixed
-//! seed and source produce byte-identical output lines on every run.
+//! `eva serve` is the CLI face of this module; the streaming tests call
+//! [`serve`] directly. The loop is pure simulation — the metrics
+//! interval is *simulated* time, so a fixed seed and source produce
+//! byte-identical output lines on every run.
 
 use std::io::Write;
 

@@ -327,7 +327,6 @@ impl SweepGrid {
             interference: cell.interference,
             migration_delay_scale: cell.migration_delay_scale,
             faults: cell.faults,
-            reference_full_scan: false,
             retire_completed: false,
         }
     }
@@ -636,30 +635,6 @@ impl SweepArtifact {
     }
 }
 
-/// A named experiment: a grid plus the label reports are filed under.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    /// Name used in headers and artifact files.
-    pub name: String,
-    /// The grid to run.
-    pub grid: SweepGrid,
-}
-
-impl Experiment {
-    /// Wraps a grid under a name.
-    pub fn new(name: impl Into<String>, grid: SweepGrid) -> Self {
-        Experiment {
-            name: name.into(),
-            grid,
-        }
-    }
-
-    /// Runs the grid on `threads` workers (0 = all available cores).
-    pub fn run(&self, threads: usize) -> SweepResult {
-        SweepRunner::new(threads).run(&self.grid)
-    }
-}
-
 /// Multi-threaded executor for [`SweepGrid`]s.
 ///
 /// Workers claim deduplicated cells — longest first — from a shared
@@ -670,8 +645,9 @@ impl Experiment {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    cache: Option<ReportCache>,
-    federation: Option<Federation>,
+    /// The persistent cache and, when the sweep is federated, the
+    /// federation coordinating through it.
+    cache: Option<(ReportCache, Option<Federation>)>,
 }
 
 impl SweepRunner {
@@ -681,7 +657,6 @@ impl SweepRunner {
         SweepRunner {
             threads: CellPool::new(threads).threads(),
             cache: None,
-            federation: None,
         }
     }
 
@@ -689,25 +664,24 @@ impl SweepRunner {
     /// cache skip simulation, and fresh reports are stored for the next
     /// run (or the next experiment sharing the cell).
     pub fn with_cache(mut self, cache: ReportCache) -> Self {
-        self.cache = Some(cache);
+        self.cache = Some((cache, None));
         self
     }
 
     /// Federates the sweep across processes (see [`crate::federate`]):
-    /// the run claims representatives via the attached cache dir and
-    /// settles cells peers claimed, merging byte-identically to a
-    /// single-process run. Requires a cache ([`SweepRunner::with_cache`])
-    /// — without one the runner warns and executes locally. Spawning of
-    /// the `procs - 1` worker processes happens on the first federated
-    /// run ([`Federation::ensure_workers`]).
-    pub fn with_federation(mut self, federation: Federation) -> Self {
-        self.federation = Some(federation);
+    /// the run claims representatives via `cache`'s dir — which it also
+    /// uses as [`SweepRunner::with_cache`] would — and settles cells
+    /// peers claimed, merging byte-identically to a single-process run.
+    /// Spawning of the `procs - 1` worker processes happens on the first
+    /// federated run ([`Federation::ensure_workers`]).
+    pub fn with_federation(mut self, federation: Federation, cache: ReportCache) -> Self {
+        self.cache = Some((cache, Some(federation)));
         self
     }
 
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&ReportCache> {
-        self.cache.as_ref()
+        self.cache.as_ref().map(|(cache, _)| cache)
     }
 
     /// The worker count this runner was resolved to.
@@ -739,12 +713,8 @@ impl SweepRunner {
             let cfg = grid.cell_config(cell);
             cell.backend.backend().run(&cfg)
         };
-        let federation = self
-            .federation
-            .as_ref()
-            .filter(|f| f.procs() > 1 || worker_role());
-        let (reports, stats) = match (federation, self.cache.as_ref()) {
-            (Some(fed), Some(cache)) => {
+        let (reports, stats) = match &self.cache {
+            Some((cache, Some(fed))) if fed.procs() > 1 || worker_role() => {
                 fed.ensure_workers();
                 let (reports, _, stats) = pool.run_federated(
                     cells.len(),
@@ -752,16 +722,11 @@ impl SweepRunner {
                     &cost,
                     cache,
                     fed.claim_timing(),
-                    fed.claim_stride(),
                     &run,
                 );
                 (reports, stats)
             }
-            (Some(_), None) => {
-                eprintln!("warning: federation needs a cache dir; running in-process");
-                pool.run(cells.len(), &fingerprint, &cost, None, &run)
-            }
-            (None, cache) => pool.run(cells.len(), &fingerprint, &cost, cache, &run),
+            _ => pool.run(cells.len(), &fingerprint, &cost, self.cache(), &run),
         };
         let result = SweepResult {
             cells: cells
@@ -855,14 +820,6 @@ mod tests {
         }
         assert!(result.first_for("stratus").is_some());
         assert!(result.first_for("owl").is_none());
-    }
-
-    #[test]
-    fn experiment_wraps_grid_and_runs() {
-        let exp = Experiment::new("tiny-exp", tiny_grid());
-        assert_eq!(exp.name, "tiny-exp");
-        let result = exp.run(2);
-        assert_eq!(result.cells.len(), exp.grid.cell_count());
     }
 
     #[test]
@@ -1076,8 +1033,7 @@ mod tests {
         let grid = tiny_grid();
         let plain = SweepRunner::new(2).run(&grid);
         let fed = SweepRunner::new(2)
-            .with_cache(ReportCache::new(&dir))
-            .with_federation(Federation::new(1))
+            .with_federation(Federation::new(1), ReportCache::new(&dir))
             .run(&grid);
         assert_eq!(plain.to_json_pretty(), fed.to_json_pretty());
         let _ = std::fs::remove_dir_all(&dir);

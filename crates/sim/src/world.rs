@@ -178,11 +178,6 @@ impl CompletedLog {
         }
     }
 
-    /// Retired jobs logged so far, folded prefix included.
-    pub(crate) fn len(&self) -> usize {
-        self.folded_count + self.pending.len()
-    }
-
     /// The folded prefix: `(count, jct sum, idle sum, tput sum)`.
     pub(crate) fn folded(&self) -> (usize, f64, f64, f64) {
         (
@@ -284,7 +279,7 @@ pub struct ClusterSim {
     /// still counted; `advance_to` retires them once the clock passes.
     cap_pending: BTreeSet<(SimTime, InstanceId)>,
     /// Debug-only eager reference semantics (see
-    /// [`SimConfig::reference_full_scan`]).
+    /// [`ClusterSim::use_full_scan_reference`]).
     full_scan: bool,
 
     // Reusable hot-path scratch (per-event, allocation-free steady state).
@@ -395,7 +390,7 @@ impl ClusterSim {
             alloc_rate: [0.0; 3],
             running_rate: 0,
             cap_pending: BTreeSet::new(),
-            full_scan: cfg.reference_full_scan,
+            full_scan: false,
             tput_buf: RefCell::new(Vec::new()),
             term_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
@@ -539,6 +534,20 @@ impl ClusterSim {
     /// [`ExecScript`]); call before the first [`ClusterSim::step`].
     pub fn enable_recording(&mut self) {
         self.recorder = Some(ExecScript::default());
+    }
+
+    /// Switches this world to the debug-only reference semantics: advance
+    /// every active job eagerly at each clock segment and accumulate
+    /// allocation/capacity integrals by full scan, instead of the
+    /// O(changed) dirty-set path. Completion rescheduling stays
+    /// dirty-triggered in both modes — re-deriving a clean job's due time
+    /// from a later anchor can flip by ±1 ms of rounding. Output is
+    /// byte-identical either way (the lazy-oracle proptest holds the two
+    /// in lockstep); this exists so that equivalence stays testable.
+    /// Call before the first [`ClusterSim::step`].
+    #[doc(hidden)]
+    pub fn use_full_scan_reference(&mut self) {
+        self.full_scan = true;
     }
 
     /// Takes the recorded script, ending recording.
@@ -924,7 +933,7 @@ impl ClusterSim {
 
     /// Debug digest of every observable the lazy dirty-set path must
     /// keep identical to the eager reference
-    /// ([`SimConfig::reference_full_scan`]): settles all active jobs
+    /// ([`ClusterSim::use_full_scan_reference`]): settles all active jobs
     /// first so deferred progress is folded in, then formats each lane
     /// with shortest-roundtrip float formatting (distinct bits ⇒
     /// distinct strings). Test-only; not part of the stable API.
@@ -970,11 +979,6 @@ impl ClusterSim {
         self.ingested_jobs
     }
 
-    /// Jobs currently arrived and not done.
-    pub fn active_jobs(&self) -> usize {
-        self.world.jobs.active.len()
-    }
-
     /// Arena job rows currently holding a live (unreleased) job — the
     /// bounded-memory observable: with retirement on this tracks the
     /// in-flight window, not total jobs ingested.
@@ -986,19 +990,6 @@ impl ClusterSim {
     /// Bounded-memory streaming keeps this near the in-flight peak.
     pub fn job_arena_rows(&self) -> usize {
         self.world.jobs.ids.len()
-    }
-
-    /// Element counts of every growable structure, for memory
-    /// diagnosis of long streaming runs.
-    #[doc(hidden)]
-    pub fn arena_dims(&self) -> String {
-        format!(
-            "{} completed_folded={} completed_pending={} engine_len={}",
-            self.world.dims(),
-            self.completed.folded().0,
-            self.completed.len() - self.completed.folded().0,
-            self.engine.len(),
-        )
     }
 
     /// The rolling service-mode metrics snapshot at the current instant.

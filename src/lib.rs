@@ -38,8 +38,7 @@ pub mod prelude {
     pub use eva_core::{EvaConfig, EvaScheduler, Plan, Scheduler, SchedulerContext, TaskSnapshot};
     pub use eva_sim::{
         claim_stale_deadline, join_workers, run_recorded, run_simulation, serve, worker_role,
-        BackendKind, CacheStats, CellPool, ClaimStride, ClusterSim, ExecBackend, Experiment,
-        FaultPlan,
+        BackendKind, CacheStats, CellPool, ClusterSim, ExecBackend, FaultPlan,
         FaultRegime, FaultSpec, Federation, LiveBackend, LiveOutcome, MergeReport,
         MetricsRegistry, MetricsSnapshot, PartitionAudit,
         PoolStats, PruneReport, ReportCache, SchedulerKind, ServeConfig, ServeOutcome,

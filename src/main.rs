@@ -588,10 +588,12 @@ fn run(cli: Cli) -> Result<(), String> {
                     .cache_dir
                     .clone()
                     .unwrap_or_else(|| "results/cache".to_string());
-                runner = runner.with_cache(ReportCache::new(dir));
-            }
-            if args.procs > 1 || worker_role() {
-                runner = runner.with_federation(Federation::new(args.procs));
+                let cache = ReportCache::new(dir);
+                runner = if args.procs > 1 || worker_role() {
+                    runner.with_federation(Federation::new(args.procs), cache)
+                } else {
+                    runner.with_cache(cache)
+                };
             }
             println!(
                 "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs{}) on {} threads{}...",

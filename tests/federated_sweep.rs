@@ -151,72 +151,3 @@ fn dead_workers_claim_is_stolen_and_rerun_is_clean() {
     assert_verify_clean(&dir);
     let _ = std::fs::remove_dir_all(&root);
 }
-
-/// Claim-prefix striding: rank 1 of 2 starts its phase-1 sweep halfway
-/// through the longest-first order, so it does not contest the prefix a
-/// peer already holds. Replayed in-process (single pool thread, claims
-/// pre-held by the test) so the contested counts are exact rather than
-/// a probabilistic race.
-#[test]
-fn claim_stride_avoids_contesting_a_peers_prefix() {
-    use eva::sim::{CellPool, ClaimAttempt, ClaimStride, ClaimTiming, ReportCache};
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    let timing = ClaimTiming {
-        stale: Duration::from_secs(600),
-        poll: Duration::from_millis(5),
-    };
-    let fingerprint = |i: usize| format!("cell-{i}");
-    // Costs descend with index, so the claim order is [0, 1, 2, 3].
-    let cost = |i: usize| 10u64.saturating_sub(i as u64);
-
-    let contested_at = |rank: usize, tag: &str| {
-        let dir = temp(tag);
-        let cache = ReportCache::new(&dir);
-        // "The peer": holds claims on the head cells 0 and 1, and
-        // publishes both as soon as this process computes anything.
-        let mut held = Vec::new();
-        for key in ["cell-0", "cell-1"] {
-            match cache.try_claim(key, timing.stale) {
-                ClaimAttempt::Acquired(guard) => held.push(guard),
-                ClaimAttempt::Held(_) => panic!("fresh claim already held"),
-            }
-        }
-        let held = Mutex::new(held);
-        let publisher = cache.clone();
-        let run = move |i: usize| {
-            let mut held = held.lock().unwrap();
-            if !held.is_empty() {
-                publisher.store("cell-0", &0u64);
-                publisher.store("cell-1", &7u64);
-                for guard in held.drain(..) {
-                    guard.release();
-                }
-            }
-            (i as u64) * 7
-        };
-        let (results, _, stats) = CellPool::new(1).run_federated(
-            4,
-            &fingerprint,
-            &cost,
-            &cache,
-            timing,
-            ClaimStride { rank, procs: 2 },
-            &run,
-        );
-        assert_eq!(results, vec![0, 7, 14, 21]);
-        assert_eq!(stats.executed, 2, "peer-published prefix was recomputed");
-        let _ = std::fs::remove_dir_all(&dir);
-        stats.contested
-    };
-
-    // Rank 0 sweeps from the head straight into the held prefix.
-    let head_on = contested_at(0, "stride-rank0");
-    // Rank 1 starts halfway; by the time its sweep wraps around to the
-    // prefix, the peer has published, so nothing is contested.
-    let strided = contested_at(1, "stride-rank1");
-    assert_eq!(head_on, 2);
-    assert_eq!(strided, 0);
-    assert!(strided < head_on, "striding did not reduce claim contention");
-}

@@ -3,7 +3,7 @@
 //! incremental allocation/capacity integrals) must be *semantically
 //! invisible*. The same seeded simulation is stepped in lockstep
 //! through the lazy path and the debug-only eager reference
-//! (`SimConfig::reference_full_scan`), and every event boundary must
+//! (`ClusterSim::use_full_scan_reference`), and every event boundary must
 //! agree on job progress, cached rates, completion times, and integral
 //! accumulators — bit for bit, via shortest-roundtrip float formatting
 //! (distinct bits ⇒ distinct strings).
@@ -24,9 +24,9 @@ fn sims(jobs: usize, seed: u64, regime: &str) -> (ClusterSim, ClusterSim) {
     let mut cfg = SimConfig::new(trace(jobs, seed, 8.0), SchedulerKind::Stratus);
     cfg.seed = seed;
     cfg.faults = FaultSpec::parse(regime).expect("valid regime");
-    let mut reference = cfg.clone();
-    reference.reference_full_scan = true;
-    (ClusterSim::new(&cfg), ClusterSim::new(&reference))
+    let mut reference = ClusterSim::new(&cfg);
+    reference.use_full_scan_reference();
+    (ClusterSim::new(&cfg), reference)
 }
 
 /// Steps both worlds to exhaustion, comparing digests at every event

@@ -15,14 +15,12 @@ fn serve_cfg() -> SimConfig {
     cfg
 }
 
-#[test]
-fn long_stream_runs_in_bounded_arena_memory() {
-    // 1500 jobs at ~30/h with 0.5–3 h durations keeps a few dozen jobs
-    // in flight; without retirement the arena would grow one row per
-    // job ingested.
-    let source = Box::new(SyntheticSource::open_loop(30.0, 1500, 5));
+/// Serves the first `n` jobs of one open-loop stream (~30/h, seed 5) to
+/// completion.
+fn serve_open_loop(n: usize) -> ServeOutcome {
+    let source = Box::new(SyntheticSource::open_loop(30.0, n, 5));
     let mut out = Vec::new();
-    let outcome = serve(
+    serve(
         &serve_cfg(),
         source,
         &ServeConfig {
@@ -31,7 +29,15 @@ fn long_stream_runs_in_bounded_arena_memory() {
         },
         &mut out,
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn long_stream_runs_in_bounded_arena_memory() {
+    // 1500 jobs at ~30/h with 0.5–3 h durations keeps a few dozen jobs
+    // in flight; without retirement the arena would grow one row per
+    // job ingested.
+    let outcome = serve_open_loop(1500);
     assert_eq!(outcome.jobs_ingested, 1500);
     assert_eq!(outcome.report.jobs_completed, 1500);
     assert!(
@@ -42,6 +48,23 @@ fn long_stream_runs_in_bounded_arena_memory() {
     );
     assert_eq!(outcome.final_snapshot.live_job_slots, 0, "drained clean");
     assert!(outcome.metrics_lines >= 1);
+}
+
+#[test]
+fn arena_rows_follow_the_in_flight_window_not_the_stream_length() {
+    // What the retired million-job tier stood for, without the wall
+    // clock: four times the stream at the same arrival rate must not
+    // grow the arena.
+    let (short, long) = (serve_open_loop(1500), serve_open_loop(6000));
+    assert_eq!(long.report.jobs_completed, 6000);
+    for outcome in [&short, &long] {
+        assert_eq!(outcome.final_snapshot.live_job_slots, 0, "drained clean");
+    }
+    let (short, long) = (short.peak_job_rows as f64, long.peak_job_rows as f64);
+    assert!(
+        (long - short).abs() <= 0.25 * short,
+        "peak arena rows {long} for 6000 jobs against {short} for 1500"
+    );
 }
 
 #[test]
