@@ -26,8 +26,7 @@ impl Scheduler for NoPackingScheduler {
         "No-Packing"
     }
 
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
-        let view = ClusterView::of(ctx);
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         // Keep every running task where it is.
         let mut assignments: Vec<Assignment> = view
             .instances

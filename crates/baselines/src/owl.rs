@@ -87,9 +87,8 @@ impl Scheduler for OwlScheduler {
         "Owl"
     }
 
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         let prices = ReservationPrices::compute(ctx.catalog, ctx.tasks.iter());
-        let view = ClusterView::of(ctx);
 
         let mut assignments: Vec<Assignment> = Vec::new();
         // Running tasks stay put unless their instance is no longer

@@ -44,8 +44,7 @@ impl Scheduler for StratusScheduler {
         "Stratus"
     }
 
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
-        let view = ClusterView::of(ctx);
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         // Per listed instance: the residents that stay and the capacity
         // in use (residents plus tasks placed this round).
         let mut residents: Vec<&[&TaskSnapshot]> =

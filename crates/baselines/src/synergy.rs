@@ -45,11 +45,10 @@ impl Scheduler for SynergyScheduler {
         "Synergy"
     }
 
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         let prices = ReservationPrices::compute(ctx.catalog, ctx.tasks.iter());
         let eval = TnrpEvaluator::new(self.monitor.table(), &prices, false);
 
-        let view = ClusterView::of(ctx);
         let mut residents: Vec<Vec<&TaskSnapshot>> =
             view.instances.iter().map(|i| i.residents.clone()).collect();
         let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
@@ -148,17 +147,10 @@ impl Scheduler for SynergyScheduler {
         view.plan(assignments)
     }
 
-    fn observe(&mut self, observations: &[JobObservation]) {
+    fn observe(&mut self, observations: &mut dyn Iterator<Item = JobObservation>) {
         for obs in observations {
-            if obs.gang_coupled && obs.contexts.len() > 1 {
-                self.monitor
-                    .observe_multi_task(obs.job, &obs.contexts, obs.observed_tput);
-            } else {
-                for ctx in &obs.contexts {
-                    self.monitor
-                        .observe_single_task(ctx.clone(), obs.observed_tput);
-                }
-            }
+            self.monitor
+                .observe_job(obs.job, obs.gang_coupled, obs.observed_tput, obs.contexts);
         }
     }
 }
@@ -281,7 +273,7 @@ mod tests {
         let mut sched = SynergyScheduler::new();
         // Joining would collapse the resident's throughput to 0.2: the set
         // TNRP would *drop*, so the join is rejected.
-        sched.observe(&[JobObservation {
+        let obs = JobObservation {
             job: JobId(9),
             gang_coupled: false,
             observed_tput: 0.2,
@@ -290,7 +282,8 @@ mod tests {
                 WorkloadKind(0),
                 vec![WorkloadKind(1)],
             )],
-        }]);
+        };
+        sched.observe(&mut [obs].into_iter());
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
             catalog: &catalog,

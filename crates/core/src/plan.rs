@@ -335,12 +335,20 @@ pub trait Scheduler {
     /// Human-readable name used in experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Produces the target configuration for this round.
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan;
+    /// Produces the target configuration for this round. `view` is
+    /// [`ClusterView::of`]`(ctx)`: the caller derives it once and reads the
+    /// plan's [`Plan::moves`] against the same one.
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan;
 
-    /// Delivers throughput observations (schedulers that do not learn
-    /// ignore them).
-    fn observe(&mut self, _observations: &[JobObservation]) {}
+    /// [`Scheduler::plan_in`] for a caller that holds only the snapshot.
+    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
+        self.plan_in(ctx, &ClusterView::of(ctx))
+    }
+
+    /// Offers this round's throughput observations, one per job with a
+    /// running task. Each is built when it is pulled, so a scheduler that
+    /// does not learn leaves the iterator alone and pays nothing.
+    fn observe(&mut self, _observations: &mut dyn Iterator<Item = JobObservation>) {}
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ impl Scheduler for EvaScheduler {
         }
     }
 
-    fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Plan {
+    fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         // Count job arrival/completion events since the last round.
         let jobs_now: BTreeSet<JobId> = ctx.tasks.iter().map(|t| t.id.job).collect();
         let arrivals = jobs_now.difference(&self.prev_jobs).count() as u64;
@@ -174,29 +174,27 @@ impl Scheduler for EvaScheduler {
         };
         let eval = TnrpEvaluator::new(tput, &prices, self.cfg.multi_task_aware);
 
-        let view = ClusterView::of(ctx);
-
         // Candidate 1: Full Reconfiguration over every task.
         let types = ctx.catalog.types_by_cost_desc();
         let full_packed = pack(&ctx.tasks.iter().collect::<Vec<_>>(), &types, &eval);
         let all_ids = view.instances.iter().map(|i| i.id);
-        let mut full_plan = Self::concretize(&full_packed, Vec::new(), &view, all_ids);
+        let mut full_plan = Self::concretize(&full_packed, Vec::new(), view, all_ids);
         full_plan.full_reconfiguration = true;
 
         // Candidate 2: Partial Reconfiguration.
-        let partial_out = partial_over(&view, &types, &eval, self.cfg.refill_existing);
+        let partial_out = partial_over(view, &types, &eval, self.cfg.refill_existing);
         let partial_plan = Self::concretize(
             &partial_out.packed,
             partial_out.kept.clone(),
-            &view,
+            view,
             partial_out.terminate.iter().copied(),
         );
 
         // Savings and migration costs.
         let s_f = full_packed.total_saving_dollars();
-        let s_p = partial_out.total_saving_dollars(&view, &eval);
-        let m_f = Self::migration_cost_dollars(&full_plan, &view, ctx.catalog);
-        let m_p = Self::migration_cost_dollars(&partial_plan, &view, ctx.catalog);
+        let s_p = partial_out.total_saving_dollars(view, &eval);
+        let m_f = Self::migration_cost_dollars(&full_plan, view, ctx.catalog);
+        let m_p = Self::migration_cost_dollars(&partial_plan, view, ctx.catalog);
 
         let decision = match self.cfg.mode {
             ReconfigMode::FullOnly => ReconfigDecision::Full,
@@ -213,7 +211,7 @@ impl Scheduler for EvaScheduler {
 
         // A Full adoption that actually changes something counts as a
         // "triggered" event for the p estimator.
-        let full_changes = full_plan.moves(&view).any(|m| !m.is_initial())
+        let full_changes = full_plan.moves(view).any(|m| !m.is_initial())
             || full_plan.new_instance_count() > 0
             || !full_plan.terminate.is_empty();
         let triggered = decision == ReconfigDecision::Full && full_changes;
@@ -231,17 +229,10 @@ impl Scheduler for EvaScheduler {
         }
     }
 
-    fn observe(&mut self, observations: &[JobObservation]) {
+    fn observe(&mut self, observations: &mut dyn Iterator<Item = JobObservation>) {
         for obs in observations {
-            if obs.gang_coupled && obs.contexts.len() > 1 {
-                self.monitor
-                    .observe_multi_task(obs.job, &obs.contexts, obs.observed_tput);
-            } else {
-                for ctx in &obs.contexts {
-                    self.monitor
-                        .observe_single_task(ctx.clone(), obs.observed_tput);
-                }
-            }
+            self.monitor
+                .observe_job(obs.job, obs.gang_coupled, obs.observed_tput, obs.contexts);
         }
     }
 }
@@ -402,7 +393,7 @@ mod tests {
                 vec![WorkloadKind(1)],
             )],
         };
-        eva.observe(&[obs]);
+        eva.observe(&mut [obs].into_iter());
         assert_eq!(
             eva.monitor()
                 .table()
@@ -427,7 +418,7 @@ mod tests {
                 ),
             ],
         };
-        eva.observe(&[obs]);
+        eva.observe(&mut [obs].into_iter());
         // Attributed to the co-located task only.
         assert_eq!(
             eva.monitor()

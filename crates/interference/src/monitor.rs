@@ -79,6 +79,26 @@ impl ThroughputMonitor {
         self.table.record(ctx.workload, &ctx.colocated, tput);
     }
 
+    /// Records one job-level observation: a gang-coupled job seen in more
+    /// than one context goes through the attribution rules of
+    /// [`ThroughputMonitor::observe_multi_task`]; otherwise every context
+    /// is a single-task observation of its own.
+    pub fn observe_job(
+        &mut self,
+        job: JobId,
+        gang_coupled: bool,
+        observed_tput: f64,
+        contexts: Vec<TaskContext>,
+    ) {
+        if gang_coupled && contexts.len() > 1 {
+            self.observe_multi_task(job, &contexts, observed_tput);
+        } else {
+            for ctx in contexts {
+                self.observe_single_task(ctx, observed_tput);
+            }
+        }
+    }
+
     /// Records a job-level observation for a multi-task (gang-coupled) job
     /// and attributes it to exactly one table entry using the paper's three
     /// rules (§4.4):
@@ -133,7 +153,7 @@ impl ThroughputMonitor {
             .enumerate()
             .filter_map(|(i, r)| r.map(|v| (i, v)))
             .filter(|(_, v)| *v < observed_tput)
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
         {
             // Rule 2: a recorded context already explains at least this much
             // slowdown; adjust the lowest one upward.
@@ -154,7 +174,7 @@ impl ThroughputMonitor {
                     .iter()
                     .enumerate()
                     .filter_map(|(i, r)| r.map(|v| (i, v)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
                     .map(|(i, _)| i)
                     .unwrap_or(0)
             } else {

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use eva_baselines::NoPackingScheduler;
 use eva_cloud::ProvisionRequest;
 use eva_core::{
     ClusterView, InstanceSnapshot, JobObservation, Plan, PlannedInstance, SchedulerContext,
@@ -111,53 +112,50 @@ impl ClusterSim {
             },
         );
     }
-    /// Builds the scheduler-facing observations for the current instant.
-    pub(crate) fn build_observations(&self) -> Vec<JobObservation> {
-        let mut obs = Vec::new();
-        for &jslot in &self.world.jobs.active {
-            let spec = self.job_spec(jslot);
-            let base = self.world.jobs.task_range(jslot).start;
-            let mut contexts = Vec::new();
-            let mut any_running = false;
-            for (pos, tspec) in spec.tasks.iter().enumerate() {
-                let tslot = self.world.tasks.slot_by_pos[base + pos];
-                if !self.world.tasks.is_running(tslot) {
-                    continue;
-                }
-                any_running = true;
-                let inst = self.world.tasks.assigned[tslot as usize];
-                let others: Vec<WorkloadKind> = if inst == NO_SLOT {
-                    Vec::new()
-                } else {
-                    self.world.insts.tasks[inst as usize]
-                        .iter()
-                        .filter(|&&t| t != tslot && self.world.tasks.is_running(t))
-                        .map(|&t| self.world.tasks.workload[t as usize])
-                        .collect()
-                };
-                contexts.push(TaskContext::new(tspec.id, tspec.workload, others));
-            }
-            if !any_running {
+    /// The scheduler-facing observations for the current instant, one per
+    /// active job with a running task, in id order. Each is built when the
+    /// scheduler pulls it: one that ignores observations costs nothing.
+    pub(crate) fn observations(&self) -> impl Iterator<Item = JobObservation> + '_ {
+        let active = self.world.jobs.active.iter();
+        active.filter_map(|&jslot| self.observation_of(jslot))
+    }
+
+    fn observation_of(&self, jslot: u32) -> Option<JobObservation> {
+        let spec = self.job_spec(jslot);
+        let base = self.world.jobs.task_range(jslot).start;
+        let mut contexts = Vec::new();
+        for (pos, tspec) in spec.tasks.iter().enumerate() {
+            let tslot = self.world.tasks.slot_by_pos[base + pos];
+            if !self.world.tasks.is_running(tslot) {
                 continue;
             }
-            let observed = if spec.gang_coupled {
-                self.job_tput(jslot)
+            let inst = self.world.tasks.assigned[tslot as usize];
+            let others: Vec<WorkloadKind> = if inst == NO_SLOT {
+                Vec::new()
             } else {
-                // Single-task jobs report the task's own throughput.
-                if spec.tasks.is_empty() {
-                    0.0
-                } else {
-                    self.task_tput(self.world.tasks.slot_by_pos[base])
-                }
+                self.world.insts.tasks[inst as usize]
+                    .iter()
+                    .filter(|&&t| t != tslot && self.world.tasks.is_running(t))
+                    .map(|&t| self.world.tasks.workload[t as usize])
+                    .collect()
             };
-            obs.push(JobObservation {
-                job: spec.id,
-                gang_coupled: spec.gang_coupled,
-                observed_tput: observed,
-                contexts,
-            });
+            contexts.push(TaskContext::new(tspec.id, tspec.workload, others));
         }
-        obs
+        if contexts.is_empty() {
+            return None;
+        }
+        let observed = if spec.gang_coupled {
+            self.job_tput(jslot)
+        } else {
+            // Single-task jobs report the task's own throughput.
+            self.task_tput(self.world.tasks.slot_by_pos[base])
+        };
+        Some(JobObservation {
+            job: spec.id,
+            gang_coupled: spec.gang_coupled,
+            observed_tput: observed,
+            contexts,
+        })
     }
 
     /// Builds the scheduler context snapshot.
@@ -186,12 +184,12 @@ impl ClusterSim {
             }
         }
         let instances: Vec<InstanceSnapshot> = self
-            .cloud
-            .live_instances(self.now())
-            .filter(|i| !self.draining.contains(&i.id))
-            .map(|i| InstanceSnapshot {
-                id: i.id,
-                type_id: i.type_id,
+            .live
+            .iter()
+            .filter(|(id, _)| !self.draining.contains(id))
+            .map(|(&id, row)| InstanceSnapshot {
+                id,
+                type_id: row.type_id,
             })
             .collect();
         (tasks, instances)
@@ -240,8 +238,11 @@ impl ClusterSim {
         // log into all active jobs and truncate it, bounding how far
         // any later settle has to replay.
         self.world.jobs.settle_active_and_reset();
-        let observations = self.build_observations();
-        self.scheduler.observe(&observations);
+        // The observations borrow the world, so the scheduler steps out of
+        // it while it pulls them (the stand-in is zero-sized: no allocation).
+        let mut scheduler = std::mem::replace(&mut self.scheduler, Box::new(NoPackingScheduler));
+        scheduler.observe(&mut self.observations());
+        self.scheduler = scheduler;
         let (tasks, instances) = self.build_snapshot();
         let ctx = SchedulerContext {
             now: self.now(),
@@ -249,13 +250,11 @@ impl ClusterSim {
             tasks: &tasks,
             instances: &instances,
         };
-        let plan = self.scheduler.plan(&ctx);
-        // Diffed against the snapshot the scheduler saw; in task order, a
+        let view = ClusterView::of(&ctx);
+        let plan = self.scheduler.plan_in(&ctx, &view);
+        // Diffed against the view the scheduler saw; in task order, a
         // task listed twice going where its last listing says.
-        let moves = plan
-            .moves(&ClusterView::of(&ctx))
-            .map(|m| (m.task.id, m.slot))
-            .collect();
+        let moves = plan.moves(&view).map(|m| (m.task.id, m.slot)).collect();
         self.rounds += 1;
         if plan.full_reconfiguration {
             self.full_rounds += 1;
@@ -270,9 +269,7 @@ impl ClusterSim {
             // leftover fault events — a fault outliving the workload has
             // nothing to disturb, and letting it dispatch would drag the
             // clock (and therefore the makespan) forward for nothing.
-            let live: Vec<InstanceId> =
-                self.cloud.live_instances(self.now()).map(|i| i.id).collect();
-            self.draining.extend(live);
+            self.draining.extend(self.live.keys());
             self.try_terminations();
             for token in self.fault_tokens.drain(..) {
                 self.engine.cancel(token);

@@ -25,7 +25,9 @@ use eva_baselines::{
 };
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
 use eva_core::{EvaScheduler, Scheduler};
-use eva_types::{InstanceId, JobId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
+use eva_types::{
+    InstanceId, InstanceTypeId, JobId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind,
+};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
 use crate::arena::{WorldArena, NO_SLOT};
@@ -205,17 +207,16 @@ pub(crate) struct StreamState {
     pending: Option<JobSpec>,
 }
 
-/// One instance's slice of the incremental integral rates, indexed by
-/// `InstanceId` (provider IDs are sequential and never reused). All
-/// components are integer-valued `f64`s, so adding and later
-/// subtracting them leaves the running sums bit-identical to a
-/// from-scratch scan in any order.
-#[derive(Debug, Clone, Copy, Default)]
-struct InstAcct {
-    /// Whether the instance currently contributes to the rates: set at
-    /// provision (if its type is cataloged), cleared once the clock
-    /// reaches its termination time.
-    counted: bool,
+/// One row of the world's live-instance table: the instance's catalog
+/// type and its slice of the incremental integral rates. A row exists
+/// exactly while the instance counts — from its provision until the
+/// clock reaches its termination time, i.e. while the provider's
+/// `Instance::state(now)` is not `Terminated`. All rate components are
+/// integer-valued `f64`s, so adding and later subtracting them leaves
+/// the running sums bit-identical to a from-scratch scan in any order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LiveInst {
+    pub(crate) type_id: InstanceTypeId,
     cap: [f64; 3],
     alloc: [f64; 3],
     running: u32,
@@ -269,9 +270,11 @@ pub struct ClusterSim {
     pub(crate) full_rounds: u64,
 
     // Incremental-integral state (see the dirty-set invariants in
-    // `crate::arena`): per-instance accounting plus the maintained
-    // capacity/allocation/running-task rates `advance_to` integrates.
-    inst_acct: Vec<InstAcct>,
+    // `crate::arena`): the live instances in id order, each with its
+    // accounting, plus the maintained capacity/allocation/running-task
+    // rates `advance_to` integrates. Rounds and faults list the cluster
+    // from `live`, never from the provider's record of every launch.
+    pub(crate) live: BTreeMap<InstanceId, LiveInst>,
     cap_rate: [f64; 3],
     alloc_rate: [f64; 3],
     running_rate: usize,
@@ -385,7 +388,7 @@ impl ClusterSim {
             total_tasks: cfg.trace.jobs().iter().map(|j| j.num_tasks()).sum(),
             rounds: 0,
             full_rounds: 0,
-            inst_acct: Vec::new(),
+            live: BTreeMap::new(),
             cap_rate: [0.0; 3],
             alloc_rate: [0.0; 3],
             running_rate: 0,
@@ -672,15 +675,10 @@ impl ClusterSim {
     }
 
     /// Deterministic fault victim: the live instance selected by the
-    /// plan's pre-drawn word over the provider's ordered live set.
+    /// plan's pre-drawn word over the id-ordered live set.
     fn fault_victim(&self, draw: u64) -> Option<InstanceId> {
-        let victims: Vec<InstanceId> =
-            self.cloud.live_instances(self.now()).map(|i| i.id).collect();
-        if victims.is_empty() {
-            None
-        } else {
-            Some(victims[(draw % victims.len() as u64) as usize])
-        }
+        let pick = draw.checked_rem(self.live.len() as u64)?;
+        self.live.keys().nth(pick as usize).copied()
     }
 
     /// Abruptly kills every unfinished task mapped to `victim`: running
@@ -745,8 +743,7 @@ impl ClusterSim {
                 self.schedule_round(now);
             }
             FaultAction::CapacityShock { .. } => {
-                let live = self.cloud.live_count(now);
-                self.cloud.set_pool_limit(Some(live / 2));
+                self.cloud.set_pool_limit(Some(self.live.len() as u64 / 2));
             }
             FaultAction::PriceStep { .. } => {
                 // Applied as a billing schedule at construction.
@@ -867,7 +864,9 @@ impl ClusterSim {
     /// every draining instance must still hold a slot, and the
     /// incrementally maintained capacity/allocation/running-task rates
     /// must equal a from-scratch scan of the live instance set bit for
-    /// bit (see the dirty-set invariants in the `arena` module docs).
+    /// bit (see the dirty-set invariants in the `arena` module docs), and
+    /// the live-instance table must list exactly the `(id, type)` pairs
+    /// the provider reports live at this instant, in the same order.
     pub fn audit_slots(&self) -> Result<(), String> {
         self.world.audit()?;
         for id in &self.draining {
@@ -905,15 +904,18 @@ impl ClusterSim {
                 self.cap_rate, self.alloc_rate, self.running_rate
             ));
         }
+        let scan = self.cloud.live_instances(now).map(|i| (i.id, i.type_id));
+        if !scan.eq(self.live.iter().map(|(id, row)| (*id, row.type_id))) {
+            return Err(format!(
+                "live-instance table diverged from the provider's live set: {:?}",
+                self.live.keys().collect::<Vec<_>>()
+            ));
+        }
         for &(term, id) in &self.cap_pending {
             if term <= now {
                 return Err(format!("stale pending capacity retirement for {id}"));
             }
-            let counted = self
-                .inst_acct
-                .get(id.0 as usize)
-                .is_some_and(|a| a.counted);
-            if !counted {
+            if !self.live.contains_key(&id) {
                 return Err(format!("pending retirement of uncounted instance {id}"));
             }
         }
@@ -1379,19 +1381,11 @@ impl ClusterSim {
 
     // ----- incremental integral accounting -------------------------------
 
-    /// Registers a freshly provisioned instance with the capacity rate.
-    /// Mirrors the eager scan's guard: instances whose type is not in
-    /// the catalog never count.
+    /// Enters a freshly provisioned instance into the live table and the
+    /// capacity rate. The provider only provisions cataloged types, and
+    /// the world's catalog is the provider's.
     pub(crate) fn count_provision(&mut self, id: InstanceId) {
-        let idx = id.0 as usize;
-        if idx >= self.inst_acct.len() {
-            self.inst_acct.resize(idx + 1, InstAcct::default());
-        }
-        let Some(ty) = self
-            .cloud
-            .instance(id)
-            .and_then(|i| self.catalog.get(i.type_id))
-        else {
+        let Some(ty) = self.cloud.instance_type(id) else {
             return;
         };
         let cap = [
@@ -1399,10 +1393,14 @@ impl ClusterSim {
             f64::from(ty.capacity.cpu),
             ty.capacity.ram_mb as f64,
         ];
-        let acct = &mut self.inst_acct[idx];
-        debug_assert!(!acct.counted, "instance {id} provisioned twice");
-        acct.counted = true;
-        acct.cap = cap;
+        let row = LiveInst {
+            type_id: ty.id,
+            cap,
+            alloc: [0.0; 3],
+            running: 0,
+        };
+        let previous = self.live.insert(id, row);
+        debug_assert!(previous.is_none(), "instance {id} provisioned twice");
         for (rate, c) in self.cap_rate.iter_mut().zip(cap) {
             *rate += c;
         }
@@ -1413,26 +1411,26 @@ impl ClusterSim {
     /// `attach`/`detach` return value so the rate mirrors the mapping
     /// lists exactly.
     pub(crate) fn account_mapping(&mut self, id: InstanceId, tslot: u32, attached: bool) {
-        let Some(acct) = self.inst_acct.get(id.0 as usize) else {
-            return;
-        };
-        if !acct.counted {
-            return;
-        }
-        let Some(ty) = self.cloud.instance_type(id) else {
+        let Some(ty) = self
+            .live
+            .get(&id)
+            .and_then(|row| self.catalog.get(row.type_id))
+        else {
             return;
         };
         let d = ty.demand_of(&self.task_spec(tslot).demand);
         let dv = [f64::from(d.gpu), f64::from(d.cpu), d.ram_mb as f64];
-        let acct = &mut self.inst_acct[id.0 as usize];
+        let Some(row) = self.live.get_mut(&id) else {
+            return;
+        };
         if attached {
             for (r, d) in dv.into_iter().enumerate() {
-                acct.alloc[r] += d;
+                row.alloc[r] += d;
                 self.alloc_rate[r] += d;
             }
         } else {
             for (r, d) in dv.into_iter().enumerate() {
-                acct.alloc[r] -= d;
+                row.alloc[r] -= d;
                 self.alloc_rate[r] -= d;
             }
         }
@@ -1441,17 +1439,14 @@ impl ClusterSim {
     /// Adjusts the running-task rate when a task mapped to `id` starts
     /// (`+1`) or stops (`-1`) running.
     pub(crate) fn account_running(&mut self, id: InstanceId, delta: i32) {
-        let Some(acct) = self.inst_acct.get_mut(id.0 as usize) else {
+        let Some(row) = self.live.get_mut(&id) else {
             return;
         };
-        if !acct.counted {
-            return;
-        }
         if delta > 0 {
-            acct.running += 1;
+            row.running += 1;
             self.running_rate += 1;
         } else {
-            acct.running -= 1;
+            row.running -= 1;
             self.running_rate -= 1;
         }
     }
@@ -1465,11 +1460,7 @@ impl ClusterSim {
         let Some(t) = self.cloud.instance(id).and_then(|i| i.terminated_at) else {
             return;
         };
-        let counted = self
-            .inst_acct
-            .get(id.0 as usize)
-            .is_some_and(|a| a.counted);
-        if !counted {
+        if !self.live.contains_key(&id) {
             return;
         }
         if t <= self.engine.now() {
@@ -1483,24 +1474,20 @@ impl ClusterSim {
         }
     }
 
-    /// Removes a terminated instance's full contribution from the
-    /// rates. Tasks may still be mapped to it (a drained instance keeps
-    /// its capacity until its deadline passes, exactly like the eager
-    /// live-set scan); their later detach/stop transitions are ignored
-    /// by the `counted` guards.
+    /// Drops a terminated instance from the live table and its full
+    /// contribution from the rates. Tasks may still be mapped to it (a
+    /// drained instance keeps its capacity until its deadline passes,
+    /// exactly like the eager live-set scan); their later detach/stop
+    /// transitions find no row and are ignored.
     fn uncount_instance(&mut self, id: InstanceId) {
-        let acct = &mut self.inst_acct[id.0 as usize];
-        if !acct.counted {
+        let Some(row) = self.live.remove(&id) else {
             return;
-        }
-        acct.counted = false;
+        };
         for r in 0..3 {
-            self.cap_rate[r] -= acct.cap[r];
-            self.alloc_rate[r] -= acct.alloc[r];
+            self.cap_rate[r] -= row.cap[r];
+            self.alloc_rate[r] -= row.alloc[r];
         }
-        self.running_rate -= acct.running as usize;
-        acct.alloc = [0.0; 3];
-        acct.running = 0;
+        self.running_rate -= row.running as usize;
     }
 
     /// Marks every job with a task mapped to instance slot `islot`

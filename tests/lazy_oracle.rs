@@ -68,6 +68,8 @@ proptest! {
             Just("worker-crash:2"),
             Just("straggler:2"),
             Just("ckpt-drop"),
+            Just("capacity-shock:2"),
+            Just("price-step:2"),
         ],
     ) {
         let (lazy, full) = sims(jobs, seed, regime);

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use eva::core::{full_reconfiguration, ReservationPrices, TaskSnapshot, TnrpEvaluator, UnitTput};
-use eva::interference::ThroughputTable;
+use eva::interference::{TaskContext, ThroughputMonitor, ThroughputTable};
 use eva::prelude::*;
 use eva::solver::{branch_and_bound, first_fit_decreasing, BnbConfig, Item, PackingProblem};
 
@@ -236,4 +236,24 @@ proptest! {
             prop_assert_eq!(a, b, "{} diverged under {}", label, spec.label());
         }
     }
+}
+
+#[test]
+fn nan_observations_do_not_panic_gang_attribution() {
+    // `record` stores a NaN unchanged (`clamp` passes it through). With
+    // every context recorded and none below the observation, attribution
+    // takes the minimum of the recorded values: it must order NaNs, not
+    // unwrap a failed comparison.
+    let (w0, w1, w2) = (WorkloadKind(0), WorkloadKind(1), WorkloadKind(2));
+    let contexts = [
+        TaskContext::new(TaskId::new(JobId(1), 0), w0, vec![w1]),
+        TaskContext::new(TaskId::new(JobId(1), 1), w0, vec![w2]),
+    ];
+    let mut monitor = ThroughputMonitor::with_default_tput(0.95);
+    for ctx in &contexts {
+        monitor.observe_single_task(ctx.clone(), f64::NAN);
+    }
+    let updated = monitor.observe_multi_task(JobId(1), &contexts, 0.7);
+    assert!(updated.is_some());
+    assert_eq!(monitor.observation_count(), 3);
 }

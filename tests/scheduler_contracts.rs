@@ -2,14 +2,17 @@
 //! (capacity-respecting, no duplicated tasks, terminate only untouched
 //! instances) on randomized cluster states — including tasks whose
 //! `assigned_to` names an instance the snapshot does not list, which is
-//! what the world produces while an instance drains.
+//! what the world produces while an instance drains. Observations are
+//! pulled only by the schedulers that learn from them, and `plan` is
+//! `plan_in` over `ClusterView::of`.
 
 use proptest::prelude::*;
 
 use eva::baselines::{
     NoPackingScheduler, OracleProfile, OwlScheduler, StratusScheduler, SynergyScheduler,
 };
-use eva::core::{ClusterView, InstanceSnapshot, PlannedInstance, TaskSnapshot};
+use eva::core::{ClusterView, InstanceSnapshot, JobObservation, PlannedInstance, TaskSnapshot};
+use eva::interference::TaskContext;
 use eva::prelude::*;
 
 fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot>)> {
@@ -67,9 +70,33 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
         })
 }
 
-/// `replaces_orphans`: whether the scheduler re-places a task assigned to
-/// an unlisted instance (Eva and Synergy do) or leaves it out of the plan
-/// (No-Packing, Stratus and Owl).
+/// The seven scheduler configurations, fresh, as `(scheduler,
+/// replaces_orphans, learns)`: whether it re-places a task assigned to an
+/// unlisted instance (Eva and Synergy do) or leaves it out of the plan
+/// (No-Packing, Stratus and Owl), and whether it reads its observations.
+fn schedulers() -> Vec<(Box<dyn Scheduler>, bool, bool)> {
+    let workloads = WorkloadCatalog::table7();
+    let kinds: Vec<WorkloadKind> = workloads.iter().map(|w| w.kind).collect();
+    let profile = OracleProfile::from_fn(&kinds, |_, _| 0.95);
+    vec![
+        (Box::new(NoPackingScheduler::new()), false, false),
+        (Box::new(StratusScheduler::new()), false, false),
+        (Box::new(SynergyScheduler::new()), true, true),
+        (Box::new(OwlScheduler::new(profile)), false, false),
+        (Box::new(EvaScheduler::new(EvaConfig::eva())), true, true),
+        (
+            Box::new(EvaScheduler::new(EvaConfig::without_partial())),
+            true,
+            true,
+        ),
+        (
+            Box::new(EvaScheduler::new(EvaConfig::without_full())),
+            true,
+            true,
+        ),
+    ]
+}
+
 fn check_plan(
     name: &str,
     plan: &eva::core::Plan,
@@ -143,22 +170,46 @@ proptest! {
             tasks: &tasks,
             instances: &instances,
         };
-        let workloads = WorkloadCatalog::table7();
-        let kinds: Vec<WorkloadKind> = workloads.iter().map(|w| w.kind).collect();
-        let profile = OracleProfile::from_fn(&kinds, |_, _| 0.95);
-
-        let mut schedulers: Vec<(Box<dyn Scheduler>, bool)> = vec![
-            (Box::new(NoPackingScheduler::new()), false),
-            (Box::new(StratusScheduler::new()), false),
-            (Box::new(SynergyScheduler::new()), true),
-            (Box::new(OwlScheduler::new(profile)), false),
-            (Box::new(EvaScheduler::new(EvaConfig::eva())), true),
-            (Box::new(EvaScheduler::new(EvaConfig::without_partial())), true),
-            (Box::new(EvaScheduler::new(EvaConfig::without_full())), true),
-        ];
-        for (sched, replaces_orphans) in &mut schedulers {
+        for (mut sched, replaces_orphans, _) in schedulers() {
             let plan = sched.plan(&ctx);
-            check_plan(sched.name(), &plan, &tasks, &instances, *replaces_orphans)?;
+            check_plan(sched.name(), &plan, &tasks, &instances, replaces_orphans)?;
+        }
+    }
+
+    #[test]
+    fn observations_are_pulled_by_learners_only_and_plan_is_plan_in(
+        (tasks, instances) in arb_state(),
+    ) {
+        let catalog = Catalog::aws_eval_2025();
+        let ctx = SchedulerContext {
+            now: SimTime::from_secs(3600),
+            catalog: &catalog,
+            tasks: &tasks,
+            instances: &instances,
+        };
+        // One observation per placed task, each sharing its instance with
+        // the next workload kind.
+        let offered: Vec<JobObservation> = tasks
+            .iter()
+            .filter(|t| t.assigned_to.is_some())
+            .map(|t| JobObservation {
+                job: t.id.job,
+                gang_coupled: false,
+                observed_tput: 0.8,
+                contexts: vec![TaskContext::new(
+                    t.id,
+                    t.workload,
+                    vec![WorkloadKind((t.workload.0 + 1) % 8)],
+                )],
+            })
+            .collect();
+        for ((mut a, _, learns), (mut b, ..)) in schedulers().into_iter().zip(schedulers()) {
+            let mut pulled = 0;
+            a.observe(&mut offered.iter().cloned().inspect(|_| pulled += 1));
+            prop_assert_eq!(pulled, if learns { offered.len() } else { 0 }, "{}", a.name());
+            b.observe(&mut offered.iter().cloned());
+            let view = ClusterView::of(&ctx);
+            prop_assert_eq!(a.plan_in(&ctx, &view), b.plan(&ctx), "{}", a.name());
         }
     }
 

@@ -90,17 +90,23 @@ proptest! {
     }
 }
 
-fn faulted_cfg(regime: &str, seed: u64) -> SimConfig {
+/// `jobs` synthetic jobs arriving every `gap_mins` on average, under `kind`
+/// and the fault regime `regime`.
+fn faulted(jobs: usize, gap_mins: u64, kind: SchedulerKind, regime: &str, seed: u64) -> SimConfig {
     let trace = SyntheticTraceConfig {
-        num_jobs: 12,
-        mean_interarrival: SimDuration::from_mins(8),
+        num_jobs: jobs,
+        mean_interarrival: SimDuration::from_mins(gap_mins),
         duration: eva::workloads::UniformHours::new(0.4, 1.2),
         single_task_only: false,
     }
     .generate(seed);
-    let mut cfg = SimConfig::new(trace, SchedulerKind::Eva(EvaConfig::eva()));
+    let mut cfg = SimConfig::new(trace, kind);
     cfg.faults = FaultSpec::parse(regime).unwrap();
     cfg
+}
+
+fn faulted_cfg(regime: &str, seed: u64) -> SimConfig {
+    faulted(12, 8, SchedulerKind::Eva(EvaConfig::eva()), regime, seed)
 }
 
 #[test]
@@ -171,4 +177,37 @@ fn capacity_shocks_never_drive_free_capacity_negative() {
     }
     assert!(saw_limit, "shocks must clamp the pool at least once");
     assert!(saw_unlimited, "shock windows must also expire");
+}
+
+#[test]
+fn live_table_equals_the_provider_scan_through_churn() {
+    // 400 Stratus jobs per world, batch and retiring, under a storm and
+    // under capacity shocks: hundreds of provisions, future-dated
+    // terminations, deadline pops and preemptions, with `audit_slots`
+    // (live table == provider scan, rates == rescan) after every event.
+    for regime in ["preempt-storm:3", "capacity-shock:2"] {
+        for retire in [false, true] {
+            let mut cfg = faulted(400, 2, SchedulerKind::Stratus, regime, 17);
+            cfg.retire_completed = retire;
+            let mut sim = ClusterSim::new(&cfg);
+            let mut peak_live = 0;
+            while sim.step() {
+                if let Err(e) = sim.audit_slots() {
+                    panic!("{regime}, retire={retire}, at {:?}: {e}", sim.now());
+                }
+                peak_live = peak_live.max(sim.provider().live_count(sim.now()));
+            }
+            // The table must have been a small part of what the provider
+            // ever launched (and, in batch mode, still holds).
+            let launched = sim.provider().launch_count();
+            assert!(
+                peak_live > 0 && launched >= 4 * peak_live,
+                "{regime}, retire={retire}: {launched} launched, {peak_live} live at peak"
+            );
+            let held = sim.provider().instances().count() as u64;
+            assert_eq!(held == launched, !retire, "{regime}: {held} records held");
+            let stormy = regime.starts_with("preempt");
+            assert_eq!(sim.preemption_log().is_empty(), !stormy, "{regime}");
+        }
+    }
 }
