@@ -3,7 +3,8 @@
 //! * `full_reconfiguration/200` reproduces the Table 4 runtime column
 //!   (378 ms in the paper's Python; the Rust port is much faster).
 //! * `full_reconfiguration/{1000,2000}` reproduces the Table 5 scaling
-//!   shape (quadratic in the task count).
+//!   column (quadratic in the paper; tasks × classes here, since
+//!   Algorithm 1 scans class heads, not tasks).
 //! * `solvers/*` compare the exact branch-and-bound against FFD.
 //! * `throughput_table/*` measure the co-location table's hot paths.
 

@@ -1,8 +1,11 @@
 //! Table 5: Full Reconfiguration runtime scaling.
 //!
 //! Times Algorithm 1 over 1,000–8,000 tasks sampled from Table 7 (the
-//! paper reports 0.4 s / 1.5 s / 5.5 s / 22 s in Python; the Rust port is
-//! substantially faster, but the quadratic shape should hold).
+//! paper reports 0.4 s / 1.5 s / 5.5 s / 22 s in Python, a quadratic
+//! shape; the Rust port scans class heads instead of tasks, so its times
+//! grow with tasks × classes and the 8,000-task row costs well under 16×
+//! the 1,000-task row — read `runtime_s` in the artifact, the printed
+//! table rounds to a millisecond).
 //!
 //! Declared as a [`SolverSweep`]: one cell per task count, run serially
 //! for stable timings, cached under `results/cache/` (`--no-cache` to

@@ -7,6 +7,34 @@
 //! instance under construction. An instance is committed only when the
 //! TNRP of its task set covers its hourly cost, which guarantees every
 //! provisioned instance is cost-efficient relative to no-packing.
+//!
+//! # The scan visits class heads, not tasks
+//!
+//! A candidate's fit and score depend on the task only through its
+//! workload, its [`Priced`] scalars and its demand on the type being
+//! packed. `pack` groups the tasks once into *classes* — equal workload,
+//! bit-equal `Priced`, equal `DemandSpec` — and each growth step
+//! fit-checks and scores only each class's first unassigned member, its
+//! *head*, in input order: O(n · classes) for Algorithm 1, not O(n²).
+//!
+//! The plan is the same to the bit when the input is in strictly
+//! ascending [`TaskId`] order, as the world hands it to Full
+//! Reconfiguration. A candidate displaces the running best when it scores
+//! more than `1e-12` above it, or within `1e-12` of it with a smaller id;
+//! with ids ascending along the scan the second clause cannot fire, so the
+//! best score never decreases. A member behind its head has the head's fit
+//! verdict and score bit for bit, and the head came first: it either
+//! became the best or failed `s > best + 1e-12` against a best that has
+//! only grown since, so `s ≤ best + 1e-12` for the rest of the scan and the
+//! member displaces nothing. The heads are a subsequence of the full scan,
+//! so the others are still compared in the same order.
+//!
+//! On any other input (Partial Reconfiguration's subset is the unplaced
+//! tasks, then residents in instance order) the tie-break does decide
+//! among equals: every task is its own class and the same loop is the
+//! plain scan over tasks.
+
+use std::iter::successors;
 
 use eva_cloud::{Catalog, InstanceType};
 use eva_types::{InstanceTypeId, ResourceVector, TaskId};
@@ -113,14 +141,27 @@ pub fn full_reconfiguration(
     pack(&tasks, &catalog.types_by_cost_desc(), eval)
 }
 
-/// An unassigned task with everything the scan of [`pack_one_instance`]
-/// reads of it resolved up front.
-struct Candidate<'a> {
+/// A set of unassigned tasks Algorithm 1 cannot tell apart (module docs):
+/// one fit check and one score stand for all of them.
+struct Class<'a> {
+    /// The first member; every member has its workload and demand spec.
     task: &'a TaskSnapshot,
     priced: Priced,
-    /// Its demand on the instance type being packed.
+    /// The members' demand on the instance type being packed.
     demand: ResourceVector,
 }
+
+/// The tasks of one [`pack`], grouped into [`Class`]es.
+struct Grouped<'a> {
+    tasks: &'a [&'a TaskSnapshot],
+    classes: Vec<Class<'a>>,
+    /// `next[p]`: input position of the next member of `p`'s class.
+    next: Vec<Option<usize>>,
+}
+
+/// (Input position of its first unassigned member, class) for every class
+/// that still has one, ascending by position — the order of the scan.
+type Heads = Vec<(usize, usize)>;
 
 /// [`full_reconfiguration`] over borrowed tasks; `types` is the catalog in
 /// [`Catalog::types_by_cost_desc`] order.
@@ -130,74 +171,90 @@ pub(crate) fn pack(
     eval: &TnrpEvaluator<'_>,
 ) -> PackedConfig {
     let mut config = PackedConfig::default();
-    // Tasks no type can host are unassignable regardless of packing.
-    let mut remaining: Vec<Candidate<'_>> = Vec::new();
-    for &task in tasks {
-        if types.iter().any(|ty| ty.can_host(&task.demand)) {
-            remaining.push(Candidate {
+    // Members may stand behind their head only where ids ascend.
+    let ascending = tasks.windows(2).all(|w| w[0].id < w[1].id);
+    let mut grouped = Grouped {
+        tasks,
+        classes: Vec::new(),
+        next: vec![None; tasks.len()],
+    };
+    let mut heads = Heads::new();
+    let mut tails: Vec<usize> = Vec::new();
+    for (pos, &task) in tasks.iter().enumerate() {
+        let priced = eval.priced(task);
+        let same = |c: &Class<'_>| {
+            c.task.workload == task.workload
+                && c.priced.bits() == priced.bits()
+                && c.task.demand == task.demand
+        };
+        let class = ascending.then(|| grouped.classes.iter().position(same));
+        if let Some(class) = class.flatten() {
+            grouped.next[tails[class]] = Some(pos);
+            tails[class] = pos;
+        } else if types.iter().any(|ty| ty.can_host(&task.demand)) {
+            heads.push((pos, grouped.classes.len()));
+            tails.push(pos);
+            grouped.classes.push(Class {
                 task,
-                priced: eval.priced(task),
+                priced,
                 demand: ResourceVector::ZERO,
             });
         } else {
+            // Tasks no type can host are unassignable regardless of packing.
             config.unassigned.push(task.id);
         }
     }
 
+    let mut trial = Heads::new();
     for instance_type in types {
-        if remaining.is_empty() {
+        if heads.is_empty() {
             break;
         }
         if instance_type.hourly_cost.is_zero() {
             // Ghost or free types would host everything vacuously.
             continue;
         }
-        for c in &mut remaining {
+        for c in &mut grouped.classes {
             c.demand = instance_type.demand_of(&c.task.demand);
         }
         loop {
-            let (set_indices, tnrp) = pack_one_instance(&remaining, &instance_type.capacity, eval);
-            if set_indices.is_empty() {
-                break;
-            }
+            // Heads advance on a copy, which a commit makes the truth.
+            trial.clone_from(&heads);
+            let (set, tnrp) =
+                pack_one_instance(&grouped, &mut trial, &instance_type.capacity, eval);
             // Commit only when cost-efficient (Algorithm 1 line 14).
-            if tnrp + 1e-9 >= instance_type.hourly_cost.as_dollars() {
-                // Record ids in assignment order, then remove by descending
-                // index so earlier indices stay valid.
-                let task_ids = set_indices.iter().map(|i| remaining[*i].task.id).collect();
-                let mut sorted = set_indices.clone();
-                sorted.sort_unstable_by(|a, b| b.cmp(a));
-                for idx in &sorted {
-                    remaining.remove(*idx);
-                }
-                config.instances.push(PackedInstance {
-                    type_id: instance_type.id,
-                    tasks: task_ids,
-                    tnrp_dollars: tnrp,
-                    cost_dollars: instance_type.hourly_cost.as_dollars(),
-                });
-            } else {
+            if set.is_empty() || tnrp + 1e-9 < instance_type.hourly_cost.as_dollars() {
                 // Move on to the next cheaper type (line 17).
                 break;
             }
+            std::mem::swap(&mut heads, &mut trial);
+            config.instances.push(PackedInstance {
+                type_id: instance_type.id,
+                tasks: set.iter().map(|t| t.id).collect(),
+                tnrp_dollars: tnrp,
+                cost_dollars: instance_type.hourly_cost.as_dollars(),
+            });
         }
     }
 
     // Anything left is unassignable (should not happen for feasible tasks).
-    let left = remaining.iter().map(|c| c.task.id);
+    let members = |&(head, _): &(usize, usize)| successors(Some(head), |&pos| grouped.next[pos]);
+    let mut left: Vec<usize> = heads.iter().flat_map(members).collect();
+    left.sort_unstable();
+    let left = left.iter().map(|&pos| tasks[pos].id);
     config.unassigned.extend(left);
     config
 }
 
-/// Greedily fills one instance of the given capacity from `remaining`
-/// (Algorithm 1 lines 5–13). Returns the selected indices (in assignment
-/// order) and the final set TNRP.
-fn pack_one_instance(
-    remaining: &[Candidate<'_>],
+/// Greedily fills one instance of the given capacity from `heads`,
+/// advancing them (Algorithm 1 lines 5–13). Returns the selected tasks (in
+/// assignment order) and the final set TNRP.
+fn pack_one_instance<'a>(
+    grouped: &Grouped<'a>,
+    heads: &mut Heads,
     capacity: &ResourceVector,
     eval: &TnrpEvaluator<'_>,
-) -> (Vec<usize>, f64) {
-    let mut selected: Vec<usize> = Vec::new();
+) -> (Vec<&'a TaskSnapshot>, f64) {
     let mut set: Vec<&TaskSnapshot> = Vec::new();
     let mut used = ResourceVector::ZERO;
     let mut current_tnrp = 0.0;
@@ -206,14 +263,10 @@ fn pack_one_instance(
         // The set is joined once per workload, not once per candidate.
         let mut joins = Vec::new();
         let mut best: Option<(usize, f64)> = None;
-        for (idx, c) in remaining.iter().enumerate() {
-            if selected.contains(&idx) {
-                continue;
-            }
-            let Some(total) = used.checked_add(&c.demand) else {
-                continue;
-            };
-            if !total.fits_within(capacity) {
+        for (idx, &(pos, class)) in heads.iter().enumerate() {
+            let (task, c) = (grouped.tasks[pos], &grouped.classes[class]);
+            let total = used.checked_add(&c.demand);
+            if !total.is_some_and(|total| total.fits_within(capacity)) {
                 continue;
             }
             let known = joins.iter().find(|(w, _)| *w == c.task.workload).copied();
@@ -224,7 +277,7 @@ fn pack_one_instance(
             let tnrp = join(c.priced);
             debug_assert_eq!(
                 tnrp.to_bits(),
-                eval.tnrp_set(&[&set[..], &[c.task]].concat()).to_bits()
+                eval.tnrp_set(&[&set[..], &[task]].concat()).to_bits()
             );
             // Strict improvement comparison with stable id tie-break keeps
             // the algorithm deterministic; it depends on the scan order.
@@ -233,7 +286,7 @@ fn pack_one_instance(
                 Some((best_idx, best_tnrp)) => {
                     tnrp > best_tnrp + 1e-12
                         || ((tnrp - best_tnrp).abs() <= 1e-12
-                            && c.task.id < remaining[best_idx].task.id)
+                            && task.id < grouped.tasks[heads[best_idx].0].id)
                 }
             };
             if better {
@@ -245,13 +298,19 @@ fn pack_one_instance(
         if tnrp < current_tnrp {
             break;
         }
-        selected.push(idx);
-        set.push(remaining[idx].task);
-        used = used.checked_add(&remaining[idx].demand).unwrap_or(used);
+        let (pos, class) = heads.remove(idx);
+        set.push(grouped.tasks[pos]);
+        let demand = &grouped.classes[class].demand;
+        used = used.checked_add(demand).unwrap_or(used);
         current_tnrp = tnrp;
+        // The class's next member takes its place in the scan order.
+        if let Some(next) = grouped.next[pos] {
+            let at = heads.partition_point(|&(head, _)| head < next);
+            heads.insert(at, (next, class));
+        }
     }
 
-    (selected, current_tnrp)
+    (set, current_tnrp)
 }
 
 #[cfg(test)]
@@ -484,264 +543,5 @@ mod tests {
         );
         // The CPU riders' standalone instances disappear entirely.
         assert!(config.total_cost_dollars() < no_packing * 0.99);
-    }
-
-    /// Algorithm 1 as it was before the join decomposition: every
-    /// candidate evaluated by pushing it onto the set and recomputing
-    /// `tnrp_set` from scratch. Kept verbatim as the differential
-    /// reference (test code only).
-    mod reference {
-        use super::*;
-
-        pub fn full_reconfiguration(
-            tasks: &[TaskSnapshot],
-            catalog: &Catalog,
-            eval: &TnrpEvaluator<'_>,
-        ) -> PackedConfig {
-            let mut config = PackedConfig::default();
-            // Tasks no type can host are unassignable regardless of packing.
-            let mut remaining: Vec<&TaskSnapshot> = Vec::new();
-            for t in tasks {
-                if catalog.cheapest_fit(&t.demand).is_some() {
-                    remaining.push(t);
-                } else {
-                    config.unassigned.push(t.id);
-                }
-            }
-
-            for instance_type in catalog.types_by_cost_desc() {
-                if remaining.is_empty() {
-                    break;
-                }
-                if instance_type.hourly_cost.is_zero() {
-                    // Ghost or free types would host everything vacuously.
-                    continue;
-                }
-                loop {
-                    let (set_indices, tnrp) = pack_one_instance(&remaining, instance_type, eval);
-                    if set_indices.is_empty() {
-                        break;
-                    }
-                    // Commit only when cost-efficient (Algorithm 1 line 14).
-                    if tnrp + 1e-9 >= instance_type.hourly_cost.as_dollars() {
-                        // Record ids in assignment order, then remove by descending
-                        // index so earlier indices stay valid.
-                        let task_ids: Vec<TaskId> =
-                            set_indices.iter().map(|idx| remaining[*idx].id).collect();
-                        let mut sorted = set_indices.clone();
-                        sorted.sort_unstable_by(|a, b| b.cmp(a));
-                        for idx in &sorted {
-                            remaining.remove(*idx);
-                        }
-                        config.instances.push(PackedInstance {
-                            type_id: instance_type.id,
-                            tasks: task_ids,
-                            tnrp_dollars: tnrp,
-                            cost_dollars: instance_type.hourly_cost.as_dollars(),
-                        });
-                    } else {
-                        // Move on to the next cheaper type (line 17).
-                        break;
-                    }
-                }
-            }
-
-            // Anything left is unassignable (should not happen for feasible tasks).
-            config.unassigned.extend(remaining.iter().map(|t| t.id));
-            config
-        }
-
-        /// Greedily fills one instance of `instance_type` from `remaining`
-        /// (Algorithm 1 lines 5–13). Returns the selected indices (in assignment
-        /// order) and the final set TNRP.
-        fn pack_one_instance(
-            remaining: &[&TaskSnapshot],
-            instance_type: &InstanceType,
-            eval: &TnrpEvaluator<'_>,
-        ) -> (Vec<usize>, f64) {
-            let mut selected: Vec<usize> = Vec::new();
-            let mut set: Vec<&TaskSnapshot> = Vec::new();
-            let mut used = ResourceVector::ZERO;
-            let mut current_tnrp = 0.0;
-
-            loop {
-                let mut best: Option<(usize, f64)> = None;
-                for (idx, task) in remaining.iter().enumerate() {
-                    if selected.contains(&idx) {
-                        continue;
-                    }
-                    let demand = instance_type.demand_of(&task.demand);
-                    let Some(total) = used.checked_add(&demand) else {
-                        continue;
-                    };
-                    if !total.fits_within(&instance_type.capacity) {
-                        continue;
-                    }
-                    set.push(task);
-                    let tnrp = eval.tnrp_set(&set);
-                    set.pop();
-                    // Strict improvement comparison with stable id tie-break keeps
-                    // the algorithm deterministic.
-                    let better = match best {
-                        None => true,
-                        Some((best_idx, best_tnrp)) => {
-                            tnrp > best_tnrp + 1e-12
-                                || ((tnrp - best_tnrp).abs() <= 1e-12
-                                    && remaining[idx].id < remaining[best_idx].id)
-                        }
-                    };
-                    if better {
-                        best = Some((idx, tnrp));
-                    }
-                }
-                let Some((idx, tnrp)) = best else { break };
-                // Line 9: stop when the marginal addition lowers the set TNRP.
-                if tnrp < current_tnrp {
-                    break;
-                }
-                selected.push(idx);
-                set.push(remaining[idx]);
-                used = used
-                    .checked_add(&instance_type.demand_of(&remaining[idx].demand))
-                    .unwrap_or(used);
-                current_tnrp = tnrp;
-            }
-
-            (selected, current_tnrp)
-        }
-    }
-
-    use crate::reservation::tests::arb_table;
-    use crate::reservation::TputEstimator;
-    use eva_workloads::SyntheticTraceConfig;
-    use proptest::prelude::*;
-    use std::cell::Cell;
-
-    /// Same instances, same task order, same TNRP to the bit.
-    fn assert_same(kernel: &PackedConfig, reference: &PackedConfig) {
-        assert_eq!(kernel, reference);
-        for (k, r) in kernel.instances.iter().zip(&reference.instances) {
-            assert_eq!(k.tnrp_dollars.to_bits(), r.tnrp_dollars.to_bits());
-        }
-    }
-
-    /// Up to `max` tasks of eight workloads, gang-coupled or not; one in
-    /// four demands fewer CPUs on the CPU families, as Table 7's CPU
-    /// workloads do; plus one task no type can host.
-    fn arb_tasks(max: usize) -> impl Strategy<Value = Vec<TaskSnapshot>> {
-        let spec = (0u32..=4, 1u32..=32, 1u64..=200, 0u32..8, 1u32..5, 0u32..4);
-        collection::vec(spec, 1..=max).prop_map(|specs| {
-            let task = |(job, (gpu, cpu, ram_gb, workload, gang_size, kind))| {
-                let mut task = t(job as u64, gpu, cpu, ram_gb, workload);
-                if kind == 0 {
-                    let fast = ResourceVector::with_ram_gb(0, cpu.div_ceil(2), ram_gb);
-                    task.demand = DemandSpec::uniform(ResourceVector::with_ram_gb(0, cpu, ram_gb))
-                        .with_family_override("c7i", fast)
-                        .with_family_override("r7i", fast);
-                }
-                task.gang_size = gang_size;
-                task.gang_coupled = kind == 1;
-                task
-            };
-            let mut tasks: Vec<TaskSnapshot> = specs.into_iter().enumerate().map(task).collect();
-            tasks.insert(tasks.len() / 2, t(1 << 20, 64, 1, 1, 0));
-            tasks
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn kernel_packs_what_the_reference_packs(
-            tasks in arb_tasks(120),
-            table in arb_table(),
-            multi_task_aware in 0u32..2,
-        ) {
-            for catalog in [Catalog::aws_eval_2025(), Catalog::table3_example()] {
-                let prices = ReservationPrices::compute(&catalog, tasks.iter());
-                for tput in [&table as &dyn TputEstimator, &UnitTput] {
-                    let eval = TnrpEvaluator::new(tput, &prices, multi_task_aware == 1);
-                    let kernel = full_reconfiguration(&tasks, &catalog, &eval);
-                    prop_assert!(kernel.unassigned.contains(&TaskId::new(JobId(1 << 20), 0)));
-                    assert_same(&kernel, &reference::full_reconfiguration(&tasks, &catalog, &eval));
-                }
-            }
-        }
-    }
-
-    /// Counts the questions Algorithm 1 asks of its throughput estimator.
-    struct CountingTput<'a> {
-        table: &'a ThroughputTable,
-        calls: Cell<u64>,
-    }
-
-    impl TputEstimator for CountingTput<'_> {
-        fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64 {
-            self.calls.set(self.calls.get() + 1);
-            self.table.estimate(task, others)
-        }
-    }
-
-    /// The machine-independent form of the speed-up: work counted, not
-    /// timed. 384 tasks is the plateau of the `batch_eva` benchmark.
-    #[test]
-    fn kernel_asks_a_tenth_of_the_reference_estimates() {
-        let catalog = Catalog::aws_eval_2025();
-        let shape = SyntheticTraceConfig {
-            num_jobs: 384,
-            ..SyntheticTraceConfig::huge_100k()
-        };
-        let trace = shape.generate(7);
-        let specs = trace.jobs().iter().flat_map(|job| {
-            let shape = (job.num_tasks() as u32, job.gang_coupled);
-            job.tasks.iter().map(move |task| (task, shape))
-        });
-        let tasks: Vec<TaskSnapshot> = specs
-            .take(384)
-            .map(|(spec, (gang_size, gang_coupled))| TaskSnapshot {
-                id: spec.id,
-                workload: spec.workload,
-                demand: spec.demand.clone(),
-                gang_size,
-                gang_coupled,
-                ..t(0, 0, 0, 0, 0)
-            })
-            .collect();
-        let prices = ReservationPrices::compute(&catalog, tasks.iter());
-        let mut table = ThroughputTable::new(0.95);
-        for (i, task) in tasks.iter().enumerate().take(60) {
-            let others: Vec<WorkloadKind> = tasks[i + 1..i + 1 + i % 4]
-                .iter()
-                .map(|t| t.workload)
-                .collect();
-            table.record(task.workload, &others, 0.5 + (i % 10) as f64 / 20.0);
-        }
-
-        let count = |pack: &dyn Fn(&TnrpEvaluator<'_>) -> PackedConfig| {
-            let tput = CountingTput {
-                table: &table,
-                calls: Cell::new(0),
-            };
-            let config = pack(&TnrpEvaluator::new(&tput, &prices, true));
-            (config, tput.calls.get())
-        };
-        let (reference, reference_calls) =
-            count(&|eval| reference::full_reconfiguration(&tasks, &catalog, eval));
-        let (kernel, kernel_calls) = count(&|eval| full_reconfiguration(&tasks, &catalog, eval));
-        assert_same(&kernel, &reference);
-        assert_eq!(kernel.assigned_count(), 384);
-        // With debug assertions on, the kernel's oracle re-asks everything
-        // the reference asks, candidate for candidate.
-        let oracle_calls = if cfg!(debug_assertions) {
-            reference_calls
-        } else {
-            0
-        };
-        let own_calls = kernel_calls - oracle_calls;
-        assert!(
-            own_calls * 10 <= reference_calls,
-            "kernel asked {own_calls} estimates, reference {reference_calls}"
-        );
     }
 }

@@ -130,6 +130,11 @@ impl Priced {
     pub fn tnrp(self, tput: f64) -> f64 {
         self.rp * (1.0 - self.gang * (1.0 - tput))
     }
+
+    /// The scalars' bit patterns: equal bits give bit-equal [`Self::tnrp`].
+    pub(crate) fn bits(self) -> [u64; 2] {
+        [self.rp.to_bits(), self.gang.to_bits()]
+    }
 }
 
 /// Evaluates throughput-normalized reservation prices for task sets.
@@ -214,7 +219,7 @@ impl<'a> TnrpEvaluator<'a> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use eva_types::{JobId, ResourceVector, SimDuration};
 
@@ -373,7 +378,7 @@ pub(crate) mod tests {
 
     /// A table holding exact group entries, pairwise entries (the groups
     /// of one) and, for everything else, its default.
-    pub(crate) fn arb_table() -> impl Strategy<Value = ThroughputTable> {
+    fn arb_table() -> impl Strategy<Value = ThroughputTable> {
         let group = (0u32..5, collection::vec(0u32..5, 1..5), -0.2f64..1.2);
         (0.5f64..1.0, collection::vec(group, 0..24)).prop_map(|(default_tput, groups)| {
             let mut table = ThroughputTable::new(default_tput);
