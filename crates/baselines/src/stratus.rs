@@ -20,7 +20,10 @@ use eva_core::{
     reservation_price, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
     TaskSnapshot,
 };
-use eva_types::{ResourceVector, SimDuration};
+use eva_types::{Cost, DemandSpec, ResourceVector, SimDuration};
+
+/// Distinct demands one `plan_in` remembers the reservation price of.
+const PRICED_DEMANDS: usize = 16;
 
 /// See the module docs.
 #[derive(Debug, Default)]
@@ -45,10 +48,32 @@ impl Scheduler for StratusScheduler {
     }
 
     fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
-        // Per listed instance: the residents that stay and the capacity
-        // in use (residents plus tasks placed this round).
-        let mut residents: Vec<&[&TaskSnapshot]> =
-            view.instances.iter().map(|i| &i.residents[..]).collect();
+        // Reservation price per distinct demand: a round sees the handful
+        // of Table 7 shapes over and over, so each pays for one catalog
+        // scan per round. The memo is searched linearly and therefore kept
+        // short; a round of one-off shapes scans for the rest, as it did.
+        let mut priced: Vec<(DemandSpec, Option<Cost>)> = Vec::new();
+        let mut price = |demand: &DemandSpec| {
+            if let Some(&(_, rp)) = priced.iter().find(|(d, _)| d == demand) {
+                return rp;
+            }
+            let rp = reservation_price(ctx.catalog, demand).map(|(_, c)| c);
+            if priced.len() < PRICED_DEMANDS {
+                priced.push((*demand, rp));
+            }
+            rp
+        };
+
+        // Per listed instance: the runtime bins of the residents that stay
+        // and the capacity in use (residents plus tasks placed this round).
+        let bin_of = |t: &TaskSnapshot| t.remaining_hint.map(Self::runtime_bin);
+        let residents = view.instances.iter().flat_map(|i| &i.residents);
+        let resident_bins: Vec<Option<i32>> = residents.map(|t| bin_of(t)).collect();
+        let mut rest = &resident_bins[..];
+        let lens = view.instances.iter().map(|i| i.residents.len());
+        let mut bins: Vec<_> = lens
+            .map(|n| rest.split_off(..n).unwrap_or_default())
+            .collect();
         let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
 
         // Scale-in consolidation (the source of Stratus's rare
@@ -66,12 +91,12 @@ impl Scheduler for StratusScheduler {
             let rp_sum: f64 = inst
                 .residents
                 .iter()
-                .filter_map(|t| reservation_price(ctx.catalog, &t.demand))
-                .map(|(_, c)| c.as_dollars())
+                .filter_map(|t| price(&t.demand))
+                .map(|c| c.as_dollars())
                 .sum();
             if rp_sum + 1e-9 < ty.hourly_cost.as_dollars() {
                 evicted.extend(&inst.residents);
-                residents[i] = &[];
+                bins[i] = &[];
                 used[i] = ResourceVector::ZERO;
             }
         }
@@ -80,7 +105,7 @@ impl Scheduler for StratusScheduler {
         let mut assignments: Vec<Assignment> = Vec::new();
         let mut slot: Vec<Option<usize>> = vec![None; view.instances.len()];
         for (i, inst) in view.instances.iter().enumerate() {
-            if !residents[i].is_empty() {
+            if !bins[i].is_empty() {
                 slot[i] = Some(assignments.len());
                 assignments.push(Assignment {
                     instance: PlannedInstance::Existing(inst.id),
@@ -92,7 +117,7 @@ impl Scheduler for StratusScheduler {
         // Place pending tasks bin-first.
         let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
         for task in view.pending().chain(evicted) {
-            let bin = task.remaining_hint.map(Self::runtime_bin);
+            let bin = bin_of(task);
             // Candidate instances: capacity for the task, ranked by
             // (same-bin residents desc, spare capacity asc).
             let mut best: Option<(usize, usize)> = None;
@@ -106,29 +131,22 @@ impl Scheduler for StratusScheduler {
                 if !total.fits_within(&ty.capacity) {
                     continue;
                 }
-                let same_bin = residents[i]
-                    .iter()
-                    .filter(|r| match (bin, r.remaining_hint.map(Self::runtime_bin)) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => false,
-                    })
-                    .count();
+                // A task without a hint shares a bin with nobody.
+                let same_bin = match bin {
+                    Some(_) => bins[i].iter().filter(|b| **b == bin).count(),
+                    None => 0,
+                };
                 // Stratus only co-locates when bins match (or the instance
                 // is one it just opened this round for the same bin).
-                let occupied = !residents[i].is_empty();
+                let occupied = !bins[i].is_empty();
                 if occupied && same_bin == 0 {
                     continue;
                 }
                 // An empty instance is only worth reusing when it is no
                 // more expensive than the task's reservation-price type —
                 // tiny tasks must not keep idle big boxes alive.
-                if !occupied {
-                    let rp = reservation_price(ctx.catalog, &task.demand)
-                        .map(|(_, c)| c)
-                        .unwrap_or_default();
-                    if ty.hourly_cost > rp {
-                        continue;
-                    }
+                if !occupied && ty.hourly_cost > price(&task.demand).unwrap_or_default() {
+                    continue;
                 }
                 if best.is_none_or(|(_, s)| same_bin > s) {
                     best = Some((i, same_bin));
@@ -214,7 +232,7 @@ mod tests {
     use super::*;
     use eva_cloud::Catalog;
     use eva_core::InstanceSnapshot;
-    use eva_types::{DemandSpec, InstanceId, JobId, SimTime, TaskId, WorkloadKind};
+    use eva_types::{InstanceId, JobId, SimTime, TaskId, WorkloadKind};
 
     fn task(
         job: u64,
@@ -237,6 +255,22 @@ mod tests {
         }
     }
 
+    /// Stratus's plan for `tasks` over instances of the named types.
+    fn plan_for(tasks: &[TaskSnapshot], instances: &[(u64, &str)]) -> Plan {
+        let catalog = Catalog::aws_eval_2025();
+        let listed = instances.iter().map(|&(id, ty)| InstanceSnapshot {
+            id: InstanceId(id),
+            type_id: catalog.by_name(ty).unwrap().id,
+        });
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            catalog: &catalog,
+            tasks,
+            instances: &listed.collect::<Vec<_>>(),
+        };
+        StratusScheduler::new().plan(&ctx)
+    }
+
     #[test]
     fn runtime_bins_are_exponential() {
         let bin = |m: u64| StratusScheduler::runtime_bin(SimDuration::from_mins(m));
@@ -251,8 +285,6 @@ mod tests {
 
     #[test]
     fn same_bin_tasks_colocate() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("p3.8xlarge").unwrap().id;
         // An efficient resident (its 20-vCPU demand prices it at the
         // p3.8xlarge itself) with ~2h remaining; a pending task with ~1.7h
         // (same bin 6) should join it.
@@ -260,17 +292,7 @@ mod tests {
             task(1, 1, 20, 24, Some(0), 120),
             task(2, 1, 4, 24, None, 100),
         ];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
+        let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         let joint = plan
             .assignments
             .iter()
@@ -282,113 +304,49 @@ mod tests {
 
     #[test]
     fn different_bin_tasks_do_not_colocate() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("p3.8xlarge").unwrap().id;
         // Resident has 8 minutes left (bin 3); pending has 8 hours (bin 8).
         let tasks = vec![task(1, 1, 20, 24, Some(0), 8), task(2, 1, 4, 24, None, 480)];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
+        let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         assert_eq!(plan.new_instance_count(), 1);
     }
 
     #[test]
     fn capacity_is_respected_when_joining() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("p3.2xlarge").unwrap().id; // 1 GPU only.
         let tasks = vec![task(1, 1, 4, 24, Some(0), 60), task(2, 1, 4, 24, None, 60)];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
-        // No GPU room: must open a new instance despite matching bins.
+        // One GPU only, and the resident holds it: a new instance must
+        // open despite matching bins.
+        let plan = plan_for(&tasks, &[(0, "p3.2xlarge")]);
         assert_eq!(plan.new_instance_count(), 1);
     }
 
     #[test]
     fn efficient_placements_never_migrate() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("p3.8xlarge").unwrap().id;
         let tasks = vec![
             task(1, 1, 20, 24, Some(0), 60),
             task(2, 1, 20, 24, Some(1), 60),
         ];
-        let instances = vec![
-            InstanceSnapshot {
-                id: InstanceId(0),
-                type_id: ty,
-            },
-            InstanceSnapshot {
-                id: InstanceId(1),
-                type_id: ty,
-            },
-        ];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
+        let plan = plan_for(&tasks, &[(0, "p3.8xlarge"), (1, "p3.8xlarge")]);
         assert!(plan.migrations(&tasks, false).is_empty());
     }
 
     #[test]
     fn scale_in_consolidates_underfilled_boxes() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("p3.8xlarge").unwrap().id;
         // A lone balanced 1-GPU task (RP $3.06) left on a $12.24 box after
         // its group finished: Stratus scales in, re-placing it cheaply.
         let tasks = vec![task(1, 1, 4, 24, Some(0), 60)];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
+        let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         assert_eq!(plan.terminate, vec![InstanceId(0)]);
         assert_eq!(plan.migrations(&tasks, false).len(), 1);
         let PlannedInstance::New(new_ty) = plan.assignments[0].instance else {
             panic!()
         };
+        let catalog = Catalog::aws_eval_2025();
         assert_eq!(catalog.get(new_ty).unwrap().name, "p3.2xlarge");
     }
 
     #[test]
     fn empty_instances_terminate() {
-        let catalog = Catalog::aws_eval_2025();
-        let ty = catalog.by_name("c7i.large").unwrap().id;
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(3),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &[],
-            instances: &instances,
-        };
-        let plan = StratusScheduler::new().plan(&ctx);
+        let plan = plan_for(&[], &[(3, "c7i.large")]);
         assert_eq!(plan.terminate, vec![InstanceId(3)]);
     }
 }

@@ -29,7 +29,7 @@ fn sample_tasks(n: usize, seed: u64) -> Vec<TaskSnapshot> {
             TaskSnapshot {
                 id: TaskId::new(JobId(i as u64), 0),
                 workload: w.kind,
-                demand: w.demand.clone(),
+                demand: w.demand,
                 checkpoint_delay: SimDuration::ZERO,
                 launch_delay: SimDuration::ZERO,
                 gang_size: 1,
@@ -66,7 +66,7 @@ fn bench_solvers(c: &mut Criterion) {
         .enumerate()
         .map(|(i, t)| Item {
             id: i,
-            demand: t.demand.clone(),
+            demand: t.demand,
         })
         .collect();
     let problem = PackingProblem::new(items, catalog);

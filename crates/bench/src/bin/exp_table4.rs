@@ -49,7 +49,7 @@ fn run_trial(trial: usize, tasks_per_trial: usize, time_limit: Duration) -> Tabl
         .enumerate()
         .map(|(i, t)| Item {
             id: i,
-            demand: t.demand.clone(),
+            demand: t.demand,
         })
         .collect();
     let problem = PackingProblem::new(items, catalog.clone());

@@ -41,7 +41,7 @@ pub fn random_tasks(seed: u64, n: usize) -> Vec<TaskSnapshot> {
             TaskSnapshot {
                 id: TaskId::new(JobId(i as u64), 0),
                 workload: w.kind,
-                demand: w.demand.clone(),
+                demand: w.demand,
                 checkpoint_delay: SimDuration::ZERO,
                 launch_delay: SimDuration::ZERO,
                 gang_size: 1,

@@ -69,9 +69,7 @@ impl InstanceType {
     /// True if a task with the given demand spec fits on an *empty*
     /// instance of this type (demand resolved against this type's family).
     pub fn can_host(&self, demand: &DemandSpec) -> bool {
-        demand
-            .for_family(self.family.name())
-            .fits_within(&self.capacity)
+        self.demand_of(demand).fits_within(&self.capacity)
     }
 
     /// The demand a task places on this type (family-resolved).
@@ -359,13 +357,6 @@ impl Catalog {
             })
             .min_by(|a, b| a.hourly_cost.cmp(&b.hourly_cost).then(a.id.cmp(&b.id)))
     }
-
-    /// The largest capacity vector across the catalog (component-wise).
-    pub fn max_capacity(&self) -> ResourceVector {
-        self.types
-            .iter()
-            .fold(ResourceVector::ZERO, |acc, t| acc.max(&t.capacity))
-    }
 }
 
 #[cfg(test)]
@@ -464,15 +455,6 @@ mod tests {
         // τ2 + τ4 need [1, 8, 22]; it2 only has 4 CPUs so it1 is required.
         let t = c.cheapest_fit_all(&[&d2, &d4]).unwrap();
         assert_eq!(t.name, "it1");
-    }
-
-    #[test]
-    fn max_capacity_covers_catalog() {
-        let c = Catalog::aws_eval_2025();
-        let m = c.max_capacity();
-        assert_eq!(m.gpu, 8);
-        assert_eq!(m.cpu, 192);
-        assert_eq!(m.ram_mb, 1536 * 1024);
     }
 
     #[test]

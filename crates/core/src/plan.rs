@@ -15,8 +15,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use eva_interference::TaskContext;
 use eva_types::{
-    DemandSpec, InstanceId, InstanceTypeId, JobId, ResourceVector, SimDuration, SimTime, TaskId,
-    WorkloadKind,
+    DemandSpec, IdBuildHasher, InstanceId, InstanceTypeId, JobId, ResourceVector, SimDuration,
+    SimTime, TaskId, WorkloadKind,
 };
 
 use eva_cloud::{Catalog, InstanceType};
@@ -73,24 +73,6 @@ pub struct SchedulerContext<'a> {
     pub tasks: &'a [TaskSnapshot],
     /// All live instances.
     pub instances: &'a [InstanceSnapshot],
-}
-
-impl SchedulerContext<'_> {
-    /// Tasks currently assigned to `instance`.
-    pub fn tasks_on(&self, instance: InstanceId) -> Vec<&TaskSnapshot> {
-        self.tasks
-            .iter()
-            .filter(|t| t.assigned_to == Some(instance))
-            .collect()
-    }
-
-    /// Tasks not assigned anywhere yet.
-    pub fn pending_tasks(&self) -> Vec<&TaskSnapshot> {
-        self.tasks
-            .iter()
-            .filter(|t| t.assigned_to.is_none())
-            .collect()
-    }
 }
 
 /// The instance slot an assignment targets.
@@ -231,8 +213,8 @@ pub struct ClusterView<'a> {
     /// `assigned_to` names an instance the context does not list (one being
     /// drained). Eva's Partial Reconfiguration re-places all of them.
     pub unplaced: Vec<&'a TaskSnapshot>,
-    index: HashMap<InstanceId, usize>,
-    tasks: HashMap<TaskId, &'a TaskSnapshot>,
+    index: HashMap<InstanceId, usize, IdBuildHasher>,
+    tasks: HashMap<TaskId, &'a TaskSnapshot, IdBuildHasher>,
 }
 
 impl<'a> ClusterView<'a> {
@@ -247,7 +229,7 @@ impl<'a> ClusterView<'a> {
         catalog: Option<&'a Catalog>,
     ) -> Self {
         let mut instances: Vec<InstanceView<'a>> = Vec::with_capacity(listed.len());
-        let mut index = HashMap::with_capacity(listed.len());
+        let mut index = HashMap::with_capacity_and_hasher(listed.len(), IdBuildHasher::default());
         for inst in listed {
             index.entry(inst.id).or_insert(instances.len());
             instances.push(InstanceView {
@@ -259,7 +241,7 @@ impl<'a> ClusterView<'a> {
             });
         }
         let mut unplaced = Vec::new();
-        let mut by_id = HashMap::with_capacity(tasks.len());
+        let mut by_id = HashMap::with_capacity_and_hasher(tasks.len(), IdBuildHasher::default());
         for t in tasks {
             by_id.entry(t.id).or_insert(t);
             match t.assigned_to.and_then(|id| index.get(&id)) {
@@ -437,9 +419,6 @@ mod tests {
             tasks: &tasks,
             instances: &instances,
         };
-        assert_eq!(ctx.tasks_on(InstanceId(1)).len(), 2);
-        assert_eq!(ctx.pending_tasks().len(), 1);
-
         let view = ClusterView::of(&ctx);
         let ids = |set: &[&TaskSnapshot]| set.iter().map(|t| t.id.job.0).collect::<Vec<_>>();
         assert_eq!(ids(&view.instances[0].residents), vec![1, 4]);

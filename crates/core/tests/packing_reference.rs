@@ -358,7 +358,7 @@ fn huge_tasks(n: usize) -> Vec<TaskSnapshot> {
         .map(|(spec, (gang_size, gang_coupled))| TaskSnapshot {
             id: spec.id,
             workload: spec.workload,
-            demand: spec.demand.clone(),
+            demand: spec.demand,
             gang_size,
             gang_coupled,
             ..t(0, 0, 0, 0, 0)

@@ -116,9 +116,10 @@ impl ThroughputTable {
     /// Records an observed throughput for a group. Pair observations also
     /// update the pairwise estimator. Values are clamped to `[0, 1]`.
     pub fn record(&mut self, task: WorkloadKind, others: &[WorkloadKind], tput: f64) {
-        if others.is_empty() {
-            // Solo throughput is 1.0 by definition of normalization;
-            // nothing to learn.
+        if others.is_empty() || !tput.is_finite() {
+            // Solo throughput is 1.0 by definition of normalization, and a
+            // NaN would pass through `clamp` into every estimate over the
+            // group: nothing to learn from either.
             return;
         }
         let tput = tput.clamp(0.0, 1.0);

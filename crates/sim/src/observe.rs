@@ -172,7 +172,7 @@ impl ClusterSim {
                 tasks.push(TaskSnapshot {
                     id: tspec.id,
                     workload: tspec.workload,
-                    demand: tspec.demand.clone(),
+                    demand: tspec.demand,
                     checkpoint_delay: tspec.checkpoint_delay.scale(self.migration_delay_scale),
                     launch_delay: tspec.launch_delay.scale(self.migration_delay_scale),
                     gang_size: spec.num_tasks() as u32,

@@ -1,8 +1,36 @@
 //! Identifiers for jobs, tasks, instances, instance types, and workloads.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
+
+/// Hasher for lookup maps keyed by the integer ids of this module: one
+/// rotate, xor and multiply per integer written, where the standard
+/// library's SipHash costs more than the probe it guards. It does not
+/// resist keys chosen to collide, and its order means nothing: keep it to
+/// maps that are probed, never iterated.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+/// `HashMap<InstanceId, _, IdBuildHasher>`.
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    /// The product's high bits are its best; the table indexes by the low.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Identifies a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

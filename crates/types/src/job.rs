@@ -5,14 +5,42 @@
 //! "multiple resource demand vectors" (e.g. fewer CPUs on C7i than on P3
 //! because C7i cores are faster) — plus the migration delays (checkpoint and
 //! launch) measured per workload in Table 7.
+//!
+//! A [`DemandSpec`] is plain `Copy` data: the default vector and two inline
+//! override slots — two being what this repository's catalogs and traces
+//! produce — each a family name zero-padded into an 8-byte tag (`p3`, `c7i`,
+//! `r7i` or a short custom name) with its vector. Used slots come first, in
+//! name order, and unused ones are all zero, so `==` is structural. The wire
+//! form is the map it has always been, `{"default":…,"per_family":{name:
+//! vector,…}}` with keys in name order. A third override, or a name that is
+//! empty, over eight bytes or holds a NUL, is an error from `Deserialize`
+//! and a panic in the builder: never a truncation.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
+use crate::error::EvaError;
 use crate::ids::{JobId, TaskId, WorkloadKind};
 use crate::resources::ResourceVector;
 use crate::time::{SimDuration, SimTime};
+
+/// Family overrides one [`DemandSpec`] holds.
+const MAX_OVERRIDES: usize = 2;
+/// Bytes of a family tag.
+const TAG_BYTES: usize = 8;
+
+/// A family name, zero-padded; all zeroes marks an unused slot.
+type FamilyTag = [u8; TAG_BYTES];
+const UNUSED: FamilyTag = [0; TAG_BYTES];
+
+/// The tag of `family`; `None` for a name no override can be held under.
+fn family_tag(family: &str) -> Option<FamilyTag> {
+    let bytes = family.as_bytes();
+    let mut tag = UNUSED;
+    tag.get_mut(..bytes.len())?.copy_from_slice(bytes);
+    (!bytes.is_empty() && !bytes.contains(&0)).then_some(tag)
+}
 
 /// Per-family resource demands for one task.
 ///
@@ -29,12 +57,12 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(spec.for_family("p3").cpu, 8);
 /// assert_eq!(spec.for_family("c7i").cpu, 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DemandSpec {
     /// Demand used for families without an override.
     pub default: ResourceVector,
-    /// Family-specific overrides keyed by family name (e.g. `"c7i"`).
-    pub per_family: BTreeMap<String, ResourceVector>,
+    /// Family-specific overrides, by family name (e.g. `"c7i"`).
+    per_family: FamilyOverrides,
 }
 
 impl DemandSpec {
@@ -42,27 +70,80 @@ impl DemandSpec {
     pub fn uniform(demand: ResourceVector) -> Self {
         DemandSpec {
             default: demand,
-            per_family: BTreeMap::new(),
+            per_family: FamilyOverrides::NONE,
         }
     }
 
-    /// Adds a family-specific override (builder style).
+    /// Adds a family-specific override (builder style), replacing an
+    /// earlier one for the same family. Panics on one the spec cannot hold
+    /// (module docs).
     pub fn with_family_override(mut self, family: &str, demand: ResourceVector) -> Self {
-        self.per_family.insert(family.to_string(), demand);
+        if let Err(e) = self.per_family.set(family, demand) {
+            panic!("{e}");
+        }
         self
     }
 
     /// The demand vector to use on an instance of the given family.
     pub fn for_family(&self, family: &str) -> ResourceVector {
-        self.per_family.get(family).copied().unwrap_or(self.default)
+        let slots = &self.per_family.0;
+        // Used slots come first: a uniform spec never reads the name.
+        if slots[0].0 == UNUSED {
+            return self.default;
+        }
+        // A name without a tag has no override.
+        let found = family_tag(family).and_then(|tag| slots.iter().find(|(t, _)| *t == tag));
+        found.map_or(self.default, |(_, d)| *d)
     }
 
-    /// The component-wise maximum demand over all families; a conservative
-    /// bound used by capacity sanity checks.
-    pub fn max_demand(&self) -> ResourceVector {
-        self.per_family
-            .values()
-            .fold(self.default, |acc, d| acc.max(d))
+    /// The spec with `f` applied to the default and to every override.
+    pub fn map(mut self, f: impl Fn(ResourceVector) -> ResourceVector) -> Self {
+        self.default = f(self.default);
+        let held = self.per_family.0.iter_mut().filter(|(t, _)| *t != UNUSED);
+        held.for_each(|(_, d)| *d = f(*d));
+        self
+    }
+}
+
+/// The override slots of a [`DemandSpec`] (module docs). Trace files,
+/// content fingerprints and cache keys are made of its wire form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FamilyOverrides([(FamilyTag, ResourceVector); MAX_OVERRIDES]);
+
+impl FamilyOverrides {
+    const NONE: Self = FamilyOverrides([(UNUSED, ResourceVector::ZERO); MAX_OVERRIDES]);
+
+    fn set(&mut self, family: &str, demand: ResourceVector) -> Result<(), EvaError> {
+        let reject = |why| {
+            EvaError::InvalidInput(format!(
+                "family override {family:?}: {why} (a demand holds {MAX_OVERRIDES} \
+                 overrides, each named by 1 to {TAG_BYTES} bytes without NUL)"
+            ))
+        };
+        let tag = family_tag(family).ok_or_else(|| reject("unusable name"))?;
+        let mut slots = self.0.iter_mut();
+        let slot = slots.find(|(t, _)| *t == tag || *t == UNUSED);
+        *slot.ok_or_else(|| reject("no slot left"))? = (tag, demand);
+        self.0.sort_by_key(|(t, _)| (*t == UNUSED, *t));
+        Ok(())
+    }
+}
+
+impl Serialize for FamilyOverrides {
+    fn serialize(&self) -> Value {
+        let held = self.0.iter().filter(|(t, _)| *t != UNUSED);
+        let named = held.map(|(t, d)| (String::from_utf8_lossy(t).replace('\0', ""), *d));
+        named.collect::<BTreeMap<_, _>>().serialize()
+    }
+}
+
+impl Deserialize for FamilyOverrides {
+    fn deserialize(value: &Value) -> Result<Self, Error> {
+        let mut held = FamilyOverrides::NONE;
+        for (family, demand) in &BTreeMap::<String, ResourceVector>::deserialize(value)? {
+            held.set(family, *demand).map_err(Error::custom)?;
+        }
+        Ok(held)
     }
 }
 
@@ -150,14 +231,6 @@ mod tests {
         assert_eq!(spec.for_family("p3").cpu, 12);
         assert_eq!(spec.for_family("c7i").cpu, 6);
         assert_eq!(spec.for_family("unknown").cpu, 12);
-        assert_eq!(spec.max_demand().cpu, 12);
-    }
-
-    #[test]
-    fn max_demand_takes_componentwise_max() {
-        let spec = DemandSpec::uniform(ResourceVector::new(1, 4, 10))
-            .with_family_override("x", ResourceVector::new(0, 8, 5));
-        assert_eq!(spec.max_demand(), ResourceVector::new(1, 8, 10));
     }
 
     #[test]

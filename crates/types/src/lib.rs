@@ -26,7 +26,7 @@ pub mod time;
 
 pub use error::EvaError;
 pub use hash::fnv1a64;
-pub use ids::{InstanceId, InstanceTypeId, JobId, TaskId, WorkloadKind};
+pub use ids::{IdBuildHasher, IdHasher, InstanceId, InstanceTypeId, JobId, TaskId, WorkloadKind};
 pub use job::{DemandSpec, JobSpec, TaskSpec};
 pub use money::Cost;
 pub use resources::{ResourceKind, ResourceVector};

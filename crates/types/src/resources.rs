@@ -122,15 +122,6 @@ impl ResourceVector {
         })
     }
 
-    /// Component-wise maximum.
-    pub fn max(&self, rhs: &ResourceVector) -> ResourceVector {
-        ResourceVector {
-            gpu: self.gpu.max(rhs.gpu),
-            cpu: self.cpu.max(rhs.cpu),
-            ram_mb: self.ram_mb.max(rhs.ram_mb),
-        }
-    }
-
     /// Scales every component by an integer factor.
     pub fn scaled(&self, factor: u32) -> ResourceVector {
         ResourceVector {
@@ -258,12 +249,5 @@ mod tests {
     #[test]
     fn display_is_compact() {
         assert_eq!(ResourceVector::new(1, 4, 24).to_string(), "[1g, 4c, 24MB]");
-    }
-
-    #[test]
-    fn max_is_componentwise() {
-        let a = ResourceVector::new(1, 8, 2);
-        let b = ResourceVector::new(2, 4, 3);
-        assert_eq!(a.max(&b), ResourceVector::new(2, 8, 3));
     }
 }

@@ -45,7 +45,7 @@ impl WorkloadInfo {
         TaskSpec {
             id: TaskId::new(job, index),
             workload: self.kind,
-            demand: self.demand.clone(),
+            demand: self.demand,
             checkpoint_delay: self.checkpoint_delay,
             launch_delay: self.launch_delay,
         }

@@ -42,21 +42,14 @@ impl MultiGpuMix {
                 if is_single_gpu && rng.gen::<f64>() < self.proportion {
                     let gpus = sample_multi_gpu_count(&mut rng);
                     for task in &mut job.tasks {
-                        let d = task.demand.default;
-                        let scaled = ResourceVector::new(
-                            gpus,
-                            (d.cpu * gpus).min(8 * gpus),
-                            (d.ram_mb * u64::from(gpus)).min(61 * 1024 * u64::from(gpus)),
-                        );
-                        task.demand.default = scaled;
                         // Family overrides scale the same way.
-                        for v in task.demand.per_family.values_mut() {
-                            *v = ResourceVector::new(
+                        task.demand = task.demand.map(|d| {
+                            ResourceVector::new(
                                 gpus,
-                                (v.cpu * gpus).min(8 * gpus),
-                                (v.ram_mb * u64::from(gpus)).min(61 * 1024 * u64::from(gpus)),
-                            );
-                        }
+                                (d.cpu * gpus).min(8 * gpus),
+                                (d.ram_mb * u64::from(gpus)).min(61 * 1024 * u64::from(gpus)),
+                            )
+                        });
                     }
                 }
                 job

@@ -180,7 +180,9 @@ impl JobSource for SyntheticSource {
 ///
 /// Blank lines are skipped. Malformed lines and out-of-order arrivals
 /// (which would break the engine's monotone clock) are skipped with a
-/// warning on stderr rather than poisoning the stream.
+/// warning on stderr rather than poisoning the stream. Ids are trusted:
+/// `ClusterView` hashes them with `eva_types::IdHasher`, which does not
+/// resist a feed crafted to collide (slower rounds, same results).
 pub struct JsonLinesSource<R: BufRead> {
     reader: R,
     last_arrival: SimTime,

@@ -131,7 +131,7 @@ proptest! {
         let items: Vec<Item> = tasks
             .iter()
             .enumerate()
-            .map(|(i, t)| Item { id: i, demand: t.demand.clone() })
+            .map(|(i, t)| Item { id: i, demand: t.demand })
             .collect();
         let problem = PackingProblem::new(items, catalog);
         let ffd = first_fit_decreasing(&problem);

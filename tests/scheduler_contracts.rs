@@ -226,14 +226,16 @@ proptest! {
         prop_assert_eq!(view.instances.len(), instances.len());
         for (got, inst) in view.instances.iter().zip(&instances) {
             let ty = catalog.get(inst.type_id).unwrap();
-            let residents = ctx.tasks_on(inst.id);
+            let residents: Vec<&TaskSnapshot> =
+                tasks.iter().filter(|t| t.assigned_to == Some(inst.id)).collect();
             let used: ResourceVector = residents.iter().map(|t| ty.demand_of(&t.demand)).sum();
             prop_assert_eq!((got.id, got.type_id, got.ty), (inst.id, inst.type_id, Some(ty)));
             prop_assert_eq!(&got.residents, &residents);
             prop_assert_eq!(got.used, used);
             prop_assert_eq!(view.instance(inst.id).map(|i| i.id), Some(inst.id));
         }
-        prop_assert_eq!(view.pending().collect::<Vec<_>>(), ctx.pending_tasks());
+        let pending: Vec<&TaskSnapshot> = tasks.iter().filter(|t| t.assigned_to.is_none()).collect();
+        prop_assert_eq!(view.pending().collect::<Vec<_>>(), pending);
         let unplaced: Vec<&TaskSnapshot> = tasks
             .iter()
             .filter(|t| t.assigned_to.is_none_or(|id| view.instance(id).is_none()))
@@ -244,4 +246,63 @@ proptest! {
             prop_assert_eq!(view.task(t.id), Some(t));
         }
     }
+}
+
+#[test]
+fn cluster_view_lookups_answer_with_the_first_listing() {
+    // Ids neither ascending nor unique: instance 7 is listed twice (with
+    // different types), task 5/0 twice (on different instances).
+    let inst = |id, ty| InstanceSnapshot {
+        id: InstanceId(id),
+        type_id: eva::types::InstanceTypeId(ty),
+    };
+    let instances = [inst(7, 3), inst(2, 0), inst(7, 5), inst(4, 1)];
+    let task = |job, on: Option<u64>, cpu| TaskSnapshot {
+        id: TaskId::new(JobId(job), 0),
+        workload: WorkloadKind(0),
+        demand: DemandSpec::uniform(ResourceVector::with_ram_gb(0, cpu, 1)),
+        checkpoint_delay: SimDuration::from_secs(2),
+        launch_delay: SimDuration::from_secs(10),
+        gang_size: 1,
+        gang_coupled: false,
+        assigned_to: on.map(InstanceId),
+        remaining_hint: None,
+    };
+    let tasks = [
+        task(9, Some(7), 1),
+        task(5, Some(2), 2),
+        task(1, None, 3),
+        task(5, Some(4), 4),
+        task(3, Some(7), 5),
+    ];
+    let catalog = Catalog::aws_eval_2025();
+    let ctx = SchedulerContext {
+        now: SimTime::ZERO,
+        catalog: &catalog,
+        tasks: &tasks,
+        instances: &instances,
+    };
+    let view = ClusterView::of(&ctx);
+
+    // Every listing keeps its row, in listed order; residents go to the
+    // first row of their instance id.
+    let rows: Vec<(u64, u32, usize)> = view
+        .instances
+        .iter()
+        .map(|i| (i.id.0, i.type_id.0, i.residents.len()))
+        .collect();
+    assert_eq!(rows, vec![(7, 3, 2), (2, 0, 1), (7, 5, 0), (4, 1, 1)]);
+    assert_eq!(view.instance(InstanceId(7)).unwrap().type_id.0, 3);
+    assert_eq!(view.instance(InstanceId(4)).unwrap().type_id.0, 1);
+    assert!(view.instance(InstanceId(5)).is_none());
+
+    let first = view.task(TaskId::new(JobId(5), 0)).unwrap();
+    assert!(std::ptr::eq(first, &tasks[1]));
+    assert_eq!(first.assigned_to, Some(InstanceId(2)));
+    assert!(std::ptr::eq(view.task(tasks[4].id).unwrap(), &tasks[4]));
+    assert!(view.task(TaskId::new(JobId(5), 1)).is_none());
+    assert_eq!(
+        view.pending().map(|t| t.id.job.0).collect::<Vec<_>>(),
+        vec![1]
+    );
 }
