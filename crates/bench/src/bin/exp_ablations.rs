@@ -13,7 +13,7 @@
 
 use eva_bench::{is_full_scale, run_grid, save_json};
 use eva_core::EvaConfig;
-use eva_sim::{SchedulerKind, SplicedResult, SweepGrid};
+use eva_sim::{SchedulerKind, SweepGrid};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
@@ -78,13 +78,13 @@ fn main() {
     for (label, cfg) in &variants {
         grid = grid.scheduler(*label, SchedulerKind::Eva(cfg.clone()));
     }
-    let art = run_grid(grid);
-    let base = art.spliced.cells[0].report.total_cost_dollars;
+    let result = run_grid(grid);
+    let base = result.cells[0].report.total_cost_dollars;
 
     // `shown` lets one cell appear under several section labels (the
     // defaults row is the same config as the refill row — run it once).
-    let print_row_as = |view: &SplicedResult, label: &str, shown: &str| {
-        let cell = view.first_for(label).expect("declared scheduler");
+    let print_row_as = |label: &str, shown: &str| {
+        let cell = result.first_for(label).expect("declared scheduler");
         let r = &cell.report;
         println!(
             "{shown:<34} cost {:>6.1}%  t/i {:>4.2}  mig/task {:>4.2}  full {:>4.1}%",
@@ -95,26 +95,22 @@ fn main() {
         );
     };
 
-    let print_row = |view: &SplicedResult, label: &str| print_row_as(view, label, label);
+    let print_row = |label: &str| print_row_as(label, label);
 
     println!("-- Partial Reconfiguration refill --");
-    print_row(&art.spliced, "Eva (refill kept instances)");
-    print_row(&art.spliced, "Eva (new instances only, §4.5 text)");
+    print_row("Eva (refill kept instances)");
+    print_row("Eva (new instances only, §4.5 text)");
 
     println!("-- Default pairwise throughput t --");
     for t in ["0.99", "0.95", "0.9", "0.8"] {
-        print_row(&art.spliced, &format!("Eva (t = {t})"));
+        print_row(&format!("Eva (t = {t})"));
     }
 
     println!("-- Decision estimator priors --");
-    print_row_as(
-        &art.spliced,
-        "Eva (refill kept instances)",
-        "Eva (online λ/p, defaults)",
-    );
-    print_row(&art.spliced, "Eva (long-horizon prior p = 0.01)");
-    print_row(&art.spliced, "Eva (short-horizon prior p = 0.9)");
+    print_row_as("Eva (refill kept instances)", "Eva (online λ/p, defaults)");
+    print_row("Eva (long-horizon prior p = 0.01)");
+    print_row("Eva (short-horizon prior p = 0.9)");
 
-    save_json("ablations.json", &art);
+    save_json("ablations.json", &result);
     eva_bench::finish();
 }

@@ -27,12 +27,12 @@ fn main() {
                 .map(|&t| InterferenceSpec::Uniform(t))
                 .collect::<Vec<_>>(),
         );
-    let art = run_grid(grid);
+    let result = run_grid(grid);
     println!(
         "{:<8} {:<12} {:>12} {:>12} {:>10}",
         "tput", "scheduler", "norm cost", "norm tput", "JCT (h)"
     );
-    for (tput, block) in tputs.iter().zip(art.spliced.blocks()) {
+    for (tput, block) in tputs.iter().zip(result.blocks()) {
         let baseline_cost = block[0].report.total_cost_dollars;
         for cell in block {
             let r = &cell.report;
@@ -45,6 +45,6 @@ fn main() {
             );
         }
     }
-    save_json("fig4.json", &art);
+    save_json("fig4.json", &result);
     eva_bench::finish();
 }

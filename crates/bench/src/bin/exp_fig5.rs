@@ -23,13 +23,13 @@ fn main() {
         .scheduler("Eva w/o Partial", SchedulerKind::Eva(EvaConfig::without_partial()))
         .scheduler("Stratus", SchedulerKind::Stratus)
         .migration_scales(scales.to_vec());
-    let art = run_grid(grid);
+    let result = run_grid(grid);
     println!("(a) Eva under scaled migration delays; (b) cost vs baselines");
     println!(
         "{:<7} {:>11} {:>10} | {:>10} {:>12} {:>10}",
         "scale", "full prop.", "mig/job", "Eva", "Eva w/o P.", "Stratus"
     );
-    for (scale, block) in scales.iter().zip(art.spliced.blocks()) {
+    for (scale, block) in scales.iter().zip(result.blocks()) {
         let [eva, full_only, stratus] = [&block[0].report, &block[1].report, &block[2].report];
         println!(
             "{scale:<7} {:>10.1}% {:>10.2} | {:>9.1}% {:>11.1}% {:>9.1}%",
@@ -40,6 +40,6 @@ fn main() {
             100.0 * stratus.total_cost_dollars / base.total_cost_dollars,
         );
     }
-    save_json("fig5.json", &(base, art));
+    save_json("fig5.json", &(base, result));
     eva_bench::finish();
 }

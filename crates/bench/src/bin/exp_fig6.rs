@@ -32,12 +32,12 @@ fn main() {
         .scheduler("Synergy", SchedulerKind::Synergy)
         .scheduler("Eva w/o Full", SchedulerKind::Eva(EvaConfig::without_full()))
         .scheduler("Eva", SchedulerKind::Eva(EvaConfig::eva()));
-    let art = run_grid(grid);
+    let result = run_grid(grid);
     println!(
         "{:<8} {:>10} {:>10} {:>12} {:>14} {:>8}",
         "multi%", "Stratus", "Synergy", "Eva w/o Full", "Eva", "(vs NP)"
     );
-    for (pct, block) in pcts.iter().zip(art.spliced.blocks()) {
+    for (pct, block) in pcts.iter().zip(result.blocks()) {
         let np = block[0].report.total_cost_dollars;
         let n = |i: usize| 100.0 * block[i].report.total_cost_dollars / np;
         println!(
@@ -49,6 +49,6 @@ fn main() {
             n(4)
         );
     }
-    save_json("fig6.json", &art);
+    save_json("fig6.json", &result);
     eva_bench::finish();
 }

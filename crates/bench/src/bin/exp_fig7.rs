@@ -31,12 +31,12 @@ fn main() {
         .scheduler("Synergy", SchedulerKind::Synergy)
         .scheduler("Eva-Single", SchedulerKind::Eva(EvaConfig::eva_single()))
         .scheduler("Eva", SchedulerKind::Eva(EvaConfig::eva()));
-    let art = run_grid(grid);
+    let result = run_grid(grid);
     println!(
         "{:<8} {:>10} {:>10} {:>12} {:>10}",
         "multi%", "Stratus", "Synergy", "Eva-Single", "Eva"
     );
-    for (pct, block) in pcts.iter().zip(art.spliced.blocks()) {
+    for (pct, block) in pcts.iter().zip(result.blocks()) {
         let np = block[0].report.total_cost_dollars;
         let n = |i: usize| 100.0 * block[i].report.total_cost_dollars / np;
         println!(
@@ -48,6 +48,6 @@ fn main() {
             n(4)
         );
     }
-    save_json("fig7.json", &art);
+    save_json("fig7.json", &result);
     eva_bench::finish();
 }

@@ -22,12 +22,12 @@ fn main() {
     for &rate in &rates[1..] {
         grid = grid.trace(format!("{rate} jobs/hr"), trace_for(rate));
     }
-    let art = run_grid(grid.paper_schedulers());
+    let result = run_grid(grid.paper_schedulers());
     println!(
         "{:<10} {:>10} {:>10} {:>10} {:>10}",
         "jobs/hr", "Stratus", "Synergy", "Owl", "Eva"
     );
-    for (rate, block) in rates.iter().zip(art.spliced.blocks()) {
+    for (rate, block) in rates.iter().zip(result.blocks()) {
         let np = block[0].report.total_cost_dollars;
         let n = |i: usize| 100.0 * block[i].report.total_cost_dollars / np;
         println!(
@@ -38,6 +38,6 @@ fn main() {
             n(4),
         );
     }
-    save_json("fig8.json", &art);
+    save_json("fig8.json", &result);
     eva_bench::finish();
 }

@@ -23,12 +23,11 @@
 //! Regimes default to the adversarial trio (preempt-storm, ckpt-drop,
 //! worker-crash); `--faults REGIME[:INTENSITY]` narrows the run to the
 //! fault-free baseline plus that one regime. The fidelity grid honors
-//! the shared `--shard` / cache flags like every other experiment.
+//! the shared cache flags like every other experiment.
 
-use eva_bench::{apply_shard, faults_setting, print_stats, runner, save_json, spliced_view};
+use eva_bench::{faults_setting, print_stats, runner, save_json};
 use eva_sim::{
-    BackendKind, FaultRegime, FaultSpec, LiveBackend, PartitionAudit, SchedulerKind, SimConfig,
-    SweepArtifact, SweepGrid,
+    BackendKind, FaultRegime, FaultSpec, LiveBackend, SchedulerKind, SimConfig, SweepGrid,
 };
 use eva_workloads::SyntheticTraceConfig;
 use serde::{Deserialize, Serialize};
@@ -73,7 +72,7 @@ fn main() {
     };
 
     // Fidelity grid across both backends and every regime, run through
-    // the shared harness so sharding, caching, and fault-aware cell
+    // the shared harness so caching and fault-aware cell
     // fingerprints behave exactly as in any other experiment. (The
     // fault axis is set explicitly here — the regime list is this
     // experiment's subject, not a pass-through flag.)
@@ -81,15 +80,8 @@ fn main() {
         .paper_schedulers()
         .backends(vec![BackendKind::Sim, BackendKind::Live])
         .faults(regimes.clone());
-    let grid = apply_shard(grid);
     let (result, stats) = runner().run_with_stats(&grid);
     print_stats(&stats);
-    let view = spliced_view(&result);
-    // The robustness claim rests on a clean trace partition; print the
-    // audit even when unsharded (a single whole-trace window is
-    // trivially clean).
-    let audit = view.audit().unwrap_or_else(PartitionAudit::single);
-    println!("   [partition audit: {}]", audit.summary());
 
     // Robustness table: replay each (scheduler, regime) cell through the
     // live master/worker runtime and measure its deltas.
@@ -143,13 +135,7 @@ fn main() {
     let nonzero = rows.iter().filter(|r| !r.is_zero()).count();
     println!("\nnonzero-deltas: {nonzero} of {} (scheduler, regime) cells", rows.len());
 
-    save_json(
-        "table12.json",
-        &SweepArtifact {
-            sweep: result,
-            spliced: view,
-        },
-    );
+    save_json("table12.json", &result);
     save_json("table12_robustness.json", &rows);
     eva_bench::finish();
 }

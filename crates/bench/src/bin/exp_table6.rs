@@ -58,8 +58,8 @@ fn main() {
     for trial in 1..trials {
         grid = grid.trace(format!("trial{trial}"), gang_trace(7000 + trial as u64, jobs));
     }
-    let art = run_grid(grid);
-    save_json("table6.json", &art);
+    let result = run_grid(grid);
+    save_json("table6.json", &result);
 
     // One comparison block per trial; the first entry is the baseline.
     let mut rows: Vec<(&str, Vec<f64>, Vec<f64>)> = vec![
@@ -67,7 +67,7 @@ fn main() {
         ("Eva-Single", Vec::new(), Vec::new()),
         ("Eva-Multi", Vec::new(), Vec::new()),
     ];
-    for block in art.spliced.blocks() {
+    for block in result.blocks() {
         let base = block[0].report.total_cost_dollars;
         for (row, cell) in rows.iter_mut().zip(block) {
             row.1.push(cell.report.total_cost_dollars / base);

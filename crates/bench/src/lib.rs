@@ -45,9 +45,9 @@ use std::path::PathBuf;
 
 use eva_sim::{
     join_workers, worker_role, FaultSpec, Federation, PoolStats, ReportCache, SchedulerKind,
-    SimReport, SplicedResult, SweepArtifact, SweepGrid, SweepResult, SweepRunner,
+    SimReport, SweepGrid, SweepResult, SweepRunner,
 };
-use eva_workloads::{ShardMeta, ShardPolicy, Trace};
+use eva_workloads::Trace;
 
 pub mod solver;
 
@@ -165,41 +165,6 @@ pub fn runner() -> SweepRunner {
     }
 }
 
-/// Resolves the shared `--shard` flag (`--shard N` or
-/// `--shard auto[:JOBS]`, env equivalent `EVA_SHARD`) from this
-/// process's argument list. `None` means unsharded — the default.
-/// Invalid values abort the binary with a flag-style error, like any
-/// other bad experiment flag.
-pub fn shard_setting() -> Option<ShardPolicy> {
-    match shard_setting_from(std::env::args().skip(1)) {
-        Ok(policy) => policy,
-        Err(e) => {
-            eprintln!("error: --shard: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`shard_setting`] over an explicit argument list (testable form).
-/// Unrecognized arguments are ignored, like [`cache_setting_from`].
-pub fn shard_setting_from(
-    args: impl IntoIterator<Item = String>,
-) -> Result<Option<ShardPolicy>, String> {
-    let mut value: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--shard" {
-            value = Some(it.next().ok_or("the flag needs a value")?);
-        }
-    }
-    if value.is_none() {
-        if let Ok(env) = std::env::var("EVA_SHARD") {
-            value = Some(env);
-        }
-    }
-    value.map(|v| ShardPolicy::parse(&v)).transpose()
-}
-
 /// Resolves the shared `--faults REGIME[:INTENSITY]` flag (env
 /// equivalent `EVA_FAULTS`) from this process's argument list. `None`
 /// means fault-free — the default. Invalid regimes or intensities abort
@@ -247,53 +212,14 @@ pub fn apply_faults(grid: SweepGrid) -> SweepGrid {
     grid.faults(vec![spec])
 }
 
-/// Applies the process's `--shard` setting to `grid`, printing what the
-/// planner actually did (window count, jobs per window, boundary
-/// straddlers) whenever sharding was requested. A no-op without
-/// `--shard`.
-pub fn apply_shard(grid: SweepGrid) -> SweepGrid {
-    let Some(policy) = shard_setting() else {
-        return grid;
-    };
-    let grid = grid.shards(policy);
-    println!(
-        "   [shard plan: {}]",
-        ShardMeta::plan_summary(&grid.shard_metas())
-    );
-    grid
-}
-
 /// Runs a grid the standard experiment way, inheriting every shared
-/// process flag: applies `--shard` (printing the plan), runs on the
-/// shared [`runner`] (`EVA_THREADS` + cache flags), prints the stats
-/// line and the partition audit, and returns the [`SweepArtifact`]
-/// binaries should both report from (`artifact.spliced` — whole-trace
-/// rows carrying the audit) and save. Without `--shard` the spliced
-/// view is an exact pass-through, so `artifact.spliced.blocks()`
-/// matches the unsharded grid's block structure either way.
-pub fn run_grid(grid: SweepGrid) -> SweepArtifact {
-    let grid = apply_shard(apply_faults(grid));
+/// process flag: applies `--faults`, runs on the shared [`runner`]
+/// (`EVA_THREADS` + cache flags) and prints the stats line.
+pub fn run_grid(grid: SweepGrid) -> SweepResult {
+    let grid = apply_faults(grid);
     let (result, stats) = runner().run_with_stats(&grid);
     print_stats(&stats);
-    let spliced = spliced_view(&result);
-    SweepArtifact {
-        sweep: result,
-        spliced,
-    }
-}
-
-/// The whole-trace view an experiment should report: splices shard
-/// cells back together and prints the partition-audit line whenever the
-/// sweep was actually sharded. On an unsharded sweep this is an exact
-/// pass-through of the per-cell reports, and nothing is printed.
-pub fn spliced_view(result: &SweepResult) -> SplicedResult {
-    let spliced = result.spliced();
-    if spliced.cells.iter().any(|c| c.shards > 1) {
-        if let Some(audit) = spliced.audit() {
-            println!("   [partition audit: {}]", audit.summary());
-        }
-    }
-    spliced
+    result
 }
 
 /// Prints the standard one-line cache/dedup summary after a sweep.
@@ -326,11 +252,6 @@ pub fn add_schedulers(mut grid: SweepGrid, kinds: Vec<SchedulerKind>) -> SweepGr
 /// Runs one trace under several schedulers — fanned out across sweep
 /// workers — printing paper-style rows in declaration order (first
 /// scheduler is the normalization baseline) and returning reports.
-///
-/// Honors the shared `--shard` flag: a sharded run executes one cell
-/// per (window × scheduler), prints the shard plan and partition audit,
-/// and the returned reports are the spliced whole-trace rows (still one
-/// per scheduler, in declaration order).
 pub fn run_and_print(trace: &Trace, kinds: Vec<SchedulerKind>, header: &str) -> Vec<SimReport> {
     println!("== {header} ==");
     println!(
@@ -338,17 +259,11 @@ pub fn run_and_print(trace: &Trace, kinds: Vec<SchedulerKind>, header: &str) -> 
         trace.len(),
         trace.stats().arrival_span_hours
     );
-    let grid = apply_shard(apply_faults(add_schedulers(
+    let result = run_grid(add_schedulers(
         SweepGrid::new("trace", trace.clone()),
         kinds,
-    )));
-    let (result, stats) = runner().run_with_stats(&grid);
-    print_stats(&stats);
-    let reports: Vec<SimReport> = spliced_view(&result)
-        .cells
-        .into_iter()
-        .map(|c| c.report)
-        .collect();
+    ));
+    let reports: Vec<SimReport> = result.cells.into_iter().map(|c| c.report).collect();
     for (i, report) in reports.iter().enumerate() {
         let baseline = (i > 0).then(|| &reports[0]);
         println!("{}", report.table_row(baseline));
@@ -427,26 +342,6 @@ mod tests {
     fn results_dir_is_creatable() {
         let dir = results_dir();
         assert!(dir.exists());
-    }
-
-    #[test]
-    fn shard_flags_resolve() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        assert_eq!(
-            shard_setting_from(args(&["--shard", "4"])).unwrap(),
-            Some(ShardPolicy::Windows(4))
-        );
-        assert_eq!(
-            shard_setting_from(args(&["--jobs", "5", "--shard", "auto:25"])).unwrap(),
-            Some(ShardPolicy::auto_with_budget(25))
-        );
-        // 0/1 windows and a missing value are flag errors, not silent
-        // unsharded runs.
-        assert!(shard_setting_from(args(&["--shard", "1"])).is_err());
-        assert!(shard_setting_from(args(&["--shard"])).is_err());
-        if std::env::var("EVA_SHARD").is_err() {
-            assert_eq!(shard_setting_from(args(&["--jobs", "5"])).unwrap(), None);
-        }
     }
 
     #[test]

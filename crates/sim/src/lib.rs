@@ -18,12 +18,8 @@
 //!   fidelity × interference × backend)` experiment grids ([`SweepGrid`])
 //!   with a multi-threaded [`SweepRunner`] whose merged results are
 //!   byte-identical for any thread count. Traces are shared by
-//!   [`eva_workloads::TraceHandle`] and large ones shard into
-//!   arrival-time windows — equal-width or planned from arrival density
-//!   ([`eva_workloads::ShardPlanner`]) — whose reports splice back
-//!   together ([`report::splice`]) under a [`report::PartitionAudit`]:
-//!   clean partitions keep exact integer sums, dirty ones (jobs
-//!   straddling a window boundary) demote them to inexact.
+//!   [`eva_workloads::TraceHandle`]; one long trace is [`serve()`]'s job,
+//!   and a sweep fills its threads with cells.
 //! * [`pool`] + [`cache`] — **layer 3 machinery**: the generic
 //!   deduplicating, longest-first, parallel [`CellPool`] every sweep
 //!   (simulation or solver-level) runs on, and the persistent
@@ -68,13 +64,11 @@ pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
 pub use federate::{claim_stale_deadline, join_workers, worker_role, Federation};
 pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
 pub use pool::{CellPool, ClaimTiming, PoolStats, RunPlan};
-pub use report::{splice, PartitionAudit, SplicedReport, EXACT_METRICS, INEXACT_METRICS};
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};
 pub use serve::{serve, ServeConfig, ServeOutcome};
 pub use state::TaskState;
 pub use sweep::{
-    fidelity_label, CellKey, CellOutcome, SplicedOutcome, SplicedResult, SweepArtifact, SweepCell,
-    SweepGrid, SweepResult, SweepRunner,
+    fidelity_label, CellKey, CellOutcome, SweepCell, SweepGrid, SweepResult, SweepRunner,
 };
 pub use world::ClusterSim;

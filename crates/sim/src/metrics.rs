@@ -47,7 +47,7 @@ pub struct SimReport {
     /// Simulated makespan (hours from first arrival to last termination).
     pub makespan_hours: f64,
     /// Total instance-billed hours (the denominator behind
-    /// `tasks_per_instance`, and the weight shard reports splice with).
+    /// `tasks_per_instance`).
     pub billed_hours: f64,
 }
 

@@ -23,20 +23,12 @@
 //! * **cost-aware ordering** — unique cells are claimed longest-first
 //!   (estimated from trace size, fidelity, and backend weight), so the
 //!   pool never tail-blocks on a big cell claimed last.
-//!
-//! Large traces additionally shard along the arrival axis
-//! ([`SweepGrid::shards`]): each window runs as an independent cell —
-//! bounding per-cell memory by the window size — and
-//! [`SweepResult::spliced`] recombines the window reports into
-//! whole-trace reports via [`crate::report::splice`].
-
-use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use eva_cloud::FidelityMode;
 use eva_types::SimDuration;
-use eva_workloads::{ShardMeta, ShardPolicy, TraceHandle};
+use eva_workloads::TraceHandle;
 
 use crate::backend::BackendKind;
 use crate::cache::ReportCache;
@@ -44,37 +36,30 @@ use crate::faults::FaultSpec;
 use crate::federate::{worker_role, Federation};
 use crate::metrics::SimReport;
 use crate::pool::{CellPool, PoolStats, RunPlan};
-use crate::report::{splice, PartitionAudit, SplicedReport};
 use crate::runner::{InterferenceSpec, SchedulerKind, SimConfig};
 
-/// One value of the trace axis: a shared trace (or one shard window of
-/// it) under the label reports are filed under.
+/// One value of the trace axis: a shared trace under the label reports
+/// are filed under.
 #[derive(Debug, Clone)]
 struct TraceEntry {
     label: String,
     handle: TraceHandle,
-    shard: Option<ShardMeta>,
     /// Relative simulation cost of the trace (`jobs + tasks`), computed
-    /// once when the axis entry is built — shard windows reuse the weight
-    /// cached on their [`ShardMeta`] — so longest-first planning never
+    /// once when the axis entry is built, so longest-first planning never
     /// rescans a job vector per cell.
     weight: u64,
 }
 
 impl TraceEntry {
-    fn new(label: String, handle: TraceHandle, shard: Option<ShardMeta>) -> Self {
-        let weight = match &shard {
-            Some(meta) => meta.weight,
-            None => handle
-                .jobs()
-                .iter()
-                .map(|j| 1 + j.num_tasks() as u64)
-                .sum(),
-        };
+    fn new(label: String, handle: TraceHandle) -> Self {
+        let weight = handle
+            .jobs()
+            .iter()
+            .map(|j| 1 + j.num_tasks() as u64)
+            .sum();
         TraceEntry {
             label,
             handle,
-            shard,
             weight,
         }
     }
@@ -84,7 +69,7 @@ impl TraceEntry {
 ///
 /// Axes default to single paper-standard values; every `Vec`-valued axis
 /// multiplies the cell count. Cells expand in a fixed nested order
-/// (trace ▸ shard ▸ backend ▸ interference ▸ migration scale ▸ fidelity ▸
+/// (trace ▸ backend ▸ interference ▸ migration scale ▸ fidelity ▸
 /// seed ▸ scheduler), with schedulers innermost so each block of
 /// `schedulers.len()` cells forms one comparison row whose first entry is
 /// the baseline.
@@ -111,7 +96,7 @@ impl SweepGrid {
     /// [`SweepGrid::paper_schedulers`]).
     pub fn new(trace_label: impl Into<String>, trace: impl Into<TraceHandle>) -> Self {
         SweepGrid {
-            traces: vec![TraceEntry::new(trace_label.into(), trace.into(), None)],
+            traces: vec![TraceEntry::new(trace_label.into(), trace.into())],
             schedulers: Vec::new(),
             seeds: vec![42],
             fidelities: vec![FidelityMode::Stochastic],
@@ -125,34 +110,7 @@ impl SweepGrid {
 
     /// Adds another trace axis value.
     pub fn trace(mut self, label: impl Into<String>, trace: impl Into<TraceHandle>) -> Self {
-        self.traces.push(TraceEntry::new(label.into(), trace.into(), None));
-        self
-    }
-
-    /// Shards every (not yet sharded) trace axis value into arrival-time
-    /// windows; each window runs as an independent cell whose peak memory
-    /// is bounded by the window size. Windows keep the base trace's
-    /// label and gain a [`ShardMeta`] in their cell keys;
-    /// [`SweepResult::spliced`] recombines their reports. A policy that
-    /// resolves to a single window leaves the trace unsharded.
-    pub fn shards(mut self, policy: ShardPolicy) -> Self {
-        self.traces = self
-            .traces
-            .drain(..)
-            .flat_map(|entry| {
-                if entry.shard.is_some() {
-                    return vec![entry];
-                }
-                let windows = entry.handle.shard(policy);
-                if windows.len() <= 1 {
-                    return vec![entry];
-                }
-                windows
-                    .into_iter()
-                    .map(|w| TraceEntry::new(entry.label.clone(), w.handle, Some(w.meta)))
-                    .collect()
-            })
-            .collect();
+        self.traces.push(TraceEntry::new(label.into(), trace.into()));
         self
     }
 
@@ -229,24 +187,7 @@ impl SweepGrid {
         self.schedulers.len()
     }
 
-    /// Number of trace-axis entries. After [`SweepGrid::shards`] this is
-    /// the number of windows actually produced (empty windows are
-    /// dropped), which can be fewer than the requested shard count.
-    pub fn trace_axis_len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// The shard metadata of every sharded trace-axis entry, in axis
-    /// order — what a caller needs to report what the planner actually
-    /// did (window count, jobs per window, boundary straddlers). Empty
-    /// when no trace is sharded (e.g. the policy resolved to a single
-    /// window).
-    pub fn shard_metas(&self) -> Vec<&ShardMeta> {
-        self.traces.iter().filter_map(|e| e.shard.as_ref()).collect()
-    }
-
-    /// Total number of cells the grid expands to (shard windows count as
-    /// distinct trace axis values).
+    /// Total number of cells the grid expands to.
     pub fn cell_count(&self) -> usize {
         self.traces.len()
             * self.backends.len()
@@ -285,7 +226,6 @@ impl SweepGrid {
                                             trace_index: trace_idx,
                                             key: CellKey {
                                                 trace: entry.label.clone(),
-                                                shard: entry.shard.clone(),
                                                 scheduler: name.clone(),
                                                 seed,
                                                 fidelity: fidelity_label(fidelity).to_string(),
@@ -366,8 +306,8 @@ impl SweepGrid {
     /// the trace's cached `jobs + tasks` weight scaled by fidelity
     /// (stochastic samples delays) and backend weight (live = simulate +
     /// replay on real threads). The weight is computed once per trace
-    /// axis entry — shard windows carry it on their [`ShardMeta`] — so
-    /// planning a million-job grid never rescans a job vector.
+    /// axis entry, so planning a million-job grid never rescans a job
+    /// vector.
     pub(crate) fn cost_estimate(&self, cell: &SweepCell) -> u64 {
         let weight = self.traces[cell.trace_index].weight.max(1);
         let fidelity = match cell.fidelity {
@@ -420,11 +360,8 @@ pub struct SweepCell {
 /// Serializable identity of a cell inside sweep results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellKey {
-    /// Trace-axis label (shard windows share their base trace's label).
+    /// Trace-axis label.
     pub trace: String,
-    /// Which arrival-time window of the trace this is (`None` when the
-    /// trace runs whole).
-    pub shard: Option<ShardMeta>,
     /// Scheduler name as declared on the grid.
     pub scheduler: String,
     /// RNG seed.
@@ -439,25 +376,6 @@ pub struct CellKey {
     pub backend: String,
     /// Fault-axis label (`none`, `preempt-storm:1`, …).
     pub faults: String,
-}
-
-impl CellKey {
-    /// `"i/n"` for shard cells, `"-"` for whole-trace cells.
-    pub fn shard_label(&self) -> String {
-        self.shard
-            .as_ref()
-            .map(|s| s.label())
-            .unwrap_or_else(|| "-".to_string())
-    }
-
-    /// This key with the shard component erased — the identity of the
-    /// whole-trace cell a shard cell contributes to.
-    pub fn logical(&self) -> CellKey {
-        CellKey {
-            shard: None,
-            ..self.clone()
-        }
-    }
 }
 
 /// One finished cell: its identity plus its report.
@@ -495,143 +413,10 @@ impl SweepResult {
         self.cells.iter().find(|c| c.key.scheduler == scheduler)
     }
 
-    /// Recombines shard cells into whole-trace outcomes via
-    /// [`crate::report::splice`], preserving first-appearance cell order.
-    /// Whole-trace cells pass through exactly; shard groups produce one
-    /// spliced outcome whose approximate metrics are flagged. The result
-    /// is byte-identical for any thread count, like the sweep itself.
-    pub fn spliced(&self) -> SplicedResult {
-        let mut groups: Vec<(CellKey, Vec<(ShardMeta, SimReport)>)> = Vec::new();
-        let mut index: BTreeMap<String, usize> = BTreeMap::new();
-        for cell in &self.cells {
-            let logical = cell.key.logical();
-            let group_key = serde_json::to_string(&logical).expect("cell keys serialize");
-            let meta = cell.key.shard.clone().unwrap_or(ShardMeta {
-                index: 0,
-                count: 1,
-                offset: SimDuration::ZERO,
-                end: None,
-                jobs: 0,
-                tasks: 0,
-                straddlers: 0,
-                weight: 0,
-            });
-            match index.get(&group_key) {
-                Some(&g) => groups[g].1.push((meta, cell.report.clone())),
-                None => {
-                    index.insert(group_key, groups.len());
-                    groups.push((logical, vec![(meta, cell.report.clone())]));
-                }
-            }
-        }
-        SplicedResult {
-            cells: groups
-                .into_iter()
-                .map(|(key, parts)| {
-                    let SplicedReport {
-                        report,
-                        shards,
-                        inexact_metrics,
-                        audit,
-                    } = splice(&parts);
-                    SplicedOutcome {
-                        key,
-                        report,
-                        shards,
-                        inexact_metrics,
-                        audit,
-                    }
-                })
-                .collect(),
-            schedulers_per_block: self.schedulers_per_block,
-        }
-    }
-
     /// Deterministic pretty JSON of the whole sweep (byte-identical across
     /// thread counts because cell order is stable).
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("SweepResult serializes")
-    }
-}
-
-/// One whole-trace outcome recombined from shard cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SplicedOutcome {
-    /// The logical (shard-erased) cell identity.
-    pub key: CellKey,
-    /// The whole-trace report.
-    pub report: SimReport,
-    /// Shard reports spliced into it (1 = direct single-cell result).
-    pub shards: usize,
-    /// Metrics whose spliced value is approximate (empty when exact).
-    pub inexact_metrics: Vec<String>,
-    /// The partition audit: whether the windows spliced here were
-    /// verified free of boundary straddlers (see
-    /// [`crate::report::PartitionAudit`]).
-    pub audit: PartitionAudit,
-}
-
-/// The whole-trace view of a (possibly sharded) sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SplicedResult {
-    /// Whole-trace outcomes in first-appearance cell order.
-    pub cells: Vec<SplicedOutcome>,
-    /// Schedulers per comparison block.
-    pub schedulers_per_block: usize,
-}
-
-impl SplicedResult {
-    /// Comparison blocks, as on [`SweepResult::blocks`].
-    pub fn blocks(&self) -> impl Iterator<Item = &[SplicedOutcome]> {
-        self.cells.chunks(self.schedulers_per_block.max(1))
-    }
-
-    /// First whole-trace outcome for a scheduler name, if any.
-    pub fn first_for(&self, scheduler: &str) -> Option<&SplicedOutcome> {
-        self.cells.iter().find(|c| c.key.scheduler == scheduler)
-    }
-
-    /// The worst partition audit across outcomes — the one line a caller
-    /// should print. Every scheduler/seed splices the same windows, so
-    /// audits repeat; taking the dirtiest avoids double-counting
-    /// straddlers. `None` when the result has no cells.
-    pub fn audit(&self) -> Option<PartitionAudit> {
-        self.cells
-            .iter()
-            .map(|c| c.audit)
-            .max_by_key(|a| (a.straddlers, a.windows))
-    }
-
-    /// Deterministic pretty JSON.
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("SplicedResult serializes")
-    }
-}
-
-/// The machine-readable artifact of a (possibly sharded) sweep: the raw
-/// per-cell rows plus the whole-trace spliced view, which carries the
-/// [`PartitionAudit`] per outcome. Saving both keeps window-level data
-/// available while making sure no artifact presents shard fragments as
-/// whole-trace results. `eva sweep --json` and the `exp_*` binaries
-/// share this shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepArtifact {
-    /// Raw cell outcomes (one per shard window × axes when sharded).
-    pub sweep: SweepResult,
-    /// The whole-trace view: shard groups spliced and audited.
-    pub spliced: SplicedResult,
-}
-
-impl SweepArtifact {
-    /// Builds the artifact, deriving the spliced view from the sweep.
-    pub fn new(sweep: SweepResult) -> Self {
-        let spliced = sweep.spliced();
-        SweepArtifact { sweep, spliced }
-    }
-
-    /// Deterministic pretty JSON (byte-identical across thread counts).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("SweepArtifact serializes")
     }
 }
 
@@ -785,8 +570,6 @@ mod tests {
         );
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
-            assert!(c.key.shard.is_none());
-            assert_eq!(c.key.shard_label(), "-");
         }
     }
 
@@ -949,78 +732,24 @@ mod tests {
     }
 
     #[test]
-    fn shards_expand_the_trace_axis_and_label_cells() {
-        // Cluster arrivals so equal-width windows are all non-empty.
-        let trace = tiny_trace(8);
-        let grid = SweepGrid::new("whole", trace.clone())
-            .shards(ShardPolicy::MaxJobs(3))
-            .scheduler("No-Packing", SchedulerKind::NoPacking)
-            .fidelities(vec![FidelityMode::Nominal]);
-        assert_eq!(grid.cell_count(), 3, "8 jobs in windows of ≤3");
-        let cells = grid.cells();
-        let labels: Vec<String> = cells.iter().map(|c| c.key.shard_label()).collect();
-        assert_eq!(labels, vec!["1/3", "2/3", "3/3"]);
-        assert!(cells.iter().all(|c| c.key.trace == "whole"));
-        // Shard cells carry only their window's jobs.
-        let sizes: Vec<usize> = cells
-            .iter()
-            .map(|c| grid.cell_config(c).trace.len())
-            .collect();
-        assert_eq!(sizes, vec![3, 3, 2]);
-    }
-
-    #[test]
-    fn spliced_regroups_shard_cells_into_whole_trace_outcomes() {
-        let trace = tiny_trace(8);
-        let sharded = SweepGrid::new("t", trace.clone())
-            .shards(ShardPolicy::MaxJobs(3))
-            .schedulers_by_name(&["no-packing", "stratus"])
-            .unwrap()
-            .fidelities(vec![FidelityMode::Nominal]);
-        let result = SweepRunner::new(2).run(&sharded);
-        assert_eq!(result.cells.len(), 6);
-        let spliced = result.spliced();
-        assert_eq!(spliced.cells.len(), 2, "one logical cell per scheduler");
-        for outcome in &spliced.cells {
-            assert!(outcome.key.shard.is_none());
-            assert_eq!(outcome.shards, 3);
-            assert!(!outcome.inexact_metrics.is_empty());
-            assert_eq!(outcome.report.jobs_completed, 8);
-        }
-        assert_eq!(spliced.blocks().count(), 1);
-        // An unsharded sweep splices to itself, exactly.
-        let whole = SweepRunner::new(2).run(
-            &SweepGrid::new("t", trace)
-                .schedulers_by_name(&["no-packing", "stratus"])
-                .unwrap()
-                .fidelities(vec![FidelityMode::Nominal]),
+    fn fingerprint_literal_is_pinned() {
+        // The persistent cache key of one tiny cell, trace hash included.
+        // Changing this string strands every warm cache: bump
+        // `SCHEMA_VERSION` in the same change.
+        let grid = tiny_grid();
+        assert_eq!(
+            grid.fingerprint(&grid.cells()[1]),
+            "trace:2d5abd2164432f67|sched:Stratus|seed:1|fid:nominal|int:measured|scale:1|\
+             period:300000ms|backend:sim|fault:none"
         );
-        let passthrough = whole.spliced();
-        assert_eq!(passthrough.cells.len(), 2);
-        for (o, c) in passthrough.cells.iter().zip(&whole.cells) {
-            assert_eq!(o.report, c.report);
-            assert_eq!(o.shards, 1);
-            assert!(o.inexact_metrics.is_empty());
-        }
     }
 
     #[test]
-    fn cell_keys_round_trip_with_and_without_shard() {
-        let sharded = SweepGrid::new("t", tiny_trace(8))
-            .shards(ShardPolicy::MaxJobs(3))
-            .scheduler("No-Packing", SchedulerKind::NoPacking);
-        for cell in sharded.cells() {
-            let json = serde_json::to_string(&cell.key).unwrap();
-            let back: CellKey = serde_json::from_str(&json).unwrap();
-            assert_eq!(cell.key, back);
-            assert!(back.shard.is_some());
-            assert!(back.logical().shard.is_none());
-        }
-        let plain = tiny_grid().cells();
-        let json = serde_json::to_string(&plain[0].key).unwrap();
+    fn cell_keys_round_trip() {
+        let cells = tiny_grid().cells();
+        let json = serde_json::to_string(&cells[0].key).unwrap();
         let back: CellKey = serde_json::from_str(&json).unwrap();
-        assert_eq!(plain[0].key, back);
-        assert!(back.shard.is_none());
+        assert_eq!(cells[0].key, back);
     }
 
     #[test]

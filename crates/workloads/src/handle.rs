@@ -1,4 +1,4 @@
-//! Shared trace handles and arrival-time sharding.
+//! Shared trace handles.
 //!
 //! Experiment grids multiply a trace across many cells; cloning a
 //! 6,000-job [`Trace`] per cell dominated sweep memory. A [`TraceHandle`]
@@ -6,22 +6,10 @@
 //! (cloning a handle is a reference-count bump), and lazily computes a
 //! stable **content fingerprint** — the identity the persistent report
 //! cache and cross-experiment deduplication key on.
-//!
-//! [`TraceHandle::shard`] splits a trace into arrival-time windows
-//! ([`TraceWindow`]) that run as independent simulation cells. Each
-//! window carries offset metadata ([`ShardMeta`]) so shard reports can be
-//! spliced back into a whole-trace report: the window keeps its jobs'
-//! original arrival times, and `offset` records where the window's first
-//! arrival sits relative to the whole trace's first arrival.
 
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
-use eva_types::{SimDuration, SimTime};
-
-use crate::planner::{ShardPlanner, DEFAULT_AUTO_MAX_WINDOWS, DEFAULT_AUTO_TARGET_JOBS};
 use crate::trace::Trace;
 
 /// An immutable, reference-counted trace with a stable content
@@ -85,109 +73,6 @@ impl TraceHandle {
     pub fn fingerprint_hex(&self) -> String {
         format!("{:016x}", self.fingerprint())
     }
-
-    /// Splits the trace into arrival-time windows.
-    ///
-    /// Jobs keep their original arrival times; a window is itself an
-    /// independent trace (with its own handle and fingerprint) plus
-    /// [`ShardMeta`] describing where it sits in the whole trace. Windows
-    /// that would contain no jobs are dropped and the remaining windows
-    /// are renumbered densely, so `meta.count` is always the number of
-    /// windows actually produced. A trace with fewer than two jobs, or a
-    /// policy resolving to a single window, yields one window covering
-    /// the whole trace.
-    pub fn shard(&self, policy: ShardPolicy) -> Vec<TraceWindow> {
-        let jobs = self.trace().jobs();
-        let chunks: Vec<Vec<eva_types::JobSpec>> = match policy {
-            ShardPolicy::Windows(n) if n >= 2 && jobs.len() >= 2 => {
-                let first = jobs[0].arrival;
-                let last = jobs[jobs.len() - 1].arrival;
-                let span = last.duration_since(first).as_millis();
-                if span == 0 {
-                    // Burst trace: every arrival is equal, so time windows
-                    // degenerate to one bucket. Fall back to job-count
-                    // chunking so `Windows(n)` still bounds per-cell
-                    // memory.
-                    let m = jobs.len().div_ceil(n);
-                    jobs.chunks(m).map(|c| c.to_vec()).collect()
-                } else {
-                    let mut buckets: Vec<Vec<eva_types::JobSpec>> = vec![Vec::new(); n];
-                    for job in jobs {
-                        let offset = job.arrival.duration_since(first).as_millis();
-                        // Last window is closed on the right so the final
-                        // arrival lands inside it.
-                        let k = (((offset as u128 * n as u128) / (span as u128 + 1)) as usize)
-                            .min(n - 1);
-                        buckets[k].push(job.clone());
-                    }
-                    buckets
-                }
-            }
-            ShardPolicy::MaxJobs(m) if m >= 1 && jobs.len() > m => {
-                jobs.chunks(m).map(|c| c.to_vec()).collect()
-            }
-            ShardPolicy::Auto {
-                target_jobs,
-                max_windows,
-            } => ShardPlanner::new(target_jobs, max_windows)
-                .plan(jobs)
-                .into_iter()
-                .map(|r| jobs[r].to_vec())
-                .collect(),
-            _ => vec![jobs.to_vec()],
-        };
-        let mut windows: Vec<Vec<eva_types::JobSpec>> =
-            chunks.into_iter().filter(|c| !c.is_empty()).collect();
-        if windows.is_empty() {
-            windows.push(Vec::new()); // empty trace → one empty window
-        }
-        let count = windows.len();
-        let whole_first = jobs.first().map(|j| j.arrival).unwrap_or(SimTime::ZERO);
-        // Right boundary of window k = window k+1's first arrival: the
-        // moment the next cell's simulation starts. A job whose estimated
-        // execution (`arrival + duration_at_full_tput`) crosses that edge
-        // straddles the boundary, and the partition is no longer clean.
-        let edges: Vec<Option<SimTime>> = windows
-            .iter()
-            .skip(1)
-            .map(|w| w.first().map(|j| j.arrival))
-            .chain(std::iter::once(None))
-            .collect();
-        windows
-            .into_iter()
-            .zip(edges)
-            .enumerate()
-            .map(|(index, (chunk, edge))| {
-                let first = chunk.first().map(|j| j.arrival).unwrap_or(whole_first);
-                // One pass over the chunk for every derived statistic, so
-                // sharding a million-job trace never rescans a window.
-                let mut tasks = 0usize;
-                let mut straddlers = 0usize;
-                for j in &chunk {
-                    tasks += j.num_tasks();
-                    if let Some(edge) = edge {
-                        if j.arrival + j.duration_at_full_tput > edge {
-                            straddlers += 1;
-                        }
-                    }
-                }
-                let jobs = chunk.len();
-                TraceWindow {
-                    handle: TraceHandle::new(Trace::new(chunk)),
-                    meta: ShardMeta {
-                        index,
-                        count,
-                        offset: first.duration_since(whole_first),
-                        end: edge.map(|e| e.duration_since(whole_first)),
-                        jobs,
-                        tasks,
-                        straddlers,
-                        weight: (jobs + tasks) as u64,
-                    },
-                }
-            })
-            .collect()
-    }
 }
 
 impl Deref for TraceHandle {
@@ -216,200 +101,12 @@ impl PartialEq for TraceHandle {
     }
 }
 
-/// How [`TraceHandle::shard`] splits the arrival axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Split the arrival span into this many equal-width time windows
-    /// (falls back to job-count chunks when every arrival is equal).
-    Windows(usize),
-    /// Consecutive windows of at most this many jobs each.
-    MaxJobs(usize),
-    /// Density-aware planning via [`ShardPlanner`]: windows target
-    /// `target_jobs` jobs each, cut preferentially at drained boundaries
-    /// (every earlier job's estimated execution ends before the next
-    /// window's first arrival), and never exceed `max_windows`.
-    Auto {
-        /// Per-window job budget (the per-cell memory bound).
-        target_jobs: usize,
-        /// Upper bound on planned windows.
-        max_windows: usize,
-    },
-}
-
-impl ShardPolicy {
-    /// The default density-aware policy
-    /// ([`DEFAULT_AUTO_TARGET_JOBS`] jobs per window, at most
-    /// [`DEFAULT_AUTO_MAX_WINDOWS`] windows).
-    pub fn auto() -> Self {
-        ShardPolicy::Auto {
-            target_jobs: DEFAULT_AUTO_TARGET_JOBS,
-            max_windows: DEFAULT_AUTO_MAX_WINDOWS,
-        }
-    }
-
-    /// The density-aware policy with an explicit per-window job budget.
-    pub fn auto_with_budget(target_jobs: usize) -> Self {
-        ShardPolicy::Auto {
-            target_jobs: target_jobs.max(1),
-            max_windows: DEFAULT_AUTO_MAX_WINDOWS,
-        }
-    }
-
-    /// Parses the CLI form shared by `eva sweep --shard` and the `exp_*`
-    /// binaries: a window count (`"4"`), `"auto"`, or `"auto:JOBS"` (a
-    /// per-window job budget). Window counts below 2 are rejected —
-    /// they would silently run unsharded, which callers should request
-    /// by omitting the flag instead.
-    pub fn parse(s: &str) -> Result<ShardPolicy, String> {
-        if s == "auto" {
-            return Ok(ShardPolicy::auto());
-        }
-        if let Some(budget) = s.strip_prefix("auto:") {
-            let target: usize = budget
-                .parse()
-                .map_err(|_| format!("`{s}`: the auto budget must be a job count"))?;
-            if target == 0 {
-                return Err(format!("`{s}`: the auto budget must be at least 1 job"));
-            }
-            return Ok(ShardPolicy::auto_with_budget(target));
-        }
-        let n: usize = s
-            .parse()
-            .map_err(|_| format!("`{s}`: expected a window count >= 2, `auto`, or `auto:JOBS`"))?;
-        if n < 2 {
-            return Err(format!(
-                "{n} window(s) is an unsharded run — omit the flag, or pass >= 2 or `auto[:JOBS]`"
-            ));
-        }
-        Ok(ShardPolicy::Windows(n))
-    }
-}
-
-/// One arrival-time window of a sharded trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceWindow {
-    /// The window's jobs as an independent shared trace.
-    pub handle: TraceHandle,
-    /// Where the window sits inside the whole trace.
-    pub meta: ShardMeta,
-}
-
-/// Position and weight metadata of one shard window, carried through
-/// sweep-cell keys so shard reports can be spliced back together.
-#[derive(Debug, Clone)]
-pub struct ShardMeta {
-    /// Zero-based window index.
-    pub index: usize,
-    /// Total windows the trace was split into.
-    pub count: usize,
-    /// Window first arrival relative to the whole trace's first arrival
-    /// (the time shift applied when splicing makespans).
-    pub offset: SimDuration,
-    /// Right edge of the window's boundary interval — the next window's
-    /// first arrival, relative to the whole trace's first arrival.
-    /// `None` for the last window, which is unbounded on the right.
-    pub end: Option<SimDuration>,
-    /// Jobs in the window.
-    pub jobs: usize,
-    /// Tasks in the window (the weight for per-task rate metrics).
-    pub tasks: usize,
-    /// Jobs whose estimated execution (`arrival + duration_at_full_tput`)
-    /// crosses the right edge. Non-zero means the partition is **dirty**:
-    /// the whole-trace run would still be executing these jobs when the
-    /// next window begins, so spliced integer metrics are no longer
-    /// guaranteed exact (see `eva_sim`'s partition audit).
-    pub straddlers: usize,
-    /// Cached relative simulation cost of the window (`jobs + tasks`),
-    /// computed in [`TraceHandle::shard`]'s single pass so longest-first
-    /// cell planning never rescans a window's job vector. A derived
-    /// cache, not content: excluded from serialization (cell keys, the
-    /// report cache, and golden JSON are byte-unchanged) and from
-    /// equality (a deserialized meta compares equal at `weight == 0`).
-    pub weight: u64,
-}
-
-impl PartialEq for ShardMeta {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-            && self.count == other.count
-            && self.offset == other.offset
-            && self.end == other.end
-            && self.jobs == other.jobs
-            && self.tasks == other.tasks
-            && self.straddlers == other.straddlers
-    }
-}
-
-// Hand-written (the vendored derive has no `#[serde(skip)]`): identical
-// to the derived impls for every field except `weight`, which is a
-// derived cache and stays out of the serialized form entirely.
-impl Serialize for ShardMeta {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("index".to_string(), self.index.serialize()),
-            ("count".to_string(), self.count.serialize()),
-            ("offset".to_string(), self.offset.serialize()),
-            ("end".to_string(), self.end.serialize()),
-            ("jobs".to_string(), self.jobs.serialize()),
-            ("tasks".to_string(), self.tasks.serialize()),
-            ("straddlers".to_string(), self.straddlers.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for ShardMeta {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        if value.as_object().is_none() {
-            return Err(serde::Error::invalid_type("object", value));
-        }
-        let field = |name: &'static str| {
-            value
-                .get_field(name)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
-        Ok(ShardMeta {
-            index: Deserialize::deserialize(field("index")?)?,
-            count: Deserialize::deserialize(field("count")?)?,
-            offset: Deserialize::deserialize(field("offset")?)?,
-            end: Deserialize::deserialize(field("end")?)?,
-            jobs: Deserialize::deserialize(field("jobs")?)?,
-            tasks: Deserialize::deserialize(field("tasks")?)?,
-            straddlers: Deserialize::deserialize(field("straddlers")?)?,
-            weight: 0,
-        })
-    }
-}
-
-impl ShardMeta {
-    /// `"i/n"` label used in cell keys and printed rows (1-based).
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.index + 1, self.count)
-    }
-
-    /// One-line summary of a shard plan — the window set a grid or CLI
-    /// actually produced — shared by every surface that prints a
-    /// `shard plan:` line. An empty slice means the policy resolved to a
-    /// single window (the trace runs unsharded).
-    pub fn plan_summary(metas: &[&ShardMeta]) -> String {
-        if metas.is_empty() {
-            return "1 window — trace fits the policy's budget, running unsharded".to_string();
-        }
-        let min = metas.iter().map(|m| m.jobs).min().unwrap_or(0);
-        let max = metas.iter().map(|m| m.jobs).max().unwrap_or(0);
-        let straddlers: usize = metas.iter().map(|m| m.straddlers).sum();
-        format!(
-            "{} windows (jobs/window {min}\u{2013}{max}, {straddlers} boundary straddler(s))",
-            metas.len()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic::SyntheticTraceConfig;
     use eva_types::{
-        DemandSpec, JobId, JobSpec, ResourceVector, TaskId, TaskSpec, WorkloadKind,
+        DemandSpec, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId, TaskSpec,
+        WorkloadKind,
     };
 
     fn job(id: u64, arrival_mins: u64) -> JobSpec {
@@ -458,176 +155,5 @@ mod tests {
         jobs[0].duration_at_full_tput = SimDuration::from_mins(31);
         let mutated = TraceHandle::new(Trace::new(jobs));
         assert_ne!(a.fingerprint(), mutated.fingerprint());
-    }
-
-    #[test]
-    fn windows_partition_jobs_by_arrival() {
-        let h = TraceHandle::new(spread_trace());
-        let windows = h.shard(ShardPolicy::Windows(3));
-        assert_eq!(windows.len(), 3);
-        let total: usize = windows.iter().map(|w| w.handle.len()).sum();
-        assert_eq!(total, 12);
-        for (k, w) in windows.iter().enumerate() {
-            assert_eq!(w.meta.index, k);
-            assert_eq!(w.meta.count, 3);
-            assert_eq!(w.meta.jobs, w.handle.len());
-            assert_eq!(w.meta.tasks, 4);
-            assert_eq!(w.meta.weight, (w.meta.jobs + w.meta.tasks) as u64);
-            assert_eq!(w.meta.label(), format!("{}/3", k + 1));
-        }
-        // Arrival order is preserved across the window boundary.
-        assert_eq!(windows[0].handle.jobs()[0].id, JobId(0));
-        assert_eq!(windows[2].handle.jobs()[0].id, JobId(20));
-        // Offsets are the window-relative first arrivals.
-        assert_eq!(windows[0].meta.offset, SimDuration::ZERO);
-        assert_eq!(windows[1].meta.offset, SimDuration::from_mins(100));
-        assert_eq!(windows[2].meta.offset, SimDuration::from_mins(200));
-        // Boundary intervals: each window ends where the next begins;
-        // the last is unbounded. 30-min jobs drain long before the
-        // ~90-min inter-cluster gaps, so the partition is clean.
-        assert_eq!(windows[0].meta.end, Some(SimDuration::from_mins(100)));
-        assert_eq!(windows[1].meta.end, Some(SimDuration::from_mins(200)));
-        assert_eq!(windows[2].meta.end, None);
-        assert!(windows.iter().all(|w| w.meta.straddlers == 0));
-    }
-
-    #[test]
-    fn burst_traces_fall_back_to_job_count_chunking() {
-        // Regression: all arrivals equal → span == 0 put every job in
-        // bucket 0, so `Windows(n)` degenerated to a single window and
-        // `--shard N` no longer bounded per-cell memory.
-        let t = Trace::new((0..12).map(|i| job(i, 5)).collect());
-        let windows = TraceHandle::new(t).shard(ShardPolicy::Windows(4));
-        assert_eq!(windows.len(), 4);
-        for w in &windows {
-            assert_eq!(w.meta.jobs, 3);
-            assert_eq!(w.meta.count, 4);
-        }
-        // Every job straddles a zero-width boundary: 30-min jobs cross an
-        // edge that arrives immediately.
-        assert!(windows[0].meta.straddlers > 0);
-    }
-
-    #[test]
-    fn straddlers_count_jobs_crossing_the_right_edge() {
-        // Clusters 100 min apart, but one job in the first cluster runs
-        // 500 minutes — past the second window's first arrival.
-        let mut jobs: Vec<JobSpec> = spread_trace().into_jobs();
-        jobs[0].duration_at_full_tput = SimDuration::from_mins(500);
-        let windows = TraceHandle::new(Trace::new(jobs)).shard(ShardPolicy::Windows(3));
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].meta.straddlers, 1);
-        assert_eq!(windows[1].meta.straddlers, 0);
-        assert_eq!(windows[2].meta.straddlers, 0, "last window has no right edge");
-    }
-
-    #[test]
-    fn auto_policy_cuts_in_arrival_gaps() {
-        // spread_trace's clusters are ~90 min apart with 30-min jobs:
-        // auto planning with a 4-job budget must cut exactly at the
-        // cluster boundaries, cleanly.
-        let h = TraceHandle::new(spread_trace());
-        let windows = h.shard(ShardPolicy::auto_with_budget(4));
-        assert_eq!(windows.len(), 3);
-        for (k, w) in windows.iter().enumerate() {
-            assert_eq!(w.meta.jobs, 4);
-            assert_eq!(w.meta.straddlers, 0, "auto cut through cluster {k}");
-        }
-        // The default budget is far larger than the trace: unsharded.
-        assert_eq!(h.shard(ShardPolicy::auto()).len(), 1);
-    }
-
-    #[test]
-    fn shard_policy_parses_cli_forms() {
-        assert_eq!(ShardPolicy::parse("4"), Ok(ShardPolicy::Windows(4)));
-        assert_eq!(ShardPolicy::parse("auto"), Ok(ShardPolicy::auto()));
-        assert_eq!(
-            ShardPolicy::parse("auto:50"),
-            Ok(ShardPolicy::Auto {
-                target_jobs: 50,
-                max_windows: DEFAULT_AUTO_MAX_WINDOWS,
-            })
-        );
-        // 0/1 windows silently ran unsharded before — now rejected.
-        assert!(ShardPolicy::parse("0").is_err());
-        assert!(ShardPolicy::parse("1").is_err());
-        assert!(ShardPolicy::parse("auto:0").is_err());
-        assert!(ShardPolicy::parse("auto:x").is_err());
-        assert!(ShardPolicy::parse("many").is_err());
-    }
-
-    #[test]
-    fn empty_windows_are_dropped_and_renumbered() {
-        // All arrivals in the first tenth of the span → most windows empty.
-        let t = Trace::new(vec![job(0, 0), job(1, 1), job(2, 2), job(3, 300)]);
-        let windows = TraceHandle::new(t).shard(ShardPolicy::Windows(10));
-        assert!(windows.len() < 10);
-        let count = windows[0].meta.count;
-        assert_eq!(count, windows.len());
-        for (k, w) in windows.iter().enumerate() {
-            assert_eq!(w.meta.index, k);
-            assert!(!w.handle.is_empty());
-        }
-    }
-
-    #[test]
-    fn max_jobs_policy_chunks_consecutively() {
-        let h = TraceHandle::new(spread_trace());
-        let windows = h.shard(ShardPolicy::MaxJobs(5));
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].meta.jobs, 5);
-        assert_eq!(windows[1].meta.jobs, 5);
-        assert_eq!(windows[2].meta.jobs, 2);
-    }
-
-    #[test]
-    fn degenerate_shards_collapse_to_one_window() {
-        let h = TraceHandle::new(spread_trace());
-        for policy in [ShardPolicy::Windows(0), ShardPolicy::Windows(1)] {
-            let windows = h.shard(policy);
-            assert_eq!(windows.len(), 1);
-            assert_eq!(windows[0].meta.count, 1);
-            assert_eq!(windows[0].handle.len(), 12);
-            assert_eq!(windows[0].meta.offset, SimDuration::ZERO);
-        }
-        let tiny = TraceHandle::new(Trace::new(vec![job(0, 5)]));
-        assert_eq!(tiny.shard(ShardPolicy::Windows(4)).len(), 1);
-        let empty = TraceHandle::new(Trace::new(vec![]));
-        let w = empty.shard(ShardPolicy::Windows(4));
-        assert_eq!(w.len(), 1);
-        assert!(w[0].handle.is_empty());
-    }
-
-    #[test]
-    fn sharded_then_recombined_preserves_every_job() {
-        let cfg = SyntheticTraceConfig::small_scale();
-        let h = TraceHandle::new(cfg.generate(9));
-        let windows = h.shard(ShardPolicy::Windows(4));
-        let mut recombined: Vec<JobSpec> = Vec::new();
-        for w in &windows {
-            recombined.extend(w.handle.jobs().iter().cloned());
-        }
-        assert_eq!(Trace::new(recombined), *h.trace());
-    }
-
-    #[test]
-    fn shard_meta_serde_round_trip() {
-        let meta = ShardMeta {
-            index: 1,
-            count: 4,
-            offset: SimDuration::from_mins(90),
-            end: Some(SimDuration::from_mins(180)),
-            jobs: 7,
-            tasks: 9,
-            straddlers: 2,
-            weight: 16,
-        };
-        let json = serde_json::to_string(&meta).unwrap();
-        // The cached weight is derived, not content: it never reaches
-        // serialized cell keys or the report cache.
-        assert!(!json.contains("weight"), "{json}");
-        let back: ShardMeta = serde_json::from_str(&json).unwrap();
-        assert_eq!(meta, back, "equality ignores the skipped cache field");
-        assert_eq!(back.weight, 0);
     }
 }

@@ -21,7 +21,6 @@ pub mod colocation;
 pub mod duration;
 pub mod handle;
 pub mod modifiers;
-pub mod planner;
 pub mod source;
 pub mod synthetic;
 pub mod trace;
@@ -30,9 +29,8 @@ pub use alibaba::{AlibabaTraceConfig, DurationModelChoice, TABLE8_GPU_MIX};
 pub use catalog::{WorkloadCatalog, WorkloadInfo};
 pub use colocation::{InterferenceModel, PairwiseMatrix};
 pub use duration::{AlibabaDurations, DurationSampler, GavelDurations, UniformHours};
-pub use handle::{ShardMeta, ShardPolicy, TraceHandle, TraceWindow};
+pub use handle::TraceHandle;
 pub use modifiers::{MultiGpuMix, MultiTaskMix};
-pub use planner::{ShardPlanner, DEFAULT_AUTO_MAX_WINDOWS, DEFAULT_AUTO_TARGET_JOBS};
 pub use source::{BoundedSource, JobSource, JsonLinesSource, SyntheticSource, TraceSource};
 pub use synthetic::SyntheticTraceConfig;
 pub use trace::{Trace, TraceStats};

@@ -40,10 +40,10 @@ pub mod prelude {
         claim_stale_deadline, join_workers, run_recorded, run_simulation, serve, worker_role,
         BackendKind, CacheStats, CellPool, ClusterSim, ExecBackend, FaultPlan,
         FaultRegime, FaultSpec, Federation, LiveBackend, LiveOutcome, MergeReport,
-        MetricsRegistry, MetricsSnapshot, PartitionAudit,
+        MetricsRegistry, MetricsSnapshot,
         PoolStats, PruneReport, ReportCache, SchedulerKind, ServeConfig, ServeOutcome,
         SimBackend, SimConfig, SimReport,
-        SplicedOutcome, SplicedResult, SweepArtifact, SweepGrid, SweepResult, SweepRunner,
+        SweepGrid, SweepResult, SweepRunner,
         VerifyReport, SCHEMA_VERSION,
     };
     pub use eva_types::{
@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use eva_workloads::{
         AlibabaTraceConfig, BoundedSource, DurationModelChoice, InterferenceModel, JobSource,
-        JsonLinesSource, ShardMeta, ShardPlanner, ShardPolicy, SyntheticSource,
+        JsonLinesSource, SyntheticSource,
         SyntheticTraceConfig, Trace, TraceHandle, TraceSource, WorkloadCatalog,
     };
 }

@@ -10,8 +10,8 @@
 //!              [--schedulers A,B,..] [--seeds S1,S2,..]
 //!              [--backend sim|live|sim,live] [--threads N] [--procs N]
 //!              [--faults REGIME[:INTENSITY]]
-//!              [--shard N|auto[:JOBS]] [--cache] [--no-cache]
-//!              [--cache-dir DIR] [--period MINS] [--json FILE]
+//!              [--cache] [--no-cache] [--cache-dir DIR]
+//!              [--period MINS] [--json FILE]
 //! eva serve    --source synthetic:RATE|trace:PATH|stdin
 //!              [--scheduler NAME] [--seed N] [--period MINS]
 //!              [--duration HOURS] [--metrics-every SECS] [--max-jobs N]
@@ -80,18 +80,14 @@ impl Default for SimArgs {
 }
 
 /// Arguments of the `sweep` subcommand: the shared simulation knobs plus
-/// the scheduler, seed, and backend axes of the grid, trace sharding,
-/// and the persistent report cache.
+/// the scheduler, seed, and backend axes of the grid and the persistent
+/// report cache.
 #[derive(Debug, Clone, PartialEq)]
 struct SweepArgs {
     sim: SimArgs,
     schedulers: Vec<String>,
     seeds: Vec<u64>,
     backends: Vec<String>,
-    /// How to shard each trace into arrival-time windows (`None` =
-    /// unsharded): `--shard N` for equal windows, `--shard auto[:JOBS]`
-    /// for density-aware planning with a per-window job budget.
-    shard: Option<ShardPolicy>,
     /// Whether the persistent report cache is consulted (CLI default:
     /// off; `--cache`, `--cache-dir`, or `--procs > 1` turns it on).
     cache: bool,
@@ -116,7 +112,6 @@ impl Default for SweepArgs {
             ],
             seeds: vec![42],
             backends: vec!["sim".into()],
-            shard: None,
             cache: false,
             cache_dir: None,
             procs: 1,
@@ -254,7 +249,12 @@ fn parse_sim_args<'a>(
         };
         match flag.as_str() {
             "--jobs" => args.sim.jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--rate" => args.sim.rate = value()?.parse().map_err(|e| format!("--rate: {e}"))?,
+            "--rate" => {
+                args.sim.rate = value()?.parse().map_err(|e| format!("--rate: {e}"))?;
+                if !(args.sim.rate.is_finite() && args.sim.rate > 0.0) {
+                    return Err("--rate: must be a positive number of jobs per hour".into());
+                }
+            }
             "--scheduler" if !sweep => args.sim.scheduler = value()?,
             "--durations" => args.sim.durations = value()?,
             "--seed" => args.sim.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
@@ -288,10 +288,6 @@ fn parse_sim_args<'a>(
                 for name in &args.backends {
                     BackendKind::from_name(name).map_err(|e| format!("--backend: {e}"))?;
                 }
-            }
-            "--shard" if sweep => {
-                args.shard =
-                    Some(ShardPolicy::parse(&value()?).map_err(|e| format!("--shard: {e}"))?)
             }
             "--cache" if sweep => args.cache = true,
             "--no-cache" if sweep => {
@@ -463,7 +459,7 @@ fn run(cli: Cli) -> Result<(), String> {
                 "eva — cost-efficient cloud-based cluster scheduling (EuroSys '25 reproduction)\n\n\
                  USAGE:\n  eva simulate [--jobs N] [--rate J/HR] [--scheduler NAME] [--durations alibaba|gavel] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N] [--json FILE]\n  \
                  eva compare  [--jobs N] [--rate J/HR] [--durations ...] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N]\n  \
-                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--procs N] [--shard N|auto[:JOBS]] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
+                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--procs N] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
                  eva serve    --source synthetic:RATE|trace:PATH|stdin [--scheduler NAME] [--seed N] [--period MINS] [--duration HOURS] [--metrics-every SECS] [--max-jobs N]\n  \
                  eva cache    stats|verify|prune [--max-age DAYS] [--keep-retired] [--cache-dir DIR]\n  \
                  eva cache    import|merge SRC | export DEST [--cache-dir DIR]\n  \
@@ -479,14 +475,6 @@ fn run(cli: Cli) -> Result<(), String> {
                  are byte-identical for any thread count, identical cells run once,\n\
                  and the longest cells are claimed first. A single `simulate` run is\n\
                  one cell, so `--threads` is accepted there but has no effect.\n\n\
-                 `--shard N` splits the trace into N arrival-time windows that run as\n\
-                 independent cells (bounding per-cell memory) and splices their\n\
-                 reports back into whole-trace rows, flagging approximate metrics.\n\
-                 `--shard auto[:JOBS]` plans the windows from arrival density instead:\n\
-                 each targets JOBS jobs and cuts where every earlier job is estimated\n\
-                 to have drained. Every sharded sweep prints a partition audit —\n\
-                 jobs straddling a window boundary demote the integer metrics from\n\
-                 exact to inexact in the spliced rows and the --json artifact.\n\
                  `--cache` / `--cache-dir DIR` memoize cell reports on disk (default\n\
                  DIR results/cache, shared with the exp_* binaries, keyed by trace\n\
                  content + all knobs + code schema version); a warm rerun simulates\n\
@@ -569,19 +557,12 @@ fn run(cli: Cli) -> Result<(), String> {
                 .iter()
                 .map(|name| BackendKind::from_name(name))
                 .collect::<Result<Vec<_>, String>>()?;
-            let mut grid = SweepGrid::new("cli", trace)
+            let grid = SweepGrid::new("cli", trace)
                 .schedulers_by_name(&names)?
                 .seeds(args.seeds.clone())
                 .backends(backends)
                 .faults(vec![args.sim.faults])
                 .round_period(round_period(&args.sim));
-            if let Some(policy) = args.shard {
-                grid = grid.shards(policy);
-                // Report what the planner actually did: `--shard 8` on a
-                // sparse trace can produce fewer windows, and `auto` can
-                // leave a within-budget trace whole.
-                println!("shard plan: {}", ShardMeta::plan_summary(&grid.shard_metas()));
-            }
             let mut runner = SweepRunner::new(args.sim.threads);
             if args.cache {
                 let dir = args
@@ -596,17 +577,12 @@ fn run(cli: Cli) -> Result<(), String> {
                 };
             }
             println!(
-                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs{}) on {} threads{}...",
+                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs) on {} threads{}...",
                 grid.cell_count(),
                 args.schedulers.len(),
                 args.seeds.len(),
                 args.backends.len(),
                 args.sim.jobs,
-                if args.shard.is_some() {
-                    format!(", {} shard window(s)", grid.trace_axis_len())
-                } else {
-                    String::new()
-                },
                 runner.threads(),
                 if args.procs > 1 {
                     format!(" × {} federated procs", args.procs)
@@ -616,59 +592,22 @@ fn run(cli: Cli) -> Result<(), String> {
             );
             let (result, stats) = runner.run_with_stats(&grid);
             println!("cells: {}", stats.summary());
-            println!(
-                "{:<16} {:>6} {:>6} {:>6}  report",
-                "scheduler", "seed", "exec", "shard"
-            );
+            println!("{:<16} {:>6} {:>6}  report", "scheduler", "seed", "exec");
             for cell in &result.cells {
                 println!(
-                    "{:<16} {:>6} {:>6} {:>6}  {}",
+                    "{:<16} {:>6} {:>6}  {}",
                     cell.key.scheduler,
                     cell.key.seed,
                     cell.key.backend,
-                    cell.key.shard_label(),
                     cell.report.table_row(None)
                 );
             }
-            let spliced = args.shard.is_some().then(|| {
-                let spliced = result.spliced();
-                if let Some(audit) = spliced.audit() {
-                    println!("partition audit: {}", audit.summary());
-                }
-                println!(
-                    "spliced to {} whole-trace rows (approximate metrics flagged: {}):",
-                    spliced.cells.len(),
-                    spliced
-                        .cells
-                        .first()
-                        .map(|c| c.inexact_metrics.join(", "))
-                        .unwrap_or_default()
-                );
-                for cell in &spliced.cells {
-                    println!(
-                        "{:<16} {:>6} {:>6} {:>6}  {}",
-                        cell.key.scheduler,
-                        cell.key.seed,
-                        cell.key.backend,
-                        format!("={}", cell.shards),
-                        cell.report.table_row(None)
-                    );
-                }
-                spliced
-            });
             if let Some(path) = args.sim.json {
                 // Federation workers inherit the coordinator's argv; the
                 // coordinator alone owns the artifact file.
                 if !worker_role() {
-                    let json = match spliced {
-                        Some(spliced) => SweepArtifact {
-                            sweep: result,
-                            spliced,
-                        }
-                        .to_json_pretty(),
-                        None => result.to_json_pretty(),
-                    };
-                    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
+                    std::fs::write(&path, result.to_json_pretty())
+                        .map_err(|e| format!("write {path}: {e}"))?;
                     println!("saved {path}");
                 }
             }
@@ -979,13 +918,12 @@ mod tests {
             "simulate --period -5",
             "compare --threads abc",
             "sweep --threads",
+            "simulate --rate 0",
+            "compare --rate -1",
+            "sweep --rate nan",
         ] {
             let err = parse(&argv(bad)).unwrap_err();
-            let flag = if bad.contains("--period") {
-                "--period"
-            } else {
-                "--threads"
-            };
+            let flag = bad.split(' ').nth(1).expect("every row names a flag");
             assert!(err.contains(flag), "{bad} → {err}");
         }
     }
@@ -999,37 +937,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_shard_and_cache_flags() {
-        let cli = parse(&argv("sweep --shard 4 --cache-dir /tmp/c")).unwrap();
+    fn parses_cache_flags() {
+        let cli = parse(&argv("sweep --cache-dir /tmp/c")).unwrap();
         let Command::Sweep(args) = cli.command else {
             panic!()
         };
-        assert_eq!(args.shard, Some(ShardPolicy::Windows(4)));
         assert!(args.cache);
         assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
 
         let Command::Sweep(defaults) = parse(&argv("sweep")).unwrap().command else {
             panic!()
         };
-        assert_eq!(defaults.shard, None);
         assert!(!defaults.cache, "CLI caching is opt-in");
-
-        let Command::Sweep(auto) = parse(&argv("sweep --shard auto")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(auto.shard, Some(ShardPolicy::auto()));
-        let Command::Sweep(budget) = parse(&argv("sweep --shard auto:50")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(budget.shard, Some(ShardPolicy::auto_with_budget(50)));
-
-        // 0/1 windows used to run unsharded silently — now rejected with
-        // a flag-style error.
-        for bad in ["sweep --shard 0", "sweep --shard 1", "sweep --shard auto:0"] {
-            let err = parse(&argv(bad)).unwrap_err();
-            assert!(err.contains("--shard"), "{bad} → {err}");
-        }
 
         let Command::Sweep(cached) = parse(&argv("sweep --cache")).unwrap().command else {
             panic!()
@@ -1045,9 +964,7 @@ mod tests {
         assert!(!off.cache);
 
         // Sweep-only flags are rejected elsewhere; bad values error.
-        assert!(parse(&argv("simulate --shard 4")).is_err());
         assert!(parse(&argv("simulate --cache")).is_err());
-        assert!(parse(&argv("sweep --shard abc")).is_err());
         assert!(parse(&argv("sweep --cache-dir")).is_err());
     }
 

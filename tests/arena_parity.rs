@@ -4,9 +4,8 @@
 //! arenas. This suite pins the *observable* behaviour of that storage to
 //! a committed golden file produced by the pre-arena (map-keyed) world:
 //! sweep JSON across the paper scheduler set, both execution backends,
-//! sharded and unsharded, fault-free and fault-injected, must stay
-//! **byte-identical** — the arena is a representation change, never a
-//! semantic one.
+//! fault-free and fault-injected, must stay **byte-identical** — the
+//! arena is a representation change, never a semantic one.
 //!
 //! Regenerate the golden only when the simulation semantics are *meant*
 //! to change (and say so in the PR):
@@ -42,20 +41,12 @@ fn trace(jobs: usize, seed: u64, rate: f64) -> Trace {
     .generate(seed)
 }
 
-/// The paper scheduler set over one moderate trace, unsharded, sim
-/// backend — the bread-and-butter sweep every experiment binary runs.
+/// The paper scheduler set over one moderate trace, sim backend — the
+/// bread-and-butter sweep every experiment binary runs.
 fn paper_grid() -> SweepGrid {
     SweepGrid::new("paper-sim", trace(20, 3, 6.0))
         .paper_schedulers()
         .seeds(vec![1, 2])
-}
-
-/// The same paper set over a sparse trace split by the density-aware
-/// planner — shard cells plus their spliced whole-trace view.
-fn sharded_grid() -> SweepGrid {
-    SweepGrid::new("paper-sharded", trace(24, 9, 0.05))
-        .paper_schedulers()
-        .shards(ShardPolicy::auto_with_budget(8))
 }
 
 /// Sim vs live on one small trace: the live backend replays the recorded
@@ -79,30 +70,21 @@ fn faulted_grid() -> SweepGrid {
         .faults(faults)
 }
 
-/// Runs every parity grid and concatenates the sweep JSON (cells plus
-/// spliced whole-trace views) into one deterministic document.
+/// Runs every parity grid and concatenates the sweep JSON into one
+/// deterministic document.
 fn render_all() -> String {
     let mut doc = String::new();
     writeln!(doc, "{{").unwrap();
     let grids: Vec<(&str, SweepGrid)> = vec![
         ("paper", paper_grid()),
-        ("sharded", sharded_grid()),
         ("backends", backend_grid()),
         ("faulted", faulted_grid()),
     ];
     let last = grids.len() - 1;
     for (i, (name, grid)) in grids.into_iter().enumerate() {
         let result = SweepRunner::new(2).run(&grid);
-        let spliced = result.spliced();
-        writeln!(doc, "\"{name}\": {{").unwrap();
-        writeln!(doc, "\"sweep\": {},", result.to_json_pretty()).unwrap();
-        writeln!(
-            doc,
-            "\"spliced\": {}",
-            serde_json::to_string_pretty(&spliced).unwrap()
-        )
-        .unwrap();
-        writeln!(doc, "}}{}", if i == last { "" } else { "," }).unwrap();
+        let comma = if i == last { "" } else { "," };
+        writeln!(doc, "\"{name}\": {}{comma}", result.to_json_pretty()).unwrap();
     }
     writeln!(doc, "}}").unwrap();
     doc

@@ -46,7 +46,6 @@ fn help_lists_every_subcommand() {
         "--threads",
         "--schedulers",
         "--seeds",
-        "--shard",
         "--cache",
         "--no-cache",
         "--cache-dir",
@@ -145,59 +144,15 @@ fn sweep_runs_grid_and_writes_stable_json() {
 }
 
 #[test]
-fn sweep_rejects_degenerate_shard_counts() {
-    // `--shard 0` / `--shard 1` used to run unsharded with no feedback;
-    // they are now flag errors pointing at `--shard`.
-    for v in ["0", "1", "bogus", "auto:0"] {
-        let out = run_eva(&["sweep", "--jobs", "6", "--shard", v]);
-        assert!(!out.status.success(), "--shard {v} should fail");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(
-            stderr.contains("error:") && stderr.contains("--shard"),
-            "--shard {v} → {stderr}"
-        );
-    }
-}
-
-#[test]
-fn sweep_shard_auto_reports_plan_audit_and_json_artifact() {
-    let path = std::env::temp_dir().join(format!(
-        "eva_cli_shard_auto_{}.json",
-        std::process::id()
-    ));
-    let out = run_eva(&[
-        "sweep",
-        "--jobs",
-        "20",
-        "--rate",
-        "0.05",
-        "--schedulers",
-        "no-packing",
-        "--seeds",
-        "1",
-        "--shard",
-        "auto:8",
-        "--threads",
-        "2",
-        "--json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "exit: {:?}", out.status);
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    // The planner reports what it actually did, and the splice audits
-    // the partition instead of assuming it is clean.
-    assert!(stdout.contains("shard plan:"), "no shard plan in:\n{stdout}");
+fn sweep_rejects_removed_window_flag_as_unknown() {
+    // No shim, no deprecation path: the flag is simply not in the parser.
+    let out = run_eva(&["sweep", "--jobs", "6", "--shard", "8"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
-        stdout.contains("partition audit:"),
-        "no audit line in:\n{stdout}"
+        stderr.contains("error: unknown flag `--shard`"),
+        "stderr: {stderr}"
     );
-    // The artifact carries the PartitionAudit alongside the spliced rows.
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.contains("\"spliced\""), "artifact lacks spliced view");
-    assert!(json.contains("\"audit\""), "artifact lacks the audit");
-    assert!(json.contains("\"straddlers\""));
-    assert!(json.contains("\"clean\""));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
