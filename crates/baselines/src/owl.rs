@@ -49,36 +49,27 @@ impl OracleProfile {
 }
 
 impl TputEstimator for OracleProfile {
-    fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64 {
-        others
-            .iter()
-            .map(|o| self.pairs.get(&(task, *o)).copied().unwrap_or(1.0))
-            .product::<f64>()
-            .clamp(0.0, 1.0)
+    fn recorded(&self, _task: WorkloadKind, _others: &[WorkloadKind]) -> Option<f64> {
+        None
+    }
+    fn pairwise(&self, task: WorkloadKind, other: WorkloadKind) -> f64 {
+        self.pairs.get(&(task, other)).copied().unwrap_or(1.0)
     }
 }
+
+/// Minimum profiled throughput for both members of a pair: "low
+/// interference only".
+const TPUT_FLOOR: f64 = 0.85;
 
 /// See the module docs.
 pub struct OwlScheduler {
     profile: OracleProfile,
-    /// Minimum profiled throughput for both members of a pair.
-    tput_floor: f64,
 }
 
 impl OwlScheduler {
-    /// Builds the scheduler with the paper-granted profile. The default
-    /// throughput floor of 0.85 encodes "low interference only".
+    /// Builds the scheduler with the paper-granted profile.
     pub fn new(profile: OracleProfile) -> Self {
-        OwlScheduler {
-            profile,
-            tput_floor: 0.85,
-        }
-    }
-
-    /// Overrides the pairing throughput floor.
-    pub fn with_tput_floor(mut self, floor: f64) -> Self {
-        self.tput_floor = floor.clamp(0.0, 1.0);
-        self
+        OwlScheduler { profile }
     }
 }
 
@@ -152,7 +143,7 @@ impl Scheduler for OwlScheduler {
                     };
                     let tput_new = self.profile.estimate(task.workload, &[resident.workload]);
                     let tput_res = self.profile.estimate(resident.workload, &[task.workload]);
-                    if tput_new < self.tput_floor || tput_res < self.tput_floor {
+                    if tput_new < TPUT_FLOOR || tput_res < TPUT_FLOOR {
                         continue;
                     }
                     let total = ty.demand_of(&task.demand) + inst.used;
@@ -200,7 +191,7 @@ impl Scheduler for OwlScheduler {
                 let (a, b) = (pending[i], pending[j]);
                 let tput_a = self.profile.estimate(a.workload, &[b.workload]);
                 let tput_b = self.profile.estimate(b.workload, &[a.workload]);
-                if tput_a < self.tput_floor || tput_b < self.tput_floor {
+                if tput_a < TPUT_FLOOR || tput_b < TPUT_FLOOR {
                     continue;
                 }
                 let Some(ty) = ctx.catalog.cheapest_fit_all(&[&a.demand, &b.demand]) else {

@@ -97,7 +97,7 @@ impl Scheduler for SynergyScheduler {
                 } else {
                     // Interference-aware admission: a running box is a sunk
                     // cost, but joining it must not destroy value.
-                    let joined = eval.join(set, task.workload)(eval.priced(task));
+                    let joined = eval.set(set).join(task.workload)(eval.priced(task));
                     if joined < eval.tnrp_set(set) {
                         continue;
                     }

@@ -160,11 +160,6 @@ impl DelayModel {
         }
     }
 
-    /// Mean acquisition delay (after scaling).
-    pub fn mean_acquisition(&self) -> SimDuration {
-        self.acquisition.mean().scale(self.scale)
-    }
-
     /// Mean setup delay (after scaling).
     pub fn mean_setup(&self) -> SimDuration {
         self.setup.mean().scale(self.scale)

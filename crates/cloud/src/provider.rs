@@ -192,11 +192,6 @@ impl CloudProvider {
         &self.catalog
     }
 
-    /// The delay model in use.
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delays
-    }
-
     /// Total instances ever launched (Table 10's "Instances Launched").
     pub fn launch_count(&self) -> u64 {
         self.launches

@@ -1,7 +1,5 @@
 //! Eva scheduler configuration and ablation switches.
 
-use eva_types::SimDuration;
-
 /// Which reconfiguration algorithms are in play.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconfigMode {
@@ -33,9 +31,6 @@ pub struct EvaConfig {
     /// subset goes exclusively to new instances. On by default; the
     /// new-instances-only reading is kept as an ablation.
     pub refill_existing: bool,
-    /// Mean instance setup delay used when pricing new launches in `M`
-    /// (Table 1's 190 s by default).
-    pub mean_setup: SimDuration,
     /// Prior event rate `λ` (events/hour) before data accumulates.
     pub initial_lambda: f64,
     /// Prior trigger probability `p` before data accumulates.
@@ -50,7 +45,6 @@ impl Default for EvaConfig {
             mode: ReconfigMode::Ensemble,
             default_tput: 0.95,
             refill_existing: true,
-            mean_setup: SimDuration::from_secs(190),
             initial_lambda: 2.0,
             initial_p: 0.3,
         }
@@ -108,7 +102,6 @@ mod tests {
         assert_eq!(c.mode, ReconfigMode::Ensemble);
         assert_eq!(c.default_tput, 0.95);
         assert!(c.refill_existing);
-        assert_eq!(c.mean_setup, SimDuration::from_secs(190));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Both `λ` and `p` are estimated online by [`EventRateEstimator`].
 
-use eva_types::{SimDuration, SimTime};
+use eva_types::SimTime;
 
 /// Inputs to the Equation 1 comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,11 +111,6 @@ impl EventRateEstimator {
         self.last_update = Some(now);
     }
 
-    /// Total events recorded.
-    pub fn event_count(&self) -> u64 {
-        self.events
-    }
-
     /// `λ̂`: events per hour. Uses the prior until at least one hour of
     /// data and a few events exist.
     pub fn lambda_per_hour(&self) -> f64 {
@@ -147,11 +142,6 @@ impl EventRateEstimator {
         let lambda = self.lambda_per_hour();
         let p = self.p_trigger();
         -1.0 / (lambda * (1.0 - p).ln())
-    }
-
-    /// `D̂` as a simulated duration.
-    pub fn estimated_duration(&self) -> SimDuration {
-        SimDuration::from_hours_f64(self.estimated_duration_hours())
     }
 }
 

@@ -46,6 +46,6 @@ pub use plan::{
     PlannedInstance, Scheduler, SchedulerContext, TaskSnapshot,
 };
 pub use reservation::{
-    reservation_price, Priced, ReservationPrices, TnrpEvaluator, TputEstimator, UnitTput,
+    reservation_price, Priced, ReservationPrices, TnrpEvaluator, TnrpSet, TputEstimator, UnitTput,
 };
 pub use scheduler::EvaScheduler;

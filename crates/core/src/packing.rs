@@ -40,7 +40,7 @@ use eva_cloud::{Catalog, InstanceType};
 use eva_types::{InstanceTypeId, ResourceVector, TaskId};
 
 use crate::plan::TaskSnapshot;
-use crate::reservation::{Priced, TnrpEvaluator};
+use crate::reservation::{Priced, TnrpEvaluator, TnrpSet};
 
 /// One packed instance: a type plus the task set assigned to it.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,17 +222,20 @@ pub(crate) fn pack(
             trial.clone_from(&heads);
             let (set, tnrp) =
                 pack_one_instance(&grouped, &mut trial, &instance_type.capacity, eval);
-            // Commit only when cost-efficient (Algorithm 1 line 14).
-            if set.is_empty() || tnrp + 1e-9 < instance_type.hourly_cost.as_dollars() {
+            // Commit only when cost-efficient (Algorithm 1 line 14), which
+            // a NaN is not.
+            let cost = instance_type.hourly_cost.as_dollars();
+            let efficient = tnrp + 1e-9 >= cost;
+            if set.tasks().len() == 0 || !efficient {
                 // Move on to the next cheaper type (line 17).
                 break;
             }
             std::mem::swap(&mut heads, &mut trial);
             config.instances.push(PackedInstance {
                 type_id: instance_type.id,
-                tasks: set.iter().map(|t| t.id).collect(),
+                tasks: set.tasks().map(|t| t.id).collect(),
                 tnrp_dollars: tnrp,
-                cost_dollars: instance_type.hourly_cost.as_dollars(),
+                cost_dollars: cost,
             });
         }
     }
@@ -249,13 +252,13 @@ pub(crate) fn pack(
 /// Greedily fills one instance of the given capacity from `heads`,
 /// advancing them (Algorithm 1 lines 5–13). Returns the selected tasks (in
 /// assignment order) and the final set TNRP.
-fn pack_one_instance<'a>(
+fn pack_one_instance<'e, 'a>(
     grouped: &Grouped<'a>,
     heads: &mut Heads,
     capacity: &ResourceVector,
-    eval: &TnrpEvaluator<'_>,
-) -> (Vec<&'a TaskSnapshot>, f64) {
-    let mut set: Vec<&TaskSnapshot> = Vec::new();
+    eval: &'e TnrpEvaluator<'_>,
+) -> (TnrpSet<'e, 'a>, f64) {
+    let mut set = eval.set(&[]);
     let mut used = ResourceVector::ZERO;
     let mut current_tnrp = 0.0;
 
@@ -271,13 +274,14 @@ fn pack_one_instance<'a>(
             }
             let known = joins.iter().find(|(w, _)| *w == c.task.workload).copied();
             let (_, join) = known.unwrap_or_else(|| {
-                joins.push((c.task.workload, eval.join(&set, c.task.workload)));
+                joins.push((c.task.workload, set.join(c.task.workload)));
                 joins[joins.len() - 1]
             });
             let tnrp = join(c.priced);
             debug_assert_eq!(
                 tnrp.to_bits(),
-                eval.tnrp_set(&[&set[..], &[task]].concat()).to_bits()
+                eval.tnrp_set(&set.tasks().chain([task]).collect::<Vec<_>>())
+                    .to_bits()
             );
             // Strict improvement comparison with stable id tie-break keeps
             // the algorithm deterministic; it depends on the scan order.
@@ -294,8 +298,10 @@ fn pack_one_instance<'a>(
             }
         }
         let Some((idx, tnrp)) = best else { break };
-        // Line 9: stop when the marginal addition lowers the set TNRP.
-        if tnrp < current_tnrp {
+        // Line 9: stop when the marginal addition lowers the set TNRP, as
+        // a NaN is taken to.
+        let grows = tnrp >= current_tnrp;
+        if !grows {
             break;
         }
         let (pos, class) = heads.remove(idx);
@@ -316,22 +322,13 @@ fn pack_one_instance<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::test_task;
     use crate::reservation::{ReservationPrices, UnitTput};
     use eva_interference::ThroughputTable;
-    use eva_types::{DemandSpec, JobId, SimDuration, WorkloadKind};
+    use eva_types::{JobId, WorkloadKind};
 
     fn t(job: u64, gpu: u32, cpu: u32, ram_gb: u64, workload: u32) -> TaskSnapshot {
-        TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind(workload),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
-            assigned_to: None,
-            remaining_hint: None,
-        }
+        test_task(job, ResourceVector::with_ram_gb(gpu, cpu, ram_gb), workload)
     }
 
     fn table3_tasks() -> Vec<TaskSnapshot> {

@@ -126,7 +126,7 @@ pub(crate) fn partial_over(
                     if !total.fits_within(&ty.capacity) {
                         continue;
                     }
-                    let tnrp = eval.join(set, task.workload)(eval.priced(task));
+                    let tnrp = eval.set(set).join(task.workload)(eval.priced(task));
                     if tnrp >= *before.get_or_insert_with(|| eval.tnrp_set(set))
                         && tnrp + 1e-9 >= ty.hourly_cost.as_dollars()
                         && best.is_none_or(|(_, b)| tnrp > b)
@@ -163,10 +163,10 @@ pub(crate) fn partial_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{InstanceSnapshot, SchedulerContext};
+    use crate::plan::{test_task, InstanceSnapshot, SchedulerContext};
     use crate::reservation::{ReservationPrices, UnitTput};
     use eva_interference::ThroughputTable;
-    use eva_types::{DemandSpec, JobId, ResourceVector, SimDuration, SimTime, WorkloadKind};
+    use eva_types::{JobId, ResourceVector, SimTime, WorkloadKind};
 
     fn view<'a>(
         tasks: &'a [TaskSnapshot],
@@ -197,16 +197,10 @@ mod tests {
     }
 
     fn t(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
+        let demand = ResourceVector::with_ram_gb(gpu, cpu, ram_gb);
         TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind((job % 8) as u32),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
             assigned_to: assigned.map(InstanceId),
-            remaining_hint: None,
+            ..test_task(job, demand, (job % 8) as u32)
         }
     }
 

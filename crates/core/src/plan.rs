@@ -53,6 +53,22 @@ impl TaskSnapshot {
     }
 }
 
+/// Task 0 of a one-task job, as this crate's unit tests build them.
+#[cfg(test)]
+pub(crate) fn test_task(job: u64, demand: ResourceVector, workload: u32) -> TaskSnapshot {
+    TaskSnapshot {
+        id: TaskId::new(JobId(job), 0),
+        workload: WorkloadKind(workload),
+        demand: DemandSpec::uniform(demand),
+        checkpoint_delay: SimDuration::from_secs(2),
+        launch_delay: SimDuration::from_secs(10),
+        gang_size: 1,
+        gang_coupled: false,
+        assigned_to: None,
+        remaining_hint: None,
+    }
+}
+
 /// A scheduler-visible view of one live instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceSnapshot {
@@ -336,19 +352,12 @@ pub trait Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_types::ResourceVector;
 
     fn snap(job: u64, idx: u32, assigned: Option<u64>) -> TaskSnapshot {
         TaskSnapshot {
             id: TaskId::new(JobId(job), idx),
-            workload: WorkloadKind(0),
-            demand: DemandSpec::uniform(ResourceVector::new(1, 4, 1024)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
             assigned_to: assigned.map(InstanceId),
-            remaining_hint: None,
+            ..test_task(job, ResourceVector::new(1, 4, 1024), 0)
         }
     }
 

@@ -15,14 +15,35 @@ use crate::plan::TaskSnapshot;
 /// the Owl baseline), and by [`UnitTput`] for interference-oblivious
 /// scheduling (Eva-RP).
 pub trait TputEstimator {
+    /// The recorded throughput of `task` beside exactly the group `others`
+    /// (two or more), if the estimator holds one.
+    fn recorded(&self, task: WorkloadKind, others: &[WorkloadKind]) -> Option<f64>;
+
+    /// Normalized throughput of `task` beside one `other`.
+    fn pairwise(&self, task: WorkloadKind, other: WorkloadKind) -> f64;
+
     /// `tput(τ, T)` — normalized throughput of `task` when co-located with
-    /// `others` on the same instance.
-    fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64;
+    /// `others` on the same instance (§4.3): 1.0 alone, the pairwise value
+    /// beside one other, else the recorded group or the product of the
+    /// pairwise values in `others`' order, clamped to `[0, 1]`.
+    fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64 {
+        match others {
+            [] => 1.0,
+            [other] => self.pairwise(task, *other),
+            _ => self.recorded(task, others).unwrap_or_else(|| {
+                let pairs = others.iter().map(|o| self.pairwise(task, *o));
+                pairs.product::<f64>().clamp(0.0, 1.0)
+            }),
+        }
+    }
 }
 
 impl TputEstimator for ThroughputTable {
-    fn estimate(&self, task: WorkloadKind, others: &[WorkloadKind]) -> f64 {
-        ThroughputTable::estimate(self, task, others)
+    fn recorded(&self, task: WorkloadKind, others: &[WorkloadKind]) -> Option<f64> {
+        ThroughputTable::recorded(self, task, others)
+    }
+    fn pairwise(&self, task: WorkloadKind, other: WorkloadKind) -> f64 {
+        self.pairwise_or_default(task, other)
     }
 }
 
@@ -32,7 +53,10 @@ impl TputEstimator for ThroughputTable {
 pub struct UnitTput;
 
 impl TputEstimator for UnitTput {
-    fn estimate(&self, _task: WorkloadKind, _others: &[WorkloadKind]) -> f64 {
+    fn recorded(&self, _task: WorkloadKind, _others: &[WorkloadKind]) -> Option<f64> {
+        None
+    }
+    fn pairwise(&self, _task: WorkloadKind, _other: WorkloadKind) -> f64 {
         1.0
     }
 }
@@ -90,30 +114,12 @@ impl ReservationPrices {
 
     /// `RP(τ)` in dollars (0.0 for unknown tasks).
     pub fn rp_dollars(&self, task: TaskId) -> f64 {
-        self.prices
-            .get(&task)
-            .map(|c| c.as_dollars())
-            .unwrap_or(0.0)
-    }
-
-    /// `RP(τ)` as exact money, if known.
-    pub fn rp(&self, task: TaskId) -> Option<Cost> {
-        self.prices.get(&task).copied()
+        self.prices.get(&task).map_or(0.0, |c| c.as_dollars())
     }
 
     /// Tasks that no instance type can host.
     pub fn unschedulable(&self) -> &[TaskId] {
         &self.unschedulable
-    }
-
-    /// Number of priced tasks.
-    pub fn len(&self) -> usize {
-        self.prices.len()
-    }
-
-    /// True when no task was priced.
-    pub fn is_empty(&self) -> bool {
-        self.prices.is_empty()
     }
 }
 
@@ -178,19 +184,14 @@ impl<'a> TnrpEvaluator<'a> {
         Priced { rp, gang }
     }
 
-    /// The throughput a task retains inside `set` (its co-located others
-    /// are every *other* member of the set), joined last by `with`.
-    fn tput_in(&self, of: &TaskSnapshot, set: &[&TaskSnapshot], with: Option<WorkloadKind>) -> f64 {
+    /// `TNRP(τ, T)` in dollars (negative values allowed, §4.4): the task's
+    /// co-located others are every *other* member of `set`.
+    pub fn tnrp_task(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
         let mut others = self.others.borrow_mut();
         others.clear();
-        others.extend(set.iter().filter(|t| t.id != of.id).map(|t| t.workload));
-        others.extend(with);
-        self.tput.estimate(of.workload, &others)
-    }
-
-    /// `TNRP(τ, T)` in dollars (negative values allowed, §4.4).
-    pub fn tnrp_task(&self, task: &TaskSnapshot, set: &[&TaskSnapshot]) -> f64 {
-        self.priced(task).tnrp(self.tput_in(task, set, None))
+        others.extend(set.iter().filter(|t| t.id != task.id).map(|t| t.workload));
+        let tput = self.tput.estimate(task.workload, &others);
+        self.priced(task).tnrp(tput)
     }
 
     /// `TNRP(T) = Σ_{τ∈T} TNRP(τ, T)` in dollars.
@@ -198,16 +199,15 @@ impl<'a> TnrpEvaluator<'a> {
         set.iter().map(|t| self.tnrp_task(t, set)).sum()
     }
 
-    /// `TNRP(T ∪ {τ})` in dollars as a function of the [`Priced`] scalars of
-    /// a joiner `τ` of workload `w` outside `set` — all else it depends on.
-    /// Bit-equal to [`Self::tnrp_set`] over `set` then `τ`: the members'
-    /// terms are added in set order, the joiner's last.
-    pub fn join(&self, set: &[&TaskSnapshot], w: WorkloadKind) -> impl Fn(Priced) -> f64 + Copy {
-        let term = |m: &&TaskSnapshot| self.priced(m).tnrp(self.tput_in(m, set, Some(w)));
-        let members: f64 = set.iter().map(term).sum();
-        let all: Vec<WorkloadKind> = set.iter().map(|t| t.workload).collect();
-        let tput = self.tput.estimate(w, &all);
-        move |joiner| members + joiner.tnrp(tput)
+    /// A set under construction that holds `tasks`, pushed in order.
+    pub fn set<'t>(&self, tasks: &[&'t TaskSnapshot]) -> TnrpSet<'_, 't> {
+        let mut set = TnrpSet {
+            eval: self,
+            members: Vec::new(),
+            others: Vec::new(),
+        };
+        tasks.iter().for_each(|t| set.push(t));
+        set
     }
 
     /// Whether assigning `set` to an instance of hourly cost `cost` is
@@ -218,14 +218,71 @@ impl<'a> TnrpEvaluator<'a> {
     }
 }
 
+/// A task set under construction (§4.3). It carries each member's pairwise
+/// product from one growth step to the next, so that scoring a joiner costs
+/// one lookup per member, not one per pair of members.
+pub struct TnrpSet<'e, 't> {
+    eval: &'e TnrpEvaluator<'e>,
+    /// Each task, its [`Priced`], and the product from 1.0 of its pairwise
+    /// throughputs beside every other member in set order.
+    members: Vec<(&'t TaskSnapshot, Priced, f64)>,
+    /// Scratch for the co-located others of one member during a join.
+    others: Vec<WorkloadKind>,
+}
+
+impl<'t> TnrpSet<'_, 't> {
+    /// The members, in the order they were pushed.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = &'t TaskSnapshot> + '_ {
+        self.members.iter().map(|m| m.0)
+    }
+
+    /// Appends `task`, which must not be a member already.
+    pub fn push(&mut self, task: &'t TaskSnapshot) {
+        let (tput, kind) = (self.eval.tput, task.workload);
+        let mut product = 1.0;
+        for (m, _, beside) in &mut self.members {
+            product *= tput.pairwise(kind, m.workload);
+            *beside *= tput.pairwise(m.workload, kind);
+        }
+        self.members.push((task, self.eval.priced(task), product));
+    }
+
+    /// `TNRP(T ∪ {τ})` in dollars as a function of the [`Priced`] scalars of
+    /// a joiner `τ` of workload `w` outside the set — all else it depends
+    /// on. Bit-equal to [`TnrpEvaluator::tnrp_set`] over the members then
+    /// `τ`: their terms are added in set order, the joiner's last, and the
+    /// product [`TputEstimator::estimate`] folds is the carried one times
+    /// the pairwise throughput beside `w`.
+    pub fn join(&mut self, w: WorkloadKind) -> impl Fn(Priced) -> f64 + Copy {
+        let (tput, members) = (self.eval.tput, &self.members);
+        // Member `i`'s others: the members but `i` in set order, then `w`.
+        let others = &mut self.others;
+        others.clear();
+        others.extend(members.iter().skip(1).map(|m| m.0.workload));
+        others.push(w);
+        let term = |(i, &(m, priced, product)): (usize, &(&TaskSnapshot, Priced, f64))| {
+            let kind = m.workload;
+            let folded = || (product * tput.pairwise(kind, w)).clamp(0.0, 1.0);
+            let retained = match members.len() {
+                1 => tput.pairwise(kind, w),
+                _ => tput.recorded(kind, others).unwrap_or_else(folded),
+            };
+            others[i] = kind;
+            priced.tnrp(retained)
+        };
+        let sum: f64 = members.iter().enumerate().map(term).sum();
+        // Every member is back in its place: the joiner's others.
+        others.truncate(members.len());
+        let tput = tput.estimate(w, others);
+        move |joiner| sum + joiner.tnrp(tput)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_types::{JobId, ResourceVector, SimDuration};
-
-    fn task(job: u64, demand: ResourceVector, workload: u32) -> TaskSnapshot {
-        task_gang(job, demand, workload, 1, false)
-    }
+    use crate::plan::test_task as task;
+    use eva_types::ResourceVector;
 
     fn task_gang(
         job: u64,
@@ -235,15 +292,9 @@ mod tests {
         gang_coupled: bool,
     ) -> TaskSnapshot {
         TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind(workload),
-            demand: DemandSpec::uniform(demand),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
             gang_size,
             gang_coupled,
-            assigned_to: None,
-            remaining_hint: None,
+            ..task(job, demand, workload)
         }
     }
 
@@ -405,11 +456,24 @@ mod tests {
         })
     }
 
+    /// Answers for every group, whatever the pairs would multiply to.
+    struct Recorded;
+
+    impl TputEstimator for Recorded {
+        fn recorded(&self, task: WorkloadKind, others: &[WorkloadKind]) -> Option<f64> {
+            Some(0.9 - f64::from(task.0 + others[0].0) / 50.0)
+        }
+        fn pairwise(&self, task: WorkloadKind, other: WorkloadKind) -> f64 {
+            1.1 - f64::from(task.0 * 5 + other.0) / 20.0
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The join is the definition, to the bit: `tnrp_set` over the set
-        /// with the joiner appended.
+        /// The join is the definition, to the bit, at every growth step:
+        /// `tnrp_set` over the tasks pushed so far with the joiner appended,
+        /// whether the set carried its products there or was built there.
         #[test]
         fn join_is_bit_equal_to_tnrp_of_the_joined_set(
             table in arb_table(),
@@ -418,13 +482,18 @@ mod tests {
         ) {
             let catalog = Catalog::table3_example();
             let prices = ReservationPrices::compute(&catalog, tasks.iter());
-            let (joiner, members) = tasks.split_last().unwrap();
-            let set: Vec<&TaskSnapshot> = members.iter().collect();
-            let joined: Vec<&TaskSnapshot> = tasks.iter().collect();
-            for tput in [&table as &dyn TputEstimator, &UnitTput] {
+            let all: Vec<&TaskSnapshot> = tasks.iter().collect();
+            for tput in [&table as &dyn TputEstimator, &UnitTput, &Recorded] {
                 let eval = TnrpEvaluator::new(tput, &prices, multi_task_aware == 1);
-                let join = eval.join(&set, joiner.workload)(eval.priced(joiner));
-                prop_assert_eq!(join.to_bits(), eval.tnrp_set(&joined).to_bits());
+                let mut grown = eval.set(&[]);
+                for (n, joiner) in tasks.iter().enumerate() {
+                    let defined = eval.tnrp_set(&all[..=n]).to_bits();
+                    for set in [&mut grown, &mut eval.set(&all[..n])] {
+                        let join = set.join(joiner.workload)(eval.priced(joiner));
+                        prop_assert_eq!(join.to_bits(), defined);
+                    }
+                    grown.push(joiner);
+                }
             }
         }
     }

@@ -43,8 +43,6 @@ pub struct EvaScheduler {
     monitor: ThroughputMonitor,
     estimator: EventRateEstimator,
     prev_jobs: BTreeSet<JobId>,
-    full_adopted: u64,
-    partial_adopted: u64,
 }
 
 impl EvaScheduler {
@@ -57,29 +55,12 @@ impl EvaScheduler {
             monitor,
             estimator,
             prev_jobs: BTreeSet::new(),
-            full_adopted: 0,
-            partial_adopted: 0,
         }
     }
 
     /// The learned co-location table (read access, e.g. for inspection).
     pub fn monitor(&self) -> &ThroughputMonitor {
         &self.monitor
-    }
-
-    /// `(full, partial)` adoption counts — Figure 5a's proportion metric.
-    pub fn adoption_counts(&self) -> (u64, u64) {
-        (self.full_adopted, self.partial_adopted)
-    }
-
-    /// Fraction of rounds that adopted Full Reconfiguration.
-    pub fn full_adoption_rate(&self) -> f64 {
-        let total = self.full_adopted + self.partial_adopted;
-        if total == 0 {
-            0.0
-        } else {
-            self.full_adopted as f64 / total as f64
-        }
     }
 
     /// Turns an abstract packed configuration into a concrete plan by
@@ -166,11 +147,9 @@ impl Scheduler for EvaScheduler {
         self.prev_jobs = jobs_now;
 
         let prices = ReservationPrices::compute(ctx.catalog, ctx.tasks.iter());
-        let unit = UnitTput;
-        let tput: &dyn TputEstimator = if self.cfg.use_tnrp {
-            self.monitor.table()
-        } else {
-            &unit
+        let tput: &dyn TputEstimator = match self.cfg.use_tnrp {
+            true => self.monitor.table(),
+            false => &UnitTput,
         };
         let eval = TnrpEvaluator::new(tput, &prices, self.cfg.multi_task_aware);
 
@@ -218,14 +197,8 @@ impl Scheduler for EvaScheduler {
         self.estimator.record_events(events, triggered, ctx.now);
 
         match decision {
-            ReconfigDecision::Full => {
-                self.full_adopted += 1;
-                full_plan
-            }
-            ReconfigDecision::Partial => {
-                self.partial_adopted += 1;
-                partial_plan
-            }
+            ReconfigDecision::Full => full_plan,
+            ReconfigDecision::Partial => partial_plan,
         }
     }
 
@@ -241,25 +214,17 @@ impl Scheduler for EvaScheduler {
 mod tests {
     use super::*;
     use crate::packing::PackedInstance;
-    use crate::plan::{InstanceSnapshot, TaskSnapshot};
+    use crate::plan::{test_task, InstanceSnapshot, TaskSnapshot};
     use eva_cloud::Catalog;
     use eva_interference::TaskContext;
-    use eva_types::{
-        DemandSpec, InstanceTypeId, ResourceVector, SimDuration, SimTime, WorkloadKind,
-    };
+    use eva_types::{InstanceTypeId, ResourceVector, SimTime, WorkloadKind};
     use proptest::prelude::*;
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
+        let demand = ResourceVector::with_ram_gb(gpu, cpu, ram_gb);
         TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind((job % 8) as u32),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
             assigned_to: assigned.map(InstanceId),
-            remaining_hint: None,
+            ..test_task(job, demand, (job % 8) as u32)
         }
     }
 
@@ -366,7 +331,6 @@ mod tests {
         let mut eva = EvaScheduler::new(EvaConfig::without_partial());
         let plan = eva.plan(&ctx_with(&catalog, &tasks, &[], 0.0));
         assert!(plan.full_reconfiguration);
-        assert_eq!(eva.adoption_counts(), (1, 0));
     }
 
     #[test]
@@ -376,8 +340,6 @@ mod tests {
         let mut eva = EvaScheduler::new(EvaConfig::without_full());
         let plan = eva.plan(&ctx_with(&catalog, &tasks, &[], 0.0));
         assert!(!plan.full_reconfiguration);
-        assert_eq!(eva.adoption_counts(), (0, 1));
-        assert_eq!(eva.full_adoption_rate(), 0.0);
     }
 
     #[test]

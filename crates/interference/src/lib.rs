@@ -22,6 +22,3 @@ pub mod table;
 
 pub use monitor::{TaskContext, ThroughputMonitor};
 pub use table::ThroughputTable;
-
-/// The paper's default optimistic throughput for unknown pairs (§4.3).
-pub const DEFAULT_PAIRWISE_TPUT: f64 = 0.95;

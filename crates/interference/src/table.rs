@@ -1,9 +1,12 @@
 //! The co-location throughput table (§4.3).
+//!
+//! Both maps hash with [`IdBuildHasher`], which does not resist workload
+//! kinds chosen to collide — the trade `ClusterView` made in PR 22.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use eva_types::WorkloadKind;
+use eva_types::{IdBuildHasher, WorkloadKind};
 
 thread_local! {
     /// Scratch for the key of a lookup.
@@ -43,8 +46,11 @@ fn fill_key(key: &mut Vec<WorkloadKind>, task: WorkloadKind, others: &[WorkloadK
 pub struct ThroughputTable {
     default_tput: f64,
     /// By [`fill_key`]'s keys, which a lookup can borrow from scratch.
-    exact: HashMap<Vec<WorkloadKind>, f64>,
-    pairwise: HashMap<(WorkloadKind, WorkloadKind), f64>,
+    /// Probed, never iterated, like `pairwise`.
+    exact: HashMap<Vec<WorkloadKind>, f64, IdBuildHasher>,
+    pairwise: HashMap<(WorkloadKind, WorkloadKind), f64, IdBuildHasher>,
+    /// Bit `others.len().min(63)` is set when `exact` holds such a group.
+    sizes: u64,
 }
 
 impl ThroughputTable {
@@ -53,14 +59,10 @@ impl ThroughputTable {
     pub fn new(default_tput: f64) -> Self {
         ThroughputTable {
             default_tput: default_tput.clamp(0.0, 1.0),
-            exact: HashMap::new(),
-            pairwise: HashMap::new(),
+            exact: HashMap::default(),
+            pairwise: HashMap::default(),
+            sizes: 0,
         }
-    }
-
-    /// The default pairwise throughput.
-    pub fn default_tput(&self) -> f64 {
-        self.default_tput
     }
 
     /// Number of recorded exact group entries.
@@ -77,6 +79,9 @@ impl ThroughputTable {
     pub fn recorded(&self, task: WorkloadKind, others: &[WorkloadKind]) -> Option<f64> {
         if others.is_empty() {
             return Some(1.0);
+        }
+        if self.sizes & (1 << others.len().min(63)) == 0 {
+            return None;
         }
         LOOKUP_KEY.with_borrow_mut(|key| {
             fill_key(key, task, others);
@@ -129,12 +134,14 @@ impl ThroughputTable {
         let mut key = Vec::new();
         fill_key(&mut key, task, others);
         self.exact.insert(key, tput);
+        self.sizes |= 1 << others.len().min(63);
     }
 
     /// Removes every recorded entry (used by tests and ablations).
     pub fn clear(&mut self) {
         self.exact.clear();
         self.pairwise.clear();
+        self.sizes = 0;
     }
 }
 
