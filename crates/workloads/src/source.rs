@@ -178,13 +178,14 @@ impl JobSource for SyntheticSource {
 
 /// External feed: one JSON-encoded [`JobSpec`] per line.
 ///
-/// Blank lines are skipped. Malformed lines and out-of-order arrivals
-/// (which would break the engine's monotone clock) are skipped with a
-/// warning on stderr rather than poisoning the stream. Ids are trusted:
-/// `ClusterView` hashes them with `eva_types::IdHasher`, which does not
-/// resist a feed crafted to collide (slower rounds, same results).
+/// Blank lines are skipped. Malformed lines (not UTF-8 or not a `JobSpec`)
+/// and out-of-order arrivals (which would break the engine's monotone clock)
+/// are skipped with a warning on stderr; only a read error ends the stream.
+/// Ids are trusted: `ClusterView` hashes them with `eva_types::IdHasher`,
+/// which does not resist a feed crafted to collide (slower, same results).
 pub struct JsonLinesSource<R: BufRead> {
     reader: R,
+    line: Vec<u8>,
     last_arrival: SimTime,
     line_no: usize,
 }
@@ -194,6 +195,7 @@ impl<R: BufRead> JsonLinesSource<R> {
     pub fn new(reader: R) -> Self {
         JsonLinesSource {
             reader,
+            line: Vec::new(),
             last_arrival: SimTime::ZERO,
             line_no: 0,
         }
@@ -202,11 +204,10 @@ impl<R: BufRead> JsonLinesSource<R> {
 
 impl<R: BufRead> JobSource for JsonLinesSource<R> {
     fn next_job(&mut self) -> Option<JobSpec> {
-        let mut line = String::new();
         loop {
-            line.clear();
+            self.line.clear();
             self.line_no += 1;
-            match self.reader.read_line(&mut line) {
+            match self.reader.read_until(b'\n', &mut self.line) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
@@ -214,6 +215,13 @@ impl<R: BufRead> JobSource for JsonLinesSource<R> {
                     return None;
                 }
             }
+            let Ok(line) = std::str::from_utf8(&self.line) else {
+                eprintln!(
+                    "warning: skipping malformed job line {}: not UTF-8",
+                    self.line_no
+                );
+                continue;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -340,16 +348,16 @@ mod tests {
     #[test]
     fn json_lines_source_parses_skips_and_orders() {
         let trace = SyntheticTraceConfig::small_scale().generate(3);
-        let mut feed = String::new();
+        let mut feed = Vec::new();
         for job in trace.jobs() {
-            feed.push_str(&serde_json::to_string(job).unwrap());
-            feed.push('\n');
+            feed.extend(serde_json::to_string(job).unwrap().bytes());
+            feed.extend(b"\n{\"id\": \xff}\n"); // not UTF-8: one malformed line, not the end
         }
-        feed.push_str("\n   \nnot json\n");
+        feed.extend(b"\n   \nnot json\n");
         // An out-of-order replay of the first job must be dropped.
-        feed.push_str(&serde_json::to_string(&trace.jobs()[0]).unwrap());
-        feed.push('\n');
-        let got = drain(JsonLinesSource::new(feed.as_bytes()));
+        feed.extend(serde_json::to_string(&trace.jobs()[0]).unwrap().bytes());
+        feed.push(b'\n');
+        let got = drain(JsonLinesSource::new(&feed[..]));
         assert_eq!(got, trace.jobs());
     }
 
