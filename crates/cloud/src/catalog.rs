@@ -12,7 +12,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use eva_types::{Cost, DemandSpec, InstanceTypeId, ResourceVector};
+use eva_types::{Cost, DemandSpec, FamilyKey, InstanceTypeId, ResourceVector};
 
 /// The family an instance type belongs to.
 ///
@@ -42,6 +42,17 @@ impl InstanceFamily {
             InstanceFamily::Other(name) => name,
         }
     }
+
+    /// The key of [`Self::name`]: a constant for the built-in families.
+    #[inline]
+    pub fn key(&self) -> FamilyKey {
+        match self {
+            InstanceFamily::P3 => const { FamilyKey::new("p3") },
+            InstanceFamily::C7i => const { FamilyKey::new("c7i") },
+            InstanceFamily::R7i => const { FamilyKey::new("r7i") },
+            InstanceFamily::Other(name) => FamilyKey::new(name),
+        }
+    }
 }
 
 impl fmt::Display for InstanceFamily {
@@ -68,13 +79,15 @@ pub struct InstanceType {
 impl InstanceType {
     /// True if a task with the given demand spec fits on an *empty*
     /// instance of this type (demand resolved against this type's family).
+    #[inline]
     pub fn can_host(&self, demand: &DemandSpec) -> bool {
         self.demand_of(demand).fits_within(&self.capacity)
     }
 
     /// The demand a task places on this type (family-resolved).
+    #[inline]
     pub fn demand_of(&self, demand: &DemandSpec) -> ResourceVector {
-        demand.for_family(self.family.name())
+        demand.for_key(self.family.key())
     }
 }
 

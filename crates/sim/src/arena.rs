@@ -46,12 +46,15 @@
 //! Jobs advance *lazily*: every clock segment the simulation crosses is
 //! appended to a global log ([`JobArena::push_segment`]), and a job's
 //! progress lanes are only brought current ([`JobArena::settle`]) when
-//! something actually reads or perturbs them. Settling replays the
-//! logged segments one at a time through [`JobArena::advance`] at the
-//! job's cached `rate`, so the float-operation sequence — and therefore
-//! every report byte — is identical to the old advance-everyone-every-
-//! event loop. The machinery is sound iff the host (`ClusterSim`)
-//! upholds, and `audit()` checks, these invariants:
+//! something actually reads or perturbs them. Settling replays each
+//! job's unseen segments in log order with [`JobArena::advance`]'s
+//! arithmetic at its cached `rate`: its float operations, their order and
+//! so every report byte match the old advance-everyone-every-event loop.
+//! Settle-all replays four jobs at a time — each alone from its own cursor
+//! up to the group's highest, then the shared rest one segment per job in
+//! turn — so four independent chains of adds overlap where one would wait
+//! on each; no job's operations or their order change. The machinery is
+//! sound iff the host (`ClusterSim`) upholds, and `audit()` checks:
 //!
 //! 1. **Dirty before different.** Any event that can change a job's
 //!    effective throughput (task placement/readiness, straggler factor,
@@ -277,30 +280,63 @@ impl JobArena {
         self.seg_log.push(dt_hours);
     }
 
-    /// Replays every unseen logged segment into the job's progress
-    /// lanes at its cached rate — segment by segment, so the float
-    /// operations match the eager per-event advance exactly.
-    pub fn settle(&mut self, slot: u32) {
-        let s = slot as usize;
-        let from = self.settled[s] as usize;
-        let rate = self.rate[s];
-        for k in from..self.seg_log.len() {
-            let dt = self.seg_log[k];
-            self.advance(slot, dt, rate);
-        }
-        self.settled[s] = self.seg_log.len() as u32;
-    }
-
-    /// Settles every active job and truncates the segment log (their
-    /// cursors reset with it). Called at points that read all progress
-    /// anyway (scheduler rounds, finalize), bounding replay length.
+    /// Settles every active job, four at a time (module docs), and
+    /// truncates the segment log, resetting their cursors. Called where
+    /// all progress is read anyway (rounds, finalize): bounds replays.
     pub fn settle_active_and_reset(&mut self) {
-        for i in 0..self.active.len() {
-            let slot = self.active[i];
-            self.settle(slot);
+        let active = std::mem::take(&mut self.active);
+        let mut groups = active.chunks_exact(4);
+        for g in groups.by_ref() {
+            self.settle([g[0], g[1], g[2], g[3]]);
+        }
+        for &slot in groups.remainder() {
+            self.settle([slot]);
+        }
+        for &slot in &active {
             self.settled[slot as usize] = 0;
         }
+        self.active = active;
         self.seg_log.clear();
+    }
+
+    /// Replays every unseen logged segment into each job's progress lanes
+    /// at its cached rate with [`Self::advance`]'s arithmetic, segments the
+    /// jobs share round-robin (module docs), and moves the cursors on.
+    pub fn settle<const N: usize>(&mut self, slots: [u32; N]) {
+        let s = slots.map(|slot| slot as usize);
+        let rate = s.map(|s| self.rate[s]);
+        let (rem, exec) = (&mut self.remaining_hours, &mut self.executing_hours);
+        let (idle, int) = (&mut self.idle_hours, &mut self.tput_integral);
+        let mut lanes = s.map(|s| [rem[s], exec[s], idle[s], int[s]]);
+        let mut step = |i: usize, dt: f64| {
+            let [rem, exec, idle, int] = &mut lanes[i];
+            if dt <= 0.0 {
+                return;
+            }
+            if rate[i] > 0.0 {
+                *rem = (*rem - dt * rate[i]).max(0.0);
+                *exec += dt;
+                *int += dt * rate[i];
+            } else {
+                *idle += dt;
+            }
+        };
+        let from = s.map(|s| self.settled[s] as usize);
+        let shared = from.iter().copied().max().unwrap_or(0);
+        for (i, &from) in from.iter().enumerate() {
+            for &dt in &self.seg_log[from..shared] {
+                step(i, dt);
+            }
+        }
+        for &dt in &self.seg_log[shared..] {
+            (0..N).for_each(|i| step(i, dt));
+        }
+        for (s, lane) in s.into_iter().zip(lanes) {
+            self.settled[s] = self.seg_log.len() as u32;
+            if self.completed_at[s].is_none() {
+                [rem[s], exec[s], idle[s], int[s]] = lane;
+            }
+        }
     }
 
     /// Flags an active job whose effective throughput may have changed,
@@ -311,7 +347,7 @@ impl JobArena {
         if !self.arrived[s] || self.completed_at[s].is_some() || self.dirty[s] {
             return;
         }
-        self.settle(slot);
+        self.settle([slot]);
         self.dirty[s] = true;
         self.dirty_list.push(slot);
     }

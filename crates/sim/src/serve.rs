@@ -46,6 +46,8 @@ pub struct ServeOutcome {
     pub metrics_lines: usize,
     /// Jobs ingested from the source.
     pub jobs_ingested: u64,
+    /// Jobs the source yielded that no catalog type can host.
+    pub jobs_dropped: u64,
     /// High-water mark of concurrently live arena job rows.
     pub peak_job_rows: usize,
 }
@@ -91,13 +93,14 @@ pub fn serve<W: Write>(
         "{}",
         serde_json::to_string(&final_snapshot).expect("snapshot serializes")
     )?;
-    let jobs_ingested = sim.jobs_ingested();
+    let (jobs_ingested, jobs_dropped) = (sim.jobs_ingested(), sim.jobs_dropped());
     let report = sim.run();
     Ok(ServeOutcome {
         report,
         final_snapshot,
         metrics_lines,
         jobs_ingested,
+        jobs_dropped,
         peak_job_rows,
     })
 }

@@ -250,6 +250,7 @@ pub struct ClusterSim {
     pub(crate) completed: CompletedLog,
     pub(crate) first_arrival_seen: Option<SimTime>,
     pub(crate) ingested_jobs: u64,
+    dropped_jobs: u64,
     pub(crate) metrics: MetricsRegistry,
 
     // Adversarial fault state.
@@ -291,6 +292,13 @@ pub struct ClusterSim {
     dirty_scratch: Vec<u32>,
 }
 
+/// True when some catalog type can host each of the job's tasks alone.
+fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
+    job.tasks
+        .iter()
+        .all(|t| catalog.cheapest_fit(&t.demand).is_some())
+}
+
 impl ClusterSim {
     /// Builds the world for one experiment.
     ///
@@ -305,31 +313,19 @@ impl ClusterSim {
         let fault_plan = FaultPlan::for_trace(cfg.faults, cfg.seed, &cfg.trace);
         let catalog = Catalog::aws_eval_2025();
         let workloads = WorkloadCatalog::table7();
-        let fits = |job: &eva_types::JobSpec| {
-            job.tasks
-                .iter()
-                .all(|t| catalog.cheapest_fit(&t.demand).is_some())
-        };
         // The common case drops nothing, so the world shares the caller's
         // trace by handle instead of cloning the job vector.
-        let trace = if cfg.trace.jobs().iter().all(&fits) {
+        let (jobs, fits) = (cfg.trace.jobs(), |job: &JobSpec| schedulable(&catalog, job));
+        let trace = if jobs.iter().all(fits) {
             cfg.trace.clone()
         } else {
-            let feasible: Vec<_> = cfg
-                .trace
-                .jobs()
-                .iter()
-                .filter(|job| {
-                    let ok = fits(job);
-                    if !ok {
-                        eprintln!("warning: dropping unschedulable {}", job.id);
-                    }
-                    ok
-                })
-                .cloned()
-                .collect();
+            let (feasible, dropped): (Vec<_>, Vec<_>) = jobs.iter().cloned().partition(fits);
+            for job in &dropped {
+                eprintln!("warning: dropping unschedulable {}", job.id);
+            }
             TraceHandle::new(Trace::new(feasible))
         };
+        let dropped_jobs = (cfg.trace.len() - trace.len()) as u64;
         let cfg = SimConfig {
             trace,
             ..cfg.clone()
@@ -374,6 +370,7 @@ impl ClusterSim {
             completed: CompletedLog::new(cfg.retire_completed),
             first_arrival_seen: None,
             ingested_jobs: 0,
+            dropped_jobs,
             metrics: MetricsRegistry::default(),
             fault_plan,
             fault_tokens: Vec::new(),
@@ -480,12 +477,9 @@ impl ClusterSim {
         };
         debug_assert!(stream.pending.is_none(), "priming over a pending job");
         while let Some(job) = stream.source.next_job() {
-            let feasible = job
-                .tasks
-                .iter()
-                .all(|t| self.catalog.cheapest_fit(&t.demand).is_some());
-            if !feasible {
+            if !schedulable(&self.catalog, &job) {
                 eprintln!("warning: dropping unschedulable {}", job.id);
+                self.dropped_jobs += 1;
                 continue;
             }
             // A source that lags the clock still arrives causally.
@@ -944,7 +938,7 @@ impl ClusterSim {
         use std::fmt::Write as _;
         for i in 0..self.world.jobs.active.len() {
             let slot = self.world.jobs.active[i];
-            self.world.jobs.settle(slot);
+            self.world.jobs.settle([slot]);
         }
         let mut out = String::new();
         let jobs = &self.world.jobs;
@@ -979,6 +973,11 @@ impl ClusterSim {
     /// Jobs ingested from a stream so far (0 for batch worlds).
     pub fn jobs_ingested(&self) -> u64 {
         self.ingested_jobs
+    }
+
+    /// Jobs dropped so far because no catalog type can host a task of theirs.
+    pub fn jobs_dropped(&self) -> u64 {
+        self.dropped_jobs
     }
 
     /// Arena job rows currently holding a live (unreleased) job — the
@@ -1027,7 +1026,7 @@ impl ClusterSim {
         use std::fmt::Write as _;
         for i in 0..self.world.jobs.active.len() {
             let slot = self.world.jobs.active[i];
-            self.world.jobs.settle(slot);
+            self.world.jobs.settle([slot]);
         }
         let mut out = String::new();
         for i in 0..self.world.jobs.active.len() {
@@ -1118,7 +1117,7 @@ impl ClusterSim {
             return;
         }
         // Fold the deferred segments in before reading remaining work.
-        self.world.jobs.settle(slot);
+        self.world.jobs.settle([slot]);
         debug_assert!(
             self.world.jobs.remaining_hours[s] < 1e-6,
             "early completion event"

@@ -27,19 +27,33 @@ use crate::time::{SimDuration, SimTime};
 
 /// Family overrides one [`DemandSpec`] holds.
 const MAX_OVERRIDES: usize = 2;
-/// Bytes of a family tag.
+/// Bytes of a family tag ([`FamilyKey`]).
 const TAG_BYTES: usize = 8;
 
-/// A family name, zero-padded; all zeroes marks an unused slot.
-type FamilyTag = [u8; TAG_BYTES];
-const UNUSED: FamilyTag = [0; TAG_BYTES];
+/// The key of an unused override slot, which no family name has.
+const UNUSED: FamilyKey = FamilyKey([0; TAG_BYTES]);
 
-/// The tag of `family`; `None` for a name no override can be held under.
-fn family_tag(family: &str) -> Option<FamilyTag> {
-    let bytes = family.as_bytes();
-    let mut tag = UNUSED;
-    tag.get_mut(..bytes.len())?.copy_from_slice(bytes);
-    (!bytes.is_empty() && !bytes.contains(&0)).then_some(tag)
+/// A family name as a [`DemandSpec`] compares it, zero-padded into eight
+/// bytes: [`DemandSpec::for_key`] costs two comparisons, so a caller builds
+/// a family's key once (the built-in ones are constants). A name no override
+/// can be held under (empty, over eight bytes, holding a NUL) gets the key
+/// of an unused slot, which resolves to the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FamilyKey([u8; TAG_BYTES]);
+
+impl FamilyKey {
+    /// The key of `family`.
+    pub const fn new(family: &str) -> Self {
+        let (bytes, mut tag, mut i) = (family.as_bytes(), [0; TAG_BYTES], 0);
+        while i < bytes.len() {
+            if i == TAG_BYTES || bytes[i] == 0 {
+                return UNUSED;
+            }
+            tag[i] = bytes[i];
+            i += 1;
+        }
+        FamilyKey(tag)
+    }
 }
 
 /// Per-family resource demands for one task.
@@ -86,14 +100,17 @@ impl DemandSpec {
 
     /// The demand vector to use on an instance of the given family.
     pub fn for_family(&self, family: &str) -> ResourceVector {
-        let slots = &self.per_family.0;
-        // Used slots come first: a uniform spec never reads the name.
-        if slots[0].0 == UNUSED {
-            return self.default;
+        self.for_key(FamilyKey::new(family))
+    }
+
+    /// The demand vector to use on an instance of the family keyed `key`.
+    #[inline]
+    pub fn for_key(&self, key: FamilyKey) -> ResourceVector {
+        // An unused slot holds the key that names no family.
+        match self.per_family.0.iter().find(|(t, _)| *t == key) {
+            Some(&(t, d)) if t != UNUSED => d,
+            _ => self.default,
         }
-        // A name without a tag has no override.
-        let found = family_tag(family).and_then(|tag| slots.iter().find(|(t, _)| *t == tag));
-        found.map_or(self.default, |(_, d)| *d)
     }
 
     /// The spec with `f` applied to the default and to every override.
@@ -108,7 +125,7 @@ impl DemandSpec {
 /// The override slots of a [`DemandSpec`] (module docs). Trace files,
 /// content fingerprints and cache keys are made of its wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FamilyOverrides([(FamilyTag, ResourceVector); MAX_OVERRIDES]);
+struct FamilyOverrides([(FamilyKey, ResourceVector); MAX_OVERRIDES]);
 
 impl FamilyOverrides {
     const NONE: Self = FamilyOverrides([(UNUSED, ResourceVector::ZERO); MAX_OVERRIDES]);
@@ -120,10 +137,11 @@ impl FamilyOverrides {
                  overrides, each named by 1 to {TAG_BYTES} bytes without NUL)"
             ))
         };
-        let tag = family_tag(family).ok_or_else(|| reject("unusable name"))?;
+        let key = Some(FamilyKey::new(family)).filter(|&key| key != UNUSED);
+        let key = key.ok_or_else(|| reject("unusable name"))?;
         let mut slots = self.0.iter_mut();
-        let slot = slots.find(|(t, _)| *t == tag || *t == UNUSED);
-        *slot.ok_or_else(|| reject("no slot left"))? = (tag, demand);
+        let slot = slots.find(|(t, _)| *t == key || *t == UNUSED);
+        *slot.ok_or_else(|| reject("no slot left"))? = (key, demand);
         self.0.sort_by_key(|(t, _)| (*t == UNUSED, *t));
         Ok(())
     }
@@ -132,7 +150,7 @@ impl FamilyOverrides {
 impl Serialize for FamilyOverrides {
     fn serialize(&self) -> Value {
         let held = self.0.iter().filter(|(t, _)| *t != UNUSED);
-        let named = held.map(|(t, d)| (String::from_utf8_lossy(t).replace('\0', ""), *d));
+        let named = held.map(|(t, d)| (String::from_utf8_lossy(&t.0).replace('\0', ""), *d));
         named.collect::<BTreeMap<_, _>>().serialize()
     }
 }

@@ -2,7 +2,8 @@
 //! overrides than there are slots, or a family name that is empty, over
 //! eight bytes or carries a NUL — are malformed lines: `JsonLinesSource`
 //! skips them, `serve` completes every other job, and nothing panics
-//! (CI runs this in release as well).
+//! (CI runs this in release as well). A job that parses but that no
+//! catalog type can host is dropped, and counted as dropped.
 
 use eva::prelude::*;
 use std::io::{BufReader, Cursor};
@@ -64,4 +65,31 @@ fn unholdable_demand_specs_are_skipped_lines() {
     // Skipped means skipped: the run is the run without those lines.
     let clean = serve_lines(&good);
     assert_eq!(outcome.report, clean.report);
+}
+
+/// A job whose first task wants nine GPUs, one more than any catalog type has.
+fn unschedulable(mut job: JobSpec) -> JobSpec {
+    job.tasks[0].demand = DemandSpec::uniform(ResourceVector::with_ram_gb(9, 4, 24));
+    job
+}
+
+#[test]
+fn unschedulable_jobs_are_counted_as_dropped() {
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(5).into_jobs();
+    let n = jobs.len() as u64;
+    jobs[3] = unschedulable(jobs[3].clone());
+    let lines: Vec<String> = jobs
+        .iter()
+        .map(|j| serde_json::to_string(j).unwrap())
+        .collect();
+    let outcome = serve_lines(&lines);
+    assert_eq!(outcome.jobs_ingested, n - 1);
+    assert_eq!(outcome.jobs_dropped, 1);
+    assert_eq!(outcome.report.jobs_completed as u64, n - 1);
+
+    let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Stratus);
+    cfg.seed = 1;
+    let sim = ClusterSim::new(&cfg);
+    assert_eq!(sim.jobs_dropped(), 1);
+    assert_eq!(sim.run().jobs_completed as u64, n - 1);
 }

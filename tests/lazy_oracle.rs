@@ -7,6 +7,11 @@
 //! agree on job progress, cached rates, completion times, and integral
 //! accumulators — bit for bit, via shortest-roundtrip float formatting
 //! (distinct bits ⇒ distinct strings).
+//!
+//! Reading a digest settles every job, so in the lockstep every replay is
+//! at most one segment long. The final-only case reads nothing until both
+//! worlds are exhausted: settle-all then replays whole round intervals from
+//! cursors that differ job to job, four jobs at a time plus a tail group.
 
 use eva::prelude::*;
 use proptest::prelude::*;
@@ -21,7 +26,16 @@ fn trace(jobs: usize, seed: u64, rate: f64) -> Trace {
 }
 
 fn sims(jobs: usize, seed: u64, regime: &str) -> (ClusterSim, ClusterSim) {
-    let mut cfg = SimConfig::new(trace(jobs, seed, 8.0), SchedulerKind::Stratus);
+    sims_under(SchedulerKind::Stratus, jobs, seed, regime)
+}
+
+fn sims_under(
+    kind: SchedulerKind,
+    jobs: usize,
+    seed: u64,
+    regime: &str,
+) -> (ClusterSim, ClusterSim) {
+    let mut cfg = SimConfig::new(trace(jobs, seed, 8.0), kind);
     cfg.seed = seed;
     cfg.faults = FaultSpec::parse(regime).expect("valid regime");
     let mut reference = ClusterSim::new(&cfg);
@@ -56,23 +70,57 @@ fn assert_lockstep(mut lazy: ClusterSim, mut full: ClusterSim) -> Result<(), Tes
     Ok(())
 }
 
+/// Runs both worlds to exhaustion unread, then compares the digests and
+/// the final reports byte-for-byte.
+fn assert_final_only(mut lazy: ClusterSim, mut full: ClusterSim) -> Result<(), TestCaseError> {
+    while lazy.step() {}
+    while full.step() {}
+    prop_assert_eq!(lazy.now(), full.now(), "clocks diverged");
+    let (da, db) = (lazy.oracle_digest(), full.oracle_digest());
+    prop_assert_eq!(da, db, "final digests diverged");
+    lazy.audit_slots().map_err(TestCaseError::fail)?;
+    let ra = serde_json::to_string(&lazy.run()).expect("report serializes");
+    let rb = serde_json::to_string(&full.run()).expect("report serializes");
+    prop_assert_eq!(ra, rb, "final reports diverged");
+    Ok(())
+}
+
+fn regime() -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        Just("none"),
+        Just("preempt-storm:3"),
+        Just("worker-crash:2"),
+        Just("straggler:2"),
+        Just("ckpt-drop"),
+        Just("capacity-shock:2"),
+        Just("price-step:2"),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
     fn lazy_dirty_set_path_matches_full_scan_reference(
         jobs in 2usize..14,
         seed in 0u64..500,
-        regime in prop_oneof![
-            Just("none"),
-            Just("preempt-storm:3"),
-            Just("worker-crash:2"),
-            Just("straggler:2"),
-            Just("ckpt-drop"),
-            Just("capacity-shock:2"),
-            Just("price-step:2"),
-        ],
+        regime in regime(),
     ) {
         let (lazy, full) = sims(jobs, seed, regime);
         assert_lockstep(lazy, full)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+    #[test]
+    fn long_replays_match_full_scan_reference_at_the_end(
+        jobs in 60usize..=150,
+        seed in 0u64..500,
+        kind in 0..SchedulerKind::paper_set().len(),
+        regime in regime(),
+    ) {
+        let kind = SchedulerKind::paper_set().swap_remove(kind);
+        let (lazy, full) = sims_under(kind, jobs, seed, regime);
+        assert_final_only(lazy, full)?;
     }
 }
