@@ -11,12 +11,18 @@
 //! experiment sharing cells) is served from disk, byte-identical to the
 //! simulated run.
 //!
-//! Entries are self-describing JSON files named by the FNV-1a hash of
-//! `schema|key`; the full key string is stored inside the entry and
-//! verified on lookup, so a (vanishingly unlikely) hash collision reads
-//! as a miss, never as a wrong report. Writes go through a temp file +
-//! rename, so concurrent writers at worst race to publish identical
-//! bytes.
+//! **Segments**: an entry is one compact JSON line — `schema`, `key`,
+//! `producer`, `value` — appended to a *segment*. Each handle opens its
+//! own `<pid>-<nonce>.log` on its first store and appends every entry
+//! with one write under its lock, so a segment has one writer and lines
+//! never interleave. A handle finds entries through an in-memory index
+//! from the FNV-1a hash of `schema|key` to (segment, offset, length): it
+//! holds no entry bytes, is built once from the directory on first use,
+//! and grows with the handle's own stores. A lookup checks the `schema`
+//! and `key` stored inside the entry, so a hash collision, a torn tail
+//! or a corrupt line reads as a miss, never as a wrong report. Caches
+//! written before segments hold one pretty `<fnv>.json` file per entry;
+//! the index takes such a file by its name and lookups read it as is.
 //!
 //! **Provenance**: every entry carries a `producer` field stamped at
 //! store time — the binary (experiment) that first computed the cell.
@@ -28,26 +34,34 @@
 //! **Federation**: the cache dir doubles as the coordination substrate
 //! for multi-process sweeps (see [`crate::federate`]). A worker that
 //! wants to compute a cell first takes a *claim* — an atomically
-//! created `<fnv>.claim` file next to the entry carrying its pid, host,
-//! and a timestamp ([`ReportCache::try_claim`]). Claims are advisory
-//! (work is idempotent and publishes identical bytes) and stealable:
-//! a claim whose process is dead, or whose age exceeds the staleness
-//! deadline, is removed and re-taken, so a killed worker never wedges a
-//! federated run.
+//! created `<fnv>.claim` file carrying its pid, host, and a timestamp
+//! ([`ReportCache::try_claim`]). Claims are advisory (work is idempotent
+//! and publishes identical bytes) and stealable: a claim whose process
+//! is dead, or whose age exceeds the staleness deadline, is removed and
+//! re-taken, so a killed worker never wedges a federated run. A handle
+//! sees a peer's entries when its index is refreshed from grown and new
+//! segments, which the pool does after it acquires a claim; a plain
+//! miss never lists the directory.
 //!
 //! **Invalidation**: bump [`SCHEMA_VERSION`] whenever simulation
 //! semantics or the serialized report shape change — old entries then
-//! miss (their file names hash differently) and are never read again.
+//! miss (their `schema|key` hashes differently) and are never read again.
 //! Mutating a trace changes its content hash and therefore its keys.
 //! The `producer` stamp is *not* part of the key: it never affects
 //! hits, and entries written before it existed still read fine.
 //! Retired-schema entries linger harmlessly until `eva cache prune`
-//! removes them.
+//! drops them. The lifecycle tools (`stats`, `verify`, `prune`,
+//! `merge_from`) are one walk over every entry of the directory.
 
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use serde::{Deserialize, Number, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// Version tag mixed into every cache key. Bump on any change to
 /// simulation semantics, report fields, or key composition.
@@ -63,24 +77,14 @@ use serde::{Deserialize, Number, Serialize, Value};
 /// `CellKey` no longer deserializes — retire them wholesale.
 pub const SCHEMA_VERSION: &str = "eva-v3";
 
-/// Default staleness deadline for orphaned `.tmp` files swept on open
-/// (env override `EVA_TMP_STALE_SECS`).
-const TMP_STALE_SECS_DEFAULT: u64 = 3_600;
-
-fn tmp_stale_deadline() -> Duration {
-    let secs = std::env::var("EVA_TMP_STALE_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(TMP_STALE_SECS_DEFAULT);
-    Duration::from_secs(secs)
+/// The claim a claim file holds, if it parses.
+fn claim_at(path: &Path) -> Option<ClaimInfo> {
+    serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()
 }
 
 /// Milliseconds since the Unix epoch (claim timestamps).
 fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
+    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
 /// This machine's name, for claim ownership across a synced cache dir.
@@ -90,95 +94,197 @@ fn local_host() -> String {
         .unwrap_or_else(|_| "?".to_string())
 }
 
-/// True when pid liveness can be checked at all (Linux procfs).
-fn procfs_available() -> bool {
-    Path::new("/proc/self").exists()
-}
-
-/// True when `pid` is a live process on this machine.
-fn pid_alive(pid: u32) -> bool {
-    Path::new(&format!("/proc/{pid}")).exists()
+/// True when `pid` is known to be dead on this machine (Linux procfs;
+/// without it, no pid is known dead).
+fn pid_dead(pid: u32) -> bool {
+    Path::new("/proc/self").exists() && !Path::new(&format!("/proc/{pid}")).exists()
 }
 
 /// The binary stem this process runs as — the provenance stamp stored
 /// with every cache entry (env override `EVA_CACHE_PRODUCER`).
 fn default_producer() -> String {
-    if let Ok(name) = std::env::var("EVA_CACHE_PRODUCER") {
-        return name;
-    }
-    std::env::current_exe()
-        .ok()
-        .as_deref()
-        .and_then(Path::file_stem)
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unknown".to_string())
+    let exe = std::env::current_exe().ok();
+    let stem = exe.as_deref().and_then(Path::file_stem).map(|s| s.to_string_lossy().into_owned());
+    std::env::var("EVA_CACHE_PRODUCER").ok().or(stem).unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Age of a file by mtime; `None` when the file (or clock) is gone.
 fn file_age(path: &Path) -> Option<Duration> {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| SystemTime::now().duration_since(t).ok())
+    std::fs::metadata(path).and_then(|m| m.modified()).ok()?.elapsed().ok()
 }
 
-/// True for the temp-file names [`ReportCache::store`] and claim
-/// creation use (`<stem>.tmp.<pid>`).
-fn is_temp_name(name: &str) -> bool {
-    name.contains(".tmp.")
+/// The index key of an entry, and the `<fnv>` of its claim file and of
+/// its per-file form.
+fn entry_hash(schema: &str, key: &str) -> u64 {
+    eva_types::fnv1a64(format!("{schema}|{key}").as_bytes())
 }
 
-/// The pid embedded in a `<stem>.tmp.<pid>` temp name, if any.
-fn temp_pid(name: &str) -> Option<u32> {
-    name.rsplit('.').next().and_then(|p| p.parse().ok())
-}
+/// The members of an entry, in the order `store` writes them.
+const FIELDS: [&str; 4] = ["schema", "key", "producer", "value"];
 
-/// A JSON value as `u64`, if it is a number (claim-body fields).
-fn value_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Number(n) => n.as_u64(),
+/// The index key of a segment line, from its leading `schema` and `key`.
+fn line_hash(line: &str) -> Option<u64> {
+    let mut r = Reader::new(line);
+    let mut lead = |n: usize| match r.next_field(&FIELDS, n) {
+        Ok(Some(field)) if field == n => r.string().ok(),
         _ => None,
+    };
+    let schema = lead(0)?;
+    Some(entry_hash(&schema, &lead(1)?))
+}
+
+/// The `value` of entry `text` when the entry is stored under `schema`
+/// and `key`; `None` for any other entry and for one that does not parse.
+fn read_value<R: Deserialize>(text: &str, schema: &str, key: &str) -> Option<R> {
+    let mut r = Reader::new(text);
+    let (mut matched, mut value, mut n) = (0, None, 0);
+    while let Some(field) = r.next_field(&FIELDS, n).ok()? {
+        match field {
+            0 | 1 if r.string().ok()? != [schema, key][field] => return None,
+            0 | 1 => matched |= 1 << field,
+            3 => value = Some(R::read_json(&mut r).ok()?),
+            _ => r.skip().ok()?,
+        }
+        n += 1;
+    }
+    r.end().ok()?;
+    value.filter(|_| matched == 3)
+}
+
+/// Where an entry's bytes are: `(segment, offset, len)` in a segment, or
+/// `(PER_FILE, 0, 0)` for a whole per-file entry `<fnv>.json`.
+type Slot = (u32, u64, u32);
+
+const PER_FILE: u32 = u32::MAX;
+
+/// What a handle knows of its directory.
+#[derive(Debug, Default)]
+struct Segments {
+    /// False until the first lookup or store reads the directory.
+    loaded: bool,
+    /// Every segment read, with the bytes of its whole lines indexed.
+    files: Vec<(PathBuf, u64)>,
+    index: HashMap<u64, Slot>,
+    /// The segment this handle appends to, once it has stored.
+    own: Option<(u32, File)>,
+}
+
+/// Segment nonces: distinct handles of one process get distinct segments.
+static NONCE: AtomicU64 = AtomicU64::new(0);
+
+impl Segments {
+    /// Indexes what the directory holds beyond what is indexed already:
+    /// new segments, the grown tails of known ones, new per-file entries.
+    fn scan(&mut self, dir: &Path) {
+        self.loaded = true;
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let (path, name) = (entry.path(), entry.file_name());
+            let name = name.to_string_lossy();
+            let per_file = name.strip_suffix(".json").filter(|stem| stem.len() == 16);
+            if let Some(hash) = per_file.and_then(|stem| u64::from_str_radix(stem, 16).ok()) {
+                self.index.entry(hash).or_insert((PER_FILE, 0, 0));
+            } else if name.ends_with(".log") {
+                let n = self.files.iter().position(|(known, _)| *known == path);
+                let n = n.unwrap_or(self.files.len()) as u32;
+                if n as usize == self.files.len() {
+                    self.files.push((path, 0));
+                }
+                let grown = entry.metadata().is_ok_and(|m| m.len() > self.files[n as usize].1);
+                if grown && self.own.as_ref().map(|own| own.0) != Some(n) {
+                    self.index_tail(n);
+                }
+            }
+        }
+    }
+
+    /// Indexes the whole lines of segment `n` past its indexed prefix; a
+    /// line without its newline (torn, or still being written) waits.
+    fn index_tail(&mut self, n: u32) {
+        let (path, indexed) = &mut self.files[n as usize];
+        let at = SeekFrom::Start(*indexed);
+        let Ok(file) = File::open(path).and_then(|mut f| f.seek(at).map(|_| f)) else {
+            return;
+        };
+        let (mut reader, mut line) = (BufReader::new(file), Vec::new());
+        while reader.read_until(b'\n', &mut line).is_ok() && line.ends_with(b"\n") {
+            if let Some(hash) = std::str::from_utf8(&line).ok().and_then(line_hash) {
+                self.index.insert(hash, (n, *indexed, line.len() as u32 - 1));
+            }
+            *indexed += line.len() as u64;
+            line.clear();
+        }
+    }
+
+    /// The bytes indexed under `hash`.
+    fn text(&self, dir: &Path, hash: u64) -> Option<String> {
+        let &(n, offset, len) = self.index.get(&hash)?;
+        if n == PER_FILE {
+            return std::fs::read_to_string(dir.join(format!("{hash:016x}.json"))).ok();
+        }
+        let mut file = File::open(&self.files[n as usize].0).ok()?;
+        let mut bytes = vec![0; len as usize];
+        file.seek(SeekFrom::Start(offset)).and_then(|_| file.read_exact(&mut bytes)).ok()?;
+        String::from_utf8(bytes).ok()
+    }
+
+    /// Appends `line` (newline included) to this handle's segment, opened
+    /// on first use, and indexes it under `hash`.
+    fn append(&mut self, dir: &Path, hash: u64, line: &str) -> std::io::Result<()> {
+        if self.own.is_none() {
+            std::fs::create_dir_all(dir)?;
+            let (path, file) = loop {
+                let nonce = NONCE.fetch_add(1, Ordering::Relaxed);
+                let path = dir.join(format!("{}-{nonce}.log", std::process::id()));
+                match File::options().append(true).create_new(true).open(&path) {
+                    Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                    opened => break (path, opened?),
+                }
+            };
+            self.files.push((path, 0));
+            self.own = Some((self.files.len() as u32 - 1, file));
+        }
+        let (n, file) = self.own.as_mut().expect("opened above");
+        let n = *n;
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            // Where the next line would start is unknown: start a segment.
+            self.own = None;
+            return Err(e);
+        }
+        let indexed = &mut self.files[n as usize].1;
+        self.index.insert(hash, (n, *indexed, line.len() as u32 - 1));
+        *indexed += line.len() as u64;
+        Ok(())
     }
 }
 
 /// A directory-backed report store keyed by content fingerprints.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Clones share one segment and one index; separate handles on one
+/// directory (in one process or in several) each append to their own.
+#[derive(Debug, Clone)]
 pub struct ReportCache {
     dir: PathBuf,
     schema: String,
     producer: String,
+    segments: Arc<Mutex<Segments>>,
 }
 
 impl ReportCache {
     /// A cache rooted at `dir` (created lazily on first store) under the
-    /// current [`SCHEMA_VERSION`]. Opening sweeps orphaned `.tmp` files
-    /// left by killed runs: temps whose writer pid is dead, or older
-    /// than the staleness deadline (`EVA_TMP_STALE_SECS`, default 1 h),
-    /// are removed.
+    /// current [`SCHEMA_VERSION`].
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let cache = Self::with_schema(dir, SCHEMA_VERSION);
-        cache.sweep_stale_temps(tmp_stale_deadline());
-        cache
+        Self::with_schema(dir, SCHEMA_VERSION)
     }
 
     /// A cache with an explicit schema tag (tests use this to prove that
-    /// bumping the version invalidates every entry). Does **not** sweep
-    /// temps — the `eva cache` lifecycle commands open through here so
-    /// `verify` can still report orphans instead of silently losing
-    /// them.
+    /// bumping the version invalidates every entry).
     pub fn with_schema(dir: impl Into<PathBuf>, schema: impl Into<String>) -> Self {
         ReportCache {
             dir: dir.into(),
             schema: schema.into(),
             producer: default_producer(),
+            segments: Arc::default(),
         }
-    }
-
-    /// Overrides the provenance stamp stored with new entries (defaults
-    /// to this binary's name).
-    pub fn with_producer(mut self, producer: impl Into<String>) -> Self {
-        self.producer = producer.into();
-        self
     }
 
     /// The cache directory.
@@ -186,28 +292,26 @@ impl ReportCache {
         &self.dir
     }
 
-    /// The schema tag entries are keyed under.
-    pub fn schema(&self) -> &str {
-        &self.schema
+    /// The handle's segments, indexed from the directory on first use.
+    fn segments(&self) -> MutexGuard<'_, Segments> {
+        let mut segments = self.segments.lock().unwrap_or_else(PoisonError::into_inner);
+        if !segments.loaded {
+            segments.scan(&self.dir);
+        }
+        segments
+    }
+
+    /// Indexes what other writers appended since this handle last read
+    /// the directory (the federated pool calls this once it holds a claim).
+    pub(crate) fn refresh(&self) {
+        self.segments().scan(&self.dir);
     }
 
     /// Looks up the value stored under `key`, if any. Corrupt, colliding,
     /// or schema-mismatched entries read as a miss.
     pub fn lookup<R: Deserialize>(&self, key: &str) -> Option<R> {
-        let text = std::fs::read_to_string(self.path_for(key)).ok()?;
-        let value = serde_json::from_str_value(&text).ok()?;
-        if value.get_field("schema")?.as_str()? != self.schema
-            || value.get_field("key")?.as_str()? != key
-        {
-            return None;
-        }
-        R::deserialize(value.get_field("value")?).ok()
-    }
-
-    /// True when an entry is stored under `key` (a metadata probe — no
-    /// read or validation; the federated wait loop polls this).
-    pub fn contains(&self, key: &str) -> bool {
-        self.path_for(key).exists()
+        let text = self.segments().text(&self.dir, entry_hash(&self.schema, key))?;
+        read_value(&text, &self.schema, key)
     }
 
     /// Stores `value` under `key`, stamped with this cache's provenance
@@ -215,136 +319,83 @@ impl ReportCache {
     /// and otherwise ignored: a broken cache must never fail an
     /// experiment.
     pub fn store<R: Serialize>(&self, key: &str, value: &R) {
-        let entry = Value::Object(vec![
-            ("schema".to_string(), Value::String(self.schema.clone())),
-            ("key".to_string(), Value::String(key.to_string())),
-            ("producer".to_string(), Value::String(self.producer.clone())),
-            ("value".to_string(), value.serialize()),
-        ]);
-        let json = match serde_json::to_string_pretty(&entry) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("warning: cache entry for `{key}` does not serialize: {e}");
-                return;
-            }
-        };
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
+        let mut w = Writer::new(false);
+        w.open(b'{');
+        for (i, text) in [&*self.schema, key, &*self.producer].into_iter().enumerate() {
+            w.key(i, FIELDS[i]);
+            w.string(text);
+        }
+        w.key(3, FIELDS[3]);
+        if let Err(e) = value.write_json(&mut w) {
+            eprintln!("warning: cache entry for `{key}` does not serialize: {e}");
             return;
         }
-        let path = self.path_for(key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let result = std::fs::write(&tmp, json).and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = result {
-            let _ = std::fs::remove_file(&tmp);
-            eprintln!("warning: cache write {} failed: {e}", path.display());
+        w.close(b'}', FIELDS.len());
+        let line = w.finish() + "\n";
+        let appended = self.segments().append(&self.dir, entry_hash(&self.schema, key), &line);
+        if let Err(e) = appended {
+            eprintln!("warning: cache write in {} failed: {e}", self.dir.display());
         }
-    }
-
-    /// Number of entries currently on disk (diagnostics and tests).
-    pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|it| {
-                it.filter_map(|e| e.ok())
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn path_for(&self, key: &str) -> PathBuf {
-        let tagged = format!("{}|{}", self.schema, key);
-        self.dir
-            .join(format!("{:016x}.json", eva_types::fnv1a64(tagged.as_bytes())))
     }
 
     /// The claim-file path guarding the entry stored under `key`.
     pub fn claim_path(&self, key: &str) -> PathBuf {
-        self.path_for(key).with_extension("claim")
+        self.dir.join(format!("{:016x}.claim", entry_hash(&self.schema, key)))
     }
 
     /// Attempts to claim `key` for this process.
     ///
-    /// A claim is an atomically created `<fnv>.claim` file carrying this
-    /// process's pid, host, and a timestamp. An existing claim blocks
-    /// ([`ClaimAttempt::Held`]) unless it is *stealable* — its holder is
-    /// a dead pid on this host, or its age exceeds `stale` — in which
-    /// case it is removed and re-taken. Creation uses a temp file plus
-    /// an atomic `hard_link`, so of two racing claimants exactly one
-    /// acquires. Claims are advisory: cell work is idempotent and racing
-    /// publishers at worst store identical bytes, so on filesystems
-    /// without hard links the claim degrades to acquired (with a
-    /// warning) rather than wedging the run.
+    /// A claim is a `<fnv>.claim` file created exclusively (`create_new`)
+    /// and carrying this process's pid, host, and a timestamp, so of two
+    /// racing claimants exactly one acquires; a claim read before its
+    /// body is written is unreadable and young, so it holds. An existing
+    /// claim blocks ([`ClaimAttempt::Held`]) unless it is *stealable* —
+    /// its holder is a dead pid on this host, or its age (by mtime when
+    /// unreadable) exceeds `stale` — in which case it is removed and
+    /// re-taken. Claims are advisory: cell work is idempotent, so when
+    /// the file cannot be created at all the claim degrades to acquired
+    /// (with a warning) rather than wedging the run.
     pub fn try_claim(&self, key: &str, stale: Duration) -> ClaimAttempt {
         let path = self.claim_path(key);
+        let unknown = |ts_ms| {
+            let (host, key) = ("?".to_string(), key.to_string());
+            ClaimAttempt::Held(ClaimInfo { pid: 0, host, ts_ms, key })
+        };
         if path.exists() {
-            match self.read_claim_at(&path) {
-                Some(info) if !info.stealable(stale) => return ClaimAttempt::Held(info),
-                Some(_) => {
-                    let _ = std::fs::remove_file(&path);
+            match claim_at(&path).ok_or_else(|| file_age(&path)) {
+                Ok(info) if !info.stealable(stale) => return ClaimAttempt::Held(info),
+                // Unreadable (or not yet written): nobody else can release
+                // it, so it holds until it outlives the deadline by mtime.
+                Err(Some(age)) if age <= stale => {
+                    return unknown(now_ms().saturating_sub(age.as_millis() as u64))
                 }
-                None => {
-                    // Unreadable/corrupt claim: nobody can release it.
-                    // Steal once it outlives the deadline by mtime.
-                    match file_age(&path) {
-                        Some(age) if age > stale => {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                        Some(age) => {
-                            return ClaimAttempt::Held(ClaimInfo {
-                                pid: 0,
-                                host: "?".to_string(),
-                                ts_ms: now_ms().saturating_sub(age.as_millis() as u64),
-                                key: key.to_string(),
-                            });
-                        }
-                        // File vanished between exists() and read: the
-                        // holder just released — fall through and race
-                        // for a fresh claim.
-                        None => {}
-                    }
+                // Gone since `exists()`: its holder just released it.
+                Err(None) => {}
+                _ => {
+                    let _ = std::fs::remove_file(&path);
                 }
             }
         }
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
-            return ClaimAttempt::Acquired(ClaimGuard { path: None });
-        }
-        let body = Value::Object(vec![
-            ("pid".to_string(), Value::Number(Number::U(u64::from(std::process::id())))),
-            ("host".to_string(), Value::String(local_host())),
-            ("ts_ms".to_string(), Value::Number(Number::U(now_ms()))),
-            ("key".to_string(), Value::String(key.to_string())),
-        ]);
-        let json = serde_json::to_string(&body).expect("claim bodies serialize");
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if let Err(e) = std::fs::write(&tmp, json) {
-            eprintln!("warning: cannot write claim temp {}: {e}", tmp.display());
-            return ClaimAttempt::Acquired(ClaimGuard { path: None });
-        }
-        let linked = std::fs::hard_link(&tmp, &path);
-        let _ = std::fs::remove_file(&tmp);
-        match linked {
-            Ok(()) => ClaimAttempt::Acquired(ClaimGuard { path: Some(path) }),
+        let body = ClaimInfo {
+            pid: std::process::id(),
+            host: local_host(),
+            ts_ms: now_ms(),
+            key: key.to_string(),
+        };
+        let created = std::fs::create_dir_all(&self.dir)
+            .and_then(|()| File::options().write(true).create_new(true).open(&path));
+        match created {
+            Ok(mut file) => {
+                let json = serde_json::to_string(&body).expect("claim bodies serialize");
+                let _ = file.write_all(json.as_bytes());
+                ClaimAttempt::Acquired(ClaimGuard { path: Some(path) })
+            }
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                match self.read_claim_at(&path) {
-                    Some(info) => ClaimAttempt::Held(info),
-                    None => ClaimAttempt::Held(ClaimInfo {
-                        pid: 0,
-                        host: "?".to_string(),
-                        ts_ms: now_ms(),
-                        key: key.to_string(),
-                    }),
-                }
+                claim_at(&path).map_or_else(|| unknown(now_ms()), ClaimAttempt::Held)
             }
             Err(e) => {
                 eprintln!(
-                    "warning: claim link {} failed ({e}); proceeding unclaimed",
+                    "warning: cannot create claim {} ({e}); proceeding unclaimed",
                     path.display()
                 );
                 ClaimAttempt::Acquired(ClaimGuard { path: None })
@@ -354,52 +405,13 @@ impl ReportCache {
 
     /// Reads the claim currently guarding `key`, if any.
     pub fn read_claim(&self, key: &str) -> Option<ClaimInfo> {
-        self.read_claim_at(&self.claim_path(key))
-    }
-
-    fn read_claim_at(&self, path: &Path) -> Option<ClaimInfo> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let value = serde_json::from_str_value(&text).ok()?;
-        Some(ClaimInfo {
-            pid: value_u64(value.get_field("pid")?)? as u32,
-            host: value.get_field("host")?.as_str()?.to_string(),
-            ts_ms: value_u64(value.get_field("ts_ms")?)?,
-            key: value.get_field("key")?.as_str()?.to_string(),
-        })
-    }
-
-    /// Removes orphaned `.tmp` files (from entry writes *and* claim
-    /// creation) whose writer pid is dead on this host or whose age
-    /// exceeds `deadline`. Returns the removed paths. Called on every
-    /// [`ReportCache::new`], so a killed run's litter disappears the
-    /// next time any experiment opens the cache.
-    pub fn sweep_stale_temps(&self, deadline: Duration) -> Vec<PathBuf> {
-        let Ok(it) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut removed = Vec::new();
-        for entry in it.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if !is_temp_name(&name) {
-                continue;
-            }
-            let dead_writer = procfs_available()
-                && temp_pid(&name).is_some_and(|pid| pid != std::process::id() && !pid_alive(pid));
-            let expired = file_age(&path).is_some_and(|age| age > deadline);
-            if (dead_writer || expired) && std::fs::remove_file(&path).is_ok() {
-                removed.push(path);
-            }
-        }
-        removed
+        claim_at(&self.claim_path(key))
     }
 }
 
 /// Who holds a claim: the publishing process's identity and when it
-/// claimed.
-#[derive(Debug, Clone, PartialEq)]
+/// claimed, as its claim file holds it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClaimInfo {
     /// Claiming process id.
     pub pid: u32,
@@ -421,10 +433,7 @@ impl ClaimInfo {
     /// dead pid on this host, or it has outlived the staleness deadline
     /// (the only signal available for claims from other hosts).
     pub fn stealable(&self, stale: Duration) -> bool {
-        if procfs_available() && self.host == local_host() && !pid_alive(self.pid) {
-            return true;
-        }
-        self.age() > stale
+        (self.host == local_host() && pid_dead(self.pid)) || self.age() > stale
     }
 }
 
@@ -448,21 +457,15 @@ pub struct ClaimGuard {
 }
 
 impl ClaimGuard {
-    /// Removes the claim file (idempotent; drop does the same).
-    pub fn release(mut self) {
-        self.remove();
-    }
-
-    fn remove(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
+    /// Removes the claim file (dropping the guard does the same).
+    pub fn release(self) {}
 }
 
 impl Drop for ClaimGuard {
     fn drop(&mut self) {
-        self.remove();
+        if let Some(path) = self.path.take() {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -470,23 +473,108 @@ impl Drop for ClaimGuard {
 // Lifecycle operations — the data layer behind `eva cache`.
 // ---------------------------------------------------------------------
 
-/// One parsed on-disk entry (internal to the lifecycle walks).
-struct RawEntry {
-    bytes: String,
-    schema: Option<String>,
-    key: Option<String>,
-    producer: String,
-    has_value: bool,
+/// One entry the walk found: line `line` of a segment, or (`line` 0) a
+/// whole per-file entry.
+struct Entry<'a> {
+    line: usize,
+    /// The entry's bytes, without a segment line's newline.
+    text: &'a str,
+    /// The entry's `(schema, key, producer)`, or what is wrong with it.
+    head: Result<[String; 3], String>,
+}
+
+impl<'a> Entry<'a> {
+    /// Reads line `line` (1-based, newline included) of a segment, or,
+    /// for `line` 0, the per-file entry `name`: it must parse, carry
+    /// `schema`, `key` and `value`, and end in its newline or be filed
+    /// under its own `schema|key` hash.
+    fn read(line: usize, raw: &'a str, name: &str) -> Self {
+        let text = raw.strip_suffix('\n').unwrap_or(raw);
+        let head = || {
+            let value = serde_json::from_str_value(text).map_err(|e| format!("not JSON: {e}"))?;
+            let field = |name| Some(value.get_field(name)?.as_str()?.to_string());
+            let (Some(schema), Some(key), Some(_)) =
+                (field("schema"), field("key"), value.get_field("value"))
+            else {
+                return Err("not a cache entry (missing schema/key/value)".to_string());
+            };
+            let filed = format!("{:016x}.json", entry_hash(&schema, &key));
+            match line {
+                0 if filed != name => {
+                    Err(format!("filed under the wrong hash (key hashes to {filed})"))
+                }
+                1.. if text.len() == raw.len() => Err("torn: the line has no newline".to_string()),
+                _ => Ok([schema, key, field("producer").unwrap_or_else(|| "-".to_string())]),
+            }
+        };
+        Entry { line, text, head: head() }
+    }
+}
+
+/// What the walk found in one file of a cache dir.
+enum Found<'a> {
+    /// A segment's lines, or the one entry of a per-file entry.
+    Entries(&'a [Entry<'a>]),
+    /// A claim file (`true`) or an orphaned temp (`false`), how `verify`
+    /// describes it, and whether `prune` may remove it.
+    Litter(bool, String, bool),
+}
+
+/// Visits, in name order, every file of `dir` the cache knows: each
+/// segment and per-file entry with its entries, each claim and temp.
+/// Claims are stale when [`ClaimInfo::stealable`] after `stale` (by mtime
+/// when unreadable); temps when their writer is dead or by mtime.
+fn walk(dir: &Path, stale: Duration, mut visit: impl FnMut(&Path, &str, Found<'_>)) {
+    let mut paths: Vec<PathBuf> =
+        std::fs::read_dir(dir).into_iter().flatten().filter_map(|e| Some(e.ok()?.path())).collect();
+    paths.sort();
+    for path in &paths {
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let aged = file_age(path).is_some_and(|age| age > stale);
+        // The temp an interrupted `prune` leaves: `<segment>.tmp.<pid>`.
+        if name.contains(".tmp.") {
+            let pid = name.rsplit('.').next().and_then(|p| p.parse::<u32>().ok());
+            let dead = pid.is_some_and(|pid| pid != std::process::id() && pid_dead(pid));
+            let note = format!("{name}{}", if dead { " (writer dead)" } else { "" });
+            visit(path, name, Found::Litter(false, note, dead || aged));
+        } else if name.ends_with(".claim") {
+            let (note, stale) = match claim_at(path) {
+                Some(info) => {
+                    let (age, stealable) = (info.age().as_secs_f64(), info.stealable(stale));
+                    let tag = if stealable { ", stealable" } else { "" };
+                    let note =
+                        format!("{name} (pid {} on {}, {age:.0}s old{tag})", info.pid, info.host);
+                    (note, stealable)
+                }
+                None => (format!("{name} (unreadable)"), aged),
+            };
+            visit(path, name, Found::Litter(true, note, stale));
+        } else if name.ends_with(".log") || name.ends_with(".json") {
+            let bytes = std::fs::read(path).unwrap_or_default();
+            let text = String::from_utf8_lossy(&bytes);
+            let entries: Vec<Entry> = match name.ends_with(".log") {
+                true => text
+                    .split_inclusive('\n')
+                    .enumerate()
+                    .map(|(n, line)| Entry::read(n + 1, line, name))
+                    .collect(),
+                false => vec![Entry::read(0, &text, name)],
+            };
+            visit(path, name, Found::Entries(&entries));
+        }
+    }
 }
 
 /// Summary counters for `eva cache stats`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
-    /// Entry files present.
+    /// Entries present (segment lines and per-file entries).
     pub entries: usize,
     /// Entries under the cache's current schema.
     pub current_schema: usize,
-    /// Total bytes across entry files.
+    /// Total bytes across entries.
     pub bytes: u64,
     /// `(schema, entry count)` sorted by schema.
     pub schemas: Vec<(String, usize)>,
@@ -502,7 +590,8 @@ pub struct CacheStats {
 /// One problem `eva cache verify` found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyIssue {
-    /// File name inside the cache dir.
+    /// Where the entry is: the file name inside the cache dir, with
+    /// `:<line>` for a segment line.
     pub file: String,
     /// What is wrong with it.
     pub problem: String,
@@ -513,14 +602,14 @@ pub struct VerifyIssue {
 /// idle cache must not contain.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
-    /// Entry files examined.
+    /// Entries examined.
     pub entries: usize,
-    /// Entries that parsed and re-hashed to their own file name.
+    /// Entries that parsed (and, per file, re-hashed to their own name).
     pub valid: usize,
     /// Valid entries stored under a schema other than the current one
     /// (unreadable by this build, but not corrupt — prune removes them).
     pub retired: usize,
-    /// Corrupt or mis-filed entries.
+    /// Corrupt, torn or mis-filed entries.
     pub issues: Vec<VerifyIssue>,
     /// Orphaned temp files (named `<stem>.tmp.<pid>`).
     pub temps: Vec<String>,
@@ -543,7 +632,7 @@ pub struct PruneReport {
     pub removed_retired: usize,
     /// Entries removed because they exceeded the age limit.
     pub removed_old: usize,
-    /// Corrupt entries removed (they could never be read again).
+    /// Corrupt or torn entries removed (they could never be read again).
     pub removed_corrupt: usize,
     /// Stale temp files removed.
     pub removed_temps: usize,
@@ -559,285 +648,169 @@ pub struct PruneReport {
 pub struct MergeReport {
     /// Entries copied over.
     pub imported: usize,
-    /// Entries already present byte-identically.
+    /// Entries already present identically.
     pub skipped_identical: usize,
     /// Entries present on both sides with equal keys and values but
-    /// different bytes (e.g. different producer stamps) — the
-    /// destination's copy is kept.
+    /// different stamps (e.g. different producers) — the destination's
+    /// copy is kept.
     pub skipped_equivalent: usize,
     /// Entries present on both sides with **different values** under the
     /// same key — kept local, loudly counted: this means two builds
     /// disagreed about the same content-addressed cell.
     pub conflicting: usize,
-    /// Source files that failed validation and were not copied.
+    /// Source entries that failed validation and were not copied.
     pub invalid: usize,
 }
 
 impl ReportCache {
-    fn read_raw_entry(&self, path: &Path) -> Option<RawEntry> {
-        let bytes = std::fs::read_to_string(path).ok()?;
-        let parsed = serde_json::from_str_value(&bytes).ok();
-        let field = |name: &str| -> Option<String> {
-            parsed
-                .as_ref()?
-                .get_field(name)?
-                .as_str()
-                .map(str::to_string)
-        };
-        Some(RawEntry {
-            schema: field("schema"),
-            key: field("key"),
-            producer: field("producer").unwrap_or_else(|| "-".to_string()),
-            has_value: parsed
-                .as_ref()
-                .is_some_and(|v| v.get_field("value").is_some()),
-            bytes,
-        })
-    }
-
-    /// The file name an entry's own `(schema, key)` pair hashes to —
-    /// what the entry *should* be called if it is filed correctly.
-    fn expected_name(schema: &str, key: &str) -> String {
-        let tagged = format!("{schema}|{key}");
-        format!("{:016x}.json", eva_types::fnv1a64(tagged.as_bytes()))
-    }
-
-    fn dir_files(&self) -> Vec<PathBuf> {
-        let Ok(it) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut files: Vec<PathBuf> = it.filter_map(|e| e.ok()).map(|e| e.path()).collect();
-        files.sort();
-        files
-    }
-
     /// Walks the cache dir and summarizes what is in it.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        let mut schemas: std::collections::BTreeMap<String, usize> = Default::default();
-        let mut producers: std::collections::BTreeMap<String, usize> = Default::default();
-        for path in self.dir_files() {
-            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-            let Some(name) = name else { continue };
-            if is_temp_name(&name) {
-                stats.temps += 1;
-            } else if name.ends_with(".claim") {
-                stats.claims += 1;
-            } else if name.ends_with(".json") {
-                stats.entries += 1;
-                stats.bytes += std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                let entry = self.read_raw_entry(&path);
-                let schema = entry
-                    .as_ref()
-                    .and_then(|e| e.schema.clone())
-                    .unwrap_or_else(|| "(corrupt)".to_string());
-                if schema == self.schema {
-                    stats.current_schema += 1;
+        let (mut schemas, mut producers) = (BTreeMap::new(), BTreeMap::new());
+        walk(&self.dir, Duration::MAX, |_, _, found| match found {
+            Found::Litter(true, ..) => stats.claims += 1,
+            Found::Litter(false, ..) => stats.temps += 1,
+            Found::Entries(entries) => {
+                for entry in entries {
+                    let (schema, producer) = match &entry.head {
+                        Ok([schema, _, producer]) => (schema.as_str(), producer.as_str()),
+                        Err(_) => ("(corrupt)", "-"),
+                    };
+                    stats.entries += 1;
+                    stats.bytes += entry.text.len() as u64;
+                    stats.current_schema += usize::from(schema == self.schema);
+                    *schemas.entry(schema.to_string()).or_default() += 1;
+                    *producers.entry(producer.to_string()).or_default() += 1;
                 }
-                *schemas.entry(schema).or_default() += 1;
-                let producer = entry
-                    .map(|e| e.producer)
-                    .unwrap_or_else(|| "-".to_string());
-                *producers.entry(producer).or_default() += 1;
             }
-        }
+        });
         stats.schemas = schemas.into_iter().collect();
         stats.producers = producers.into_iter().collect();
         stats
     }
 
-    /// Re-validates every entry against its stored key: the entry must
-    /// parse, carry `schema`/`key`/`value` fields, and live under the
-    /// file name its own `schema|key` hashes to. Also reports the
-    /// orphaned `.tmp` and leftover `.claim` files an idle cache must
-    /// not contain. `stale` annotates which claims are already
-    /// stealable.
+    /// Re-validates every entry against its stored key (see the walk:
+    /// it must parse, carry `schema`/`key`/`value` fields, and end in its
+    /// newline or live under the file name its own `schema|key` hashes
+    /// to). Also reports the orphaned `.tmp` and leftover `.claim` files
+    /// an idle cache must not contain. `stale` annotates which claims are
+    /// already stealable.
     pub fn verify(&self, stale: Duration) -> VerifyReport {
         let mut report = VerifyReport::default();
-        for path in self.dir_files() {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if is_temp_name(&name) {
-                let dead = procfs_available()
-                    && temp_pid(&name)
-                        .is_some_and(|pid| pid != std::process::id() && !pid_alive(pid));
-                report
-                    .temps
-                    .push(format!("{name}{}", if dead { " (writer dead)" } else { "" }));
-                continue;
-            }
-            if name.ends_with(".claim") {
-                match self.read_claim_at(&path) {
-                    Some(info) => report.claims.push(format!(
-                        "{name} (pid {} on {}, {:.0}s old{})",
-                        info.pid,
-                        info.host,
-                        info.age().as_secs_f64(),
-                        if info.stealable(stale) { ", stealable" } else { "" }
-                    )),
-                    None => report.claims.push(format!("{name} (unreadable)")),
+        walk(&self.dir, stale, |_, name, found| match found {
+            Found::Litter(true, note, _) => report.claims.push(note),
+            Found::Litter(false, note, _) => report.temps.push(note),
+            Found::Entries(entries) => {
+                for entry in entries {
+                    report.entries += 1;
+                    match &entry.head {
+                        Ok([schema, ..]) => {
+                            report.valid += 1;
+                            report.retired += usize::from(*schema != self.schema);
+                        }
+                        Err(problem) => {
+                            let line = (entry.line > 0).then(|| format!(":{}", entry.line));
+                            let file = format!("{name}{}", line.unwrap_or_default());
+                            report.issues.push(VerifyIssue { file, problem: problem.clone() });
+                        }
+                    }
                 }
-                continue;
             }
-            if !name.ends_with(".json") {
-                continue;
-            }
-            report.entries += 1;
-            let Some(entry) = self.read_raw_entry(&path) else {
-                report.issues.push(VerifyIssue {
-                    file: name,
-                    problem: "unreadable".to_string(),
-                });
-                continue;
-            };
-            let (Some(schema), Some(key), true) = (&entry.schema, &entry.key, entry.has_value)
-            else {
-                report.issues.push(VerifyIssue {
-                    file: name,
-                    problem: "not a cache entry (missing schema/key/value)".to_string(),
-                });
-                continue;
-            };
-            let expected = Self::expected_name(schema, key);
-            if expected != name {
-                report.issues.push(VerifyIssue {
-                    file: name,
-                    problem: format!("filed under the wrong hash (key hashes to {expected})"),
-                });
-                continue;
-            }
-            report.valid += 1;
-            if schema != &self.schema {
-                report.retired += 1;
-            }
-        }
+        });
         report
     }
 
-    /// Removes retired-schema entries (when `retired`), entries older
-    /// than `max_age` (when given), corrupt entries, stale temps, and
-    /// stealable claims. Live claims and current entries stay.
+    /// Removes retired-schema entries (when `retired`), entries of files
+    /// older than `max_age` (when given; a segment's age is its last
+    /// append), corrupt and torn entries, temps whose writer is dead or
+    /// that are older than `stale`, and stealable claims. Live claims and
+    /// current entries stay. A segment keeps its surviving lines through
+    /// a temp file + rename and goes when none survive; run it on an idle
+    /// cache, as a writer's open segment is not reopened.
     pub fn prune(&self, max_age: Option<Duration>, retired: bool, stale: Duration) -> PruneReport {
-        let mut report = PruneReport {
-            removed_temps: self.sweep_stale_temps(tmp_stale_deadline()).len(),
-            ..PruneReport::default()
-        };
-        for path in self.dir_files() {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
+        let mut report = PruneReport::default();
+        walk(&self.dir, stale, |path, name, found| {
+            let entries = match found {
+                Found::Entries(entries) => entries,
+                Found::Litter(claim, _, stale) => {
+                    let removed =
+                        if claim { &mut report.removed_claims } else { &mut report.removed_temps };
+                    *removed += usize::from(stale && std::fs::remove_file(path).is_ok());
+                    return;
+                }
             };
-            if name.ends_with(".claim") {
-                let stealable = match self.read_claim_at(&path) {
-                    Some(info) => info.stealable(stale),
-                    None => file_age(&path).is_some_and(|age| age > stale),
-                };
-                if stealable && std::fs::remove_file(&path).is_ok() {
-                    report.removed_claims += 1;
-                }
-                continue;
+            let expired = max_age.is_some_and(|max| file_age(path).is_some_and(|age| age > max));
+            let (mut kept, was_kept) = (String::new(), report.kept);
+            for entry in entries {
+                *match &entry.head {
+                    Err(_) => &mut report.removed_corrupt,
+                    Ok([schema, ..]) if retired && *schema != self.schema => {
+                        &mut report.removed_retired
+                    }
+                    Ok(_) if expired => &mut report.removed_old,
+                    Ok(_) => {
+                        kept = kept + entry.text + "\n";
+                        &mut report.kept
+                    }
+                } += 1;
             }
-            if !name.ends_with(".json") || is_temp_name(&name) {
-                continue;
+            if report.kept - was_kept == entries.len() {
+                return;
             }
-            let entry = self.read_raw_entry(&path);
-            let valid = entry.as_ref().is_some_and(|e| {
-                matches!((&e.schema, &e.key, e.has_value), (Some(_), Some(_), true))
-            });
-            if !valid {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.removed_corrupt += 1;
-                }
-                continue;
+            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+            let rewritten = match kept.is_empty() {
+                true => std::fs::remove_file(path),
+                false => std::fs::write(&tmp, &kept).and_then(|()| std::fs::rename(&tmp, path)),
+            };
+            if let Err(e) = rewritten {
+                let _ = std::fs::remove_file(&tmp);
+                eprintln!("warning: prune of {name} failed: {e}");
             }
-            let entry = entry.expect("checked above");
-            let schema = entry.schema.as_deref().unwrap_or_default();
-            if retired && schema != self.schema {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.removed_retired += 1;
-                }
-                continue;
-            }
-            let expired =
-                max_age.is_some_and(|limit| file_age(&path).is_some_and(|age| age > limit));
-            if expired {
-                if std::fs::remove_file(&path).is_ok() {
-                    report.removed_old += 1;
-                }
-                continue;
-            }
-            report.kept += 1;
-        }
+        });
+        // Offsets moved: index afresh and append to a new segment.
+        *self.segments.lock().unwrap_or_else(PoisonError::into_inner) = Segments::default();
         report
     }
 
     /// Imports every valid entry of the foreign cache dir `src` into
-    /// this cache, byte-verbatim (content-addressed names make this a
-    /// plain union). Entries already present are kept; same-key entries
-    /// whose **values** disagree are counted as conflicts and left
-    /// local.
+    /// this cache: entries it lacks are appended to this handle's segment
+    /// as compact lines (per-file entries too). Entries already present
+    /// are kept; same-key entries whose **values** disagree are counted
+    /// as conflicts and left local.
     pub fn merge_from(&self, src: &Path) -> MergeReport {
-        let foreign = ReportCache::with_schema(src, self.schema.clone());
         let mut report = MergeReport::default();
-        for path in foreign.dir_files() {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
+        let parse = |text: &str| serde_json::from_str_value(text).ok();
+        walk(src, Duration::MAX, |_, name, found| {
+            let Found::Entries(entries) = found else {
+                return;
             };
-            if !name.ends_with(".json") || is_temp_name(&name) {
-                continue;
-            }
-            let Some(entry) = foreign.read_raw_entry(&path) else {
-                report.invalid += 1;
-                continue;
-            };
-            let (Some(schema), Some(key), true) = (&entry.schema, &entry.key, entry.has_value)
-            else {
-                report.invalid += 1;
-                continue;
-            };
-            if Self::expected_name(schema, key) != name {
-                report.invalid += 1;
-                continue;
-            }
-            let dest = self.dir.join(&name);
-            if dest.exists() {
-                let local = std::fs::read_to_string(&dest).unwrap_or_default();
-                if local == entry.bytes {
-                    report.skipped_identical += 1;
-                } else {
-                    let same_value = serde_json::from_str_value(&local)
-                        .ok()
-                        .and_then(|l| {
-                            serde_json::from_str_value(&entry.bytes)
-                                .ok()
-                                .map(|f| l.get_field("value") == f.get_field("value"))
-                        })
-                        .unwrap_or(false);
-                    if same_value {
-                        report.skipped_equivalent += 1;
-                    } else {
-                        report.conflicting += 1;
-                    }
-                }
-                continue;
-            }
-            if let Err(e) = std::fs::create_dir_all(&self.dir) {
-                eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
-                report.invalid += 1;
-                continue;
-            }
-            let tmp = dest.with_extension(format!("tmp.{}", std::process::id()));
-            let copied =
-                std::fs::write(&tmp, &entry.bytes).and_then(|()| std::fs::rename(&tmp, &dest));
-            match copied {
-                Ok(()) => report.imported += 1,
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    eprintln!("warning: import of {name} failed: {e}");
+            for entry in entries {
+                let Ok([schema, key, _]) = &entry.head else {
                     report.invalid += 1;
-                }
+                    continue;
+                };
+                let hash = entry_hash(schema, key);
+                let local = self.segments().text(&self.dir, hash);
+                *match local.map(|local| (parse(&local), parse(entry.text))) {
+                    Some((Some(l), Some(f))) if l == f => &mut report.skipped_identical,
+                    Some((Some(l), Some(f))) if l.get_field("value") == f.get_field("value") => {
+                        &mut report.skipped_equivalent
+                    }
+                    Some(_) => &mut report.conflicting,
+                    None => {
+                        let line = parse(entry.text).and_then(|v| serde_json::to_string(&v).ok());
+                        let line = line.unwrap_or_default() + "\n";
+                        match self.segments().append(&self.dir, hash, &line) {
+                            Ok(()) => &mut report.imported,
+                            Err(e) => {
+                                eprintln!("warning: import of {name} failed: {e}");
+                                &mut report.invalid
+                            }
+                        }
+                    }
+                } += 1;
             }
-        }
+        });
         report
     }
 
@@ -855,12 +828,18 @@ mod tests {
     use crate::metrics::SimReport;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "eva-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("eva-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The one segment in `dir`.
+    fn segment(dir: &Path) -> PathBuf {
+        let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        let logs: Vec<PathBuf> =
+            paths.filter(|p| p.extension().is_some_and(|x| x == "log")).collect();
+        assert_eq!(logs.len(), 1, "one segment");
+        logs[0].clone()
     }
 
     fn report(cost: f64) -> SimReport {
@@ -887,11 +866,11 @@ mod tests {
     #[test]
     fn store_then_lookup_round_trips() {
         let cache = ReportCache::new(tmp_dir("round-trip"));
-        assert!(cache.is_empty());
+        assert_eq!(cache.stats().entries, 0);
         assert!(cache.lookup::<SimReport>("k1").is_none());
         let r = report(12.5);
         cache.store("k1", &r);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.lookup::<SimReport>("k1"), Some(r));
         assert!(cache.lookup::<SimReport>("k2").is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -904,26 +883,35 @@ mod tests {
         v1.store("k", &report(1.0));
         assert!(v1.lookup::<SimReport>("k").is_some());
         let v2 = ReportCache::with_schema(&dir, "v2");
-        assert!(
-            v2.lookup::<SimReport>("k").is_none(),
-            "new schema must not read old entries"
-        );
+        assert!(v2.lookup::<SimReport>("k").is_none(), "new schema must not read old entries");
+        // One key under two schemas is two entries, each found by a
+        // handle that reads the directory afresh.
+        v2.store("k", &report(2.0));
+        for (schema, cost) in [("v1", 1.0), ("v2", 2.0)] {
+            let fresh = ReportCache::with_schema(&dir, schema);
+            assert_eq!(fresh.lookup::<SimReport>("k"), Some(report(cost)), "{schema}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entries_read_as_miss() {
-        let cache = ReportCache::new(tmp_dir("corrupt"));
+        let dir = tmp_dir("corrupt");
+        let cache = ReportCache::new(&dir);
         cache.store("k", &report(1.0));
-        let path = cache.path_for("k");
-        std::fs::write(&path, "{ not json").unwrap();
+        // Garble the entry in place: the index still points at it.
+        let log = segment(&dir);
+        let text = std::fs::read_to_string(&log).unwrap();
+        std::fs::write(&log, format!("{{ not json{}", &text[10..])).unwrap();
         assert!(cache.lookup::<SimReport>("k").is_none());
+        assert!(ReportCache::new(&dir).lookup::<SimReport>("k").is_none());
         // A tampered key string (hash collision stand-in) is also a miss.
         cache.store("k", &report(1.0));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"k\"", "\"other\"")).unwrap();
+        let text = std::fs::read_to_string(&log).unwrap();
+        std::fs::write(&log, text.replace("\"key\":\"k\"", "\"key\":\"o\"")).unwrap();
         assert!(cache.lookup::<SimReport>("k").is_none());
-        let _ = std::fs::remove_dir_all(cache.dir());
+        assert!(ReportCache::new(&dir).lookup::<SimReport>("k").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -934,8 +922,8 @@ mod tests {
         let b = ReportCache::new(&b_dir);
         a.store("k", &report(0.1));
         b.store("k", &report(0.1));
-        let read = |c: &ReportCache| std::fs::read_to_string(c.path_for("k")).unwrap();
-        assert_eq!(read(&a), read(&b));
+        let read = |dir: &Path| std::fs::read_to_string(segment(dir)).unwrap();
+        assert_eq!(read(&a_dir), read(&b_dir));
         let _ = std::fs::remove_dir_all(&a_dir);
         let _ = std::fs::remove_dir_all(&b_dir);
     }
@@ -943,21 +931,30 @@ mod tests {
     /// A pid above the kernel's pid_max, so `/proc/<pid>` never exists.
     const DEAD_PID: u32 = 4_294_967_295;
 
+    /// Plants a claim on `key` whose holder pid cannot exist on this host.
+    fn plant_dead_claim(cache: &ReportCache, key: &str) {
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let (host, ts_ms, key) = (local_host(), now_ms(), key.to_string());
+        let claim = ClaimInfo { pid: DEAD_PID, host, ts_ms, key };
+        let path = cache.claim_path(&claim.key);
+        std::fs::write(path, serde_json::to_string(&claim).unwrap()).unwrap();
+    }
+
     const STALE: Duration = Duration::from_secs(600);
 
     #[test]
     fn entries_carry_provenance_and_lookup_ignores_it() {
         let dir = tmp_dir("provenance");
-        let cache = ReportCache::new(&dir).with_producer("exp_test");
+        let cache = ReportCache { producer: "exp_test".into(), ..ReportCache::new(&dir) };
         cache.store("k", &report(1.0));
-        let bytes = std::fs::read_to_string(cache.path_for("k")).unwrap();
-        assert!(bytes.contains("\"producer\": \"exp_test\""));
+        let log = segment(&dir);
+        let bytes = std::fs::read_to_string(&log).unwrap();
+        assert!(bytes.contains("\"producer\":\"exp_test\""));
         // A differently-stamped (or pre-provenance) entry still hits.
-        std::fs::write(cache.path_for("k"), bytes.replace("exp_test", "elsewhere")).unwrap();
-        assert!(cache.lookup::<SimReport>("k").is_some());
+        std::fs::write(&log, bytes.replace("exp_test", "elsewhere")).unwrap();
+        assert!(ReportCache::new(&dir).lookup::<SimReport>("k").is_some());
         let stats = cache.stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.producers, vec![("elsewhere".to_string(), 1)]);
+        assert_eq!((stats.entries, stats.producers), (1, vec![("elsewhere".to_string(), 1)]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1005,14 +1002,7 @@ mod tests {
     fn dead_holder_claim_is_stolen() {
         let dir = tmp_dir("claim-steal");
         let cache = ReportCache::new(&dir);
-        // Plant a claim whose holder pid cannot exist on this host.
-        std::fs::create_dir_all(&dir).unwrap();
-        let planted = format!(
-            "{{\"pid\":{DEAD_PID},\"host\":\"{}\",\"ts_ms\":{},\"key\":\"cell\"}}",
-            local_host(),
-            now_ms()
-        );
-        std::fs::write(cache.claim_path("cell"), planted).unwrap();
+        plant_dead_claim(&cache, "cell");
         let info = cache.read_claim("cell").unwrap();
         assert!(info.stealable(STALE), "dead-pid claim must be stealable");
         match cache.try_claim("cell", STALE) {
@@ -1027,20 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_dead_writer_temps() {
-        let dir = tmp_dir("tmp-sweep");
-        std::fs::create_dir_all(&dir).unwrap();
-        let orphan = dir.join(format!("deadbeefdeadbeef.tmp.{DEAD_PID}"));
-        let own = dir.join(format!("deadbeefdeadbeef.tmp.{}", std::process::id()));
-        std::fs::write(&orphan, "{}").unwrap();
-        std::fs::write(&own, "{}").unwrap();
-        let _ = ReportCache::new(&dir);
-        assert!(!orphan.exists(), "dead writer's temp must be swept on open");
-        assert!(own.exists(), "a live writer's temp must survive");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn verify_validates_rehash_and_reports_litter() {
         let dir = tmp_dir("verify");
         let cache = ReportCache::new(&dir);
@@ -1048,7 +1024,7 @@ mod tests {
         assert!(cache.verify(STALE).clean());
 
         // Mis-filed entry: valid JSON whose key hashes elsewhere.
-        let good_bytes = std::fs::read_to_string(cache.path_for("good")).unwrap();
+        let good_bytes = std::fs::read_to_string(segment(&dir)).unwrap();
         std::fs::write(dir.join("0000000000000000.json"), &good_bytes).unwrap();
         // Corrupt entry.
         std::fs::write(dir.join("1111111111111111.json"), "{ nope").unwrap();
@@ -1060,15 +1036,12 @@ mod tests {
         };
 
         let report = cache.verify(STALE);
-        assert_eq!(report.entries, 3);
-        assert_eq!(report.valid, 1);
-        assert_eq!(report.issues.len(), 2);
+        assert_eq!((report.entries, report.valid, report.issues.len()), (3, 1, 2));
         assert!(report
             .issues
             .iter()
             .any(|i| i.file == "0000000000000000.json" && i.problem.contains("wrong hash")));
-        assert_eq!(report.temps.len(), 1);
-        assert_eq!(report.claims.len(), 1);
+        assert_eq!((report.temps.len(), report.claims.len()), (1, 1));
         assert!(!report.clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1083,22 +1056,11 @@ mod tests {
         std::fs::write(dir.join("1111111111111111.json"), "{ nope").unwrap();
         std::fs::write(dir.join(format!("2222222222222222.tmp.{DEAD_PID}")), "{}").unwrap();
         // A dead holder's claim is stale; prune removes it.
-        std::fs::write(
-            cache.claim_path("current"),
-            format!(
-                "{{\"pid\":{DEAD_PID},\"host\":\"{}\",\"ts_ms\":{},\"key\":\"current\"}}",
-                local_host(),
-                now_ms()
-            ),
-        )
-        .unwrap();
+        plant_dead_claim(&cache, "current");
 
         let pruned = cache.prune(None, true, STALE);
-        assert_eq!(pruned.removed_retired, 1);
-        assert_eq!(pruned.removed_corrupt, 1);
-        assert_eq!(pruned.removed_temps, 1);
-        assert_eq!(pruned.removed_claims, 1);
-        assert_eq!(pruned.kept, 1);
+        let removed = (pruned.removed_retired, pruned.removed_corrupt, pruned.removed_temps);
+        assert_eq!((removed, pruned.removed_claims, pruned.kept), ((1, 1, 1), 1, 1));
         assert!(cache.lookup::<SimReport>("current").is_some());
         assert!(cache.verify(STALE).clean());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1119,10 +1081,9 @@ mod tests {
         std::fs::write(foreign_dir.join("9999999999999999.json"), "{ nope").unwrap();
 
         let merged = local.merge_from(foreign.dir());
-        assert_eq!(merged.imported, 1);
-        assert_eq!(merged.skipped_identical, 1);
-        assert_eq!(merged.conflicting, 1);
-        assert_eq!(merged.invalid, 1);
+        let counts =
+            (merged.imported, merged.skipped_identical, merged.conflicting, merged.invalid);
+        assert_eq!(counts, (1, 1, 1, 1));
         assert_eq!(local.lookup::<SimReport>("theirs"), Some(report(3.0)));
         assert_eq!(
             local.lookup::<SimReport>("clash"),
@@ -1132,8 +1093,8 @@ mod tests {
 
         // Exporting back is symmetric: only `mine` is new over there.
         let exported = local.export_to(foreign.dir());
-        assert_eq!(exported.imported, 1);
-        assert_eq!(exported.conflicting, 1);
+        assert_eq!((exported.imported, exported.conflicting), (1, 1));
+        let foreign = ReportCache::new(&foreign_dir);
         assert_eq!(foreign.lookup::<SimReport>("mine"), Some(report(2.0)));
         let _ = std::fs::remove_dir_all(&local_dir);
         let _ = std::fs::remove_dir_all(&foreign_dir);
@@ -1143,13 +1104,12 @@ mod tests {
     fn equivalent_entries_with_different_producers_skip_quietly() {
         let local_dir = tmp_dir("merge-equiv-local");
         let foreign_dir = tmp_dir("merge-equiv-foreign");
-        let local = ReportCache::new(&local_dir).with_producer("exp_a");
-        let foreign = ReportCache::new(&foreign_dir).with_producer("exp_b");
+        let local = ReportCache { producer: "exp_a".into(), ..ReportCache::new(&local_dir) };
+        let foreign = ReportCache { producer: "exp_b".into(), ..ReportCache::new(&foreign_dir) };
         local.store("k", &report(1.0));
         foreign.store("k", &report(1.0));
         let merged = local.merge_from(foreign.dir());
-        assert_eq!(merged.skipped_equivalent, 1);
-        assert_eq!(merged.conflicting, 0);
+        assert_eq!((merged.skipped_equivalent, merged.conflicting), (1, 0));
         let _ = std::fs::remove_dir_all(&local_dir);
         let _ = std::fs::remove_dir_all(&foreign_dir);
     }

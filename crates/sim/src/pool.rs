@@ -268,6 +268,7 @@ impl CellPool {
                 ClaimAttempt::Acquired(guard) => {
                     // A peer may have published between the miss and
                     // the claim; don't redo its work.
+                    cache.refresh();
                     let result = match cache.lookup::<R>(key) {
                         Some(hit) => {
                             peer.fetch_add(1, Ordering::Relaxed);

@@ -48,6 +48,8 @@ pub struct ServeOutcome {
     pub jobs_ingested: u64,
     /// Jobs the source yielded that no catalog type can host.
     pub jobs_dropped: u64,
+    /// Feed lines the source skipped as malformed or out of order.
+    pub lines_rejected: u64,
     /// High-water mark of concurrently live arena job rows.
     pub peak_job_rows: usize,
 }
@@ -94,6 +96,7 @@ pub fn serve<W: Write>(
         serde_json::to_string(&final_snapshot).expect("snapshot serializes")
     )?;
     let (jobs_ingested, jobs_dropped) = (sim.jobs_ingested(), sim.jobs_dropped());
+    let lines_rejected = sim.lines_rejected();
     let report = sim.run();
     Ok(ServeOutcome {
         report,
@@ -101,6 +104,7 @@ pub fn serve<W: Write>(
         metrics_lines,
         jobs_ingested,
         jobs_dropped,
+        lines_rejected,
         peak_job_rows,
     })
 }

@@ -980,6 +980,11 @@ impl ClusterSim {
         self.dropped_jobs
     }
 
+    /// Feed lines the job source skipped so far ([`JobSource::rejected`]).
+    pub fn lines_rejected(&self) -> u64 {
+        self.stream.as_ref().map_or(0, |s| s.source.rejected())
+    }
+
     /// Arena job rows currently holding a live (unreleased) job — the
     /// bounded-memory observable: with retirement on this tracks the
     /// in-flight window, not total jobs ingested.

@@ -54,6 +54,12 @@ pub trait JobSource {
     fn ids_monotone(&self) -> bool {
         false
     }
+
+    /// Lines of an external feed skipped so far as malformed or out of
+    /// order (0 for sources that cannot reject anything).
+    fn rejected(&self) -> u64 {
+        0
+    }
 }
 
 /// Batch adapter: replays a [`TraceHandle`] in stored order.
@@ -180,7 +186,8 @@ impl JobSource for SyntheticSource {
 ///
 /// Blank lines are skipped. Malformed lines (not UTF-8 or not a `JobSpec`)
 /// and out-of-order arrivals (which would break the engine's monotone clock)
-/// are skipped with a warning on stderr; only a read error ends the stream.
+/// are skipped with a warning on stderr and counted
+/// ([`JobSource::rejected`]); only a read error ends the stream.
 /// Ids are trusted: `ClusterView` hashes them with `eva_types::IdHasher`,
 /// which does not resist a feed crafted to collide (slower, same results).
 pub struct JsonLinesSource<R: BufRead> {
@@ -188,6 +195,7 @@ pub struct JsonLinesSource<R: BufRead> {
     line: Vec<u8>,
     last_arrival: SimTime,
     line_no: usize,
+    rejected: u64,
 }
 
 impl<R: BufRead> JsonLinesSource<R> {
@@ -198,6 +206,7 @@ impl<R: BufRead> JsonLinesSource<R> {
             line: Vec::new(),
             last_arrival: SimTime::ZERO,
             line_no: 0,
+            rejected: 0,
         }
     }
 }
@@ -216,6 +225,7 @@ impl<R: BufRead> JobSource for JsonLinesSource<R> {
                 }
             }
             let Ok(line) = std::str::from_utf8(&self.line) else {
+                self.rejected += 1;
                 eprintln!(
                     "warning: skipping malformed job line {}: not UTF-8",
                     self.line_no
@@ -232,16 +242,22 @@ impl<R: BufRead> JobSource for JsonLinesSource<R> {
                     return Some(job);
                 }
                 Ok(job) => {
+                    self.rejected += 1;
                     eprintln!(
                         "warning: dropping out-of-order job {:?} at line {} (arrival went backwards)",
                         job.id, self.line_no
                     );
                 }
                 Err(e) => {
+                    self.rejected += 1;
                     eprintln!("warning: skipping malformed job line {}: {e}", self.line_no);
                 }
             }
         }
+    }
+
+    fn rejected(&self) -> u64 {
+        self.rejected
     }
 }
 
@@ -281,6 +297,10 @@ impl<S: JobSource> JobSource for BoundedSource<S> {
     fn ids_monotone(&self) -> bool {
         self.inner.ids_monotone()
     }
+
+    fn rejected(&self) -> u64 {
+        self.inner.rejected()
+    }
 }
 
 impl JobSource for Box<dyn JobSource> {
@@ -294,6 +314,10 @@ impl JobSource for Box<dyn JobSource> {
 
     fn ids_monotone(&self) -> bool {
         (**self).ids_monotone()
+    }
+
+    fn rejected(&self) -> u64 {
+        (**self).rejected()
     }
 }
 
@@ -357,8 +381,12 @@ mod tests {
         // An out-of-order replay of the first job must be dropped.
         feed.extend(serde_json::to_string(&trace.jobs()[0]).unwrap().bytes());
         feed.push(b'\n');
-        let got = drain(JsonLinesSource::new(&feed[..]));
+        let mut source = JsonLinesSource::new(&feed[..]);
+        let got: Vec<JobSpec> = std::iter::from_fn(|| source.next_job()).collect();
         assert_eq!(got, trace.jobs());
+        // Every non-UTF-8 line, `not json` and the replay; blank lines are
+        // not rejections.
+        assert_eq!(source.rejected(), trace.len() as u64 + 2);
     }
 
     #[test]

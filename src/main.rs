@@ -677,9 +677,10 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     let mut out = stdout.lock();
     let outcome = serve(&cfg, source, &opts, &mut out).map_err(|e| format!("serve: {e}"))?;
     eprintln!(
-        "drained: {} jobs ingested, {} dropped as unschedulable, {} rolling metrics line(s), \
-         peak {} arena job rows",
-        outcome.jobs_ingested, outcome.jobs_dropped, outcome.metrics_lines, outcome.peak_job_rows
+        "drained: {} jobs ingested, {} dropped as unschedulable, {} lines rejected, \
+         {} rolling metrics line(s), peak {} arena job rows",
+        outcome.jobs_ingested, outcome.jobs_dropped, outcome.lines_rejected, outcome.metrics_lines,
+        outcome.peak_job_rows
     );
     eprintln!("{}", outcome.report.table_row(None));
     Ok(())

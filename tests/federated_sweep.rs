@@ -119,21 +119,26 @@ fn dead_workers_claim_is_stolen_and_rerun_is_clean() {
     let dir = root.join("cache");
     let (json1, json2) = (root.join("ref.json"), root.join("rerun.json"));
 
-    // Warm run to learn real entry names.
+    // Warm run to learn real entry keys.
     let out = eva().args(sweep_args("1", &dir, &json1)).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let entry = std::fs::read_dir(&dir)
+    let segment = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .find(|p| p.extension().is_some_and(|x| x == "log"))
         .expect("warm run populated the cache");
 
-    // Simulate a worker killed mid-cell: its result is gone, its claim
-    // file is left behind. Pid 4294967295 exceeds any real pid_max and
-    // ts_ms=1 is ancient, so the claim is stealable on both axes.
-    std::fs::remove_file(&entry).unwrap();
-    let claim = entry.with_extension("claim");
+    // Simulate a worker killed mid-cell: its result is gone (its line
+    // dropped from the segment), its claim file is left behind. Pid
+    // 4294967295 exceeds any real pid_max and ts_ms=1 is ancient, so the
+    // claim is stealable on both axes.
+    let text = std::fs::read_to_string(&segment).unwrap();
+    let (first, rest) = text.split_once('\n').unwrap();
+    std::fs::write(&segment, rest).unwrap();
+    let entry: serde_json::Value = serde_json::from_str(first).unwrap();
+    let key = entry.get_field("key").and_then(|k| k.as_str()).unwrap();
+    let claim = eva_sim::ReportCache::new(&dir).claim_path(key);
     std::fs::write(
         &claim,
         r#"{"pid":4294967295,"host":"elsewhere","ts_ms":1,"key":"?"}"#,

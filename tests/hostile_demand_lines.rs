@@ -60,6 +60,7 @@ fn unholdable_demand_specs_are_skipped_lines() {
     let n = jobs.len() as u64;
     let outcome = serve_lines(&feed);
     assert_eq!(outcome.jobs_ingested, n, "hostile lines never become jobs");
+    assert_eq!(outcome.lines_rejected, n, "each hostile line is counted");
     assert_eq!(outcome.report.jobs_completed as u64, n);
 
     // Skipped means skipped: the run is the run without those lines.
@@ -85,6 +86,10 @@ fn unschedulable_jobs_are_counted_as_dropped() {
     let outcome = serve_lines(&lines);
     assert_eq!(outcome.jobs_ingested, n - 1);
     assert_eq!(outcome.jobs_dropped, 1);
+    assert_eq!(
+        outcome.lines_rejected, 0,
+        "a dropped job is not a rejected line"
+    );
     assert_eq!(outcome.report.jobs_completed as u64, n - 1);
 
     let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Stratus);
@@ -92,4 +97,28 @@ fn unschedulable_jobs_are_counted_as_dropped() {
     let sim = ClusterSim::new(&cfg);
     assert_eq!(sim.jobs_dropped(), 1);
     assert_eq!(sim.run().jobs_completed as u64, n - 1);
+}
+
+#[test]
+fn skipped_lines_are_counted_by_reason() {
+    let rejected = |feed: &[u8]| {
+        let mut source = JsonLinesSource::new(BufReader::new(Cursor::new(feed.to_vec())));
+        while source.next_job().is_some() {}
+        source.rejected()
+    };
+    let jobs = SyntheticTraceConfig::small_scale().generate(6).into_jobs();
+    let line = |i: usize| serde_json::to_string(&jobs[i]).unwrap() + "\n";
+    assert!(jobs[0].arrival < jobs[1].arrival);
+    assert_eq!(
+        rejected(b"{\"id\": \xff}\n\n  \n"),
+        1,
+        "not UTF-8; blank lines are no rejection"
+    );
+    assert_eq!(rejected(b"not json\n{}\n"), 2, "not a JobSpec");
+    assert_eq!(rejected((line(1) + &line(0)).as_bytes()), 1, "out of order");
+    // `serve` reports what its source rejected.
+    assert_eq!(
+        serve_lines(&["{\"id\": 1".to_string(), line(0)]).lines_rejected,
+        1
+    );
 }

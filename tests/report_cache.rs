@@ -10,6 +10,11 @@
 //! (d) The fault axis is part of every fingerprint: a cached clean-run
 //!     cell can never be replayed for a faulted cell, and intensity is
 //!     part of the key, not just the regime.
+//! (e) Segments: a torn last line costs only its own entry, which
+//!     `verify` names and `prune` removes; handles writing one directory
+//!     from several threads never interleave lines; and the one-file-per-
+//!     entry layout of earlier caches reads warm and is counted by the
+//!     lifecycle tools.
 
 use std::path::PathBuf;
 
@@ -167,4 +172,165 @@ fn trace_mutation_invalidates_entries() {
     assert_eq!(s2.executed, s2.unique);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The segments (`*.log`) in `dir`, in name order.
+fn segments(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut logs: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    logs.sort();
+    logs
+}
+
+const STALE: std::time::Duration = std::time::Duration::from_secs(600);
+
+#[test]
+fn torn_tail_misses_alone_and_prune_mends_it() {
+    let dir = tmp_dir("torn");
+    let writer = ReportCache::new(&dir);
+    for k in 0..5u64 {
+        writer.store(&format!("k{k}"), &vec![k; 40]);
+    }
+    drop(writer);
+    let [log] = &segments(&dir)[..] else {
+        panic!("one writer, one segment")
+    };
+    // A writer killed mid-append: the last line stops halfway.
+    let len = std::fs::metadata(log).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(log).unwrap();
+    file.set_len(len - 60).unwrap();
+
+    let cache = ReportCache::new(&dir);
+    for k in 0..4u64 {
+        assert_eq!(
+            cache.lookup::<Vec<u64>>(&format!("k{k}")),
+            Some(vec![k; 40])
+        );
+    }
+    assert_eq!(
+        cache.lookup::<Vec<u64>>("k4"),
+        None,
+        "the torn entry misses"
+    );
+    let report = cache.verify(STALE);
+    let name = log.file_name().unwrap().to_string_lossy();
+    assert_eq!((report.entries, report.valid), (5, 4));
+    assert_eq!(report.issues.len(), 1, "{:?}", report.issues);
+    assert_eq!(report.issues[0].file, format!("{name}:5"));
+
+    let pruned = cache.prune(None, true, STALE);
+    assert_eq!((pruned.removed_corrupt, pruned.kept), (1, 4));
+    assert!(cache.verify(STALE).clean());
+    cache.store("k4", &vec![4u64; 40]);
+    let fresh = ReportCache::new(&dir);
+    for k in 0..5u64 {
+        assert_eq!(
+            fresh.lookup::<Vec<u64>>(&format!("k{k}")),
+            Some(vec![k; 40])
+        );
+    }
+    assert!(fresh.verify(STALE).clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_writers_never_interleave_lines() {
+    let dir = tmp_dir("concurrent");
+    let handles = [ReportCache::new(&dir), ReportCache::new(&dir)];
+    // Entries of ~40 KB each, four threads appending at once.
+    let value = |h: usize, t: usize, i: usize| vec![(h * 1_000 + t * 100 + i) as u64; 5_000];
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for (h, cache) in handles.iter().enumerate() {
+            for t in 0..2 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..25 {
+                        cache.store(&format!("h{h}-t{t}-{i}"), &value(h, t, i));
+                    }
+                });
+            }
+        }
+    });
+    let fresh = ReportCache::new(&dir);
+    for (h, t, i) in (0..2).flat_map(|h| (0..2).flat_map(move |t| (0..25).map(move |i| (h, t, i))))
+    {
+        let key = format!("h{h}-t{t}-{i}");
+        assert_eq!(
+            fresh.lookup::<Vec<u64>>(&key),
+            Some(value(h, t, i)),
+            "{key}"
+        );
+    }
+    // One segment per handle, and every line in them a whole entry.
+    let logs = segments(&dir);
+    assert_eq!(logs.len(), 2);
+    let mut lines = 0;
+    for log in &logs {
+        for line in std::fs::read_to_string(log).unwrap().lines() {
+            let entry: serde_json::Value = serde_json::from_str(line).expect("a whole entry");
+            assert!(entry.get_field("value").is_some());
+            lines += 1;
+        }
+    }
+    assert_eq!(lines, 100);
+    let report = fresh.verify(STALE);
+    assert!(report.clean() && report.valid == 100, "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn per_file_entries_of_earlier_caches_read_warm_and_are_counted() {
+    let (segmented, per_file, merged) = (tmp_dir("seg"), tmp_dir("per-file"), tmp_dir("merged"));
+    let trace = trace(10);
+    let (cold, _) = SweepRunner::new(2)
+        .with_cache(ReportCache::new(&segmented))
+        .run_with_stats(&grid(&trace));
+
+    // Rewrite every entry the way caches wrote them before segments:
+    // one pretty `<fnv>.json` file per entry, named by `schema|key`.
+    std::fs::create_dir_all(&per_file).unwrap();
+    let writer = ReportCache::new(&per_file);
+    let mut n = 0;
+    for log in segments(&segmented) {
+        for line in std::fs::read_to_string(log).unwrap().lines() {
+            let entry: serde_json::Value = serde_json::from_str(line).unwrap();
+            let key = entry.get_field("key").and_then(|k| k.as_str()).unwrap();
+            let path = writer.claim_path(key).with_extension("json");
+            std::fs::write(path, serde_json::to_string_pretty(&entry).unwrap()).unwrap();
+            n += 1;
+        }
+    }
+    assert_eq!(n, grid(&trace).cell_count());
+
+    let (warm, stats) = SweepRunner::new(2)
+        .with_cache(ReportCache::new(&per_file))
+        .run_with_stats(&grid(&trace));
+    assert_eq!(stats.executed, 0, "per-file entries read warm");
+    assert_eq!(cold.to_json_pretty(), warm.to_json_pretty());
+
+    let cache = ReportCache::new(&per_file);
+    assert_eq!(cache.stats().entries, n);
+    let report = cache.verify(STALE);
+    assert!(report.clean() && report.valid == n, "{report:?}");
+    assert_eq!(
+        ReportCache::new(&segmented)
+            .merge_from(&per_file)
+            .skipped_identical,
+        n
+    );
+    let imported = ReportCache::new(&merged).merge_from(&per_file);
+    assert_eq!(imported.imported, n);
+    let (again, stats) = SweepRunner::new(2)
+        .with_cache(ReportCache::new(&merged))
+        .run_with_stats(&grid(&trace));
+    assert_eq!(stats.executed, 0, "imported entries read warm");
+    assert_eq!(cold.to_json_pretty(), again.to_json_pretty());
+    for dir in [segmented, per_file, merged] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
