@@ -42,6 +42,7 @@ use crate::state::TaskState;
 /// slots, not IDs — dispatch is a direct index, never a lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Event {
+    /// Trace job `i` arriving; its handler queues job `i + 1`'s arrival.
     Arrival(usize),
     TaskReady { slot: u32, generation: u64 },
     JobDone { slot: u32, generation: u64 },
@@ -401,8 +402,10 @@ impl ClusterSim {
         for job in sim.cfg.trace.jobs() {
             sim.completed.intern(job.id);
         }
-        for (idx, job) in sim.cfg.trace.jobs().iter().enumerate() {
-            sim.engine.schedule(job.arrival, Event::Arrival(idx));
+        // Arrivals come from a cursor: only the first is queued, and each
+        // schedules the next (see `Event::Arrival`).
+        if let Some(first) = sim.cfg.trace.jobs().first() {
+            sim.engine.schedule(first.arrival, Event::Arrival(0));
         }
         // Inject the fault plan. Price steps compile straight into the
         // provider's billing schedule (they change no control-plane
@@ -621,6 +624,12 @@ impl ClusterSim {
     fn handle(&mut self, event: Event) {
         match event {
             Event::Arrival(idx) => {
+                // The trace is sorted by (arrival, id) and no other event
+                // shares an arrival's priority, so the next arrival queued
+                // here pops exactly where a pre-loaded one would have.
+                if let Some(next) = self.cfg.trace.jobs().get(idx + 1) {
+                    self.push(next.arrival, Event::Arrival(idx + 1));
+                }
                 self.arrivals_remaining -= 1;
                 self.metrics.record_arrival();
                 let slot = self.world.slot_of_spec[idx];
