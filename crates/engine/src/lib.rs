@@ -94,6 +94,8 @@ pub struct EventEngine<E> {
     canceled: HashSet<u64>,
     /// High-water mark of `events.len()` over the engine's lifetime.
     peak_len: usize,
+    /// Events scheduled before the clock and dispatched at it instead.
+    past_dated: u64,
 }
 
 impl<E: SimEvent> EventEngine<E> {
@@ -105,6 +107,7 @@ impl<E: SimEvent> EventEngine<E> {
             now: SimTime::ZERO,
             canceled: HashSet::new(),
             peak_len: 0,
+            past_dated: 0,
         }
     }
 
@@ -113,10 +116,18 @@ impl<E: SimEvent> EventEngine<E> {
         self.now
     }
 
-    /// Enqueues `event` for dispatch at `at` (which must not precede the
-    /// clock).
+    /// Enqueues `event` for dispatch at `at`, which must not precede the
+    /// clock. A debug build panics on a past-dated event; a release build
+    /// dispatches it at the clock, in order, and counts it
+    /// ([`EventEngine::past_dated`]).
     pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
+        let at = if at < self.now {
+            self.past_dated += 1;
+            self.now
+        } else {
+            at
+        };
         self.seq += 1;
         self.events.push(Reverse(Entry {
             at,
@@ -169,7 +180,9 @@ impl<E: SimEvent> EventEngine<E> {
     /// clock, discarding tombstoned entries along the way.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         while let Some(Reverse(e)) = self.events.pop() {
-            if self.canceled.remove(&e.seq) {
+            // Most runs never cancel: skip the hash probe while nothing is
+            // tombstoned.
+            if !self.canceled.is_empty() && self.canceled.remove(&e.seq) {
                 continue;
             }
             return Some(Scheduled {
@@ -222,6 +235,12 @@ impl<E: SimEvent> EventEngine<E> {
     /// snapshots track alongside [`EventEngine::scheduled_count`].
     pub fn peak_len(&self) -> usize {
         self.peak_len
+    }
+
+    /// Events scheduled before the clock so far (release builds dispatch
+    /// them at the clock; debug builds panic instead).
+    pub fn past_dated(&self) -> u64 {
+        self.past_dated
     }
 }
 
@@ -424,6 +443,44 @@ mod tests {
         assert_eq!(engine.live_len(), 0);
         engine.schedule(SimTime::from_secs(2), Ev::Fast(2));
         assert_eq!(engine.pop().unwrap().event, Ev::Fast(2));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "event scheduled in the past"))]
+    fn past_dated_events_dispatch_at_the_clock_and_are_counted() {
+        let mut engine: EventEngine<Ev> = EventEngine::new();
+        engine.advance_to(SimTime::from_secs(10));
+        engine.schedule(SimTime::from_secs(10), Ev::Slow(1));
+        engine.schedule(SimTime::from_secs(3), Ev::Fast(2));
+        engine.schedule(SimTime::from_secs(4), Ev::Slow(3));
+        assert_eq!(engine.past_dated(), 2);
+        let popped: Vec<(SimTime, Ev)> =
+            std::iter::from_fn(|| engine.pop().map(|s| (s.at, s.event))).collect();
+        let t = SimTime::from_secs(10);
+        assert_eq!(
+            popped,
+            vec![(t, Ev::Fast(2)), (t, Ev::Slow(1)), (t, Ev::Slow(3))],
+            "clamped to the clock, then by priority and FIFO"
+        );
+        assert_eq!(engine.now(), t, "the clock never rewinds");
+    }
+
+    #[test]
+    fn pops_skip_the_tombstone_probe_once_every_tombstone_is_spent() {
+        let mut engine: EventEngine<Ev> = EventEngine::new();
+        assert!(engine.canceled.is_empty(), "nothing canceled: no probe");
+        for i in 0..4 {
+            engine.schedule(SimTime::from_secs(i), Ev::Fast(i as u32));
+        }
+        let doomed = engine.schedule_cancelable(SimTime::from_secs(1), Ev::Slow(9));
+        engine.cancel(doomed);
+        assert_eq!(engine.canceled.len(), 1, "one tombstone, below compaction");
+        let order: Vec<Ev> = std::iter::from_fn(|| engine.pop().map(|s| s.event)).collect();
+        assert_eq!(order, vec![Ev::Fast(0), Ev::Fast(1), Ev::Fast(2), Ev::Fast(3)]);
+        assert!(engine.canceled.is_empty(), "the spent tombstone is forgotten");
+        // With the set empty again, later pops take the probe-free path.
+        engine.schedule(SimTime::from_secs(5), Ev::Slow(5));
+        assert_eq!(engine.pop().map(|s| s.event), Some(Ev::Slow(5)));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! * **job slots** are assigned in ascending [`JobId`] order, so walking
 //!   `0..len` visits jobs exactly as the old `BTreeMap<JobId, _>`
-//!   iteration did — float accumulation order (and therefore report
-//!   bytes) is preserved;
+//!   iteration did;
 //! * **task slots** are job-major and ascending by [`TaskId`] within a
 //!   job, so each job's tasks form one contiguous slot range and a
 //!   sorted task-slot list is sorted by `TaskId`;
@@ -18,8 +17,8 @@
 //!   `Vec`s indexed by slot, with a dense `InstanceId → slot` table on
 //!   the side (provider IDs are sequential);
 //! * **job slots recycle too** when retirement is enabled: a completed
-//!   job folds its report contribution into the host's completed-job
-//!   log, releases its task range, and returns its slot through
+//!   job, already folded into the host's report sums, releases its task
+//!   range and returns its slot through
 //!   [`JobArena::release`] — the same free-list discipline as
 //!   instances — so a long-lived streaming world holds state for the
 //!   in-flight window only, not for every job ever ingested. Streaming
@@ -27,52 +26,53 @@
 //!   ([`WorldArena::intern_job`]), so they carry side `BTreeMap`
 //!   lookups in place of the sorted-lane binary search, and the active
 //!   set orders by *ID* (identical to slot order whenever slots were
-//!   interned in ID order, which keeps batch bytes unchanged).
+//!   interned in ID order), so a scheduler sees a streamed world's jobs
+//!   in the order it sees a batch world's.
 //!
 //! Dynamic state is stored as structure-of-arrays `Vec`s: the per-event
-//! integration loop touches `remaining_hours`/`tput_integral`/… as flat
-//! `f64` lanes instead of chasing map nodes. Job and task *specs* are
-//! never cloned — slots carry indices into the shared trace, so a
-//! million-job world costs a few flat vectors, not a second copy of the
-//! trace.
+//! loops touch `remaining`/`tput_integral`/… as flat integer lanes
+//! instead of chasing map nodes. Job and task *specs* are never cloned —
+//! slots carry indices into the shared trace, so a million-job world
+//! costs a few flat vectors, not a second copy of the trace.
 //!
 //! A task's lifecycle states are specified by [`crate::state`], whose
 //! unit tests also pin a single job's advance arithmetic on a one-job
-//! arena. `tests/arena_parity.rs` pins the end-to-end equivalence
-//! byte-for-byte against a pre-arena golden.
+//! arena. `tests/arena_parity.rs` pins the end-to-end behaviour against a
+//! committed golden.
 //!
-//! # Dirty-set invariants (the O(changed) hot loop)
+//! # Progress in closed form
 //!
-//! Jobs advance *lazily*: every clock segment the simulation crosses is
-//! appended to a global log ([`JobArena::push_segment`]), and a job's
-//! progress lanes are only brought current ([`JobArena::settle`]) when
-//! something actually reads or perturbs them. Settling replays each
-//! job's unseen segments in log order with [`JobArena::advance`]'s
-//! arithmetic at its cached `rate`: its float operations, their order and
-//! so every report byte match the old advance-everyone-every-event loop.
-//! Settle-all replays four jobs at a time — each alone from its own cursor
-//! up to the group's highest, then the shared rest one segment per job in
-//! turn — so four independent chains of adds overlap where one would wait
-//! on each; no job's operations or their order change. The machinery is
-//! sound iff the host (`ClusterSim`) upholds, and `audit()` checks:
+//! Time is integer milliseconds ([`SimTime`]). A job's throughput is
+//! quantised once, when the world recomputes it, to `rate` quanta of
+//! 2⁻³² unit throughput ([`quantize`]); work is held in ms·quantum
+//! ([`work_of`]). Each job's lanes — `remaining`, `executing_ms`,
+//! `idle_ms`, `tput_integral` — hold its state at its own `last` instant.
+//! Between two settles its rate is constant (invariant 1 below), so its
+//! state at any `now ≥ last` is one multiply away
+//! ([`JobArena::remaining_at`]), and settling ([`JobArena::settle`]) is
+//! that multiply written back. Products widen to `u128` and saturate, and
+//! saturating sums of non-negative terms associate, so settling at any
+//! set of instants leaves the same integers as settling once: the lazy
+//! world and the eager reference (`ClusterSim::use_full_scan_reference`)
+//! agree exactly. Nothing settles every job; readers ask for progress at
+//! `now`. The machinery is sound iff the host (`ClusterSim`) upholds, and
+//! `audit()` checks:
 //!
 //! 1. **Dirty before different.** Any event that can change a job's
 //!    effective throughput (task placement/readiness, straggler factor,
-//!    co-location set, fault surgery on `remaining_hours`) marks the
-//!    job dirty *within that event*, before the next segment is pushed.
-//!    [`JobArena::mark_dirty`] settles the job first, so all logged
-//!    segments are replayed at the rate that actually prevailed.
+//!    co-location set, fault surgery on `remaining`) marks the job dirty
+//!    *within that event*. [`JobArena::mark_dirty`] settles the job
+//!    first, so its lanes hold the progress made at the rate that
+//!    actually prevailed.
 //! 2. **Recompute drains.** Every event that marks jobs dirty ends by
-//!    draining the dirty list (`recompute_completions`), refreshing
-//!    each dirty job's cached `rate` and completion event. Hence at
-//!    every segment boundary the dirty list is empty and every cached
-//!    rate is current — `advance_to` never needs to settle anything.
-//! 3. **Cursor bounds.** `settled[j] <= seg_log.len()` for every active
-//!    job; done jobs may hold stale cursors (their lanes are frozen —
-//!    `advance` ignores them), and not-yet-arrived jobs get their
-//!    cursor pinned to the log head at activation.
-//! 4. **Flags mirror the list.** `dirty[j]` ⇔ `j ∈ dirty_list`, and
+//!    draining the dirty list (`recompute_completions`), refreshing each
+//!    dirty job's cached `rate` and completion event. Hence whenever the
+//!    clock moves the dirty list is empty and every cached rate is
+//!    current.
+//! 3. **Flags mirror the list.** `dirty[j]` ⇔ `j ∈ dirty_list`, and
 //!    only arrived, not-done jobs are ever flagged.
+//! 4. **Conservation.** For every active job, `executing_ms + idle_ms`
+//!    is exactly `last − arrival`, `remaining ≤ total`, and `last ≤ now`.
 //!
 //! `ClusterSim::audit_slots` extends this with the incremental-integral
 //! invariant: the maintained capacity/allocation/running-task *rates*
@@ -82,13 +82,37 @@
 
 use std::collections::BTreeMap;
 
-use eva_types::{InstanceId, JobId, JobSpec, SimTime, TaskId, WorkloadKind};
+use eva_types::{InstanceId, JobId, JobSpec, SimDuration, SimTime, TaskId, WorkloadKind};
 use eva_workloads::Trace;
 
 use crate::state::TaskState;
 
 /// Sentinel for "no slot" in `u32` slot references.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// Unit throughput in rate quanta: a rate is held in 2⁻³² steps.
+pub(crate) const RATE_ONE: u64 = 1 << 32;
+
+/// `tput` in rate quanta, to the nearest (NaN and negatives are 0).
+pub(crate) fn quantize(tput: f64) -> u64 {
+    (tput * RATE_ONE as f64).round() as u64
+}
+
+/// The work of `duration` at unit throughput, in ms·quantum; `None` when
+/// it does not fit a lane (a job of 2³² ms, 49.7 days, or longer).
+pub(crate) fn work_of(duration: SimDuration) -> Option<u64> {
+    duration.as_millis().checked_mul(RATE_ONE)
+}
+
+/// `work` ms·quantum as a span at unit throughput, to the nearest ms.
+pub(crate) fn work_span(work: u64) -> SimDuration {
+    SimDuration::from_millis(((u128::from(work) + u128::from(RATE_ONE / 2)) >> 32) as u64)
+}
+
+/// The work `rate` does in `dt_ms`, saturating at the lane's top.
+fn work_in(rate: u64, dt_ms: u64) -> u64 {
+    u64::try_from(u128::from(rate) * u128::from(dt_ms)).unwrap_or(u64::MAX)
+}
 
 /// Job state, slot-indexed in ascending [`JobId`] order.
 #[derive(Debug)]
@@ -108,16 +132,19 @@ pub(crate) struct JobArena {
     /// this empty and index the shared trace through `spec_idx`).
     /// Boxed so releasing a slot actually reclaims the spec's memory.
     pub owned: Vec<Option<Box<JobSpec>>>,
-    /// Total work in full-throughput hours (the spec duration, cached).
-    pub total_hours: Vec<f64>,
-    /// Remaining work in full-throughput hours.
-    pub remaining_hours: Vec<f64>,
-    /// Accumulated wall-clock hours executing.
-    pub executing_hours: Vec<f64>,
-    /// Accumulated wall-clock hours present but not executing.
-    pub idle_hours: Vec<f64>,
-    /// Integral of throughput over executing time.
-    pub tput_integral: Vec<f64>,
+    /// Total work in ms·quantum (the spec duration, cached).
+    pub total: Vec<u64>,
+    /// Remaining work at `last`, in ms·quantum.
+    pub remaining: Vec<u64>,
+    /// Milliseconds spent executing up to `last`.
+    pub executing_ms: Vec<u64>,
+    /// Milliseconds spent present but not executing up to `last`.
+    pub idle_ms: Vec<u64>,
+    /// Work done up to `last` (the integral of rate over time), in
+    /// ms·quantum.
+    pub tput_integral: Vec<u64>,
+    /// The instant the four lanes above hold (the job's last settle).
+    pub last: Vec<SimTime>,
     /// Completion time, once done.
     pub completed_at: Vec<Option<SimTime>>,
     /// Stamp invalidating stale completion events.
@@ -128,12 +155,9 @@ pub(crate) struct JobArena {
     /// ascending `JobId`): the iteration set of every per-event loop,
     /// so done and not-yet-arrived jobs cost nothing per event.
     pub active: Vec<u32>,
-    /// Cached effective throughput, refreshed whenever the job is
-    /// recomputed (dirty-set invariant 2 in the module docs).
-    pub rate: Vec<f64>,
-    /// Per-job cursor into [`Self::seg_log`]: segments below it are
-    /// already folded into the job's progress lanes.
-    pub settled: Vec<u32>,
+    /// Cached effective throughput in rate quanta, refreshed whenever the
+    /// job is recomputed (invariant 2 in the module docs).
+    pub rate: Vec<u64>,
     /// Dirty flag, mirroring membership in [`Self::dirty_list`].
     pub dirty: Vec<bool>,
     /// Jobs marked dirty since the last recompute drain.
@@ -142,9 +166,6 @@ pub(crate) struct JobArena {
     /// none is scheduled), letting recompute skip re-pushing an event
     /// that would land at the same instant.
     pub scheduled_done_at: Vec<Option<SimTime>>,
-    /// Global log of clock segments (dt in hours) since the last
-    /// [`Self::settle_active_and_reset`] point.
-    pub seg_log: Vec<f64>,
     /// Slots returned through [`Self::release`]: their lanes are reset
     /// and their stale IDs are excluded from audits until reuse.
     pub released: Vec<bool>,
@@ -188,12 +209,10 @@ impl JobArena {
             .binary_search_by(|&x| ids[x as usize].cmp(&key).then(x.cmp(&slot)))
     }
 
-    /// Marks the job arrived and inserts it into the active set. The
-    /// settle cursor pins to the log head: segments before arrival
-    /// never touch this job.
-    pub fn activate(&mut self, slot: u32) {
+    /// Marks the job arrived at `now` and inserts it into the active set.
+    pub fn activate(&mut self, slot: u32, now: SimTime) {
         self.arrived[slot as usize] = true;
-        self.settled[slot as usize] = self.seg_log.len() as u32;
+        self.last[slot as usize] = now;
         if let Err(pos) = self.active_pos(slot) {
             self.active.insert(pos, slot);
         }
@@ -223,13 +242,13 @@ impl JobArena {
         self.arrived[s] = false;
         self.completed_at[s] = None;
         self.scheduled_done_at[s] = None;
-        self.total_hours[s] = 0.0;
-        self.remaining_hours[s] = 0.0;
-        self.executing_hours[s] = 0.0;
-        self.idle_hours[s] = 0.0;
-        self.tput_integral[s] = 0.0;
-        self.rate[s] = 0.0;
-        self.settled[s] = 0;
+        self.total[s] = 0;
+        self.remaining[s] = 0;
+        self.executing_ms[s] = 0;
+        self.idle_ms[s] = 0;
+        self.tput_integral[s] = 0;
+        self.last[s] = SimTime::ZERO;
+        self.rate[s] = 0;
         if let Some(spec) = self.owned.get_mut(s) {
             *spec = None;
         }
@@ -237,117 +256,80 @@ impl JobArena {
         self.free.push(slot);
     }
 
-    /// Advances the job by `dt_hours` at effective throughput `tput`
-    /// (0 when not executing).
-    pub fn advance(&mut self, slot: u32, dt_hours: f64, tput: f64) {
+    /// Advances the job's lanes from `last` to `to` at `rate` quanta
+    /// (0 when not executing). Done jobs keep the lanes they completed
+    /// with.
+    pub fn advance(&mut self, slot: u32, to: SimTime, rate: u64) {
         let s = slot as usize;
-        if self.completed_at[s].is_some() || dt_hours <= 0.0 {
+        let dt = to.duration_since(self.last[s]).as_millis();
+        if self.completed_at[s].is_some() || dt == 0 {
             return;
         }
-        if tput > 0.0 {
-            self.remaining_hours[s] = (self.remaining_hours[s] - dt_hours * tput).max(0.0);
-            self.executing_hours[s] += dt_hours;
-            self.tput_integral[s] += dt_hours * tput;
+        if rate > 0 {
+            let work = work_in(rate, dt);
+            self.remaining[s] = self.remaining[s].saturating_sub(work);
+            self.executing_ms[s] += dt;
+            self.tput_integral[s] = self.tput_integral[s].saturating_add(work);
         } else {
-            self.idle_hours[s] += dt_hours;
+            self.idle_ms[s] += dt;
         }
+        self.last[s] = to;
     }
 
-    /// Hours until completion at throughput `tput`, if it is positive.
-    pub fn eta_hours(&self, slot: u32, tput: f64) -> Option<f64> {
+    /// Brings the job's lanes to `now` at its cached rate.
+    pub fn settle(&mut self, slot: u32, now: SimTime) {
+        self.advance(slot, now, self.rate[slot as usize]);
+    }
+
+    /// The job's remaining work at `now`, without settling it.
+    pub fn remaining_at(&self, slot: u32, now: SimTime) -> u64 {
         let s = slot as usize;
-        if self.completed_at[s].is_some() || tput <= 0.0 {
-            None
-        } else {
-            Some(self.remaining_hours[s] / tput)
+        if self.completed_at[s].is_some() {
+            return self.remaining[s];
         }
+        let dt = now.duration_since(self.last[s]).as_millis();
+        self.remaining[s].saturating_sub(work_in(self.rate[s], dt))
     }
 
-    /// Average normalized throughput while executing (1.0 for a job that
-    /// never experienced interference).
-    pub fn mean_tput(&self, slot: u32) -> f64 {
+    /// Time until completion at the cached rate from the settled lanes,
+    /// rounded to the nearest millisecond (halves up, as
+    /// [`SimDuration::from_hours_f64`] rounds), if the rate is positive.
+    pub fn eta(&self, slot: u32) -> Option<SimDuration> {
         let s = slot as usize;
-        if self.executing_hours[s] <= 0.0 {
-            1.0
+        let rate = u128::from(self.rate[s]);
+        if self.completed_at[s].is_some() || rate == 0 {
+            return None;
+        }
+        let ms = (2 * u128::from(self.remaining[s]) + rate) / (2 * rate);
+        Some(SimDuration::from_millis(ms as u64))
+    }
+
+    /// Average normalized throughput while executing, in rate quanta to
+    /// the nearest (unit throughput for a job that never executed).
+    pub fn mean_tput(&self, slot: u32) -> u64 {
+        let s = slot as usize;
+        let (work, ms) = (self.tput_integral[s], self.executing_ms[s]);
+        if ms == 0 {
+            RATE_ONE
         } else {
-            self.tput_integral[s] / self.executing_hours[s]
+            ((2 * u128::from(work) + u128::from(ms)) / (2 * u128::from(ms))) as u64
         }
     }
 
-    /// Appends a clock segment to the global log (jobs fold it in
-    /// lazily when settled).
-    pub fn push_segment(&mut self, dt_hours: f64) {
-        self.seg_log.push(dt_hours);
-    }
-
-    /// Settles every active job, four at a time (module docs), and
-    /// truncates the segment log, resetting their cursors. Called where
-    /// all progress is read anyway (rounds, finalize): bounds replays.
-    pub fn settle_active_and_reset(&mut self) {
-        let active = std::mem::take(&mut self.active);
-        let mut groups = active.chunks_exact(4);
-        for g in groups.by_ref() {
-            self.settle([g[0], g[1], g[2], g[3]]);
-        }
-        for &slot in groups.remainder() {
-            self.settle([slot]);
-        }
-        for &slot in &active {
-            self.settled[slot as usize] = 0;
-        }
-        self.active = active;
-        self.seg_log.clear();
-    }
-
-    /// Replays every unseen logged segment into each job's progress lanes
-    /// at its cached rate with [`Self::advance`]'s arithmetic, segments the
-    /// jobs share round-robin (module docs), and moves the cursors on.
-    pub fn settle<const N: usize>(&mut self, slots: [u32; N]) {
-        let s = slots.map(|slot| slot as usize);
-        let rate = s.map(|s| self.rate[s]);
-        let (rem, exec) = (&mut self.remaining_hours, &mut self.executing_hours);
-        let (idle, int) = (&mut self.idle_hours, &mut self.tput_integral);
-        let mut lanes = s.map(|s| [rem[s], exec[s], idle[s], int[s]]);
-        let mut step = |i: usize, dt: f64| {
-            let [rem, exec, idle, int] = &mut lanes[i];
-            if dt <= 0.0 {
-                return;
-            }
-            if rate[i] > 0.0 {
-                *rem = (*rem - dt * rate[i]).max(0.0);
-                *exec += dt;
-                *int += dt * rate[i];
-            } else {
-                *idle += dt;
-            }
-        };
-        let from = s.map(|s| self.settled[s] as usize);
-        let shared = from.iter().copied().max().unwrap_or(0);
-        for (i, &from) in from.iter().enumerate() {
-            for &dt in &self.seg_log[from..shared] {
-                step(i, dt);
-            }
-        }
-        for &dt in &self.seg_log[shared..] {
-            (0..N).for_each(|i| step(i, dt));
-        }
-        for (s, lane) in s.into_iter().zip(lanes) {
-            self.settled[s] = self.seg_log.len() as u32;
-            if self.completed_at[s].is_none() {
-                [rem[s], exec[s], idle[s], int[s]] = lane;
-            }
-        }
+    /// Hours spent present but not executing, up to `last`.
+    pub fn idle_hours(&self, slot: u32) -> f64 {
+        SimDuration::from_millis(self.idle_ms[slot as usize]).as_hours_f64()
     }
 
     /// Flags an active job whose effective throughput may have changed,
-    /// settling its lanes first so the pending segments replay at the
-    /// rate that actually prevailed (dirty-set invariant 1).
-    pub fn mark_dirty(&mut self, slot: u32) {
+    /// settling its lanes at `now` first so they hold the progress made at
+    /// the rate that actually prevailed (invariant 1).
+    pub fn mark_dirty(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
         if !self.arrived[s] || self.completed_at[s].is_some() || self.dirty[s] {
             return;
         }
-        self.settle([slot]);
+        self.settle(slot, now);
         self.dirty[s] = true;
         self.dirty_list.push(slot);
     }
@@ -397,6 +379,30 @@ impl TaskArena {
     /// True when the task currently computes (and therefore interferes).
     pub fn is_running(&self, slot: u32) -> bool {
         self.state[slot as usize] == TaskState::Running
+    }
+
+    /// Writes `spec`'s tasks, in their initial state, into the range at
+    /// `base` owned by job slot `jslot`: ascending by `TaskId`
+    /// (generators declare tasks in index order, but don't assume it).
+    fn fill(&mut self, base: u32, jslot: u32, spec: &JobSpec) {
+        let mut positions: Vec<u32> = (0..spec.tasks.len() as u32).collect();
+        positions.sort_by_key(|&p| spec.tasks[p as usize].id);
+        for (k, &pos) in positions.iter().enumerate() {
+            let t = &spec.tasks[pos as usize];
+            debug_assert_eq!(t.id.job, spec.id, "task under foreign job");
+            let ts = base as usize + k;
+            self.ids[ts] = t.id;
+            self.job_slot[ts] = jslot;
+            self.spec_pos[ts] = pos;
+            self.workload[ts] = t.workload;
+            self.state[ts] = TaskState::Pending;
+            self.assigned[ts] = NO_SLOT;
+            self.migrations[ts] = 0;
+            self.slot_by_pos[(base + pos) as usize] = ts as u32;
+            if let Some(map) = self.lookup.as_mut() {
+                map.insert(t.id, ts as u32);
+            }
+        }
     }
 }
 
@@ -505,6 +511,14 @@ impl InstArena {
     }
 }
 
+/// A job's total work lane. The world admits only jobs whose work fits
+/// one ([`work_of`]); anything else saturates rather than wraps.
+fn lane_work(spec: &JobSpec) -> u64 {
+    let work = work_of(spec.duration_at_full_tput);
+    debug_assert!(work.is_some(), "job {} does not fit a work lane", spec.id);
+    work.unwrap_or(u64::MAX)
+}
+
 /// The complete interned world state: jobs + tasks + instances.
 #[derive(Debug)]
 pub(crate) struct WorldArena {
@@ -535,30 +549,29 @@ impl WorldArena {
             task_start: Vec::with_capacity(n),
             task_count: Vec::with_capacity(n),
             owned: Vec::new(),
-            total_hours: Vec::with_capacity(n),
-            remaining_hours: Vec::with_capacity(n),
-            executing_hours: vec![0.0; n],
-            idle_hours: vec![0.0; n],
-            tput_integral: vec![0.0; n],
+            total: Vec::with_capacity(n),
+            remaining: Vec::with_capacity(n),
+            executing_ms: vec![0; n],
+            idle_ms: vec![0; n],
+            tput_integral: vec![0; n],
+            last: vec![SimTime::ZERO; n],
             completed_at: vec![None; n],
             completion_gen: vec![0; n],
             arrived: vec![false; n],
             active: Vec::new(),
-            rate: vec![0.0; n],
-            settled: vec![0; n],
+            rate: vec![0; n],
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             scheduled_done_at: vec![None; n],
-            seg_log: Vec::new(),
             released: vec![false; n],
             free: Vec::new(),
             lookup: None,
         };
         let mut tasks = TaskArena {
-            ids: Vec::with_capacity(total_tasks),
-            job_slot: Vec::with_capacity(total_tasks),
-            spec_pos: Vec::with_capacity(total_tasks),
-            workload: Vec::with_capacity(total_tasks),
+            ids: vec![TaskId::new(JobId(0), 0); total_tasks],
+            job_slot: vec![0; total_tasks],
+            spec_pos: vec![0; total_tasks],
+            workload: vec![WorkloadKind(0); total_tasks],
             state: vec![TaskState::Pending; total_tasks],
             assigned: vec![NO_SLOT; total_tasks],
             migrations: vec![0; total_tasks],
@@ -568,7 +581,7 @@ impl WorldArena {
             free_ranges: BTreeMap::new(),
         };
         let mut slot_of_spec = vec![0u32; n];
-
+        let mut base = 0;
         for (slot, &si) in order.iter().enumerate() {
             let spec = &specs[si as usize];
             debug_assert!(
@@ -579,27 +592,13 @@ impl WorldArena {
             slot_of_spec[si as usize] = slot as u32;
             jobs.ids.push(spec.id);
             jobs.spec_idx.push(si);
-            jobs.task_start.push(tasks.ids.len() as u32);
+            jobs.task_start.push(base);
             jobs.task_count.push(spec.tasks.len() as u32);
-            let total = spec.duration_at_full_tput.as_hours_f64();
-            jobs.total_hours.push(total);
-            jobs.remaining_hours.push(total);
-
-            // Task slots ascending by TaskId within the job (generators
-            // declare tasks in index order, but don't assume it).
-            let base = tasks.ids.len() as u32;
-            let mut positions: Vec<u32> = (0..spec.tasks.len() as u32).collect();
-            positions.sort_by_key(|&p| spec.tasks[p as usize].id);
-            for (k, &pos) in positions.iter().enumerate() {
-                let t = &spec.tasks[pos as usize];
-                debug_assert_eq!(t.id.job, spec.id, "task under foreign job");
-                let tslot = base + k as u32;
-                tasks.ids.push(t.id);
-                tasks.job_slot.push(slot as u32);
-                tasks.spec_pos.push(pos);
-                tasks.workload.push(t.workload);
-                tasks.slot_by_pos[(base + pos) as usize] = tslot;
-            }
+            let total = lane_work(spec);
+            jobs.total.push(total);
+            jobs.remaining.push(total);
+            tasks.fill(base, slot as u32, spec);
+            base += spec.tasks.len() as u32;
         }
         debug_assert!(tasks.ids.windows(2).all(|w| w[0] < w[1]));
 
@@ -655,16 +654,16 @@ impl WorldArena {
                 jobs.spec_idx.push(NO_SLOT);
                 jobs.task_start.push(0);
                 jobs.task_count.push(0);
-                jobs.total_hours.push(0.0);
-                jobs.remaining_hours.push(0.0);
-                jobs.executing_hours.push(0.0);
-                jobs.idle_hours.push(0.0);
-                jobs.tput_integral.push(0.0);
+                jobs.total.push(0);
+                jobs.remaining.push(0);
+                jobs.executing_ms.push(0);
+                jobs.idle_ms.push(0);
+                jobs.tput_integral.push(0);
+                jobs.last.push(SimTime::ZERO);
                 jobs.completed_at.push(None);
                 jobs.completion_gen.push(0);
                 jobs.arrived.push(false);
-                jobs.rate.push(0.0);
-                jobs.settled.push(0);
+                jobs.rate.push(0);
                 jobs.dirty.push(false);
                 jobs.scheduled_done_at.push(None);
                 jobs.released.push(false);
@@ -703,35 +702,15 @@ impl WorldArena {
         jobs.spec_idx[js] = NO_SLOT;
         jobs.task_start[js] = base;
         jobs.task_count[js] = n_tasks;
-        let total = spec.duration_at_full_tput.as_hours_f64();
-        jobs.total_hours[js] = total;
-        jobs.remaining_hours[js] = total;
+        let total = lane_work(&spec);
+        jobs.total[js] = total;
+        jobs.remaining[js] = total;
         if let Some(map) = jobs.lookup.as_mut() {
             let prev = map.insert(spec.id, jslot);
             debug_assert!(prev.is_none(), "duplicate streamed job id {}", spec.id);
         }
 
-        // Task slots ascending by TaskId within the job, as in
-        // `from_trace`.
-        let mut positions: Vec<u32> = (0..n_tasks).collect();
-        positions.sort_by_key(|&p| spec.tasks[p as usize].id);
-        for (k, &pos) in positions.iter().enumerate() {
-            let t = &spec.tasks[pos as usize];
-            debug_assert_eq!(t.id.job, spec.id, "task under foreign job");
-            let tslot = base + k as u32;
-            let ts = tslot as usize;
-            self.tasks.ids[ts] = t.id;
-            self.tasks.job_slot[ts] = jslot;
-            self.tasks.spec_pos[ts] = pos;
-            self.tasks.workload[ts] = t.workload;
-            self.tasks.state[ts] = TaskState::Pending;
-            self.tasks.assigned[ts] = NO_SLOT;
-            self.tasks.migrations[ts] = 0;
-            self.tasks.slot_by_pos[(base + pos) as usize] = tslot;
-            if let Some(map) = self.tasks.lookup.as_mut() {
-                map.insert(t.id, tslot);
-            }
-        }
+        self.tasks.fill(base, jslot, &spec);
         jobs.owned[js] = Some(Box::new(spec));
         jslot
     }
@@ -759,10 +738,11 @@ impl WorldArena {
         self.jobs.release(jslot);
     }
 
-    /// Verifies every slot↔ID round trip and cross-reference; returns a
-    /// description of the first violation. Backs the public
-    /// `ClusterSim::audit_slots` test hook.
-    pub fn audit(&self) -> Result<(), String> {
+    /// Verifies every slot↔ID round trip and cross-reference, and the
+    /// conservation laws of every active job at `now` given its arrival
+    /// instant; returns a description of the first violation. Backs the
+    /// public `ClusterSim::audit_slots` test hook.
+    pub fn audit(&self, now: SimTime, arrival: impl Fn(u32) -> SimTime) -> Result<(), String> {
         for (slot, &id) in self.jobs.ids.iter().enumerate() {
             if self.jobs.released[slot] {
                 // Released slots hold stale IDs; they must read as inert
@@ -789,9 +769,8 @@ impl WorldArena {
                 ));
             }
         }
-        // Dirty-set invariants 3 and 4 (module docs): flags mirror the
-        // list, only active jobs are flagged, and no active cursor runs
-        // past the segment log.
+        // Invariant 3 (module docs): flags mirror the list, and only
+        // active jobs are flagged.
         let mut flagged = 0usize;
         for slot in 0..self.jobs.ids.len() as u32 {
             if self.jobs.dirty[slot as usize] {
@@ -827,11 +806,27 @@ impl WorldArena {
         {
             return Err("active set out of JobId order".to_string());
         }
-        for &slot in &self.jobs.active {
-            if self.jobs.settled[slot as usize] as usize > self.jobs.seg_log.len() {
+        // Invariant 4: exact conservation, lane by lane.
+        let jobs = &self.jobs;
+        for &slot in &jobs.active {
+            let s = slot as usize;
+            let present = jobs.last[s].duration_since(arrival(slot)).as_millis();
+            if jobs.last[s] > now
+                || jobs.last[s] < arrival(slot)
+                || jobs.executing_ms[s] + jobs.idle_ms[s] != present
+                || jobs.remaining[s] > jobs.total[s]
+            {
                 return Err(format!(
-                    "job {} settle cursor past the segment log",
-                    self.jobs.ids[slot as usize]
+                    "job {} breaks conservation: last {} (now {}, arrival {}), \
+                     executing {} + idle {} ms, remaining {} of {}",
+                    jobs.ids[s],
+                    jobs.last[s],
+                    now,
+                    arrival(slot),
+                    jobs.executing_ms[s],
+                    jobs.idle_ms[s],
+                    jobs.remaining[s],
+                    jobs.total[s]
                 ));
             }
         }
@@ -893,6 +888,12 @@ impl WorldArena {
 mod tests {
     use super::*;
     use eva_workloads::SyntheticTraceConfig;
+    use proptest::prelude::*;
+
+    /// The slot audit of a world whose jobs all arrived at time zero.
+    fn audit(world: &WorldArena) -> Result<(), String> {
+        world.audit(SimTime::ZERO, |_| SimTime::ZERO)
+    }
 
     #[test]
     fn interning_orders_slots_by_id() {
@@ -908,7 +909,7 @@ mod tests {
             assert_eq!(world.jobs.spec_idx[slot as usize] as usize, idx);
             assert_eq!(world.jobs.task_range(slot).len(), spec.tasks.len());
         }
-        world.audit().unwrap();
+        audit(&world).unwrap();
     }
 
     #[test]
@@ -929,88 +930,122 @@ mod tests {
         assert_eq!(world.insts.straggle[c as usize], 1.0);
         assert_eq!(world.insts.busy_until[c as usize], SimTime::ZERO);
         assert_eq!(world.insts.ids[c as usize], InstanceId(7));
-        world.audit().unwrap();
+        audit(&world).unwrap();
     }
 
     #[test]
     fn active_set_tracks_arrival_and_retirement_in_id_order() {
         let trace = SyntheticTraceConfig::small_scale().generate(3);
         let mut world = WorldArena::from_trace(&trace);
-        world.jobs.activate(5);
-        world.jobs.activate(1);
-        world.jobs.activate(3);
+        world.jobs.activate(5, SimTime::ZERO);
+        world.jobs.activate(1, SimTime::ZERO);
+        world.jobs.activate(3, SimTime::ZERO);
         assert_eq!(world.jobs.active, vec![1, 3, 5]);
         world.jobs.retire(3);
         assert_eq!(world.jobs.active, vec![1, 5]);
-        world.jobs.activate(1); // double-activation is idempotent
+        world.jobs.activate(1, SimTime::ZERO); // double-activation is idempotent
         assert_eq!(world.jobs.active, vec![1, 5]);
     }
 
-    #[test]
-    fn arena_advance_matches_reference_job_progress() {
-        let trace = SyntheticTraceConfig::small_scale().generate(9);
-        let mut world = WorldArena::from_trace(&trace);
-        let slot = world.slot_of_spec[0];
-        // The reference: one job's four accumulators as plain scalars.
-        let mut remaining = trace.jobs()[0].duration_at_full_tput.as_hours_f64();
-        let (mut executing, mut idle, mut integral) = (0.0f64, 0.0f64, 0.0f64);
-        for (dt, tput) in [(0.25, 1.0), (0.5, 0.0), (1.0, 0.8), (4.0, 1.0)] {
-            if tput > 0.0 {
-                remaining = (remaining - dt * tput).max(0.0);
-                executing += dt;
-                integral += dt * tput;
+    /// One job's lanes after `pieces` of (milliseconds, rate), computed
+    /// piece by piece in `u128`: `(remaining, executing, idle, integral)`.
+    fn reference(total: u64, pieces: &[(u64, u64)]) -> (u64, u64, u64, u64) {
+        let (mut rem, mut exec, mut idle, mut int) = (u128::from(total), 0, 0, 0u128);
+        for &(dt, rate) in pieces {
+            let work = u128::from(dt) * u128::from(rate);
+            if rate > 0 {
+                rem = rem.saturating_sub(work);
+                exec += dt;
+                int += work;
             } else {
                 idle += dt;
             }
-            world.jobs.advance(slot, dt, tput);
         }
+        (rem as u64, exec, idle, int.min(u128::from(u64::MAX)) as u64)
+    }
+
+    fn lanes(jobs: &JobArena, slot: u32) -> (u64, u64, u64, u64) {
         let s = slot as usize;
-        assert_eq!(world.jobs.remaining_hours[s], remaining);
-        assert_eq!(world.jobs.executing_hours[s], executing);
-        assert_eq!(world.jobs.idle_hours[s], idle);
-        assert_eq!(world.jobs.tput_integral[s], integral);
-        assert_eq!(world.jobs.mean_tput(slot), integral / executing);
+        (
+            jobs.remaining[s],
+            jobs.executing_ms[s],
+            jobs.idle_ms[s],
+            jobs.tput_integral[s],
+        )
     }
 
     #[test]
-    fn lazy_settle_replays_segments_bit_identically_to_eager_advance() {
+    fn eta_rounds_to_the_nearest_millisecond() {
         let trace = SyntheticTraceConfig::small_scale().generate(9);
-        let mut lazy = WorldArena::from_trace(&trace);
-        let mut eager = WorldArena::from_trace(&trace);
-        let (a, b) = (lazy.slot_of_spec[0], lazy.slot_of_spec[1]);
-        for slot in [a, b] {
-            lazy.jobs.activate(slot);
-            eager.jobs.activate(slot);
+        let mut jobs = WorldArena::from_trace(&trace).jobs;
+        let rate = quantize(0.5);
+        jobs.rate[0] = rate;
+        for (remaining, ms) in [(0, 0), (rate / 2 - 1, 0), (rate / 2, 1), (3 * rate - 1, 3)] {
+            jobs.remaining[0] = remaining;
+            assert_eq!(jobs.eta(0), Some(SimDuration::from_millis(ms)), "{remaining}");
         }
-        // Job a runs at 0.8 throughout; job b flips from idle to 1.0
-        // after two segments (marking dirty settles it at the old rate).
-        lazy.jobs.rate[a as usize] = 0.8;
-        for dt in [0.25, 0.125] {
-            lazy.jobs.push_segment(dt);
-            eager.jobs.advance(a, dt, 0.8);
-            eager.jobs.advance(b, dt, 0.0);
+        jobs.rate[0] = 0;
+        assert_eq!(jobs.eta(0), None);
+        assert_eq!(work_span(RATE_ONE / 2), SimDuration::from_millis(1));
+        assert_eq!(work_span(RATE_ONE / 2 - 1), SimDuration::ZERO);
+        assert_eq!(work_of(SimDuration::from_millis(1 << 32)), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rates that change at random milliseconds, with the job settled
+        /// at a random subset of other instants as well, leave the same
+        /// integers as settling each constant-rate piece once; a job
+        /// settled only where its rate changes reads the same remaining
+        /// work at the end without settling.
+        #[test]
+        fn settling_at_any_instants_gives_the_same_integers(
+            total_ms in 1u64..40_000_000,
+            pieces in collection::vec((1u64..9_000_000, 0u64..3 * RATE_ONE), 1..12),
+            extra in collection::vec(0u64..1_000, 0..24),
+        ) {
+            // A third of the drawn rates are idle.
+            let pieces: Vec<(u64, u64)> = pieces
+                .into_iter()
+                .map(|(dt, rate)| (dt, rate.saturating_sub(RATE_ONE)))
+                .collect();
+            let trace = SyntheticTraceConfig::small_scale().generate(9);
+            let mut often = WorldArena::from_trace(&trace).jobs;
+            let mut seldom = WorldArena::from_trace(&trace).jobs;
+            let total = work_of(SimDuration::from_millis(total_ms)).unwrap();
+            let start = SimTime::from_secs(5);
+            for jobs in [&mut often, &mut seldom] {
+                jobs.total[0] = total;
+                jobs.remaining[0] = total;
+                jobs.activate(0, start);
+            }
+            let span: u64 = pieces.iter().map(|p| p.0).sum();
+            let mut extra: Vec<u64> = extra.iter().map(|&k| k * span / 1_000).collect();
+            extra.sort_unstable();
+            let mut extra = extra.into_iter().peekable();
+            let mut at = 0;
+            for &(dt, rate) in &pieces {
+                // The rate changes at `at`: both settle first (invariant 1).
+                let now = start + SimDuration::from_millis(at);
+                often.settle(0, now);
+                seldom.settle(0, now);
+                often.rate[0] = rate;
+                seldom.rate[0] = rate;
+                at += dt;
+                while let Some(k) = extra.next_if(|&k| k < at) {
+                    often.settle(0, start + SimDuration::from_millis(k));
+                }
+            }
+            let end = start + SimDuration::from_millis(at);
+            let unsettled = seldom.remaining_at(0, end);
+            often.settle(0, end);
+            seldom.settle(0, end);
+            let expected = reference(total, &pieces);
+            prop_assert_eq!(lanes(&often, 0), expected);
+            prop_assert_eq!(lanes(&seldom, 0), expected);
+            prop_assert_eq!(unsettled, expected.0);
         }
-        lazy.jobs.mark_dirty(b);
-        assert_eq!(lazy.jobs.dirty_list, vec![b]);
-        lazy.jobs.dirty[b as usize] = false;
-        lazy.jobs.dirty_list.clear();
-        lazy.jobs.rate[b as usize] = 1.0;
-        for dt in [0.5, 0.0625] {
-            lazy.jobs.push_segment(dt);
-            eager.jobs.advance(a, dt, 0.8);
-            eager.jobs.advance(b, dt, 1.0);
-        }
-        lazy.jobs.settle_active_and_reset();
-        for slot in [a, b] {
-            let s = slot as usize;
-            assert_eq!(lazy.jobs.remaining_hours[s], eager.jobs.remaining_hours[s]);
-            assert_eq!(lazy.jobs.executing_hours[s], eager.jobs.executing_hours[s]);
-            assert_eq!(lazy.jobs.idle_hours[s], eager.jobs.idle_hours[s]);
-            assert_eq!(lazy.jobs.tput_integral[s], eager.jobs.tput_integral[s]);
-            assert_eq!(lazy.jobs.settled[s], 0);
-        }
-        assert!(lazy.jobs.seg_log.is_empty());
-        lazy.audit().unwrap();
     }
 
     #[test]
@@ -1031,8 +1066,8 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(world.jobs.slot_of(jobs[0].id), Some(a));
         let a_range = world.jobs.task_range(a);
-        world.jobs.activate(a);
-        world.audit().unwrap();
+        world.jobs.activate(a, SimTime::ZERO);
+        audit(&world).unwrap();
 
         // Complete and release the first job: its slot, task range, and
         // owned spec all come back.
@@ -1042,7 +1077,7 @@ mod tests {
         assert!(world.jobs.released[a as usize]);
         assert!(world.jobs.owned[a as usize].is_none(), "spec memory reclaimed");
         assert_eq!(world.jobs.slot_of(jobs[0].id), None);
-        world.audit().unwrap();
+        audit(&world).unwrap();
 
         // A same-shape job recycles both the job slot and the exact-fit
         // task range; lookups land on the recycled slot.
@@ -1053,7 +1088,7 @@ mod tests {
         let t0 = world.jobs.task_range(c).start as u32;
         assert_eq!(world.tasks.slot_of(TaskId::new(JobId(2_000), 0)), Some(t0));
         assert!(world.jobs.owned[c as usize].is_some());
-        world.audit().unwrap();
+        audit(&world).unwrap();
     }
 
     #[test]

@@ -14,11 +14,11 @@ use eva_core::{
     TaskSnapshot,
 };
 use eva_interference::TaskContext;
-use eva_types::{InstanceId, SimDuration, TaskId, WorkloadKind};
+use eva_types::{InstanceId, TaskId, WorkloadKind};
 
 use eva_types::SimTime;
 
-use crate::arena::NO_SLOT;
+use crate::arena::{work_span, NO_SLOT};
 use crate::script::ExecActionKind;
 use crate::state::TaskState;
 use crate::world::{ClusterSim, Event};
@@ -58,9 +58,8 @@ impl ClusterSim {
         }
         // The moved task's own job changes state (running → in transit),
         // and leaving an instance changes every co-located job's
-        // interference set. Marking settles them, so the Stop progress
-        // read below is current.
-        self.world.jobs.mark_dirty(jslot);
+        // interference set.
+        self.world.jobs.mark_dirty(jslot, self.now());
         if had_instance {
             let old_id = self.world.insts.ids[old as usize];
             self.touch_instance_jobs(old);
@@ -161,11 +160,11 @@ impl ClusterSim {
     /// Builds the scheduler context snapshot.
     pub(crate) fn build_snapshot(&self) -> (Vec<TaskSnapshot>, Vec<InstanceSnapshot>) {
         let mut tasks = Vec::new();
+        let now = self.now();
         for &jslot in &self.world.jobs.active {
             let spec = self.job_spec(jslot);
             let base = self.world.jobs.task_range(jslot).start;
-            let remaining =
-                SimDuration::from_hours_f64(self.world.jobs.remaining_hours[jslot as usize]);
+            let remaining = work_span(self.world.jobs.remaining_at(jslot, now));
             for (pos, tspec) in spec.tasks.iter().enumerate() {
                 let tslot = self.world.tasks.slot_by_pos[base + pos];
                 let assigned = self.world.tasks.assigned[tslot as usize];
@@ -233,11 +232,6 @@ impl ClusterSim {
     pub(crate) fn handle_round(&mut self) {
         self.round_pending = false;
         self.record(ExecActionKind::Round);
-        // Rounds read every active job's progress (snapshot remaining
-        // hints), so this is the natural settle point: fold the segment
-        // log into all active jobs and truncate it, bounding how far
-        // any later settle has to replay.
-        self.world.jobs.settle_active_and_reset();
         // The observations borrow the world, so the scheduler steps out of
         // it while it pulls them (the stand-in is zero-sized: no allocation).
         let mut scheduler = std::mem::replace(&mut self.scheduler, Box::new(NoPackingScheduler));

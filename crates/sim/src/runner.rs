@@ -128,12 +128,12 @@ pub struct SimConfig {
     /// pre-run [`crate::FaultPlan`] and inject on both backends.
     pub faults: crate::FaultSpec,
     /// Release each completed job's arena slots back to a free list
-    /// after folding its report contribution into the completed-job
-    /// log, so live state tracks the in-flight window instead of every
-    /// job ever ingested (streaming service mode; `eva serve` turns it
-    /// on). Reports are byte-identical either way — the retirement
-    /// lockstep test holds the two in lockstep per event. Not a sweep
-    /// axis — cache fingerprints ignore it.
+    /// once its report contribution is summed, so live state tracks the
+    /// in-flight window instead of every job ever ingested (streaming
+    /// service mode; `eva serve` turns it on). Reports are byte-identical
+    /// either way — the retirement lockstep test holds the two in
+    /// lockstep per event. Not a sweep axis — cache fingerprints ignore
+    /// it.
     pub retire_completed: bool,
 }
 

@@ -1,6 +1,6 @@
 //! Simulation state: the task lifecycle. One job's progress arithmetic
-//! lives in the arena (`JobArena::{advance, eta_hours, mean_tput}`) and
-//! is unit-tested here on a one-job arena.
+//! lives in the arena (`JobArena::{advance, eta, mean_tput}`) and is
+//! unit-tested here on a one-job arena.
 
 use eva_types::SimTime;
 
@@ -25,7 +25,7 @@ pub enum TaskState {
 
 #[cfg(test)]
 mod tests {
-    use crate::arena::JobArena;
+    use crate::arena::{quantize, work_of, work_span, JobArena, RATE_ONE};
     use eva_types::{
         DemandSpec, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId, TaskSpec,
         WorkloadKind,
@@ -33,14 +33,14 @@ mod tests {
     use eva_workloads::Trace;
 
     /// The job arena of a world holding one single-task job of `hours`
-    /// full-throughput work, in slot 0. Work is measured in
-    /// hours-at-full-throughput; between simulator events throughput is
-    /// constant, so progress integrates exactly.
+    /// full-throughput work, in slot 0, arrived at time zero. Work is
+    /// measured in ms·quantum at full throughput; between simulator
+    /// events throughput is constant, so progress integrates exactly.
     fn one_job(hours: f64) -> JobArena {
         let id = JobId(1);
         let spec = JobSpec {
             id,
-            arrival: SimTime::from_secs(3600),
+            arrival: SimTime::ZERO,
             tasks: vec![TaskSpec {
                 id: TaskId::new(id, 0),
                 workload: WorkloadKind(0),
@@ -51,59 +51,74 @@ mod tests {
             duration_at_full_tput: SimDuration::from_hours_f64(hours),
             gang_coupled: false,
         };
-        crate::arena::WorldArena::from_trace(&Trace::new(vec![spec])).jobs
+        let mut jobs = crate::arena::WorldArena::from_trace(&Trace::new(vec![spec])).jobs;
+        jobs.activate(0, SimTime::ZERO);
+        jobs
+    }
+
+    fn hours(h: f64) -> SimTime {
+        SimTime::from_hours_f64(h)
+    }
+
+    fn work(h: f64) -> u64 {
+        work_of(SimDuration::from_hours_f64(h)).unwrap()
     }
 
     #[test]
     fn progress_integrates_throughput() {
         let mut p = one_job(2.0);
-        p.advance(0, 1.0, 1.0);
-        assert!((p.remaining_hours[0] - 1.0).abs() < 1e-12);
-        p.advance(0, 1.0, 0.5);
-        assert!((p.remaining_hours[0] - 0.5).abs() < 1e-12);
-        assert!((p.mean_tput(0) - 0.75).abs() < 1e-12);
-        assert_eq!(p.eta_hours(0, 0.5), Some(1.0));
+        p.advance(0, hours(1.0), RATE_ONE);
+        assert_eq!(p.remaining[0], work(1.0));
+        p.advance(0, hours(2.0), quantize(0.5));
+        assert_eq!(p.remaining[0], work(0.5));
+        assert_eq!(p.mean_tput(0), quantize(0.75));
+        p.rate[0] = quantize(0.5);
+        assert_eq!(p.eta(0), Some(SimDuration::from_hours_f64(1.0)));
     }
 
     #[test]
     fn zero_throughput_accumulates_idle() {
         let mut p = one_job(1.0);
-        p.advance(0, 0.25, 0.0);
-        assert!((p.idle_hours[0] - 0.25).abs() < 1e-12);
-        assert!((p.remaining_hours[0] - 1.0).abs() < 1e-12);
-        assert!(p.eta_hours(0, 0.0).is_none());
-        assert_eq!(p.mean_tput(0), 1.0, "never executed ⇒ no interference seen");
+        p.advance(0, hours(0.25), 0);
+        assert_eq!(p.idle_hours(0), 0.25);
+        assert_eq!(p.remaining[0], work(1.0));
+        assert!(p.eta(0).is_none());
+        assert_eq!(p.mean_tput(0), RATE_ONE, "never executed ⇒ no interference seen");
     }
 
     #[test]
     fn work_runs_out_exactly_and_clamps_at_zero() {
         let mut p = one_job(1.0);
-        p.advance(0, 1.0, 1.0);
-        assert!((p.remaining_hours[0] - 0.0).abs() < 1e-12);
-        assert_eq!(p.eta_hours(0, 1.0), Some(0.0));
-        p.advance(0, 0.5, 1.0);
-        assert_eq!(p.remaining_hours[0], 0.0);
-        assert!((p.executing_hours[0] - 1.5).abs() < 1e-12);
+        p.advance(0, hours(1.0), RATE_ONE);
+        assert_eq!(p.remaining[0], 0);
+        p.rate[0] = RATE_ONE;
+        assert_eq!(p.eta(0), Some(SimDuration::ZERO));
+        p.advance(0, hours(1.5), RATE_ONE);
+        assert_eq!(p.remaining[0], 0);
+        assert_eq!(p.executing_ms[0], SimDuration::from_hours_f64(1.5).as_millis());
     }
 
     #[test]
     fn done_jobs_do_not_advance() {
         let mut p = one_job(1.0);
         p.completed_at[0] = Some(SimTime::ZERO);
-        p.advance(0, 5.0, 1.0);
-        assert!((p.remaining_hours[0] - 1.0).abs() < 1e-12);
-        assert!(p.eta_hours(0, 1.0).is_none());
+        p.advance(0, hours(5.0), RATE_ONE);
+        assert_eq!(p.remaining[0], work(1.0));
+        p.rate[0] = RATE_ONE;
+        assert!(p.eta(0).is_none());
     }
 
     #[test]
     fn remaining_hint_tracks_progress() {
         // The perfect duration estimate granted to Stratus (§6.1) is the
-        // remaining work read straight off the lane.
+        // remaining work read at the current instant, settled or not.
         let mut p = one_job(2.0);
-        p.advance(0, 0.5, 1.0);
+        p.rate[0] = RATE_ONE;
         assert_eq!(
-            SimDuration::from_hours_f64(p.remaining_hours[0]),
+            work_span(p.remaining_at(0, hours(0.5))),
             SimDuration::from_hours_f64(1.5)
         );
+        p.settle(0, hours(0.5));
+        assert_eq!(work_span(p.remaining[0]), SimDuration::from_hours_f64(1.5));
     }
 }

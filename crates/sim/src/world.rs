@@ -11,9 +11,8 @@
 //! `arena` module:
 //! IDs intern to contiguous `u32` slots at construction, events carry
 //! slots instead of IDs, and the per-event hot loops walk flat vectors.
-//! Slot order is ID order, so every iteration (and therefore every float
-//! accumulation) happens in exactly the sequence the former
-//! `BTreeMap`-keyed world produced — reports are byte-identical.
+//! Slot order is ID order, so every iteration happens in the sequence the
+//! former `BTreeMap`-keyed world produced.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,11 +25,11 @@ use eva_baselines::{
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
 use eva_core::{EvaScheduler, Scheduler};
 use eva_types::{
-    InstanceId, InstanceTypeId, JobId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind,
+    InstanceId, InstanceTypeId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind,
 };
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{WorldArena, NO_SLOT};
+use crate::arena::{quantize, work_of, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -73,130 +72,24 @@ impl SimEvent for Event {
     }
 }
 
-/// Fraction of a job's completed work destroyed by one sim-side
-/// checkpoint drop (the job's latest checkpoint is its recent work).
-pub(crate) const CKPT_DROP_LOSS: f64 = 0.25;
+/// One sim-side checkpoint drop destroys `1 / CKPT_DROP_DIVISOR` of a
+/// job's completed work (the job's latest checkpoint is its recent work).
+pub(crate) const CKPT_DROP_DIVISOR: u64 = 4;
 
-/// A retired job's report contribution, folded out of the arena when
-/// its slots are released (see [`SimConfig::retire_completed`]). Each
-/// value is computed at the completion instant with the exact float
-/// operations `report::finalize` would have applied to the frozen
-/// lanes, so retirement never changes a report byte.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CompletedJob {
-    pub id: JobId,
-    pub jct_hours: f64,
-    pub idle_hours: f64,
-    pub mean_tput: f64,
-}
-
-/// The retired jobs' report contributions, folded incrementally.
-///
-/// `finalize` consumes completed jobs in ascending-id order (three
-/// left-to-right float sums), so a naive log must hold every
-/// [`CompletedJob`] until the end — the last O(total jobs) structure in
-/// a streaming world. Instead the log folds its *closed prefix* as the
-/// run progresses: once every id that can still complete is known to
-/// exceed a pending entry's, that entry joins the running sums with the
-/// identical addition `finalize` would have performed, and the entry is
-/// dropped. Service-mode memory then tracks the in-flight window.
-///
-/// Folding is sound only while ids are strictly increasing in
-/// ingestion order (otherwise a later, smaller id would have to fold
-/// *before* already-folded entries). Batch worlds verify this over the
-/// whole trace at construction; streaming worlds additionally require
-/// the source's [`JobSource::ids_monotone`] promise, and a violation
-/// (a lying source) stops further folding.
-#[derive(Debug, Default)]
-pub(crate) struct CompletedLog {
-    /// Ids promised monotone and no violation observed.
-    fold_ok: bool,
-    /// Whether completed jobs' slots are being released (live-id
-    /// tracking is only paid for when folding can actually happen).
-    retire: bool,
-    /// Largest id interned so far — the monotonicity detector.
-    max_seen: Option<JobId>,
-    /// Ids interned and not yet completed: the fold barrier.
-    live: BTreeSet<JobId>,
-    /// Completed entries awaiting a smaller live id to finish.
-    pending: BTreeMap<JobId, CompletedJob>,
-    /// Count and ascending-id left-fold sums of dropped entries.
-    folded_count: usize,
-    folded_jct: f64,
-    folded_idle: f64,
-    folded_tput: f64,
-}
-
-impl CompletedLog {
-    pub(crate) fn new(retire: bool) -> Self {
-        CompletedLog {
-            fold_ok: true,
-            retire,
-            ..CompletedLog::default()
-        }
-    }
-
-    /// Withdraws the folding permission (non-monotone batch trace, or
-    /// a source that cannot promise monotone ids). Pending entries are
-    /// then held until the end of the run.
-    pub(crate) fn forbid_fold(&mut self) {
-        self.fold_ok = false;
-    }
-
-    pub(crate) fn fold_ok(&self) -> bool {
-        self.fold_ok
-    }
-
-    /// Notes a job entering the world. Detects id-order violations; in
-    /// retire mode the id also joins the fold barrier.
-    pub(crate) fn intern(&mut self, id: JobId) {
-        if self.max_seen.is_some_and(|m| id <= m) {
-            self.fold_ok = false;
-        } else {
-            self.max_seen = Some(id);
-        }
-        if self.retire {
-            self.live.insert(id);
-        }
-    }
-
-    /// Logs a retired job's frozen contribution, then folds every
-    /// pending entry no live id can precede.
-    pub(crate) fn complete(&mut self, c: CompletedJob) {
-        self.live.remove(&c.id);
-        self.pending.insert(c.id, c);
-        if !self.fold_ok {
-            return;
-        }
-        while let Some(entry) = self.pending.first_entry() {
-            // A pending id never equals a live id (completion removed it).
-            if self.live.first().is_some_and(|&min| *entry.key() > min) {
-                break;
-            }
-            let c = entry.remove();
-            self.folded_count += 1;
-            self.folded_jct += c.jct_hours;
-            self.folded_idle += c.idle_hours;
-            self.folded_tput += c.mean_tput;
-        }
-    }
-
-    /// The folded prefix: `(count, jct sum, idle sum, tput sum)`.
-    pub(crate) fn folded(&self) -> (usize, f64, f64, f64) {
-        (
-            self.folded_count,
-            self.folded_jct,
-            self.folded_idle,
-            self.folded_tput,
-        )
-    }
-
-    /// Entries not yet folded, in ascending id order.
-    pub(crate) fn pending_rows(&self) -> impl Iterator<Item = (JobId, f64, f64, f64)> + '_ {
-        self.pending
-            .values()
-            .map(|c| (c.id, c.jct_hours, c.idle_hours, c.mean_tput))
-    }
+/// What the completed jobs contribute to the report, summed as integers
+/// when each completes. Integer sums do not depend on the order jobs
+/// complete in, so a batch world, a streamed one and one that releases
+/// completed slots ([`SimConfig::retire_completed`]) report the same
+/// bytes, and no completed job is held for the sake of its sum.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CompletedSums {
+    pub jobs: u64,
+    /// Σ job completion time, ms.
+    pub jct_ms: u128,
+    /// Σ time present but not executing, ms.
+    pub idle_ms: u128,
+    /// Σ mean normalized throughput while executing, rate quanta.
+    pub tput_q: u128,
 }
 
 /// A streaming world's connection to its [`JobSource`]: one job pulled
@@ -248,7 +141,7 @@ pub struct ClusterSim {
     // stays `None` so reports keep reading the trace).
     pub(crate) stream: Option<StreamState>,
     pub(crate) retire_completed: bool,
-    pub(crate) completed: CompletedLog,
+    pub(crate) completed: CompletedSums,
     pub(crate) first_arrival_seen: Option<SimTime>,
     pub(crate) ingested_jobs: u64,
     dropped_jobs: u64,
@@ -293,11 +186,14 @@ pub struct ClusterSim {
     dirty_scratch: Vec<u32>,
 }
 
-/// True when some catalog type can host each of the job's tasks alone.
+/// True when some catalog type can host each of the job's tasks alone
+/// and the job's work fits a progress lane.
 fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
-    job.tasks
-        .iter()
-        .all(|t| catalog.cheapest_fit(&t.demand).is_some())
+    work_of(job.duration_at_full_tput).is_some()
+        && job
+            .tasks
+            .iter()
+            .all(|t| catalog.cheapest_fit(&t.demand).is_some())
 }
 
 impl ClusterSim {
@@ -306,7 +202,8 @@ impl ClusterSim {
     /// Jobs whose tasks fit no catalog instance type are dropped up front
     /// with a warning (the paper likewise removes them from the trace,
     /// §6.1); otherwise they could never complete and the simulation would
-    /// not terminate.
+    /// not terminate. So are jobs of 2³² ms (49.7 days) of work or more,
+    /// which a progress lane cannot hold.
     pub fn new(cfg: &SimConfig) -> Self {
         // Compile the fault plan from the *caller's* trace handle, before
         // feasibility filtering — the live backend compiles from the same
@@ -368,7 +265,7 @@ impl ClusterSim {
             recorder: None,
             stream: None,
             retire_completed: cfg.retire_completed,
-            completed: CompletedLog::new(cfg.retire_completed),
+            completed: CompletedSums::default(),
             first_arrival_seen: None,
             ingested_jobs: 0,
             dropped_jobs,
@@ -397,11 +294,6 @@ impl ClusterSim {
             dirty_scratch: Vec::new(),
             cfg,
         };
-        // Batch worlds know every id up front, so one pass both decides
-        // fold legality (monotone ids) and seeds the fold barrier.
-        for job in sim.cfg.trace.jobs() {
-            sim.completed.intern(job.id);
-        }
         // Arrivals come from a cursor: only the first is queued, and each
         // schedules the next (see `Event::Arrival`).
         if let Some(first) = sim.cfg.trace.jobs().first() {
@@ -458,11 +350,6 @@ impl ClusterSim {
         };
         let mut sim = ClusterSim::new(&empty);
         sim.world.enable_streaming();
-        // Streamed ids are unknown ahead of time: folding needs the
-        // source's explicit promise, not just observed monotonicity.
-        if !source.ids_monotone() {
-            sim.completed.forbid_fold();
-        }
         sim.stream = Some(StreamState {
             source,
             pending: None,
@@ -485,8 +372,11 @@ impl ClusterSim {
                 self.dropped_jobs += 1;
                 continue;
             }
-            // A source that lags the clock still arrives causally.
-            let at = job.arrival.max(self.now());
+            // A source that lags the clock still arrives causally: the
+            // job arrives when the world can ingest it.
+            let mut job = job;
+            job.arrival = job.arrival.max(self.now());
+            let at = job.arrival;
             stream.pending = Some(job);
             self.stream = Some(stream);
             self.push(at, Event::Ingest);
@@ -507,9 +397,8 @@ impl ClusterSim {
             self.first_arrival_seen = Some(job.arrival);
         }
         self.metrics.record_arrival();
-        self.completed.intern(job.id);
         let slot = self.world.intern_job(job);
-        self.world.jobs.activate(slot);
+        self.world.jobs.activate(slot, self.now());
         self.schedule_round(self.now());
         self.prime_ingest();
     }
@@ -537,14 +426,14 @@ impl ClusterSim {
     }
 
     /// Switches this world to the debug-only reference semantics: advance
-    /// every active job eagerly at each clock segment and accumulate
+    /// every active job eagerly at each clock segment at its freshly
+    /// derived throughput, re-derive every active job's completion
+    /// whenever completions are recomputed, and accumulate
     /// allocation/capacity integrals by full scan, instead of the
-    /// O(changed) dirty-set path. Completion rescheduling stays
-    /// dirty-triggered in both modes — re-deriving a clean job's due time
-    /// from a later anchor can flip by ±1 ms of rounding. Output is
-    /// byte-identical either way (the lazy-oracle proptest holds the two
-    /// in lockstep); this exists so that equivalence stays testable.
-    /// Call before the first [`ClusterSim::step`].
+    /// O(changed) dirty-set path. Output is byte-identical either way (the
+    /// lazy-oracle proptest holds the two in lockstep); this exists so that
+    /// equivalence stays testable. Call before the first
+    /// [`ClusterSim::step`].
     #[doc(hidden)]
     pub fn use_full_scan_reference(&mut self) {
         self.full_scan = true;
@@ -580,15 +469,15 @@ impl ClusterSim {
 
     /// Fraction of the job in `jslot`'s work already completed, in `[0, 1]`.
     pub(crate) fn job_progress_fraction_slot(&self, jslot: u32) -> f64 {
-        let s = jslot as usize;
-        if !self.world.jobs.arrived[s] {
-            return 0.0;
-        }
-        let total = self.world.jobs.total_hours[s];
-        if total <= 0.0 {
+        let jobs = &self.world.jobs;
+        let total = jobs.total[jslot as usize];
+        if !jobs.arrived[jslot as usize] {
+            0.0
+        } else if total == 0 {
             1.0
         } else {
-            (1.0 - self.world.jobs.remaining_hours[s] / total).clamp(0.0, 1.0)
+            let remaining = jobs.remaining_at(jslot, self.now());
+            (1.0 - remaining as f64 / total as f64).clamp(0.0, 1.0)
         }
     }
 
@@ -633,7 +522,7 @@ impl ClusterSim {
                 self.arrivals_remaining -= 1;
                 self.metrics.record_arrival();
                 let slot = self.world.slot_of_spec[idx];
-                self.world.jobs.activate(slot);
+                self.world.jobs.activate(slot, self.now());
                 self.schedule_round(self.now());
             }
             Event::Ingest => self.handle_ingest(),
@@ -650,7 +539,8 @@ impl ClusterSim {
                     if inst != NO_SLOT {
                         self.touch_instance_jobs(inst);
                     } else {
-                        self.world.jobs.mark_dirty(self.world.tasks.job_slot[s]);
+                        let now = self.now();
+                        self.world.jobs.mark_dirty(self.world.tasks.job_slot[s], now);
                     }
                     self.world.tasks.state[s] = TaskState::Running;
                     if inst != NO_SLOT {
@@ -752,36 +642,23 @@ impl ClusterSim {
                 // Applied as a billing schedule at construction.
             }
             FaultAction::CkptDrop => {
-                // Candidate filtering reads every active job's
-                // remaining work, so settle everyone (and truncate the
-                // segment log while at it).
-                self.world.jobs.settle_active_and_reset();
-                // Active slots ascend in JobId order, matching the former
-                // map iteration; jobs without progress (or done) never
-                // qualify, so the candidate list is unchanged.
-                let candidates: Vec<u32> = self
-                    .world
-                    .jobs
-                    .active
-                    .iter()
-                    .copied()
-                    .filter(|&slot| {
-                        self.world.jobs.remaining_hours[slot as usize] + 1e-12
-                            < self.world.jobs.total_hours[slot as usize]
-                    })
+                // Candidates are the active jobs (in JobId order) that
+                // have made progress by now.
+                let jobs = &self.world.jobs;
+                let candidates: Vec<u32> = (jobs.active.iter().copied())
+                    .filter(|&slot| jobs.remaining_at(slot, now) < jobs.total[slot as usize])
                     .collect();
                 if candidates.is_empty() {
                     return;
                 }
-                let victim = candidates[(ev.draw % candidates.len() as u64) as usize] as usize;
+                let victim = candidates[(ev.draw % candidates.len() as u64) as usize];
                 // Surgery on remaining work moves the completion time
                 // without changing the rate.
-                self.world.jobs.mark_dirty(victim as u32);
-                let total = self.world.jobs.total_hours[victim];
-                let remaining = self.world.jobs.remaining_hours[victim];
-                let done = (total - remaining).max(0.0);
-                self.world.jobs.remaining_hours[victim] =
-                    (remaining + CKPT_DROP_LOSS * done).min(total);
+                self.world.jobs.mark_dirty(victim, now);
+                let v = victim as usize;
+                let (total, remaining) = (self.world.jobs.total[v], self.world.jobs.remaining[v]);
+                let lost = (total - remaining) / CKPT_DROP_DIVISOR;
+                self.world.jobs.remaining[v] = remaining + lost;
                 self.dropped_checkpoints += 1;
                 self.recompute_completions();
             }
@@ -871,35 +748,15 @@ impl ClusterSim {
     /// the live-instance table must list exactly the `(id, type)` pairs
     /// the provider reports live at this instant, in the same order.
     pub fn audit_slots(&self) -> Result<(), String> {
-        self.world.audit()?;
+        let now = self.engine.now();
+        self.world
+            .audit(now, |slot| self.job_spec(slot).arrival)?;
         for id in &self.draining {
             if self.world.insts.get(*id).is_none() {
                 return Err(format!("draining instance {id} holds no slot"));
             }
         }
-        let now = self.engine.now();
-        let mut alloc = [0.0f64; 3];
-        let mut cap = [0.0f64; 3];
-        let mut running = 0usize;
-        for inst in self.cloud.live_instances(now) {
-            let Some(ty) = self.catalog.get(inst.type_id) else {
-                continue;
-            };
-            cap[0] += f64::from(ty.capacity.gpu);
-            cap[1] += f64::from(ty.capacity.cpu);
-            cap[2] += ty.capacity.ram_mb as f64;
-            if let Some(islot) = self.world.insts.get(inst.id) {
-                for &tslot in &self.world.insts.tasks[islot as usize] {
-                    let d = ty.demand_of(&self.task_spec(tslot).demand);
-                    alloc[0] += f64::from(d.gpu);
-                    alloc[1] += f64::from(d.cpu);
-                    alloc[2] += d.ram_mb as f64;
-                    if self.world.tasks.is_running(tslot) {
-                        running += 1;
-                    }
-                }
-            }
-        }
+        let (cap, alloc, running) = self.scan_rates(now);
         if cap != self.cap_rate || alloc != self.alloc_rate || running != self.running_rate {
             return Err(format!(
                 "incremental rates diverged from live-set scan: \
@@ -936,47 +793,10 @@ impl ClusterSim {
         self.engine.peak_len()
     }
 
-    /// Debug digest of every observable the lazy dirty-set path must
-    /// keep identical to the eager reference
-    /// ([`ClusterSim::use_full_scan_reference`]): settles all active jobs
-    /// first so deferred progress is folded in, then formats each lane
-    /// with shortest-roundtrip float formatting (distinct bits ⇒
-    /// distinct strings). Test-only; not part of the stable API.
-    #[doc(hidden)]
-    pub fn oracle_digest(&mut self) -> String {
-        use std::fmt::Write as _;
-        for i in 0..self.world.jobs.active.len() {
-            let slot = self.world.jobs.active[i];
-            self.world.jobs.settle([slot]);
-        }
-        let mut out = String::new();
-        let jobs = &self.world.jobs;
-        for s in 0..jobs.ids.len() {
-            let _ = writeln!(
-                out,
-                "job {}: rem={:?} exec={:?} idle={:?} tput_int={:?} rate={:?} done={:?} sched={:?}",
-                jobs.ids[s],
-                jobs.remaining_hours[s],
-                jobs.executing_hours[s],
-                jobs.idle_hours[s],
-                jobs.tput_integral[s],
-                jobs.rate[s],
-                jobs.completed_at[s],
-                jobs.scheduled_done_at[s],
-            );
-        }
-        let _ = writeln!(
-            out,
-            "integrals alloc={:?} cap={:?} run_hours={:?} \
-             rates alloc={:?} cap={:?} running={}",
-            self.alloc_integral,
-            self.capacity_integral,
-            self.task_running_hours,
-            self.alloc_rate,
-            self.cap_rate,
-            self.running_rate,
-        );
-        out
+    /// Events scheduled before the clock so far: 0 in a sound world (see
+    /// [`EventEngine::past_dated`]).
+    pub fn past_dated_events(&self) -> u64 {
+        self.engine.past_dated()
     }
 
     /// Jobs ingested from a stream so far (0 for batch worlds).
@@ -1029,83 +849,35 @@ impl ClusterSim {
         }
     }
 
-    /// Debug digest of every observable job retirement must preserve:
-    /// live jobs by ID with their settled progress lanes, completed
-    /// jobs by ID with their report contributions (from the completed
-    /// log or a slot scan — wherever retirement left them), and the
-    /// global integrals. Retirement on and off must produce identical
-    /// strings after every event. Test-only; not part of the stable API.
+    /// Debug digest of every observable the lazy dirty-set path must
+    /// keep identical to the eager reference
+    /// ([`ClusterSim::use_full_scan_reference`]), and job retirement
+    /// identical to keeping every job: live jobs by ID with their lanes
+    /// settled at the current instant, the completed jobs' report sums,
+    /// and the global integrals (floats with shortest-roundtrip
+    /// formatting: distinct bits ⇒ distinct strings). Test-only; not part
+    /// of the stable API.
     #[doc(hidden)]
-    pub fn stream_digest(&mut self) -> String {
+    pub fn oracle_digest(&mut self) -> String {
         use std::fmt::Write as _;
+        let (now, mut out) = (self.now(), String::new());
         for i in 0..self.world.jobs.active.len() {
             let slot = self.world.jobs.active[i];
-            self.world.jobs.settle([slot]);
-        }
-        let mut out = String::new();
-        for i in 0..self.world.jobs.active.len() {
-            let slot = self.world.jobs.active[i];
-            let s = slot as usize;
-            let jobs = &self.world.jobs;
+            self.world.jobs.settle(slot, now);
+            let (s, jobs) = (slot as usize, &self.world.jobs);
             let _ = writeln!(
                 out,
-                "live {}: rem={:?} exec={:?} idle={:?} tput_int={:?} rate={:?} sched={:?}",
+                "live {}: rem={} exec={} idle={} tput_int={} rate={} sched={:?}",
                 jobs.ids[s],
-                jobs.remaining_hours[s],
-                jobs.executing_hours[s],
-                jobs.idle_hours[s],
+                jobs.remaining[s],
+                jobs.executing_ms[s],
+                jobs.idle_ms[s],
                 jobs.tput_integral[s],
                 jobs.rate[s],
                 jobs.scheduled_done_at[s],
             );
         }
-        let mut done: Vec<(JobId, f64, f64, f64)> = self.completed.pending_rows().collect();
-        for slot in 0..self.world.jobs.ids.len() as u32 {
-            let s = slot as usize;
-            if self.world.jobs.released[s] || !self.world.jobs.is_done(slot) {
-                continue;
-            }
-            let jct = self.world.jobs.completed_at[s]
-                .unwrap()
-                .duration_since(self.job_spec(slot).arrival)
-                .as_hours_f64();
-            done.push((
-                self.world.jobs.ids[s],
-                jct,
-                self.world.jobs.idle_hours[s],
-                self.world.jobs.mean_tput(slot),
-            ));
-        }
-        done.sort_by_key(|e| e.0);
-        // Entries below the fold watermark — the smallest id that can
-        // still complete, recomputed from the arena so both retirement
-        // modes derive it identically — render as one running
-        // left-fold; retirement may have folded them out of existence.
-        // Everything at or above it renders per job.
-        let watermark: Option<JobId> = (0..self.world.jobs.ids.len() as u32)
-            .filter(|&slot| {
-                !self.world.jobs.released[slot as usize] && !self.world.jobs.is_done(slot)
-            })
-            .map(|slot| self.world.jobs.ids[slot as usize])
-            .min();
-        let (mut n, mut jct_sum, mut idle_sum, mut tput_sum) = self.completed.folded();
-        let mut split = 0;
-        if self.completed.fold_ok() {
-            while split < done.len() && watermark.is_none_or(|w| done[split].0 < w) {
-                n += 1;
-                jct_sum += done[split].1;
-                idle_sum += done[split].2;
-                tput_sum += done[split].3;
-                split += 1;
-            }
-        }
-        let _ = writeln!(
-            out,
-            "done folded n={n} jct_sum={jct_sum:?} idle_sum={idle_sum:?} tput_sum={tput_sum:?}"
-        );
-        for &(id, jct, idle, tput) in &done[split..] {
-            let _ = writeln!(out, "done {id}: jct={jct:?} idle={idle:?} tput={tput:?}");
-        }
+        let _ = writeln!(out, "done {:?}", self.completed);
         let _ = writeln!(
             out,
             "integrals alloc={:?} cap={:?} run_hours={:?} \
@@ -1130,13 +902,16 @@ impl ClusterSim {
         if !valid {
             return;
         }
-        // Fold the deferred segments in before reading remaining work.
-        self.world.jobs.settle([slot]);
+        // Bring the lanes to the completion instant, which is the nearest
+        // millisecond to the exact one: at most half a millisecond's work
+        // is left.
+        let now = self.engine.now();
+        self.world.jobs.settle(slot, now);
         debug_assert!(
-            self.world.jobs.remaining_hours[s] < 1e-6,
+            2 * u128::from(self.world.jobs.remaining[s]) <= u128::from(self.world.jobs.rate[s]),
             "early completion event"
         );
-        self.world.jobs.completed_at[s] = Some(self.engine.now());
+        self.world.jobs.completed_at[s] = Some(now);
         self.world.jobs.scheduled_done_at[s] = None;
         self.world.jobs.retire(slot);
         let job = self.world.jobs.ids[s];
@@ -1159,24 +934,19 @@ impl ClusterSim {
             }
         }
         self.metrics
-            .record_completion(self.world.jobs.idle_hours[s]);
+            .record_completion(self.world.jobs.idle_hours(slot));
+        // Fold the frozen lanes into the report sums. With retirement on
+        // the slots go back too: the job cannot be dirty here
+        // (`completed_at` was set before the task loop and `mark_dirty`
+        // skips done jobs), and no completion event can outlive the
+        // generation that just validated.
+        let jct = now.duration_since(self.job_spec(slot).arrival);
+        let done = &mut self.completed;
+        done.jobs += 1;
+        done.jct_ms += u128::from(jct.as_millis());
+        done.idle_ms += u128::from(self.world.jobs.idle_ms[s]);
+        done.tput_q += u128::from(self.world.jobs.mean_tput(slot));
         if self.retire_completed {
-            // Fold the frozen lanes into the completed-job log with the
-            // identical float operations `finalize` would apply, then
-            // hand the slots back. The job cannot be dirty here:
-            // `completed_at` was set before the task loop and
-            // `mark_dirty` skips done jobs, and no completion event can
-            // outlive the generation that just validated.
-            let now = self.engine.now();
-            let jct_hours = now
-                .duration_since(self.job_spec(slot).arrival)
-                .as_hours_f64();
-            self.completed.complete(CompletedJob {
-                id: job,
-                jct_hours,
-                idle_hours: self.world.jobs.idle_hours[s],
-                mean_tput: self.world.jobs.mean_tput(slot),
-            });
             self.world.release_job(slot);
         }
         self.try_terminations();
@@ -1228,14 +998,14 @@ impl ClusterSim {
         }
     }
 
-    /// Advances all integrals and job progress to `t` (the engine clock
-    /// itself advances in [`ClusterSim::step`]).
+    /// Advances all integrals to `t` (the engine clock itself advances in
+    /// [`ClusterSim::step`]).
     ///
-    /// O(1) in steady state: job progress is deferred by logging the
-    /// segment (clean jobs replay it on settle at their cached rate —
-    /// current by dirty-set invariant 2), and the allocation/capacity
-    /// integrals accrue from the maintained rates instead of rescanning
-    /// the live instance set.
+    /// O(1) in steady state: job progress is in closed form (clean jobs
+    /// hold their cached rate, current by invariant 2 in the `arena`
+    /// module docs, and readers ask for it at `now`), and the
+    /// allocation/capacity integrals accrue from the maintained rates
+    /// instead of rescanning the live instance set.
     fn advance_to(&mut self, t: SimTime) {
         let now = self.engine.now();
         let dt_hours = t.duration_since(now).as_hours_f64();
@@ -1247,51 +1017,19 @@ impl ClusterSim {
             "dirty jobs crossed a segment boundary unsettled"
         );
         if self.full_scan {
-            // Eager reference semantics, kept verbatim for the oracle:
-            // throughputs are pure reads, so computing them all before
-            // applying preserves the old interleaved map semantics.
-            let mut tputs: Vec<(u32, f64)> = Vec::with_capacity(self.world.jobs.active.len());
-            for &slot in &self.world.jobs.active {
-                tputs.push((slot, self.job_tput(slot)));
+            // Eager reference semantics: every active job advances at the
+            // throughput its tasks have now, not at its cached rate.
+            // Throughputs are pure reads, so all are computed first.
+            let rates: Vec<(u32, u64)> = (self.world.jobs.active.iter())
+                .map(|&slot| (slot, quantize(self.job_tput(slot))))
+                .collect();
+            for (slot, rate) in rates {
+                self.world.jobs.advance(slot, t, rate);
             }
-            for &(slot, tput) in &tputs {
-                self.world.jobs.advance(slot, dt_hours, tput);
-            }
-            let mut alloc = [0.0f64; 3];
-            let mut cap = [0.0f64; 3];
-            let mut running_tasks = 0usize;
-            for inst in self.cloud.live_instances(now) {
-                let Some(ty) = self.catalog.get(inst.type_id) else {
-                    continue;
-                };
-                cap[0] += f64::from(ty.capacity.gpu);
-                cap[1] += f64::from(ty.capacity.cpu);
-                cap[2] += ty.capacity.ram_mb as f64;
-                if let Some(islot) = self.world.insts.get(inst.id) {
-                    for &tslot in &self.world.insts.tasks[islot as usize] {
-                        let spec = self.task_spec(tslot);
-                        let d = ty.demand_of(&spec.demand);
-                        alloc[0] += f64::from(d.gpu);
-                        alloc[1] += f64::from(d.cpu);
-                        alloc[2] += d.ram_mb as f64;
-                        if self.world.tasks.is_running(tslot) {
-                            running_tasks += 1;
-                        }
-                    }
-                }
-            }
-            for r in 0..3 {
-                self.alloc_integral[r] += alloc[r] * dt_hours;
-                self.capacity_integral[r] += cap[r] * dt_hours;
-            }
-            self.task_running_hours += running_tasks as f64 * dt_hours;
+            let (cap, alloc, running) = self.scan_rates(now);
+            self.integrate(cap, alloc, running, dt_hours);
         } else {
-            self.world.jobs.push_segment(dt_hours);
-            for r in 0..3 {
-                self.alloc_integral[r] += self.alloc_rate[r] * dt_hours;
-                self.capacity_integral[r] += self.cap_rate[r] * dt_hours;
-            }
-            self.task_running_hours += self.running_rate as f64 * dt_hours;
+            self.integrate(self.cap_rate, self.alloc_rate, self.running_rate, dt_hours);
         }
         // Retire the capacity of instances whose termination deadline
         // fell inside the segment just integrated: they were live at
@@ -1312,19 +1050,51 @@ impl ClusterSim {
         }
     }
 
+    /// The capacity, allocation and running-task rates of the provider's
+    /// live set at `now`, from scratch: what the maintained rates must
+    /// equal.
+    fn scan_rates(&self, now: SimTime) -> ([f64; 3], [f64; 3], usize) {
+        let (mut cap, mut alloc, mut running) = ([0.0f64; 3], [0.0f64; 3], 0);
+        for inst in self.cloud.live_instances(now) {
+            let Some(ty) = self.catalog.get(inst.type_id) else {
+                continue;
+            };
+            cap[0] += f64::from(ty.capacity.gpu);
+            cap[1] += f64::from(ty.capacity.cpu);
+            cap[2] += ty.capacity.ram_mb as f64;
+            let Some(islot) = self.world.insts.get(inst.id) else {
+                continue;
+            };
+            for &tslot in &self.world.insts.tasks[islot as usize] {
+                let d = ty.demand_of(&self.task_spec(tslot).demand);
+                alloc[0] += f64::from(d.gpu);
+                alloc[1] += f64::from(d.cpu);
+                alloc[2] += d.ram_mb as f64;
+                running += usize::from(self.world.tasks.is_running(tslot));
+            }
+        }
+        (cap, alloc, running)
+    }
+
+    /// Accrues `dt_hours` at the given rates into the metric integrals.
+    fn integrate(&mut self, cap: [f64; 3], alloc: [f64; 3], running: usize, dt_hours: f64) {
+        for r in 0..3 {
+            self.alloc_integral[r] += alloc[r] * dt_hours;
+            self.capacity_integral[r] += cap[r] * dt_hours;
+        }
+        self.task_running_hours += running as f64 * dt_hours;
+    }
+
     /// Re-derives the completion events of jobs marked dirty since the
     /// last drain. Refreshes each job's cached rate and skips the heap
     /// push when the due time is unchanged — the outstanding event is
     /// still valid, so steady-state heap churn tracks what *changed*.
-    /// Rescheduling is dirty-triggered in the reference mode too: a
-    /// completion time re-derived from a *later* anchor can flip by
-    /// ±1 ms of rounding, so re-deriving clean jobs would push spurious
-    /// replacement events rather than validate anything. Marking
-    /// completeness is instead cross-checked by the eager reference
-    /// advancing progress and integrals by full scan (`oracle_digest`
-    /// equality) and by `audit_slots` recomputing every cached rate.
+    /// The eager reference re-derives every active job instead: a
+    /// closed-form due time does not depend on the instant it is derived
+    /// at, so a clean job re-derives exactly the event it has, and any
+    /// job the lazy path failed to mark shows as a divergence.
     pub(crate) fn recompute_completions(&mut self) {
-        if self.world.jobs.dirty_list.is_empty() {
+        if self.world.jobs.dirty_list.is_empty() && !self.full_scan {
             return;
         }
         // Drain into reusable scratch (the `term_scratch` pattern) so
@@ -1333,23 +1103,26 @@ impl ClusterSim {
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         dirty.clear();
         dirty.append(&mut self.world.jobs.dirty_list);
-        // Ascending slot order: dirty jobs reschedule in the relative
-        // order the eager full sweep pushed them.
+        for &slot in &dirty {
+            self.world.jobs.dirty[slot as usize] = false;
+        }
+        if self.full_scan {
+            dirty.clear();
+            dirty.extend_from_slice(&self.world.jobs.active);
+        }
+        // Ascending slot order: jobs reschedule in the same relative
+        // order in either mode.
         dirty.sort_unstable();
         let now = self.engine.now();
         for &slot in &dirty {
             let s = slot as usize;
-            self.world.jobs.dirty[s] = false;
             if !self.world.jobs.arrived[s] || self.world.jobs.is_done(slot) {
                 continue;
             }
-            let tput = self.job_tput(slot);
-            self.world.jobs.rate[s] = tput;
-            let at = self
-                .world
-                .jobs
-                .eta_hours(slot, tput)
-                .map(|eta| now + SimDuration::from_hours_f64(eta));
+            // At the old rate up to now, at the new one from now on.
+            self.world.jobs.settle(slot, now);
+            self.world.jobs.rate[s] = quantize(self.job_tput(slot));
+            let at = self.world.jobs.eta(slot).map(|eta| now + eta);
             if at == self.world.jobs.scheduled_done_at[s] {
                 continue;
             }
@@ -1507,9 +1280,10 @@ impl ClusterSim {
     /// dirty — their effective throughput may change with the
     /// instance's state (placement, straggle factor, co-location set).
     pub(crate) fn touch_instance_jobs(&mut self, islot: u32) {
+        let now = self.engine.now();
         let world = &mut self.world;
         for &t in &world.insts.tasks[islot as usize] {
-            world.jobs.mark_dirty(world.tasks.job_slot[t as usize]);
+            world.jobs.mark_dirty(world.tasks.job_slot[t as usize], now);
         }
     }
 }

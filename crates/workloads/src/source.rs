@@ -45,12 +45,11 @@ pub trait JobSource {
 
     /// Whether job ids come back strictly increasing.
     ///
-    /// Arrival order is a hard contract; id order is not. When a source
-    /// can promise strictly increasing ids, the simulator may fold a
-    /// retired job's report contribution as soon as no smaller live id
-    /// remains, keeping memory bounded on endless streams. Sources that
-    /// cannot promise it (external feeds with caller-chosen ids) return
-    /// `false` and the simulator holds every contribution until the end.
+    /// Arrival order is a hard contract; id order is not. Sources that
+    /// cannot promise increasing ids (external feeds with caller-chosen
+    /// ids) return `false`. The simulator runs either kind in bounded
+    /// memory: it sums each retired job's report contribution exactly,
+    /// in any order.
     fn ids_monotone(&self) -> bool {
         false
     }

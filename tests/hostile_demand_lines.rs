@@ -3,7 +3,8 @@
 //! eight bytes or carries a NUL — are malformed lines: `JsonLinesSource`
 //! skips them, `serve` completes every other job, and nothing panics
 //! (CI runs this in release as well). A job that parses but that no
-//! catalog type can host is dropped, and counted as dropped.
+//! catalog type can host, or whose work a progress lane cannot hold, is
+//! dropped, and counted as dropped.
 
 use eva::prelude::*;
 use std::io::{BufReader, Cursor};
@@ -121,4 +122,29 @@ fn skipped_lines_are_counted_by_reason() {
         serve_lines(&["{\"id\": 1".to_string(), line(0)]).lines_rejected,
         1
     );
+}
+
+#[test]
+fn jobs_whose_work_no_lane_can_hold_are_counted_as_dropped() {
+    // A progress lane holds work in ms·2⁻³² quanta in 64 bits: 2³² ms
+    // (49.7 days) at full throughput is one millisecond too many.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(6).into_jobs();
+    let n = jobs.len() as u64;
+    jobs[2].duration_at_full_tput = SimDuration::from_millis(1 << 32);
+    jobs[4].duration_at_full_tput = SimDuration::from_millis(u64::MAX);
+    let lines: Vec<String> = jobs
+        .iter()
+        .map(|j| serde_json::to_string(j).unwrap())
+        .collect();
+    let outcome = serve_lines(&lines);
+    assert_eq!(outcome.jobs_ingested, n - 2);
+    assert_eq!(outcome.jobs_dropped, 2);
+    assert_eq!(outcome.lines_rejected, 0);
+    assert_eq!(outcome.report.jobs_completed as u64, n - 2);
+
+    // One millisecond less fits, and the batch constructor drops the same.
+    jobs[2].duration_at_full_tput = SimDuration::from_millis((1 << 32) - 1);
+    let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Stratus);
+    cfg.seed = 1;
+    assert_eq!(ClusterSim::new(&cfg).jobs_dropped(), 1);
 }

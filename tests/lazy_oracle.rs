@@ -1,17 +1,19 @@
 //! Oracle for the O(changed) hot loop: the lazy dirty-set path
-//! (segment-log progress, dirty-only completion rescheduling,
-//! incremental allocation/capacity integrals) must be *semantically
-//! invisible*. The same seeded simulation is stepped in lockstep
-//! through the lazy path and the debug-only eager reference
-//! (`ClusterSim::use_full_scan_reference`), and every event boundary must
-//! agree on job progress, cached rates, completion times, and integral
-//! accumulators — bit for bit, via shortest-roundtrip float formatting
-//! (distinct bits ⇒ distinct strings).
+//! (closed-form progress settled on demand, dirty-only completion
+//! rescheduling, incremental allocation/capacity integrals) must be
+//! *semantically invisible*. The same seeded simulation is stepped in
+//! lockstep through the lazy path and the debug-only eager reference
+//! (`ClusterSim::use_full_scan_reference`, which advances every job at
+//! every event at its freshly derived throughput and re-derives every
+//! completion), and every event boundary must agree on job progress,
+//! cached rates, completion times, and integral accumulators — bit for
+//! bit, with no tolerance and no exceptions (floats via shortest-roundtrip
+//! formatting: distinct bits ⇒ distinct strings).
 //!
-//! Reading a digest settles every job, so in the lockstep every replay is
-//! at most one segment long. The final-only case reads nothing until both
-//! worlds are exhausted: settle-all then replays whole round intervals from
-//! cursors that differ job to job, four jobs at a time plus a tail group.
+//! Reading a digest settles every job, so in the lockstep the lazy world
+//! settles at every event. The final-only case reads nothing until both
+//! worlds are exhausted, so the lazy world settles only where rates change
+//! and its integers must still equal the eager world's.
 
 use eva::prelude::*;
 use proptest::prelude::*;

@@ -27,7 +27,7 @@ fn sims(jobs: usize, seed: u64, regime: &str) -> (ClusterSim, ClusterSim) {
     (ClusterSim::new(&retire), ClusterSim::new(&cfg))
 }
 
-/// Steps both worlds to exhaustion, comparing stream digests at every
+/// Steps both worlds to exhaustion, comparing world digests at every
 /// event boundary, then compares the final reports byte-for-byte.
 fn assert_lockstep(mut retire: ClusterSim, mut keep: ClusterSim) -> Result<(), TestCaseError> {
     let mut steps = 0u64;
@@ -40,7 +40,7 @@ fn assert_lockstep(mut retire: ClusterSim, mut keep: ClusterSim) -> Result<(), T
             "clocks diverged at step {}",
             steps
         );
-        let (da, db) = (retire.stream_digest(), keep.stream_digest());
+        let (da, db) = (retire.oracle_digest(), keep.oracle_digest());
         prop_assert_eq!(da, db, "world digests diverged at step {}", steps);
         retire.audit_slots().map_err(TestCaseError::fail)?;
         keep.audit_slots().map_err(TestCaseError::fail)?;

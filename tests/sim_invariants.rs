@@ -139,6 +139,7 @@ fn preempted_instances_do_no_work_after_their_preemption() {
             break;
         }
     }
+    assert_eq!(sim.past_dated_events(), 0, "an event was dated before the clock");
     assert!(
         !sim.preemption_log().is_empty(),
         "an intensity-3 storm must preempt at least one instance"
@@ -208,6 +209,30 @@ fn live_table_equals_the_provider_scan_through_churn() {
             assert_eq!(held == launched, !retire, "{regime}: {held} records held");
             let stormy = regime.starts_with("preempt");
             assert_eq!(sim.preemption_log().is_empty(), !stormy, "{regime}");
+            assert_eq!(sim.past_dated_events(), 0, "{regime}, retire={retire}");
         }
     }
+}
+
+#[test]
+fn batch_event_queue_follows_the_in_flight_window() {
+    // A batch world queues one arrival at a time, so its event queue is
+    // as deep as a streamed world's over the same jobs, not as long as
+    // the trace; both run the same simulation.
+    let trace = SyntheticTraceConfig {
+        num_jobs: 20_000,
+        ..SyntheticTraceConfig::huge_100k()
+    }
+    .generate(42);
+    let cfg = SimConfig::new(trace, SchedulerKind::Stratus);
+    let mut batch = ClusterSim::new(&cfg);
+    while batch.step() {}
+    let source = Box::new(TraceSource::new(cfg.trace.clone()));
+    let mut streamed = ClusterSim::from_source(&cfg, source);
+    while streamed.step() {}
+    let (b, s) = (batch.event_queue_peak(), streamed.event_queue_peak());
+    assert!(b <= 2 * s, "batch queue peaked at {b}, streamed at {s}");
+    assert!(b < 2_000, "batch queue peaked at {b} over 20 000 jobs");
+    assert_eq!((batch.past_dated_events(), streamed.past_dated_events()), (0, 0));
+    assert_eq!(batch.run(), streamed.run());
 }
