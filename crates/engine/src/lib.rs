@@ -446,7 +446,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "event scheduled in the past"))]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "event scheduled in the past")
+    )]
     fn past_dated_events_dispatch_at_the_clock_and_are_counted() {
         let mut engine: EventEngine<Ev> = EventEngine::new();
         engine.advance_to(SimTime::from_secs(10));
@@ -476,8 +479,14 @@ mod tests {
         engine.cancel(doomed);
         assert_eq!(engine.canceled.len(), 1, "one tombstone, below compaction");
         let order: Vec<Ev> = std::iter::from_fn(|| engine.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec![Ev::Fast(0), Ev::Fast(1), Ev::Fast(2), Ev::Fast(3)]);
-        assert!(engine.canceled.is_empty(), "the spent tombstone is forgotten");
+        assert_eq!(
+            order,
+            vec![Ev::Fast(0), Ev::Fast(1), Ev::Fast(2), Ev::Fast(3)]
+        );
+        assert!(
+            engine.canceled.is_empty(),
+            "the spent tombstone is forgotten"
+        );
         // With the set empty again, later pops take the probe-free path.
         engine.schedule(SimTime::from_secs(5), Ev::Slow(5));
         assert_eq!(engine.pop().map(|s| s.event), Some(Ev::Slow(5)));

@@ -83,7 +83,11 @@ mod tests {
         assert_eq!(p.idle_hours(0), 0.25);
         assert_eq!(p.remaining[0], work(1.0));
         assert!(p.eta(0).is_none());
-        assert_eq!(p.mean_tput(0), RATE_ONE, "never executed ⇒ no interference seen");
+        assert_eq!(
+            p.mean_tput(0),
+            RATE_ONE,
+            "never executed ⇒ no interference seen"
+        );
     }
 
     #[test]
@@ -95,7 +99,10 @@ mod tests {
         assert_eq!(p.eta(0), Some(SimDuration::ZERO));
         p.advance(0, hours(1.5), RATE_ONE);
         assert_eq!(p.remaining[0], 0);
-        assert_eq!(p.executing_ms[0], SimDuration::from_hours_f64(1.5).as_millis());
+        assert_eq!(
+            p.executing_ms[0],
+            SimDuration::from_hours_f64(1.5).as_millis()
+        );
     }
 
     #[test]

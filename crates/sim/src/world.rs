@@ -366,7 +366,7 @@ impl ClusterSim {
             return;
         };
         debug_assert!(stream.pending.is_none(), "priming over a pending job");
-        while let Some(job) = stream.source.next_job() {
+        while let Some(mut job) = stream.source.next_job() {
             if !schedulable(&self.catalog, &job) {
                 eprintln!("warning: dropping unschedulable {}", job.id);
                 self.dropped_jobs += 1;
@@ -374,7 +374,6 @@ impl ClusterSim {
             }
             // A source that lags the clock still arrives causally: the
             // job arrives when the world can ingest it.
-            let mut job = job;
             job.arrival = job.arrival.max(self.now());
             let at = job.arrival;
             stream.pending = Some(job);
@@ -539,8 +538,8 @@ impl ClusterSim {
                     if inst != NO_SLOT {
                         self.touch_instance_jobs(inst);
                     } else {
-                        let now = self.now();
-                        self.world.jobs.mark_dirty(self.world.tasks.job_slot[s], now);
+                        let (jslot, now) = (self.world.tasks.job_slot[s], self.now());
+                        self.world.jobs.mark_dirty(jslot, now);
                     }
                     self.world.tasks.state[s] = TaskState::Running;
                     if inst != NO_SLOT {
@@ -749,8 +748,7 @@ impl ClusterSim {
     /// the provider reports live at this instant, in the same order.
     pub fn audit_slots(&self) -> Result<(), String> {
         let now = self.engine.now();
-        self.world
-            .audit(now, |slot| self.job_spec(slot).arrival)?;
+        self.world.audit(now, |slot| self.job_spec(slot).arrival)?;
         for id in &self.draining {
             if self.world.insts.get(*id).is_none() {
                 return Err(format!("draining instance {id} holds no slot"));

@@ -139,7 +139,11 @@ fn preempted_instances_do_no_work_after_their_preemption() {
             break;
         }
     }
-    assert_eq!(sim.past_dated_events(), 0, "an event was dated before the clock");
+    assert_eq!(
+        sim.past_dated_events(),
+        0,
+        "an event was dated before the clock"
+    );
     assert!(
         !sim.preemption_log().is_empty(),
         "an intensity-3 storm must preempt at least one instance"
@@ -233,6 +237,9 @@ fn batch_event_queue_follows_the_in_flight_window() {
     let (b, s) = (batch.event_queue_peak(), streamed.event_queue_peak());
     assert!(b <= 2 * s, "batch queue peaked at {b}, streamed at {s}");
     assert!(b < 2_000, "batch queue peaked at {b} over 20 000 jobs");
-    assert_eq!((batch.past_dated_events(), streamed.past_dated_events()), (0, 0));
+    assert_eq!(
+        (batch.past_dated_events(), streamed.past_dated_events()),
+        (0, 0)
+    );
     assert_eq!(batch.run(), streamed.run());
 }
