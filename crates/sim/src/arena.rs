@@ -29,11 +29,12 @@
 //!   interned in ID order), so a scheduler sees a streamed world's jobs
 //!   in the order it sees a batch world's.
 //!
-//! Dynamic state is stored as structure-of-arrays `Vec`s: the per-event
-//! loops touch `remaining`/`tput_integral`/… as flat integer lanes
-//! instead of chasing map nodes. Job and task *specs* are never cloned —
-//! slots carry indices into the shared trace, so a million-job world
-//! costs a few flat vectors, not a second copy of the trace.
+//! Dynamic state is stored as structure-of-arrays `Vec`s indexed by slot
+//! instead of map nodes, except a job's progress: settling reads and
+//! writes all of it for one job at a time, so it is one [`Progress`]
+//! record per slot. Job and task *specs* are never cloned — slots carry
+//! indices into the shared trace, so a million-job world costs a few flat
+//! vectors, not a second copy of the trace.
 //!
 //! A task's lifecycle states are specified by [`crate::state`], whose
 //! unit tests also pin a single job's advance arithmetic on a one-job
@@ -114,6 +115,39 @@ fn work_in(rate: u64, dt_ms: u64) -> u64 {
     u64::try_from(u128::from(rate) * u128::from(dt_ms)).unwrap_or(u64::MAX)
 }
 
+/// One job's progress (module docs), held together: a settle reads and
+/// writes all of it for one job at a time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Progress {
+    /// Total work in ms·quantum (the spec duration, cached).
+    pub total: u64,
+    /// Remaining work at `last`, in ms·quantum.
+    pub remaining: u64,
+    /// Milliseconds spent executing up to `last`.
+    pub executing_ms: u64,
+    /// Milliseconds spent present but not executing up to `last`.
+    pub idle_ms: u64,
+    /// Work done up to `last` (the integral of rate over time), in
+    /// ms·quantum.
+    pub tput_integral: u64,
+    /// The instant the four lanes above hold (the job's last settle).
+    pub last: SimTime,
+    /// Cached effective throughput in rate quanta, refreshed whenever the
+    /// job is recomputed (invariant 2 in the module docs).
+    pub rate: u64,
+}
+
+impl Progress {
+    /// A job of `total` work that has not started.
+    fn new(total: u64) -> Self {
+        Progress {
+            total,
+            remaining: total,
+            ..Progress::default()
+        }
+    }
+}
+
 /// Job state, slot-indexed in ascending [`JobId`] order.
 #[derive(Debug)]
 pub(crate) struct JobArena {
@@ -132,19 +166,8 @@ pub(crate) struct JobArena {
     /// this empty and index the shared trace through `spec_idx`).
     /// Boxed so releasing a slot actually reclaims the spec's memory.
     pub owned: Vec<Option<Box<JobSpec>>>,
-    /// Total work in ms·quantum (the spec duration, cached).
-    pub total: Vec<u64>,
-    /// Remaining work at `last`, in ms·quantum.
-    pub remaining: Vec<u64>,
-    /// Milliseconds spent executing up to `last`.
-    pub executing_ms: Vec<u64>,
-    /// Milliseconds spent present but not executing up to `last`.
-    pub idle_ms: Vec<u64>,
-    /// Work done up to `last` (the integral of rate over time), in
-    /// ms·quantum.
-    pub tput_integral: Vec<u64>,
-    /// The instant the four lanes above hold (the job's last settle).
-    pub last: Vec<SimTime>,
+    /// Progress lanes and cached rate.
+    pub progress: Vec<Progress>,
     /// Completion time, once done.
     pub completed_at: Vec<Option<SimTime>>,
     /// Stamp invalidating stale completion events.
@@ -155,9 +178,6 @@ pub(crate) struct JobArena {
     /// ascending `JobId`): the iteration set of every per-event loop,
     /// so done and not-yet-arrived jobs cost nothing per event.
     pub active: Vec<u32>,
-    /// Cached effective throughput in rate quanta, refreshed whenever the
-    /// job is recomputed (invariant 2 in the module docs).
-    pub rate: Vec<u64>,
     /// Dirty flag, mirroring membership in [`Self::dirty_list`].
     pub dirty: Vec<bool>,
     /// Jobs marked dirty since the last recompute drain.
@@ -212,7 +232,7 @@ impl JobArena {
     /// Marks the job arrived at `now` and inserts it into the active set.
     pub fn activate(&mut self, slot: u32, now: SimTime) {
         self.arrived[slot as usize] = true;
-        self.last[slot as usize] = now;
+        self.progress[slot as usize].last = now;
         if let Err(pos) = self.active_pos(slot) {
             self.active.insert(pos, slot);
         }
@@ -242,13 +262,7 @@ impl JobArena {
         self.arrived[s] = false;
         self.completed_at[s] = None;
         self.scheduled_done_at[s] = None;
-        self.total[s] = 0;
-        self.remaining[s] = 0;
-        self.executing_ms[s] = 0;
-        self.idle_ms[s] = 0;
-        self.tput_integral[s] = 0;
-        self.last[s] = SimTime::ZERO;
-        self.rate[s] = 0;
+        self.progress[s] = Progress::default();
         if let Some(spec) = self.owned.get_mut(s) {
             *spec = None;
         }
@@ -261,54 +275,55 @@ impl JobArena {
     /// with.
     pub fn advance(&mut self, slot: u32, to: SimTime, rate: u64) {
         let s = slot as usize;
-        let dt = to.duration_since(self.last[s]).as_millis();
+        let p = &mut self.progress[s];
+        let dt = to.duration_since(p.last).as_millis();
         if self.completed_at[s].is_some() || dt == 0 {
             return;
         }
         if rate > 0 {
             let work = work_in(rate, dt);
-            self.remaining[s] = self.remaining[s].saturating_sub(work);
-            self.executing_ms[s] += dt;
-            self.tput_integral[s] = self.tput_integral[s].saturating_add(work);
+            p.remaining = p.remaining.saturating_sub(work);
+            p.executing_ms += dt;
+            p.tput_integral = p.tput_integral.saturating_add(work);
         } else {
-            self.idle_ms[s] += dt;
+            p.idle_ms += dt;
         }
-        self.last[s] = to;
+        p.last = to;
     }
 
     /// Brings the job's lanes to `now` at its cached rate.
     pub fn settle(&mut self, slot: u32, now: SimTime) {
-        self.advance(slot, now, self.rate[slot as usize]);
+        self.advance(slot, now, self.progress[slot as usize].rate);
     }
 
     /// The job's remaining work at `now`, without settling it.
     pub fn remaining_at(&self, slot: u32, now: SimTime) -> u64 {
-        let s = slot as usize;
+        let (s, p) = (slot as usize, &self.progress[slot as usize]);
         if self.completed_at[s].is_some() {
-            return self.remaining[s];
+            return p.remaining;
         }
-        let dt = now.duration_since(self.last[s]).as_millis();
-        self.remaining[s].saturating_sub(work_in(self.rate[s], dt))
+        let dt = now.duration_since(p.last).as_millis();
+        p.remaining.saturating_sub(work_in(p.rate, dt))
     }
 
     /// Time until completion at the cached rate from the settled lanes,
     /// rounded to the nearest millisecond (halves up, as
     /// [`SimDuration::from_hours_f64`] rounds), if the rate is positive.
     pub fn eta(&self, slot: u32) -> Option<SimDuration> {
-        let s = slot as usize;
-        let rate = u128::from(self.rate[s]);
+        let (s, p) = (slot as usize, &self.progress[slot as usize]);
+        let rate = u128::from(p.rate);
         if self.completed_at[s].is_some() || rate == 0 {
             return None;
         }
-        let ms = (2 * u128::from(self.remaining[s]) + rate) / (2 * rate);
+        let ms = (2 * u128::from(p.remaining) + rate) / (2 * rate);
         Some(SimDuration::from_millis(ms as u64))
     }
 
     /// Average normalized throughput while executing, in rate quanta to
     /// the nearest (unit throughput for a job that never executed).
     pub fn mean_tput(&self, slot: u32) -> u64 {
-        let s = slot as usize;
-        let (work, ms) = (self.tput_integral[s], self.executing_ms[s]);
+        let p = &self.progress[slot as usize];
+        let (work, ms) = (p.tput_integral, p.executing_ms);
         if ms == 0 {
             RATE_ONE
         } else {
@@ -318,7 +333,7 @@ impl JobArena {
 
     /// Hours spent present but not executing, up to `last`.
     pub fn idle_hours(&self, slot: u32) -> f64 {
-        SimDuration::from_millis(self.idle_ms[slot as usize]).as_hours_f64()
+        SimDuration::from_millis(self.progress[slot as usize].idle_ms).as_hours_f64()
     }
 
     /// Flags an active job whose effective throughput may have changed,
@@ -549,17 +564,11 @@ impl WorldArena {
             task_start: Vec::with_capacity(n),
             task_count: Vec::with_capacity(n),
             owned: Vec::new(),
-            total: Vec::with_capacity(n),
-            remaining: Vec::with_capacity(n),
-            executing_ms: vec![0; n],
-            idle_ms: vec![0; n],
-            tput_integral: vec![0; n],
-            last: vec![SimTime::ZERO; n],
+            progress: Vec::with_capacity(n),
             completed_at: vec![None; n],
             completion_gen: vec![0; n],
             arrived: vec![false; n],
             active: Vec::new(),
-            rate: vec![0; n],
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             scheduled_done_at: vec![None; n],
@@ -594,9 +603,7 @@ impl WorldArena {
             jobs.spec_idx.push(si);
             jobs.task_start.push(base);
             jobs.task_count.push(spec.tasks.len() as u32);
-            let total = lane_work(spec);
-            jobs.total.push(total);
-            jobs.remaining.push(total);
+            jobs.progress.push(Progress::new(lane_work(spec)));
             tasks.fill(base, slot as u32, spec);
             base += spec.tasks.len() as u32;
         }
@@ -654,16 +661,10 @@ impl WorldArena {
                 jobs.spec_idx.push(NO_SLOT);
                 jobs.task_start.push(0);
                 jobs.task_count.push(0);
-                jobs.total.push(0);
-                jobs.remaining.push(0);
-                jobs.executing_ms.push(0);
-                jobs.idle_ms.push(0);
-                jobs.tput_integral.push(0);
-                jobs.last.push(SimTime::ZERO);
+                jobs.progress.push(Progress::default());
                 jobs.completed_at.push(None);
                 jobs.completion_gen.push(0);
                 jobs.arrived.push(false);
-                jobs.rate.push(0);
                 jobs.dirty.push(false);
                 jobs.scheduled_done_at.push(None);
                 jobs.released.push(false);
@@ -702,9 +703,7 @@ impl WorldArena {
         jobs.spec_idx[js] = NO_SLOT;
         jobs.task_start[js] = base;
         jobs.task_count[js] = n_tasks;
-        let total = lane_work(&spec);
-        jobs.total[js] = total;
-        jobs.remaining[js] = total;
+        jobs.progress[js] = Progress::new(lane_work(&spec));
         if let Some(map) = jobs.lookup.as_mut() {
             let prev = map.insert(spec.id, jslot);
             debug_assert!(prev.is_none(), "duplicate streamed job id {}", spec.id);
@@ -809,24 +808,24 @@ impl WorldArena {
         // Invariant 4: exact conservation, lane by lane.
         let jobs = &self.jobs;
         for &slot in &jobs.active {
-            let s = slot as usize;
-            let present = jobs.last[s].duration_since(arrival(slot)).as_millis();
-            if jobs.last[s] > now
-                || jobs.last[s] < arrival(slot)
-                || jobs.executing_ms[s] + jobs.idle_ms[s] != present
-                || jobs.remaining[s] > jobs.total[s]
+            let (s, p) = (slot as usize, &jobs.progress[slot as usize]);
+            let present = p.last.duration_since(arrival(slot)).as_millis();
+            if p.last > now
+                || p.last < arrival(slot)
+                || p.executing_ms + p.idle_ms != present
+                || p.remaining > p.total
             {
                 return Err(format!(
                     "job {} breaks conservation: last {} (now {}, arrival {}), \
                      executing {} + idle {} ms, remaining {} of {}",
                     jobs.ids[s],
-                    jobs.last[s],
+                    p.last,
                     now,
                     arrival(slot),
-                    jobs.executing_ms[s],
-                    jobs.idle_ms[s],
-                    jobs.remaining[s],
-                    jobs.total[s]
+                    p.executing_ms,
+                    p.idle_ms,
+                    p.remaining,
+                    p.total
                 ));
             }
         }
@@ -965,13 +964,8 @@ mod tests {
     }
 
     fn lanes(jobs: &JobArena, slot: u32) -> (u64, u64, u64, u64) {
-        let s = slot as usize;
-        (
-            jobs.remaining[s],
-            jobs.executing_ms[s],
-            jobs.idle_ms[s],
-            jobs.tput_integral[s],
-        )
+        let p = &jobs.progress[slot as usize];
+        (p.remaining, p.executing_ms, p.idle_ms, p.tput_integral)
     }
 
     #[test]
@@ -979,13 +973,13 @@ mod tests {
         let trace = SyntheticTraceConfig::small_scale().generate(9);
         let mut jobs = WorldArena::from_trace(&trace).jobs;
         let rate = quantize(0.5);
-        jobs.rate[0] = rate;
+        jobs.progress[0].rate = rate;
         for (remaining, ms) in [(0, 0), (rate / 2 - 1, 0), (rate / 2, 1), (3 * rate - 1, 3)] {
-            jobs.remaining[0] = remaining;
+            jobs.progress[0].remaining = remaining;
             let eta = jobs.eta(0).map(|d| d.as_millis());
             assert_eq!(eta, Some(ms), "{remaining}");
         }
-        jobs.rate[0] = 0;
+        jobs.progress[0].rate = 0;
         assert_eq!(jobs.eta(0), None);
         assert_eq!(work_span(RATE_ONE / 2), SimDuration::from_millis(1));
         assert_eq!(work_span(RATE_ONE / 2 - 1), SimDuration::ZERO);
@@ -1017,8 +1011,7 @@ mod tests {
             let total = work_of(SimDuration::from_millis(total_ms)).unwrap();
             let start = SimTime::from_secs(5);
             for jobs in [&mut often, &mut seldom] {
-                jobs.total[0] = total;
-                jobs.remaining[0] = total;
+                jobs.progress[0] = Progress::new(total);
                 jobs.activate(0, start);
             }
             let span: u64 = pieces.iter().map(|p| p.0).sum();
@@ -1031,8 +1024,8 @@ mod tests {
                 let now = start + SimDuration::from_millis(at);
                 often.settle(0, now);
                 seldom.settle(0, now);
-                often.rate[0] = rate;
-                seldom.rate[0] = rate;
+                often.progress[0].rate = rate;
+                seldom.progress[0].rate = rate;
                 at += dt;
                 while let Some(k) = extra.next_if(|&k| k < at) {
                     often.settle(0, start + SimDuration::from_millis(k));

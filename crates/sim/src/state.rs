@@ -68,11 +68,11 @@ mod tests {
     fn progress_integrates_throughput() {
         let mut p = one_job(2.0);
         p.advance(0, hours(1.0), RATE_ONE);
-        assert_eq!(p.remaining[0], work(1.0));
+        assert_eq!(p.progress[0].remaining, work(1.0));
         p.advance(0, hours(2.0), quantize(0.5));
-        assert_eq!(p.remaining[0], work(0.5));
+        assert_eq!(p.progress[0].remaining, work(0.5));
         assert_eq!(p.mean_tput(0), quantize(0.75));
-        p.rate[0] = quantize(0.5);
+        p.progress[0].rate = quantize(0.5);
         assert_eq!(p.eta(0), Some(SimDuration::from_hours_f64(1.0)));
     }
 
@@ -81,7 +81,7 @@ mod tests {
         let mut p = one_job(1.0);
         p.advance(0, hours(0.25), 0);
         assert_eq!(p.idle_hours(0), 0.25);
-        assert_eq!(p.remaining[0], work(1.0));
+        assert_eq!(p.progress[0].remaining, work(1.0));
         assert!(p.eta(0).is_none());
         assert_eq!(
             p.mean_tput(0),
@@ -94,13 +94,13 @@ mod tests {
     fn work_runs_out_exactly_and_clamps_at_zero() {
         let mut p = one_job(1.0);
         p.advance(0, hours(1.0), RATE_ONE);
-        assert_eq!(p.remaining[0], 0);
-        p.rate[0] = RATE_ONE;
+        assert_eq!(p.progress[0].remaining, 0);
+        p.progress[0].rate = RATE_ONE;
         assert_eq!(p.eta(0), Some(SimDuration::ZERO));
         p.advance(0, hours(1.5), RATE_ONE);
-        assert_eq!(p.remaining[0], 0);
+        assert_eq!(p.progress[0].remaining, 0);
         assert_eq!(
-            p.executing_ms[0],
+            p.progress[0].executing_ms,
             SimDuration::from_hours_f64(1.5).as_millis()
         );
     }
@@ -110,8 +110,8 @@ mod tests {
         let mut p = one_job(1.0);
         p.completed_at[0] = Some(SimTime::ZERO);
         p.advance(0, hours(5.0), RATE_ONE);
-        assert_eq!(p.remaining[0], work(1.0));
-        p.rate[0] = RATE_ONE;
+        assert_eq!(p.progress[0].remaining, work(1.0));
+        p.progress[0].rate = RATE_ONE;
         assert!(p.eta(0).is_none());
     }
 
@@ -120,12 +120,12 @@ mod tests {
         // The perfect duration estimate granted to Stratus (§6.1) is the
         // remaining work read at the current instant, settled or not.
         let mut p = one_job(2.0);
-        p.rate[0] = RATE_ONE;
+        p.progress[0].rate = RATE_ONE;
         assert_eq!(
             work_span(p.remaining_at(0, hours(0.5))),
             SimDuration::from_hours_f64(1.5)
         );
         p.settle(0, hours(0.5));
-        assert_eq!(work_span(p.remaining[0]), SimDuration::from_hours_f64(1.5));
+        assert_eq!(work_span(p.progress[0].remaining), SimDuration::from_hours_f64(1.5));
     }
 }

@@ -469,7 +469,7 @@ impl ClusterSim {
     /// Fraction of the job in `jslot`'s work already completed, in `[0, 1]`.
     pub(crate) fn job_progress_fraction_slot(&self, jslot: u32) -> f64 {
         let jobs = &self.world.jobs;
-        let total = jobs.total[jslot as usize];
+        let total = jobs.progress[jslot as usize].total;
         if !jobs.arrived[jslot as usize] {
             0.0
         } else if total == 0 {
@@ -644,9 +644,9 @@ impl ClusterSim {
                 // Candidates are the active jobs (in JobId order) that
                 // have made progress by now.
                 let jobs = &self.world.jobs;
-                let candidates: Vec<u32> = (jobs.active.iter().copied())
-                    .filter(|&slot| jobs.remaining_at(slot, now) < jobs.total[slot as usize])
-                    .collect();
+                let progressed =
+                    |&slot: &u32| jobs.remaining_at(slot, now) < jobs.progress[slot as usize].total;
+                let candidates: Vec<u32> = jobs.active.iter().copied().filter(progressed).collect();
                 if candidates.is_empty() {
                     return;
                 }
@@ -654,10 +654,8 @@ impl ClusterSim {
                 // Surgery on remaining work moves the completion time
                 // without changing the rate.
                 self.world.jobs.mark_dirty(victim, now);
-                let v = victim as usize;
-                let (total, remaining) = (self.world.jobs.total[v], self.world.jobs.remaining[v]);
-                let lost = (total - remaining) / CKPT_DROP_DIVISOR;
-                self.world.jobs.remaining[v] = remaining + lost;
+                let p = &mut self.world.jobs.progress[victim as usize];
+                p.remaining += (p.total - p.remaining) / CKPT_DROP_DIVISOR;
                 self.dropped_checkpoints += 1;
                 self.recompute_completions();
             }
@@ -863,17 +861,8 @@ impl ClusterSim {
             let slot = self.world.jobs.active[i];
             self.world.jobs.settle(slot, now);
             let (s, jobs) = (slot as usize, &self.world.jobs);
-            let _ = writeln!(
-                out,
-                "live {}: rem={} exec={} idle={} tput_int={} rate={} sched={:?}",
-                jobs.ids[s],
-                jobs.remaining[s],
-                jobs.executing_ms[s],
-                jobs.idle_ms[s],
-                jobs.tput_integral[s],
-                jobs.rate[s],
-                jobs.scheduled_done_at[s],
-            );
+            let (id, sched) = (jobs.ids[s], jobs.scheduled_done_at[s]);
+            let _ = writeln!(out, "live {id}: {:?} sched={sched:?}", jobs.progress[s]);
         }
         let _ = writeln!(out, "done {:?}", self.completed);
         let _ = writeln!(
@@ -905,8 +894,9 @@ impl ClusterSim {
         // is left.
         let now = self.engine.now();
         self.world.jobs.settle(slot, now);
+        let p = self.world.jobs.progress[s];
         debug_assert!(
-            2 * u128::from(self.world.jobs.remaining[s]) <= u128::from(self.world.jobs.rate[s]),
+            2 * u128::from(p.remaining) <= u128::from(p.rate),
             "early completion event"
         );
         self.world.jobs.completed_at[s] = Some(now);
@@ -942,7 +932,7 @@ impl ClusterSim {
         let done = &mut self.completed;
         done.jobs += 1;
         done.jct_ms += u128::from(jct.as_millis());
-        done.idle_ms += u128::from(self.world.jobs.idle_ms[s]);
+        done.idle_ms += u128::from(p.idle_ms);
         done.tput_q += u128::from(self.world.jobs.mean_tput(slot));
         if self.retire_completed {
             self.world.release_job(slot);
@@ -1119,7 +1109,7 @@ impl ClusterSim {
             }
             // At the old rate up to now, at the new one from now on.
             self.world.jobs.settle(slot, now);
-            self.world.jobs.rate[s] = quantize(self.job_tput(slot));
+            self.world.jobs.progress[s].rate = quantize(self.job_tput(slot));
             let at = self.world.jobs.eta(slot).map(|eta| now + eta);
             if at == self.world.jobs.scheduled_done_at[s] {
                 continue;
