@@ -107,7 +107,13 @@ pub(crate) fn work_of(duration: SimDuration) -> Option<u64> {
 
 /// `work` ms·quantum as a span at unit throughput, to the nearest ms.
 pub(crate) fn work_span(work: u64) -> SimDuration {
-    SimDuration::from_millis(((u128::from(work) + u128::from(RATE_ONE / 2)) >> 32) as u64)
+    SimDuration::from_millis(div_nearest(work, RATE_ONE))
+}
+
+/// `n / d` to the nearest integer, halves up (as `f64::round` rounds a
+/// positive quotient); `d` must be positive.
+fn div_nearest(n: u64, d: u64) -> u64 {
+    ((2 * u128::from(n) + u128::from(d)) / (2 * u128::from(d))) as u64
 }
 
 /// The work `rate` does in `dt_ms`, saturating at the lane's top.
@@ -311,23 +317,20 @@ impl JobArena {
     /// [`SimDuration::from_hours_f64`] rounds), if the rate is positive.
     pub fn eta(&self, slot: u32) -> Option<SimDuration> {
         let (s, p) = (slot as usize, &self.progress[slot as usize]);
-        let rate = u128::from(p.rate);
-        if self.completed_at[s].is_some() || rate == 0 {
+        if self.completed_at[s].is_some() || p.rate == 0 {
             return None;
         }
-        let ms = (2 * u128::from(p.remaining) + rate) / (2 * rate);
-        Some(SimDuration::from_millis(ms as u64))
+        Some(SimDuration::from_millis(div_nearest(p.remaining, p.rate)))
     }
 
     /// Average normalized throughput while executing, in rate quanta to
     /// the nearest (unit throughput for a job that never executed).
     pub fn mean_tput(&self, slot: u32) -> u64 {
         let p = &self.progress[slot as usize];
-        let (work, ms) = (p.tput_integral, p.executing_ms);
-        if ms == 0 {
+        if p.executing_ms == 0 {
             RATE_ONE
         } else {
-            ((2 * u128::from(work) + u128::from(ms)) / (2 * u128::from(ms))) as u64
+            div_nearest(p.tput_integral, p.executing_ms)
         }
     }
 
