@@ -513,8 +513,8 @@ impl ClusterSim {
         match event {
             Event::Arrival(idx) => {
                 // The trace is sorted by (arrival, id) and no other event
-                // shares an arrival's priority, so the next arrival queued
-                // here pops exactly where a pre-loaded one would have.
+                // shares an arrival's priority: arrivals pop in trace order,
+                // after same-instant readiness and completions.
                 if let Some(next) = self.cfg.trace.jobs().get(idx + 1) {
                     self.push(next.arrival, Event::Arrival(idx + 1));
                 }
