@@ -13,6 +13,17 @@
 //! tasks migrate only during scale-in consolidation (when leftovers of a
 //! completed group no longer justify their instance); empty instances
 //! terminate.
+//!
+//! # Which instances a task probes
+//!
+//! A round files each instance whose residents stay in the bucket of each
+//! bin they hold, with its count of residents in that bin; an instance
+//! left empty is vacant. A task of bin *b* scans bucket *b* in listing
+//! order, then the vacant instances only if no bucket one fits. A scan of
+//! every instance picks the same one: it skips occupied instances without
+//! a bin-*b* resident, scores the rest by their bin-*b* count (≥ 1, and 0
+//! when vacant) and keeps the first of the highest score. Buckets hold
+//! the residents a round starts with, not the tasks it places.
 
 use std::collections::BTreeMap;
 
@@ -20,21 +31,46 @@ use eva_core::{
     price_memo, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
     TaskSnapshot,
 };
-use eva_types::{ResourceVector, SimDuration};
+use eva_types::{Cost, FamilyKey, InstanceId, InstanceTypeId, ResourceVector, SimDuration};
 
-/// See the module docs.
+/// See the module docs. The fields are one round's scratch, kept to be reused.
 #[derive(Debug, Default)]
-pub struct StratusScheduler;
+pub struct StratusScheduler {
+    rows: Vec<Row>,
+    /// `buckets[b]`: (row, its residents in bin `b`), in row order.
+    buckets: Vec<Vec<(u32, u32)>>,
+    /// The rows no resident stays on, in row order.
+    vacant: Vec<u32>,
+}
+
+/// A listed instance of a known type, as a round's placement reads it.
+#[derive(Debug)]
+struct Row {
+    id: InstanceId,
+    family: FamilyKey,
+    capacity: ResourceVector,
+    used: ResourceVector,
+    hourly_cost: Cost,
+    /// The row's assignment in the plan, once it has one.
+    slot: Option<usize>,
+}
 
 impl StratusScheduler {
     /// Builds the scheduler.
     pub fn new() -> Self {
-        StratusScheduler
+        Self::default()
     }
 
-    /// Exponential runtime bin of a remaining duration.
+    /// Exponential runtime bin of a remaining duration: `⌊log2⌋` of its
+    /// minutes in `f64`, their exponent except in the top 2⁻³⁰ of a bin,
+    /// where `log2` may round up. Only there is `log2` called.
     pub fn runtime_bin(remaining: SimDuration) -> i32 {
+        const FRACTION: u64 = (1 << 52) - 1;
         let minutes = (remaining.as_secs_f64() / 60.0).max(1.0);
+        let bits = minutes.to_bits();
+        if bits & FRACTION < FRACTION - (1 << 22) {
+            return (bits >> 52) as i32 - 1023;
+        }
         minutes.log2().floor() as i32
     }
 }
@@ -46,112 +82,94 @@ impl Scheduler for StratusScheduler {
 
     fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         let mut price = price_memo(ctx.catalog);
+        let StratusScheduler { rows, buckets, vacant } = self;
+        rows.clear();
+        buckets.iter_mut().for_each(Vec::clear);
+        vacant.clear();
 
-        // Per listed instance: the runtime bins of the residents that stay
-        // and the capacity in use (residents plus tasks placed this round).
-        let bin_of = |t: &TaskSnapshot| t.remaining_hint.map(Self::runtime_bin);
-        let residents = view.instances.iter().flat_map(|i| &i.residents);
-        let resident_bins: Vec<Option<i32>> = residents.map(|t| bin_of(t)).collect();
-        let mut rest = &resident_bins[..];
-        let lens = view.instances.iter().map(|i| i.residents.len());
-        let mut bins: Vec<_> = lens
-            .map(|n| rest.split_off(..n).unwrap_or_default())
-            .collect();
-        let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
-
-        // Scale-in consolidation (the source of Stratus's rare
-        // migrations): when a group has partially completed and the
-        // leftovers' reservation prices no longer cover the instance, the
-        // leftovers are re-placed and the instance released.
-        let mut evicted: Vec<&TaskSnapshot> = Vec::new();
-        for (i, inst) in view.instances.iter().enumerate() {
-            let Some(ty) = inst.ty else {
-                continue;
-            };
-            if inst.residents.is_empty() {
-                continue;
-            }
-            let rp_sum: f64 = inst
-                .residents
-                .iter()
-                .filter_map(|t| price(&t.demand))
-                .map(|c| c.as_dollars())
-                .sum();
-            if rp_sum + 1e-9 < ty.hourly_cost.as_dollars() {
-                evicted.extend(&inst.residents);
-                bins[i] = &[];
-                used[i] = ResourceVector::ZERO;
-            }
-        }
-
-        // Keep current placements; `slot[i]` is instance `i`'s assignment.
+        // One pass over the listed instances: scale-in, keep, rows.
         let mut assignments: Vec<Assignment> = Vec::new();
-        let mut slot: Vec<Option<usize>> = vec![None; view.instances.len()];
-        for (i, inst) in view.instances.iter().enumerate() {
-            if !bins[i].is_empty() {
-                slot[i] = Some(assignments.len());
-                assignments.push(Assignment {
-                    instance: PlannedInstance::Existing(inst.id),
-                    tasks: inst.task_ids(),
-                });
+        let mut evicted: Vec<&TaskSnapshot> = Vec::new();
+        for inst in &view.instances {
+            // Scale-in consolidation (the source of Stratus's rare
+            // migrations): when a group has partially completed and the
+            // leftovers' reservation prices no longer cover the instance,
+            // the leftovers are re-placed and the instance released.
+            let priced = inst.residents.iter().filter_map(|t| price(t));
+            let rp_sum: f64 = priced.map(|c| c.as_dollars()).sum();
+            let covers = inst.ty.is_none_or(|ty| rp_sum + 1e-9 >= ty.hourly_cost.as_dollars());
+            let stays = !inst.residents.is_empty() && covers;
+            let slot = stays.then(|| {
+                let tasks = inst.task_ids();
+                assignments
+                    .push(Assignment { instance: PlannedInstance::Existing(inst.id), tasks });
+                assignments.len() - 1
+            });
+            // An instance of a type the catalog does not know hosts nobody new.
+            let Some(ty) = inst.ty else { continue };
+            let row = rows.len() as u32;
+            if !stays {
+                evicted.extend(&inst.residents);
+                vacant.push(row);
             }
+            for b in inst.residents.iter().filter_map(|t| t.remaining_hint.filter(|_| stays)) {
+                let b = Self::runtime_bin(b) as usize;
+                if buckets.len() <= b {
+                    buckets.resize_with(b + 1, Vec::new);
+                }
+                match buckets[b].last_mut() {
+                    Some((r, n)) if *r == row => *n += 1,
+                    _ => buckets[b].push((row, 1)),
+                }
+            }
+            let used = if stays { inst.used } else { ResourceVector::ZERO };
+            let (family, capacity, hourly_cost) = (ty.family.key(), ty.capacity, ty.hourly_cost);
+            rows.push(Row { id: inst.id, family, capacity, used, hourly_cost, slot });
         }
 
-        // Place pending tasks bin-first.
+        // Place pending tasks bin-first (module docs).
         let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
         for task in view.pending().chain(evicted) {
-            let bin = bin_of(task);
-            // Candidate instances: capacity for the task, ranked by
-            // (same-bin residents desc, spare capacity asc).
-            let mut best: Option<(usize, usize)> = None;
-            for (i, inst) in view.instances.iter().enumerate() {
-                let Some(ty) = inst.ty else {
-                    continue;
-                };
-                let Some(total) = used[i].checked_add(&ty.demand_of(&task.demand)) else {
-                    continue;
-                };
-                if !total.fits_within(&ty.capacity) {
+            let fit = |r: &Row| {
+                let total = r.used.checked_add(&task.demand.for_key(r.family))?;
+                total.fits_within(&r.capacity).then_some(total)
+            };
+            let bin = task.remaining_hint.map(Self::runtime_bin);
+            let bucket = bin.and_then(|b| buckets.get(b as usize));
+            // (row, same-bin residents, its use with the task).
+            let mut best: Option<(u32, u32, ResourceVector)> = None;
+            for &(row, n) in bucket.into_iter().flatten() {
+                if best.is_some_and(|(_, s, _)| n <= s) {
                     continue;
                 }
-                // A task without a hint shares a bin with nobody.
-                let same_bin = match bin {
-                    Some(_) => bins[i].iter().filter(|b| **b == bin).count(),
-                    None => 0,
-                };
-                // Stratus only co-locates when bins match (or the instance
-                // is one it just opened this round for the same bin).
-                let occupied = !bins[i].is_empty();
-                if occupied && same_bin == 0 {
-                    continue;
-                }
-                // An empty instance is only worth reusing when it is no
-                // more expensive than the task's reservation-price type —
-                // tiny tasks must not keep idle big boxes alive.
-                if !occupied && ty.hourly_cost > price(&task.demand).unwrap_or_default() {
-                    continue;
-                }
-                if best.is_none_or(|(_, s)| same_bin > s) {
-                    best = Some((i, same_bin));
+                if let Some(total) = fit(&rows[row as usize]) {
+                    best = Some((row, n, total));
                 }
             }
-            match best {
-                Some((i, _)) => {
-                    let inst = &view.instances[i];
-                    if let Some(ty) = inst.ty {
-                        used[i] += ty.demand_of(&task.demand);
-                    }
-                    let at = *slot[i].get_or_insert_with(|| {
-                        assignments.push(Assignment {
-                            instance: PlannedInstance::Existing(inst.id),
-                            tasks: Vec::new(),
-                        });
-                        assignments.len() - 1
-                    });
-                    assignments[at].tasks.push(task.id);
-                }
-                None => leftover_by_bin.entry(bin).or_default().push(task),
+            // An empty instance is only worth reusing when it is no more
+            // expensive than the task's reservation-price type — tiny
+            // tasks must not keep idle big boxes alive.
+            if best.is_none() {
+                let mut rp = None;
+                best = vacant.iter().find_map(|&row| {
+                    let r = &rows[row as usize];
+                    let total = fit(r)?;
+                    let rp = *rp.get_or_insert_with(|| price(task).unwrap_or_default());
+                    (r.hourly_cost <= rp).then_some((row, 0, total))
+                });
             }
+            let Some((row, _, total)) = best else {
+                leftover_by_bin.entry(bin).or_default().push(task);
+                continue;
+            };
+            let r = &mut rows[row as usize];
+            r.used = total;
+            let at = *r.slot.get_or_insert(assignments.len());
+            if at == assignments.len() {
+                let instance = PlannedInstance::Existing(r.id);
+                assignments.push(Assignment { instance, tasks: Vec::new() });
+            }
+            assignments[at].tasks.push(task.id);
         }
 
         // Scale-out: size new instances for whole same-bin groups rather
@@ -161,48 +179,32 @@ impl Scheduler for StratusScheduler {
         for (_bin, mut group) in leftover_by_bin {
             group.sort_by_key(|a| a.id);
             while !group.is_empty() {
-                let mut best: Option<(eva_types::InstanceTypeId, Vec<usize>, f64)> = None;
-                for ty in ctx.catalog.types() {
-                    if ty.hourly_cost.is_zero() {
-                        continue;
-                    }
+                // (type, positions in `group` it hosts, cost per task).
+                let mut best: Option<(InstanceTypeId, Vec<usize>, f64)> = None;
+                for ty in ctx.catalog.types().filter(|t| !t.hourly_cost.is_zero()) {
                     let mut fill = ResourceVector::ZERO;
                     let mut members = Vec::new();
-                    for (idx, task) in group.iter().enumerate() {
-                        let d = ty.demand_of(&task.demand);
-                        if let Some(total) = fill.checked_add(&d) {
-                            if total.fits_within(&ty.capacity) {
-                                fill = total;
-                                members.push(idx);
-                            }
+                    for (i, task) in group.iter().enumerate() {
+                        let total = fill.checked_add(&ty.demand_of(&task.demand));
+                        if let Some(total) = total.filter(|t| t.fits_within(&ty.capacity)) {
+                            fill = total;
+                            members.push(i);
                         }
-                    }
-                    if members.is_empty() {
-                        continue;
                     }
                     let per_task = ty.hourly_cost.as_dollars() / members.len() as f64;
-                    let better = match &best {
-                        None => true,
-                        Some((_, m, c)) => {
-                            per_task < c - 1e-12
-                                || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
-                        }
-                    };
-                    if better {
+                    let better = best.as_ref().is_none_or(|(_, m, c)| {
+                        per_task < c - 1e-12
+                            || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
+                    });
+                    if !members.is_empty() && better {
                         best = Some((ty.id, members, per_task));
                     }
                 }
                 let Some((ty, members, _)) = best else { break };
-                let ids: Vec<_> = members.iter().map(|i| group[*i].id).collect();
-                let mut keep = members.clone();
-                keep.sort_unstable_by(|a, b| b.cmp(a));
-                for idx in keep {
-                    group.remove(idx);
-                }
-                assignments.push(Assignment {
-                    instance: PlannedInstance::New(ty),
-                    tasks: ids,
-                });
+                let tasks = members.iter().map(|&i| group[i].id).collect();
+                let mut pos = 0..;
+                group.retain(|_| members.binary_search(&pos.next().unwrap()).is_err());
+                assignments.push(Assignment { instance: PlannedInstance::New(ty), tasks });
             }
         }
 
@@ -271,10 +273,7 @@ mod tests {
         // An efficient resident (its 20-vCPU demand prices it at the
         // p3.8xlarge itself) with ~2h remaining; a pending task with ~1.7h
         // (same bin 6) should join it.
-        let tasks = vec![
-            task(1, 1, 20, 24, Some(0), 120),
-            task(2, 1, 4, 24, None, 100),
-        ];
+        let tasks = vec![task(1, 1, 20, 24, Some(0), 120), task(2, 1, 4, 24, None, 100)];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         let joint = plan
             .assignments
@@ -304,10 +303,7 @@ mod tests {
 
     #[test]
     fn efficient_placements_never_migrate() {
-        let tasks = vec![
-            task(1, 1, 20, 24, Some(0), 60),
-            task(2, 1, 20, 24, Some(1), 60),
-        ];
+        let tasks = vec![task(1, 1, 20, 24, Some(0), 60), task(2, 1, 20, 24, Some(1), 60)];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge"), (1, "p3.8xlarge")]);
         assert!(plan.migrations(&tasks, false).is_empty());
     }
@@ -320,9 +316,7 @@ mod tests {
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         assert_eq!(plan.terminate, vec![InstanceId(0)]);
         assert_eq!(plan.migrations(&tasks, false).len(), 1);
-        let PlannedInstance::New(new_ty) = plan.assignments[0].instance else {
-            panic!()
-        };
+        let PlannedInstance::New(new_ty) = plan.assignments[0].instance else { panic!() };
         let catalog = Catalog::aws_eval_2025();
         assert_eq!(catalog.get(new_ty).unwrap().name, "p3.2xlarge");
     }

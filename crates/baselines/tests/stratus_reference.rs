@@ -1,11 +1,22 @@
 //! `StratusScheduler::plan_in` held to the planner it replaced, plan for
 //! plan: same assignments in the same order, same terminations.
 //!
-//! The reference below is that planner verbatim — a catalog scan
-//! (`reservation_price`) per resident in the scale-in sum and per
-//! empty-instance probe, and a `runtime_bin` per (pending task ×
-//! instance × resident) in the same-bin count. The product prices each
-//! distinct demand once per round and bins each resident once.
+//! The reference below is that planner verbatim. It scans the catalog
+//! (`reservation_price`) for each resident in the scale-in sum and for each
+//! empty-instance probe. It bins each resident again for every (pending
+//! task × instance) pair, with the bin's `f64` definition written out here.
+//! It probes every listed instance for every task. The product does four
+//! things differently:
+//! - it makes one pass over the instances for scale-in, keep and rows;
+//! - a task probes only the rows holding a resident of its bin, and then
+//!   the empty rows if none fits;
+//! - it resolves a task's demand only on the rows it probes, and its price
+//!   memo checks the task's workload kind first, so each task is priced
+//!   at most once;
+//! - it keeps its rows and buckets across rounds.
+//!
+//! So one scheduler is also driven through a sequence of clusters, and
+//! hints are drawn at ±1 ms of bin boundaries in bins up to 48.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +31,12 @@ use eva_types::{
     WorkloadKind,
 };
 use proptest::prelude::*;
+
+/// Stratus's runtime bin, as the reference planner computed it.
+fn reference_bin(remaining: SimDuration) -> i32 {
+    let minutes = (remaining.as_secs_f64() / 60.0).max(1.0);
+    minutes.log2().floor() as i32
+}
 
 fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
     // Per listed instance: the residents that stay and the capacity
@@ -69,7 +86,7 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
     // Place pending tasks bin-first.
     let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
     for task in view.pending().chain(evicted) {
-        let bin = task.remaining_hint.map(StratusScheduler::runtime_bin);
+        let bin = task.remaining_hint.map(reference_bin);
         // Candidate instances: capacity for the task, ranked by
         // (same-bin residents desc, spare capacity asc).
         let mut best: Option<(usize, usize)> = None;
@@ -85,12 +102,10 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
             }
             let same_bin = residents[i]
                 .iter()
-                .filter(
-                    |r| match (bin, r.remaining_hint.map(StratusScheduler::runtime_bin)) {
-                        (Some(a), Some(b)) => a == b,
-                        _ => false,
-                    },
-                )
+                .filter(|r| match (bin, r.remaining_hint.map(reference_bin)) {
+                    (Some(a), Some(b)) => a == b,
+                    _ => false,
+                })
                 .count();
             // Stratus only co-locates when bins match (or the instance
             // is one it just opened this round for the same bin).
@@ -187,21 +202,37 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
     view.plan(assignments)
 }
 
+/// `2^bin` minutes plus `offset` milliseconds (at least 0): a bin boundary
+/// or a point near it.
+fn boundary(bin: u32, offset: i64) -> SimDuration {
+    SimDuration::from_millis((60_000u64 << bin).saturating_add_signed(offset))
+}
+
 /// Instances of any catalog type or of two the catalog does not know;
 /// tasks of 108 possible shapes (one in four with Table 7's C7i/R7i
 /// overrides; a 40-task cluster often holds more distinct ones than the
-/// product's price memo keeps, so both of its paths are compared),
+/// product's price memo keeps, and each workload kind has many, so every
+/// path of the memo is compared),
 /// one in six without a `remaining_hint`, each pending, resident on a
 /// listed instance (fitting or not) or on one the snapshot does not list.
-/// Instances nobody is resident on are the empty ones.
-fn arb_cluster() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot>)> {
+/// Instances nobody is resident on are the empty ones; with
+/// `vacant_first` the first listed is always one.
+///
+/// Half the clusters draw hints of 7, 28, 112, 448 or 1792 minutes
+/// (bins 2, 4, 6, 8, 10); the other half draw them at a bin boundary or
+/// 1 ms to either side, in three adjacent bins from 0..=46 up.
+fn arb_cluster(
+    vacant_first: bool,
+) -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot>)> {
     let n_types = Catalog::aws_eval_2025().len() as u32;
-    let task = (0u32..=2, 1u32..=6, 0u32..3, 0u32..4, 0u64..6, 0usize..12);
+    let hint = (0u32..6, -1i64..=1);
+    let task = (0u32..=2, 1u32..=6, 0u32..3, 0u32..4, hint, 0usize..12);
     (
         collection::vec(0u32..n_types + 2, 0..8),
         collection::vec(task, 0..40),
+        (0u32..=46, 0u32..2),
     )
-        .prop_map(|(types, specs)| {
+        .prop_map(move |(types, specs, (base_bin, at_boundary))| {
             let instances: Vec<InstanceSnapshot> = types
                 .iter()
                 .enumerate()
@@ -210,7 +241,8 @@ fn arb_cluster() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapsh
                     type_id: InstanceTypeId(*ty),
                 })
                 .collect();
-            let task = |(job, (gpu, cpu, ram, kind, hint, place))| {
+            let skip = usize::from(vacant_first);
+            let task = |(job, (gpu, cpu, ram, kind, (hint, offset), place))| {
                 // Few shapes, so that specs differing only in their overrides meet.
                 let (cpu, ram_gb) = (4 * cpu, 4u64 << (2 * ram));
                 let mut demand = DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb));
@@ -220,6 +252,10 @@ fn arb_cluster() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapsh
                         .with_family_override("c7i", fast)
                         .with_family_override("r7i", fast);
                 }
+                let remaining_hint = (hint > 0).then(|| match at_boundary {
+                    0 => SimDuration::from_mins(7u64 << (2 * (hint - 1))),
+                    _ => boundary(base_bin + (hint - 1) % 3, offset),
+                });
                 TaskSnapshot {
                     id: TaskId::new(JobId(job as u64), 0),
                     workload: WorkloadKind(kind),
@@ -229,13 +265,11 @@ fn arb_cluster() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapsh
                     gang_size: 1,
                     gang_coupled: false,
                     assigned_to: match place {
-                        0..=5 => instances.get(place).map(|i| i.id),
+                        0..=5 => instances.get(place + skip).map(|i| i.id),
                         6 => Some(InstanceId(99)),
                         _ => None,
                     },
-                    // 7, 28, 112, 448, 1792 minutes: bins 2, 4, 6, 8, 10.
-                    remaining_hint: (hint > 0)
-                        .then(|| SimDuration::from_mins(7u64 << (2 * (hint - 1)))),
+                    remaining_hint,
                 }
             };
             let tasks = specs.into_iter().enumerate().map(task).collect();
@@ -243,21 +277,101 @@ fn arb_cluster() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapsh
         })
 }
 
+/// Asserts that `stratus` plans what the reference plans for this cluster,
+/// through `plan_in` and through `plan`.
+fn holds_to_reference(
+    stratus: &mut StratusScheduler,
+    tasks: &[TaskSnapshot],
+    instances: &[InstanceSnapshot],
+) -> Result<(), TestCaseError> {
+    let catalog = Catalog::aws_eval_2025();
+    let ctx = SchedulerContext {
+        now: SimTime::ZERO,
+        catalog: &catalog,
+        tasks,
+        instances,
+    };
+    let view = ClusterView::of(&ctx);
+    let expected = reference_plan(&ctx, &view);
+    prop_assert_eq!(&stratus.plan_in(&ctx, &view), &expected);
+    prop_assert_eq!(&stratus.plan(&ctx), &expected);
+    Ok(())
+}
+
+#[test]
+fn runtime_bin_is_the_f64_definition_at_every_boundary() {
+    // ±1 ms, and offsets of 2^j ms that cross the window below each
+    // boundary where the product calls `log2` (the top 2^-30 of a bin).
+    let offsets = (0..40).flat_map(|j| [1i64 << j, -(1i64 << j)]);
+    for bin in 0..=48 {
+        for offset in offsets.clone().chain([0]) {
+            let d = boundary(bin, offset);
+            assert_eq!(StratusScheduler::runtime_bin(d), reference_bin(d), "{d:?}");
+        }
+    }
+    let max = SimDuration::from_millis(u64::MAX);
+    assert_eq!(StratusScheduler::runtime_bin(max), 48);
+}
+
+#[test]
+fn a_same_bin_row_beats_a_vacant_row_listed_before_it() {
+    // An empty c7i.xlarge, the pending task's reservation-price type, is
+    // listed first; the p3.8xlarge after it holds a same-bin resident and
+    // has room. The task joins the resident.
+    let catalog = Catalog::aws_eval_2025();
+    let listed = [(10, "c7i.xlarge"), (11, "p3.8xlarge")];
+    let instances: Vec<InstanceSnapshot> = listed
+        .iter()
+        .map(|&(id, ty)| InstanceSnapshot {
+            id: InstanceId(id),
+            type_id: catalog.by_name(ty).unwrap().id,
+        })
+        .collect();
+    let task = |job, gpu, cpu, on: Option<u64>| TaskSnapshot {
+        id: TaskId::new(JobId(job), 0),
+        workload: WorkloadKind(0),
+        demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, 8)),
+        checkpoint_delay: SimDuration::from_secs(2),
+        launch_delay: SimDuration::from_secs(10),
+        gang_size: 1,
+        gang_coupled: false,
+        assigned_to: on.map(InstanceId),
+        remaining_hint: Some(SimDuration::from_mins(100)),
+    };
+    let tasks = vec![task(1, 4, 20, Some(11)), task(2, 0, 4, None)];
+    let mut stratus = StratusScheduler::new();
+    holds_to_reference(&mut stratus, &tasks, &instances).unwrap();
+    let ctx = SchedulerContext {
+        now: SimTime::ZERO,
+        catalog: &catalog,
+        tasks: &tasks,
+        instances: &instances,
+    };
+    let plan = stratus.plan(&ctx);
+    let joint = Assignment {
+        instance: PlannedInstance::Existing(InstanceId(11)),
+        tasks: vec![tasks[0].id, tasks[1].id],
+    };
+    assert_eq!(plan.assignments, vec![joint]);
+    assert_eq!(plan.terminate, vec![InstanceId(10)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn stratus_plans_what_the_reference_plans((tasks, instances) in arb_cluster()) {
-        let catalog = Catalog::aws_eval_2025();
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let view = ClusterView::of(&ctx);
-        let expected = reference_plan(&ctx, &view);
-        prop_assert_eq!(&StratusScheduler::new().plan_in(&ctx, &view), &expected);
-        prop_assert_eq!(&StratusScheduler::new().plan(&ctx), &expected);
+    fn stratus_plans_what_the_reference_plans((tasks, instances) in arb_cluster(false)) {
+        holds_to_reference(&mut StratusScheduler::new(), &tasks, &instances)?;
+    }
+
+    #[test]
+    fn one_scheduler_plans_a_sequence_as_the_reference_does(
+        clusters in collection::vec(arb_cluster(true), 1..8)
+    ) {
+        // Rows and buckets left from one cluster must not leak into the next.
+        let mut stratus = StratusScheduler::new();
+        for (tasks, instances) in &clusters {
+            holds_to_reference(&mut stratus, tasks, instances)?;
+        }
     }
 }

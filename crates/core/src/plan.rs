@@ -11,7 +11,7 @@
 //! [`ClusterView::of`]; every scheduler and the plan executor read it
 //! from there.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use eva_interference::TaskContext;
 use eva_types::{
@@ -157,17 +157,6 @@ impl Plan {
         self.moves(&view)
             .filter(|m| count_initial || !m.is_initial())
             .map(|m| m.task.id)
-            .collect()
-    }
-
-    /// The existing instances the plan assigns tasks to.
-    pub fn claimed(&self) -> BTreeSet<InstanceId> {
-        self.assignments
-            .iter()
-            .filter_map(|a| match a.instance {
-                PlannedInstance::Existing(id) => Some(id),
-                PlannedInstance::New(_) => None,
-            })
             .collect()
     }
 

@@ -82,21 +82,32 @@ pub fn reservation_price(catalog: &Catalog, demand: &DemandSpec) -> Option<(Inst
     catalog.cheapest_fit(demand).map(|t| (t.id, t.hourly_cost))
 }
 
-/// [`reservation_price`]'s cost as a function of the demand that remembers
-/// the first 16 distinct demands it priced: a round sees the handful of
-/// Table 7 shapes over and over, and searching a short list linearly is
-/// cheaper than a catalog scan.
-pub fn price_memo(catalog: &Catalog) -> impl FnMut(&DemandSpec) -> Option<Cost> + '_ {
+/// [`reservation_price`]'s cost as a function of a task's demand. A round
+/// sees the handful of Table 7 shapes over and over, one per workload kind,
+/// so the last price of each kind (modulo 32) is checked first, then the
+/// first 16 distinct demands priced, and a catalog scan runs only after
+/// both miss.
+pub fn price_memo(catalog: &Catalog) -> impl FnMut(&TaskSnapshot) -> Option<Cost> + '_ {
+    let mut by_kind: [Option<(DemandSpec, Option<Cost>)>; 32] = [None; 32];
     let mut priced: Vec<(DemandSpec, Option<Cost>)> = Vec::new();
-    move |demand| {
-        if let Some(&(_, rp)) = priced.iter().find(|(d, _)| d == demand) {
-            return rp;
+    move |task| {
+        let (demand, last) = (&task.demand, &mut by_kind[task.workload.0 as usize % 32]);
+        if let Some((d, rp)) = *last {
+            if d == *demand {
+                return rp;
+            }
         }
-        let rp = reservation_price(catalog, demand).map(|(_, c)| c);
-        if priced.len() < 16 {
-            priced.push((*demand, rp));
-        }
-        rp
+        let rp = match priced.iter().find(|(d, _)| d == demand) {
+            Some(&(_, rp)) => rp,
+            None => {
+                let rp = reservation_price(catalog, demand).map(|(_, c)| c);
+                if priced.len() < 16 {
+                    priced.push((*demand, rp));
+                }
+                rp
+            }
+        };
+        last.insert((*demand, rp)).1
     }
 }
 
@@ -104,13 +115,11 @@ pub fn price_memo(catalog: &Catalog) -> impl FnMut(&DemandSpec) -> Option<Cost> 
 #[derive(Debug, Clone, Default)]
 pub struct ReservationPrices {
     prices: HashMap<TaskId, Cost, IdBuildHasher>,
-    unschedulable: Vec<TaskId>,
 }
 
 impl ReservationPrices {
-    /// Computes the reservation price of every task through one
-    /// [`price_memo`]; tasks no instance type can host are collected
-    /// separately.
+    /// Computes the reservation price of every task that some instance type
+    /// can host through one [`price_memo`].
     pub fn compute<'a>(
         catalog: &Catalog,
         tasks: impl IntoIterator<Item = &'a TaskSnapshot>,
@@ -118,10 +127,8 @@ impl ReservationPrices {
         let mut price = price_memo(catalog);
         let mut priced = ReservationPrices::default();
         for t in tasks {
-            if let Some(rp) = price(&t.demand) {
+            if let Some(rp) = price(t) {
                 priced.prices.insert(t.id, rp);
-            } else {
-                priced.unschedulable.push(t.id);
             }
         }
         priced
@@ -130,11 +137,6 @@ impl ReservationPrices {
     /// `RP(τ)` in dollars (0.0 for unknown tasks).
     pub fn rp_dollars(&self, task: TaskId) -> f64 {
         self.prices.get(&task).map_or(0.0, |c| c.as_dollars())
-    }
-
-    /// Tasks that no instance type can host.
-    pub fn unschedulable(&self) -> &[TaskId] {
-        &self.unschedulable
     }
 }
 
@@ -351,15 +353,13 @@ mod tests {
         for (t, rp) in tasks.iter().zip(expect) {
             assert_eq!(prices.rp_dollars(t.id), rp);
         }
-        assert!(prices.unschedulable().is_empty());
     }
 
     #[test]
-    fn unschedulable_tasks_are_reported() {
+    fn unschedulable_tasks_are_priced_zero() {
         let catalog = Catalog::table3_example();
         let huge = task(9, ResourceVector::with_ram_gb(8, 64, 999), 0);
         let prices = ReservationPrices::compute(&catalog, std::iter::once(&huge));
-        assert_eq!(prices.unschedulable(), &[huge.id]);
         assert_eq!(prices.rp_dollars(huge.id), 0.0);
     }
 

@@ -75,7 +75,10 @@ use serde::{Deserialize, Reader, Serialize, Writer};
 /// entries (which never injected faults but whose keys lack the
 /// component) would alias the new fault-free keys while their stored
 /// `CellKey` no longer deserializes — retire them wholesale.
-pub const SCHEMA_VERSION: &str = "eva-v3";
+///
+/// v4: closed-form integer progress moved simulated floats (≤ 1.1e-9
+/// relative) and re-blessed both goldens; v3 reports predate it.
+pub const SCHEMA_VERSION: &str = "eva-v4";
 
 /// The claim a claim file holds, if it parses.
 fn claim_at(path: &Path) -> Option<ClaimInfo> {

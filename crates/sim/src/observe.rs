@@ -157,9 +157,10 @@ impl ClusterSim {
         })
     }
 
-    /// Builds the scheduler context snapshot.
-    pub(crate) fn build_snapshot(&self) -> (Vec<TaskSnapshot>, Vec<InstanceSnapshot>) {
-        let mut tasks = Vec::new();
+    /// Builds the scheduler context snapshot in the last round's rows.
+    pub(crate) fn build_snapshot(&mut self) -> (Vec<TaskSnapshot>, Vec<InstanceSnapshot>) {
+        let (mut tasks, mut instances) = std::mem::take(&mut self.snapshot_scratch);
+        tasks.clear();
         let now = self.now();
         for &jslot in &self.world.jobs.active {
             let spec = self.job_spec(jslot);
@@ -182,21 +183,19 @@ impl ClusterSim {
                 });
             }
         }
-        let instances: Vec<InstanceSnapshot> = self
-            .live
-            .iter()
-            .filter(|(id, _)| !self.draining.contains(id))
-            .map(|(&id, row)| InstanceSnapshot {
-                id,
-                type_id: row.type_id,
-            })
-            .collect();
+        instances.clear();
+        let listed = self.live.iter().filter(|(id, _)| !self.draining.contains(id));
+        instances.extend(listed.map(|(&id, row)| InstanceSnapshot {
+            id,
+            type_id: row.type_id,
+        }));
         (tasks, instances)
     }
 
     /// Executes a plan: provisions new instances, transfers the tasks in
     /// `moves` (task → index of its destination in `plan.assignments`, as
-    /// [`Plan::moves`] found them), marks terminations.
+    /// [`Plan::moves`] found them), marks terminations. A refused
+    /// provision is counted, and its tasks stay where they are.
     pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: BTreeMap<TaskId, usize>) {
         let dest: Vec<Option<InstanceId>> = plan
             .assignments
@@ -208,7 +207,10 @@ impl ClusterSim {
                         type_id: ty,
                         at: self.now(),
                     };
-                    let id = self.cloud.provision(request, &mut self.rng).ok()?;
+                    let Ok(id) = self.cloud.provision(request, &mut self.rng) else {
+                        self.provisions_failed += 1;
+                        return None;
+                    };
                     self.world.insts.ensure(id);
                     self.count_provision(id);
                     Some(id)
@@ -220,9 +222,11 @@ impl ClusterSim {
                 self.transfer_task(tid, inst);
             }
         }
-        // Defensive: never drain an instance the plan also assigns to.
-        let claimed = plan.claimed();
-        let released = plan.terminate.iter().filter(|id| !claimed.contains(id));
+        // Defensive: never drain an instance the plan also assigns to (a
+        // new one's fresh id is in no `terminate`).
+        let mut claimed: Vec<InstanceId> = dest.into_iter().flatten().collect();
+        claimed.sort_unstable();
+        let released = plan.terminate.iter().filter(|id| claimed.binary_search(id).is_err());
         self.draining.extend(released);
         self.try_terminations();
     }
@@ -254,6 +258,7 @@ impl ClusterSim {
             self.full_rounds += 1;
         }
         self.execute_plan(&plan, moves);
+        self.snapshot_scratch = (tasks, instances);
         self.recompute_completions();
 
         if !self.world.jobs.active.is_empty() {

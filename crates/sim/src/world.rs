@@ -23,7 +23,7 @@ use eva_baselines::{
     NoPackingScheduler, OracleProfile, OwlScheduler, StratusScheduler, SynergyScheduler,
 };
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
-use eva_core::{EvaScheduler, Scheduler};
+use eva_core::{EvaScheduler, InstanceSnapshot, Scheduler, TaskSnapshot};
 use eva_types::{
     InstanceId, InstanceTypeId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind,
 };
@@ -145,6 +145,7 @@ pub struct ClusterSim {
     pub(crate) first_arrival_seen: Option<SimTime>,
     pub(crate) ingested_jobs: u64,
     dropped_jobs: u64,
+    pub(crate) provisions_failed: u64,
     pub(crate) metrics: MetricsRegistry,
 
     // Adversarial fault state.
@@ -184,6 +185,7 @@ pub struct ClusterSim {
     tput_buf: RefCell<Vec<WorkloadKind>>,
     term_scratch: Vec<InstanceId>,
     dirty_scratch: Vec<u32>,
+    pub(crate) snapshot_scratch: (Vec<TaskSnapshot>, Vec<InstanceSnapshot>),
 }
 
 /// True when some catalog type can host each of the job's tasks alone
@@ -269,6 +271,7 @@ impl ClusterSim {
             first_arrival_seen: None,
             ingested_jobs: 0,
             dropped_jobs,
+            provisions_failed: 0,
             metrics: MetricsRegistry::default(),
             fault_plan,
             fault_tokens: Vec::new(),
@@ -292,6 +295,7 @@ impl ClusterSim {
             tput_buf: RefCell::new(Vec::new()),
             term_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
+            snapshot_scratch: (Vec::new(), Vec::new()),
             cfg,
         };
         // Arrivals come from a cursor: only the first is queued, and each
@@ -803,6 +807,11 @@ impl ClusterSim {
     /// Jobs dropped so far because no catalog type can host a task of theirs.
     pub fn jobs_dropped(&self) -> u64 {
         self.dropped_jobs
+    }
+
+    /// New instances the provider refused so far (a pool at its limit).
+    pub fn provisions_failed(&self) -> u64 {
+        self.provisions_failed
     }
 
     /// Feed lines the job source skipped so far ([`JobSource::rejected`]).

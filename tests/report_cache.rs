@@ -6,7 +6,8 @@
 //!     content, schedulers, seeds) also hits — the cache is keyed by
 //!     content, not by grid or binary.
 //! (c) Bumping the code schema version, or mutating the trace, makes
-//!     every entry miss.
+//!     every entry miss; re-blessing the simulation golden without a
+//!     bump fails.
 //! (d) The fault axis is part of every fingerprint: a cached clean-run
 //!     cell can never be replayed for a faulted cell, and intensity is
 //!     part of the key, not just the regime.
@@ -153,6 +154,20 @@ fn schema_bump_invalidates_every_entry() {
     assert_eq!(s2.executed, s2.unique);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn golden_reblessed_only_with_a_schema_bump() {
+    // A re-blessed golden means simulated reports changed, so entries of
+    // the older semantics must stop reading warm: re-pin this pair only
+    // together with a new `SCHEMA_VERSION`.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("arena_parity.json");
+    let bytes = std::fs::read(&golden).unwrap();
+    let hash = eva_types::fnv1a64(&bytes);
+    assert_eq!((SCHEMA_VERSION, hash), ("eva-v4", 0xa2ff_aff3_419c_a987));
 }
 
 #[test]

@@ -182,6 +182,12 @@ fn capacity_shocks_never_drive_free_capacity_negative() {
     }
     assert!(saw_limit, "shocks must clamp the pool at least once");
     assert!(saw_unlimited, "shock windows must also expire");
+    // A clamped pool refuses some of the plans' new instances, and each
+    // refusal is counted; an unclamped one refuses none.
+    assert!(sim.provisions_failed() > 0, "no refused provision counted");
+    let mut calm = ClusterSim::new(&faulted_cfg("none", 13));
+    while calm.step() {}
+    assert_eq!(calm.provisions_failed(), 0);
 }
 
 #[test]
