@@ -31,28 +31,18 @@ use eva_core::{
     price_memo, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
     TaskSnapshot,
 };
-use eva_types::{Cost, FamilyKey, InstanceId, InstanceTypeId, ResourceVector, SimDuration};
+use eva_types::{ResourceVector, SimDuration};
 
 /// See the module docs. The fields are one round's scratch, kept to be reused.
 #[derive(Debug, Default)]
 pub struct StratusScheduler {
-    rows: Vec<Row>,
-    /// `buckets[b]`: (row, its residents in bin `b`), in row order.
-    buckets: Vec<Vec<(u32, u32)>>,
-    /// The rows no resident stays on, in row order.
-    vacant: Vec<u32>,
-}
-
-/// A listed instance of a known type, as a round's placement reads it.
-#[derive(Debug)]
-struct Row {
-    id: InstanceId,
-    family: FamilyKey,
-    capacity: ResourceVector,
-    used: ResourceVector,
-    hourly_cost: Cost,
-    /// The row's assignment in the plan, once it has one.
-    slot: Option<usize>,
+    /// Per listed instance: the capacity in use (residents that stay plus
+    /// tasks placed this round) and its assignment in the plan, if any.
+    rows: Vec<(ResourceVector, Option<usize>)>,
+    /// `buckets[b]`: (instance, its residents in bin `b`), in listing order.
+    buckets: Vec<Vec<(usize, u32)>>,
+    /// The instances no resident stays on, in listing order.
+    vacant: Vec<usize>,
 }
 
 impl StratusScheduler {
@@ -62,16 +52,14 @@ impl StratusScheduler {
     }
 
     /// Exponential runtime bin of a remaining duration: `⌊log2⌋` of its
-    /// minutes in `f64`, their exponent except in the top 2⁻³⁰ of a bin,
-    /// where `log2` may round up. Only there is `log2` called.
+    /// minutes in `f64`. Outside the top 2⁻³⁰ of a bin, where `log2` may
+    /// round up, that is the float's exponent, read without calling `log2`.
     pub fn runtime_bin(remaining: SimDuration) -> i32 {
-        const FRACTION: u64 = (1 << 52) - 1;
         let minutes = (remaining.as_secs_f64() / 60.0).max(1.0);
-        let bits = minutes.to_bits();
-        if bits & FRACTION < FRACTION - (1 << 22) {
-            return (bits >> 52) as i32 - 1023;
+        match minutes.to_bits() {
+            bits if bits << 12 < u64::MAX << 34 => (bits >> 52) as i32 - 1023,
+            _ => minutes.log2().floor() as i32,
         }
-        minutes.log2().floor() as i32
     }
 }
 
@@ -82,93 +70,90 @@ impl Scheduler for StratusScheduler {
 
     fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         let mut price = price_memo(ctx.catalog);
-        let StratusScheduler { rows, buckets, vacant } = self;
-        rows.clear();
-        buckets.iter_mut().for_each(Vec::clear);
-        vacant.clear();
+        self.rows.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.vacant.clear();
 
         // One pass over the listed instances: scale-in, keep, rows.
         let mut assignments: Vec<Assignment> = Vec::new();
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
-        for inst in &view.instances {
+        for (i, inst) in view.instances.iter().enumerate() {
             // Scale-in consolidation (the source of Stratus's rare
             // migrations): when a group has partially completed and the
             // leftovers' reservation prices no longer cover the instance,
             // the leftovers are re-placed and the instance released.
-            let priced = inst.residents.iter().filter_map(|t| price(t));
-            let rp_sum: f64 = priced.map(|c| c.as_dollars()).sum();
-            let covers = inst.ty.is_none_or(|ty| rp_sum + 1e-9 >= ty.hourly_cost.as_dollars());
-            let stays = !inst.residents.is_empty() && covers;
-            let slot = stays.then(|| {
-                let tasks = inst.task_ids();
-                assignments
-                    .push(Assignment { instance: PlannedInstance::Existing(inst.id), tasks });
-                assignments.len() - 1
-            });
-            // An instance of a type the catalog does not know hosts nobody new.
-            let Some(ty) = inst.ty else { continue };
-            let row = rows.len() as u32;
-            if !stays {
+            let rp_sum: f64 = inst
+                .residents
+                .iter()
+                .filter_map(|t| price(&t.demand))
+                .map(|c| c.as_dollars())
+                .sum();
+            let cost = inst.ty.map_or(0.0, |ty| ty.hourly_cost.as_dollars());
+            if inst.residents.is_empty() || rp_sum + 1e-9 < cost {
                 evicted.extend(&inst.residents);
-                vacant.push(row);
+                self.rows.push((ResourceVector::ZERO, None));
+                self.vacant.push(i);
+                continue;
             }
-            for b in inst.residents.iter().filter_map(|t| t.remaining_hint.filter(|_| stays)) {
-                let b = Self::runtime_bin(b) as usize;
-                if buckets.len() <= b {
-                    buckets.resize_with(b + 1, Vec::new);
+            self.rows.push((inst.used, Some(assignments.len())));
+            assignments.push(Assignment {
+                instance: PlannedInstance::Existing(inst.id),
+                tasks: inst.task_ids(),
+            });
+            for hint in inst.residents.iter().filter_map(|t| t.remaining_hint) {
+                let b = Self::runtime_bin(hint) as usize;
+                if self.buckets.len() <= b {
+                    self.buckets.resize_with(b + 1, Vec::new);
                 }
-                match buckets[b].last_mut() {
-                    Some((r, n)) if *r == row => *n += 1,
-                    _ => buckets[b].push((row, 1)),
+                match self.buckets[b].last_mut() {
+                    Some((at, n)) if *at == i => *n += 1,
+                    _ => self.buckets[b].push((i, 1)),
                 }
             }
-            let used = if stays { inst.used } else { ResourceVector::ZERO };
-            let (family, capacity, hourly_cost) = (ty.family.key(), ty.capacity, ty.hourly_cost);
-            rows.push(Row { id: inst.id, family, capacity, used, hourly_cost, slot });
         }
 
         // Place pending tasks bin-first (module docs).
         let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
         for task in view.pending().chain(evicted) {
-            let fit = |r: &Row| {
-                let total = r.used.checked_add(&task.demand.for_key(r.family))?;
-                total.fits_within(&r.capacity).then_some(total)
+            // Its use with the task if it fits; an unknown type hosts nobody new.
+            let fit = |i: usize| {
+                let ty = view.instances[i].ty?;
+                let total = self.rows[i].0.checked_add(&ty.demand_of(&task.demand))?;
+                total.fits_within(&ty.capacity).then_some(total)
             };
             let bin = task.remaining_hint.map(Self::runtime_bin);
-            let bucket = bin.and_then(|b| buckets.get(b as usize));
-            // (row, same-bin residents, its use with the task).
-            let mut best: Option<(u32, u32, ResourceVector)> = None;
-            for &(row, n) in bucket.into_iter().flatten() {
-                if best.is_some_and(|(_, s, _)| n <= s) {
-                    continue;
-                }
-                if let Some(total) = fit(&rows[row as usize]) {
-                    best = Some((row, n, total));
+            let bucket = bin.and_then(|b| self.buckets.get(b as usize));
+            // (instance, same-bin residents, its use with the task).
+            let mut best: Option<(usize, u32, ResourceVector)> = None;
+            for &(i, n) in bucket.into_iter().flatten() {
+                if best.is_none_or(|(_, s, _)| n > s) {
+                    best = fit(i).map(|total| (i, n, total)).or(best);
                 }
             }
             // An empty instance is only worth reusing when it is no more
-            // expensive than the task's reservation-price type — tiny
-            // tasks must not keep idle big boxes alive.
+            // expensive than the task's reservation-price type, priced once
+            // — tiny tasks must not keep idle big boxes alive.
             if best.is_none() {
                 let mut rp = None;
-                best = vacant.iter().find_map(|&row| {
-                    let r = &rows[row as usize];
-                    let total = fit(r)?;
-                    let rp = *rp.get_or_insert_with(|| price(task).unwrap_or_default());
-                    (r.hourly_cost <= rp).then_some((row, 0, total))
+                best = self.vacant.iter().find_map(|&i| {
+                    let total = fit(i)?;
+                    let rp = *rp.get_or_insert_with(|| price(&task.demand).unwrap_or_default());
+                    (view.instances[i].ty?.hourly_cost <= rp).then_some((i, 0, total))
                 });
             }
-            let Some((row, _, total)) = best else {
+            let Some((i, _, total)) = best else {
                 leftover_by_bin.entry(bin).or_default().push(task);
                 continue;
             };
-            let r = &mut rows[row as usize];
-            r.used = total;
-            let at = *r.slot.get_or_insert(assignments.len());
-            if at == assignments.len() {
-                let instance = PlannedInstance::Existing(r.id);
-                assignments.push(Assignment { instance, tasks: Vec::new() });
-            }
+            let (used, slot) = &mut self.rows[i];
+            *used = total;
+            let at = *slot.get_or_insert_with(|| {
+                assignments.push(Assignment {
+                    instance: PlannedInstance::Existing(view.instances[i].id),
+                    tasks: Vec::new(),
+                });
+                assignments.len() - 1
+            });
             assignments[at].tasks.push(task.id);
         }
 
@@ -179,32 +164,47 @@ impl Scheduler for StratusScheduler {
         for (_bin, mut group) in leftover_by_bin {
             group.sort_by_key(|a| a.id);
             while !group.is_empty() {
-                // (type, positions in `group` it hosts, cost per task).
-                let mut best: Option<(InstanceTypeId, Vec<usize>, f64)> = None;
-                for ty in ctx.catalog.types().filter(|t| !t.hourly_cost.is_zero()) {
+                let mut best: Option<(eva_types::InstanceTypeId, Vec<usize>, f64)> = None;
+                for ty in ctx.catalog.types() {
+                    if ty.hourly_cost.is_zero() {
+                        continue;
+                    }
                     let mut fill = ResourceVector::ZERO;
                     let mut members = Vec::new();
-                    for (i, task) in group.iter().enumerate() {
-                        let total = fill.checked_add(&ty.demand_of(&task.demand));
-                        if let Some(total) = total.filter(|t| t.fits_within(&ty.capacity)) {
-                            fill = total;
-                            members.push(i);
+                    for (idx, task) in group.iter().enumerate() {
+                        let d = ty.demand_of(&task.demand);
+                        if let Some(total) = fill.checked_add(&d) {
+                            if total.fits_within(&ty.capacity) {
+                                fill = total;
+                                members.push(idx);
+                            }
                         }
                     }
+                    if members.is_empty() {
+                        continue;
+                    }
                     let per_task = ty.hourly_cost.as_dollars() / members.len() as f64;
-                    let better = best.as_ref().is_none_or(|(_, m, c)| {
-                        per_task < c - 1e-12
-                            || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
-                    });
-                    if !members.is_empty() && better {
+                    let better = match &best {
+                        None => true,
+                        Some((_, m, c)) => {
+                            per_task < c - 1e-12
+                                || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
+                        }
+                    };
+                    if better {
                         best = Some((ty.id, members, per_task));
                     }
                 }
                 let Some((ty, members, _)) = best else { break };
-                let tasks = members.iter().map(|&i| group[i].id).collect();
-                let mut pos = 0..;
-                group.retain(|_| members.binary_search(&pos.next().unwrap()).is_err());
-                assignments.push(Assignment { instance: PlannedInstance::New(ty), tasks });
+                let ids: Vec<_> = members.iter().map(|i| group[*i].id).collect();
+                // `members` ascends: remove from the back.
+                for &idx in members.iter().rev() {
+                    group.remove(idx);
+                }
+                assignments.push(Assignment {
+                    instance: PlannedInstance::New(ty),
+                    tasks: ids,
+                });
             }
         }
 
@@ -273,7 +273,10 @@ mod tests {
         // An efficient resident (its 20-vCPU demand prices it at the
         // p3.8xlarge itself) with ~2h remaining; a pending task with ~1.7h
         // (same bin 6) should join it.
-        let tasks = vec![task(1, 1, 20, 24, Some(0), 120), task(2, 1, 4, 24, None, 100)];
+        let tasks = vec![
+            task(1, 1, 20, 24, Some(0), 120),
+            task(2, 1, 4, 24, None, 100),
+        ];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         let joint = plan
             .assignments
@@ -303,7 +306,10 @@ mod tests {
 
     #[test]
     fn efficient_placements_never_migrate() {
-        let tasks = vec![task(1, 1, 20, 24, Some(0), 60), task(2, 1, 20, 24, Some(1), 60)];
+        let tasks = vec![
+            task(1, 1, 20, 24, Some(0), 60),
+            task(2, 1, 20, 24, Some(1), 60),
+        ];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge"), (1, "p3.8xlarge")]);
         assert!(plan.migrations(&tasks, false).is_empty());
     }
@@ -316,7 +322,9 @@ mod tests {
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         assert_eq!(plan.terminate, vec![InstanceId(0)]);
         assert_eq!(plan.migrations(&tasks, false).len(), 1);
-        let PlannedInstance::New(new_ty) = plan.assignments[0].instance else { panic!() };
+        let PlannedInstance::New(new_ty) = plan.assignments[0].instance else {
+            panic!()
+        };
         let catalog = Catalog::aws_eval_2025();
         assert_eq!(catalog.get(new_ty).unwrap().name, "p3.2xlarge");
     }

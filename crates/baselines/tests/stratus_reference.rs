@@ -10,9 +10,8 @@
 //! - it makes one pass over the instances for scale-in, keep and rows;
 //! - a task probes only the rows holding a resident of its bin, and then
 //!   the empty rows if none fits;
-//! - it resolves a task's demand only on the rows it probes, and its price
-//!   memo checks the task's workload kind first, so each task is priced
-//!   at most once;
+//! - it resolves a task's demand only on the rows it probes, and prices a
+//!   task at most once, only when an empty row fits it;
 //! - it keeps its rows and buckets across rounds.
 //!
 //! So one scheduler is also driven through a sequence of clusters, and
@@ -211,8 +210,7 @@ fn boundary(bin: u32, offset: i64) -> SimDuration {
 /// Instances of any catalog type or of two the catalog does not know;
 /// tasks of 108 possible shapes (one in four with Table 7's C7i/R7i
 /// overrides; a 40-task cluster often holds more distinct ones than the
-/// product's price memo keeps, and each workload kind has many, so every
-/// path of the memo is compared),
+/// product's price memo keeps, so every path of the memo is compared),
 /// one in six without a `remaining_hint`, each pending, resident on a
 /// listed instance (fitting or not) or on one the snapshot does not list.
 /// Instances nobody is resident on are the empty ones; with
@@ -300,8 +298,9 @@ fn holds_to_reference(
 
 #[test]
 fn runtime_bin_is_the_f64_definition_at_every_boundary() {
-    // ±1 ms, and offsets of 2^j ms that cross the window below each
-    // boundary where the product calls `log2` (the top 2^-30 of a bin).
+    // A bin read from the float's exponent, or an integer `ilog2`, differs
+    // from `log2` just below a boundary, where `log2` rounds up to it:
+    // ±1 ms and ±2^j ms around every boundary hold the product to it.
     let offsets = (0..40).flat_map(|j| [1i64 << j, -(1i64 << j)]);
     for bin in 0..=48 {
         for offset in offsets.clone().chain([0]) {

@@ -82,32 +82,21 @@ pub fn reservation_price(catalog: &Catalog, demand: &DemandSpec) -> Option<(Inst
     catalog.cheapest_fit(demand).map(|t| (t.id, t.hourly_cost))
 }
 
-/// [`reservation_price`]'s cost as a function of a task's demand. A round
-/// sees the handful of Table 7 shapes over and over, one per workload kind,
-/// so the last price of each kind (modulo 32) is checked first, then the
-/// first 16 distinct demands priced, and a catalog scan runs only after
-/// both miss.
-pub fn price_memo(catalog: &Catalog) -> impl FnMut(&TaskSnapshot) -> Option<Cost> + '_ {
-    let mut by_kind: [Option<(DemandSpec, Option<Cost>)>; 32] = [None; 32];
+/// [`reservation_price`]'s cost as a function of the demand that remembers
+/// the first 16 distinct demands it priced: a round sees the handful of
+/// Table 7 shapes over and over, and searching a short list linearly is
+/// cheaper than a catalog scan.
+pub fn price_memo(catalog: &Catalog) -> impl FnMut(&DemandSpec) -> Option<Cost> + '_ {
     let mut priced: Vec<(DemandSpec, Option<Cost>)> = Vec::new();
-    move |task| {
-        let (demand, last) = (&task.demand, &mut by_kind[task.workload.0 as usize % 32]);
-        if let Some((d, rp)) = *last {
-            if d == *demand {
-                return rp;
-            }
+    move |demand| {
+        if let Some(&(_, rp)) = priced.iter().find(|(d, _)| d == demand) {
+            return rp;
         }
-        let rp = match priced.iter().find(|(d, _)| d == demand) {
-            Some(&(_, rp)) => rp,
-            None => {
-                let rp = reservation_price(catalog, demand).map(|(_, c)| c);
-                if priced.len() < 16 {
-                    priced.push((*demand, rp));
-                }
-                rp
-            }
-        };
-        last.insert((*demand, rp)).1
+        let rp = reservation_price(catalog, demand).map(|(_, c)| c);
+        if priced.len() < 16 {
+            priced.push((*demand, rp));
+        }
+        rp
     }
 }
 
@@ -127,7 +116,7 @@ impl ReservationPrices {
         let mut price = price_memo(catalog);
         let mut priced = ReservationPrices::default();
         for t in tasks {
-            if let Some(rp) = price(t) {
+            if let Some(rp) = price(&t.demand) {
                 priced.prices.insert(t.id, rp);
             }
         }

@@ -184,11 +184,14 @@ impl ClusterSim {
             }
         }
         instances.clear();
-        let listed = self.live.iter().filter(|(id, _)| !self.draining.contains(id));
-        instances.extend(listed.map(|(&id, row)| InstanceSnapshot {
-            id,
-            type_id: row.type_id,
-        }));
+        for (&id, row) in &self.live {
+            if !self.draining.contains(&id) {
+                instances.push(InstanceSnapshot {
+                    id,
+                    type_id: row.type_id,
+                });
+            }
+        }
         (tasks, instances)
     }
 
@@ -222,11 +225,11 @@ impl ClusterSim {
                 self.transfer_task(tid, inst);
             }
         }
-        // Defensive: never drain an instance the plan also assigns to (a
-        // new one's fresh id is in no `terminate`).
-        let mut claimed: Vec<InstanceId> = dest.into_iter().flatten().collect();
-        claimed.sort_unstable();
-        let released = plan.terminate.iter().filter(|id| claimed.binary_search(id).is_err());
+        // Defensive: never drain an instance the plan also assigns to.
+        let released = plan
+            .terminate
+            .iter()
+            .filter(|&&id| !dest.contains(&Some(id)));
         self.draining.extend(released);
         self.try_terminations();
     }
