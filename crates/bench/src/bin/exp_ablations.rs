@@ -22,7 +22,8 @@ fn main() {
     tc.num_jobs = if is_full_scale() { 6_274 } else { 1200 };
     let trace = tc.generate(99);
 
-    let mut grid = SweepGrid::new("alibaba", trace).scheduler("No-Packing", SchedulerKind::NoPacking);
+    let mut grid =
+        SweepGrid::new("alibaba", trace).scheduler("No-Packing", SchedulerKind::NoPacking);
     let variants: Vec<(&str, EvaConfig)> = vec![
         ("Eva (refill kept instances)", EvaConfig::eva()),
         (
@@ -112,5 +113,4 @@ fn main() {
     print_row("Eva (short-horizon prior p = 0.9)");
 
     save_json("ablations.json", &result);
-    eva_bench::finish();
 }

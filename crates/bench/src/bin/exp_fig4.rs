@@ -46,5 +46,4 @@ fn main() {
         }
     }
     save_json("fig4.json", &result);
-    eva_bench::finish();
 }

@@ -20,7 +20,10 @@ fn main() {
     let scales = [1.0, 2.0, 4.0, 8.0];
     let grid = SweepGrid::new("alibaba", trace)
         .scheduler("Eva", SchedulerKind::Eva(EvaConfig::eva()))
-        .scheduler("Eva w/o Partial", SchedulerKind::Eva(EvaConfig::without_partial()))
+        .scheduler(
+            "Eva w/o Partial",
+            SchedulerKind::Eva(EvaConfig::without_partial()),
+        )
         .scheduler("Stratus", SchedulerKind::Stratus)
         .migration_scales(scales.to_vec());
     let result = run_grid(grid);
@@ -41,5 +44,4 @@ fn main() {
         );
     }
     save_json("fig5.json", &(base, result));
-    eva_bench::finish();
 }

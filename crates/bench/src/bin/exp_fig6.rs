@@ -30,7 +30,10 @@ fn main() {
         .scheduler("No-Packing", SchedulerKind::NoPacking)
         .scheduler("Stratus", SchedulerKind::Stratus)
         .scheduler("Synergy", SchedulerKind::Synergy)
-        .scheduler("Eva w/o Full", SchedulerKind::Eva(EvaConfig::without_full()))
+        .scheduler(
+            "Eva w/o Full",
+            SchedulerKind::Eva(EvaConfig::without_full()),
+        )
         .scheduler("Eva", SchedulerKind::Eva(EvaConfig::eva()));
     let result = run_grid(grid);
     println!(
@@ -50,5 +53,4 @@ fn main() {
         );
     }
     save_json("fig6.json", &result);
-    eva_bench::finish();
 }

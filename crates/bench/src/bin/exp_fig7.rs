@@ -49,5 +49,4 @@ fn main() {
         );
     }
     save_json("fig7.json", &result);
-    eva_bench::finish();
 }

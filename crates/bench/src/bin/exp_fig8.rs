@@ -6,7 +6,7 @@
 //! benefits, but Eva should stay the cheapest packer throughout.
 
 use eva_bench::{is_full_scale, run_grid, save_json};
-use eva_sim::{SweepGrid};
+use eva_sim::SweepGrid;
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
@@ -39,5 +39,4 @@ fn main() {
         );
     }
     save_json("fig8.json", &result);
-    eva_bench::finish();
 }

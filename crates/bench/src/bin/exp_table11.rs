@@ -7,5 +7,4 @@ fn main() {
     let trace = SyntheticTraceConfig::small_scale().generate(11);
     let reports = run_and_print(&trace, scheduler_set(), "Table 11: 32-job end-to-end");
     save_json("table11.json", &reports);
-    eva_bench::finish();
 }

@@ -128,14 +128,19 @@ fn main() {
                     "fault-free deltas must be exactly zero: {row:?}"
                 );
             }
-            assert_eq!(row.digest_mismatches, 0, "state lost across restore: {row:?}");
+            assert_eq!(
+                row.digest_mismatches, 0,
+                "state lost across restore: {row:?}"
+            );
             rows.push(row);
         }
     }
     let nonzero = rows.iter().filter(|r| !r.is_zero()).count();
-    println!("\nnonzero-deltas: {nonzero} of {} (scheduler, regime) cells", rows.len());
+    println!(
+        "\nnonzero-deltas: {nonzero} of {} (scheduler, regime) cells",
+        rows.len()
+    );
 
     save_json("table12.json", &result);
     save_json("table12_robustness.json", &rows);
-    eva_bench::finish();
 }

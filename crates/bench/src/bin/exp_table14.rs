@@ -15,5 +15,4 @@ fn main() {
         "Table 14: Alibaba trace, Gavel durations",
     );
     save_json("table14.json", &reports);
-    eva_bench::finish();
 }

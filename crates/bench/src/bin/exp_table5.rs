@@ -78,5 +78,4 @@ fn main() {
             if row.from_cache { "  [cached]" } else { "" }
         );
     }
-    eva_bench::finish();
 }

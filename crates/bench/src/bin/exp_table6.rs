@@ -56,7 +56,10 @@ fn main() {
         .scheduler("Eva-Single", SchedulerKind::Eva(EvaConfig::eva_single()))
         .scheduler("Eva-Multi", SchedulerKind::Eva(EvaConfig::eva()));
     for trial in 1..trials {
-        grid = grid.trace(format!("trial{trial}"), gang_trace(7000 + trial as u64, jobs));
+        grid = grid.trace(
+            format!("trial{trial}"),
+            gang_trace(7000 + trial as u64, jobs),
+        );
     }
     let result = run_grid(grid);
     save_json("table6.json", &result);
@@ -92,5 +95,4 @@ fn main() {
             std(&jcts)
         );
     }
-    eva_bench::finish();
 }

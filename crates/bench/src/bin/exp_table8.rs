@@ -15,5 +15,4 @@ fn main() {
             100.0 * stats.gpu_fraction(gpus)
         );
     }
-    eva_bench::finish();
 }

@@ -22,16 +22,6 @@
 //! * `--cache-dir DIR` — use `DIR` instead of `results/cache`
 //!   (`EVA_CACHE_DIR` is the env equivalent).
 //!
-//! Sweeps also **federate across processes**: `--procs N` (env
-//! `EVA_PROCS`) makes any `exp_*` binary spawn `N - 1` worker copies of
-//! itself that claim cells from the shared cache dir via atomic
-//! `<fnv>.claim` files and publish results back — see
-//! [`eva_sim::Federation`]. The coordinator merges in logical cell
-//! order, so output stays byte-identical to `--procs 1`. Federation
-//! requires the cache (it *is* the coordination substrate), so
-//! combining `--procs N` with `--no-cache` is a flag error. Every
-//! `exp_*` main ends with [`finish`], which joins spawned workers.
-//!
 //! The adversarial fault axis is likewise shared: every `exp_*` binary
 //! accepts `--faults REGIME[:INTENSITY]` (env `EVA_FAULTS`) and runs its
 //! whole grid under that injected regime — no per-experiment code, the
@@ -44,8 +34,8 @@
 use std::path::PathBuf;
 
 use eva_sim::{
-    join_workers, worker_role, FaultSpec, Federation, PoolStats, ReportCache, SchedulerKind,
-    SimReport, SweepGrid, SweepResult, SweepRunner,
+    FaultSpec, PoolStats, ReportCache, SchedulerKind, SimReport, SweepGrid, SweepResult,
+    SweepRunner,
 };
 use eva_workloads::Trace;
 
@@ -73,15 +63,24 @@ pub fn default_cache_dir() -> PathBuf {
 /// Resolves the shared cache flags (`--cache`, `--no-cache`,
 /// `--cache-dir DIR`, env `EVA_CACHE_DIR`) from this process's argument
 /// list. Caching defaults to **on** under [`default_cache_dir`]; `None`
-/// means `--no-cache` was passed.
+/// means `--no-cache` was passed. A `--cache-dir` without a value aborts
+/// the binary with a flag-style error.
 pub fn cache_setting() -> Option<ReportCache> {
-    cache_setting_from(std::env::args().skip(1))
+    match cache_setting_from(std::env::args().skip(1)) {
+        Ok(cache) => cache,
+        Err(e) => {
+            eprintln!("error: --cache-dir: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// [`cache_setting`] over an explicit argument list (testable form).
 /// Unrecognized arguments are ignored — binaries with their own flags
 /// keep working.
-pub fn cache_setting_from(args: impl IntoIterator<Item = String>) -> Option<ReportCache> {
+pub fn cache_setting_from(
+    args: impl IntoIterator<Item = String>,
+) -> Result<Option<ReportCache>, String> {
     let mut enabled = true;
     let mut dir: Option<PathBuf> = None;
     let mut it = args.into_iter();
@@ -90,7 +89,7 @@ pub fn cache_setting_from(args: impl IntoIterator<Item = String>) -> Option<Repo
             "--no-cache" => enabled = false,
             "--cache" => enabled = true,
             "--cache-dir" => {
-                dir = it.next().map(PathBuf::from);
+                dir = Some(it.next().ok_or("the flag needs a value")?.into());
                 enabled = true;
             }
             _ => {}
@@ -101,66 +100,15 @@ pub fn cache_setting_from(args: impl IntoIterator<Item = String>) -> Option<Repo
             dir = Some(PathBuf::from(env_dir));
         }
     }
-    enabled.then(|| ReportCache::new(dir.unwrap_or_else(default_cache_dir)))
-}
-
-/// Resolves the shared `--procs N` flag (env equivalent `EVA_PROCS`)
-/// from this process's argument list: the total process count of a
-/// federated sweep, coordinator included. Defaults to 1 — an ordinary
-/// single-process run. Invalid counts abort the binary with a
-/// flag-style error.
-pub fn procs_setting() -> usize {
-    match procs_setting_from(std::env::args().skip(1)) {
-        Ok(procs) => procs,
-        Err(e) => {
-            eprintln!("error: --procs: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`procs_setting`] over an explicit argument list (testable form).
-/// Unrecognized arguments are ignored, like [`cache_setting_from`].
-pub fn procs_setting_from(args: impl IntoIterator<Item = String>) -> Result<usize, String> {
-    let mut value: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--procs" {
-            value = Some(it.next().ok_or("the flag needs a value")?);
-        }
-    }
-    if value.is_none() {
-        if let Ok(env) = std::env::var("EVA_PROCS") {
-            value = Some(env);
-        }
-    }
-    match value {
-        None => Ok(1),
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => Err("a federation needs at least one process".to_string()),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("invalid process count '{v}'")),
-        },
-    }
+    Ok(enabled.then(|| ReportCache::new(dir.unwrap_or_else(default_cache_dir))))
 }
 
 /// The sweep runner every experiment binary shares: `EVA_THREADS`
-/// workers plus the persistent report cache (unless `--no-cache`),
-/// federated across `--procs`/`EVA_PROCS` processes when more than one
-/// was requested (or when this process *is* a spawned worker).
+/// workers plus the persistent report cache (unless `--no-cache`).
 pub fn runner() -> SweepRunner {
     let runner = SweepRunner::new(default_threads());
-    let procs = procs_setting();
-    let federated = procs > 1 || worker_role();
     match cache_setting() {
-        Some(cache) if federated => runner.with_federation(Federation::new(procs), cache),
         Some(cache) => runner.with_cache(cache),
-        None if federated => {
-            eprintln!(
-                "error: --procs: federated sweeps coordinate through the cache dir; drop --no-cache"
-            );
-            std::process::exit(2);
-        }
         None => runner,
     }
 }
@@ -280,20 +228,8 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Experiment epilogue: waits for any federation workers this process
-/// spawned (`--procs`/`EVA_PROCS`). Every `exp_*` main ends with this
-/// so the binary never exits with children still holding claims; it is
-/// a no-op in unfederated runs and inside workers.
-pub fn finish() {
-    join_workers();
-}
-
-/// Writes a JSON artifact into `results/`. Federation workers skip the
-/// write — only the coordinator owns `results/` artifacts.
+/// Writes a JSON artifact into `results/`.
 pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
-    if worker_role() {
-        return;
-    }
     let path = results_dir().join(name);
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
@@ -366,30 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn procs_flags_resolve() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        assert_eq!(procs_setting_from(args(&["--procs", "4"])).unwrap(), 4);
-        assert_eq!(procs_setting_from(args(&["--procs", "1"])).unwrap(), 1);
-        // Zero processes, junk counts, and a missing value are flag
-        // errors, not silent single-process runs.
-        assert!(procs_setting_from(args(&["--procs", "0"])).is_err());
-        assert!(procs_setting_from(args(&["--procs", "two"])).is_err());
-        assert!(procs_setting_from(args(&["--procs"])).is_err());
-        if std::env::var("EVA_PROCS").is_err() {
-            assert_eq!(procs_setting_from(args(&["--jobs", "5"])).unwrap(), 1);
-        }
-    }
-
-    #[test]
     fn cache_flags_resolve() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        assert!(cache_setting_from(args(&["--no-cache"])).is_none());
+        assert!(cache_setting_from(args(&["--no-cache"])).unwrap().is_none());
         let explicit = cache_setting_from(args(&["--cache-dir", "/tmp/eva-x"])).unwrap();
-        assert_eq!(explicit.dir(), std::path::Path::new("/tmp/eva-x"));
+        assert_eq!(explicit.unwrap().dir(), std::path::Path::new("/tmp/eva-x"));
         // --cache-dir re-enables caching even after --no-cache.
-        assert!(cache_setting_from(args(&["--no-cache", "--cache-dir", "/tmp/y"])).is_some());
+        let reenabled = cache_setting_from(args(&["--no-cache", "--cache-dir", "/tmp/y"]));
+        assert!(reenabled.unwrap().is_some());
+        // A trailing --cache-dir is a flag error, not the default dir.
+        assert!(cache_setting_from(args(&["--jobs", "5", "--cache-dir"])).is_err());
         if std::env::var("EVA_CACHE_DIR").is_err() {
-            let default = cache_setting_from(args(&["--jobs", "5"])).unwrap();
+            let default = cache_setting_from(args(&["--jobs", "5"])).unwrap().unwrap();
             assert!(default.dir().ends_with("cache"), "{:?}", default.dir());
         }
     }

@@ -40,7 +40,6 @@ mod arena;
 pub mod backend;
 pub mod cache;
 pub mod faults;
-pub mod federate;
 pub mod metrics;
 mod observe;
 pub mod pool;
@@ -55,15 +54,11 @@ pub mod world;
 pub use backend::{
     BackendKind, ExecBackend, LiveBackend, LiveOutcome, SimBackend, LIVE_ITERS_PER_HOUR,
 };
-pub use cache::{
-    CacheStats, ClaimAttempt, ClaimGuard, ClaimInfo, MergeReport, PruneReport, ReportCache,
-    VerifyIssue, VerifyReport, SCHEMA_VERSION,
-};
+pub use cache::{ReportCache, SCHEMA_VERSION};
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
-pub use federate::{claim_stale_deadline, join_workers, worker_role, Federation};
 pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
-pub use pool::{CellPool, ClaimTiming, PoolStats, RunPlan};
+pub use pool::{CellPool, PoolStats, RunPlan};
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};
 pub use serve::{serve, ServeConfig, ServeOutcome};

@@ -33,7 +33,6 @@ use eva_workloads::TraceHandle;
 use crate::backend::BackendKind;
 use crate::cache::ReportCache;
 use crate::faults::FaultSpec;
-use crate::federate::{worker_role, Federation};
 use crate::metrics::SimReport;
 use crate::pool::{CellPool, PoolStats, RunPlan};
 use crate::runner::{InterferenceSpec, SchedulerKind, SimConfig};
@@ -52,11 +51,7 @@ struct TraceEntry {
 
 impl TraceEntry {
     fn new(label: String, handle: TraceHandle) -> Self {
-        let weight = handle
-            .jobs()
-            .iter()
-            .map(|j| 1 + j.num_tasks() as u64)
-            .sum();
+        let weight = handle.jobs().iter().map(|j| 1 + j.num_tasks() as u64).sum();
         TraceEntry {
             label,
             handle,
@@ -110,7 +105,8 @@ impl SweepGrid {
 
     /// Adds another trace axis value.
     pub fn trace(mut self, label: impl Into<String>, trace: impl Into<TraceHandle>) -> Self {
-        self.traces.push(TraceEntry::new(label.into(), trace.into()));
+        self.traces
+            .push(TraceEntry::new(label.into(), trace.into()));
         self
     }
 
@@ -202,11 +198,9 @@ impl SweepGrid {
     /// Cells that will actually execute after deduplication.
     pub fn unique_cell_count(&self) -> usize {
         let cells = self.cells();
-        RunPlan::build(
-            cells.len(),
-            &|i| self.fingerprint(&cells[i]),
-            &|i| self.cost_estimate(&cells[i]),
-        )
+        RunPlan::build(cells.len(), &|i| self.fingerprint(&cells[i]), &|i| {
+            self.cost_estimate(&cells[i])
+        })
         .unique_count()
     }
 
@@ -430,9 +424,7 @@ impl SweepResult {
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
-    /// The persistent cache and, when the sweep is federated, the
-    /// federation coordinating through it.
-    cache: Option<(ReportCache, Option<Federation>)>,
+    cache: Option<ReportCache>,
 }
 
 impl SweepRunner {
@@ -449,24 +441,13 @@ impl SweepRunner {
     /// cache skip simulation, and fresh reports are stored for the next
     /// run (or the next experiment sharing the cell).
     pub fn with_cache(mut self, cache: ReportCache) -> Self {
-        self.cache = Some((cache, None));
-        self
-    }
-
-    /// Federates the sweep across processes (see [`crate::federate`]):
-    /// the run claims representatives via `cache`'s dir — which it also
-    /// uses as [`SweepRunner::with_cache`] would — and settles cells
-    /// peers claimed, merging byte-identically to a single-process run.
-    /// Spawning of the `procs - 1` worker processes happens on the first
-    /// federated run ([`Federation::ensure_workers`]).
-    pub fn with_federation(mut self, federation: Federation, cache: ReportCache) -> Self {
-        self.cache = Some((cache, Some(federation)));
+        self.cache = Some(cache);
         self
     }
 
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&ReportCache> {
-        self.cache.as_ref().map(|(cache, _)| cache)
+        self.cache.as_ref()
     }
 
     /// The worker count this runner was resolved to.
@@ -498,21 +479,7 @@ impl SweepRunner {
             let cfg = grid.cell_config(cell);
             cell.backend.backend().run(&cfg)
         };
-        let (reports, stats) = match &self.cache {
-            Some((cache, Some(fed))) if fed.procs() > 1 || worker_role() => {
-                fed.ensure_workers();
-                let (reports, _, stats) = pool.run_federated(
-                    cells.len(),
-                    &fingerprint,
-                    &cost,
-                    cache,
-                    fed.claim_timing(),
-                    &run,
-                );
-                (reports, stats)
-            }
-            _ => pool.run(cells.len(), &fingerprint, &cost, self.cache(), &run),
-        };
+        let (reports, stats) = pool.run(cells.len(), &fingerprint, &cost, self.cache(), &run);
         let result = SweepResult {
             cells: cells
                 .iter()
@@ -702,11 +669,9 @@ mod tests {
             .fidelities(vec![FidelityMode::Nominal, FidelityMode::Stochastic]);
         let cells = grid.cells();
         let build = || {
-            RunPlan::build(
-                cells.len(),
-                &|i| grid.fingerprint(&cells[i]),
-                &|i| grid.cost_estimate(&cells[i]),
-            )
+            RunPlan::build(cells.len(), &|i| grid.fingerprint(&cells[i]), &|i| {
+                grid.cost_estimate(&cells[i])
+            })
         };
         let plan = build();
         assert_eq!(plan.unique_count(), 4);
@@ -750,22 +715,6 @@ mod tests {
         let json = serde_json::to_string(&cells[0].key).unwrap();
         let back: CellKey = serde_json::from_str(&json).unwrap();
         assert_eq!(cells[0].key, back);
-    }
-
-    #[test]
-    fn federated_coordinator_alone_matches_plain_run() {
-        // procs = 1 federates nothing; the claim protocol itself is
-        // covered by pool tests and tests/federated_sweep.rs drives real
-        // multi-process runs through the CLI binary.
-        let dir = std::env::temp_dir().join(format!("eva-sweep-fed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let grid = tiny_grid();
-        let plain = SweepRunner::new(2).run(&grid);
-        let fed = SweepRunner::new(2)
-            .with_federation(Federation::new(1), ReportCache::new(&dir))
-            .run(&grid);
-        assert_eq!(plain.to_json_pretty(), fed.to_json_pretty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -37,14 +37,10 @@ pub mod prelude {
     pub use eva_cloud::{Catalog, CloudProvider, DelayModel, FidelityMode};
     pub use eva_core::{EvaConfig, EvaScheduler, Plan, Scheduler, SchedulerContext, TaskSnapshot};
     pub use eva_sim::{
-        claim_stale_deadline, join_workers, run_recorded, run_simulation, serve, worker_role,
-        BackendKind, CacheStats, CellPool, ClusterSim, ExecBackend, FaultPlan,
-        FaultRegime, FaultSpec, Federation, LiveBackend, LiveOutcome, MergeReport,
-        MetricsRegistry, MetricsSnapshot,
-        PoolStats, PruneReport, ReportCache, SchedulerKind, ServeConfig, ServeOutcome,
-        SimBackend, SimConfig, SimReport,
-        SweepGrid, SweepResult, SweepRunner,
-        VerifyReport, SCHEMA_VERSION,
+        run_recorded, run_simulation, serve, BackendKind, CellPool, ClusterSim, ExecBackend,
+        FaultPlan, FaultRegime, FaultSpec, LiveBackend, LiveOutcome, MetricsRegistry,
+        MetricsSnapshot, PoolStats, ReportCache, SchedulerKind, ServeConfig, ServeOutcome,
+        SimBackend, SimConfig, SimReport, SweepGrid, SweepResult, SweepRunner, SCHEMA_VERSION,
     };
     pub use eva_types::{
         Cost, DemandSpec, InstanceId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,
@@ -52,7 +48,7 @@ pub mod prelude {
     };
     pub use eva_workloads::{
         AlibabaTraceConfig, BoundedSource, DurationModelChoice, InterferenceModel, JobSource,
-        JsonLinesSource, SyntheticSource,
-        SyntheticTraceConfig, Trace, TraceHandle, TraceSource, WorkloadCatalog,
+        JsonLinesSource, SyntheticSource, SyntheticTraceConfig, Trace, TraceHandle, TraceSource,
+        WorkloadCatalog,
     };
 }

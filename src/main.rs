@@ -8,24 +8,16 @@
 //!              [--period MINS] [--faults REGIME[:INTENSITY]] [--threads N]
 //! eva sweep    [--jobs N] [--rate JOBS_PER_HR] [--durations ...]
 //!              [--schedulers A,B,..] [--seeds S1,S2,..]
-//!              [--backend sim|live|sim,live] [--threads N] [--procs N]
+//!              [--backend sim|live|sim,live] [--threads N]
 //!              [--faults REGIME[:INTENSITY]]
 //!              [--cache] [--no-cache] [--cache-dir DIR]
 //!              [--period MINS] [--json FILE]
 //! eva serve    --source synthetic:RATE|trace:PATH|stdin
 //!              [--scheduler NAME] [--seed N] [--period MINS]
 //!              [--duration HOURS] [--metrics-every SECS] [--max-jobs N]
-//! eva cache    stats|verify [--cache-dir DIR]
-//! eva cache    prune [--max-age DAYS] [--keep-retired] [--cache-dir DIR]
-//! eva cache    import|merge SRC [--cache-dir DIR]
-//! eva cache    export DEST [--cache-dir DIR]
 //! eva workloads        # print the Table 7 workload catalog
 //! eva catalog          # print the 21-type AWS instance catalog
 //! ```
-//!
-//! `--procs N` federates the sweep over N processes claiming cells from
-//! the shared cache dir; merged output stays byte-identical to
-//! `--procs 1`.
 
 use std::process::ExitCode;
 
@@ -43,7 +35,6 @@ enum Command {
     Compare(SimArgs),
     Sweep(SweepArgs),
     Serve(ServeArgs),
-    Cache(CacheArgs),
     Workloads,
     Catalog,
     Help,
@@ -89,14 +80,10 @@ struct SweepArgs {
     seeds: Vec<u64>,
     backends: Vec<String>,
     /// Whether the persistent report cache is consulted (CLI default:
-    /// off; `--cache`, `--cache-dir`, or `--procs > 1` turns it on).
+    /// off; `--cache` or `--cache-dir` turns it on).
     cache: bool,
     /// Cache directory (`results/cache` when unset).
     cache_dir: Option<String>,
-    /// Total processes the sweep federates over (1 = in-process only).
-    /// `> 1` spawns `procs - 1` workers that claim cells from the shared
-    /// cache dir; the merged output is byte-identical either way.
-    procs: usize,
 }
 
 impl Default for SweepArgs {
@@ -114,7 +101,6 @@ impl Default for SweepArgs {
             backends: vec!["sim".into()],
             cache: false,
             cache_dir: None,
-            procs: 1,
         }
     }
 }
@@ -190,34 +176,6 @@ impl Default for ServeArgs {
     }
 }
 
-/// Arguments of the `cache` subcommand: a lifecycle action over a cache
-/// directory.
-#[derive(Debug, Clone, PartialEq)]
-struct CacheArgs {
-    action: CacheAction,
-    /// Cache directory the action applies to (`results/cache` default).
-    dir: String,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum CacheAction {
-    /// Entry/schema/producer breakdown.
-    Stats,
-    /// Re-hash entries against stored keys; report orphaned temps and
-    /// leftover claims. Exits non-zero unless the cache is clean.
-    Verify,
-    /// Remove retired-schema entries (unless `keep_retired`), entries
-    /// older than `max_age_days`, corrupt entries, and stale litter.
-    Prune {
-        max_age_days: Option<f64>,
-        keep_retired: bool,
-    },
-    /// Union a foreign cache dir into this one (`merge` is an alias).
-    Import { src: String },
-    /// Union this cache into a foreign dir.
-    Export { dest: String },
-}
-
 /// Parses arguments (exposed for testing).
 pub fn parse(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter();
@@ -226,7 +184,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         Some("compare") => Command::Compare(parse_sim_args(it, false)?.sim),
         Some("sweep") => Command::Sweep(parse_sim_args(it, true)?),
         Some("serve") => Command::Serve(parse_serve_args(it)?),
-        Some("cache") => Command::Cache(parse_cache_args(it)?),
         Some("workloads") => Command::Workloads,
         Some("catalog") => Command::Catalog,
         Some("help") | Some("--help") | Some("-h") | None => Command::Help,
@@ -240,7 +197,6 @@ fn parse_sim_args<'a>(
     sweep: bool,
 ) -> Result<SweepArgs, String> {
     let mut args = SweepArgs::default();
-    let mut no_cache = false;
     while let Some(flag) = it.next() {
         let mut value = || {
             it.next()
@@ -293,31 +249,14 @@ fn parse_sim_args<'a>(
             "--no-cache" if sweep => {
                 args.cache = false;
                 args.cache_dir = None;
-                no_cache = true;
             }
             "--cache-dir" if sweep => {
                 args.cache_dir = Some(value()?);
                 args.cache = true;
             }
-            "--procs" if sweep => {
-                args.procs = value()?.parse().map_err(|e| format!("--procs: {e}"))?;
-                if args.procs == 0 {
-                    return Err("--procs: must be at least 1".into());
-                }
-            }
             "--json" => args.sim.json = Some(value()?),
             other => return Err(format!("unknown flag `{other}`")),
         }
-    }
-    if args.procs > 1 {
-        if no_cache {
-            return Err(
-                "--procs: federated sweeps coordinate through the cache dir; drop --no-cache"
-                    .into(),
-            );
-        }
-        // Federation needs the cache as its coordination substrate.
-        args.cache = true;
     }
     Ok(args)
 }
@@ -368,72 +307,6 @@ fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Serv
     Ok(args)
 }
 
-fn parse_cache_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<CacheArgs, String> {
-    let action = it
-        .next()
-        .ok_or("cache needs an action: stats, verify, prune, import, merge, export")?;
-    let mut dir: Option<String> = None;
-    let mut operand: Option<String> = None;
-    let mut max_age_days: Option<f64> = None;
-    let mut keep_retired = false;
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--cache-dir" => dir = Some(value()?),
-            "--max-age" if action == "prune" => {
-                let days: f64 = value()?.parse().map_err(|e| format!("--max-age: {e}"))?;
-                if !(days.is_finite() && days > 0.0) {
-                    return Err("--max-age: must be a positive number of days".into());
-                }
-                max_age_days = Some(days);
-            }
-            "--keep-retired" if action == "prune" => keep_retired = true,
-            other if !other.starts_with('-') && operand.is_none() => {
-                operand = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let need_operand = |what: &str| {
-        operand
-            .clone()
-            .ok_or_else(|| format!("cache {action} needs a {what} directory"))
-    };
-    let action = match action.as_str() {
-        "stats" | "verify" | "prune" if operand.is_some() => {
-            return Err(format!(
-                "cache {action} takes no positional argument (got `{}`)",
-                operand.unwrap_or_default()
-            ))
-        }
-        "stats" => CacheAction::Stats,
-        "verify" => CacheAction::Verify,
-        "prune" => CacheAction::Prune {
-            max_age_days,
-            keep_retired,
-        },
-        "import" | "merge" => CacheAction::Import {
-            src: need_operand("source")?,
-        },
-        "export" => CacheAction::Export {
-            dest: need_operand("destination")?,
-        },
-        other => {
-            return Err(format!(
-                "unknown cache action `{other}` (stats, verify, prune, import, merge, export)"
-            ))
-        }
-    };
-    Ok(CacheArgs {
-        action,
-        dir: dir.unwrap_or_else(|| "results/cache".to_string()),
-    })
-}
-
 fn build_trace(args: &SimArgs) -> Result<Trace, String> {
     let durations = match args.durations.to_ascii_lowercase().as_str() {
         "alibaba" => DurationModelChoice::Alibaba,
@@ -459,10 +332,8 @@ fn run(cli: Cli) -> Result<(), String> {
                 "eva — cost-efficient cloud-based cluster scheduling (EuroSys '25 reproduction)\n\n\
                  USAGE:\n  eva simulate [--jobs N] [--rate J/HR] [--scheduler NAME] [--durations alibaba|gavel] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N] [--json FILE]\n  \
                  eva compare  [--jobs N] [--rate J/HR] [--durations ...] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N]\n  \
-                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--procs N] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
+                 eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
                  eva serve    --source synthetic:RATE|trace:PATH|stdin [--scheduler NAME] [--seed N] [--period MINS] [--duration HOURS] [--metrics-every SECS] [--max-jobs N]\n  \
-                 eva cache    stats|verify|prune [--max-age DAYS] [--keep-retired] [--cache-dir DIR]\n  \
-                 eva cache    import|merge SRC | export DEST [--cache-dir DIR]\n  \
                  eva workloads\n  eva catalog\n\n\
                  SCHEDULERS: {}\n  BACKENDS: {} (`--backend sim,live` adds a grid axis: live cells\n\
                  replay the schedule through the real master/worker runtime)\n  \
@@ -478,19 +349,7 @@ fn run(cli: Cli) -> Result<(), String> {
                  `--cache` / `--cache-dir DIR` memoize cell reports on disk (default\n\
                  DIR results/cache, shared with the exp_* binaries, keyed by trace\n\
                  content + all knobs + code schema version); a warm rerun simulates\n\
-                 zero cells. `--no-cache` is the CLI default.\n\n\
-                 `--procs N` federates the sweep over N processes: the coordinator\n\
-                 spawns N-1 workers that claim unclaimed cells longest-first via\n\
-                 atomic claim files in the cache dir, publish into the cache, and\n\
-                 exit; the coordinator merges in cell order, so results and --json\n\
-                 bytes are identical to --procs 1. Claims are stealable after\n\
-                 EVA_CLAIM_STALE_SECS (600) — a killed worker never wedges a run.\n\
-                 Implies --cache. `eva cache` manages the dir: stats/verify audit\n\
-                 entries (re-hash against stored keys, report orphaned temps and\n\
-                 claims), prune removes retired-schema/over-age/corrupt entries,\n\
-                 import/merge/export union cache dirs (e.g. rsync'd from another\n\
-                 host). Entries carry a `producer` stamp naming the binary that\n\
-                 first computed each cell.",
+                 zero cells. `--no-cache` is the CLI default.",
                 SchedulerKind::names().join(", "),
                 BackendKind::names().join(", "),
                 FaultRegime::names().join(", ")
@@ -569,26 +428,16 @@ fn run(cli: Cli) -> Result<(), String> {
                     .cache_dir
                     .clone()
                     .unwrap_or_else(|| "results/cache".to_string());
-                let cache = ReportCache::new(dir);
-                runner = if args.procs > 1 || worker_role() {
-                    runner.with_federation(Federation::new(args.procs), cache)
-                } else {
-                    runner.with_cache(cache)
-                };
+                runner = runner.with_cache(ReportCache::new(dir));
             }
             println!(
-                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs) on {} threads{}...",
+                "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs) on {} threads...",
                 grid.cell_count(),
                 args.schedulers.len(),
                 args.seeds.len(),
                 args.backends.len(),
                 args.sim.jobs,
                 runner.threads(),
-                if args.procs > 1 {
-                    format!(" × {} federated procs", args.procs)
-                } else {
-                    String::new()
-                }
             );
             let (result, stats) = runner.run_with_stats(&grid);
             println!("cells: {}", stats.summary());
@@ -603,18 +452,12 @@ fn run(cli: Cli) -> Result<(), String> {
                 );
             }
             if let Some(path) = args.sim.json {
-                // Federation workers inherit the coordinator's argv; the
-                // coordinator alone owns the artifact file.
-                if !worker_role() {
-                    std::fs::write(&path, result.to_json_pretty())
-                        .map_err(|e| format!("write {path}: {e}"))?;
-                    println!("saved {path}");
-                }
+                std::fs::write(&path, result.to_json_pretty())
+                    .map_err(|e| format!("write {path}: {e}"))?;
+                println!("saved {path}");
             }
-            join_workers();
         }
         Command::Serve(args) => run_serve(args)?,
-        Command::Cache(args) => run_cache(args)?,
     }
     Ok(())
 }
@@ -642,14 +485,10 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
             format!("synthetic open-loop at {rate_per_hour} jobs/h"),
         ),
         ServeSource::Trace { path } => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let trace = Trace::from_json(&text).map_err(|e| format!("parse {path}: {e}"))?;
             let label = format!("trace {path} ({} jobs)", trace.len());
-            (
-                Box::new(TraceSource::new(TraceHandle::new(trace))),
-                label,
-            )
+            (Box::new(TraceSource::new(TraceHandle::new(trace))), label)
         }
         ServeSource::Stdin => (
             Box::new(JsonLinesSource::new(std::io::BufReader::new(
@@ -679,108 +518,14 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     eprintln!(
         "drained: {} jobs ingested, {} dropped as unschedulable, {} lines rejected, \
          {} rolling metrics line(s), peak {} arena job rows",
-        outcome.jobs_ingested, outcome.jobs_dropped, outcome.lines_rejected, outcome.metrics_lines,
+        outcome.jobs_ingested,
+        outcome.jobs_dropped,
+        outcome.lines_rejected,
+        outcome.metrics_lines,
         outcome.peak_job_rows
     );
     eprintln!("{}", outcome.report.table_row(None));
     Ok(())
-}
-
-/// The `eva cache` lifecycle actions. Opens the dir without the
-/// usual on-open temp sweep ([`ReportCache::with_schema`]) so `stats` and
-/// `verify` report orphaned litter instead of silently removing it.
-fn run_cache(args: CacheArgs) -> Result<(), String> {
-    let cache = ReportCache::with_schema(&args.dir, SCHEMA_VERSION);
-    let stale = claim_stale_deadline();
-    match args.action {
-        CacheAction::Stats => {
-            let stats = cache.stats();
-            println!(
-                "cache {}: {} entries ({} current {}), {:.1} KiB",
-                args.dir,
-                stats.entries,
-                stats.current_schema,
-                SCHEMA_VERSION,
-                stats.bytes as f64 / 1024.0
-            );
-            for (schema, n) in &stats.schemas {
-                println!("  schema   {schema:<24} {n}");
-            }
-            for (producer, n) in &stats.producers {
-                println!("  producer {producer:<24} {n}");
-            }
-            if stats.temps > 0 || stats.claims > 0 {
-                println!("  litter: {} temp(s), {} claim(s)", stats.temps, stats.claims);
-            }
-        }
-        CacheAction::Verify => {
-            let report = cache.verify(stale);
-            println!(
-                "verified {} entries: {} valid ({} retired-schema), {} issue(s)",
-                report.entries,
-                report.valid,
-                report.retired,
-                report.issues.len()
-            );
-            for issue in &report.issues {
-                println!("  issue {}: {}", issue.file, issue.problem);
-            }
-            for temp in &report.temps {
-                println!("  orphaned temp {temp}");
-            }
-            for claim in &report.claims {
-                println!("  claim {claim}");
-            }
-            if !report.clean() {
-                return Err("cache verify: not clean".into());
-            }
-            println!("cache verify: clean");
-        }
-        CacheAction::Prune {
-            max_age_days,
-            keep_retired,
-        } => {
-            let max_age = max_age_days
-                .map(|days| std::time::Duration::from_secs_f64(days * 86_400.0));
-            let report = cache.prune(max_age, !keep_retired, stale);
-            println!(
-                "pruned: {} retired, {} over-age, {} corrupt, {} temp(s), {} claim(s); {} kept",
-                report.removed_retired,
-                report.removed_old,
-                report.removed_corrupt,
-                report.removed_temps,
-                report.removed_claims,
-                report.kept
-            );
-        }
-        CacheAction::Import { src } => {
-            let report = cache.merge_from(std::path::Path::new(&src));
-            print_merge(&format!("imported {src} into {}", args.dir), &report);
-        }
-        CacheAction::Export { dest } => {
-            let report = cache.export_to(std::path::Path::new(&dest));
-            print_merge(&format!("exported {} into {dest}", args.dir), &report);
-        }
-    }
-    Ok(())
-}
-
-fn print_merge(what: &str, report: &MergeReport) {
-    println!(
-        "{what}: {} imported, {} identical, {} equivalent, {} conflicting, {} invalid",
-        report.imported,
-        report.skipped_identical,
-        report.skipped_equivalent,
-        report.conflicting,
-        report.invalid
-    );
-    if report.conflicting > 0 {
-        eprintln!(
-            "warning: {} entr{} disagree about the same content key — kept the local copies",
-            report.conflicting,
-            if report.conflicting == 1 { "y" } else { "ies" }
-        );
-    }
 }
 
 fn main() -> ExitCode {
@@ -844,10 +589,7 @@ mod tests {
         let Command::Serve(args) = cli.command else {
             panic!()
         };
-        assert_eq!(
-            args.source,
-            ServeSource::Synthetic { rate_per_hour: 6.5 }
-        );
+        assert_eq!(args.source, ServeSource::Synthetic { rate_per_hour: 6.5 });
         assert_eq!(args.scheduler, "stratus");
         assert_eq!(args.seed, 3);
         assert_eq!(args.period_mins, 10.0);
@@ -878,10 +620,7 @@ mod tests {
         let Command::Serve(args) = cli.command else {
             panic!()
         };
-        assert_eq!(
-            args.source,
-            ServeSource::Synthetic { rate_per_hour: 3.0 }
-        );
+        assert_eq!(args.source, ServeSource::Synthetic { rate_per_hour: 3.0 });
         assert_eq!(args.duration_hours, None);
     }
 
@@ -910,6 +649,10 @@ mod tests {
         // Axis flags are sweep-only.
         assert!(parse(&argv("simulate --schedulers eva,owl")).is_err());
         assert!(parse(&argv("sweep --scheduler eva")).is_err());
+        // There is no `--procs` flag and no `cache` command: both fail
+        // with a message rather than being ignored.
+        assert!(parse(&argv("sweep --procs 2")).is_err());
+        assert!(parse(&argv("cache stats")).is_err());
     }
 
     #[test]
@@ -935,7 +678,10 @@ mod tests {
         assert!(parse(&argv("sweep --schedulers eva,slurm")).is_err());
         assert!(parse(&argv("sweep --seeds 1,x")).is_err());
         assert!(parse(&argv("sweep --backend hardware")).is_err());
-        assert!(parse(&argv("simulate --backend live")).is_err(), "sweep-only");
+        assert!(
+            parse(&argv("simulate --backend live")).is_err(),
+            "sweep-only"
+        );
     }
 
     #[test]
@@ -958,8 +704,9 @@ mod tests {
         assert!(cached.cache);
         assert!(cached.cache_dir.is_none());
 
-        let Command::Sweep(off) =
-            parse(&argv("sweep --cache-dir /tmp/c --no-cache")).unwrap().command
+        let Command::Sweep(off) = parse(&argv("sweep --cache-dir /tmp/c --no-cache"))
+            .unwrap()
+            .command
         else {
             panic!()
         };
@@ -968,93 +715,6 @@ mod tests {
         // Sweep-only flags are rejected elsewhere; bad values error.
         assert!(parse(&argv("simulate --cache")).is_err());
         assert!(parse(&argv("sweep --cache-dir")).is_err());
-    }
-
-    #[test]
-    fn parses_procs_flag() {
-        let Command::Sweep(args) = parse(&argv("sweep --procs 3")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(args.procs, 3);
-        assert!(args.cache, "--procs > 1 implies the cache");
-        let Command::Sweep(one) = parse(&argv("sweep --procs 1")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(one.procs, 1);
-        assert!(!one.cache, "--procs 1 leaves caching opt-in");
-        let Command::Sweep(plain) = parse(&argv("sweep")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(plain.procs, 1);
-        assert!(parse(&argv("sweep --procs 0")).is_err());
-        assert!(parse(&argv("sweep --procs abc")).is_err());
-        assert!(parse(&argv("simulate --procs 2")).is_err(), "sweep-only");
-        // Federation coordinates through the cache dir.
-        assert!(parse(&argv("sweep --procs 2 --no-cache")).is_err());
-        assert!(parse(&argv("sweep --no-cache --procs 2")).is_err());
-    }
-
-    #[test]
-    fn parses_cache_subcommand() {
-        let Command::Cache(stats) = parse(&argv("cache stats")).unwrap().command else {
-            panic!()
-        };
-        assert_eq!(stats.action, CacheAction::Stats);
-        assert_eq!(stats.dir, "results/cache");
-
-        let Command::Cache(verify) =
-            parse(&argv("cache verify --cache-dir /tmp/c")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(verify.action, CacheAction::Verify);
-        assert_eq!(verify.dir, "/tmp/c");
-
-        let Command::Cache(prune) =
-            parse(&argv("cache prune --max-age 30 --keep-retired")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(
-            prune.action,
-            CacheAction::Prune {
-                max_age_days: Some(30.0),
-                keep_retired: true
-            }
-        );
-
-        let Command::Cache(import) = parse(&argv("cache import /tmp/other")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(
-            import.action,
-            CacheAction::Import {
-                src: "/tmp/other".into()
-            }
-        );
-        let Command::Cache(merge) = parse(&argv("cache merge /tmp/other")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(merge.action, import.action, "merge is an alias of import");
-        let Command::Cache(export) = parse(&argv("cache export /tmp/dest")).unwrap().command
-        else {
-            panic!()
-        };
-        assert_eq!(
-            export.action,
-            CacheAction::Export {
-                dest: "/tmp/dest".into()
-            }
-        );
-
-        assert!(parse(&argv("cache")).is_err());
-        assert!(parse(&argv("cache shred")).is_err());
-        assert!(parse(&argv("cache import")).is_err(), "import needs a dir");
-        assert!(parse(&argv("cache stats extra")).is_err());
-        assert!(parse(&argv("cache prune --max-age 0")).is_err());
-        assert!(parse(&argv("cache stats --max-age 3")).is_err(), "prune-only");
     }
 
     #[test]
@@ -1093,7 +753,10 @@ mod tests {
             "sweep --faults",
         ] {
             let err = parse(&argv(bad)).unwrap_err();
-            assert!(err.contains("--faults") || err.contains("faults"), "{bad} → {err}");
+            assert!(
+                err.contains("--faults") || err.contains("faults"),
+                "{bad} → {err}"
+            );
         }
     }
 

@@ -18,7 +18,10 @@ fn workloads_subcommand_prints_table7() {
     assert!(!stdout.trim().is_empty());
     // The Table 7 catalog spans ML training and scientific computing.
     assert!(stdout.contains("GPT2"), "missing GPT2 in:\n{stdout}");
-    assert!(stdout.contains("OpenFOAM"), "missing OpenFOAM in:\n{stdout}");
+    assert!(
+        stdout.contains("OpenFOAM"),
+        "missing OpenFOAM in:\n{stdout}"
+    );
 }
 
 #[test]
@@ -30,7 +33,10 @@ fn catalog_subcommand_prints_aws_types() {
     // The 21-type AWS evaluation catalog covers GPU and CPU families.
     assert!(stdout.contains("p3."), "missing p3 family in:\n{stdout}");
     assert!(stdout.contains("c7i."), "missing c7i family in:\n{stdout}");
-    assert!(stdout.contains("/hr"), "missing hourly prices in:\n{stdout}");
+    assert!(
+        stdout.contains("/hr"),
+        "missing hourly prices in:\n{stdout}"
+    );
 }
 
 #[test]
@@ -38,7 +44,7 @@ fn help_lists_every_subcommand() {
     let out = run_eva(&["help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for cmd in ["simulate", "compare", "sweep", "workloads", "catalog", "cache"] {
+    for cmd in ["simulate", "compare", "sweep", "workloads", "catalog"] {
         assert!(stdout.contains(cmd), "help does not mention `{cmd}`");
     }
     for flag in [
@@ -49,7 +55,6 @@ fn help_lists_every_subcommand() {
         "--cache",
         "--no-cache",
         "--cache-dir",
-        "--procs",
     ] {
         assert!(stdout.contains(flag), "help does not mention `{flag}`");
     }
@@ -74,7 +79,13 @@ fn simulate_small_trace_reports_cost() {
 #[test]
 fn simulate_accepts_period_and_threads() {
     let out = run_eva(&[
-        "simulate", "--jobs", "6", "--period", "10", "--threads", "2",
+        "simulate",
+        "--jobs",
+        "6",
+        "--period",
+        "10",
+        "--threads",
+        "2",
     ]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     let stdout = String::from_utf8(out.stdout).unwrap();
@@ -128,7 +139,10 @@ fn sweep_runs_grid_and_writes_stable_json() {
     assert!(out_a.status.success(), "exit: {:?}", out_a.status);
     let stdout = String::from_utf8(out_a.stdout).unwrap();
     assert!(stdout.contains("4 cells"), "cell count missing:\n{stdout}");
-    assert!(stdout.contains("stratus"), "per-cell rows missing:\n{stdout}");
+    assert!(
+        stdout.contains("stratus"),
+        "per-cell rows missing:\n{stdout}"
+    );
 
     let out_b = run_eva(&args_b);
     assert!(out_b.status.success(), "exit: {:?}", out_b.status);
