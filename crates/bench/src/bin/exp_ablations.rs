@@ -17,6 +17,7 @@ use eva_sim::{SchedulerKind, SweepGrid};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Ablations ==");
     let mut tc = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     tc.num_jobs = if is_full_scale() { 6_274 } else { 1200 };

@@ -8,6 +8,7 @@
 use eva_workloads::{InterferenceModel, WorkloadCatalog};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Figure 1: co-location throughput matrix ==");
     let catalog = WorkloadCatalog::table7();
     let model = InterferenceModel::measured(&catalog);

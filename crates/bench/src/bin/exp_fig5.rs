@@ -11,6 +11,7 @@ use eva_sim::{run_simulation, SchedulerKind, SimConfig, SweepGrid};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Figure 5: migration-delay sweep ==");
     let mut tc = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     tc.num_jobs = if is_full_scale() { 6_274 } else { 1000 };

@@ -11,6 +11,7 @@ use eva_sim::{SchedulerKind, SweepGrid};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice, MultiGpuMix};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Figure 6: multi-GPU job proportion sweep ==");
     let mut tc = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     tc.num_jobs = if is_full_scale() { 6_274 } else { 1000 };

@@ -10,6 +10,7 @@ use eva_sim::{SchedulerKind, SweepGrid};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice, MultiTaskMix};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Figure 7: multi-task job proportion sweep ==");
     let mut tc = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     tc.num_jobs = if is_full_scale() { 6_274 } else { 800 };

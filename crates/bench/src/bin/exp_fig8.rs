@@ -10,6 +10,7 @@ use eva_sim::SweepGrid;
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Figure 8: arrival-rate sweep ==");
     let rates = [0.5, 1.0, 2.0, 3.0];
     let trace_for = |rate: f64| {

@@ -17,6 +17,7 @@ fn stats(label: &str, secs: &[f64]) {
 }
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 1: reconfiguration delays ==");
     let model = DelayModel::table1(FidelityMode::Stochastic);
     let mut rng = StdRng::seed_from_u64(1);

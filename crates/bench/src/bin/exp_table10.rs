@@ -10,6 +10,7 @@ use eva_sim::SchedulerKind;
 use eva_workloads::SyntheticTraceConfig;
 
 fn main() {
+    eva_bench::parse_flags();
     let trace = SyntheticTraceConfig::large_scale().generate(10);
     let kinds = vec![
         SchedulerKind::NoPacking,

@@ -56,6 +56,7 @@ impl RobustnessRow {
 }
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 12: control-plane robustness (sim vs live under adversarial faults) ==");
     let trace = SyntheticTraceConfig::small_scale().generate(12);
 

@@ -4,6 +4,7 @@ use eva_bench::{is_full_scale, run_and_print, save_json, scheduler_set};
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice};
 
 fn main() {
+    eva_bench::parse_flags();
     let mut cfg = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     if !is_full_scale() {
         cfg.num_jobs = 2000;

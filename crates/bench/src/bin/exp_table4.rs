@@ -71,6 +71,7 @@ fn run_trial(trial: usize, tasks_per_trial: usize, time_limit: Duration) -> Tabl
 }
 
 fn main() {
+    eva_bench::parse_flags();
     let trials = if is_full_scale() { 30 } else { 10 };
     let tasks_per_trial = 200;
     let time_limit = if is_full_scale() {

@@ -47,6 +47,7 @@ fn time_full_reconfiguration(n: usize) -> Table5Row {
 }
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 5: Full Reconfiguration runtime ==");
     let sizes: &[usize] = if is_full_scale() {
         &[1000, 2000, 4000, 8000]

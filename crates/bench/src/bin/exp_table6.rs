@@ -47,6 +47,7 @@ fn gang_trace(seed: u64, num_jobs: usize) -> Trace {
 }
 
 fn main() {
+    eva_bench::parse_flags();
     let trials = if is_full_scale() { 10 } else { 4 };
     let jobs = if is_full_scale() { 100 } else { 60 };
     println!("== Table 6: multi-task job scheduling ({trials} trials × {jobs} 4-task jobs) ==");

@@ -3,6 +3,7 @@
 use eva_workloads::WorkloadCatalog;
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 7: evaluated workloads ==");
     println!(
         "{:<12} {:<28} {:>4} {:>9} {:>8} {:>6} {:>7} {:>6}",

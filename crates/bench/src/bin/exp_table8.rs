@@ -3,6 +3,7 @@
 use eva_workloads::{AlibabaTraceConfig, DurationModelChoice, TABLE8_GPU_MIX};
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 8: job composition by GPU demand ==");
     let mut cfg = AlibabaTraceConfig::full(DurationModelChoice::Alibaba);
     cfg.num_jobs = 50_000; // Large sample for tight percentages.

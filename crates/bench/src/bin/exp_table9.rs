@@ -21,6 +21,7 @@ fn row(name: &str, hours: &mut [f64], paper: [f64; 4]) {
 }
 
 fn main() {
+    eva_bench::parse_flags();
     println!("== Table 9: job duration models ==");
     let n = 200_000;
     let mut rng = StdRng::seed_from_u64(9);

@@ -27,11 +27,15 @@
 //! whole grid under that injected regime — no per-experiment code, the
 //! harness sets the grid's fault axis. Fault-plan fingerprints are part
 //! of every cache key, so faulted and fault-free cells never alias.
+//! Both are parsed once, by [`parse_flags`], which every binary calls
+//! first: a flag without its value or an unknown regime exits 2 before
+//! anything is printed.
 //!
 //! Solver-level micro-benchmarks (tables 4–6) share the same cell
 //! machinery through [`solver::SolverSweep`].
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use eva_sim::{
     FaultSpec, PoolStats, ReportCache, SchedulerKind, SimReport, SweepGrid, SweepResult,
@@ -60,47 +64,71 @@ pub fn default_cache_dir() -> PathBuf {
     results_dir().join("cache")
 }
 
-/// Resolves the shared cache flags (`--cache`, `--no-cache`,
-/// `--cache-dir DIR`, env `EVA_CACHE_DIR`) from this process's argument
-/// list. Caching defaults to **on** under [`default_cache_dir`]; `None`
-/// means `--no-cache` was passed. A `--cache-dir` without a value aborts
-/// the binary with a flag-style error.
-pub fn cache_setting() -> Option<ReportCache> {
-    match cache_setting_from(std::env::args().skip(1)) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("error: --cache-dir: {e}");
-            std::process::exit(2);
+/// The flags every `exp_*` binary shares, parsed once by [`parse_flags`].
+#[derive(Debug)]
+struct SharedFlags {
+    /// The report cache's directory; `None` under `--no-cache`.
+    cache_dir: Option<PathBuf>,
+    /// The injected fault regime; `None` is fault-free, the default.
+    faults: Option<FaultSpec>,
+}
+
+impl SharedFlags {
+    /// Reads the shared flags from `args`, falling back on `EVA_CACHE_DIR`
+    /// and `EVA_FAULTS`. Caching defaults to **on** under
+    /// [`default_cache_dir`]; `--cache-dir` re-enables it after
+    /// `--no-cache`. Unrecognized arguments are ignored.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<SharedFlags, String> {
+        let (mut enabled, mut dir, mut faults) = (true, None, None);
+        let mut it = args.into_iter();
+        while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or(format!("{arg}: the flag needs a value"));
+            match arg.as_str() {
+                "--no-cache" => enabled = false,
+                "--cache" => enabled = true,
+                "--cache-dir" => {
+                    dir = Some(PathBuf::from(value()?));
+                    enabled = true;
+                }
+                "--faults" => faults = Some(value()?),
+                _ => {}
+            }
         }
+        let dir = dir.or_else(|| std::env::var("EVA_CACHE_DIR").ok().map(PathBuf::from));
+        let faults = faults.or_else(|| std::env::var("EVA_FAULTS").ok());
+        Ok(SharedFlags {
+            faults: faults
+                .map(|v| FaultSpec::parse(&v).map_err(|e| format!("--faults: {e}")))
+                .transpose()?,
+            cache_dir: enabled.then(|| dir.unwrap_or_else(default_cache_dir)),
+        })
     }
 }
 
-/// [`cache_setting`] over an explicit argument list (testable form).
-/// Unrecognized arguments are ignored — binaries with their own flags
-/// keep working.
-pub fn cache_setting_from(
-    args: impl IntoIterator<Item = String>,
-) -> Result<Option<ReportCache>, String> {
-    let mut enabled = true;
-    let mut dir: Option<PathBuf> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-cache" => enabled = false,
-            "--cache" => enabled = true,
-            "--cache-dir" => {
-                dir = Some(it.next().ok_or("the flag needs a value")?.into());
-                enabled = true;
-            }
-            _ => {}
-        }
-    }
-    if dir.is_none() {
-        if let Ok(env_dir) = std::env::var("EVA_CACHE_DIR") {
-            dir = Some(PathBuf::from(env_dir));
-        }
-    }
-    Ok(enabled.then(|| ReportCache::new(dir.unwrap_or_else(default_cache_dir))))
+static FLAGS: OnceLock<SharedFlags> = OnceLock::new();
+
+fn flags() -> &'static SharedFlags {
+    FLAGS.get_or_init(|| {
+        SharedFlags::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Parses this process's shared flags: `--cache`, `--no-cache`,
+/// `--cache-dir DIR` (env `EVA_CACHE_DIR`) and `--faults
+/// REGIME[:INTENSITY]` (env `EVA_FAULTS`). Every `exp_*` binary calls it
+/// first, so a flag without its value or an unknown regime exits 2
+/// before anything is printed; everything else reads the same parse.
+pub fn parse_flags() {
+    flags();
+}
+
+/// The persistent report cache the shared flags select; `None` under
+/// `--no-cache`.
+pub fn cache_setting() -> Option<ReportCache> {
+    flags().cache_dir.clone().map(ReportCache::new)
 }
 
 /// The sweep runner every experiment binary shares: `EVA_THREADS`
@@ -113,38 +141,9 @@ pub fn runner() -> SweepRunner {
     }
 }
 
-/// Resolves the shared `--faults REGIME[:INTENSITY]` flag (env
-/// equivalent `EVA_FAULTS`) from this process's argument list. `None`
-/// means fault-free — the default. Invalid regimes or intensities abort
-/// the binary with a flag-style error.
+/// The shared `--faults` setting; `None` means fault-free, the default.
 pub fn faults_setting() -> Option<FaultSpec> {
-    match faults_setting_from(std::env::args().skip(1)) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: --faults: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// [`faults_setting`] over an explicit argument list (testable form).
-/// Unrecognized arguments are ignored, like [`cache_setting_from`].
-pub fn faults_setting_from(
-    args: impl IntoIterator<Item = String>,
-) -> Result<Option<FaultSpec>, String> {
-    let mut value: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        if arg == "--faults" {
-            value = Some(it.next().ok_or("the flag needs a value")?);
-        }
-    }
-    if value.is_none() {
-        if let Ok(env) = std::env::var("EVA_FAULTS") {
-            value = Some(env);
-        }
-    }
-    value.map(|v| FaultSpec::parse(&v)).transpose()
+    flags().faults
 }
 
 /// Applies the process's `--faults` setting to `grid` as the fault axis,
@@ -280,41 +279,45 @@ mod tests {
         assert!(dir.exists());
     }
 
+    fn parse(v: &[&str]) -> Result<SharedFlags, String> {
+        SharedFlags::parse(v.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn fault_flags_resolve() {
         use eva_sim::FaultRegime;
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        let storm = faults_setting_from(args(&["--faults", "preempt-storm:2"]))
+        let storm = parse(&["--faults", "preempt-storm:2"])
             .unwrap()
+            .faults
             .unwrap();
         assert_eq!(storm.regime, FaultRegime::PreemptStorm);
         assert_eq!(storm.intensity, 2.0);
         assert_eq!(
-            faults_setting_from(args(&["--faults", "none"])).unwrap(),
+            parse(&["--faults", "none"]).unwrap().faults,
             Some(FaultSpec::none())
         );
         // Bad regimes and a missing value are flag errors.
-        assert!(faults_setting_from(args(&["--faults", "meteor"])).is_err());
-        assert!(faults_setting_from(args(&["--faults"])).is_err());
+        assert!(parse(&["--faults", "meteor"]).is_err());
+        assert!(parse(&["--faults"]).is_err());
         if std::env::var("EVA_FAULTS").is_err() {
-            assert_eq!(faults_setting_from(args(&["--jobs", "5"])).unwrap(), None);
+            assert_eq!(parse(&["--jobs", "5"]).unwrap().faults, None);
         }
     }
 
     #[test]
     fn cache_flags_resolve() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<String>>();
-        assert!(cache_setting_from(args(&["--no-cache"])).unwrap().is_none());
-        let explicit = cache_setting_from(args(&["--cache-dir", "/tmp/eva-x"])).unwrap();
-        assert_eq!(explicit.unwrap().dir(), std::path::Path::new("/tmp/eva-x"));
+        assert!(parse(&["--no-cache"]).unwrap().cache_dir.is_none());
+        let explicit = parse(&["--cache-dir", "/tmp/eva-x"]).unwrap().cache_dir;
+        assert_eq!(explicit.unwrap(), std::path::Path::new("/tmp/eva-x"));
         // --cache-dir re-enables caching even after --no-cache.
-        let reenabled = cache_setting_from(args(&["--no-cache", "--cache-dir", "/tmp/y"]));
-        assert!(reenabled.unwrap().is_some());
+        let reenabled = parse(&["--no-cache", "--cache-dir", "/tmp/y"]).unwrap();
+        assert!(reenabled.cache_dir.is_some());
         // A trailing --cache-dir is a flag error, not the default dir.
-        assert!(cache_setting_from(args(&["--jobs", "5", "--cache-dir"])).is_err());
+        let err = parse(&["--jobs", "5", "--cache-dir"]).unwrap_err();
+        assert_eq!(err, "--cache-dir: the flag needs a value");
         if std::env::var("EVA_CACHE_DIR").is_err() {
-            let default = cache_setting_from(args(&["--jobs", "5"])).unwrap().unwrap();
-            assert!(default.dir().ends_with("cache"), "{:?}", default.dir());
+            let default = parse(&["--jobs", "5"]).unwrap().cache_dir.unwrap();
+            assert!(default.ends_with("cache"), "{default:?}");
         }
     }
 }

@@ -8,8 +8,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 
 use eva_types::TaskId;
 
@@ -24,12 +23,12 @@ pub trait TaskProgram: Send + 'static {
 
     /// Serializes program state (the runtime stores the iteration position
     /// separately).
-    fn checkpoint(&self) -> Bytes {
-        Bytes::new()
+    fn checkpoint(&self) -> Vec<u8> {
+        Vec::new()
     }
 
     /// Restores program state from a checkpoint blob.
-    fn restore(&mut self, _blob: &Bytes) {}
+    fn restore(&mut self, _blob: &[u8]) {}
 }
 
 /// Internal completion record delivered to the owning worker.
@@ -41,7 +40,7 @@ pub struct ContainerExit {
     pub exit: TaskExit,
     /// Position + program state: resumable checkpoint when checkpointed,
     /// final-state snapshot when finished.
-    pub checkpoint: Option<Bytes>,
+    pub checkpoint: Option<Vec<u8>>,
     /// Iterations completed in total (including restored position).
     pub completed: u64,
 }
@@ -54,21 +53,20 @@ pub struct Container {
 }
 
 /// Encodes a checkpoint: little-endian position followed by program bytes.
-pub fn encode_checkpoint(position: u64, program: &Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + program.len());
-    buf.put_u64_le(position);
+pub fn encode_checkpoint(position: u64, program: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + program.len());
+    buf.extend_from_slice(&position.to_le_bytes());
     buf.extend_from_slice(program);
-    buf.freeze()
+    buf
 }
 
-/// Decodes a checkpoint into `(position, program bytes)`.
-pub fn decode_checkpoint(blob: &Bytes) -> (u64, Bytes) {
-    if blob.len() < 8 {
-        return (0, Bytes::new());
+/// Decodes a checkpoint into `(position, program bytes)`, borrowing the
+/// program bytes from `blob`.
+pub fn decode_checkpoint(blob: &[u8]) -> (u64, &[u8]) {
+    match blob.split_first_chunk::<8>() {
+        Some((position, program)) => (u64::from_le_bytes(*position), program),
+        None => (0, &[]),
     }
-    let mut pos_bytes = [0u8; 8];
-    pos_bytes.copy_from_slice(&blob[..8]);
-    (u64::from_le_bytes(pos_bytes), blob.slice(8..))
 }
 
 impl Container {
@@ -88,7 +86,7 @@ impl Container {
         total_iterations: u64,
         run_until: Option<u64>,
         mut program: Box<dyn TaskProgram>,
-        checkpoint: Option<Bytes>,
+        checkpoint: Option<Vec<u8>>,
         exits: Sender<E>,
     ) -> Self {
         let control = IteratorControl::new();
@@ -102,7 +100,7 @@ impl Container {
             let position = match &checkpoint {
                 Some(blob) => {
                     let (pos, state) = decode_checkpoint(blob);
-                    program.restore(&state);
+                    program.restore(state);
                     pos
                 }
                 None => 0,
@@ -182,8 +180,8 @@ impl Drop for Container {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use eva_types::JobId;
+    use std::sync::mpsc::channel;
 
     struct Summer {
         total: u64,
@@ -194,11 +192,11 @@ mod tests {
             self.total += iteration;
         }
 
-        fn checkpoint(&self) -> Bytes {
-            Bytes::copy_from_slice(&self.total.to_le_bytes())
+        fn checkpoint(&self) -> Vec<u8> {
+            self.total.to_le_bytes().to_vec()
         }
 
-        fn restore(&mut self, blob: &Bytes) {
+        fn restore(&mut self, blob: &[u8]) {
             if blob.len() == 8 {
                 let mut b = [0u8; 8];
                 b.copy_from_slice(blob);
@@ -213,14 +211,14 @@ mod tests {
 
     #[test]
     fn container_runs_to_completion() {
-        let (tx, rx) = unbounded::<ContainerExit>();
+        let (tx, rx) = channel::<ContainerExit>();
         let c = Container::launch(tid(), 100, None, Box::new(Summer { total: 0 }), None, tx);
         let exit = rx.recv().unwrap();
         c.join();
         assert_eq!(exit.exit, TaskExit::Finished);
         assert_eq!(exit.completed, 100);
         // Finished exits snapshot the final program state.
-        let (pos, state) = decode_checkpoint(&exit.checkpoint.unwrap());
+        let (pos, state) = decode_checkpoint(exit.checkpoint.as_deref().unwrap());
         assert_eq!(pos, 100);
         assert_eq!(state.len(), 8);
         let expected: u64 = (0..100).sum();
@@ -229,7 +227,7 @@ mod tests {
 
     #[test]
     fn bounded_segment_checkpoints_at_exact_iteration() {
-        let (tx, rx) = unbounded::<ContainerExit>();
+        let (tx, rx) = channel::<ContainerExit>();
         let c = Container::launch(
             tid(),
             1_000_000,
@@ -262,14 +260,14 @@ mod tests {
         c2.join();
         assert_eq!(exit2.exit, TaskExit::Finished);
         assert_eq!(exit2.completed, 100);
-        let (_, state2) = decode_checkpoint(&exit2.checkpoint.unwrap());
+        let (_, state2) = decode_checkpoint(exit2.checkpoint.as_deref().unwrap());
         let full: u64 = (0..100).sum();
         assert_eq!(u64::from_le_bytes(state2[..8].try_into().unwrap()), full);
     }
 
     #[test]
     fn checkpoint_restore_round_trip() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         // A program slow enough to interrupt mid-flight.
         struct Slow(Summer);
         impl TaskProgram for Slow {
@@ -277,10 +275,10 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 self.0.step(i);
             }
-            fn checkpoint(&self) -> Bytes {
+            fn checkpoint(&self) -> Vec<u8> {
                 self.0.checkpoint()
             }
-            fn restore(&mut self, blob: &Bytes) {
+            fn restore(&mut self, blob: &[u8]) {
                 self.0.restore(blob);
             }
         }
@@ -304,7 +302,7 @@ mod tests {
 
         // Resume: the restored container finishes the remaining work and
         // the final sum matches an uninterrupted run.
-        let (tx2, rx2) = unbounded::<ContainerExit>();
+        let (tx2, rx2) = channel::<ContainerExit>();
         let c2 = Container::launch(
             tid(),
             10_000,
@@ -321,7 +319,7 @@ mod tests {
 
     #[test]
     fn stop_without_checkpoint() {
-        let (tx, rx) = unbounded::<ContainerExit>();
+        let (tx, rx) = channel::<ContainerExit>();
         struct Slow;
         impl TaskProgram for Slow {
             fn step(&mut self, _: u64) {
@@ -339,14 +337,11 @@ mod tests {
 
     #[test]
     fn checkpoint_codec_round_trip() {
-        let blob = encode_checkpoint(42, &Bytes::from_static(b"state"));
+        let blob = encode_checkpoint(42, b"state");
         let (pos, state) = decode_checkpoint(&blob);
         assert_eq!(pos, 42);
-        assert_eq!(&state[..], b"state");
+        assert_eq!(state, b"state");
         // Truncated blobs decode safely.
-        assert_eq!(
-            decode_checkpoint(&Bytes::from_static(b"xx")),
-            (0, Bytes::new())
-        );
+        assert_eq!(decode_checkpoint(b"xx"), (0, &[][..]));
     }
 }

@@ -7,11 +7,10 @@
 //! "lightweight iterator API to monitor job throughput, requiring minimal
 //! code changes on the user side".
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 /// Shared control block between a running task and its worker.
 #[derive(Debug)]
@@ -98,7 +97,8 @@ impl IteratorControl {
 pub struct EvaIterator<I> {
     inner: I,
     control: Arc<IteratorControl>,
-    window: Mutex<Vec<Instant>>,
+    /// Instants of the items inside the metering window, oldest first.
+    window: VecDeque<Instant>,
     window_len: Duration,
     start_position: u64,
 }
@@ -114,7 +114,7 @@ impl<I: Iterator> EvaIterator<I> {
         EvaIterator {
             inner,
             control,
-            window: Mutex::new(Vec::new()),
+            window: VecDeque::new(),
             window_len,
             start_position: 0,
         }
@@ -142,10 +142,12 @@ impl<I: Iterator> EvaIterator<I> {
         let item = self.inner.next()?;
         self.control.iterations.fetch_add(1, Ordering::SeqCst);
         let now = Instant::now();
-        let mut window = self.window.lock();
-        window.push(now);
+        self.window.push_back(now);
+        // Instants arrive in order, so the expired ones are a prefix.
         let cutoff = now.checked_sub(self.window_len).unwrap_or(now);
-        window.retain(|t| *t >= cutoff);
+        while self.window.front().is_some_and(|t| *t < cutoff) {
+            self.window.pop_front();
+        }
         Some(item)
     }
 
@@ -163,19 +165,14 @@ impl<I: Iterator> EvaIterator<I> {
 
     /// Iterations per second over the most recent window.
     pub fn windowed_throughput(&self) -> f64 {
-        let window = self.window.lock();
-        if window.len() < 2 {
+        let (Some(first), Some(last)) = (self.window.front(), self.window.back()) else {
             return 0.0;
-        }
-        let span = window
-            .last()
-            .unwrap()
-            .duration_since(*window.first().unwrap())
-            .as_secs_f64();
+        };
+        let span = last.duration_since(*first).as_secs_f64();
         if span <= 0.0 {
             return 0.0;
         }
-        (window.len() - 1) as f64 / span
+        (self.window.len() - 1) as f64 / span
     }
 }
 

@@ -16,8 +16,9 @@
 //! * a checkpoint store on [`eva_cloud::GlobalStorage`] standing in for
 //!   the shared S3 bucket.
 //!
-//! Communication uses crossbeam channels in place of gRPC; the message
-//! protocol (launch / checkpoint / report / finish) has the same shape.
+//! Communication uses `std::sync::mpsc` channels in place of gRPC; the
+//! message protocol (launch / checkpoint / report / finish) has the same
+//! shape.
 //! Every wait on the launch/checkpoint/migrate path is a blocking channel
 //! receive (workers merge commands and container exits into one event
 //! channel; the master waits with [`Master::wait_task_exit`]) — there is
@@ -36,5 +37,3 @@ pub use iterator::{EvaIterator, IteratorControl};
 pub use master::{Master, TaskExitInfo, TaskHandle, TaskStatus};
 pub use messages::{MasterToWorker, TaskExit, WorkerToMaster};
 pub use worker::Worker;
-
-pub use bytes;

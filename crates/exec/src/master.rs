@@ -11,11 +11,8 @@
 //! `wait_task_exit` instead.
 
 use std::collections::HashMap;
-use std::time::Duration;
-
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::{Duration, Instant};
 
 use eva_cloud::GlobalStorage;
 use eva_types::{EvaError, InstanceId, Result, TaskId};
@@ -55,18 +52,21 @@ pub struct TaskExitInfo {
     /// Why it exited.
     pub exit: TaskExit,
     /// Checkpoint / final-state blob, if the exit carried one.
-    pub checkpoint: Option<Bytes>,
+    pub checkpoint: Option<Vec<u8>>,
     /// Completed iterations at exit.
     pub completed: u64,
 }
 
-/// The centralized master.
+/// The centralized master. One thread owns it: every method that touches
+/// the task table, the storage or the report channel takes `&mut self`.
 pub struct Master {
     workers: HashMap<InstanceId, Worker>,
     reports_tx: Sender<WorkerToMaster>,
     reports_rx: Receiver<WorkerToMaster>,
-    storage: Mutex<GlobalStorage>,
-    tasks: Mutex<HashMap<TaskId, TaskHandle>>,
+    storage: GlobalStorage,
+    tasks: HashMap<TaskId, TaskHandle>,
+    /// Exits applied but not yet taken by [`Master::wait_task_exit`].
+    exits: HashMap<TaskId, TaskExitInfo>,
 }
 
 impl Default for Master {
@@ -78,13 +78,14 @@ impl Default for Master {
 impl Master {
     /// Creates an empty master.
     pub fn new() -> Self {
-        let (reports_tx, reports_rx) = unbounded();
+        let (reports_tx, reports_rx) = channel();
         Master {
             workers: HashMap::new(),
             reports_tx,
             reports_rx,
-            storage: Mutex::new(GlobalStorage::new()),
-            tasks: Mutex::new(HashMap::new()),
+            storage: GlobalStorage::new(),
+            tasks: HashMap::new(),
+            exits: HashMap::new(),
         }
     }
 
@@ -106,7 +107,7 @@ impl Master {
 
     /// Launches a task on an instance, running to completion.
     pub fn launch_task(
-        &self,
+        &mut self,
         instance: InstanceId,
         task: TaskId,
         total_iterations: u64,
@@ -118,12 +119,12 @@ impl Master {
     /// `checkpoint`) on `instance` and run until `run_until` — the
     /// engine-planned segment boundary — or to completion when unbounded.
     pub fn launch_segment(
-        &self,
+        &mut self,
         instance: InstanceId,
         task: TaskId,
         total_iterations: u64,
         run_until: Option<u64>,
-        checkpoint: Option<Bytes>,
+        checkpoint: Option<Vec<u8>>,
     ) -> Result<()> {
         let worker = self
             .workers
@@ -133,7 +134,9 @@ impl Master {
             .as_ref()
             .map(|b| crate::container::decode_checkpoint(b).0)
             .unwrap_or(0);
-        self.tasks.lock().insert(
+        // An exit nobody waited for belongs to an earlier segment.
+        self.exits.remove(&task);
+        self.tasks.insert(
             task,
             TaskHandle {
                 status: TaskStatus::Running(instance),
@@ -152,7 +155,7 @@ impl Master {
 
     /// Current handle for a task.
     pub fn task_handle(&self, task: TaskId) -> Option<TaskHandle> {
-        self.tasks.lock().get(&task).cloned()
+        self.tasks.get(&task).cloned()
     }
 
     /// Asks every worker for throughput reports.
@@ -162,75 +165,47 @@ impl Master {
         }
     }
 
-    /// Blocks until `task`'s container exits, applying every other report
-    /// that streams in meanwhile. Fails once `timeout` expires.
-    pub fn wait_task_exit(&self, task: TaskId, timeout: Duration) -> Result<TaskExitInfo> {
-        let deadline = std::time::Instant::now() + timeout;
+    /// `task`'s exit: one an earlier receive applied and nobody took yet,
+    /// or else the next to arrive, applying every other report that
+    /// streams in meanwhile. Fails once `timeout` expires.
+    pub fn wait_task_exit(&mut self, task: TaskId, timeout: Duration) -> Result<TaskExitInfo> {
+        let deadline = Instant::now() + timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(EvaError::InvalidInput(format!(
-                    "timed out waiting for exit of {task}"
-                )));
+            if let Some(info) = self.exits.remove(&task) {
+                return Ok(info);
             }
-            match self.reports_rx.recv_timeout(remaining) {
-                Ok(report) => {
-                    self.apply_report(report.clone());
-                    if let WorkerToMaster::TaskExited {
-                        instance,
-                        task: t,
-                        exit,
-                        checkpoint,
-                        completed,
-                    } = report
-                    {
-                        if t == task {
-                            return Ok(TaskExitInfo {
-                                task,
-                                instance,
-                                exit,
-                                checkpoint,
-                                completed,
-                            });
-                        }
-                    }
-                }
-                Err(_) => {
-                    return Err(EvaError::InvalidInput(format!(
-                        "timed out waiting for exit of {task}"
-                    )))
-                }
-            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let report = self.reports_rx.recv_timeout(remaining).map_err(|_| {
+                EvaError::InvalidInput(format!("timed out waiting for exit of {task}"))
+            })?;
+            self.apply_report(&report);
         }
     }
 
     /// Stashes a task's checkpoint blob in global storage (workers mount
     /// it — the shared S3 bucket of the paper).
-    pub fn stash_checkpoint(&self, task: TaskId, blob: &Bytes) {
-        self.storage.lock().put(&checkpoint_key(task), blob.to_vec());
+    pub fn stash_checkpoint(&mut self, task: TaskId, blob: &[u8]) {
+        self.storage.put(&checkpoint_key(task), blob.to_vec());
     }
 
     /// Fetches a task's checkpoint blob from global storage.
-    pub fn fetch_checkpoint(&self, task: TaskId) -> Option<Bytes> {
-        self.storage
-            .lock()
-            .get(&checkpoint_key(task))
-            .map(Bytes::copy_from_slice)
+    pub fn fetch_checkpoint(&mut self, task: TaskId) -> Option<Vec<u8>> {
+        self.storage.get(&checkpoint_key(task)).map(<[u8]>::to_vec)
     }
 
     /// Deletes a task's stored checkpoint blob (fault injection: a
     /// dropped or confiscated checkpoint). The task's next launch then
     /// fetches nothing and re-executes from iteration zero. Returns true
     /// when a blob was actually removed.
-    pub fn drop_checkpoint(&self, task: TaskId) -> bool {
-        self.storage.lock().delete(&checkpoint_key(task))
+    pub fn drop_checkpoint(&mut self, task: TaskId) -> bool {
+        self.storage.delete(&checkpoint_key(task))
     }
 
     /// Migrates a task: checkpoint on the source, stash the blob in global
     /// storage, relaunch on the destination from the checkpoint. Blocks
     /// until the relaunch is issued or `timeout` expires.
-    pub fn migrate_task(&self, task: TaskId, to: InstanceId, timeout: Duration) -> Result<()> {
-        let (from, total) = match self.tasks.lock().get(&task) {
+    pub fn migrate_task(&mut self, task: TaskId, to: InstanceId, timeout: Duration) -> Result<()> {
+        let (from, total) = match self.tasks.get(&task) {
             Some(TaskHandle {
                 status: TaskStatus::Running(i),
                 total_iterations,
@@ -248,31 +223,14 @@ impl Master {
             .ok_or(EvaError::UnknownInstance(from))?;
         source.send(MasterToWorker::CheckpointTask(task));
 
-        // The checkpointed exit lands in global storage via apply_report
-        // on whichever receive path observes it first — so even a
-        // concurrent drain_reports cannot strand the blob.
-        match self.wait_task_exit(task, timeout) {
-            Ok(info) if info.exit == TaskExit::Checkpointed => {}
-            Ok(info) => {
-                return Err(EvaError::InvalidInput(format!(
-                    "task {task} exited with {:?} instead of a checkpoint",
-                    info.exit
-                )))
-            }
-            Err(e) => {
-                // A concurrent receiver may have consumed the exit; the
-                // applied status + stashed blob are then the evidence.
-                let checkpointed = matches!(
-                    self.tasks.lock().get(&task),
-                    Some(TaskHandle {
-                        status: TaskStatus::Checkpointed,
-                        ..
-                    })
-                );
-                if !(checkpointed && self.fetch_checkpoint(task).is_some()) {
-                    return Err(e);
-                }
-            }
+        // apply_report lands the checkpointed exit's blob in global
+        // storage before wait_task_exit returns it.
+        let info = self.wait_task_exit(task, timeout)?;
+        if info.exit != TaskExit::Checkpointed {
+            return Err(EvaError::InvalidInput(format!(
+                "task {task} exited with {:?} instead of a checkpoint",
+                info.exit
+            )));
         }
 
         if !self.workers.contains_key(&to) {
@@ -286,10 +244,10 @@ impl Master {
     }
 
     /// Processes all queued worker reports without blocking; returns them.
-    pub fn drain_reports(&self) -> Vec<WorkerToMaster> {
+    pub fn drain_reports(&mut self) -> Vec<WorkerToMaster> {
         let mut out = Vec::new();
         while let Ok(report) = self.reports_rx.try_recv() {
-            self.apply_report(report.clone());
+            self.apply_report(&report);
             out.push(report);
         }
         out
@@ -297,49 +255,51 @@ impl Master {
 
     /// Blocks for the next report with a deadline (a real channel wait,
     /// not a sleep loop); `None` once `timeout` expires.
-    pub fn recv_report(&self, timeout: Duration) -> Option<WorkerToMaster> {
-        match self.reports_rx.recv_timeout(timeout) {
-            Ok(report) => {
-                self.apply_report(report.clone());
-                Some(report)
-            }
-            Err(_) => None,
-        }
+    pub fn recv_report(&mut self, timeout: Duration) -> Option<WorkerToMaster> {
+        let report = self.reports_rx.recv_timeout(timeout).ok()?;
+        self.apply_report(&report);
+        Some(report)
     }
 
-    fn apply_report(&self, report: WorkerToMaster) {
+    fn apply_report(&mut self, report: &WorkerToMaster) {
         match report {
             WorkerToMaster::TaskExited {
+                instance,
                 task,
                 exit,
                 checkpoint,
                 completed,
-                ..
             } => {
                 // Checkpoint blobs go to global storage on whichever
                 // receive path applies the exit first, so no consumer of
                 // the report channel can strand one.
-                if exit == TaskExit::Checkpointed {
-                    if let Some(blob) = &checkpoint {
-                        self.stash_checkpoint(task, blob);
+                if *exit == TaskExit::Checkpointed {
+                    if let Some(blob) = checkpoint {
+                        self.stash_checkpoint(*task, blob);
                     }
                 }
-                let mut tasks = self.tasks.lock();
-                if let Some(h) = tasks.get_mut(&task) {
-                    h.completed = completed;
+                if let Some(h) = self.tasks.get_mut(task) {
+                    h.completed = *completed;
                     h.status = match exit {
                         TaskExit::Finished => TaskStatus::Finished,
                         TaskExit::Checkpointed => TaskStatus::Checkpointed,
                         TaskExit::Stopped => TaskStatus::Checkpointed,
                     };
                 }
+                let info = TaskExitInfo {
+                    task: *task,
+                    instance: *instance,
+                    exit: exit.clone(),
+                    checkpoint: checkpoint.clone(),
+                    completed: *completed,
+                };
+                self.exits.insert(*task, info);
             }
             WorkerToMaster::Throughput {
                 task, completed, ..
             } => {
-                let mut tasks = self.tasks.lock();
-                if let Some(h) = tasks.get_mut(&task) {
-                    h.completed = completed;
+                if let Some(h) = self.tasks.get_mut(task) {
+                    h.completed = *completed;
                 }
             }
             _ => {}
@@ -426,8 +386,9 @@ mod tests {
         assert_eq!(info.exit, TaskExit::Checkpointed);
         assert_eq!(info.completed, 40);
         master.stash_checkpoint(task, info.checkpoint.as_ref().unwrap());
+        let stored = master.fetch_checkpoint(task);
         master
-            .launch_segment(InstanceId(1), task, 100, None, master.fetch_checkpoint(task))
+            .launch_segment(InstanceId(1), task, 100, None, stored)
             .unwrap();
         let done = master.wait_task_exit(task, Duration::from_secs(5)).unwrap();
         assert_eq!(done.exit, TaskExit::Finished);
@@ -451,8 +412,9 @@ mod tests {
         assert!(master.fetch_checkpoint(task).is_none());
         // Resume without a blob: the container restarts from zero and
         // must re-execute everything.
+        let stored = master.fetch_checkpoint(task);
         master
-            .launch_segment(InstanceId(0), task, 100, None, master.fetch_checkpoint(task))
+            .launch_segment(InstanceId(0), task, 100, None, stored)
             .unwrap();
         let done = master.wait_task_exit(task, Duration::from_secs(5)).unwrap();
         assert_eq!(done.exit, TaskExit::Finished);
@@ -461,8 +423,28 @@ mod tests {
     }
 
     #[test]
+    fn exit_received_elsewhere_is_still_waited_for() {
+        let mut master = Master::new();
+        master.register_instance(InstanceId(0), Box::new(|_| Box::new(Fast)));
+        let task = TaskId::new(JobId(8), 0);
+        master.launch_task(InstanceId(0), task, 10).unwrap();
+        // Take the exit report off the channel before anyone waits for it.
+        loop {
+            match master.recv_report(Duration::from_secs(5)) {
+                Some(WorkerToMaster::TaskExited { .. }) => break,
+                Some(_) => {}
+                None => panic!("no exit report"),
+            }
+        }
+        let info = master.wait_task_exit(task, Duration::ZERO).unwrap();
+        assert_eq!((info.exit, info.completed), (TaskExit::Finished, 10));
+        assert!(master.wait_task_exit(task, Duration::ZERO).is_err());
+        master.shutdown();
+    }
+
+    #[test]
     fn launching_on_unknown_instance_fails() {
-        let master = Master::new();
+        let mut master = Master::new();
         let err = master
             .launch_task(InstanceId(9), TaskId::new(JobId(1), 0), 10)
             .unwrap_err();

@@ -1,6 +1,5 @@
-//! The master↔worker message protocol (crossbeam stand-in for gRPC).
-
-use bytes::Bytes;
+//! The master↔worker message protocol (`std::sync::mpsc` stand-in for
+//! gRPC).
 
 use eva_types::{InstanceId, TaskId};
 
@@ -31,7 +30,7 @@ pub enum MasterToWorker {
         /// of being interrupted at an arbitrary real-time instant.
         run_until: Option<u64>,
         /// Checkpoint to resume from, if any.
-        checkpoint: Option<Bytes>,
+        checkpoint: Option<Vec<u8>>,
     },
     /// Checkpoint a running task at its next iteration boundary (it will
     /// exit with a checkpoint blob).
@@ -75,7 +74,7 @@ pub enum WorkerToMaster {
         /// `TaskExit::Checkpointed`, the final-state snapshot for
         /// `TaskExit::Finished` (used to audit state continuity across
         /// migrations), `None` for `TaskExit::Stopped`.
-        checkpoint: Option<Bytes>,
+        checkpoint: Option<Vec<u8>>,
         /// Completed iterations at exit.
         completed: u64,
     },
@@ -94,7 +93,7 @@ mod tests {
             task: TaskId::new(JobId(1), 0),
             total_iterations: 100,
             run_until: Some(40),
-            checkpoint: Some(Bytes::from_static(b"ckpt")),
+            checkpoint: Some(b"ckpt".to_vec()),
         };
         let m2 = m.clone();
         assert!(format!("{m2:?}").contains("LaunchTask"));

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use eva_types::{InstanceId, TaskId};
 
@@ -51,7 +51,7 @@ impl Worker {
         reports: Sender<WorkerToMaster>,
         factory: ProgramFactory,
     ) -> Self {
-        let (event_tx, event_rx) = unbounded::<WorkerEvent>();
+        let (event_tx, event_rx) = channel::<WorkerEvent>();
         let exit_tx = event_tx.clone();
         let handle = std::thread::spawn(move || {
             worker_loop(instance, event_rx, exit_tx, reports, factory);
@@ -75,7 +75,9 @@ impl Worker {
 
     /// Requests shutdown and waits for the worker thread.
     pub fn shutdown(mut self) {
-        let _ = self.events.send(WorkerEvent::Command(MasterToWorker::Shutdown));
+        let _ = self
+            .events
+            .send(WorkerEvent::Command(MasterToWorker::Shutdown));
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -84,7 +86,9 @@ impl Worker {
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        let _ = self.events.send(WorkerEvent::Command(MasterToWorker::Shutdown));
+        let _ = self
+            .events
+            .send(WorkerEvent::Command(MasterToWorker::Shutdown));
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -196,7 +200,7 @@ mod tests {
 
     #[test]
     fn worker_launches_and_reports_completion() {
-        let (report_tx, report_rx) = unbounded();
+        let (report_tx, report_rx) = channel();
         let worker = Worker::spawn(InstanceId(1), report_tx, factory());
         let task = TaskId::new(JobId(1), 0);
         worker.send(MasterToWorker::LaunchTask {
@@ -233,7 +237,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let (report_tx, report_rx) = unbounded();
+        let (report_tx, report_rx) = channel();
         let worker = Worker::spawn(InstanceId(2), report_tx, Box::new(|_| Box::new(Slow)));
         let task = TaskId::new(JobId(2), 0);
         worker.send(MasterToWorker::LaunchTask {
@@ -260,7 +264,7 @@ mod tests {
 
     #[test]
     fn worker_runs_bounded_segment_to_its_boundary() {
-        let (report_tx, report_rx) = unbounded();
+        let (report_tx, report_rx) = channel();
         let worker = Worker::spawn(InstanceId(4), report_tx, factory());
         let task = TaskId::new(JobId(4), 0);
         worker.send(MasterToWorker::LaunchTask {
@@ -295,7 +299,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        let (report_tx, report_rx) = unbounded();
+        let (report_tx, report_rx) = channel();
         let worker = Worker::spawn(InstanceId(3), report_tx, Box::new(|_| Box::new(Slow)));
         let task = TaskId::new(JobId(3), 0);
         worker.send(MasterToWorker::LaunchTask {

@@ -26,8 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Duration;
 
 use eva_engine::{derive_seed, EventEngine, RngStreams, SimEvent};
-use eva_exec::bytes::Bytes;
-use eva_exec::{decode_checkpoint, Master, TaskExit, TaskExitInfo, TaskProgram, WorkerToMaster};
+use eva_exec::{decode_checkpoint, Master, TaskExit, TaskProgram};
 use eva_types::{InstanceId, JobId, TaskId};
 
 use crate::faults::{FaultAction, FaultPlan};
@@ -248,13 +247,13 @@ impl TaskProgram for LiveProgram {
         self.state = advance_state(self.state, iteration);
     }
 
-    fn checkpoint(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.state.to_le_bytes())
+    fn checkpoint(&self) -> Vec<u8> {
+        self.state.to_le_bytes().to_vec()
     }
 
-    fn restore(&mut self, blob: &Bytes) {
-        if blob.len() == 8 {
-            self.state = u64::from_le_bytes(blob[..8].try_into().unwrap());
+    fn restore(&mut self, blob: &[u8]) {
+        if let Ok(state) = blob.try_into() {
+            self.state = u64::from_le_bytes(state);
         }
     }
 }
@@ -309,7 +308,10 @@ impl ReplayPlan {
         for job in cfg.trace.jobs() {
             job_of.insert(job.id, job);
             for t in &job.tasks {
-                totals.insert(t.id, iterations_for(job.duration_at_full_tput.as_hours_f64()));
+                totals.insert(
+                    t.id,
+                    iterations_for(job.duration_at_full_tput.as_hours_f64()),
+                );
             }
         }
 
@@ -393,10 +395,22 @@ impl ReplayPlan {
                     );
                 }
                 ExecActionKind::Stop { task, .. } => {
-                    engine.schedule(action.at, LiveEvent::Collect { task: *task, kill: false });
+                    engine.schedule(
+                        action.at,
+                        LiveEvent::Collect {
+                            task: *task,
+                            kill: false,
+                        },
+                    );
                 }
                 ExecActionKind::Kill { task, .. } => {
-                    engine.schedule(action.at, LiveEvent::Collect { task: *task, kill: true });
+                    engine.schedule(
+                        action.at,
+                        LiveEvent::Collect {
+                            task: *task,
+                            kill: true,
+                        },
+                    );
                 }
                 ExecActionKind::Round => {
                     engine.schedule(action.at, LiveEvent::Poll);
@@ -430,10 +444,8 @@ impl ReplayPlan {
 
     fn execute(mut self, cfg: &SimConfig, sim_report: SimReport) -> Result<LiveOutcome, String> {
         let master_seed = RngStreams::new(cfg.seed).master();
+        // The replay blocks on the report channel, never on a sleep loop.
         let mut master = Master::new();
-        // Exits observed while waiting for a different task; the replay
-        // blocks on the report channel, never on a sleep loop.
-        let mut exits: HashMap<TaskId, TaskExitInfo> = HashMap::new();
 
         let mut live_checkpoints = 0u64;
         let mut live_iterations = 0u64;
@@ -451,40 +463,10 @@ impl ReplayPlan {
         let mut completed_jobs: BTreeSet<JobId> = BTreeSet::new();
         let expected_jobs: BTreeSet<JobId> = self.job_tasks.keys().copied().collect();
 
-        let wait_exit = |master: &Master,
-                             exits: &mut HashMap<TaskId, TaskExitInfo>,
-                             task: TaskId|
-         -> Result<TaskExitInfo, String> {
-            if let Some(info) = exits.remove(&task) {
-                return Ok(info);
-            }
-            let deadline = std::time::Instant::now() + LIVE_EXIT_TIMEOUT;
-            loop {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                let Some(report) = master.recv_report(remaining) else {
-                    return Err(format!("live replay timed out waiting for {task}"));
-                };
-                if let WorkerToMaster::TaskExited {
-                    instance,
-                    task: t,
-                    exit,
-                    checkpoint,
-                    completed,
-                } = report
-                {
-                    let info = TaskExitInfo {
-                        task: t,
-                        instance,
-                        exit,
-                        checkpoint,
-                        completed,
-                    };
-                    if t == task {
-                        return Ok(info);
-                    }
-                    exits.insert(t, info);
-                }
-            }
+        let wait_exit = |master: &mut Master, task: TaskId| {
+            master
+                .wait_task_exit(task, LIVE_EXIT_TIMEOUT)
+                .map_err(|_| format!("live replay timed out waiting for {task}"))
         };
 
         while let Some(scheduled) = self.engine.pop() {
@@ -521,7 +503,7 @@ impl ReplayPlan {
                         .map_err(|e| format!("launch {task}: {e:?}"))?;
                 }
                 LiveEvent::Collect { task, kill } => {
-                    let info = wait_exit(&master, &mut exits, task)?;
+                    let info = wait_exit(&mut master, task)?;
                     if info.exit != TaskExit::Checkpointed {
                         return Err(format!(
                             "{task} exited {:?} at a planned checkpoint boundary",
@@ -547,8 +529,7 @@ impl ReplayPlan {
                     }
                 }
                 LiveEvent::Drop { draw } => {
-                    let candidates: Vec<TaskId> =
-                        stopped_with_blob.iter().copied().collect();
+                    let candidates: Vec<TaskId> = stopped_with_blob.iter().copied().collect();
                     if !candidates.is_empty() {
                         let victim = candidates[(draw % candidates.len() as u64) as usize];
                         if master.drop_checkpoint(victim) {
@@ -561,7 +542,7 @@ impl ReplayPlan {
                     let tasks = self.job_tasks.get(&job).cloned().unwrap_or_default();
                     let mut all_finished = true;
                     for task in tasks {
-                        let info = wait_exit(&master, &mut exits, task)?;
+                        let info = wait_exit(&mut master, task)?;
                         let total = self.totals.get(&task).copied().unwrap_or(0);
                         expected_iterations += total;
                         live_iterations += info.completed;
@@ -580,8 +561,7 @@ impl ReplayPlan {
                             .map(|b| decode_checkpoint(b).1)
                             .filter(|state| state.len() == 8)
                             .map(|state| u64::from_le_bytes(state[..8].try_into().unwrap()));
-                        let expected =
-                            expected_digest(task_seed(master_seed, task), total);
+                        let expected = expected_digest(task_seed(master_seed, task), total);
                         if digest != Some(expected) {
                             digest_mismatches += 1;
                         }
@@ -670,7 +650,10 @@ mod tests {
         let cfg = tiny_cfg(5, SchedulerKind::NoPacking);
         let outcome = LiveBackend.run_detailed(&cfg).unwrap();
         assert_eq!(outcome.completed_jobs, outcome.expected_jobs);
-        assert_eq!(outcome.report.jobs_completed, outcome.sim_report.jobs_completed);
+        assert_eq!(
+            outcome.report.jobs_completed,
+            outcome.sim_report.jobs_completed
+        );
         assert_eq!(outcome.live_iterations, outcome.expected_iterations);
         assert_eq!(outcome.digest_mismatches, 0);
         // No-Packing never migrates, live or simulated.
@@ -690,10 +673,7 @@ mod tests {
             single_task_only: true,
         }
         .generate(23);
-        let mut cfg = SimConfig::new(
-            trace,
-            SchedulerKind::Eva(eva_core::EvaConfig::eva()),
-        );
+        let mut cfg = SimConfig::new(trace, SchedulerKind::Eva(eva_core::EvaConfig::eva()));
         cfg.fidelity = FidelityMode::Nominal;
         let outcome = LiveBackend.run_detailed(&cfg).unwrap();
         assert_eq!(outcome.completed_jobs, outcome.expected_jobs);
@@ -742,7 +722,10 @@ mod tests {
         let outcome = LiveBackend.run_detailed(&cfg).unwrap();
         assert!(outcome.live_kills > 0, "storm produced no kills");
         assert_eq!(outcome.delta_migrations(), -(outcome.live_kills as i64));
-        assert!(outcome.re_executed() > 0, "confiscated blobs must cost work");
+        assert!(
+            outcome.re_executed() > 0,
+            "confiscated blobs must cost work"
+        );
         let charged = outcome.re_executed() as f64 / LIVE_ITERS_PER_HOUR;
         assert!((outcome.delta_makespan_hours() - charged).abs() < 1e-9);
         // Re-execution still converges: every scheduled job completes.

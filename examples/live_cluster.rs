@@ -9,8 +9,7 @@
 
 use std::time::Duration;
 
-use eva::exec::bytes::Bytes;
-use eva::exec::{Master, TaskProgram};
+use eva::exec::{Master, TaskProgram, WorkerToMaster};
 use eva::prelude::*;
 
 /// A synthetic "training step": a little CPU work per iteration.
@@ -25,15 +24,13 @@ impl TaskProgram for TrainingTask {
         self.loss = 1.0 / (iteration + 1) as f64;
     }
 
-    fn checkpoint(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.loss.to_le_bytes())
+    fn checkpoint(&self) -> Vec<u8> {
+        self.loss.to_le_bytes().to_vec()
     }
 
-    fn restore(&mut self, blob: &Bytes) {
-        if blob.len() == 8 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(blob);
-            self.loss = f64::from_le_bytes(b);
+    fn restore(&mut self, blob: &[u8]) {
+        if let Ok(loss) = blob.try_into() {
+            self.loss = f64::from_le_bytes(loss);
         }
     }
 }
@@ -55,7 +52,13 @@ fn main() {
 
     std::thread::sleep(Duration::from_millis(300));
     master.poll_throughput();
-    master.drain_reports();
+    // Block until the worker's throughput report is in (only i-000000 runs
+    // a task, so one report comes back).
+    while let Some(report) = master.recv_report(Duration::from_secs(5)) {
+        if matches!(report, WorkerToMaster::Throughput { .. }) {
+            break;
+        }
+    }
     let before = master.task_handle(task).unwrap();
     println!("Progress before migration: {} iterations", before.completed);
 
