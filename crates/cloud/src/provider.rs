@@ -14,7 +14,6 @@ use eva_types::{Cost, EvaError, InstanceId, InstanceTypeId, Result, SimDuration,
 
 use crate::catalog::{Catalog, InstanceType};
 use crate::delays::{DelayModel, DelaySample};
-use crate::zones::ZoneSet;
 
 /// Lifecycle state of a provisioned instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +35,6 @@ pub struct Instance {
     pub id: InstanceId,
     /// Catalog type.
     pub type_id: InstanceTypeId,
-    /// Zone the instance was placed in.
-    pub zone: String,
     /// When the provision request was issued.
     pub requested_at: SimTime,
     /// When acquisition completes (billing starts).
@@ -84,7 +81,7 @@ pub struct ProvisionRequest {
     pub at: SimTime,
 }
 
-/// The simulated cloud: owns the catalog, zones, delay model, and all
+/// The simulated cloud: owns the catalog, delay model, and all
 /// instances ever provisioned, and computes the total bill.
 ///
 /// # Examples
@@ -109,7 +106,6 @@ pub struct ProvisionRequest {
 pub struct CloudProvider {
     catalog: Catalog,
     delays: DelayModel,
-    zones: ZoneSet,
     instances: BTreeMap<InstanceId, Instance>,
     next_id: u64,
     launches: u64,
@@ -133,17 +129,11 @@ pub struct CloudProvider {
 }
 
 impl CloudProvider {
-    /// Builds a provider over a catalog with a single unlimited zone.
+    /// Builds a provider over a catalog.
     pub fn new(catalog: Catalog, delays: DelayModel) -> Self {
-        CloudProvider::with_zones(catalog, delays, ZoneSet::single_unlimited())
-    }
-
-    /// Builds a provider with explicit zones.
-    pub fn with_zones(catalog: Catalog, delays: DelayModel, zones: ZoneSet) -> Self {
         CloudProvider {
             catalog,
             delays,
-            zones,
             instances: BTreeMap::new(),
             next_id: 0,
             launches: 0,
@@ -197,8 +187,8 @@ impl CloudProvider {
         self.launches
     }
 
-    /// Provisions a new instance, sampling acquisition/setup delays and
-    /// retrying across zones if needed.
+    /// Provisions a new instance, sampling its acquisition and setup
+    /// delays. Fails only on an unknown type or a full pool.
     pub fn provision<R: Rng + ?Sized>(
         &mut self,
         req: ProvisionRequest,
@@ -219,7 +209,6 @@ impl CloudProvider {
                 ),
             });
         }
-        let zone = self.zones.allocate(ty)?;
         let DelaySample { acquisition, setup } = self.delays.sample(rng);
         let id = InstanceId(self.next_id);
         self.next_id += 1;
@@ -230,7 +219,6 @@ impl CloudProvider {
             Instance {
                 id,
                 type_id: ty,
-                zone,
                 requested_at: req.at,
                 billed_from,
                 ready_at: billed_from + setup,
@@ -243,20 +231,12 @@ impl CloudProvider {
     /// Terminates an instance at `at`. Idempotent for already-terminated
     /// instances (keeps the earlier termination time).
     pub fn terminate(&mut self, id: InstanceId, at: SimTime) -> Result<()> {
-        let (ty, zone, newly_terminated) = {
-            let inst = self
-                .instances
-                .get_mut(&id)
-                .ok_or(EvaError::UnknownInstance(id))?;
-            if inst.terminated_at.is_some() {
-                (inst.type_id, inst.zone.clone(), false)
-            } else {
-                inst.terminated_at = Some(at.max(inst.requested_at));
-                (inst.type_id, inst.zone.clone(), true)
-            }
-        };
-        if newly_terminated {
-            self.zones.release(ty, &zone);
+        let inst = self
+            .instances
+            .get_mut(&id)
+            .ok_or(EvaError::UnknownInstance(id))?;
+        if inst.terminated_at.is_none() {
+            inst.terminated_at = Some(at.max(inst.requested_at));
         }
         Ok(())
     }
@@ -361,7 +341,8 @@ impl CloudProvider {
         };
         let bill = self.instance_bill(id, t).unwrap_or(Cost::ZERO);
         let inst = self.instances.remove(&id).expect("checked above");
-        self.retired_uptimes.push((id, inst.uptime(t).as_hours_f64()));
+        self.retired_uptimes
+            .push((id, inst.uptime(t).as_hours_f64()));
         self.retired_bill += bill;
         self.retired_end = Some(self.retired_end.map_or(t, |e| e.max(t)));
         true
@@ -614,12 +595,16 @@ mod tests {
         let a = cloud.provision(req(SimTime::ZERO), &mut rng).unwrap();
         let _b = cloud.provision(req(SimTime::ZERO), &mut rng).unwrap();
         assert_eq!(cloud.free_capacity(SimTime::ZERO), Some(0));
-        let err = cloud.provision(req(SimTime::from_secs(10)), &mut rng).unwrap_err();
+        let err = cloud
+            .provision(req(SimTime::from_secs(10)), &mut rng)
+            .unwrap_err();
         assert!(matches!(err, EvaError::ProvisioningFailed { .. }));
         // Termination frees a slot.
         cloud.terminate(a, SimTime::from_secs(100)).unwrap();
         assert_eq!(cloud.free_capacity(SimTime::from_secs(100)), Some(1));
-        assert!(cloud.provision(req(SimTime::from_secs(100)), &mut rng).is_ok());
+        assert!(cloud
+            .provision(req(SimTime::from_secs(100)), &mut rng)
+            .is_ok());
     }
 
     #[test]

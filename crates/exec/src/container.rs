@@ -2,7 +2,7 @@
 //!
 //! A [`Container`] stands in for the Docker container the paper launches
 //! per task: it runs a user [`TaskProgram`] on its own thread, iterating
-//! through an [`EvaIterator`] so the worker can meter throughput and
+//! through an [`EvaIterator`] so the worker can read its progress and
 //! request cooperative checkpoints or stops.
 
 use std::sync::Arc;
@@ -47,7 +47,6 @@ pub struct ContainerExit {
 
 /// A running container.
 pub struct Container {
-    task: TaskId,
     control: Arc<IteratorControl>,
     handle: Option<JoinHandle<()>>,
 }
@@ -134,18 +133,12 @@ impl Container {
             }));
         });
         Container {
-            task,
             control,
             handle: Some(handle),
         }
     }
 
-    /// The task this container runs.
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-
-    /// Shared control block (for metering and checkpoint requests).
+    /// Shared control block (for progress and checkpoint requests).
     pub fn control(&self) -> &Arc<IteratorControl> {
         &self.control
     }

@@ -1,16 +1,14 @@
-//! `EvaIterator`: the throughput-metering iteration wrapper (§5).
+//! `EvaIterator`: the progress-counting iteration wrapper (§5).
 //!
-//! User tasks loop over an `EvaIterator`, which counts iterations, exposes
-//! the throughput achieved over the most recent window, and carries the
-//! cooperative control signals the worker uses to checkpoint or stop a
-//! task without killing it mid-iteration. This mirrors the paper's
-//! "lightweight iterator API to monitor job throughput, requiring minimal
-//! code changes on the user side".
+//! User tasks loop over an `EvaIterator`, which counts iterations into a
+//! shared control block the worker reads, and carries the cooperative
+//! control signals the worker uses to checkpoint or stop a task without
+//! killing it mid-iteration. This mirrors the paper's "lightweight
+//! iterator API to monitor job throughput, requiring minimal code changes
+//! on the user side".
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Shared control block between a running task and its worker.
 #[derive(Debug)]
@@ -57,14 +55,6 @@ impl IteratorControl {
         self.checkpoint_at.store(iteration, Ordering::SeqCst);
     }
 
-    /// The scheduled checkpoint position, if any.
-    pub fn checkpoint_bound(&self) -> Option<u64> {
-        match self.checkpoint_at.load(Ordering::SeqCst) {
-            u64::MAX => None,
-            at => Some(at),
-        }
-    }
-
     /// True when a checkpoint is due: either requested cooperatively or
     /// the scheduled position has been reached.
     pub fn checkpoint_due(&self) -> bool {
@@ -78,7 +68,7 @@ impl IteratorControl {
     }
 }
 
-/// Windowed iteration metering plus cooperative control.
+/// Iteration counting plus cooperative control.
 ///
 /// # Examples
 ///
@@ -97,27 +87,12 @@ impl IteratorControl {
 pub struct EvaIterator<I> {
     inner: I,
     control: Arc<IteratorControl>,
-    /// Instants of the items inside the metering window, oldest first.
-    window: VecDeque<Instant>,
-    window_len: Duration,
-    start_position: u64,
 }
 
 impl<I: Iterator> EvaIterator<I> {
-    /// Wraps an iterator with a 10-second metering window.
+    /// Wraps an iterator.
     pub fn new(inner: I, control: Arc<IteratorControl>) -> Self {
-        EvaIterator::with_window(inner, control, Duration::from_secs(10))
-    }
-
-    /// Wraps an iterator with an explicit metering window.
-    pub fn with_window(inner: I, control: Arc<IteratorControl>, window_len: Duration) -> Self {
-        EvaIterator {
-            inner,
-            control,
-            window: VecDeque::new(),
-            window_len,
-            start_position: 0,
-        }
+        EvaIterator { inner, control }
     }
 
     /// Restores the iterator to a checkpointed position by skipping
@@ -128,7 +103,6 @@ impl<I: Iterator> EvaIterator<I> {
                 break;
             }
         }
-        self.start_position = position;
         self.control.iterations.store(position, Ordering::SeqCst);
         self
     }
@@ -141,38 +115,12 @@ impl<I: Iterator> EvaIterator<I> {
         }
         let item = self.inner.next()?;
         self.control.iterations.fetch_add(1, Ordering::SeqCst);
-        let now = Instant::now();
-        self.window.push_back(now);
-        // Instants arrive in order, so the expired ones are a prefix.
-        let cutoff = now.checked_sub(self.window_len).unwrap_or(now);
-        while self.window.front().is_some_and(|t| *t < cutoff) {
-            self.window.pop_front();
-        }
         Some(item)
     }
 
     /// Whether a checkpoint is due (and `next_item` stopped).
     pub fn checkpoint_pending(&self) -> bool {
         self.control.checkpoint_due()
-    }
-
-    /// Iterations completed in the current run (excluding restored ones).
-    pub fn completed_this_run(&self) -> u64 {
-        self.control
-            .iterations()
-            .saturating_sub(self.start_position)
-    }
-
-    /// Iterations per second over the most recent window.
-    pub fn windowed_throughput(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.window.front(), self.window.back()) else {
-            return 0.0;
-        };
-        let span = last.duration_since(*first).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        (self.window.len() - 1) as f64 / span
     }
 }
 
@@ -229,7 +177,6 @@ mod tests {
         assert_eq!(n, 13, "runs to the bound, never past it");
         assert!(it.checkpoint_pending());
         assert_eq!(control.iterations(), 13);
-        assert_eq!(control.checkpoint_bound(), Some(13));
     }
 
     #[test]
@@ -243,7 +190,6 @@ mod tests {
         }
         assert_eq!(rest, 4);
         assert_eq!(control.iterations(), 10);
-        assert_eq!(it.completed_this_run(), 4);
     }
 
     #[test]
@@ -251,16 +197,5 @@ mod tests {
         let control = IteratorControl::new();
         let mut it = EvaIterator::new(0..3u32, control).resume_from(100);
         assert!(it.next_item().is_none());
-    }
-
-    #[test]
-    fn windowed_throughput_reflects_rate() {
-        let control = IteratorControl::new();
-        let mut it = EvaIterator::with_window(0..200u32, control, Duration::from_secs(5));
-        for _ in 0..100 {
-            it.next_item();
-        }
-        // 100 iterations in well under 5 s: throughput should be high.
-        assert!(it.windowed_throughput() > 100.0);
     }
 }

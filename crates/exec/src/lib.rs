@@ -5,16 +5,14 @@
 //! report throughput over gRPC. This crate reproduces that control plane
 //! in-process so the scheduler can be exercised end-to-end on a laptop:
 //!
-//! * [`Master`] — registers workers, routes commands, aggregates
-//!   throughput reports, and drives checkpoint/migrate cycles;
+//! * [`Master`] — registers workers, routes commands, collects progress
+//!   reports, drives checkpoint/migrate cycles, and keeps the checkpoint
+//!   blobs the paper keeps in a shared S3 bucket;
 //! * [`Worker`] — one thread per simulated instance, executing tasks as
-//!   [`Container`]s (threads standing in for Docker containers);
+//!   [`Container`]s (threads standing in for Docker containers); and
 //! * [`EvaIterator`] — the lightweight iterator wrapper user code loops
-//!   over; it meters throughput over a sliding window and implements
-//!   cooperative checkpoint/stop, mirroring the paper's `EvaIterator`
-//!   API; and
-//! * a checkpoint store on [`eva_cloud::GlobalStorage`] standing in for
-//!   the shared S3 bucket.
+//!   over; it counts iterations and implements cooperative
+//!   checkpoint/stop, mirroring the paper's `EvaIterator` API.
 //!
 //! Communication uses `std::sync::mpsc` channels in place of gRPC; the
 //! message protocol (launch / checkpoint / report / finish) has the same

@@ -1,20 +1,19 @@
 //! The master: instance/worker registry, task routing, and migrations.
 //!
 //! The master mirrors the paper's centralized control plane: it launches a
-//! worker per instance, routes task launches, polls throughput, and drives
-//! the checkpoint → store → relaunch cycle of a migration with checkpoints
-//! kept in the shared [`GlobalStorage`] (the S3 stand-in).
+//! worker per instance, routes task launches, polls progress on request,
+//! and drives the checkpoint → store → relaunch cycle of a migration. Its
+//! checkpoint store, a map from task to blob, stands in for the paper's
+//! shared S3 bucket.
 //!
 //! All waiting happens as blocking channel receives with a deadline
-//! ([`Master::wait_task_exit`]) — the master never spin-sleeps. Callers
-//! that used to poll `drain_reports` in a sleep loop should block on
-//! `wait_task_exit` instead.
+//! ([`Master::wait_task_exit`], [`Master::recv_report`]) — the master never
+//! spin-sleeps.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use eva_cloud::GlobalStorage;
 use eva_types::{EvaError, InstanceId, Result, TaskId};
 
 use crate::messages::{MasterToWorker, TaskExit, WorkerToMaster};
@@ -58,12 +57,14 @@ pub struct TaskExitInfo {
 }
 
 /// The centralized master. One thread owns it: every method that touches
-/// the task table, the storage or the report channel takes `&mut self`.
+/// the task table, the checkpoint store or the report channel takes
+/// `&mut self`.
 pub struct Master {
     workers: HashMap<InstanceId, Worker>,
     reports_tx: Sender<WorkerToMaster>,
     reports_rx: Receiver<WorkerToMaster>,
-    storage: GlobalStorage,
+    /// Checkpoint blobs by task (the shared S3 bucket of the paper).
+    checkpoints: HashMap<TaskId, Vec<u8>>,
     tasks: HashMap<TaskId, TaskHandle>,
     /// Exits applied but not yet taken by [`Master::wait_task_exit`].
     exits: HashMap<TaskId, TaskExitInfo>,
@@ -83,7 +84,7 @@ impl Master {
             workers: HashMap::new(),
             reports_tx,
             reports_rx,
-            storage: GlobalStorage::new(),
+            checkpoints: HashMap::new(),
             tasks: HashMap::new(),
             exits: HashMap::new(),
         }
@@ -158,7 +159,7 @@ impl Master {
         self.tasks.get(&task).cloned()
     }
 
-    /// Asks every worker for throughput reports.
+    /// Asks every worker to report the progress of its running tasks.
     pub fn poll_throughput(&self) {
         for worker in self.workers.values() {
             worker.send(MasterToWorker::ReportThroughput);
@@ -182,15 +183,14 @@ impl Master {
         }
     }
 
-    /// Stashes a task's checkpoint blob in global storage (workers mount
-    /// it — the shared S3 bucket of the paper).
+    /// Stashes a task's checkpoint blob, replacing any earlier one.
     pub fn stash_checkpoint(&mut self, task: TaskId, blob: &[u8]) {
-        self.storage.put(&checkpoint_key(task), blob.to_vec());
+        self.checkpoints.insert(task, blob.to_vec());
     }
 
-    /// Fetches a task's checkpoint blob from global storage.
+    /// Fetches a task's stored checkpoint blob.
     pub fn fetch_checkpoint(&mut self, task: TaskId) -> Option<Vec<u8>> {
-        self.storage.get(&checkpoint_key(task)).map(<[u8]>::to_vec)
+        self.checkpoints.get(&task).cloned()
     }
 
     /// Deletes a task's stored checkpoint blob (fault injection: a
@@ -198,12 +198,12 @@ impl Master {
     /// fetches nothing and re-executes from iteration zero. Returns true
     /// when a blob was actually removed.
     pub fn drop_checkpoint(&mut self, task: TaskId) -> bool {
-        self.storage.delete(&checkpoint_key(task))
+        self.checkpoints.remove(&task).is_some()
     }
 
-    /// Migrates a task: checkpoint on the source, stash the blob in global
-    /// storage, relaunch on the destination from the checkpoint. Blocks
-    /// until the relaunch is issued or `timeout` expires.
+    /// Migrates a task: checkpoint on the source, stash the blob, relaunch
+    /// on the destination from the checkpoint. Blocks until the relaunch
+    /// is issued or `timeout` expires.
     pub fn migrate_task(&mut self, task: TaskId, to: InstanceId, timeout: Duration) -> Result<()> {
         let (from, total) = match self.tasks.get(&task) {
             Some(TaskHandle {
@@ -223,8 +223,8 @@ impl Master {
             .ok_or(EvaError::UnknownInstance(from))?;
         source.send(MasterToWorker::CheckpointTask(task));
 
-        // apply_report lands the checkpointed exit's blob in global
-        // storage before wait_task_exit returns it.
+        // apply_report stashes the checkpointed exit's blob before
+        // wait_task_exit returns it.
         let info = self.wait_task_exit(task, timeout)?;
         if info.exit != TaskExit::Checkpointed {
             return Err(EvaError::InvalidInput(format!(
@@ -241,16 +241,6 @@ impl Master {
             .ok_or_else(|| EvaError::InvalidInput(format!("no stored checkpoint for {task}")))?;
         self.launch_segment(to, task, total, None, Some(stored))?;
         Ok(())
-    }
-
-    /// Processes all queued worker reports without blocking; returns them.
-    pub fn drain_reports(&mut self) -> Vec<WorkerToMaster> {
-        let mut out = Vec::new();
-        while let Ok(report) = self.reports_rx.try_recv() {
-            self.apply_report(&report);
-            out.push(report);
-        }
-        out
     }
 
     /// Blocks for the next report with a deadline (a real channel wait,
@@ -270,9 +260,9 @@ impl Master {
                 checkpoint,
                 completed,
             } => {
-                // Checkpoint blobs go to global storage on whichever
-                // receive path applies the exit first, so no consumer of
-                // the report channel can strand one.
+                // Checkpoint blobs are stashed on whichever receive path
+                // applies the exit first, so no consumer of the report
+                // channel can strand one.
                 if *exit == TaskExit::Checkpointed {
                     if let Some(blob) = checkpoint {
                         self.stash_checkpoint(*task, blob);
@@ -313,10 +303,6 @@ impl Master {
             worker.shutdown();
         }
     }
-}
-
-fn checkpoint_key(task: TaskId) -> String {
-    format!("ckpt/{task}")
 }
 
 #[cfg(test)]
@@ -440,6 +426,19 @@ mod tests {
         assert_eq!((info.exit, info.completed), (TaskExit::Finished, 10));
         assert!(master.wait_task_exit(task, Duration::ZERO).is_err());
         master.shutdown();
+    }
+
+    #[test]
+    fn checkpoint_store_replaces_and_drops() {
+        let mut master = Master::new();
+        let task = TaskId::new(JobId(9), 0);
+        master.stash_checkpoint(task, &[1, 2, 3]);
+        assert_eq!(master.fetch_checkpoint(task), Some(vec![1, 2, 3]));
+        master.stash_checkpoint(task, &[4]);
+        assert_eq!(master.fetch_checkpoint(task), Some(vec![4]));
+        assert!(master.drop_checkpoint(task));
+        assert!(!master.drop_checkpoint(task));
+        assert_eq!(master.fetch_checkpoint(task), None);
     }
 
     #[test]

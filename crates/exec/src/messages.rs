@@ -8,8 +8,8 @@ use eva_types::{InstanceId, TaskId};
 pub enum TaskExit {
     /// All work completed.
     Finished,
-    /// Checkpointed on request or at its iteration bound; payload stored
-    /// in global storage.
+    /// Checkpointed on request or at its iteration bound; the master
+    /// stashes the payload.
     Checkpointed,
     /// Stopped on request without a checkpoint.
     Stopped,
@@ -35,7 +35,7 @@ pub enum MasterToWorker {
     /// Checkpoint a running task at its next iteration boundary (it will
     /// exit with a checkpoint blob).
     CheckpointTask(TaskId),
-    /// Report the throughput of all running tasks.
+    /// Report the progress of all running tasks.
     ReportThroughput,
     /// Shut the worker down.
     Shutdown,
@@ -44,21 +44,12 @@ pub enum MasterToWorker {
 /// Reports a worker sends to the master.
 #[derive(Debug, Clone)]
 pub enum WorkerToMaster {
-    /// A task started (or resumed) execution.
-    TaskStarted {
-        /// The worker's instance.
-        instance: InstanceId,
-        /// The task.
-        task: TaskId,
-    },
-    /// Windowed throughput of one task (iterations per second).
+    /// Progress of one running task, in reply to `ReportThroughput`.
     Throughput {
         /// The worker's instance.
         instance: InstanceId,
         /// The task.
         task: TaskId,
-        /// Iterations per second over the recent window.
-        iters_per_sec: f64,
         /// Total completed iterations.
         completed: u64,
     },

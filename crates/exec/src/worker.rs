@@ -2,7 +2,7 @@
 //!
 //! One worker runs per cloud instance (the paper launches it during
 //! instance setup). It receives commands from the master, manages the
-//! instance's containers, and streams throughput reports back.
+//! instance's containers, and reports progress and exits back.
 //!
 //! The worker thread blocks on **one** merged event channel carrying both
 //! master commands and container exits, so it parks on a genuine channel
@@ -39,7 +39,6 @@ impl From<ContainerExit> for WorkerEvent {
 
 /// A worker agent bound to one instance.
 pub struct Worker {
-    instance: InstanceId,
     events: Sender<WorkerEvent>,
     handle: Option<JoinHandle<()>>,
 }
@@ -57,15 +56,9 @@ impl Worker {
             worker_loop(instance, event_rx, exit_tx, reports, factory);
         });
         Worker {
-            instance,
             events: event_tx,
             handle: Some(handle),
         }
-    }
-
-    /// The instance this worker serves.
-    pub fn instance(&self) -> InstanceId {
-        self.instance
     }
 
     /// Sends a command to the worker.
@@ -126,7 +119,6 @@ fn worker_loop(
                     exit_tx.clone(),
                 );
                 containers.insert(task, container);
-                let _ = reports.send(WorkerToMaster::TaskStarted { instance, task });
             }
             WorkerEvent::Command(MasterToWorker::CheckpointTask(task)) => {
                 if let Some(c) = containers.get(&task) {
@@ -138,10 +130,6 @@ fn worker_loop(
                     let _ = reports.send(WorkerToMaster::Throughput {
                         instance,
                         task: *task,
-                        // Window metering lives in the iterator;
-                        // completed count is the robust signal the
-                        // master aggregates here.
-                        iters_per_sec: 0.0,
                         completed: c.control().iterations(),
                     });
                 }
@@ -209,8 +197,6 @@ mod tests {
             run_until: None,
             checkpoint: None,
         });
-        let started = report_rx.recv().unwrap();
-        assert!(matches!(started, WorkerToMaster::TaskStarted { .. }));
         let exited = report_rx.recv().unwrap();
         match exited {
             WorkerToMaster::TaskExited {
@@ -246,7 +232,6 @@ mod tests {
             run_until: None,
             checkpoint: None,
         });
-        let _started = report_rx.recv().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         worker.send(MasterToWorker::CheckpointTask(task));
         let exited = report_rx.recv().unwrap();
@@ -273,7 +258,6 @@ mod tests {
             run_until: Some(33),
             checkpoint: None,
         });
-        let _started = report_rx.recv().unwrap();
         let exited = report_rx.recv().unwrap();
         match exited {
             WorkerToMaster::TaskExited {
@@ -308,7 +292,6 @@ mod tests {
             run_until: None,
             checkpoint: None,
         });
-        let _started = report_rx.recv().unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         worker.send(MasterToWorker::ReportThroughput);
         let report = report_rx.recv().unwrap();

@@ -2,19 +2,19 @@
 //!
 //! The paper validates its simulator against the real master/worker
 //! runtime (Table 12). This module makes that comparison a first-class
-//! axis: an [`ExecBackend`] turns a [`SimConfig`] into a [`SimReport`],
+//! axis: [`BackendKind::run`] turns a [`SimConfig`] into a [`SimReport`],
 //! and the sweep layer treats the backend like any other grid dimension.
 //!
-//! * [`SimBackend`] — the pure world model ([`crate::ClusterSim`]).
-//! * [`LiveBackend`] — records the world model's engine-ordered schedule
-//!   (an [`ExecScript`]) and replays it through the real `eva-exec`
-//!   [`Master`]/worker runtime. Launch, checkpoint (migration), round
-//!   poll, and completion all become scheduled events on a second
-//!   [`EventEngine`]; task programs are seeded from deterministic
-//!   per-purpose RNG streams, and every checkpoint lands on an exact
-//!   iteration boundary — so live runs are reproducible bit for bit and
-//!   any divergence between scheduled and executed work is a real
-//!   control-plane bug, not noise.
+//! * [`BackendKind::Sim`] — the pure world model ([`run_simulation`]).
+//! * [`BackendKind::Live`] — the [`LiveBackend`] records the world model's
+//!   engine-ordered schedule (an [`ExecScript`]) and replays it through
+//!   the real `eva-exec` [`Master`]/worker runtime. Launch, checkpoint
+//!   (migration), fault injection and completion all become scheduled
+//!   events on a second [`EventEngine`]; task programs are seeded from
+//!   deterministic per-purpose RNG streams, and every checkpoint lands on
+//!   an exact iteration boundary — so live runs are reproducible bit for
+//!   bit and any divergence between scheduled and executed work is a
+//!   real control-plane bug, not noise.
 //!
 //! Simulated progress maps to container iterations at
 //! [`LIVE_ITERS_PER_HOUR`] per full-throughput hour: a migration at 37 %
@@ -48,16 +48,6 @@ pub const LIVE_PROGRAM_STREAM: u64 = 1;
 /// declaring the control plane wedged.
 const LIVE_EXIT_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// An execution backend: one way of turning a cell's configuration into
-/// its report.
-pub trait ExecBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Runs one cell end to end.
-    fn run(&self, cfg: &SimConfig) -> SimReport;
-}
-
 /// The backend axis value of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BackendKind {
@@ -90,26 +80,12 @@ impl BackendKind {
         &["sim", "live"]
     }
 
-    /// The backend implementation for this kind.
-    pub fn backend(&self) -> Box<dyn ExecBackend> {
+    /// Runs one cell end to end on this backend.
+    pub fn run(&self, cfg: &SimConfig) -> SimReport {
         match self {
-            BackendKind::Sim => Box::new(SimBackend),
-            BackendKind::Live => Box::new(LiveBackend),
+            BackendKind::Sim => run_simulation(cfg),
+            BackendKind::Live => LiveBackend.run(cfg),
         }
-    }
-}
-
-/// The pure world-model backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend;
-
-impl ExecBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn run(&self, cfg: &SimConfig) -> SimReport {
-        run_simulation(cfg)
     }
 }
 
@@ -117,18 +93,6 @@ impl ExecBackend for SimBackend {
 /// runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LiveBackend;
-
-impl ExecBackend for LiveBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Live
-    }
-
-    fn run(&self, cfg: &SimConfig) -> SimReport {
-        self.run_detailed(cfg)
-            .expect("live replay must execute the scheduled script")
-            .report
-    }
-}
 
 /// Everything a live run measured, alongside what the schedule expected.
 #[derive(Debug, Clone)]
@@ -223,9 +187,6 @@ enum LiveEvent {
         /// completion).
         until: Option<u64>,
     },
-    /// Ask every worker for throughput reports (one per scheduling
-    /// round, mirroring the paper's periodic polling).
-    Poll,
 }
 
 impl SimEvent for LiveEvent {}
@@ -279,8 +240,15 @@ fn iterations_for(duration_hours: f64) -> u64 {
 }
 
 impl LiveBackend {
+    /// Runs one cell on the live runtime and keeps only the report.
+    pub fn run(&self, cfg: &SimConfig) -> SimReport {
+        self.run_detailed(cfg)
+            .expect("live replay must execute the scheduled script")
+            .report
+    }
+
     /// Runs one cell on the live runtime, returning the full measurement
-    /// set (the trait's [`ExecBackend::run`] keeps only the report).
+    /// set.
     pub fn run_detailed(&self, cfg: &SimConfig) -> Result<LiveOutcome, String> {
         let (sim_report, script) = run_recorded(cfg);
         let plan = ReplayPlan::build(cfg, &script)?;
@@ -352,7 +320,6 @@ impl ReplayPlan {
                     expected_checkpoints += 1;
                     expected_executed += until - from;
                 }
-                ExecActionKind::Round => {}
                 ExecActionKind::JobDone { job } => {
                     let spec = job_of
                         .get(job)
@@ -412,9 +379,6 @@ impl ReplayPlan {
                         },
                     );
                 }
-                ExecActionKind::Round => {
-                    engine.schedule(action.at, LiveEvent::Poll);
-                }
                 ExecActionKind::JobDone { job } => {
                     engine.schedule(action.at, LiveEvent::Confirm { job: *job });
                 }
@@ -457,7 +421,7 @@ impl ReplayPlan {
         // Iteration each task's current segment actually resumed from
         // (position decoded from the fetched blob; 0 when none existed).
         let mut launch_pos: HashMap<TaskId, u64> = HashMap::new();
-        // Tasks stopped at a boundary whose blob still sits in storage —
+        // Tasks stopped at a boundary whose blob the master still holds —
         // the candidate pool for injected checkpoint drops.
         let mut stopped_with_blob: BTreeSet<TaskId> = BTreeSet::new();
         let mut completed_jobs: BTreeSet<JobId> = BTreeSet::new();
@@ -510,8 +474,8 @@ impl ReplayPlan {
                             info.exit
                         ));
                     }
-                    // The blob itself reached global storage when the exit
-                    // report was applied; the resume launch fetches it.
+                    // The master stashed the blob itself when it applied the
+                    // exit report; the resume launch fetches it.
                     if info.checkpoint.is_none() || master.fetch_checkpoint(task).is_none() {
                         return Err(format!("{task} checkpointed without a stored blob"));
                     }
@@ -569,9 +533,6 @@ impl ReplayPlan {
                     if all_finished {
                         completed_jobs.insert(job);
                     }
-                }
-                LiveEvent::Poll => {
-                    master.poll_throughput();
                 }
             }
         }
@@ -634,7 +595,6 @@ mod tests {
         for name in BackendKind::names() {
             let kind = BackendKind::from_name(name).unwrap();
             assert_eq!(kind.label(), *name);
-            assert_eq!(kind.backend().kind(), kind);
         }
         assert!(BackendKind::from_name("hardware").is_err());
     }
@@ -642,7 +602,11 @@ mod tests {
     #[test]
     fn sim_backend_matches_run_simulation() {
         let cfg = tiny_cfg(4, SchedulerKind::NoPacking);
-        assert_eq!(SimBackend.run(&cfg), run_simulation(&cfg));
+        assert_eq!(BackendKind::Sim.run(&cfg), run_simulation(&cfg));
+        assert_eq!(
+            BackendKind::Live.run(&cfg),
+            LiveBackend.run_detailed(&cfg).unwrap().report
+        );
     }
 
     #[test]

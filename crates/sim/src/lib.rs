@@ -10,8 +10,8 @@
 //!   events, applies ground-truth co-location interference (Figure 1) to
 //!   task throughput, and feeds the scheduler only *observed* throughput
 //!   — the scheduler never sees the ground-truth interference model.
-//! * [`backend`] — **layer 2b**: how a cell's schedule executes. The
-//!   [`SimBackend`] is the pure world model; the [`LiveBackend`] replays
+//! * [`backend`] — **layer 2b**: how a cell's schedule executes.
+//!   [`BackendKind::Sim`] is the pure world model; the [`LiveBackend`] replays
 //!   the same engine-ordered schedule through the real `eva-exec`
 //!   master/worker runtime (Table 12's sim-vs-real axis).
 //! * [`sweep`] — **layer 3**: declarative `(scheduler × trace × seed ×
@@ -51,9 +51,7 @@ pub mod state;
 pub mod sweep;
 pub mod world;
 
-pub use backend::{
-    BackendKind, ExecBackend, LiveBackend, LiveOutcome, SimBackend, LIVE_ITERS_PER_HOUR,
-};
+pub use backend::{BackendKind, LiveBackend, LiveOutcome, LIVE_ITERS_PER_HOUR};
 pub use cache::{ReportCache, SCHEMA_VERSION};
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};

@@ -238,7 +238,6 @@ impl ClusterSim {
     /// round while work remains.
     pub(crate) fn handle_round(&mut self) {
         self.round_pending = false;
-        self.record(ExecActionKind::Round);
         // The observations borrow the world, so the scheduler steps out of
         // it while it pulls them (the stand-in is zero-sized: no allocation).
         let mut scheduler = std::mem::replace(&mut self.scheduler, Box::new(NoPackingScheduler));

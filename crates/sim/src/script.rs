@@ -3,7 +3,7 @@
 //!
 //! A [`ClusterSim`](crate::ClusterSim) run, with recording enabled, logs
 //! every control-plane action it takes — task start/resume, checkpoint
-//! for migration, scheduling round, job completion — together with the
+//! for migration, fault kill, job completion — together with the
 //! job-progress fraction at that instant. The [`crate::backend`] layer
 //! replays such a script through the real `eva-exec` master/worker
 //! runtime: fractions map to exact iteration positions, so every live
@@ -52,8 +52,6 @@ pub enum ExecActionKind {
         /// Job-progress fraction in `[0, 1]` at the kill instant.
         progress: f64,
     },
-    /// A scheduling round executed (live runs poll throughput here).
-    Round,
     /// Every task of the job finished its work.
     JobDone {
         /// The job.
@@ -69,16 +67,6 @@ pub struct ExecScript {
 }
 
 impl ExecScript {
-    /// Number of recorded actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// The jobs that completed during the run.
     pub fn completed_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
         self.actions.iter().filter_map(|a| match a.kind {

@@ -477,7 +477,7 @@ impl SweepRunner {
         let run = |i: usize| {
             let cell = &cells[i];
             let cfg = grid.cell_config(cell);
-            cell.backend.backend().run(&cfg)
+            cell.backend.run(&cfg)
         };
         let (reports, stats) = pool.run(cells.len(), &fingerprint, &cost, self.cache(), &run);
         let result = SweepResult {

@@ -25,8 +25,8 @@ pub enum EvaError {
         /// Human-readable explanation.
         reason: String,
     },
-    /// The cloud provider rejected a provisioning request (e.g. the
-    /// availability zone is out of capacity for that type).
+    /// The cloud provider rejected a provisioning request (e.g. its pool
+    /// is at capacity).
     ProvisioningFailed {
         /// The requested type.
         instance_type: InstanceTypeId,

@@ -1,11 +1,11 @@
 //! Live execution demo: the master–worker runtime with EvaIterator.
 //!
-//! Spins up three in-process "instances", launches synthetic training
-//! tasks as containers, polls throughput through the EvaIterator API, and
-//! performs a live checkpoint → global storage → resume migration — the
-//! §5 control plane without a cloud account.
+//! Spins up three in-process "instances", launches a synthetic training
+//! task as a container, polls its progress (the iteration count its
+//! EvaIterator keeps), and performs a live checkpoint → stash → resume
+//! migration — the §5 control plane without a cloud account.
 //!
-//! Run with: `cargo run --example live_cluster`
+//! Run with: `cargo run --release --example live_cluster`
 
 use std::time::Duration;
 
@@ -52,7 +52,7 @@ fn main() {
 
     std::thread::sleep(Duration::from_millis(300));
     master.poll_throughput();
-    // Block until the worker's throughput report is in (only i-000000 runs
+    // Block until the worker's progress report is in (only i-000000 runs
     // a task, so one report comes back).
     while let Some(report) = master.recv_report(Duration::from_secs(5)) {
         if matches!(report, WorkerToMaster::Throughput { .. }) {

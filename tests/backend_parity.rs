@@ -42,7 +42,7 @@ fn live_and_sim_agree_on_completions_and_makespan() {
         SchedulerKind::Eva(EvaConfig::eva()),
     ] {
         let cfg = cfg(scheduler);
-        let sim = SimBackend.run(&cfg);
+        let sim = run_simulation(&cfg);
         let outcome = LiveBackend.run_detailed(&cfg).unwrap();
         let label = &sim.scheduler;
 
@@ -65,7 +65,10 @@ fn live_and_sim_agree_on_completions_and_makespan() {
         );
 
         // Execution-level audit: no lost iterations, no corrupted state.
-        assert_eq!(outcome.live_iterations, outcome.expected_iterations, "{label}");
+        assert_eq!(
+            outcome.live_iterations, outcome.expected_iterations,
+            "{label}"
+        );
         assert_eq!(outcome.digest_mismatches, 0, "{label}");
     }
 }
@@ -179,9 +182,7 @@ fn backend_axis_sweeps_both_variants_in_one_grid() {
         .schedulers_by_name(&["no-packing", "eva"])
         .unwrap();
     let sim_only = SweepRunner::new(2).run(&base.clone());
-    let both = SweepRunner::new(2).run(
-        &base.backends(vec![BackendKind::Sim, BackendKind::Live]),
-    );
+    let both = SweepRunner::new(2).run(&base.backends(vec![BackendKind::Sim, BackendKind::Live]));
     assert_eq!(both.cells.len(), 4);
 
     // The sim cells are untouched by the live axis.
