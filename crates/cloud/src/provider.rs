@@ -264,7 +264,7 @@ impl CloudProvider {
     /// record held — O(ever launched) unless
     /// [`CloudProvider::retire_instance`] dropped them — so it is the
     /// definition audits and final reports read, not a per-round listing:
-    /// `eva_sim::ClusterSim` keeps its own live-instance table and its
+    /// `eva_sim::ClusterSim` keeps its own instance table and its
     /// `audit_slots` checks that table against this scan.
     pub fn live_instances(&self, now: SimTime) -> impl Iterator<Item = &Instance> {
         self.instances

@@ -179,13 +179,18 @@ impl Master {
             let report = self.reports_rx.recv_timeout(remaining).map_err(|_| {
                 EvaError::InvalidInput(format!("timed out waiting for exit of {task}"))
             })?;
-            self.apply_report(&report);
+            self.apply_report(report);
         }
     }
 
     /// Stashes a task's checkpoint blob, replacing any earlier one.
     pub fn stash_checkpoint(&mut self, task: TaskId, blob: &[u8]) {
         self.checkpoints.insert(task, blob.to_vec());
+    }
+
+    /// True when a checkpoint blob is stored for `task`.
+    pub fn has_checkpoint(&self, task: TaskId) -> bool {
+        self.checkpoints.contains_key(&task)
     }
 
     /// Fetches a task's stored checkpoint blob.
@@ -247,11 +252,11 @@ impl Master {
     /// not a sleep loop); `None` once `timeout` expires.
     pub fn recv_report(&mut self, timeout: Duration) -> Option<WorkerToMaster> {
         let report = self.reports_rx.recv_timeout(timeout).ok()?;
-        self.apply_report(&report);
+        self.apply_report(report.clone());
         Some(report)
     }
 
-    fn apply_report(&mut self, report: &WorkerToMaster) {
+    fn apply_report(&mut self, report: WorkerToMaster) {
         match report {
             WorkerToMaster::TaskExited {
                 instance,
@@ -262,14 +267,15 @@ impl Master {
             } => {
                 // Checkpoint blobs are stashed on whichever receive path
                 // applies the exit first, so no consumer of the report
-                // channel can strand one.
-                if *exit == TaskExit::Checkpointed {
-                    if let Some(blob) = checkpoint {
-                        self.stash_checkpoint(*task, blob);
+                // channel can strand one. The exit is owned here, so the
+                // store's copy is the only one made.
+                if exit == TaskExit::Checkpointed {
+                    if let Some(blob) = &checkpoint {
+                        self.stash_checkpoint(task, blob);
                     }
                 }
-                if let Some(h) = self.tasks.get_mut(task) {
-                    h.completed = *completed;
+                if let Some(h) = self.tasks.get_mut(&task) {
+                    h.completed = completed;
                     h.status = match exit {
                         TaskExit::Finished => TaskStatus::Finished,
                         TaskExit::Checkpointed => TaskStatus::Checkpointed,
@@ -277,19 +283,19 @@ impl Master {
                     };
                 }
                 let info = TaskExitInfo {
-                    task: *task,
-                    instance: *instance,
-                    exit: exit.clone(),
-                    checkpoint: checkpoint.clone(),
-                    completed: *completed,
+                    task,
+                    instance,
+                    exit,
+                    checkpoint,
+                    completed,
                 };
-                self.exits.insert(*task, info);
+                self.exits.insert(task, info);
             }
             WorkerToMaster::Throughput {
                 task, completed, ..
             } => {
-                if let Some(h) = self.tasks.get_mut(task) {
-                    h.completed = *completed;
+                if let Some(h) = self.tasks.get_mut(&task) {
+                    h.completed = completed;
                 }
             }
             _ => {}

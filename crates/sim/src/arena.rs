@@ -12,15 +12,15 @@
 //!   job, so each job's tasks form one contiguous slot range and a
 //!   sorted task-slot list is sorted by `TaskId`;
 //! * **instance slots** are allocated when the provider provisions and
-//!   recycled through a free list when instances retire — per-instance
-//!   state (mapped tasks, busy-until, straggle factor) lives in parallel
-//!   `Vec`s indexed by slot, with a dense `InstanceId → slot` table on
-//!   the side (provider IDs are sequential);
+//!   recycled through a free list once the clock passes the instance's
+//!   termination. Each instance is one [`InstRow`] of the [`InstTable`]
+//!   (lifecycle, mapped tasks, checkpoint barrier, straggle factor, its
+//!   slice of the integral rates), with an ID-ordered index beside it;
 //! * **job slots recycle too** when retirement is enabled: a completed
 //!   job, already folded into the host's report sums, releases its task
 //!   range and returns its slot through
 //!   [`JobArena::release`] — the same free-list discipline as
-//!   instances — so a long-lived streaming world holds state for the
+//!   instance rows — so a long-lived streaming world holds state for the
 //!   in-flight window only, not for every job ever ingested. Streaming
 //!   worlds intern jobs out of ID order as they arrive
 //!   ([`WorldArena::intern_job`]), so they carry side `BTreeMap`
@@ -77,13 +77,15 @@
 //!
 //! `ClusterSim::audit_slots` extends this with the incremental-integral
 //! invariant: the maintained capacity/allocation/running-task *rates*
-//! must equal a from-scratch scan of the live instance set, bit for bit
-//! (all components are integer-valued, so summation order cannot
+//! must equal a from-scratch scan of the provider's live instances, bit
+//! for bit (all components are integer-valued, so summation order cannot
 //! introduce drift).
 
 use std::collections::BTreeMap;
 
-use eva_types::{InstanceId, JobId, JobSpec, SimDuration, SimTime, TaskId, WorkloadKind};
+use eva_types::{
+    InstanceId, InstanceTypeId, JobId, JobSpec, SimDuration, SimTime, TaskId, WorkloadKind,
+};
 use eva_workloads::Trace;
 
 use crate::state::TaskState;
@@ -195,7 +197,7 @@ pub(crate) struct JobArena {
     /// Slots returned through [`Self::release`]: their lanes are reset
     /// and their stale IDs are excluded from audits until reuse.
     pub released: Vec<bool>,
-    /// Recycled job slots awaiting reuse (mirrors the instance arena's
+    /// Recycled job slots awaiting reuse (mirrors the instance table's
     /// free list).
     pub free: Vec<u32>,
     /// `JobId → slot` map, maintained only for streaming worlds where
@@ -259,7 +261,10 @@ impl JobArena {
     /// validate against a reused slot.
     pub fn release(&mut self, slot: u32) {
         let s = slot as usize;
-        debug_assert!(self.completed_at[s].is_some(), "releasing an unfinished job");
+        debug_assert!(
+            self.completed_at[s].is_some(),
+            "releasing an unfinished job"
+        );
         debug_assert!(!self.dirty[s], "releasing a dirty job");
         debug_assert!(self.active_pos(slot).is_err(), "releasing an active job");
         if let Some(map) = self.lookup.as_mut() {
@@ -424,108 +429,222 @@ impl TaskArena {
     }
 }
 
-/// Instance state, slot-indexed with a free list: slots recycle as the
-/// provider churns through spot instances.
-#[derive(Debug, Default)]
-pub(crate) struct InstArena {
-    /// Dense `InstanceId → slot` table (provider IDs are sequential);
-    /// [`NO_SLOT`] when the instance holds no slot (never provisioned,
-    /// or already released).
-    slot_by_id: Vec<u32>,
-    /// Slot → instance ID (meaningful only while the slot is live).
-    pub ids: Vec<InstanceId>,
-    /// Slot → mapped task slots, kept sorted (ascending task slot ==
-    /// ascending `TaskId`, preserving co-location iteration order).
-    pub tasks: Vec<Vec<u32>>,
-    /// Slot → departure-checkpoint barrier ([`SimTime::ZERO`] = unset).
-    pub busy_until: Vec<SimTime>,
-    /// Slot → straggler slowdown factor (1.0 = unafflicted).
-    pub straggle: Vec<f64>,
-    /// Recycled slots awaiting reuse.
-    free: Vec<u32>,
+/// Where an instance is in its life, as the world sees it: what a round
+/// may do with it. The provider's record says when it bills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Life {
+    /// Provisioned and offered to every round (while acquiring and
+    /// setting up too).
+    Ready,
+    /// Released by a plan: terminates once its last task has left.
+    Draining,
+    /// Termination committed for this instant. The row holds no task and
+    /// counts its capacity until the clock passes the instant.
+    Terminating(SimTime),
 }
 
-impl InstArena {
-    /// Live slot of `id`, if it holds one.
+/// One instance's row: everything the world keeps about it. Its
+/// lifecycle changes only through the [`InstTable`], which keeps its
+/// draining count and earliest deadline in step.
+#[derive(Debug)]
+pub(crate) struct InstRow {
+    pub id: InstanceId,
+    pub type_id: InstanceTypeId,
+    life: Life,
+    /// Mapped task slots, kept sorted (ascending task slot == ascending
+    /// `TaskId`, preserving co-location iteration order).
+    pub tasks: Vec<u32>,
+    /// Departure-checkpoint barrier: the earliest instant it may
+    /// terminate ([`SimTime::ZERO`] = unset).
+    pub busy_until: SimTime,
+    /// Straggler slowdown factor (1.0 = unafflicted).
+    pub straggle: f64,
+    /// The instance type's capacity, which the row adds to the capacity
+    /// rate while it lives.
+    cap: [f64; 3],
+}
+
+impl InstRow {
+    pub fn life(&self) -> Life {
+        self.life
+    }
+}
+
+/// The instance table: one slot-indexed row per instance that counts,
+/// from its provision until the clock passes its termination, i.e.
+/// while the provider's `Instance::state(now)` is not `Terminated`.
+/// Slots recycle through a free list as the provider churns through
+/// spot instances.
+#[derive(Debug, Default)]
+pub(crate) struct InstTable {
+    /// Slot → row (stale while the slot waits on `free`).
+    pub rows: Vec<InstRow>,
+    /// Instance ID → slot of every row, in ID order.
+    by_id: BTreeMap<InstanceId, u32>,
+    /// Recycled slots awaiting reuse.
+    free: Vec<u32>,
+    /// Rows draining, and the earliest deadline among terminating rows:
+    /// the per-event checks for work stay O(1) while there is none.
+    draining: usize,
+    next_deadline: Option<SimTime>,
+    /// The capacity, allocation and running-task rates the world
+    /// integrates: the rows' capacities, their mapped tasks' demands and
+    /// how many of those run. Every component is an integer-valued `f64`,
+    /// so adding and later subtracting leaves the sums bit-identical to a
+    /// from-scratch scan in any order. A row is dropped only once its
+    /// tasks are gone, so it takes only its capacity along.
+    cap_rate: [f64; 3],
+    alloc_rate: [f64; 3],
+    running_rate: usize,
+}
+
+impl InstTable {
+    /// Slot of `id`'s row, if it has one.
     pub fn get(&self, id: InstanceId) -> Option<u32> {
-        match self.slot_by_id.get(id.0 as usize) {
-            Some(&s) if s != NO_SLOT => Some(s),
-            _ => None,
-        }
+        self.by_id.get(&id).copied()
     }
 
-    /// Returns `id`'s slot, allocating (or recycling) one if needed.
-    pub fn ensure(&mut self, id: InstanceId) -> u32 {
-        if let Some(s) = self.get(id) {
-            return s;
-        }
-        let idx = id.0 as usize;
-        if idx >= self.slot_by_id.len() {
-            self.slot_by_id.resize(idx + 1, NO_SLOT);
-        }
+    /// Slot of `id`'s row if a round may place tasks on it.
+    pub fn ready(&self, id: InstanceId) -> Option<u32> {
+        self.get(id)
+            .filter(|&s| self.rows[s as usize].life == Life::Ready)
+    }
+
+    /// Rows (counted instances) held.
+    pub fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    /// The capacity, allocation and running-task rates.
+    pub fn rates(&self) -> ([f64; 3], [f64; 3], usize) {
+        (self.cap_rate, self.alloc_rate, self.running_rate)
+    }
+
+    /// Slots of every row, in instance ID order.
+    pub fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.by_id.values().copied()
+    }
+
+    /// Slots of the draining rows, in instance ID order.
+    pub fn draining(&self) -> impl Iterator<Item = u32> + '_ {
+        // No walk while none drains: every job completion asks.
+        let walk = (self.draining > 0).then(|| self.slots());
+        let walk = walk.into_iter().flatten();
+        walk.filter(|&s| self.rows[s as usize].life == Life::Draining)
+    }
+
+    /// Adds a freshly provisioned instance as a ready row with capacity
+    /// `cap`, recycling a free slot when there is one.
+    pub fn insert(&mut self, id: InstanceId, type_id: InstanceTypeId, cap: [f64; 3]) -> u32 {
+        let row = InstRow {
+            id,
+            type_id,
+            life: Life::Ready,
+            tasks: Vec::new(),
+            busy_until: SimTime::ZERO,
+            straggle: 1.0,
+            cap,
+        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.ids[s as usize] = id;
-                debug_assert!(self.tasks[s as usize].is_empty());
-                debug_assert_eq!(self.busy_until[s as usize], SimTime::ZERO);
-                debug_assert_eq!(self.straggle[s as usize], 1.0);
+                self.rows[s as usize] = row;
                 s
             }
             None => {
-                let s = self.ids.len() as u32;
-                self.ids.push(id);
-                self.tasks.push(Vec::new());
-                self.busy_until.push(SimTime::ZERO);
-                self.straggle.push(1.0);
-                s
+                self.rows.push(row);
+                self.rows.len() as u32 - 1
             }
         };
-        self.slot_by_id[idx] = slot;
+        let previous = self.by_id.insert(id, slot);
+        debug_assert!(previous.is_none(), "instance {id} provisioned twice");
+        for (rate, c) in self.cap_rate.iter_mut().zip(cap) {
+            *rate += c;
+        }
         slot
     }
 
-    /// Releases `id`'s slot back to the free list, resetting its state.
-    pub fn release(&mut self, id: InstanceId) {
-        let Some(slot) = self.get(id) else {
-            return;
-        };
-        self.slot_by_id[id.0 as usize] = NO_SLOT;
-        self.tasks[slot as usize].clear();
-        self.busy_until[slot as usize] = SimTime::ZERO;
-        self.straggle[slot as usize] = 1.0;
+    /// Drops the row in `slot`, returning the slot to the free list.
+    pub fn remove(&mut self, slot: u32) {
+        let row = &self.rows[slot as usize];
+        debug_assert!(row.tasks.is_empty(), "dropping a row that holds tasks");
+        self.draining -= usize::from(row.life == Life::Draining);
+        for (rate, c) in self.cap_rate.iter_mut().zip(row.cap) {
+            *rate -= c;
+        }
+        self.by_id.remove(&row.id);
         self.free.push(slot);
     }
 
-    /// Maps a task slot onto an instance slot (sorted insert); returns
-    /// whether the mapping was actually added, so callers can keep the
-    /// incremental allocation rates in lockstep.
-    pub fn attach(&mut self, slot: u32, task: u32) -> bool {
-        let list = &mut self.tasks[slot as usize];
-        match list.binary_search(&task) {
-            Err(pos) => {
-                list.insert(pos, task);
-                true
+    /// Maps (unmaps) task slot `task` onto (from) the row in `slot`,
+    /// keeping its task list sorted, and folds the task's `demand` into
+    /// (out of) the allocation rate when the mapping changed, so the rate
+    /// mirrors the mapping lists exactly.
+    pub fn map(&mut self, slot: u32, task: u32, demand: [f64; 3], mapped: bool) {
+        let row = &mut self.rows[slot as usize];
+        let sign = match (row.tasks.binary_search(&task), mapped) {
+            (Err(pos), true) => {
+                row.tasks.insert(pos, task);
+                1.0
             }
-            Ok(_) => false,
+            (Ok(pos), false) => {
+                row.tasks.remove(pos);
+                -1.0
+            }
+            _ => return,
+        };
+        for (rate, d) in self.alloc_rate.iter_mut().zip(demand) {
+            *rate += sign * d;
         }
     }
 
-    /// Unmaps a task slot from an instance slot; returns whether the
-    /// mapping was actually removed.
-    pub fn detach(&mut self, slot: u32, task: u32) -> bool {
-        let list = &mut self.tasks[slot as usize];
-        match list.binary_search(&task) {
-            Ok(pos) => {
-                list.remove(pos);
-                true
-            }
-            Err(_) => false,
+    /// Counts a mapped task starting (stopping) running.
+    pub fn count_running(&mut self, started: bool) {
+        if started {
+            self.running_rate += 1;
+        } else {
+            self.running_rate -= 1;
         }
     }
 
-    /// Slots currently live (mapped from an ID).
-    pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slot_by_id.iter().copied().filter(|&s| s != NO_SLOT)
+    /// Marks every ready row draining.
+    pub fn drain_all(&mut self) {
+        let ready = self
+            .slots()
+            .filter(|&s| self.rows[s as usize].life == Life::Ready);
+        for slot in ready.collect::<Vec<_>>() {
+            self.set_life(slot, Life::Draining);
+        }
+    }
+
+    /// Moves the row in `slot` to `life`.
+    pub fn set_life(&mut self, slot: u32, life: Life) {
+        let row = &mut self.rows[slot as usize];
+        self.draining += usize::from(life == Life::Draining);
+        self.draining -= usize::from(row.life == Life::Draining);
+        if let Life::Terminating(at) = life {
+            self.next_deadline = Some(self.next_deadline.map_or(at, |d| d.min(at)));
+        }
+        row.life = life;
+    }
+
+    /// The slots of terminating rows whose deadline is at or before `t`,
+    /// in ID order; no walk (and no allocation) until the earliest passes.
+    pub fn take_due(&mut self, t: SimTime) -> Vec<u32> {
+        let mut due = Vec::new();
+        if self.next_deadline.is_none_or(|d| d > t) {
+            return due;
+        }
+        self.next_deadline = None;
+        for &slot in self.by_id.values() {
+            if let Life::Terminating(at) = self.rows[slot as usize].life {
+                if at <= t {
+                    due.push(slot);
+                } else {
+                    self.next_deadline = Some(self.next_deadline.map_or(at, |d| d.min(at)));
+                }
+            }
+        }
+        due
     }
 }
 
@@ -542,15 +661,15 @@ fn lane_work(spec: &JobSpec) -> u64 {
 pub(crate) struct WorldArena {
     pub jobs: JobArena,
     pub tasks: TaskArena,
-    pub insts: InstArena,
+    pub insts: InstTable,
     /// Trace job index → job slot (arrival events carry trace indices).
     pub slot_of_spec: Vec<u32>,
 }
 
 impl WorldArena {
     /// Interns every job and task ID of `trace` into slots. All dynamic
-    /// state starts at its pre-arrival default; instances intern lazily
-    /// as the provider provisions them.
+    /// state starts at its pre-arrival default; instance rows are added
+    /// as the provider provisions.
     pub fn from_trace(trace: &Trace) -> Self {
         let specs = trace.jobs();
         let n = specs.len();
@@ -615,7 +734,7 @@ impl WorldArena {
         WorldArena {
             jobs,
             tasks,
-            insts: InstArena::default(),
+            insts: InstTable::default(),
             slot_of_spec,
         }
     }
@@ -649,7 +768,10 @@ impl WorldArena {
     /// it); all dynamic state starts at its pre-arrival default.
     /// Requires [`Self::enable_streaming`].
     pub fn intern_job(&mut self, spec: JobSpec) -> u32 {
-        debug_assert!(self.jobs.lookup.is_some(), "streaming intern without lookup maps");
+        debug_assert!(
+            self.jobs.lookup.is_some(),
+            "streaming intern without lookup maps"
+        );
         let n_tasks = spec.tasks.len() as u32;
         let jobs = &mut self.jobs;
         let jslot = match jobs.free.pop() {
@@ -858,19 +980,24 @@ impl WorldArena {
             }
             let inst = self.tasks.assigned[slot];
             if inst != NO_SLOT {
-                let mapped = self.insts.tasks[inst as usize].binary_search(&(slot as u32));
+                let mapped = self.insts.rows[inst as usize]
+                    .tasks
+                    .binary_search(&(slot as u32));
                 let done = self.tasks.state[slot] == TaskState::Done;
                 if mapped.is_err() && !done {
                     return Err(format!("task {id} assigned to slot {inst} but unmapped"));
                 }
             }
         }
-        for slot in self.insts.live_slots() {
-            let id = self.insts.ids[slot as usize];
+        for slot in self.insts.slots() {
+            let row = &self.insts.rows[slot as usize];
+            let (id, list) = (row.id, &row.tasks);
             if self.insts.get(id) != Some(slot) {
                 return Err(format!("instance {id} does not round-trip slot {slot}"));
             }
-            let list = &self.insts.tasks[slot as usize];
+            if matches!(row.life, Life::Terminating(_)) && !list.is_empty() {
+                return Err(format!("terminating instance {id} holds tasks"));
+            }
             if !list.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("instance {id} task list unsorted"));
             }
@@ -915,23 +1042,40 @@ mod tests {
     }
 
     #[test]
-    fn instance_slots_recycle_through_free_list() {
+    fn instance_rows_recycle_through_free_list() {
         let trace = SyntheticTraceConfig::small_scale().generate(1);
         let mut world = WorldArena::from_trace(&trace);
-        let a = world.insts.ensure(InstanceId(0));
-        let b = world.insts.ensure(InstanceId(1));
+        let (ty, cap) = (InstanceTypeId(0), [1.0, 4.0, 1024.0]);
+        let a = world.insts.insert(InstanceId(0), ty, cap);
+        let b = world.insts.insert(InstanceId(1), ty, cap);
         assert_ne!(a, b);
-        assert_eq!(world.insts.ensure(InstanceId(0)), a, "idempotent");
-        world.insts.straggle[a as usize] = 0.5;
-        world.insts.busy_until[a as usize] = SimTime::from_secs(30);
-        world.insts.release(InstanceId(0));
+        assert_eq!(world.insts.ready(InstanceId(0)), Some(a));
+        world.insts.rows[a as usize].straggle = 0.5;
+        world
+            .insts
+            .set_life(a, Life::Terminating(SimTime::from_secs(30)));
+        assert_eq!(
+            world.insts.ready(InstanceId(0)),
+            None,
+            "terminating is not ready"
+        );
+        assert!(world.insts.take_due(SimTime::from_secs(29)).is_empty());
+        assert_eq!(world.insts.take_due(SimTime::from_secs(30)), vec![a]);
+        world.insts.remove(a);
         assert_eq!(world.insts.get(InstanceId(0)), None);
         // The recycled slot comes back clean for the next instance.
-        let c = world.insts.ensure(InstanceId(7));
+        let c = world.insts.insert(InstanceId(7), ty, cap);
         assert_eq!(c, a);
-        assert_eq!(world.insts.straggle[c as usize], 1.0);
-        assert_eq!(world.insts.busy_until[c as usize], SimTime::ZERO);
-        assert_eq!(world.insts.ids[c as usize], InstanceId(7));
+        let row = &world.insts.rows[c as usize];
+        assert_eq!(
+            (row.id, row.life, row.straggle),
+            (InstanceId(7), Life::Ready, 1.0)
+        );
+        assert_eq!(
+            world.insts.slots().collect::<Vec<_>>(),
+            vec![b, c],
+            "ID order"
+        );
         audit(&world).unwrap();
     }
 
@@ -1072,7 +1216,10 @@ mod tests {
         world.jobs.completed_at[a as usize] = Some(SimTime::from_secs(60));
         world.release_job(a);
         assert!(world.jobs.released[a as usize]);
-        assert!(world.jobs.owned[a as usize].is_none(), "spec memory reclaimed");
+        assert!(
+            world.jobs.owned[a as usize].is_none(),
+            "spec memory reclaimed"
+        );
         assert_eq!(world.jobs.slot_of(jobs[0].id), None);
         audit(&world).unwrap();
 
@@ -1086,16 +1233,5 @@ mod tests {
         assert_eq!(world.tasks.slot_of(TaskId::new(JobId(2_000), 0)), Some(t0));
         assert!(world.jobs.owned[c as usize].is_some());
         audit(&world).unwrap();
-    }
-
-    #[test]
-    fn attach_and_detach_report_whether_the_mapping_changed() {
-        let trace = SyntheticTraceConfig::small_scale().generate(1);
-        let mut world = WorldArena::from_trace(&trace);
-        let slot = world.insts.ensure(InstanceId(0));
-        assert!(world.insts.attach(slot, 4));
-        assert!(!world.insts.attach(slot, 4), "double attach is a no-op");
-        assert!(world.insts.detach(slot, 4));
-        assert!(!world.insts.detach(slot, 4), "double detach is a no-op");
     }
 }

@@ -476,7 +476,7 @@ impl ReplayPlan {
                     }
                     // The master stashed the blob itself when it applied the
                     // exit report; the resume launch fetches it.
-                    if info.checkpoint.is_none() || master.fetch_checkpoint(task).is_none() {
+                    if info.checkpoint.is_none() || !master.has_checkpoint(task) {
                         return Err(format!("{task} checkpointed without a stored blob"));
                     }
                     live_executed += info

@@ -18,7 +18,7 @@ use eva_types::{InstanceId, TaskId, WorkloadKind};
 
 use eva_types::SimTime;
 
-use crate::arena::{work_span, NO_SLOT};
+use crate::arena::{work_span, Life, NO_SLOT};
 use crate::script::ExecActionKind;
 use crate::state::TaskState;
 use crate::world::{ClusterSim, Event};
@@ -31,9 +31,12 @@ impl ClusterSim {
             .unwrap_or(self.now())
     }
 
-    /// Moves (or first-places) a task onto `dest`.
+    /// Moves (or first-places) a task onto `dest`, which must be a ready
+    /// instance.
     pub(crate) fn transfer_task(&mut self, tid: TaskId, dest: InstanceId) {
-        let Some(tslot) = self.world.tasks.slot_of(tid) else {
+        let dslot = self.world.insts.ready(dest);
+        debug_assert!(dslot.is_some(), "{tid} sent to {dest}, which is not ready");
+        let (Some(tslot), Some(dslot)) = (self.world.tasks.slot_of(tid), dslot) else {
             return;
         };
         let s = tslot as usize;
@@ -53,7 +56,7 @@ impl ClusterSim {
         let old = self.world.tasks.assigned[s];
         let had_instance = old != NO_SLOT;
 
-        if had_instance && self.world.insts.ids[old as usize] == dest {
+        if old == dslot {
             return;
         }
         // The moved task's own job changes state (running → in transit),
@@ -61,15 +64,12 @@ impl ClusterSim {
         // interference set.
         self.world.jobs.mark_dirty(jslot, self.now());
         if had_instance {
-            let old_id = self.world.insts.ids[old as usize];
             self.touch_instance_jobs(old);
-            if self.world.insts.detach(old, tslot) {
-                self.account_mapping(old_id, tslot, false);
-            }
+            self.map_task(old, tslot, false);
             if was_running {
-                self.account_running(old_id, -1);
+                self.world.insts.count_running(false);
                 let busy = self.now() + checkpoint;
-                let slot_busy = &mut self.world.insts.busy_until[old as usize];
+                let slot_busy = &mut self.world.insts.rows[old as usize].busy_until;
                 *slot_busy = (*slot_busy).max(busy);
                 if self.recorder.is_some() {
                     let progress = self.job_progress_fraction_slot(jslot);
@@ -98,11 +98,8 @@ impl ClusterSim {
             self.world.tasks.migrations[s] += 1;
             self.migration_count += 1;
         }
-        let dslot = self.world.insts.ensure(dest);
         self.world.tasks.assigned[s] = dslot;
-        if self.world.insts.attach(dslot, tslot) {
-            self.account_mapping(dest, tslot, true);
-        }
+        self.map_task(dslot, tslot, true);
         self.push(
             ready,
             Event::TaskReady {
@@ -132,7 +129,8 @@ impl ClusterSim {
             let others: Vec<WorkloadKind> = if inst == NO_SLOT {
                 Vec::new()
             } else {
-                self.world.insts.tasks[inst as usize]
+                self.world.insts.rows[inst as usize]
+                    .tasks
                     .iter()
                     .filter(|&&t| t != tslot && self.world.tasks.is_running(t))
                     .map(|&t| self.world.tasks.workload[t as usize])
@@ -178,20 +176,20 @@ impl ClusterSim {
                     gang_size: spec.num_tasks() as u32,
                     gang_coupled: spec.gang_coupled,
                     assigned_to: (assigned != NO_SLOT)
-                        .then(|| self.world.insts.ids[assigned as usize]),
+                        .then(|| self.world.insts.rows[assigned as usize].id),
                     remaining_hint: Some(remaining),
                 });
             }
         }
         instances.clear();
-        for (&id, row) in &self.live {
-            if !self.draining.contains(&id) {
-                instances.push(InstanceSnapshot {
-                    id,
-                    type_id: row.type_id,
-                });
+        let insts = &self.world.insts;
+        let rows = insts.slots().map(|s| &insts.rows[s as usize]);
+        instances.extend(rows.filter(|row| row.life() == Life::Ready).map(|row| {
+            InstanceSnapshot {
+                id: row.id,
+                type_id: row.type_id,
             }
-        }
+        }));
         (tasks, instances)
     }
 
@@ -214,7 +212,6 @@ impl ClusterSim {
                         self.provisions_failed += 1;
                         return None;
                     };
-                    self.world.insts.ensure(id);
                     self.count_provision(id);
                     Some(id)
                 }
@@ -226,11 +223,15 @@ impl ClusterSim {
             }
         }
         // Defensive: never drain an instance the plan also assigns to.
-        let released = plan
+        for &id in plan
             .terminate
             .iter()
-            .filter(|&&id| !dest.contains(&Some(id)));
-        self.draining.extend(released);
+            .filter(|&&id| !dest.contains(&Some(id)))
+        {
+            if let Some(islot) = self.world.insts.ready(id) {
+                self.world.insts.set_life(islot, Life::Draining);
+            }
+        }
         self.try_terminations();
     }
 
@@ -266,11 +267,11 @@ impl ClusterSim {
         if !self.world.jobs.active.is_empty() {
             self.schedule_round(self.now() + self.round_period);
         } else if self.arrivals_remaining == 0 && self.stream_drained() {
-            // Final cleanup: drain everything still alive, and tombstone
+            // Final cleanup: drain everything still ready, and tombstone
             // leftover fault events — a fault outliving the workload has
             // nothing to disturb, and letting it dispatch would drag the
             // clock (and therefore the makespan) forward for nothing.
-            self.draining.extend(self.live.keys());
+            self.world.insts.drain_all();
             self.try_terminations();
             for token in self.fault_tokens.drain(..) {
                 self.engine.cancel(token);

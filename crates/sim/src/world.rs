@@ -7,15 +7,16 @@
 //! contains no scheduling policy itself; report assembly lives in the
 //! `report` module.
 //!
-//! World state lives in the slot-indexed SoA arenas of the private
-//! `arena` module:
-//! IDs intern to contiguous `u32` slots at construction, events carry
-//! slots instead of IDs, and the per-event hot loops walk flat vectors.
-//! Slot order is ID order, so every iteration happens in the sequence the
-//! former `BTreeMap`-keyed world produced.
+//! World state lives in the slot-indexed arenas of the private `arena`
+//! module: job and task IDs intern to contiguous `u32` slots at
+//! construction, events carry slots instead of IDs, and the per-event hot
+//! loops walk flat vectors. Slot order is ID order, so every iteration
+//! happens in the sequence the former `BTreeMap`-keyed world produced.
+//! Each instance is one row of the arena's instance table, from its
+//! provision until the clock passes its termination.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 
@@ -24,12 +25,10 @@ use eva_baselines::{
 };
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
 use eva_core::{EvaScheduler, InstanceSnapshot, Scheduler, TaskSnapshot};
-use eva_types::{
-    InstanceId, InstanceTypeId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind,
-};
+use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{quantize, work_of, WorldArena, NO_SLOT};
+use crate::arena::{quantize, work_of, Life, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -43,8 +42,14 @@ use crate::state::TaskState;
 pub(crate) enum Event {
     /// Trace job `i` arriving; its handler queues job `i + 1`'s arrival.
     Arrival(usize),
-    TaskReady { slot: u32, generation: u64 },
-    JobDone { slot: u32, generation: u64 },
+    TaskReady {
+        slot: u32,
+        generation: u64,
+    },
+    JobDone {
+        slot: u32,
+        generation: u64,
+    },
     Round,
     /// Injected fault striking (index into the compiled fault plan).
     Fault(usize),
@@ -101,21 +106,6 @@ pub(crate) struct StreamState {
     pending: Option<JobSpec>,
 }
 
-/// One row of the world's live-instance table: the instance's catalog
-/// type and its slice of the incremental integral rates. A row exists
-/// exactly while the instance counts — from its provision until the
-/// clock reaches its termination time, i.e. while the provider's
-/// `Instance::state(now)` is not `Terminated`. All rate components are
-/// integer-valued `f64`s, so adding and later subtracting them leaves
-/// the running sums bit-identical to a from-scratch scan in any order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LiveInst {
-    pub(crate) type_id: InstanceTypeId,
-    cap: [f64; 3],
-    alloc: [f64; 3],
-    running: u32,
-}
-
 /// The simulated cluster: engine + world state + metric accumulators.
 pub struct ClusterSim {
     pub(crate) cfg: SimConfig,
@@ -129,7 +119,6 @@ pub struct ClusterSim {
 
     /// All job/task/instance state, slot-indexed (see [`crate::arena`]).
     pub(crate) world: WorldArena,
-    pub(crate) draining: BTreeSet<InstanceId>,
 
     pub(crate) engine: EventEngine<Event>,
     pub(crate) round_pending: bool,
@@ -165,25 +154,12 @@ pub struct ClusterSim {
     pub(crate) rounds: u64,
     pub(crate) full_rounds: u64,
 
-    // Incremental-integral state (see the dirty-set invariants in
-    // `crate::arena`): the live instances in id order, each with its
-    // accounting, plus the maintained capacity/allocation/running-task
-    // rates `advance_to` integrates. Rounds and faults list the cluster
-    // from `live`, never from the provider's record of every launch.
-    pub(crate) live: BTreeMap<InstanceId, LiveInst>,
-    cap_rate: [f64; 3],
-    alloc_rate: [f64; 3],
-    running_rate: usize,
-    /// Future-dated terminations (deadline, instance) whose capacity is
-    /// still counted; `advance_to` retires them once the clock passes.
-    cap_pending: BTreeSet<(SimTime, InstanceId)>,
     /// Debug-only eager reference semantics (see
     /// [`ClusterSim::use_full_scan_reference`]).
     full_scan: bool,
 
     // Reusable hot-path scratch (per-event, allocation-free steady state).
     tput_buf: RefCell<Vec<WorkloadKind>>,
-    term_scratch: Vec<InstanceId>,
     dirty_scratch: Vec<u32>,
     pub(crate) snapshot_scratch: (Vec<TaskSnapshot>, Vec<InstanceSnapshot>),
 }
@@ -260,7 +236,6 @@ impl ClusterSim {
             round_period: cfg.round_period,
             migration_delay_scale: cfg.migration_delay_scale,
             world,
-            draining: BTreeSet::new(),
             engine: EventEngine::new(),
             round_pending: false,
             arrivals_remaining: cfg.trace.len(),
@@ -286,14 +261,8 @@ impl ClusterSim {
             total_tasks: cfg.trace.jobs().iter().map(|j| j.num_tasks()).sum(),
             rounds: 0,
             full_rounds: 0,
-            live: BTreeMap::new(),
-            cap_rate: [0.0; 3],
-            alloc_rate: [0.0; 3],
-            running_rate: 0,
-            cap_pending: BTreeSet::new(),
             full_scan: false,
             tput_buf: RefCell::new(Vec::new()),
-            term_scratch: Vec::new(),
             dirty_scratch: Vec::new(),
             snapshot_scratch: (Vec::new(), Vec::new()),
             cfg,
@@ -536,22 +505,18 @@ impl ClusterSim {
                     TaskState::InTransit { generation: g, .. } if g == generation
                 );
                 if matches {
+                    // A task in transit is mapped to its destination's row
+                    // (rows outlive their tasks). Its start changes its own
+                    // job's gang state and every co-located job's
+                    // interference set.
                     let inst = self.world.tasks.assigned[s];
-                    // A task starting changes its own job's gang state
-                    // and every co-located job's interference set.
-                    if inst != NO_SLOT {
-                        self.touch_instance_jobs(inst);
-                    } else {
-                        let (jslot, now) = (self.world.tasks.job_slot[s], self.now());
-                        self.world.jobs.mark_dirty(jslot, now);
-                    }
+                    debug_assert_ne!(inst, NO_SLOT, "a task in transit to nowhere");
+                    self.touch_instance_jobs(inst);
                     self.world.tasks.state[s] = TaskState::Running;
-                    if inst != NO_SLOT {
-                        self.account_running(self.world.insts.ids[inst as usize], 1);
-                    }
-                    if self.recorder.is_some() && inst != NO_SLOT {
+                    self.world.insts.count_running(true);
+                    if self.recorder.is_some() {
                         let task = self.world.tasks.ids[s];
-                        let instance = self.world.insts.ids[inst as usize];
+                        let instance = self.world.insts.rows[inst as usize].id;
                         let progress =
                             self.job_progress_fraction_slot(self.world.tasks.job_slot[s]);
                         self.record(ExecActionKind::Start {
@@ -570,26 +535,25 @@ impl ClusterSim {
         }
     }
 
-    /// Deterministic fault victim: the live instance selected by the
-    /// plan's pre-drawn word over the id-ordered live set.
-    fn fault_victim(&self, draw: u64) -> Option<InstanceId> {
-        let pick = draw.checked_rem(self.live.len() as u64)?;
-        self.live.keys().nth(pick as usize).copied()
+    /// Deterministic fault victim: the slot of the instance row selected
+    /// by the plan's pre-drawn word over every row in ID order
+    /// (terminating rows included).
+    fn fault_victim(&self, draw: u64) -> Option<u32> {
+        let pick = draw.checked_rem(self.world.insts.len() as u64)?;
+        self.world.insts.slots().nth(pick as usize)
     }
 
-    /// Abruptly kills every unfinished task mapped to `victim`: running
-    /// tasks rescue-checkpoint at the kill instant (recorded as
-    /// [`ExecActionKind::Kill`]), in-transit tasks lose their transfer;
-    /// all go back to pending for the next round to re-place.
-    fn kill_instance_tasks(&mut self, victim: InstanceId) {
-        let Some(islot) = self.world.insts.get(victim) else {
-            return;
-        };
+    /// Abruptly kills every unfinished task mapped to instance slot
+    /// `islot`: running tasks rescue-checkpoint at the kill instant
+    /// (recorded as [`ExecActionKind::Kill`]), in-transit tasks lose
+    /// their transfer; all go back to pending for the next round to
+    /// re-place.
+    fn kill_instance_tasks(&mut self, islot: u32) {
         // Every job with a task here changes throughput (marking also
         // settles them, so the Kill progress reads below are current).
         self.touch_instance_jobs(islot);
         // Snapshot: slot order is TaskId order.
-        let tslots = self.world.insts.tasks[islot as usize].clone();
+        let tslots = self.world.insts.rows[islot as usize].tasks.clone();
         for tslot in tslots {
             let s = tslot as usize;
             let running = match self.world.tasks.state[s] {
@@ -600,13 +564,11 @@ impl ClusterSim {
                 let task = self.world.tasks.ids[s];
                 let progress = self.job_progress_fraction_slot(self.world.tasks.job_slot[s]);
                 self.record(ExecActionKind::Kill { task, progress });
-                self.account_running(victim, -1);
+                self.world.insts.count_running(false);
             }
             self.world.tasks.state[s] = TaskState::Pending;
             self.world.tasks.assigned[s] = NO_SLOT;
-            if self.world.insts.detach(islot, tslot) {
-                self.account_mapping(victim, tslot, false);
-            }
+            self.map_task(islot, tslot, false);
         }
     }
 
@@ -619,12 +581,10 @@ impl ClusterSim {
                 let Some(victim) = self.fault_victim(ev.draw) else {
                     return;
                 };
+                let id = self.world.insts.rows[victim as usize].id;
                 self.kill_instance_tasks(victim);
-                let _ = self.cloud.terminate(victim, now);
-                self.note_termination(victim);
-                self.draining.remove(&victim);
-                self.world.insts.release(victim);
-                self.preemption_log.push((now, victim));
+                self.terminate(victim, now);
+                self.preemption_log.push((now, id));
                 self.recompute_completions();
                 self.schedule_round(now);
             }
@@ -639,7 +599,8 @@ impl ClusterSim {
                 self.schedule_round(now);
             }
             FaultAction::CapacityShock { .. } => {
-                self.cloud.set_pool_limit(Some(self.live.len() as u64 / 2));
+                self.cloud
+                    .set_pool_limit(Some(self.world.insts.len() as u64 / 2));
             }
             FaultAction::PriceStep { .. } => {
                 // Applied as a billing schedule at construction.
@@ -667,12 +628,11 @@ impl ClusterSim {
                 let Some(victim) = self.fault_victim(ev.draw) else {
                     return;
                 };
-                if let Some(islot) = self.world.insts.get(victim) {
-                    // Settle at the pre-straggle rate before it changes.
-                    self.touch_instance_jobs(islot);
-                    self.world.insts.straggle[islot as usize] = factor;
-                }
-                self.active_stragglers.insert(idx, victim);
+                // Settle at the pre-straggle rate before it changes.
+                self.touch_instance_jobs(victim);
+                let row = &mut self.world.insts.rows[victim as usize];
+                row.straggle = factor;
+                self.active_stragglers.insert(idx, row.id);
                 self.recompute_completions();
             }
         }
@@ -688,13 +648,13 @@ impl ClusterSim {
                 if let Some(victim) = self.active_stragglers.remove(&idx) {
                     // A later straggler may have re-slowed the same
                     // instance; only lift when no window still covers it.
-                    // (A preempted victim lost its slot — and its factor —
-                    // already; the slot may now belong to a new instance.)
+                    // (A victim whose row was dropped took its factor
+                    // along; its slot may now belong to a new instance.)
                     if !self.active_stragglers.values().any(|v| *v == victim) {
                         if let Some(islot) = self.world.insts.get(victim) {
                             // Settle at the straggling rate before it lifts.
                             self.touch_instance_jobs(islot);
-                            self.world.insts.straggle[islot as usize] = 1.0;
+                            self.world.insts.rows[islot as usize].straggle = 1.0;
                         }
                     }
                     self.recompute_completions();
@@ -721,11 +681,10 @@ impl ClusterSim {
 
     /// Tasks currently mapped to `instance` (running or in transit).
     pub fn tasks_on(&self, instance: InstanceId) -> usize {
-        self.world
-            .insts
+        let insts = &self.world.insts;
+        insts
             .get(instance)
-            .map(|s| self.world.insts.tasks[s as usize].len())
-            .unwrap_or(0)
+            .map_or(0, |s| insts.rows[s as usize].tasks.len())
     }
 
     /// The cloud provider (for invariant checks in tests).
@@ -739,45 +698,30 @@ impl ClusterSim {
     }
 
     /// Audits the world's slot bookkeeping (for invariant checks in
-    /// tests): every job, task, and live instance ID must round-trip
-    /// through its arena slot back to the same ID, cross-references
-    /// (task↔instance, task↔job, active set, dirty set) must agree,
-    /// every draining instance must still hold a slot, and the
-    /// incrementally maintained capacity/allocation/running-task rates
-    /// must equal a from-scratch scan of the live instance set bit for
-    /// bit (see the dirty-set invariants in the `arena` module docs), and
-    /// the live-instance table must list exactly the `(id, type)` pairs
-    /// the provider reports live at this instant, in the same order.
+    /// tests): every job, task, and instance ID must round-trip through
+    /// its arena slot back to the same ID, cross-references
+    /// (task↔instance, task↔job, active set, dirty set) must agree, no
+    /// terminating instance may hold a task, the incrementally
+    /// maintained capacity/allocation/running-task rates must equal a
+    /// from-scratch scan of the provider's live instances bit for bit
+    /// (see the dirty-set invariants in the `arena` module docs), and the
+    /// instance table must list exactly the `(id, type)` pairs the
+    /// provider reports live at this instant, in the same order.
     pub fn audit_slots(&self) -> Result<(), String> {
         let now = self.engine.now();
         self.world.audit(now, |slot| self.job_spec(slot).arrival)?;
-        for id in &self.draining {
-            if self.world.insts.get(*id).is_none() {
-                return Err(format!("draining instance {id} holds no slot"));
-            }
-        }
-        let (cap, alloc, running) = self.scan_rates(now);
-        if cap != self.cap_rate || alloc != self.alloc_rate || running != self.running_rate {
+        let (scan, rates) = (self.scan_rates(now), self.world.insts.rates());
+        if scan != rates {
             return Err(format!(
-                "incremental rates diverged from live-set scan: \
-                 cap {:?} vs {cap:?}, alloc {:?} vs {alloc:?}, running {} vs {running}",
-                self.cap_rate, self.alloc_rate, self.running_rate
+                "incremental rates diverged from the live-set scan: \
+                 (cap, alloc, running) {rates:?} vs {scan:?}"
             ));
         }
+        let insts = &self.world.insts;
+        let rows = insts.slots().map(|s| &insts.rows[s as usize]);
         let scan = self.cloud.live_instances(now).map(|i| (i.id, i.type_id));
-        if !scan.eq(self.live.iter().map(|(id, row)| (*id, row.type_id))) {
-            return Err(format!(
-                "live-instance table diverged from the provider's live set: {:?}",
-                self.live.keys().collect::<Vec<_>>()
-            ));
-        }
-        for &(term, id) in &self.cap_pending {
-            if term <= now {
-                return Err(format!("stale pending capacity retirement for {id}"));
-            }
-            if !self.live.contains_key(&id) {
-                return Err(format!("pending retirement of uncounted instance {id}"));
-            }
+        if !scan.eq(rows.map(|row| (row.id, row.type_id))) {
+            return Err("instance table diverged from the provider's live set".into());
         }
         Ok(())
     }
@@ -834,17 +778,14 @@ impl ClusterSim {
 
     /// The rolling service-mode metrics snapshot at the current instant.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let (cap, alloc, running) = self.world.insts.rates();
         MetricsSnapshot {
             t_hours: self.now().as_hours_f64(),
             arrivals_total: self.metrics.arrivals_total,
             completions_total: self.metrics.completions_total,
             queue_depth: self.world.jobs.active.len(),
-            running_tasks: self.running_rate,
-            utilization_gpu: if self.cap_rate[0] > 0.0 {
-                self.alloc_rate[0] / self.cap_rate[0]
-            } else {
-                0.0
-            },
+            running_tasks: running,
+            utilization_gpu: if cap[0] > 0.0 { alloc[0] / cap[0] } else { 0.0 },
             p50_wait_hours: self.metrics.p50_wait_hours(),
             p99_wait_hours: self.metrics.p99_wait_hours(),
             event_queue_len: self.engine.len(),
@@ -874,16 +815,14 @@ impl ClusterSim {
             let _ = writeln!(out, "live {id}: {:?} sched={sched:?}", jobs.progress[s]);
         }
         let _ = writeln!(out, "done {:?}", self.completed);
+        let (cap, alloc, running) = self.world.insts.rates();
         let _ = writeln!(
             out,
             "integrals alloc={:?} cap={:?} run_hours={:?} \
-             rates alloc={:?} cap={:?} running={} counters arr={} done={}",
+             rates alloc={alloc:?} cap={cap:?} running={running} counters arr={} done={}",
             self.alloc_integral,
             self.capacity_integral,
             self.task_running_hours,
-            self.alloc_rate,
-            self.cap_rate,
-            self.running_rate,
             self.metrics.arrivals_total,
             self.metrics.completions_total,
         );
@@ -920,13 +859,10 @@ impl ClusterSim {
             if inst != NO_SLOT {
                 // Surviving co-located jobs lose an interfering neighbour.
                 self.touch_instance_jobs(inst);
-                let id = self.world.insts.ids[inst as usize];
                 self.world.tasks.assigned[t] = NO_SLOT;
-                if self.world.insts.detach(inst, t as u32) {
-                    self.account_mapping(id, t as u32, false);
-                }
+                self.map_task(inst, t as u32, false);
                 if was_running {
-                    self.account_running(id, -1);
+                    self.world.insts.count_running(false);
                 }
             }
         }
@@ -962,7 +898,8 @@ impl ClusterSim {
         }
         let mut others = self.tput_buf.borrow_mut();
         others.clear();
-        for &t in &self.world.insts.tasks[inst as usize] {
+        let row = &self.world.insts.rows[inst as usize];
+        for &t in &row.tasks {
             if t != tslot && self.world.tasks.is_running(t) {
                 others.push(self.world.tasks.workload[t as usize]);
             }
@@ -975,7 +912,7 @@ impl ClusterSim {
         // completions), so throughput stays piecewise-constant and
         // progress integration stays exact. Unafflicted slots hold 1.0,
         // and `x * 1.0` is bitwise `x`.
-        base * self.world.insts.straggle[inst as usize]
+        base * row.straggle
     }
 
     /// Effective job throughput: gang-coupled jobs run at the minimum of
@@ -1023,27 +960,16 @@ impl ClusterSim {
             for (slot, rate) in rates {
                 self.world.jobs.advance(slot, t, rate);
             }
-            let (cap, alloc, running) = self.scan_rates(now);
-            self.integrate(cap, alloc, running, dt_hours);
+            self.integrate(self.scan_rates(now), dt_hours);
         } else {
-            self.integrate(self.cap_rate, self.alloc_rate, self.running_rate, dt_hours);
+            self.integrate(self.world.insts.rates(), dt_hours);
         }
-        // Retire the capacity of instances whose termination deadline
-        // fell inside the segment just integrated: they were live at
-        // its start (so they counted, exactly like the eager scan at
-        // `now`), and every later segment starts at or past `t`.
-        while let Some(&(term, id)) = self.cap_pending.first() {
-            if term > t {
-                break;
-            }
-            self.cap_pending.pop_first();
-            self.uncount_instance(id);
-            // A service world also drops the provider record: its bill
-            // and uptime froze at termination, and nothing reads a
-            // past-terminated instance again.
-            if self.retire_completed {
-                self.cloud.retire_instance(id);
-            }
+        // Drop the rows whose termination deadline fell inside the
+        // segment just integrated: they were live at its start (so they
+        // counted, exactly like the eager scan at `now`), and every later
+        // segment starts at or past `t`.
+        for islot in self.world.insts.take_due(t) {
+            self.drop_row(islot);
         }
     }
 
@@ -1062,7 +988,7 @@ impl ClusterSim {
             let Some(islot) = self.world.insts.get(inst.id) else {
                 continue;
             };
-            for &tslot in &self.world.insts.tasks[islot as usize] {
+            for &tslot in &self.world.insts.rows[islot as usize].tasks {
                 let d = ty.demand_of(&self.task_spec(tslot).demand);
                 alloc[0] += f64::from(d.gpu);
                 alloc[1] += f64::from(d.cpu);
@@ -1074,7 +1000,8 @@ impl ClusterSim {
     }
 
     /// Accrues `dt_hours` at the given rates into the metric integrals.
-    fn integrate(&mut self, cap: [f64; 3], alloc: [f64; 3], running: usize, dt_hours: f64) {
+    fn integrate(&mut self, rates: ([f64; 3], [f64; 3], usize), dt_hours: f64) {
+        let (cap, alloc, running) = rates;
         for r in 0..3 {
             self.alloc_integral[r] += alloc[r] * dt_hours;
             self.capacity_integral[r] += cap[r] * dt_hours;
@@ -1134,39 +1061,37 @@ impl ClusterSim {
         self.dirty_scratch = dirty;
     }
 
-    /// Terminates drained instances whose departures have finished.
+    /// Terminates drained instances whose departures have finished, in
+    /// ID order.
     pub(crate) fn try_terminations(&mut self) {
-        if self.draining.is_empty() {
-            return;
+        let insts = &self.world.insts;
+        let empty = |&s: &u32| insts.rows[s as usize].tasks.is_empty();
+        let candidates: Vec<u32> = insts.draining().filter(empty).collect();
+        for islot in candidates {
+            let busy = self.world.insts.rows[islot as usize].busy_until;
+            self.terminate(islot, busy.max(self.now()));
         }
-        let mut candidates = std::mem::take(&mut self.term_scratch);
-        candidates.clear();
-        candidates.extend(self.draining.iter().copied());
-        for &id in &candidates {
-            let islot = self.world.insts.get(id);
-            let empty = islot
-                .map(|s| self.world.insts.tasks[s as usize].is_empty())
-                .unwrap_or(true);
-            if empty {
-                let now = self.engine.now();
-                let busy = islot
-                    .map(|s| self.world.insts.busy_until[s as usize])
-                    .unwrap_or(SimTime::ZERO);
-                let _ = self.cloud.terminate(id, busy.max(now));
-                self.note_termination(id);
-                self.draining.remove(&id);
-                self.world.insts.release(id);
-            }
+    }
+
+    /// Terminates the instance in `islot` at `at`, and commits its row to
+    /// the time the provider keeps (the first it was given, clamped to its
+    /// request time): a time already reached drops the row now, a future
+    /// one leaves it terminating until `advance_to` passes it.
+    fn terminate(&mut self, islot: u32, at: SimTime) {
+        let id = self.world.insts.rows[islot as usize].id;
+        let _ = self.cloud.terminate(id, at);
+        match self.cloud.instance(id).and_then(|i| i.terminated_at) {
+            Some(t) if t <= self.now() => self.drop_row(islot),
+            Some(t) => self.world.insts.set_life(islot, Life::Terminating(t)),
+            None => {}
         }
-        candidates.clear();
-        self.term_scratch = candidates;
     }
 
     // ----- incremental integral accounting -------------------------------
 
-    /// Enters a freshly provisioned instance into the live table and the
-    /// capacity rate. The provider only provisions cataloged types, and
-    /// the world's catalog is the provider's.
+    /// Adds a freshly provisioned instance's row to the table. The
+    /// provider only provisions cataloged types, and the world's catalog
+    /// is the provider's.
     pub(crate) fn count_provision(&mut self, id: InstanceId) {
         let Some(ty) = self.cloud.instance_type(id) else {
             return;
@@ -1176,101 +1101,29 @@ impl ClusterSim {
             f64::from(ty.capacity.cpu),
             ty.capacity.ram_mb as f64,
         ];
-        let row = LiveInst {
-            type_id: ty.id,
-            cap,
-            alloc: [0.0; 3],
-            running: 0,
-        };
-        let previous = self.live.insert(id, row);
-        debug_assert!(previous.is_none(), "instance {id} provisioned twice");
-        for (rate, c) in self.cap_rate.iter_mut().zip(cap) {
-            *rate += c;
-        }
+        self.world.insts.insert(id, ty.id, cap);
     }
 
-    /// Folds one task's demand into (out of) its instance's allocation
-    /// rate at attach (detach). Callers gate on the arena's
-    /// `attach`/`detach` return value so the rate mirrors the mapping
-    /// lists exactly.
-    pub(crate) fn account_mapping(&mut self, id: InstanceId, tslot: u32, attached: bool) {
-        let Some(ty) = self
-            .live
-            .get(&id)
-            .and_then(|row| self.catalog.get(row.type_id))
-        else {
-            return;
-        };
+    /// Maps (unmaps) the task in `tslot` onto (from) instance slot
+    /// `islot`, with the demand it places on that instance's type.
+    pub(crate) fn map_task(&mut self, islot: u32, tslot: u32, mapped: bool) {
+        let type_id = self.world.insts.rows[islot as usize].type_id;
+        let ty = self.catalog.get(type_id).expect("rows hold catalog types");
         let d = ty.demand_of(&self.task_spec(tslot).demand);
-        let dv = [f64::from(d.gpu), f64::from(d.cpu), d.ram_mb as f64];
-        let Some(row) = self.live.get_mut(&id) else {
-            return;
-        };
-        if attached {
-            for (r, d) in dv.into_iter().enumerate() {
-                row.alloc[r] += d;
-                self.alloc_rate[r] += d;
-            }
-        } else {
-            for (r, d) in dv.into_iter().enumerate() {
-                row.alloc[r] -= d;
-                self.alloc_rate[r] -= d;
-            }
-        }
+        let demand = [f64::from(d.gpu), f64::from(d.cpu), d.ram_mb as f64];
+        self.world.insts.map(islot, tslot, demand, mapped);
     }
 
-    /// Adjusts the running-task rate when a task mapped to `id` starts
-    /// (`+1`) or stops (`-1`) running.
-    pub(crate) fn account_running(&mut self, id: InstanceId, delta: i32) {
-        let Some(row) = self.live.get_mut(&id) else {
-            return;
-        };
-        if delta > 0 {
-            row.running += 1;
-            self.running_rate += 1;
-        } else {
-            row.running -= 1;
-            self.running_rate -= 1;
+    /// Drops the row in `islot` and its capacity from the rate (it holds
+    /// no task). A service world also drops the provider record: its bill
+    /// and uptime froze at termination, and nothing reads a
+    /// past-terminated instance again.
+    fn drop_row(&mut self, islot: u32) {
+        let id = self.world.insts.rows[islot as usize].id;
+        self.world.insts.remove(islot);
+        if self.retire_completed {
+            self.cloud.retire_instance(id);
         }
-    }
-
-    /// Reconciles the rates with the provider after a `terminate` call.
-    /// The provider keeps the first termination time an instance was
-    /// given (clamped to its request time), so read back what actually
-    /// stuck: a past deadline retires the instance's contribution now,
-    /// a future one parks it on `cap_pending` for `advance_to`.
-    pub(crate) fn note_termination(&mut self, id: InstanceId) {
-        let Some(t) = self.cloud.instance(id).and_then(|i| i.terminated_at) else {
-            return;
-        };
-        if !self.live.contains_key(&id) {
-            return;
-        }
-        if t <= self.engine.now() {
-            self.cap_pending.remove(&(t, id));
-            self.uncount_instance(id);
-            if self.retire_completed {
-                self.cloud.retire_instance(id);
-            }
-        } else {
-            self.cap_pending.insert((t, id));
-        }
-    }
-
-    /// Drops a terminated instance from the live table and its full
-    /// contribution from the rates. Tasks may still be mapped to it (a
-    /// drained instance keeps its capacity until its deadline passes,
-    /// exactly like the eager live-set scan); their later detach/stop
-    /// transitions find no row and are ignored.
-    fn uncount_instance(&mut self, id: InstanceId) {
-        let Some(row) = self.live.remove(&id) else {
-            return;
-        };
-        for r in 0..3 {
-            self.cap_rate[r] -= row.cap[r];
-            self.alloc_rate[r] -= row.alloc[r];
-        }
-        self.running_rate -= row.running as usize;
     }
 
     /// Marks every job with a task mapped to instance slot `islot`
@@ -1279,7 +1132,7 @@ impl ClusterSim {
     pub(crate) fn touch_instance_jobs(&mut self, islot: u32) {
         let now = self.engine.now();
         let world = &mut self.world;
-        for &t in &world.insts.tasks[islot as usize] {
+        for &t in &world.insts.rows[islot as usize].tasks {
             world.jobs.mark_dirty(world.tasks.job_slot[t as usize], now);
         }
     }

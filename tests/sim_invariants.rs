@@ -249,3 +249,46 @@ fn batch_event_queue_follows_the_in_flight_window() {
     );
     assert_eq!(batch.run(), streamed.run());
 }
+
+#[test]
+fn no_task_lands_on_an_instance_whose_termination_is_committed() {
+    // A round period of 15 s is shorter than the tasks' checkpoint
+    // delays, so rounds run while drained instances wait out their
+    // departures' barrier with a future termination time. Such an
+    // instance is gone for the scheduler: after every event, none whose
+    // provider record carries a termination time may hold a task.
+    for kind in [SchedulerKind::Stratus, SchedulerKind::Synergy] {
+        let label = kind.label();
+        let trace = AlibabaTraceConfig {
+            num_jobs: 200,
+            arrival_rate_per_hour: 120.0,
+            durations: DurationModelChoice::Alibaba,
+        }
+        .generate(42);
+        let mut cfg = SimConfig::new(trace, kind);
+        cfg.seed = 42;
+        cfg.round_period = SimDuration::from_secs(15);
+        let mut sim = ClusterSim::new(&cfg);
+        let mut terminating = 0;
+        while sim.step() {
+            let now = sim.now();
+            for inst in sim.provider().instances() {
+                let Some(t) = inst.terminated_at else {
+                    continue;
+                };
+                terminating += usize::from(t > now);
+                let held = sim.tasks_on(inst.id);
+                assert_eq!(
+                    held, 0,
+                    "{label}: {} terminates at {t:?} yet holds {held} tasks at {now:?}",
+                    inst.id
+                );
+            }
+        }
+        assert!(
+            terminating > 0,
+            "{label}: no termination was ever future-dated"
+        );
+        assert_eq!(sim.past_dated_events(), 0, "{label}");
+    }
+}
