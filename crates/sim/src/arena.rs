@@ -14,8 +14,8 @@
 //! * **instance slots** are allocated when the provider provisions and
 //!   recycled through a free list once the clock passes the instance's
 //!   termination. Each instance is one [`InstRow`] of the [`InstTable`]
-//!   (lifecycle, mapped tasks, checkpoint barrier, straggle factor, its
-//!   slice of the integral rates), with an ID-ordered index beside it;
+//!   (lifecycle, mapped tasks, checkpoint barrier, straggle factor,
+//!   capacity), indexed by ID and, while draining or terminating, by life;
 //! * **job slots recycle too** when retirement is enabled: a completed
 //!   job, already folded into the host's report sums, releases its task
 //!   range and returns its slot through
@@ -84,7 +84,8 @@
 use std::collections::BTreeMap;
 
 use eva_types::{
-    InstanceId, InstanceTypeId, JobId, JobSpec, SimDuration, SimTime, TaskId, WorkloadKind,
+    InstanceId, InstanceTypeId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,
+    WorkloadKind,
 };
 use eva_workloads::Trace;
 
@@ -99,6 +100,18 @@ pub(crate) const RATE_ONE: u64 = 1 << 32;
 /// `tput` in rate quanta, to the nearest (NaN and negatives are 0).
 pub(crate) fn quantize(tput: f64) -> u64 {
     (tput * RATE_ONE as f64).round() as u64
+}
+
+/// `r` as the rate lanes (GPU, CPU, RAM MB) the instance table sums.
+pub(crate) fn lanes(r: ResourceVector) -> [f64; 3] {
+    [f64::from(r.gpu), f64::from(r.cpu), r.ram_mb as f64]
+}
+
+/// Adds `sign × x` into `sum`, lane by lane.
+pub(crate) fn add_lanes(sum: &mut [f64; 3], x: [f64; 3], sign: f64) {
+    for (s, v) in sum.iter_mut().zip(x) {
+        *s += sign * v;
+    }
 }
 
 /// The work of `duration` at unit throughput, in ms·quantum; `None` when
@@ -445,7 +458,7 @@ pub(crate) enum Life {
 
 /// One instance's row: everything the world keeps about it. Its
 /// lifecycle changes only through the [`InstTable`], which keeps its
-/// draining count and earliest deadline in step.
+/// draining and deadline indexes in step.
 #[derive(Debug)]
 pub(crate) struct InstRow {
     pub id: InstanceId,
@@ -483,10 +496,11 @@ pub(crate) struct InstTable {
     by_id: BTreeMap<InstanceId, u32>,
     /// Recycled slots awaiting reuse.
     free: Vec<u32>,
-    /// Rows draining, and the earliest deadline among terminating rows:
-    /// the per-event checks for work stay O(1) while there is none.
-    draining: usize,
-    next_deadline: Option<SimTime>,
+    /// The slots of the draining rows by ID, and of the terminating rows
+    /// by deadline (ID breaks ties): indexes over the rows' `life`, so
+    /// finding work to terminate or drop walks only those rows.
+    draining: BTreeMap<InstanceId, u32>,
+    terminating: BTreeMap<(SimTime, InstanceId), u32>,
     /// The capacity, allocation and running-task rates the world
     /// integrates: the rows' capacities, their mapped tasks' demands and
     /// how many of those run. Every component is an integer-valued `f64`,
@@ -527,10 +541,14 @@ impl InstTable {
 
     /// Slots of the draining rows, in instance ID order.
     pub fn draining(&self) -> impl Iterator<Item = u32> + '_ {
-        // No walk while none drains: every job completion asks.
-        let walk = (self.draining > 0).then(|| self.slots());
-        let walk = walk.into_iter().flatten();
-        walk.filter(|&s| self.rows[s as usize].life == Life::Draining)
+        self.draining.values().copied()
+    }
+
+    /// Slot of the terminating row with the earliest deadline (lowest ID
+    /// first), if that deadline is at or before `t`.
+    pub fn first_due(&self, t: SimTime) -> Option<u32> {
+        let (&(at, _), &slot) = self.terminating.first_key_value()?;
+        (at <= t).then_some(slot)
     }
 
     /// Adds a freshly provisioned instance as a ready row with capacity
@@ -557,20 +575,16 @@ impl InstTable {
         };
         let previous = self.by_id.insert(id, slot);
         debug_assert!(previous.is_none(), "instance {id} provisioned twice");
-        for (rate, c) in self.cap_rate.iter_mut().zip(cap) {
-            *rate += c;
-        }
+        add_lanes(&mut self.cap_rate, cap, 1.0);
         slot
     }
 
     /// Drops the row in `slot`, returning the slot to the free list.
     pub fn remove(&mut self, slot: u32) {
+        self.set_life(slot, Life::Ready); // out of its lifecycle index
         let row = &self.rows[slot as usize];
         debug_assert!(row.tasks.is_empty(), "dropping a row that holds tasks");
-        self.draining -= usize::from(row.life == Life::Draining);
-        for (rate, c) in self.cap_rate.iter_mut().zip(row.cap) {
-            *rate -= c;
-        }
+        add_lanes(&mut self.cap_rate, row.cap, -1.0);
         self.by_id.remove(&row.id);
         self.free.push(slot);
     }
@@ -592,9 +606,7 @@ impl InstTable {
             }
             _ => return,
         };
-        for (rate, d) in self.alloc_rate.iter_mut().zip(demand) {
-            *rate += sign * d;
-        }
+        add_lanes(&mut self.alloc_rate, demand, sign);
     }
 
     /// Counts a mapped task starting (stopping) running.
@@ -616,35 +628,21 @@ impl InstTable {
         }
     }
 
-    /// Moves the row in `slot` to `life`.
+    /// Moves the row in `slot` to `life`, out of the index of its old
+    /// life and into that of the new one.
     pub fn set_life(&mut self, slot: u32, life: Life) {
         let row = &mut self.rows[slot as usize];
-        self.draining += usize::from(life == Life::Draining);
-        self.draining -= usize::from(row.life == Life::Draining);
-        if let Life::Terminating(at) = life {
-            self.next_deadline = Some(self.next_deadline.map_or(at, |d| d.min(at)));
-        }
+        match row.life {
+            Life::Ready => None,
+            Life::Draining => self.draining.remove(&row.id),
+            Life::Terminating(at) => self.terminating.remove(&(at, row.id)),
+        };
+        match life {
+            Life::Ready => None,
+            Life::Draining => self.draining.insert(row.id, slot),
+            Life::Terminating(at) => self.terminating.insert((at, row.id), slot),
+        };
         row.life = life;
-    }
-
-    /// The slots of terminating rows whose deadline is at or before `t`,
-    /// in ID order; no walk (and no allocation) until the earliest passes.
-    pub fn take_due(&mut self, t: SimTime) -> Vec<u32> {
-        let mut due = Vec::new();
-        if self.next_deadline.is_none_or(|d| d > t) {
-            return due;
-        }
-        self.next_deadline = None;
-        for &slot in self.by_id.values() {
-            if let Life::Terminating(at) = self.rows[slot as usize].life {
-                if at <= t {
-                    due.push(slot);
-                } else {
-                    self.next_deadline = Some(self.next_deadline.map_or(at, |d| d.min(at)));
-                }
-            }
-        }
-        due
     }
 }
 
@@ -1045,38 +1043,47 @@ mod tests {
     fn instance_rows_recycle_through_free_list() {
         let trace = SyntheticTraceConfig::small_scale().generate(1);
         let mut world = WorldArena::from_trace(&trace);
+        let insts = &mut world.insts;
         let (ty, cap) = (InstanceTypeId(0), [1.0, 4.0, 1024.0]);
-        let a = world.insts.insert(InstanceId(0), ty, cap);
-        let b = world.insts.insert(InstanceId(1), ty, cap);
+        let a = insts.insert(InstanceId(0), ty, cap);
+        let b = insts.insert(InstanceId(1), ty, cap);
         assert_ne!(a, b);
-        assert_eq!(world.insts.ready(InstanceId(0)), Some(a));
-        world.insts.rows[a as usize].straggle = 0.5;
-        world
-            .insts
-            .set_life(a, Life::Terminating(SimTime::from_secs(30)));
-        assert_eq!(
-            world.insts.ready(InstanceId(0)),
-            None,
-            "terminating is not ready"
-        );
-        assert!(world.insts.take_due(SimTime::from_secs(29)).is_empty());
-        assert_eq!(world.insts.take_due(SimTime::from_secs(30)), vec![a]);
-        world.insts.remove(a);
-        assert_eq!(world.insts.get(InstanceId(0)), None);
+        assert_eq!(insts.ready(InstanceId(0)), Some(a));
+        insts.rows[a as usize].straggle = 0.5;
+        insts.set_life(a, Life::Draining);
+        insts.set_life(b, Life::Draining);
+        assert_eq!(insts.draining().collect::<Vec<_>>(), vec![a, b]);
+        insts.set_life(a, Life::Terminating(SimTime::from_secs(30)));
+        assert_eq!(insts.draining().collect::<Vec<_>>(), vec![b]);
+        assert_eq!(insts.ready(InstanceId(0)), None, "terminating is not ready");
+        assert_eq!(insts.first_due(SimTime::from_secs(29)), None);
+        assert_eq!(insts.first_due(SimTime::from_secs(30)), Some(a));
+        insts.remove(a);
+        assert_eq!(insts.get(InstanceId(0)), None);
+        assert_eq!(insts.first_due(SimTime::from_secs(30)), None);
         // The recycled slot comes back clean for the next instance.
-        let c = world.insts.insert(InstanceId(7), ty, cap);
+        let c = insts.insert(InstanceId(7), ty, cap);
         assert_eq!(c, a);
-        let row = &world.insts.rows[c as usize];
-        assert_eq!(
-            (row.id, row.life, row.straggle),
-            (InstanceId(7), Life::Ready, 1.0)
-        );
-        assert_eq!(
-            world.insts.slots().collect::<Vec<_>>(),
-            vec![b, c],
-            "ID order"
-        );
+        let row = &insts.rows[c as usize];
+        assert_eq!((row.id, row.straggle), (InstanceId(7), 1.0));
+        assert_eq!(row.life, Life::Ready);
+        assert_eq!(insts.slots().collect::<Vec<_>>(), vec![b, c], "ID order");
         audit(&world).unwrap();
+    }
+
+    #[test]
+    fn map_and_unmap_count_a_demand_only_when_the_mapping_changed() {
+        let mut insts = InstTable::default();
+        let slot = insts.insert(InstanceId(0), InstanceTypeId(0), [1.0, 4.0, 1024.0]);
+        let d = [1.0, 2.0, 512.0];
+        insts.map(slot, 4, d, true);
+        insts.map(slot, 4, d, true);
+        assert_eq!(insts.rates().1, d, "double map is a no-op");
+        assert_eq!(insts.rows[slot as usize].tasks, vec![4]);
+        insts.map(slot, 4, d, false);
+        insts.map(slot, 4, d, false);
+        assert_eq!(insts.rates().1, [0.0; 3], "double unmap is a no-op");
+        assert!(insts.rows[slot as usize].tasks.is_empty());
     }
 
     #[test]

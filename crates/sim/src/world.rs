@@ -28,7 +28,7 @@ use eva_core::{EvaScheduler, InstanceSnapshot, Scheduler, TaskSnapshot};
 use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{quantize, work_of, Life, WorldArena, NO_SLOT};
+use crate::arena::{add_lanes, lanes, quantize, work_of, Life, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -968,7 +968,7 @@ impl ClusterSim {
         // segment just integrated: they were live at its start (so they
         // counted, exactly like the eager scan at `now`), and every later
         // segment starts at or past `t`.
-        for islot in self.world.insts.take_due(t) {
+        while let Some(islot) = self.world.insts.first_due(t) {
             self.drop_row(islot);
         }
     }
@@ -982,17 +982,13 @@ impl ClusterSim {
             let Some(ty) = self.catalog.get(inst.type_id) else {
                 continue;
             };
-            cap[0] += f64::from(ty.capacity.gpu);
-            cap[1] += f64::from(ty.capacity.cpu);
-            cap[2] += ty.capacity.ram_mb as f64;
+            add_lanes(&mut cap, lanes(ty.capacity), 1.0);
             let Some(islot) = self.world.insts.get(inst.id) else {
                 continue;
             };
             for &tslot in &self.world.insts.rows[islot as usize].tasks {
                 let d = ty.demand_of(&self.task_spec(tslot).demand);
-                alloc[0] += f64::from(d.gpu);
-                alloc[1] += f64::from(d.cpu);
-                alloc[2] += d.ram_mb as f64;
+                add_lanes(&mut alloc, lanes(d), 1.0);
                 running += usize::from(self.world.tasks.is_running(tslot));
             }
         }
@@ -1096,12 +1092,7 @@ impl ClusterSim {
         let Some(ty) = self.cloud.instance_type(id) else {
             return;
         };
-        let cap = [
-            f64::from(ty.capacity.gpu),
-            f64::from(ty.capacity.cpu),
-            ty.capacity.ram_mb as f64,
-        ];
-        self.world.insts.insert(id, ty.id, cap);
+        self.world.insts.insert(id, ty.id, lanes(ty.capacity));
     }
 
     /// Maps (unmaps) the task in `tslot` onto (from) instance slot
@@ -1109,8 +1100,7 @@ impl ClusterSim {
     pub(crate) fn map_task(&mut self, islot: u32, tslot: u32, mapped: bool) {
         let type_id = self.world.insts.rows[islot as usize].type_id;
         let ty = self.catalog.get(type_id).expect("rows hold catalog types");
-        let d = ty.demand_of(&self.task_spec(tslot).demand);
-        let demand = [f64::from(d.gpu), f64::from(d.cpu), d.ram_mb as f64];
+        let demand = lanes(ty.demand_of(&self.task_spec(tslot).demand));
         self.world.insts.map(islot, tslot, demand, mapped);
     }
 
