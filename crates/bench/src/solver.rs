@@ -104,7 +104,11 @@ where
     /// Declares one cell. `key` must identify the cell's *content*
     /// (sizes, seeds, limits): it is the dedup fingerprint and the
     /// persistent cache key, so equal keys must mean equal results.
-    pub fn cell(mut self, key: impl Into<String>, run: impl Fn() -> R + Send + Sync + 'static) -> Self {
+    pub fn cell(
+        mut self,
+        key: impl Into<String>,
+        run: impl Fn() -> R + Send + Sync + 'static,
+    ) -> Self {
         self.cells.push(SolverCell {
             key: key.into(),
             run: Box::new(run),
@@ -209,9 +213,14 @@ mod tests {
         let s = sweep(&RUNS);
         let (first, s1) = s.run_with_flags(Some(&cache));
         let (second, s2) = s.run_with_flags(Some(&cache));
-        assert_eq!(first.iter().map(|(r, _)| *r).collect::<Vec<_>>(), vec![10, 20]);
-        assert_eq!(first.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-                   second.iter().map(|(r, _)| *r).collect::<Vec<_>>());
+        assert_eq!(
+            first.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
+            vec![10, 20]
+        );
+        assert_eq!(
+            first.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
+            second.iter().map(|(r, _)| *r).collect::<Vec<_>>()
+        );
         // Fresh rows are unflagged; the warm rerun replays stored rows.
         assert!(first.iter().all(|(_, cached)| !cached));
         assert!(second.iter().all(|(_, cached)| *cached));

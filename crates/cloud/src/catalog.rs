@@ -3,9 +3,8 @@
 //! §6.1 of the paper evaluates over 21 instance types drawn from three AWS
 //! EC2 families: P3 (GPU), C7i (compute-optimized), and R7i (memory-
 //! optimized). [`Catalog::aws_eval_2025`] reproduces that catalog with the
-//! published capacities and us-east-1 on-demand prices. Custom catalogs
-//! (e.g. Table 3's four pedagogical types) can be built with
-//! [`Catalog::from_types`].
+//! published capacities and us-east-1 on-demand prices, and
+//! [`Catalog::table3_example`] holds Table 3's four pedagogical types.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,7 +121,7 @@ pub struct Catalog {
 impl Catalog {
     /// Builds a catalog from a list of `(name, family, capacity, $/hr)`
     /// tuples. Ids are assigned in order.
-    pub fn from_types(
+    fn from_types(
         specs: impl IntoIterator<Item = (String, InstanceFamily, ResourceVector, f64)>,
     ) -> Self {
         let mut types = Vec::new();

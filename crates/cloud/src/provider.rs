@@ -273,7 +273,7 @@ impl CloudProvider {
     }
 
     /// The bill for one instance up to `now`: per-second billing of uptime.
-    pub fn instance_bill(&self, id: InstanceId, now: SimTime) -> Result<Cost> {
+    fn instance_bill(&self, id: InstanceId, now: SimTime) -> Result<Cost> {
         let inst = self
             .instances
             .get(&id)
@@ -330,7 +330,7 @@ impl CloudProvider {
     ///
     /// A terminated instance's uptime and bill are independent of the
     /// observation time once it is in the past — `uptime(now)` and
-    /// [`CloudProvider::instance_bill`] both clamp to `terminated_at` —
+    /// each instance's bill both clamp to `terminated_at` —
     /// so folding at retirement is bit-identical to folding at the end
     /// of the run. Long-lived service worlds retire records as
     /// terminations pass to keep provider memory proportional to the

@@ -19,7 +19,7 @@ use std::collections::{BinaryHeap, HashSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use eva_types::SimTime;
+use eva_types::{IdBuildHasher, SimTime};
 
 /// An event type usable with [`EventEngine`].
 pub trait SimEvent {
@@ -91,7 +91,8 @@ pub struct EventEngine<E> {
     /// Tombstones: sequence numbers of canceled entries. A `BinaryHeap`
     /// supports no random removal, so canceled events stay queued and are
     /// skipped (and forgotten) when their turn comes — the dslab idiom.
-    canceled: HashSet<u64>,
+    /// The set is only probed, so it hashes with the id hasher.
+    canceled: HashSet<u64, IdBuildHasher>,
     /// High-water mark of `events.len()` over the engine's lifetime.
     peak_len: usize,
     /// Events scheduled before the clock and dispatched at it instead.
@@ -105,7 +106,7 @@ impl<E: SimEvent> EventEngine<E> {
             events: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            canceled: HashSet::new(),
+            canceled: HashSet::default(),
             peak_len: 0,
             past_dated: 0,
         }
@@ -142,7 +143,8 @@ impl<E: SimEvent> EventEngine<E> {
 
     /// Like [`EventEngine::schedule`], but returns a token that can later
     /// tombstone the event via [`EventEngine::cancel`] — e.g. injected
-    /// fault events outliving the workload they were meant to disturb.
+    /// fault events outliving the workload they were meant to disturb, or
+    /// a completion superseded by a new due time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: E) -> CancelToken {
         self.schedule(at, event);
         CancelToken(self.seq)
@@ -180,8 +182,8 @@ impl<E: SimEvent> EventEngine<E> {
     /// clock, discarding tombstoned entries along the way.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         while let Some(Reverse(e)) = self.events.pop() {
-            // Most runs never cancel: skip the hash probe while nothing is
-            // tombstoned.
+            // Skip the hash probe while nothing is tombstoned (a run that
+            // cancels nothing, or one whose tombstones are all spent).
             if !self.canceled.is_empty() && self.canceled.remove(&e.seq) {
                 continue;
             }
@@ -204,20 +206,9 @@ impl<E: SimEvent> EventEngine<E> {
 
     /// Number of events currently queued (tombstoned entries count until
     /// compaction or their due time passes them through
-    /// [`EventEngine::pop`]; see [`EventEngine::live_len`] for the count
-    /// that excludes them).
+    /// [`EventEngine::pop`]).
     pub fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Number of queued events that will actually dispatch (excludes
-    /// tombstoned entries). O(queue) — a diagnostic, not a hot-path
-    /// accessor.
-    pub fn live_len(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|Reverse(e)| !self.canceled.contains(&e.seq))
-            .count()
     }
 
     /// True when no events remain (live or tombstoned).
@@ -382,23 +373,21 @@ mod tests {
     }
 
     #[test]
-    fn live_len_excludes_tombstones_until_compaction() {
+    fn tombstones_stay_queued_until_compaction() {
         let mut engine: EventEngine<Ev> = EventEngine::new();
         let mut tokens = Vec::new();
         for i in 0..8 {
             tokens.push(engine.schedule_cancelable(SimTime::from_secs(i), Ev::Fast(i as u32)));
         }
-        // Cancel a minority: tombstones stay queued, live_len sees through.
+        // Cancel a minority: tombstones stay queued.
         engine.cancel(tokens[0]);
         engine.cancel(tokens[1]);
         assert_eq!(engine.len(), 8);
-        assert_eq!(engine.live_len(), 6);
         // Crossing the half-dead threshold compacts the heap in place.
         engine.cancel(tokens[2]);
         engine.cancel(tokens[3]);
         engine.cancel(tokens[4]);
         assert_eq!(engine.len(), 3, "tombstones physically removed");
-        assert_eq!(engine.live_len(), 3);
         let order: Vec<Ev> = std::iter::from_fn(|| engine.pop().map(|s| s.event)).collect();
         assert_eq!(order, vec![Ev::Fast(5), Ev::Fast(6), Ev::Fast(7)]);
     }
@@ -440,7 +429,7 @@ mod tests {
         // of leaking the tombstone until a matching pop that never comes.
         engine.cancel(t1);
         assert_eq!(engine.len(), 0);
-        assert_eq!(engine.live_len(), 0);
+        assert!(engine.canceled.is_empty());
         engine.schedule(SimTime::from_secs(2), Ev::Fast(2));
         assert_eq!(engine.pop().unwrap().event, Ev::Fast(2));
     }

@@ -80,6 +80,11 @@
 //! must equal a from-scratch scan of the provider's live instances, bit
 //! for bit (all components are integer-valued, so summation order cannot
 //! introduce drift).
+//!
+//! A job slot holds its queued completion's due time and cancel token
+//! ([`JobArena::done_event`]), a task slot its queued readiness's token
+//! ([`TaskArena::transfer`]). A superseded event is canceled in the
+//! engine, so every completion and readiness that dispatches is live.
 
 use std::collections::BTreeMap;
 
@@ -89,6 +94,7 @@ use eva_types::{
 };
 use eva_workloads::Trace;
 
+use crate::engine::CancelToken;
 use crate::state::TaskState;
 
 /// Sentinel for "no slot" in `u32` slot references.
@@ -191,8 +197,10 @@ pub(crate) struct JobArena {
     pub progress: Vec<Progress>,
     /// Completion time, once done.
     pub completed_at: Vec<Option<SimTime>>,
-    /// Stamp invalidating stale completion events.
-    pub completion_gen: Vec<u64>,
+    /// Due time and cancel token of the job's outstanding completion
+    /// event (`None` when none is queued), letting recompute skip
+    /// re-pushing an event that would land at the same instant.
+    pub done_event: Vec<Option<(SimTime, CancelToken)>>,
     /// Whether the job's arrival event has fired.
     pub arrived: Vec<bool>,
     /// Arrived-and-not-done job slots, kept sorted (ascending slot ==
@@ -203,10 +211,6 @@ pub(crate) struct JobArena {
     pub dirty: Vec<bool>,
     /// Jobs marked dirty since the last recompute drain.
     pub dirty_list: Vec<u32>,
-    /// Due time of the job's outstanding completion event (`None` when
-    /// none is scheduled), letting recompute skip re-pushing an event
-    /// that would land at the same instant.
-    pub scheduled_done_at: Vec<Option<SimTime>>,
     /// Slots returned through [`Self::release`]: their lanes are reset
     /// and their stale IDs are excluded from audits until reuse.
     pub released: Vec<bool>,
@@ -269,15 +273,14 @@ impl JobArena {
     /// Returns a completed, already-retired job's slot to the free
     /// list, resetting every dynamic lane so it recycles clean. The
     /// caller must have folded the job's report contribution first —
-    /// after release the lanes carry nothing. `completion_gen` stays
-    /// monotone across recycling so stale completion events can never
-    /// validate against a reused slot.
+    /// after release the lanes carry nothing.
     pub fn release(&mut self, slot: u32) {
         let s = slot as usize;
         debug_assert!(
             self.completed_at[s].is_some(),
             "releasing an unfinished job"
         );
+        debug_assert!(self.done_event[s].is_none(), "releasing a queued job");
         debug_assert!(!self.dirty[s], "releasing a dirty job");
         debug_assert!(self.active_pos(slot).is_err(), "releasing an active job");
         if let Some(map) = self.lookup.as_mut() {
@@ -285,7 +288,6 @@ impl JobArena {
         }
         self.arrived[s] = false;
         self.completed_at[s] = None;
-        self.scheduled_done_at[s] = None;
         self.progress[s] = Progress::default();
         if let Some(spec) = self.owned.get_mut(s) {
             *spec = None;
@@ -388,8 +390,8 @@ pub(crate) struct TaskArena {
     pub assigned: Vec<u32>,
     /// Migrations performed so far.
     pub migrations: Vec<u32>,
-    /// Monotonic transfer generation (invalidates superseded readiness).
-    pub gen: Vec<u64>,
+    /// Cancel token of the readiness event of the transfer in flight.
+    pub transfer: Vec<Option<CancelToken>>,
     /// Spec-order lookup: the slot of job `j`'s `pos`-th spec task is
     /// `slot_by_pos[task_start[j] + pos]` (identity whenever spec tasks
     /// are declared in index order, which every generator does).
@@ -544,11 +546,11 @@ impl InstTable {
         self.draining.values().copied()
     }
 
-    /// Slot of the terminating row with the earliest deadline (lowest ID
-    /// first), if that deadline is at or before `t`.
-    pub fn first_due(&self, t: SimTime) -> Option<u32> {
+    /// The earliest deadline of a terminating row and that row's slot
+    /// (lowest ID first), if that deadline is at or before `t`.
+    pub fn first_due(&self, t: SimTime) -> Option<(SimTime, u32)> {
         let (&(at, _), &slot) = self.terminating.first_key_value()?;
-        (at <= t).then_some(slot)
+        (at <= t).then_some((at, slot))
     }
 
     /// Adds a freshly provisioned instance as a ready row with capacity
@@ -686,12 +688,11 @@ impl WorldArena {
             owned: Vec::new(),
             progress: Vec::with_capacity(n),
             completed_at: vec![None; n],
-            completion_gen: vec![0; n],
+            done_event: vec![None; n],
             arrived: vec![false; n],
             active: Vec::new(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            scheduled_done_at: vec![None; n],
             released: vec![false; n],
             free: Vec::new(),
             lookup: None,
@@ -704,7 +705,7 @@ impl WorldArena {
             state: vec![TaskState::Pending; total_tasks],
             assigned: vec![NO_SLOT; total_tasks],
             migrations: vec![0; total_tasks],
-            gen: vec![0; total_tasks],
+            transfer: vec![None; total_tasks],
             slot_by_pos: vec![0; total_tasks],
             lookup: None,
             free_ranges: BTreeMap::new(),
@@ -786,10 +787,9 @@ impl WorldArena {
                 jobs.task_count.push(0);
                 jobs.progress.push(Progress::default());
                 jobs.completed_at.push(None);
-                jobs.completion_gen.push(0);
+                jobs.done_event.push(None);
                 jobs.arrived.push(false);
                 jobs.dirty.push(false);
-                jobs.scheduled_done_at.push(None);
                 jobs.released.push(false);
                 s
             }
@@ -814,7 +814,7 @@ impl WorldArena {
                     self.tasks.state.push(TaskState::Pending);
                     self.tasks.assigned.push(NO_SLOT);
                     self.tasks.migrations.push(0);
-                    self.tasks.gen.push(0);
+                    self.tasks.transfer.push(None);
                     self.tasks.slot_by_pos.push(0);
                 }
                 b
@@ -848,8 +848,6 @@ impl WorldArena {
             debug_assert_eq!(self.tasks.assigned[t], NO_SLOT, "releasing a mapped task");
             self.tasks.state[t] = TaskState::Pending;
             self.tasks.migrations[t] = 0;
-            // `gen` stays monotone so stale readiness events can never
-            // validate against a recycled task slot.
             if let Some(map) = self.tasks.lookup.as_mut() {
                 map.remove(&self.tasks.ids[t]);
             }
@@ -884,9 +882,11 @@ impl WorldArena {
         for slot in 0..self.jobs.ids.len() as u32 {
             let should = self.jobs.arrived[slot as usize] && !self.jobs.is_done(slot);
             let listed = self.jobs.active_pos(slot).is_ok();
-            if should != listed {
+            let queued = self.jobs.done_event[slot as usize].is_some();
+            if should != listed || (queued && !should) {
                 return Err(format!(
-                    "job {} active-set membership {listed} (expected {should})",
+                    "job {} active-set membership {listed}, completion queued {queued} \
+                     (expected {should})",
                     self.jobs.ids[slot as usize]
                 ));
             }
@@ -976,6 +976,12 @@ impl WorldArena {
             if !self.jobs.task_range(jslot).contains(&slot) {
                 return Err(format!("task {id} outside its job's slot range"));
             }
+            let in_transit = self.tasks.state[slot] == TaskState::InTransit;
+            if self.tasks.transfer[slot].is_some() != in_transit {
+                return Err(format!(
+                    "task {id}'s queued readiness disagrees with its state"
+                ));
+            }
             let inst = self.tasks.assigned[slot];
             if inst != NO_SLOT {
                 let mapped = self.insts.rows[inst as usize]
@@ -1057,7 +1063,10 @@ mod tests {
         assert_eq!(insts.draining().collect::<Vec<_>>(), vec![b]);
         assert_eq!(insts.ready(InstanceId(0)), None, "terminating is not ready");
         assert_eq!(insts.first_due(SimTime::from_secs(29)), None);
-        assert_eq!(insts.first_due(SimTime::from_secs(30)), Some(a));
+        assert_eq!(
+            insts.first_due(SimTime::from_secs(30)),
+            Some((SimTime::from_secs(30), a))
+        );
         insts.remove(a);
         assert_eq!(insts.get(InstanceId(0)), None);
         assert_eq!(insts.first_due(SimTime::from_secs(30)), None);

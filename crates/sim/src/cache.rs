@@ -55,7 +55,12 @@ use serde::{Deserialize, Reader, Serialize, Writer};
 ///
 /// v4: closed-form integer progress moved simulated floats (≤ 1.1e-9
 /// relative) and re-blessed both goldens; v3 reports predate it.
-pub const SCHEMA_VERSION: &str = "eva-v4";
+///
+/// v5: superseded completions and transfers are canceled instead of
+/// dispatched, so the makespan ends at the last termination, and the
+/// integrals stop at each instance's termination; v4 reports overstate
+/// both.
+pub const SCHEMA_VERSION: &str = "eva-v5";
 
 /// The index key of an entry.
 fn entry_hash(schema: &str, key: &str) -> u64 {

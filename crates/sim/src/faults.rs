@@ -157,7 +157,11 @@ impl FaultSpec {
     pub fn new(regime: FaultRegime) -> FaultSpec {
         FaultSpec {
             regime,
-            intensity: if regime == FaultRegime::None { 0.0 } else { 1.0 },
+            intensity: if regime == FaultRegime::None {
+                0.0
+            } else {
+                1.0
+            },
         }
     }
 
@@ -282,15 +286,12 @@ impl FaultPlan {
         let mut events = Vec::with_capacity(n);
         for k in 0..n {
             let jitter: f64 = rng.gen();
-            let at = SimTime::ZERO
-                + SimDuration::from_hours_f64((k as f64 + jitter) * slot_hours);
+            let at = SimTime::ZERO + SimDuration::from_hours_f64((k as f64 + jitter) * slot_hours);
             let draw: u64 = rng.gen();
             let action = match spec.regime {
                 FaultRegime::None => unreachable!("rate is zero for None"),
                 FaultRegime::PreemptStorm => FaultAction::Preempt,
-                FaultRegime::CapacityShock => FaultAction::CapacityShock {
-                    until: at + window,
-                },
+                FaultRegime::CapacityShock => FaultAction::CapacityShock { until: at + window },
                 FaultRegime::PriceStep => {
                     let u: f64 = rng.gen();
                     FaultAction::PriceStep {
@@ -382,8 +383,7 @@ mod tests {
         let mild = FaultPlan::compile(FaultSpec::parse("worker-crash:0.5").unwrap(), 1, horizon);
         let harsh = FaultPlan::compile(FaultSpec::parse("worker-crash:4").unwrap(), 1, horizon);
         assert!(harsh.len() > mild.len());
-        let extreme =
-            FaultPlan::compile(FaultSpec::parse("worker-crash:1e9").unwrap(), 1, horizon);
+        let extreme = FaultPlan::compile(FaultSpec::parse("worker-crash:1e9").unwrap(), 1, horizon);
         assert_eq!(extreme.len(), MAX_FAULT_EVENTS, "event count is capped");
     }
 

@@ -54,7 +54,7 @@ pub struct SimReport {
 impl SimReport {
     /// Cost normalized against a baseline report (the paper normalizes
     /// against No-Packing).
-    pub fn normalized_cost(&self, baseline: &SimReport) -> f64 {
+    fn normalized_cost(&self, baseline: &SimReport) -> f64 {
         if baseline.total_cost_dollars <= 0.0 {
             return 1.0;
         }

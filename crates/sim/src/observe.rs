@@ -16,21 +16,12 @@ use eva_core::{
 use eva_interference::TaskContext;
 use eva_types::{InstanceId, TaskId, WorkloadKind};
 
-use eva_types::SimTime;
-
 use crate::arena::{work_span, Life, NO_SLOT};
 use crate::script::ExecActionKind;
 use crate::state::TaskState;
 use crate::world::{ClusterSim, Event};
 
 impl ClusterSim {
-    pub(crate) fn instance_ready_at(&self, id: InstanceId) -> SimTime {
-        self.cloud
-            .instance(id)
-            .map(|i| i.ready_at)
-            .unwrap_or(self.now())
-    }
-
     /// Moves (or first-places) a task onto `dest`, which must be a ready
     /// instance.
     pub(crate) fn transfer_task(&mut self, tid: TaskId, dest: InstanceId) {
@@ -81,32 +72,29 @@ impl ClusterSim {
             }
         }
 
-        self.world.tasks.gen[s] += 1;
-        let gen = self.world.tasks.gen[s];
+        // A transfer in flight is superseded: its readiness is withdrawn.
+        if let Some(token) = self.world.tasks.transfer[s].take() {
+            self.engine.cancel(token);
+        }
         let depart = if was_running {
             self.now() + checkpoint
         } else {
             self.now()
         };
-        let ready = depart.max(self.instance_ready_at(dest)) + launch;
+        let ready_at = self.cloud.instance(dest).map_or(self.now(), |i| i.ready_at);
+        let ready = depart.max(ready_at) + launch;
 
-        self.world.tasks.state[s] = TaskState::InTransit {
-            generation: gen,
-            ready_at: ready,
-        };
+        self.world.tasks.state[s] = TaskState::InTransit;
         if had_instance {
             self.world.tasks.migrations[s] += 1;
             self.migration_count += 1;
         }
         self.world.tasks.assigned[s] = dslot;
         self.map_task(dslot, tslot, true);
-        self.push(
-            ready,
-            Event::TaskReady {
-                slot: tslot,
-                generation: gen,
-            },
-        );
+        let token = self
+            .engine
+            .schedule_cancelable(ready, Event::TaskReady(tslot));
+        self.world.tasks.transfer[s] = Some(token);
     }
     /// The scheduler-facing observations for the current instant, one per
     /// active job with a running task, in id order. Each is built when the

@@ -1,6 +1,6 @@
 //! Report assembly: folds a finished [`ClusterSim`] into a [`SimReport`].
 
-use eva_types::{InstanceId, SimDuration, SimTime};
+use eva_types::{SimDuration, SimTime};
 
 use crate::arena::RATE_ONE;
 use crate::metrics::SimReport;
@@ -8,14 +8,7 @@ use crate::world::ClusterSim;
 
 /// Consumes a fully-stepped world and produces its experiment report.
 pub(crate) fn finalize(mut sim: ClusterSim) -> SimReport {
-    // Safety: nothing should remain live.
-    let now = sim.now();
-    let leftovers: Vec<InstanceId> = sim.cloud.live_instances(now).map(|i| i.id).collect();
-    for id in leftovers {
-        let _ = sim.cloud.terminate(id, now);
-    }
-
-    let end = sim.cloud.max_terminated_at().unwrap_or(now).max(now);
+    let end = sim.finish();
 
     // Completed jobs were summed exactly as each completed.
     let done = sim.completed;

@@ -309,8 +309,7 @@ mod tests {
         for name in SchedulerKind::names() {
             let kind = SchedulerKind::from_name(name).unwrap();
             assert!(
-                name.starts_with(&kind.label().to_ascii_lowercase()[..3])
-                    || kind.label() == "Eva",
+                name.starts_with(&kind.label().to_ascii_lowercase()[..3]) || kind.label() == "Eva",
                 "{name} resolves to {}",
                 kind.label()
             );
@@ -333,9 +332,7 @@ mod tests {
 #[cfg(test)]
 mod robustness_tests {
     use super::*;
-    use eva_types::{
-        DemandSpec, JobId, JobSpec, ResourceVector, SimTime, TaskId, TaskSpec,
-    };
+    use eva_types::{DemandSpec, JobId, JobSpec, ResourceVector, SimTime, TaskId, TaskSpec};
     use eva_workloads::Trace;
 
     #[test]

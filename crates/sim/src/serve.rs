@@ -82,7 +82,11 @@ pub fn serve<W: Write>(
         // materialized), stamped at the time it describes.
         if sim.now() >= next_emit {
             let snap = sim.metrics_snapshot();
-            writeln!(out, "{}", serde_json::to_string(&snap).expect("snapshot serializes"))?;
+            writeln!(
+                out,
+                "{}",
+                serde_json::to_string(&snap).expect("snapshot serializes")
+            )?;
             metrics_lines += 1;
             while next_emit <= sim.now() {
                 next_emit += every;

@@ -2,21 +2,13 @@
 //! lives in the arena (`JobArena::{advance, eta, mean_tput}`) and is
 //! unit-tested here on a one-job arena.
 
-use eva_types::SimTime;
-
 /// Lifecycle of one task inside the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// Not yet placed anywhere.
     Pending,
     /// Placed; waiting for instance readiness / checkpoint / launch delay.
-    /// Carries the generation stamp of the transfer in flight.
-    InTransit {
-        /// Monotonic stamp that invalidates superseded transfer events.
-        generation: u64,
-        /// When the task becomes runnable.
-        ready_at: SimTime,
-    },
+    InTransit,
     /// Executing on its instance.
     Running,
     /// Its job completed.
@@ -126,6 +118,9 @@ mod tests {
             SimDuration::from_hours_f64(1.5)
         );
         p.settle(0, hours(0.5));
-        assert_eq!(work_span(p.progress[0].remaining), SimDuration::from_hours_f64(1.5));
+        assert_eq!(
+            work_span(p.progress[0].remaining),
+            SimDuration::from_hours_f64(1.5)
+        );
     }
 }

@@ -34,7 +34,7 @@ use crate::backend::BackendKind;
 use crate::cache::ReportCache;
 use crate::faults::FaultSpec;
 use crate::metrics::SimReport;
-use crate::pool::{CellPool, PoolStats, RunPlan};
+use crate::pool::{CellPool, PoolStats};
 use crate::runner::{InterferenceSpec, SchedulerKind, SimConfig};
 
 /// One value of the trace axis: a shared trace under the label reports
@@ -193,15 +193,6 @@ impl SweepGrid {
             * self.fidelities.len()
             * self.seeds.len()
             * self.schedulers.len()
-    }
-
-    /// Cells that will actually execute after deduplication.
-    pub fn unique_cell_count(&self) -> usize {
-        let cells = self.cells();
-        RunPlan::build(cells.len(), &|i| self.fingerprint(&cells[i]), &|i| {
-            self.cost_estimate(&cells[i])
-        })
-        .unique_count()
     }
 
     /// Expands the grid into its cells in stable order.
@@ -498,6 +489,7 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::RunPlan;
     use eva_workloads::{SyntheticTraceConfig, Trace};
 
     fn tiny_trace(jobs: usize) -> Trace {
@@ -592,10 +584,10 @@ mod tests {
             .fidelities(vec![FidelityMode::Nominal]);
         assert_eq!(grid.cell_count(), 6);
         // One No-Packing run + three Owl runs.
-        assert_eq!(grid.unique_cell_count(), 4);
+        let (result, stats) = SweepRunner::new(2).run_with_stats(&grid);
+        assert_eq!(stats.unique, 4);
         // Dedup must not change results: every No-Packing report equals
         // the representative's, and each cell keeps its own key.
-        let result = SweepRunner::new(2).run(&grid);
         assert_eq!(result.cells.len(), 6);
         let np: Vec<_> = result
             .cells
@@ -622,8 +614,8 @@ mod tests {
                 InterferenceSpec::Uniform(0.85),
             ])
             .fidelities(vec![FidelityMode::Nominal]);
-        assert!(grid.unique_cell_count() < grid.cell_count());
-        let result = SweepRunner::new(2).run(&grid);
+        let (result, stats) = SweepRunner::new(2).run_with_stats(&grid);
+        assert!(stats.unique < grid.cell_count());
         for (cell, outcome) in grid.cells().iter().zip(&result.cells) {
             let direct = crate::runner::run_simulation(&grid.cell_config(cell));
             assert_eq!(
@@ -641,8 +633,8 @@ mod tests {
             .scheduler("stratus-b", SchedulerKind::Stratus)
             .fidelities(vec![FidelityMode::Nominal]);
         assert_eq!(grid.cell_count(), 2);
-        assert_eq!(grid.unique_cell_count(), 1);
-        let result = SweepRunner::new(2).run(&grid);
+        let (result, stats) = SweepRunner::new(2).run_with_stats(&grid);
+        assert_eq!(stats.unique, 1);
         assert_eq!(result.cells[0].report, result.cells[1].report);
         assert_eq!(result.cells[0].key.scheduler, "stratus-a");
         assert_eq!(result.cells[1].key.scheduler, "stratus-b");
@@ -656,8 +648,9 @@ mod tests {
             .trace("b", tiny_trace(3))
             .scheduler("No-Packing", SchedulerKind::NoPacking)
             .fidelities(vec![FidelityMode::Nominal]);
-        assert_eq!(grid.cell_count(), 2);
-        assert_eq!(grid.unique_cell_count(), 1);
+        let cells = grid.cells();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(grid.fingerprint(&cells[0]), grid.fingerprint(&cells[1]));
     }
 
     #[test]
@@ -693,7 +686,9 @@ mod tests {
         assert!(cells[..4].iter().all(|c| c.key.backend == "sim"));
         assert!(cells[4..].iter().all(|c| c.key.backend == "live"));
         // Sim and live cells never share a fingerprint.
-        assert_eq!(grid.unique_cell_count(), 8);
+        let prints: std::collections::BTreeSet<String> =
+            cells.iter().map(|c| grid.fingerprint(c)).collect();
+        assert_eq!(prints.len(), 8);
     }
 
     #[test]

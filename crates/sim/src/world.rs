@@ -42,14 +42,10 @@ use crate::state::TaskState;
 pub(crate) enum Event {
     /// Trace job `i` arriving; its handler queues job `i + 1`'s arrival.
     Arrival(usize),
-    TaskReady {
-        slot: u32,
-        generation: u64,
-    },
-    JobDone {
-        slot: u32,
-        generation: u64,
-    },
+    /// The transfer of the task in this slot landing: it starts running.
+    TaskReady(u32),
+    /// The job in this slot completing.
+    JobDone(u32),
     Round,
     /// Injected fault striking (index into the compiled fault plan).
     Fault(usize),
@@ -67,8 +63,8 @@ impl SimEvent for Event {
     fn priority(&self) -> u8 {
         match self {
             Event::Fault(_) | Event::FaultExpire(_) => 0,
-            Event::TaskReady { .. } => 0,
-            Event::JobDone { .. } => 1,
+            Event::TaskReady(_) => 0,
+            Event::JobDone(_) => 1,
             // An ingest *is* an arrival: same-time completions resolve
             // first, the round that schedules the newcomer fires after.
             Event::Arrival(_) | Event::Ingest => 2,
@@ -160,7 +156,6 @@ pub struct ClusterSim {
 
     // Reusable hot-path scratch (per-event, allocation-free steady state).
     tput_buf: RefCell<Vec<WorkloadKind>>,
-    dirty_scratch: Vec<u32>,
     pub(crate) snapshot_scratch: (Vec<TaskSnapshot>, Vec<InstanceSnapshot>),
 }
 
@@ -263,7 +258,6 @@ impl ClusterSim {
             full_rounds: 0,
             full_scan: false,
             tput_buf: RefCell::new(Vec::new()),
-            dirty_scratch: Vec::new(),
             snapshot_scratch: (Vec::new(), Vec::new()),
             cfg,
         };
@@ -351,7 +345,7 @@ impl ClusterSim {
             let at = job.arrival;
             stream.pending = Some(job);
             self.stream = Some(stream);
-            self.push(at, Event::Ingest);
+            self.engine.schedule(at, Event::Ingest);
             return;
         }
         self.stream = Some(stream);
@@ -471,14 +465,10 @@ impl ClusterSim {
         crate::report::finalize(self)
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, event: Event) {
-        self.engine.schedule(at, event);
-    }
-
     pub(crate) fn schedule_round(&mut self, at: SimTime) {
         if !self.round_pending {
             self.round_pending = true;
-            self.push(at, Event::Round);
+            self.engine.schedule(at, Event::Round);
         }
     }
 
@@ -489,7 +479,7 @@ impl ClusterSim {
                 // shares an arrival's priority: arrivals pop in trace order,
                 // after same-instant readiness and completions.
                 if let Some(next) = self.cfg.trace.jobs().get(idx + 1) {
-                    self.push(next.arrival, Event::Arrival(idx + 1));
+                    self.engine.schedule(next.arrival, Event::Arrival(idx + 1));
                 }
                 self.arrivals_remaining -= 1;
                 self.metrics.record_arrival();
@@ -498,37 +488,33 @@ impl ClusterSim {
                 self.schedule_round(self.now());
             }
             Event::Ingest => self.handle_ingest(),
-            Event::TaskReady { slot, generation } => {
+            Event::TaskReady(slot) => {
                 let s = slot as usize;
-                let matches = matches!(
-                    self.world.tasks.state[s],
-                    TaskState::InTransit { generation: g, .. } if g == generation
-                );
-                if matches {
-                    // A task in transit is mapped to its destination's row
-                    // (rows outlive their tasks). Its start changes its own
-                    // job's gang state and every co-located job's
-                    // interference set.
-                    let inst = self.world.tasks.assigned[s];
-                    debug_assert_ne!(inst, NO_SLOT, "a task in transit to nowhere");
-                    self.touch_instance_jobs(inst);
-                    self.world.tasks.state[s] = TaskState::Running;
-                    self.world.insts.count_running(true);
-                    if self.recorder.is_some() {
-                        let task = self.world.tasks.ids[s];
-                        let instance = self.world.insts.rows[inst as usize].id;
-                        let progress =
-                            self.job_progress_fraction_slot(self.world.tasks.job_slot[s]);
-                        self.record(ExecActionKind::Start {
-                            task,
-                            instance,
-                            progress,
-                        });
-                    }
-                    self.recompute_completions();
+                let token = self.world.tasks.transfer[s].take();
+                let in_transit = self.world.tasks.state[s] == TaskState::InTransit;
+                debug_assert!(token.is_some() && in_transit, "stale readiness");
+                // A task in transit is mapped to its destination's row
+                // (rows outlive their tasks). Its start changes its own
+                // job's gang state and every co-located job's
+                // interference set.
+                let inst = self.world.tasks.assigned[s];
+                debug_assert_ne!(inst, NO_SLOT, "a task in transit to nowhere");
+                self.touch_instance_jobs(inst);
+                self.world.tasks.state[s] = TaskState::Running;
+                self.world.insts.count_running(true);
+                if self.recorder.is_some() {
+                    let task = self.world.tasks.ids[s];
+                    let instance = self.world.insts.rows[inst as usize].id;
+                    let progress = self.job_progress_fraction_slot(self.world.tasks.job_slot[s]);
+                    self.record(ExecActionKind::Start {
+                        task,
+                        instance,
+                        progress,
+                    });
                 }
+                self.recompute_completions();
             }
-            Event::JobDone { slot, generation } => self.handle_job_done(slot, generation),
+            Event::JobDone(slot) => self.handle_job_done(slot),
             Event::Round => self.handle_round(),
             Event::Fault(idx) => self.apply_fault(idx),
             Event::FaultExpire(idx) => self.expire_fault(idx),
@@ -546,8 +532,8 @@ impl ClusterSim {
     /// Abruptly kills every unfinished task mapped to instance slot
     /// `islot`: running tasks rescue-checkpoint at the kill instant
     /// (recorded as [`ExecActionKind::Kill`]), in-transit tasks lose
-    /// their transfer; all go back to pending for the next round to
-    /// re-place.
+    /// their transfer (its readiness event is canceled); all go back to
+    /// pending for the next round to re-place.
     fn kill_instance_tasks(&mut self, islot: u32) {
         // Every job with a task here changes throughput (marking also
         // settles them, so the Kill progress reads below are current).
@@ -565,6 +551,9 @@ impl ClusterSim {
                 let progress = self.job_progress_fraction_slot(self.world.tasks.job_slot[s]);
                 self.record(ExecActionKind::Kill { task, progress });
                 self.world.insts.count_running(false);
+            }
+            if let Some(token) = self.world.tasks.transfer[s].take() {
+                self.engine.cancel(token);
             }
             self.world.tasks.state[s] = TaskState::Pending;
             self.world.tasks.assigned[s] = NO_SLOT;
@@ -811,7 +800,7 @@ impl ClusterSim {
             let slot = self.world.jobs.active[i];
             self.world.jobs.settle(slot, now);
             let (s, jobs) = (slot as usize, &self.world.jobs);
-            let (id, sched) = (jobs.ids[s], jobs.scheduled_done_at[s]);
+            let (id, sched) = (jobs.ids[s], jobs.done_event[s].map(|(at, _)| at));
             let _ = writeln!(out, "live {id}: {:?} sched={sched:?}", jobs.progress[s]);
         }
         let _ = writeln!(out, "done {:?}", self.completed);
@@ -829,18 +818,16 @@ impl ClusterSim {
         out
     }
 
-    fn handle_job_done(&mut self, slot: u32, generation: u64) {
-        let s = slot as usize;
-        let valid = self.world.jobs.arrived[s]
-            && !self.world.jobs.is_done(slot)
-            && self.world.jobs.completion_gen[s] == generation;
-        if !valid {
-            return;
-        }
+    fn handle_job_done(&mut self, slot: u32) {
+        let (s, now) = (slot as usize, self.engine.now());
+        let due = self.world.jobs.done_event[s].take();
+        debug_assert!(
+            due.is_some_and(|(at, _)| at == now) && !self.world.jobs.is_done(slot),
+            "stale completion"
+        );
         // Bring the lanes to the completion instant, which is the nearest
         // millisecond to the exact one: at most half a millisecond's work
         // is left.
-        let now = self.engine.now();
         self.world.jobs.settle(slot, now);
         let p = self.world.jobs.progress[s];
         debug_assert!(
@@ -848,7 +835,6 @@ impl ClusterSim {
             "early completion event"
         );
         self.world.jobs.completed_at[s] = Some(now);
-        self.world.jobs.scheduled_done_at[s] = None;
         self.world.jobs.retire(slot);
         let job = self.world.jobs.ids[s];
         self.record(ExecActionKind::JobDone { job });
@@ -871,8 +857,8 @@ impl ClusterSim {
         // Fold the frozen lanes into the report sums. With retirement on
         // the slots go back too: the job cannot be dirty here
         // (`completed_at` was set before the task loop and `mark_dirty`
-        // skips done jobs), and no completion event can outlive the
-        // generation that just validated.
+        // skips done jobs), and its completion event, the one dispatching
+        // now, took its token along.
         let jct = now.duration_since(self.job_spec(slot).arrival);
         let done = &mut self.completed;
         done.jobs += 1;
@@ -942,8 +928,7 @@ impl ClusterSim {
     /// instead of rescanning the live instance set.
     fn advance_to(&mut self, t: SimTime) {
         let now = self.engine.now();
-        let dt_hours = t.duration_since(now).as_hours_f64();
-        if dt_hours <= 0.0 {
+        if t <= now {
             return;
         }
         debug_assert!(
@@ -960,17 +945,51 @@ impl ClusterSim {
             for (slot, rate) in rates {
                 self.world.jobs.advance(slot, t, rate);
             }
-            self.integrate(self.scan_rates(now), dt_hours);
-        } else {
-            self.integrate(self.world.insts.rates(), dt_hours);
         }
-        // Drop the rows whose termination deadline fell inside the
-        // segment just integrated: they were live at its start (so they
-        // counted, exactly like the eager scan at `now`), and every later
-        // segment starts at or past `t`.
-        while let Some(islot) = self.world.insts.first_due(t) {
+        self.integrate_to(now, t);
+    }
+
+    /// Accrues the metric integrals from `from` to `t`, a piece at a time:
+    /// each row whose termination deadline falls in the span counts up to
+    /// that deadline and is dropped there. The eager reference rescans
+    /// the provider's live set at the start of each piece.
+    fn integrate_to(&mut self, mut from: SimTime, t: SimTime) {
+        loop {
+            let due = self.world.insts.first_due(t);
+            let until = due.map_or(t, |(at, _)| at);
+            let (cap, alloc, running) = if self.full_scan {
+                self.scan_rates(from)
+            } else {
+                self.world.insts.rates()
+            };
+            let dt_hours = until.duration_since(from).as_hours_f64();
+            for r in 0..3 {
+                self.alloc_integral[r] += alloc[r] * dt_hours;
+                self.capacity_integral[r] += cap[r] * dt_hours;
+            }
+            self.task_running_hours += running as f64 * dt_hours;
+            let Some((_, islot)) = due else {
+                return;
+            };
             self.drop_row(islot);
+            from = until;
         }
+    }
+
+    /// Ends an exhausted run at the last instance termination (the clock,
+    /// if that is later or nothing ever terminated), which it returns, and
+    /// carries the integrals there. The final round terminated every
+    /// instance.
+    pub(crate) fn finish(&mut self) -> SimTime {
+        let (now, insts) = (self.now(), &self.world.insts);
+        let terminating = |s: u32| matches!(insts.rows[s as usize].life(), Life::Terminating(_));
+        debug_assert!(
+            insts.slots().all(terminating),
+            "an instance outlived the run"
+        );
+        let end = self.cloud.max_terminated_at().map_or(now, |t| t.max(now));
+        self.integrate_to(now, end);
+        end
     }
 
     /// The capacity, allocation and running-task rates of the provider's
@@ -995,20 +1014,11 @@ impl ClusterSim {
         (cap, alloc, running)
     }
 
-    /// Accrues `dt_hours` at the given rates into the metric integrals.
-    fn integrate(&mut self, rates: ([f64; 3], [f64; 3], usize), dt_hours: f64) {
-        let (cap, alloc, running) = rates;
-        for r in 0..3 {
-            self.alloc_integral[r] += alloc[r] * dt_hours;
-            self.capacity_integral[r] += cap[r] * dt_hours;
-        }
-        self.task_running_hours += running as f64 * dt_hours;
-    }
-
     /// Re-derives the completion events of jobs marked dirty since the
     /// last drain. Refreshes each job's cached rate and skips the heap
     /// push when the due time is unchanged — the outstanding event is
-    /// still valid, so steady-state heap churn tracks what *changed*.
+    /// still valid, so steady-state heap churn tracks what *changed*;
+    /// otherwise the outstanding event is canceled in the engine.
     /// The eager reference re-derives every active job instead: a
     /// closed-form due time does not depend on the instant it is derived
     /// at, so a clean job re-derives exactly the event it has, and any
@@ -1017,12 +1027,9 @@ impl ClusterSim {
         if self.world.jobs.dirty_list.is_empty() && !self.full_scan {
             return;
         }
-        // Drain into reusable scratch (the `term_scratch` pattern) so
-        // the steady-state drain allocates nothing; the arena's list
-        // keeps its own capacity for the next marking burst.
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        dirty.clear();
-        dirty.append(&mut self.world.jobs.dirty_list);
+        // The list goes back empty with its capacity, so the steady-state
+        // drain allocates nothing.
+        let mut dirty = std::mem::take(&mut self.world.jobs.dirty_list);
         for &slot in &dirty {
             self.world.jobs.dirty[slot as usize] = false;
         }
@@ -1043,18 +1050,21 @@ impl ClusterSim {
             self.world.jobs.settle(slot, now);
             self.world.jobs.progress[s].rate = quantize(self.job_tput(slot));
             let at = self.world.jobs.eta(slot).map(|eta| now + eta);
-            if at == self.world.jobs.scheduled_done_at[s] {
+            let due = &mut self.world.jobs.done_event[s];
+            if at == due.map(|(at, _)| at) {
                 continue;
             }
-            self.world.jobs.completion_gen[s] += 1;
-            let generation = self.world.jobs.completion_gen[s];
-            self.world.jobs.scheduled_done_at[s] = at;
+            // The superseded event is withdrawn, never dispatched.
+            if let Some((_, token)) = due.take() {
+                self.engine.cancel(token);
+            }
             if let Some(at) = at {
-                self.push(at, Event::JobDone { slot, generation });
+                let token = self.engine.schedule_cancelable(at, Event::JobDone(slot));
+                *due = Some((at, token));
             }
         }
         dirty.clear();
-        self.dirty_scratch = dirty;
+        self.world.jobs.dirty_list = dirty;
     }
 
     /// Terminates drained instances whose departures have finished, in
@@ -1124,6 +1134,40 @@ impl ClusterSim {
         let world = &mut self.world;
         for &t in &world.insts.rows[islot as usize].tasks {
             world.jobs.mark_dirty(world.tasks.job_slot[t as usize], now);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultSpec;
+    use eva_workloads::SyntheticTraceConfig;
+
+    #[test]
+    fn capacity_integral_counts_each_instance_from_request_to_termination() {
+        // A row counts its capacity up to its termination deadline: not to
+        // whichever event follows it, nor past the end of the run.
+        for regime in ["none", "preempt-storm:3", "straggler:2"] {
+            let trace = SyntheticTraceConfig::small_scale().generate(5);
+            let mut cfg = SimConfig::new(trace, SchedulerKind::Stratus);
+            cfg.faults = FaultSpec::parse(regime).unwrap();
+            let mut sim = ClusterSim::new(&cfg);
+            while sim.step() {}
+            sim.finish();
+            let mut expected = [0.0; 3];
+            for inst in sim.cloud.instances() {
+                let ty = sim.catalog.get(inst.type_id).unwrap();
+                let end = inst.terminated_at.expect("every instance terminated");
+                let hours = end.duration_since(inst.requested_at).as_hours_f64();
+                add_lanes(&mut expected, lanes(ty.capacity), hours);
+            }
+            for (r, (got, want)) in sim.capacity_integral.iter().zip(expected).enumerate() {
+                assert!(
+                    want > 0.0 && (got - want).abs() <= 1e-9 * want,
+                    "{regime}, lane {r}: {got} against {want}"
+                );
+            }
         }
     }
 }

@@ -48,11 +48,6 @@ impl PackingProblem {
     /// *minimum* per-family demand so it stays valid whichever family the
     /// optimum picks.
     pub fn lower_bound(&self) -> f64 {
-        self.lower_bound_of(&(0..self.items.len()).collect::<Vec<_>>())
-    }
-
-    /// The same bound restricted to a subset of item indices.
-    pub fn lower_bound_of(&self, indices: &[usize]) -> f64 {
         let mut best = 0.0f64;
         for r in 0..3 {
             let unit_price = self
@@ -70,9 +65,8 @@ impl PackingProblem {
             if !unit_price.is_finite() {
                 continue;
             }
-            let total_demand: u64 = indices
-                .iter()
-                .map(|i| min_family_demand(&self.items[*i], &self.catalog, r))
+            let total_demand: u64 = (self.items.iter())
+                .map(|item| min_family_demand(item, &self.catalog, r))
                 .sum();
             best = best.max(unit_price * total_demand as f64);
         }

@@ -130,23 +130,6 @@ impl ResourceVector {
             ram_mb: self.ram_mb * u64::from(factor),
         }
     }
-
-    /// Fraction of `capacity` used per dimension, skipping zero-capacity
-    /// dimensions. Used for the resource-allocation metric (§6.1).
-    pub fn utilization_against(&self, capacity: &ResourceVector) -> [Option<f64>; 3] {
-        let frac = |used: u64, cap: u64| {
-            if cap == 0 {
-                None
-            } else {
-                Some(used as f64 / cap as f64)
-            }
-        };
-        [
-            frac(u64::from(self.gpu), u64::from(capacity.gpu)),
-            frac(u64::from(self.cpu), u64::from(capacity.cpu)),
-            frac(self.ram_mb, capacity.ram_mb),
-        ]
-    }
 }
 
 impl Add for ResourceVector {
@@ -220,16 +203,6 @@ mod tests {
         let vs = [ResourceVector::new(1, 2, 3), ResourceVector::new(4, 5, 6)];
         let total: ResourceVector = vs.into_iter().sum();
         assert_eq!(total, ResourceVector::new(5, 7, 9));
-    }
-
-    #[test]
-    fn utilization_skips_zero_capacity() {
-        let cap = ResourceVector::new(0, 8, 32 * 1024);
-        let used = ResourceVector::new(0, 4, 16 * 1024);
-        let u = used.utilization_against(&cap);
-        assert_eq!(u[0], None);
-        assert_eq!(u[1], Some(0.5));
-        assert_eq!(u[2], Some(0.5));
     }
 
     #[test]

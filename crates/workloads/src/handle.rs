@@ -63,8 +63,7 @@ impl TraceHandle {
     /// fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
         *self.inner.fingerprint.get_or_init(|| {
-            let json = serde_json::to_string(&self.inner.trace)
-                .expect("traces always serialize");
+            let json = serde_json::to_string(&self.inner.trace).expect("traces always serialize");
             eva_types::fnv1a64(json.as_bytes())
         })
     }

@@ -364,7 +364,10 @@ mod tests {
             .duration_since(jobs[0].arrival)
             .as_hours_f64();
         let mean_gap_mins = span / (jobs.len() - 1) as f64 * 60.0;
-        assert!((mean_gap_mins - 1.0).abs() < 0.1, "mean gap {mean_gap_mins}min");
+        assert!(
+            (mean_gap_mins - 1.0).abs() < 0.1,
+            "mean gap {mean_gap_mins}min"
+        );
         assert!(jobs.windows(2).all(|w| w[1].arrival >= w[0].arrival));
     }
 

@@ -96,7 +96,10 @@ fn sweep_json_is_byte_identical_to_golden() {
     // The golden must itself be valid JSON (guards the renderer).
     serde_json::from_str::<serde_json::Value>(&rendered).expect("rendered doc parses");
     let path = golden_path();
-    if std::env::var("EVA_BLESS").map(|v| v == "1").unwrap_or(false) {
+    if std::env::var("EVA_BLESS")
+        .map(|v| v == "1")
+        .unwrap_or(false)
+    {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &rendered).unwrap();
         eprintln!("blessed {}", path.display());

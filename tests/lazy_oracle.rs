@@ -52,12 +52,7 @@ fn assert_lockstep(mut lazy: ClusterSim, mut full: ClusterSim) -> Result<(), Tes
     loop {
         let (a, b) = (lazy.step(), full.step());
         prop_assert_eq!(a, b, "event streams diverged in length at step {}", steps);
-        prop_assert_eq!(
-            lazy.now(),
-            full.now(),
-            "clocks diverged at step {}",
-            steps
-        );
+        prop_assert_eq!(lazy.now(), full.now(), "clocks diverged at step {}", steps);
         let (da, db) = (lazy.oracle_digest(), full.oracle_digest());
         prop_assert_eq!(da, db, "world digests diverged at step {}", steps);
         lazy.audit_slots().map_err(TestCaseError::fail)?;

@@ -169,7 +169,7 @@ fn golden_reblessed_only_with_a_schema_bump() {
         .join("arena_parity.json");
     let bytes = std::fs::read(&golden).unwrap();
     let hash = eva_types::fnv1a64(&bytes);
-    assert_eq!((SCHEMA_VERSION, hash), ("eva-v4", 0xa2ff_aff3_419c_a987));
+    assert_eq!((SCHEMA_VERSION, hash), ("eva-v5", 0xc6ce_12d4_442a_1481));
 }
 
 #[test]
@@ -296,7 +296,9 @@ fn segment_lines_with_a_producer_stamp_read_warm() {
     // `key` and `value`. Readers skip the stamp, so such caches stay warm.
     let dir = tmp_dir("producer");
     std::fs::create_dir_all(&dir).unwrap();
-    let line = r#"{"schema":"eva-v4","key":"cell","producer":"exp_fig4","value":[3,1,4]}"#;
+    let line = format!(
+        r#"{{"schema":"{SCHEMA_VERSION}","key":"cell","producer":"exp_fig4","value":[3,1,4]}}"#
+    );
     std::fs::write(dir.join("4242-0.log"), format!("{line}\n")).unwrap();
     let cache = ReportCache::new(&dir);
     assert_eq!(cache.lookup::<Vec<u64>>("cell"), Some(vec![3, 1, 4]));

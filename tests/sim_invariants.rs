@@ -292,3 +292,36 @@ fn no_task_lands_on_an_instance_whose_termination_is_committed() {
         assert_eq!(sim.past_dated_events(), 0, "{label}");
     }
 }
+
+#[test]
+fn the_clock_and_the_makespan_end_at_the_last_termination() {
+    // A completion superseded by a new due time, or a transfer by a newer
+    // one, is withdrawn from the queue, so the clock never moves to an
+    // instant where nothing happens. After the final round terminates the
+    // drained instances, nothing is left to dispatch: the clock stops at
+    // or before the last termination, and the makespan ends there.
+    let trace = AlibabaTraceConfig {
+        num_jobs: 16,
+        arrival_rate_per_hour: 6.0,
+        durations: DurationModelChoice::Alibaba,
+    }
+    .generate(7);
+    let first = trace.jobs()[0].arrival;
+    for regime in ["none", "straggler:2", "preempt-storm"] {
+        for kind in SchedulerKind::paper_set() {
+            let label = format!("{} under {regime}", kind.label());
+            let mut cfg = SimConfig::new(trace.clone(), kind);
+            cfg.faults = FaultSpec::parse(regime).unwrap();
+            let mut sim = ClusterSim::new(&cfg);
+            while sim.step() {}
+            let end = sim.provider().max_terminated_at().expect("instances ran");
+            assert!(
+                sim.now() <= end,
+                "{label}: the clock ran to {:?}, past the last termination {end:?}",
+                sim.now()
+            );
+            let makespan = end.duration_since(first).as_hours_f64();
+            assert_eq!(sim.run().makespan_hours, makespan, "{label}");
+        }
+    }
+}

@@ -69,7 +69,10 @@ fn synthetic_source_stream_matches_pregenerated_trace_run() {
 
 #[test]
 fn streaming_world_audits_clean_while_recycling() {
-    let mut cfg = batch_cfg(SyntheticTraceConfig::small_scale().generate(5), SchedulerKind::Stratus);
+    let mut cfg = batch_cfg(
+        SyntheticTraceConfig::small_scale().generate(5),
+        SchedulerKind::Stratus,
+    );
     cfg.retire_completed = true;
     let source = Box::new(SyntheticSource::open_loop(6.0, 60, 13));
     let mut sim = ClusterSim::from_source(&cfg, source);
