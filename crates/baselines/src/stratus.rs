@@ -256,6 +256,19 @@ mod tests {
         StratusScheduler::new().plan(&ctx)
     }
 
+    /// The plan's moves over `tasks` that are not first placements.
+    fn migrations(plan: &Plan, tasks: &[TaskSnapshot]) -> usize {
+        let catalog = Catalog::aws_eval_2025();
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            catalog: &catalog,
+            tasks,
+            instances: &[],
+        };
+        let view = ClusterView::of(&ctx);
+        plan.moves(&view).filter(|m| !m.is_initial()).count()
+    }
+
     #[test]
     fn runtime_bins_are_exponential() {
         let bin = |m: u64| StratusScheduler::runtime_bin(SimDuration::from_mins(m));
@@ -311,7 +324,7 @@ mod tests {
             task(2, 1, 20, 24, Some(1), 60),
         ];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge"), (1, "p3.8xlarge")]);
-        assert!(plan.migrations(&tasks, false).is_empty());
+        assert_eq!(migrations(&plan, &tasks), 0);
     }
 
     #[test]
@@ -321,7 +334,7 @@ mod tests {
         let tasks = vec![task(1, 1, 4, 24, Some(0), 60)];
         let plan = plan_for(&tasks, &[(0, "p3.8xlarge")]);
         assert_eq!(plan.terminate, vec![InstanceId(0)]);
-        assert_eq!(plan.migrations(&tasks, false).len(), 1);
+        assert_eq!(migrations(&plan, &tasks), 1);
         let PlannedInstance::New(new_ty) = plan.assignments[0].instance else {
             panic!()
         };

@@ -338,7 +338,8 @@ mod tests {
             instances: &instances,
         };
         let plan = SynergyScheduler::new().plan(&ctx);
-        assert!(plan.migrations(&tasks, false).is_empty());
+        let view = ClusterView::of(&ctx);
+        assert!(plan.moves(&view).all(|m| m.is_initial()));
         assert!(plan.terminate.is_empty());
     }
 }

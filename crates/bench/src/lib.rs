@@ -52,7 +52,7 @@ pub fn is_full_scale() -> bool {
 
 /// Sweep worker count: `EVA_THREADS=N` if set, otherwise 0 (which
 /// [`SweepRunner::new`] resolves to all available cores).
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::env::var("EVA_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -60,7 +60,7 @@ pub fn default_threads() -> usize {
 }
 
 /// The default persistent cache location, `results/cache/`.
-pub fn default_cache_dir() -> PathBuf {
+fn default_cache_dir() -> PathBuf {
     results_dir().join("cache")
 }
 
@@ -149,7 +149,7 @@ pub fn faults_setting() -> Option<FaultSpec> {
 /// Applies the process's `--faults` setting to `grid` as the fault axis,
 /// printing the injected regime whenever one was requested. A no-op
 /// without `--faults` — the grid keeps its fault-free default axis.
-pub fn apply_faults(grid: SweepGrid) -> SweepGrid {
+fn apply_faults(grid: SweepGrid) -> SweepGrid {
     let Some(spec) = faults_setting() else {
         return grid;
     };
@@ -181,7 +181,7 @@ pub fn scheduler_set() -> Vec<SchedulerKind> {
 
 /// Declares `kinds` on `grid` with unique names (duplicate report labels —
 /// e.g. several Eva variants — get a positional suffix).
-pub fn add_schedulers(mut grid: SweepGrid, kinds: Vec<SchedulerKind>) -> SweepGrid {
+fn add_schedulers(mut grid: SweepGrid, kinds: Vec<SchedulerKind>) -> SweepGrid {
     let mut seen: Vec<String> = Vec::new();
     for kind in kinds {
         let base = kind.label().to_string();
@@ -219,7 +219,7 @@ pub fn run_and_print(trace: &Trace, kinds: Vec<SchedulerKind>, header: &str) -> 
 }
 
 /// The directory experiment outputs are written to.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results");

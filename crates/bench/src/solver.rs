@@ -54,7 +54,7 @@ pub fn random_tasks(seed: u64, n: usize) -> Vec<TaskSnapshot> {
 }
 
 /// One micro-benchmark cell: a content key plus the closure computing it.
-pub struct SolverCell<R> {
+struct SolverCell<R> {
     key: String,
     run: Box<dyn Fn() -> R + Send + Sync>,
 }
@@ -152,14 +152,9 @@ where
         results
     }
 
-    /// Runs with an explicit cache binding (testable form).
-    pub fn run_with(&self, cache: Option<&ReportCache>) -> (Vec<R>, PoolStats) {
-        let (results, stats) = self.run_with_flags(cache);
-        (results.into_iter().map(|(r, _)| r).collect(), stats)
-    }
-
-    /// [`SolverSweep::run_with`] with per-cell cache-replay flags.
-    pub fn run_with_flags(&self, cache: Option<&ReportCache>) -> (Vec<(R, bool)>, PoolStats) {
+    /// Runs with an explicit cache binding, flagging each cell replayed
+    /// from it.
+    fn run_with_flags(&self, cache: Option<&ReportCache>) -> (Vec<(R, bool)>, PoolStats) {
         let (results, flags, stats) = CellPool::new(self.threads).run_flagged(
             self.cells.len(),
             &|i| format!("solver|{}|{}", self.name, self.cells[i].key),
@@ -198,8 +193,8 @@ mod tests {
         static RUNS: AtomicUsize = AtomicUsize::new(0);
         let s = sweep(&RUNS);
         assert_eq!(s.len(), 2);
-        let (results, stats) = s.run_with(None);
-        assert_eq!(results, vec![10, 20]);
+        let (results, stats) = s.run_with_flags(None);
+        assert_eq!(results, vec![(10, false), (20, false)]);
         assert_eq!(stats.executed, 2);
         assert_eq!(RUNS.load(Ordering::Relaxed), 2);
     }
@@ -235,8 +230,8 @@ mod tests {
         let s = SolverSweep::<u64>::new("dedup")
             .cell("same", || 7)
             .cell("same", || unreachable!("duplicate key must not run"));
-        let (results, stats) = s.run_with(None);
-        assert_eq!(results, vec![7, 7]);
+        let (results, stats) = s.run_with_flags(None);
+        assert_eq!(results, vec![(7, false), (7, false)]);
         assert_eq!(stats.unique, 1);
     }
 }

@@ -72,7 +72,6 @@ impl DecisionInputs {
 /// // 10 events over 2 hours, 3 of which triggered Full Reconfiguration.
 /// est.record_events(7, false, SimTime::from_hours_f64(1.0));
 /// est.record_events(3, true, SimTime::from_hours_f64(2.0));
-/// assert!(est.lambda_per_hour() > 1.0);
 /// assert!(est.estimated_duration_hours() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +112,7 @@ impl EventRateEstimator {
 
     /// `λ̂`: events per hour. Uses the prior until at least one hour of
     /// data and a few events exist.
-    pub fn lambda_per_hour(&self) -> f64 {
+    fn lambda_per_hour(&self) -> f64 {
         match (self.start, self.last_update) {
             (Some(start), Some(last)) => {
                 let hours = last.duration_since(start).as_hours_f64();
@@ -129,7 +128,7 @@ impl EventRateEstimator {
 
     /// `p̂`: probability an event triggers a Full Reconfiguration, clamped
     /// away from 0 and 1 so `D̂` stays finite.
-    pub fn p_trigger(&self) -> f64 {
+    fn p_trigger(&self) -> f64 {
         if self.events < 4 {
             self.initial_p
         } else {

@@ -15,7 +15,7 @@
 //!   into instances, iterating instance types by descending cost and tasks
 //!   by descending marginal TNRP, committing an instance only when the
 //!   assigned set's TNRP covers its cost.
-//! * **Partial Reconfiguration** ([`partial`]): repack only new tasks and
+//! * **Partial Reconfiguration** ([`partial_reconfiguration`]): repack only new tasks and
 //!   tasks on no-longer-cost-efficient instances, leaving the rest of the
 //!   cluster untouched (§4.5).
 //! * **The reconfiguration decision** ([`decision`]): the quantitative
@@ -32,7 +32,7 @@
 pub mod config;
 pub mod decision;
 pub mod packing;
-pub mod partial;
+mod partial;
 pub mod plan;
 pub mod reservation;
 pub mod scheduler;

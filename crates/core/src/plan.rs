@@ -139,25 +139,15 @@ impl Plan {
             .enumerate()
             .flat_map(move |(slot, a)| {
                 a.tasks.iter().filter_map(move |tid| {
-                    let task = view.task(*tid)?;
+                    let pos = view.position(*tid)?;
+                    let task = &view.tasks[pos];
                     let stays = matches!(
                         (a.instance, task.assigned_to),
                         (PlannedInstance::Existing(target), Some(current)) if target == current
                     );
-                    (!stays).then_some(Move { task, slot })
+                    (!stays).then_some(Move { task, pos, slot })
                 })
             })
-    }
-
-    /// Tasks that change instance relative to `tasks`' current assignment
-    /// (includes first-time placements onto new instances only when
-    /// `count_initial` is set).
-    pub fn migrations(&self, tasks: &[TaskSnapshot], count_initial: bool) -> Vec<TaskId> {
-        let view = ClusterView::build(tasks, &[], None);
-        self.moves(&view)
-            .filter(|m| count_initial || !m.is_initial())
-            .map(|m| m.task.id)
-            .collect()
     }
 
     /// Number of new instances the plan launches.
@@ -174,6 +164,8 @@ impl Plan {
 pub struct Move<'a> {
     /// The task that moves.
     pub task: &'a TaskSnapshot,
+    /// Its position in `ctx.tasks`.
+    pub pos: usize,
     /// Index into `Plan::assignments` of its destination.
     pub slot: usize,
 }
@@ -219,20 +211,15 @@ pub struct ClusterView<'a> {
     /// drained). Eva's Partial Reconfiguration re-places all of them.
     pub unplaced: Vec<&'a TaskSnapshot>,
     index: HashMap<InstanceId, usize, IdBuildHasher>,
-    tasks: HashMap<TaskId, &'a TaskSnapshot, IdBuildHasher>,
+    /// `ctx.tasks`, and the position there of each id's first listing.
+    tasks: &'a [TaskSnapshot],
+    positions: HashMap<TaskId, usize, IdBuildHasher>,
 }
 
 impl<'a> ClusterView<'a> {
     /// Derives the current configuration of `ctx`.
     pub fn of(ctx: &SchedulerContext<'a>) -> Self {
-        Self::build(ctx.tasks, ctx.instances, Some(ctx.catalog))
-    }
-
-    fn build(
-        tasks: &'a [TaskSnapshot],
-        listed: &[InstanceSnapshot],
-        catalog: Option<&'a Catalog>,
-    ) -> Self {
+        let listed = ctx.instances;
         let mut instances: Vec<InstanceView<'a>> = Vec::with_capacity(listed.len());
         let mut index = HashMap::with_capacity_and_hasher(listed.len(), IdBuildHasher::default());
         for inst in listed {
@@ -240,15 +227,17 @@ impl<'a> ClusterView<'a> {
             instances.push(InstanceView {
                 id: inst.id,
                 type_id: inst.type_id,
-                ty: catalog.and_then(|c| c.get(inst.type_id)),
+                ty: ctx.catalog.get(inst.type_id),
                 residents: Vec::new(),
                 used: ResourceVector::ZERO,
             });
         }
         let mut unplaced = Vec::new();
-        let mut by_id = HashMap::with_capacity_and_hasher(tasks.len(), IdBuildHasher::default());
-        for t in tasks {
-            by_id.entry(t.id).or_insert(t);
+        let tasks = ctx.tasks;
+        let mut positions =
+            HashMap::with_capacity_and_hasher(tasks.len(), IdBuildHasher::default());
+        for (pos, t) in tasks.iter().enumerate() {
+            positions.entry(t.id).or_insert(pos);
             match t.assigned_to.and_then(|id| index.get(&id)) {
                 Some(&i) => {
                     let inst = &mut instances[i];
@@ -264,7 +253,8 @@ impl<'a> ClusterView<'a> {
             instances,
             unplaced,
             index,
-            tasks: by_id,
+            tasks,
+            positions,
         }
     }
 
@@ -280,7 +270,12 @@ impl<'a> ClusterView<'a> {
 
     /// The task `id`.
     pub fn task(&self, id: TaskId) -> Option<&'a TaskSnapshot> {
-        self.tasks.get(&id).copied()
+        self.position(id).map(|pos| &self.tasks[pos])
+    }
+
+    /// The position of `id`'s first listing in `ctx.tasks`.
+    fn position(&self, id: TaskId) -> Option<usize> {
+        self.positions.get(&id).copied()
     }
 
     /// Tasks not assigned anywhere yet, in `ctx.tasks` order.
@@ -357,6 +352,20 @@ mod tests {
         }
     }
 
+    /// The plan's moves over `tasks`, with whether each is a first placement.
+    fn moves_of(plan: &Plan, tasks: &[TaskSnapshot]) -> Vec<(TaskId, bool)> {
+        let catalog = Catalog::table3_example();
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            catalog: &catalog,
+            tasks,
+            instances: &[],
+        };
+        let view = ClusterView::of(&ctx);
+        let moves = plan.moves(&view).map(|m| (m.task.id, m.is_initial()));
+        moves.collect()
+    }
+
     #[test]
     fn migrations_detect_moves_only() {
         let tasks = vec![snap(1, 0, Some(1)), snap(2, 0, Some(2)), snap(3, 0, None)];
@@ -378,10 +387,8 @@ mod tests {
             terminate: vec![InstanceId(2)],
             full_reconfiguration: false,
         };
-        let moved = plan.migrations(&tasks, false);
-        assert_eq!(moved, vec![TaskId::new(JobId(2), 0)]);
-        let with_initial = plan.migrations(&tasks, true);
-        assert_eq!(with_initial.len(), 2);
+        let moves = vec![(TaskId::new(JobId(2), 0), false), (tasks[2].id, true)];
+        assert_eq!(moves_of(&plan, &tasks), moves);
         assert_eq!(plan.new_instance_count(), 1);
     }
 
@@ -395,7 +402,7 @@ mod tests {
             }],
             ..Plan::empty()
         };
-        assert_eq!(plan.migrations(&tasks, false).len(), 1);
+        assert_eq!(moves_of(&plan, &tasks), vec![(tasks[0].id, false)]);
     }
 
     #[test]
@@ -450,11 +457,12 @@ mod tests {
             },
         ]);
         assert!(plan.terminate.is_empty());
-        let moves: Vec<(u64, usize, bool)> = plan
+        let moves: Vec<(u64, usize, usize, bool)> = plan
             .moves(&view)
-            .map(|m| (m.task.id.job.0, m.slot, m.is_initial()))
+            .map(|m| (m.task.id.job.0, m.pos, m.slot, m.is_initial()))
             .collect();
-        assert_eq!(moves, vec![(4, 1, false), (2, 2, false), (3, 2, true)]);
+        let want = vec![(4, 3, 1, false), (2, 1, 2, false), (3, 2, 2, true)];
+        assert_eq!(moves, want);
         assert_eq!(
             view.plan(Vec::new()).terminate,
             vec![InstanceId(1), InstanceId(2)]

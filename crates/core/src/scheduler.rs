@@ -297,8 +297,10 @@ mod tests {
                     .assigned_to = Some(id);
             }
         }
-        let plan2 = eva.plan(&ctx_with(&catalog, &tasks_round2, &instances, 0.1));
-        assert!(plan2.migrations(&tasks_round2, false).is_empty());
+        let ctx2 = ctx_with(&catalog, &tasks_round2, &instances, 0.1);
+        let plan2 = eva.plan(&ctx2);
+        let view = ClusterView::of(&ctx2);
+        assert!(plan2.moves(&view).all(|m| m.is_initial()));
         assert!(plan2.terminate.is_empty());
         assert_eq!(plan2.new_instance_count(), 0);
     }

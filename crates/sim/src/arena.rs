@@ -1,7 +1,7 @@
 //! Dense arena-indexed, structure-of-arrays world state.
 //!
 //! The world model used to key every per-event touch of job/task/instance
-//! state through `BTreeMap` lookups — O(log n) pointer-chasing on the
+//! state through `BTreeMap` searches — O(log n) pointer-chasing on the
 //! hottest path in the repo. IDs are newtyped integers, so instead the
 //! world interns them into contiguous `u32` slots at construction:
 //!
@@ -23,11 +23,16 @@
 //!   instance rows — so a long-lived streaming world holds state for the
 //!   in-flight window only, not for every job ever ingested. Streaming
 //!   worlds intern jobs out of ID order as they arrive
-//!   ([`WorldArena::intern_job`]), so they carry side `BTreeMap`
-//!   lookups in place of the sorted-lane binary search, and the active
-//!   set orders by *ID* (identical to slot order whenever slots were
-//!   interned in ID order), so a scheduler sees a streamed world's jobs
-//!   in the order it sees a batch world's.
+//!   ([`WorldArena::intern_job`]), so the active set orders by *ID*
+//!   (identical to slot order whenever slots were interned in ID order),
+//!   and a scheduler sees a streamed world's jobs in the order it sees a
+//!   batch world's.
+//!
+//! IDs are admitted once: the host turns away a job whose tasks do not
+//! carry its own ID under distinct indices, and a streamed job whose ID
+//! an active job holds. Past the door the world names a task by its
+//! slot and never maps an ID back to one: events carry slots, and a
+//! round's snapshot records the slot of each task row it lists.
 //!
 //! Dynamic state is stored as structure-of-arrays `Vec`s indexed by slot
 //! instead of map nodes, except a job's progress: settling reads and
@@ -179,7 +184,7 @@ impl Progress {
 #[derive(Debug)]
 pub(crate) struct JobArena {
     /// Slot → job ID (ascending when interned from a trace; streaming
-    /// worlds recycle slots and rely on [`Self::lookup`] instead).
+    /// worlds recycle slots, out of ID order).
     pub ids: Vec<JobId>,
     /// Slot → index of the job's spec in the trace's job vector
     /// ([`NO_SLOT`] for streamed jobs, whose specs live in
@@ -217,20 +222,9 @@ pub(crate) struct JobArena {
     /// Recycled job slots awaiting reuse (mirrors the instance table's
     /// free list).
     pub free: Vec<u32>,
-    /// `JobId → slot` map, maintained only for streaming worlds where
-    /// slot recycling breaks the sorted-lane binary search.
-    pub lookup: Option<BTreeMap<JobId, u32>>,
 }
 
 impl JobArena {
-    /// Slot of `id`, if the world currently holds it.
-    pub fn slot_of(&self, id: JobId) -> Option<u32> {
-        match &self.lookup {
-            Some(map) => map.get(&id).copied(),
-            None => self.ids.binary_search(&id).ok().map(|s| s as u32),
-        }
-    }
-
     /// True once the job has no work left.
     pub fn is_done(&self, slot: u32) -> bool {
         self.completed_at[slot as usize].is_some()
@@ -283,9 +277,6 @@ impl JobArena {
         debug_assert!(self.done_event[s].is_none(), "releasing a queued job");
         debug_assert!(!self.dirty[s], "releasing a dirty job");
         debug_assert!(self.active_pos(slot).is_err(), "releasing an active job");
-        if let Some(map) = self.lookup.as_mut() {
-            map.remove(&self.ids[s]);
-        }
         self.arrived[s] = false;
         self.completed_at[s] = None;
         self.progress[s] = Progress::default();
@@ -392,13 +383,10 @@ pub(crate) struct TaskArena {
     pub migrations: Vec<u32>,
     /// Cancel token of the readiness event of the transfer in flight.
     pub transfer: Vec<Option<CancelToken>>,
-    /// Spec-order lookup: the slot of job `j`'s `pos`-th spec task is
+    /// Spec order: the slot of job `j`'s `pos`-th spec task is
     /// `slot_by_pos[task_start[j] + pos]` (identity whenever spec tasks
     /// are declared in index order, which every generator does).
     pub slot_by_pos: Vec<u32>,
-    /// `TaskId → slot` map, maintained only for streaming worlds (see
-    /// [`JobArena::lookup`]).
-    pub lookup: Option<BTreeMap<TaskId, u32>>,
     /// Released task ranges awaiting exact-fit reuse: range length →
     /// start slots. Jobs release their whole contiguous range at once,
     /// so recycling preserves the job-major contiguity invariant.
@@ -406,14 +394,6 @@ pub(crate) struct TaskArena {
 }
 
 impl TaskArena {
-    /// Slot of `id`, if the world currently holds it.
-    pub fn slot_of(&self, id: TaskId) -> Option<u32> {
-        match &self.lookup {
-            Some(map) => map.get(&id).copied(),
-            None => self.ids.binary_search(&id).ok().map(|s| s as u32),
-        }
-    }
-
     /// True when the task currently computes (and therefore interferes).
     pub fn is_running(&self, slot: u32) -> bool {
         self.state[slot as usize] == TaskState::Running
@@ -437,9 +417,6 @@ impl TaskArena {
             self.assigned[ts] = NO_SLOT;
             self.migrations[ts] = 0;
             self.slot_by_pos[(base + pos) as usize] = ts as u32;
-            if let Some(map) = self.lookup.as_mut() {
-                map.insert(t.id, ts as u32);
-            }
         }
     }
 }
@@ -695,7 +672,6 @@ impl WorldArena {
             dirty_list: Vec::new(),
             released: vec![false; n],
             free: Vec::new(),
-            lookup: None,
         };
         let mut tasks = TaskArena {
             ids: vec![TaskId::new(JobId(0), 0); total_tasks],
@@ -707,7 +683,6 @@ impl WorldArena {
             migrations: vec![0; total_tasks],
             transfer: vec![None; total_tasks],
             slot_by_pos: vec![0; total_tasks],
-            lookup: None,
             free_ranges: BTreeMap::new(),
         };
         let mut slot_of_spec = vec![0u32; n];
@@ -738,39 +713,11 @@ impl WorldArena {
         }
     }
 
-    /// Switches the world to streaming mode: job and task ID lookups go
-    /// through side maps (slot recycling breaks the sorted-lane binary
-    /// search) and [`Self::intern_job`] becomes legal. Call before any
-    /// streamed intern; existing slots seed the maps.
-    pub fn enable_streaming(&mut self) {
-        self.jobs.lookup = Some(
-            self.jobs
-                .ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| (id, s as u32))
-                .collect(),
-        );
-        self.tasks.lookup = Some(
-            self.tasks
-                .ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| (id, s as u32))
-                .collect(),
-        );
-    }
-
     /// Interns one streamed job, recycling a released job slot and an
     /// exact-fit released task range when available, appending fresh
     /// lanes otherwise. The spec is owned by the slot (released with
     /// it); all dynamic state starts at its pre-arrival default.
-    /// Requires [`Self::enable_streaming`].
     pub fn intern_job(&mut self, spec: JobSpec) -> u32 {
-        debug_assert!(
-            self.jobs.lookup.is_some(),
-            "streaming intern without lookup maps"
-        );
         let n_tasks = spec.tasks.len() as u32;
         let jobs = &mut self.jobs;
         let jslot = match jobs.free.pop() {
@@ -827,10 +774,6 @@ impl WorldArena {
         jobs.task_start[js] = base;
         jobs.task_count[js] = n_tasks;
         jobs.progress[js] = Progress::new(lane_work(&spec));
-        if let Some(map) = jobs.lookup.as_mut() {
-            let prev = map.insert(spec.id, jslot);
-            debug_assert!(prev.is_none(), "duplicate streamed job id {}", spec.id);
-        }
 
         self.tasks.fill(base, jslot, &spec);
         jobs.owned[js] = Some(Box::new(spec));
@@ -848,9 +791,6 @@ impl WorldArena {
             debug_assert_eq!(self.tasks.assigned[t], NO_SLOT, "releasing a mapped task");
             self.tasks.state[t] = TaskState::Pending;
             self.tasks.migrations[t] = 0;
-            if let Some(map) = self.tasks.lookup.as_mut() {
-                map.remove(&self.tasks.ids[t]);
-            }
         }
         if len > 0 {
             self.tasks.free_ranges.entry(len).or_default().push(base);
@@ -858,25 +798,20 @@ impl WorldArena {
         self.jobs.release(jslot);
     }
 
-    /// Verifies every slot↔ID round trip and cross-reference, and the
-    /// conservation laws of every active job at `now` given its arrival
-    /// instant; returns a description of the first violation. Backs the
-    /// public `ClusterSim::audit_slots` test hook.
+    /// Verifies every cross-reference, and the conservation laws of every
+    /// active job at `now` given its arrival instant; returns a
+    /// description of the first violation. Backs the public
+    /// `ClusterSim::audit_slots` test hook.
     pub fn audit(&self, now: SimTime, arrival: impl Fn(u32) -> SimTime) -> Result<(), String> {
-        for (slot, &id) in self.jobs.ids.iter().enumerate() {
-            if self.jobs.released[slot] {
-                // Released slots hold stale IDs; they must read as inert
-                // until reuse.
-                if self.jobs.arrived[slot]
+        for slot in 0..self.jobs.ids.len() {
+            // Released slots hold stale IDs; they must read as inert
+            // until reuse.
+            if self.jobs.released[slot]
+                && (self.jobs.arrived[slot]
                     || self.jobs.completed_at[slot].is_some()
-                    || self.jobs.dirty[slot]
-                {
-                    return Err(format!("released job slot {slot} is not inert"));
-                }
-                continue;
-            }
-            if self.jobs.slot_of(id) != Some(slot as u32) {
-                return Err(format!("job {id} does not round-trip slot {slot}"));
+                    || self.jobs.dirty[slot])
+            {
+                return Err(format!("released job slot {slot} is not inert"));
             }
         }
         for slot in 0..self.jobs.ids.len() as u32 {
@@ -920,6 +855,7 @@ impl WorldArena {
                 flagged
             ));
         }
+        // Strictly ascending: no two active jobs share an ID.
         if !self
             .jobs
             .active
@@ -965,9 +901,6 @@ impl WorldArena {
         for (slot, &id) in self.tasks.ids.iter().enumerate() {
             if task_free[slot] {
                 continue;
-            }
-            if self.tasks.slot_of(id) != Some(slot as u32) {
-                return Err(format!("task {id} does not round-trip slot {slot}"));
             }
             let jslot = self.tasks.job_slot[slot];
             if self.jobs.ids[jslot as usize] != id.job {
@@ -1217,11 +1150,10 @@ mod tests {
         }
         let jobs = SyntheticTraceConfig::small_scale().generate(8).into_jobs();
         let mut world = WorldArena::from_trace(&Trace::new(vec![]));
-        world.enable_streaming();
         let a = world.intern_job(jobs[0].clone());
         let b = world.intern_job(reid(jobs[1].clone(), JobId(1_000)));
         assert_ne!(a, b);
-        assert_eq!(world.jobs.slot_of(jobs[0].id), Some(a));
+        assert_eq!(world.jobs.ids[a as usize], jobs[0].id);
         let a_range = world.jobs.task_range(a);
         world.jobs.activate(a, SimTime::ZERO);
         audit(&world).unwrap();
@@ -1236,17 +1168,16 @@ mod tests {
             world.jobs.owned[a as usize].is_none(),
             "spec memory reclaimed"
         );
-        assert_eq!(world.jobs.slot_of(jobs[0].id), None);
         audit(&world).unwrap();
 
         // A same-shape job recycles both the job slot and the exact-fit
-        // task range; lookups land on the recycled slot.
+        // task range, which now carry its IDs.
         let c = world.intern_job(reid(jobs[0].clone(), JobId(2_000)));
         assert_eq!(c, a, "job slot recycled");
         assert_eq!(world.jobs.task_range(c), a_range, "task range recycled");
-        assert_eq!(world.jobs.slot_of(JobId(2_000)), Some(c));
-        let t0 = world.jobs.task_range(c).start as u32;
-        assert_eq!(world.tasks.slot_of(TaskId::new(JobId(2_000), 0)), Some(t0));
+        assert_eq!(world.jobs.ids[c as usize], JobId(2_000));
+        let t0 = world.jobs.task_range(c).start;
+        assert_eq!(world.tasks.ids[t0], TaskId::new(JobId(2_000), 0));
         assert!(world.jobs.owned[c as usize].is_some());
         audit(&world).unwrap();
     }

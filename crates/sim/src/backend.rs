@@ -38,11 +38,11 @@ use crate::script::{ExecActionKind, ExecScript};
 pub const LIVE_ITERS_PER_HOUR: f64 = 60.0;
 
 /// Iteration-count ceiling per task, so paper-scale jobs stay replayable.
-pub const MAX_LIVE_ITERS: u64 = 100_000;
+const MAX_LIVE_ITERS: u64 = 100_000;
 
 /// RNG stream feeding live task-program seeds (stream 0 is the world
 /// model's delay stream).
-pub const LIVE_PROGRAM_STREAM: u64 = 1;
+const LIVE_PROGRAM_STREAM: u64 = 1;
 
 /// How long the replay waits on any single container exit before
 /// declaring the control plane wedged.

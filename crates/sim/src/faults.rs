@@ -26,11 +26,11 @@ use eva_workloads::TraceHandle;
 
 /// RNG stream feeding fault-plan compilation (0 = world-model delays,
 /// 1 = live task-program seeds).
-pub const FAULT_STREAM: u64 = 2;
+const FAULT_STREAM: u64 = 2;
 
 /// Ceiling on compiled events per plan, so extreme intensities on long
 /// traces stay bounded.
-pub const MAX_FAULT_EVENTS: usize = 512;
+const MAX_FAULT_EVENTS: usize = 512;
 
 /// How long past the last arrival faults keep striking. Long-tailed jobs
 /// may outlive this window; the plan deliberately concentrates adversity
@@ -323,7 +323,7 @@ impl FaultPlan {
 
 /// The window faults strike in: the trace's arrival span plus a fixed
 /// tail. A pure function of the trace, so both backends agree on it.
-pub fn fault_horizon(trace: &TraceHandle) -> SimDuration {
+fn fault_horizon(trace: &TraceHandle) -> SimDuration {
     let last_arrival = trace
         .jobs()
         .iter()

@@ -21,20 +21,18 @@ use crate::script::ExecActionKind;
 use crate::state::TaskState;
 use crate::world::{ClusterSim, Event};
 
+/// A round's scheduler snapshot: its task rows, the task slot of each
+/// row, and its instance rows.
+pub(crate) type Snapshot = (Vec<TaskSnapshot>, Vec<u32>, Vec<InstanceSnapshot>);
+
 impl ClusterSim {
-    /// Moves (or first-places) a task onto `dest`, which must be a ready
-    /// instance.
-    pub(crate) fn transfer_task(&mut self, tid: TaskId, dest: InstanceId) {
-        let dslot = self.world.insts.ready(dest);
-        debug_assert!(dslot.is_some(), "{tid} sent to {dest}, which is not ready");
-        let (Some(tslot), Some(dslot)) = (self.world.tasks.slot_of(tid), dslot) else {
-            return;
-        };
+    /// Moves (or first-places) the task in `tslot`, of an active job,
+    /// onto the ready instance row `dslot`.
+    pub(crate) fn transfer_task(&mut self, tslot: u32, dslot: u32) {
         let s = tslot as usize;
         let jslot = self.world.tasks.job_slot[s];
-        if !self.world.jobs.arrived[jslot as usize] {
-            return;
-        }
+        let active = self.world.jobs.arrived[jslot as usize] && !self.world.jobs.is_done(jslot);
+        debug_assert!(active, "moving a task of an inactive job");
         let (checkpoint, launch) = {
             let spec = self.task_spec(tslot);
             (
@@ -64,10 +62,8 @@ impl ClusterSim {
                 *slot_busy = (*slot_busy).max(busy);
                 if self.recorder.is_some() {
                     let progress = self.job_progress_fraction_slot(jslot);
-                    self.record(ExecActionKind::Stop {
-                        task: tid,
-                        progress,
-                    });
+                    let task = self.world.tasks.ids[s];
+                    self.record(ExecActionKind::Stop { task, progress });
                 }
             }
         }
@@ -81,6 +77,7 @@ impl ClusterSim {
         } else {
             self.now()
         };
+        let dest = self.world.insts.rows[dslot as usize].id;
         let ready_at = self.cloud.instance(dest).map_or(self.now(), |i| i.ready_at);
         let ready = depart.max(ready_at) + launch;
 
@@ -143,10 +140,12 @@ impl ClusterSim {
         })
     }
 
-    /// Builds the scheduler context snapshot in the last round's rows.
-    pub(crate) fn build_snapshot(&mut self) -> (Vec<TaskSnapshot>, Vec<InstanceSnapshot>) {
-        let (mut tasks, mut instances) = std::mem::take(&mut self.snapshot_scratch);
+    /// Builds the scheduler context snapshot in the last round's rows,
+    /// with the task slot of each task row.
+    pub(crate) fn build_snapshot(&mut self) -> Snapshot {
+        let (mut tasks, mut slots, mut instances) = std::mem::take(&mut self.snapshot_scratch);
         tasks.clear();
+        slots.clear();
         let now = self.now();
         for &jslot in &self.world.jobs.active {
             let spec = self.job_spec(jslot);
@@ -155,6 +154,7 @@ impl ClusterSim {
             for (pos, tspec) in spec.tasks.iter().enumerate() {
                 let tslot = self.world.tasks.slot_by_pos[base + pos];
                 let assigned = self.world.tasks.assigned[tslot as usize];
+                slots.push(tslot);
                 tasks.push(TaskSnapshot {
                     id: tspec.id,
                     workload: tspec.workload,
@@ -178,14 +178,15 @@ impl ClusterSim {
                 type_id: row.type_id,
             }
         }));
-        (tasks, instances)
+        (tasks, slots, instances)
     }
 
     /// Executes a plan: provisions new instances, transfers the tasks in
-    /// `moves` (task → index of its destination in `plan.assignments`, as
-    /// [`Plan::moves`] found them), marks terminations. A refused
-    /// provision is counted, and its tasks stay where they are.
-    pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: BTreeMap<TaskId, usize>) {
+    /// `moves` (task → its slot and the index of its destination in
+    /// `plan.assignments`, as [`Plan::moves`] found them), marks
+    /// terminations. A refused provision is counted, and its tasks stay
+    /// where they are.
+    pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: BTreeMap<TaskId, (u32, usize)>) {
         let dest: Vec<Option<InstanceId>> = plan
             .assignments
             .iter()
@@ -205,9 +206,17 @@ impl ClusterSim {
                 }
             })
             .collect();
-        for (tid, slot) in moves {
-            if let Some(inst) = dest[slot] {
-                self.transfer_task(tid, inst);
+        // A destination's row, resolved when a task first moves there (a
+        // plan lists every instance it keeps, most of them receiving none).
+        let mut rows: Vec<Option<Option<u32>>> = vec![None; dest.len()];
+        for (tslot, slot) in moves.into_values() {
+            let Some(id) = dest[slot] else {
+                continue;
+            };
+            let row = *rows[slot].get_or_insert_with(|| self.world.insts.ready(id));
+            debug_assert!(row.is_some(), "a task sent to {id}, which is not ready");
+            if let Some(row) = row {
+                self.transfer_task(tslot, row);
             }
         }
         // Defensive: never drain an instance the plan also assigns to.
@@ -232,7 +241,7 @@ impl ClusterSim {
         let mut scheduler = std::mem::replace(&mut self.scheduler, Box::new(NoPackingScheduler));
         scheduler.observe(&mut self.observations());
         self.scheduler = scheduler;
-        let (tasks, instances) = self.build_snapshot();
+        let (tasks, slots, instances) = self.build_snapshot();
         let ctx = SchedulerContext {
             now: self.now(),
             catalog: &self.catalog,
@@ -243,13 +252,14 @@ impl ClusterSim {
         let plan = self.scheduler.plan_in(&ctx, &view);
         // Diffed against the view the scheduler saw; in task order, a
         // task listed twice going where its last listing says.
-        let moves = plan.moves(&view).map(|m| (m.task.id, m.slot)).collect();
+        let moves = plan.moves(&view);
+        let moves = moves.map(|m| (m.task.id, (slots[m.pos], m.slot))).collect();
         self.rounds += 1;
         if plan.full_reconfiguration {
             self.full_rounds += 1;
         }
         self.execute_plan(&plan, moves);
-        self.snapshot_scratch = (tasks, instances);
+        self.snapshot_scratch = (tasks, slots, instances);
         self.recompute_completions();
 
         if !self.world.jobs.active.is_empty() {

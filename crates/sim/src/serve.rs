@@ -46,7 +46,8 @@ pub struct ServeOutcome {
     pub metrics_lines: usize,
     /// Jobs ingested from the source.
     pub jobs_ingested: u64,
-    /// Jobs the source yielded that no catalog type can host.
+    /// Jobs the source yielded that the world turned away
+    /// ([`ClusterSim::jobs_dropped`](crate::ClusterSim::jobs_dropped)).
     pub jobs_dropped: u64,
     /// Feed lines the source skipped as malformed or out of order.
     pub lines_rejected: u64,

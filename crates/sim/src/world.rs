@@ -24,7 +24,7 @@ use eva_baselines::{
     NoPackingScheduler, OracleProfile, OwlScheduler, StratusScheduler, SynergyScheduler,
 };
 use eva_cloud::{Catalog, CloudProvider, DelayModel};
-use eva_core::{EvaScheduler, InstanceSnapshot, Scheduler, TaskSnapshot};
+use eva_core::{EvaScheduler, Scheduler};
 use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
@@ -32,12 +32,13 @@ use crate::arena::{add_lanes, lanes, quantize, work_of, Life, WorldArena, NO_SLO
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
+use crate::observe::Snapshot;
 use crate::runner::{InterferenceSpec, SchedulerKind, SimConfig};
 use crate::script::{ExecAction, ExecActionKind, ExecScript};
 use crate::state::TaskState;
 
 /// Events the cluster world reacts to. Task/job events carry arena
-/// slots, not IDs — dispatch is a direct index, never a lookup.
+/// slots, not IDs — dispatch is a direct index, never a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Event {
     /// Trace job `i` arriving; its handler queues job `i + 1`'s arrival.
@@ -138,7 +139,6 @@ pub struct ClusterSim {
     pub(crate) fault_tokens: Vec<CancelToken>,
     pub(crate) active_stragglers: BTreeMap<usize, InstanceId>,
     pub(crate) preemption_log: Vec<(SimTime, InstanceId)>,
-    pub(crate) worker_crashes: u64,
     pub(crate) dropped_checkpoints: u64,
 
     // Metric accumulators (time integrals in hours).
@@ -156,17 +156,27 @@ pub struct ClusterSim {
 
     // Reusable hot-path scratch (per-event, allocation-free steady state).
     tput_buf: RefCell<Vec<WorkloadKind>>,
-    pub(crate) snapshot_scratch: (Vec<TaskSnapshot>, Vec<InstanceSnapshot>),
+    pub(crate) snapshot_scratch: Snapshot,
 }
 
-/// True when some catalog type can host each of the job's tasks alone
-/// and the job's work fits a progress lane.
+/// True when some catalog type can host each of the job's tasks alone,
+/// the job's work fits a progress lane, and its tasks carry the job's
+/// ID under distinct indices.
 fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
+    let fits = |t: &TaskSpec| t.id.job == job.id && catalog.cheapest_fit(&t.demand).is_some();
     work_of(job.duration_at_full_tput).is_some()
-        && job
-            .tasks
-            .iter()
-            .all(|t| catalog.cheapest_fit(&t.demand).is_some())
+        && job.tasks.iter().all(fits)
+        && (job.tasks.windows(2).all(|w| w[0].id.index < w[1].id.index)
+            || distinct_indices(&job.tasks))
+}
+
+/// True when no two of `tasks` share an index (tasks declared out of
+/// index order; every generator declares them in order).
+#[cold]
+fn distinct_indices(tasks: &[TaskSpec]) -> bool {
+    let mut indices: Vec<u32> = tasks.iter().map(|t| t.id.index).collect();
+    indices.sort_unstable();
+    indices.windows(2).all(|w| w[0] < w[1])
 }
 
 impl ClusterSim {
@@ -247,7 +257,6 @@ impl ClusterSim {
             fault_tokens: Vec::new(),
             active_stragglers: BTreeMap::new(),
             preemption_log: Vec::new(),
-            worker_crashes: 0,
             dropped_checkpoints: 0,
             task_running_hours: 0.0,
             alloc_integral: [0.0; 3],
@@ -258,7 +267,7 @@ impl ClusterSim {
             full_rounds: 0,
             full_scan: false,
             tput_buf: RefCell::new(Vec::new()),
-            snapshot_scratch: (Vec::new(), Vec::new()),
+            snapshot_scratch: Snapshot::default(),
             cfg,
         };
         // Arrivals come from a cursor: only the first is queued, and each
@@ -316,7 +325,6 @@ impl ClusterSim {
             ..cfg.clone()
         };
         let mut sim = ClusterSim::new(&empty);
-        sim.world.enable_streaming();
         sim.stream = Some(StreamState {
             source,
             pending: None,
@@ -352,11 +360,21 @@ impl ClusterSim {
     }
 
     /// Interns the pending streamed job at its arrival instant, then
-    /// pulls the next one.
+    /// pulls the next one. A job whose ID an active job holds is dropped.
     fn handle_ingest(&mut self) {
         let Some(job) = self.stream.as_mut().and_then(|s| s.pending.take()) else {
             return;
         };
+        let jobs = &self.world.jobs;
+        let active = jobs
+            .active
+            .binary_search_by_key(&job.id, |&s| jobs.ids[s as usize]);
+        if active.is_ok() {
+            eprintln!("warning: dropping {}, whose id an active job holds", job.id);
+            self.dropped_jobs += 1;
+            self.prime_ingest();
+            return;
+        }
         self.ingested_jobs += 1;
         self.total_tasks += job.num_tasks();
         if self.first_arrival_seen.is_none() {
@@ -583,7 +601,6 @@ impl ClusterSim {
                 };
                 // Unlike a preemption, the instance survives (and bills).
                 self.kill_instance_tasks(victim);
-                self.worker_crashes += 1;
                 self.recompute_completions();
                 self.schedule_round(now);
             }
@@ -658,11 +675,6 @@ impl ClusterSim {
         &self.preemption_log
     }
 
-    /// Worker crashes injected so far.
-    pub fn worker_crashes(&self) -> u64 {
-        self.worker_crashes
-    }
-
     /// Sim-side checkpoint drops injected so far.
     pub fn dropped_checkpoints(&self) -> u64 {
         self.dropped_checkpoints
@@ -687,10 +699,10 @@ impl ClusterSim {
     }
 
     /// Audits the world's slot bookkeeping (for invariant checks in
-    /// tests): every job, task, and instance ID must round-trip through
-    /// its arena slot back to the same ID, cross-references
-    /// (task↔instance, task↔job, active set, dirty set) must agree, no
-    /// terminating instance may hold a task, the incrementally
+    /// tests): every instance ID must round-trip through its row back to
+    /// the same ID, the active set must hold no two jobs of one ID,
+    /// cross-references (task↔instance, task↔job, active set, dirty set)
+    /// must agree, no terminating instance may hold a task, the incrementally
     /// maintained capacity/allocation/running-task rates must equal a
     /// from-scratch scan of the provider's live instances bit for bit
     /// (see the dirty-set invariants in the `arena` module docs), and the
@@ -737,7 +749,10 @@ impl ClusterSim {
         self.ingested_jobs
     }
 
-    /// Jobs dropped so far because no catalog type can host a task of theirs.
+    /// Jobs dropped so far: no catalog type can host a task of theirs,
+    /// their work does not fit a progress lane, their tasks do not carry
+    /// the job's ID under distinct indices, or (streamed) an active job
+    /// holds their ID.
     pub fn jobs_dropped(&self) -> u64 {
         self.dropped_jobs
     }

@@ -19,11 +19,6 @@ pub enum ResourceKind {
     RamMb,
 }
 
-impl ResourceKind {
-    /// All resource kinds in a fixed order.
-    pub const ALL: [ResourceKind; 3] = [ResourceKind::Gpu, ResourceKind::Cpu, ResourceKind::RamMb];
-}
-
 impl fmt::Display for ResourceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -84,7 +84,7 @@ pub struct WorkloadCatalog {
 }
 
 /// Figure 1 matrix indices (order of the figure's axes).
-pub mod fig1 {
+mod fig1 {
     /// ResNet18 row/column.
     pub const RESNET18: usize = 0;
     /// GraphSAGE row/column.

@@ -187,8 +187,10 @@ impl JobSource for SyntheticSource {
 /// and out-of-order arrivals (which would break the engine's monotone clock)
 /// are skipped with a warning on stderr and counted
 /// ([`JobSource::rejected`]); only a read error ends the stream.
-/// Ids are trusted: `ClusterView` hashes them with `eva_types::IdHasher`,
-/// which does not resist a feed crafted to collide (slower, same results).
+/// Ids are not checked here: the world drops a job whose tasks do not
+/// carry its id under distinct indices, or whose id an active job holds.
+/// `ClusterView` hashes ids with `eva_types::IdHasher`, which does not
+/// resist a feed crafted to collide (slower, same results).
 pub struct JsonLinesSource<R: BufRead> {
     reader: R,
     line: Vec<u8>,

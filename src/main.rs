@@ -516,7 +516,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     let mut out = stdout.lock();
     let outcome = serve(&cfg, source, &opts, &mut out).map_err(|e| format!("serve: {e}"))?;
     eprintln!(
-        "drained: {} jobs ingested, {} dropped as unschedulable, {} lines rejected, \
+        "drained: {} jobs ingested, {} dropped, {} lines rejected, \
          {} rolling metrics line(s), peak {} arena job rows",
         outcome.jobs_ingested,
         outcome.jobs_dropped,

@@ -148,3 +148,46 @@ fn jobs_whose_work_no_lane_can_hold_are_counted_as_dropped() {
     cfg.seed = 1;
     assert_eq!(ClusterSim::new(&cfg).jobs_dropped(), 1);
 }
+
+#[test]
+fn jobs_whose_ids_collide_are_counted_as_dropped() {
+    // Three collisions, all arriving with the first job: the first job's
+    // line again, a job that repeats a task index, and a job whose task
+    // carries the first job's id. Each is dropped at the door; the world
+    // names tasks by slot, so nothing else may be disturbed.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(7).into_jobs();
+    let n = jobs.len() as u64;
+    let first = jobs[0].clone();
+    let repeated = jobs[1].tasks[0].clone();
+    jobs[1].tasks.push(repeated);
+    jobs[2].tasks[0].id = first.tasks[0].id;
+    for job in &mut jobs[1..3] {
+        job.arrival = first.arrival;
+    }
+    jobs.insert(1, first);
+    let lines: Vec<String> = jobs
+        .iter()
+        .map(|j| serde_json::to_string(j).unwrap())
+        .collect();
+
+    let mut cfg = SimConfig::new(
+        TraceHandle::new(Trace::new(Vec::new())),
+        SchedulerKind::Stratus,
+    );
+    cfg.retire_completed = true;
+    cfg.seed = 1;
+    let feed = lines.join("\n").into_bytes();
+    let source = Box::new(JsonLinesSource::new(BufReader::new(Cursor::new(feed))));
+    // `serve` would loop forever on a world that never drains: step it
+    // with a budget instead.
+    let mut sim = ClusterSim::from_source(&cfg, source);
+    let mut steps = 0u64;
+    while sim.step() {
+        steps += 1;
+        assert!(steps < 200_000, "the world never drained");
+    }
+    assert_eq!(sim.jobs_dropped(), 3);
+    assert_eq!(sim.jobs_ingested(), n - 2);
+    assert_eq!(sim.lines_rejected(), 0);
+    assert_eq!(sim.run().jobs_completed as u64, n - 2);
+}
