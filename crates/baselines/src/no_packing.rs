@@ -31,19 +31,13 @@ impl Scheduler for NoPackingScheduler {
         let mut assignments: Vec<Assignment> = view
             .instances
             .iter()
-            .filter(|inst| !inst.residents.is_empty())
-            .map(|inst| Assignment {
-                instance: PlannedInstance::Existing(inst.id),
-                tasks: inst.task_ids(),
-            })
+            .filter(|inst| !view.residents(inst).is_empty())
+            .map(|inst| view.keep(inst))
             .collect();
         // New instances for pending tasks.
         for task in view.pending() {
             if let Some((ty, _)) = reservation_price(ctx.catalog, &task.demand) {
-                assignments.push(Assignment {
-                    instance: PlannedInstance::New(ty),
-                    tasks: vec![task.id],
-                });
+                assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
         // Drop empty instances.
@@ -56,34 +50,20 @@ mod tests {
     use super::*;
     use eva_cloud::Catalog;
     use eva_core::{InstanceSnapshot, TaskSnapshot};
-    use eva_types::{
-        DemandSpec, InstanceId, JobId, ResourceVector, SimDuration, SimTime, TaskId, WorkloadKind,
-    };
+    use eva_types::{DemandSpec, InstanceId, JobId, ResourceVector, SimTime, TaskId, WorkloadKind};
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
-        TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind(0),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
-            assigned_to: assigned.map(InstanceId),
-            remaining_hint: None,
-        }
+        let demand = DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb));
+        let mut task = TaskSnapshot::new(TaskId::new(JobId(job), 0), WorkloadKind(0), demand);
+        task.assigned_to = assigned.map(InstanceId);
+        task
     }
 
     #[test]
     fn each_pending_task_gets_its_rp_instance() {
         let catalog = Catalog::aws_eval_2025();
         let tasks = vec![task(1, 1, 4, 24, None), task(2, 0, 4, 8, None)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = NoPackingScheduler::new().plan(&ctx);
         assert_eq!(plan.assignments.len(), 2);
         let names: Vec<&str> = plan
@@ -105,16 +85,8 @@ mod tests {
         let catalog = Catalog::aws_eval_2025();
         let ty = catalog.by_name("p3.2xlarge").unwrap().id;
         let tasks = vec![task(1, 1, 4, 24, Some(0))];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let instances = vec![InstanceSnapshot::new(InstanceId(0), ty)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = NoPackingScheduler::new().plan(&ctx);
         let view = ClusterView::of(&ctx);
         assert!(plan.moves(&view).all(|m| m.is_initial()));
@@ -125,16 +97,8 @@ mod tests {
     fn empty_instances_terminate() {
         let catalog = Catalog::aws_eval_2025();
         let ty = catalog.by_name("c7i.large").unwrap().id;
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(7),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &[],
-            instances: &instances,
-        };
+        let instances = vec![InstanceSnapshot::new(InstanceId(7), ty)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &[], &instances);
         let plan = NoPackingScheduler::new().plan(&ctx);
         assert_eq!(plan.terminate, vec![InstanceId(7)]);
     }
@@ -143,12 +107,7 @@ mod tests {
     fn infeasible_tasks_are_skipped() {
         let catalog = Catalog::aws_eval_2025();
         let tasks = vec![task(1, 99, 4, 24, None)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = NoPackingScheduler::new().plan(&ctx);
         assert!(plan.assignments.is_empty());
     }

@@ -90,7 +90,7 @@ impl Scheduler for OwlScheduler {
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
         let mut kept: Vec<Option<usize>> = vec![None; view.instances.len()];
         for (i, inst) in view.instances.iter().enumerate() {
-            let residents = &inst.residents;
+            let residents = view.residents(inst);
             if residents.is_empty() {
                 continue;
             }
@@ -110,10 +110,7 @@ impl Scheduler for OwlScheduler {
             });
             if efficient {
                 kept[i] = Some(assignments.len());
-                assignments.push(Assignment {
-                    instance: PlannedInstance::Existing(inst.id),
-                    tasks: inst.task_ids(),
-                });
+                assignments.push(view.keep(inst));
             } else {
                 evicted.extend(residents);
             }
@@ -137,7 +134,7 @@ impl Scheduler for OwlScheduler {
                 for (inst, slot) in view.instances.iter().zip(&kept) {
                     // Only instances kept above (cost-efficient) can host
                     // a join; evicted ones are being drained.
-                    let (Some(slot), [resident], Some(ty)) = (*slot, &inst.residents[..], inst.ty)
+                    let (Some(slot), [resident], Some(ty)) = (*slot, view.residents(inst), inst.ty)
                     else {
                         continue;
                     };
@@ -228,20 +225,17 @@ impl Scheduler for OwlScheduler {
         }
 
         for (a, b, ty) in paired {
-            assignments.push(Assignment {
-                instance: PlannedInstance::New(ty),
-                tasks: vec![pending[a].id, pending[b].id],
-            });
+            assignments.push(Assignment::new(
+                PlannedInstance::New(ty),
+                vec![pending[a].id, pending[b].id],
+            ));
         }
         for (idx, task) in pending.iter().enumerate() {
             if taken.contains(&idx) {
                 continue;
             }
             if let Some((ty, _)) = reservation_price(ctx.catalog, &task.demand) {
-                assignments.push(Assignment {
-                    instance: PlannedInstance::New(ty),
-                    tasks: vec![task.id],
-                });
+                assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
 
@@ -250,7 +244,7 @@ impl Scheduler for OwlScheduler {
         let terminate = view
             .instances
             .iter()
-            .filter(|inst| inst.residents.is_empty())
+            .filter(|inst| view.residents(inst).is_empty())
             .map(|inst| inst.id)
             .collect();
         Plan {
@@ -265,20 +259,11 @@ impl Scheduler for OwlScheduler {
 mod tests {
     use super::*;
     use eva_cloud::Catalog;
-    use eva_types::{DemandSpec, InstanceId, JobId, ResourceVector, SimDuration, SimTime};
+    use eva_types::{DemandSpec, InstanceId, JobId, ResourceVector, SimTime};
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, workload: u32) -> TaskSnapshot {
-        TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind(workload),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
-            assigned_to: None,
-            remaining_hint: None,
-        }
+        let demand = DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb));
+        TaskSnapshot::new(TaskId::new(JobId(job), 0), WorkloadKind(workload), demand)
     }
 
     fn friendly_profile() -> OracleProfile {
@@ -291,12 +276,7 @@ mod tests {
         // A 1-GPU task + a small CPU task: pair fits p3.2xlarge and the
         // TNRP ratio exceeds 1.
         let tasks = vec![task(1, 1, 4, 24, 0), task(2, 0, 4, 8, 1)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = OwlScheduler::new(friendly_profile()).plan(&ctx);
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].tasks.len(), 2);
@@ -308,12 +288,7 @@ mod tests {
         let mut profile = friendly_profile();
         profile.set(WorkloadKind(0), WorkloadKind(1), 0.5);
         let tasks = vec![task(1, 1, 4, 24, 0), task(2, 0, 4, 8, 1)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = OwlScheduler::new(profile).plan(&ctx);
         assert_eq!(plan.assignments.len(), 2);
         for a in &plan.assignments {
@@ -328,12 +303,7 @@ mod tests {
         // singles (linear pricing), ratio < 1 → no pairing... unless the
         // joint type is the same cost; then ratio = (2×rp×0.98)/(2×rp) < 1.
         let tasks = vec![task(1, 0, 2, 4, 2), task(2, 0, 2, 4, 3)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = OwlScheduler::new(friendly_profile()).plan(&ctx);
         assert_eq!(plan.assignments.len(), 2);
     }
@@ -350,12 +320,7 @@ mod tests {
                 }
             })
             .collect();
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = OwlScheduler::new(friendly_profile()).plan(&ctx);
         for a in &plan.assignments {
             assert!(a.tasks.len() <= 2, "Owl co-locates pairs only");
@@ -377,21 +342,10 @@ mod tests {
         running.assigned_to = Some(InstanceId(0));
         let tasks = vec![running];
         let instances = vec![
-            eva_core::InstanceSnapshot {
-                id: InstanceId(0),
-                type_id: ty,
-            },
-            eva_core::InstanceSnapshot {
-                id: InstanceId(1),
-                type_id: ty,
-            },
+            eva_core::InstanceSnapshot::new(InstanceId(0), ty),
+            eva_core::InstanceSnapshot::new(InstanceId(1), ty),
         ];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = OwlScheduler::new(friendly_profile()).plan(&ctx);
         let view = ClusterView::of(&ctx);
         assert!(plan.moves(&view).all(|m| m.is_initial()));
@@ -410,16 +364,8 @@ mod tests {
         let mut running = task(1, 1, 20, 24, 0);
         running.assigned_to = Some(InstanceId(0));
         let tasks = vec![running, task(2, 0, 4, 8, 1), task(3, 0, 4, 8, 2)];
-        let instances = vec![eva_core::InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let instances = vec![eva_core::InstanceSnapshot::new(InstanceId(0), ty)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = OwlScheduler::new(profile).plan(&ctx);
         let placed: usize = plan.assignments.iter().map(|a| a.tasks.len()).sum();
         assert_eq!(placed, 3);

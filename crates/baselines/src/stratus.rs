@@ -75,32 +75,29 @@ impl Scheduler for StratusScheduler {
         self.vacant.clear();
 
         // One pass over the listed instances: scale-in, keep, rows.
-        let mut assignments: Vec<Assignment> = Vec::new();
+        let mut assignments = Vec::with_capacity(view.instances.len() + view.unplaced.len());
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
         for (i, inst) in view.instances.iter().enumerate() {
             // Scale-in consolidation (the source of Stratus's rare
             // migrations): when a group has partially completed and the
             // leftovers' reservation prices no longer cover the instance,
             // the leftovers are re-placed and the instance released.
-            let rp_sum: f64 = inst
-                .residents
+            let residents = view.residents(inst);
+            let rp_sum: f64 = residents
                 .iter()
                 .filter_map(|t| price(&t.demand))
                 .map(|c| c.as_dollars())
                 .sum();
             let cost = inst.ty.map_or(0.0, |ty| ty.hourly_cost.as_dollars());
-            if inst.residents.is_empty() || rp_sum + 1e-9 < cost {
-                evicted.extend(&inst.residents);
+            if residents.is_empty() || rp_sum + 1e-9 < cost {
+                evicted.extend(residents);
                 self.rows.push((ResourceVector::ZERO, None));
                 self.vacant.push(i);
                 continue;
             }
             self.rows.push((inst.used, Some(assignments.len())));
-            assignments.push(Assignment {
-                instance: PlannedInstance::Existing(inst.id),
-                tasks: inst.task_ids(),
-            });
-            for hint in inst.residents.iter().filter_map(|t| t.remaining_hint) {
+            assignments.push(view.keep(inst));
+            for hint in residents.iter().filter_map(|t| t.remaining_hint) {
                 let b = Self::runtime_bin(hint) as usize;
                 if self.buckets.len() <= b {
                     self.buckets.resize_with(b + 1, Vec::new);
@@ -148,10 +145,10 @@ impl Scheduler for StratusScheduler {
             let (used, slot) = &mut self.rows[i];
             *used = total;
             let at = *slot.get_or_insert_with(|| {
-                assignments.push(Assignment {
-                    instance: PlannedInstance::Existing(view.instances[i].id),
-                    tasks: Vec::new(),
-                });
+                assignments.push(Assignment::new(
+                    PlannedInstance::Existing(view.instances[i].id),
+                    Vec::new(),
+                ));
                 assignments.len() - 1
             });
             assignments[at].tasks.push(task.id);
@@ -184,14 +181,11 @@ impl Scheduler for StratusScheduler {
                         continue;
                     }
                     let per_task = ty.hourly_cost.as_dollars() / members.len() as f64;
-                    let better = match &best {
-                        None => true,
-                        Some((_, m, c)) => {
-                            per_task < c - 1e-12
-                                || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
-                        }
+                    let better = |(_, m, c): &(_, Vec<usize>, f64)| {
+                        per_task < c - 1e-12
+                            || ((per_task - c).abs() <= 1e-12 && members.len() > m.len())
                     };
-                    if better {
+                    if best.as_ref().is_none_or(better) {
                         best = Some((ty.id, members, per_task));
                     }
                 }
@@ -201,10 +195,7 @@ impl Scheduler for StratusScheduler {
                 for &idx in members.iter().rev() {
                     group.remove(idx);
                 }
-                assignments.push(Assignment {
-                    instance: PlannedInstance::New(ty),
-                    tasks: ids,
-                });
+                assignments.push(Assignment::new(PlannedInstance::New(ty), ids));
             }
         }
 
@@ -219,52 +210,34 @@ mod tests {
     use eva_core::InstanceSnapshot;
     use eva_types::{DemandSpec, InstanceId, JobId, SimTime, TaskId, WorkloadKind};
 
-    fn task(
-        job: u64,
-        gpu: u32,
-        cpu: u32,
-        ram_gb: u64,
-        assigned: Option<u64>,
-        remaining_mins: u64,
-    ) -> TaskSnapshot {
-        TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind(0),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
-            assigned_to: assigned.map(InstanceId),
-            remaining_hint: Some(SimDuration::from_mins(remaining_mins)),
-        }
+    /// A task of `(gpu, cpu, ram_gb)` on `assigned`, `mins` from done.
+    fn task(job: u64, gpu: u32, cpu: u32, gb: u64, on: Option<u64>, mins: u64) -> TaskSnapshot {
+        let demand = DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, gb));
+        let mut task = TaskSnapshot::new(TaskId::new(JobId(job), 0), WorkloadKind(0), demand);
+        task.assigned_to = on.map(InstanceId);
+        task.remaining_hint = Some(SimDuration::from_mins(mins));
+        task
     }
 
     /// Stratus's plan for `tasks` over instances of the named types.
     fn plan_for(tasks: &[TaskSnapshot], instances: &[(u64, &str)]) -> Plan {
         let catalog = Catalog::aws_eval_2025();
-        let listed = instances.iter().map(|&(id, ty)| InstanceSnapshot {
-            id: InstanceId(id),
-            type_id: catalog.by_name(ty).unwrap().id,
+        let listed = instances.iter().map(|&(id, ty)| {
+            InstanceSnapshot::new(InstanceId(id), catalog.by_name(ty).unwrap().id)
         });
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
+        let listed: Vec<_> = listed.collect();
+        StratusScheduler::new().plan(&SchedulerContext::new(
+            SimTime::ZERO,
+            &catalog,
             tasks,
-            instances: &listed.collect::<Vec<_>>(),
-        };
-        StratusScheduler::new().plan(&ctx)
+            &listed,
+        ))
     }
 
     /// The plan's moves over `tasks` that are not first placements.
     fn migrations(plan: &Plan, tasks: &[TaskSnapshot]) -> usize {
         let catalog = Catalog::aws_eval_2025();
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, tasks, &[]);
         let view = ClusterView::of(&ctx);
         plan.moves(&view).filter(|m| !m.is_initial()).count()
     }

@@ -50,7 +50,7 @@ impl Scheduler for SynergyScheduler {
         let eval = TnrpEvaluator::new(self.monitor.table(), &prices, false);
 
         // Per listed instance: its task set, carried with the set's TNRP.
-        let sets = view.instances.iter().map(|i| eval.set(&i.residents));
+        let sets = view.instances.iter().map(|i| eval.set(view.residents(i)));
         let mut residents: Vec<_> = sets.map(|mut set| (set.tnrp(), set)).collect();
         let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
 
@@ -131,20 +131,14 @@ impl Scheduler for SynergyScheduler {
             }
             let tasks: Vec<TaskId> = set.tasks().map(|t| t.id).collect();
             placed.extend(&tasks);
-            assignments.push(Assignment {
-                instance: PlannedInstance::Existing(inst.id),
-                tasks,
-            });
+            assignments.push(Assignment::new(PlannedInstance::Existing(inst.id), tasks));
         }
         for task in ctx.tasks {
             if placed.contains(&task.id) {
                 continue;
             }
             if let Some((ty, _)) = reservation_price(ctx.catalog, &task.demand) {
-                assignments.push(Assignment {
-                    instance: PlannedInstance::New(ty),
-                    tasks: vec![task.id],
-                });
+                assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
         view.plan(assignments)
@@ -164,20 +158,17 @@ mod tests {
     use eva_cloud::Catalog;
     use eva_core::InstanceSnapshot;
     use eva_interference::TaskContext;
-    use eva_types::{DemandSpec, InstanceId, JobId, SimDuration, SimTime, WorkloadKind};
+    use eva_types::{DemandSpec, InstanceId, JobId, SimTime, WorkloadKind};
 
     fn task(job: u64, gpu: u32, cpu: u32, ram_gb: u64, assigned: Option<u64>) -> TaskSnapshot {
-        TaskSnapshot {
-            id: TaskId::new(JobId(job), 0),
-            workload: WorkloadKind((job % 8) as u32),
-            demand: DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb)),
-            checkpoint_delay: SimDuration::from_secs(2),
-            launch_delay: SimDuration::from_secs(10),
-            gang_size: 1,
-            gang_coupled: false,
-            assigned_to: assigned.map(InstanceId),
-            remaining_hint: None,
-        }
+        let demand = DemandSpec::uniform(ResourceVector::with_ram_gb(gpu, cpu, ram_gb));
+        let mut task = TaskSnapshot::new(
+            TaskId::new(JobId(job), 0),
+            WorkloadKind((job % 8) as u32),
+            demand,
+        );
+        task.assigned_to = assigned.map(InstanceId);
+        task
     }
 
     #[test]
@@ -187,21 +178,10 @@ mod tests {
         let small = catalog.by_name("p3.2xlarge").unwrap().id;
         let tasks = vec![task(1, 1, 4, 24, None)];
         let instances = vec![
-            InstanceSnapshot {
-                id: InstanceId(0),
-                type_id: big,
-            },
-            InstanceSnapshot {
-                id: InstanceId(1),
-                type_id: small,
-            },
+            InstanceSnapshot::new(InstanceId(0), big),
+            InstanceSnapshot::new(InstanceId(1), small),
         ];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = SynergyScheduler::new().plan(&ctx);
         let a = plan
             .assignments
@@ -217,16 +197,8 @@ mod tests {
         let catalog = Catalog::aws_eval_2025();
         let big = catalog.by_name("p3.8xlarge").unwrap().id;
         let tasks = vec![task(1, 0, 2, 4, None)];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: big,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let instances = vec![InstanceSnapshot::new(InstanceId(0), big)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = SynergyScheduler::new().plan(&ctx);
         // The tiny task launches its cheap RP type; the big box dies.
         assert_eq!(plan.new_instance_count(), 1);
@@ -241,16 +213,8 @@ mod tests {
         // finished: the set TNRP (≈ $0.18) no longer covers the cost, so
         // Synergy re-packs it onto its reservation-price type.
         let tasks = vec![task(1, 0, 4, 8, Some(0))];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: big,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let instances = vec![InstanceSnapshot::new(InstanceId(0), big)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = SynergyScheduler::new().plan(&ctx);
         assert_eq!(plan.terminate, vec![InstanceId(0)]);
         let PlannedInstance::New(ty) = plan.assignments[0].instance else {
@@ -269,10 +233,7 @@ mod tests {
         let mut newcomer = task(1, 1, 4, 24, None);
         newcomer.workload = WorkloadKind(1);
         let tasks = vec![resident, newcomer];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
+        let instances = vec![InstanceSnapshot::new(InstanceId(0), ty)];
         let mut sched = SynergyScheduler::new();
         // Joining would collapse the resident's throughput to 0.2: the set
         // TNRP would *drop*, so the join is rejected.
@@ -287,12 +248,7 @@ mod tests {
             )],
         };
         sched.observe(&mut [obs].into_iter());
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = sched.plan(&ctx);
         let newcomer_assignment = plan
             .assignments
@@ -309,12 +265,7 @@ mod tests {
     fn falls_back_to_cheapest_new_type() {
         let catalog = Catalog::aws_eval_2025();
         let tasks = vec![task(1, 0, 6, 8, None)];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &[],
-        };
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &[]);
         let plan = SynergyScheduler::new().plan(&ctx);
         let PlannedInstance::New(ty) = plan.assignments[0].instance else {
             panic!()
@@ -327,16 +278,8 @@ mod tests {
         let catalog = Catalog::aws_eval_2025();
         let ty = catalog.by_name("p3.2xlarge").unwrap().id;
         let tasks = vec![task(0, 1, 4, 24, Some(0))];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: ty,
-        }];
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
+        let instances = vec![InstanceSnapshot::new(InstanceId(0), ty)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &instances);
         let plan = SynergyScheduler::new().plan(&ctx);
         let view = ClusterView::of(&ctx);
         assert!(plan.moves(&view).all(|m| m.is_initial()));

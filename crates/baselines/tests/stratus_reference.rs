@@ -41,7 +41,7 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
     // Per listed instance: the residents that stay and the capacity
     // in use (residents plus tasks placed this round).
     let mut residents: Vec<&[&TaskSnapshot]> =
-        view.instances.iter().map(|i| &i.residents[..]).collect();
+        view.instances.iter().map(|i| view.residents(i)).collect();
     let mut used: Vec<ResourceVector> = view.instances.iter().map(|i| i.used).collect();
 
     // Scale-in consolidation (the source of Stratus's rare
@@ -53,17 +53,17 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         let Some(ty) = inst.ty else {
             continue;
         };
-        if inst.residents.is_empty() {
+        if view.residents(inst).is_empty() {
             continue;
         }
-        let rp_sum: f64 = inst
-            .residents
+        let rp_sum: f64 = view
+            .residents(inst)
             .iter()
             .filter_map(|t| reservation_price(ctx.catalog, &t.demand))
             .map(|(_, c)| c.as_dollars())
             .sum();
         if rp_sum + 1e-9 < ty.hourly_cost.as_dollars() {
-            evicted.extend(&inst.residents);
+            evicted.extend(view.residents(inst));
             residents[i] = &[];
             used[i] = ResourceVector::ZERO;
         }
@@ -77,7 +77,7 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
             slot[i] = Some(assignments.len());
             assignments.push(Assignment {
                 instance: PlannedInstance::Existing(inst.id),
-                tasks: inst.task_ids(),
+                tasks: view.task_ids(inst),
             });
         }
     }

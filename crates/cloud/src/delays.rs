@@ -159,11 +159,6 @@ impl DelayModel {
             setup: setup.scale(self.scale),
         }
     }
-
-    /// Mean setup delay (after scaling).
-    pub fn mean_setup(&self) -> SimDuration {
-        self.setup.mean().scale(self.scale)
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +217,6 @@ mod tests {
         let s = m.sample(&mut rng);
         assert_eq!(s.acquisition.as_secs(), 38);
         assert_eq!(s.setup.as_secs(), 380);
-        assert_eq!(m.mean_setup().as_secs(), 380);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::Rng;
 
 use eva_types::{Cost, EvaError, InstanceId, InstanceTypeId, Result, SimDuration, SimTime};
 
-use crate::catalog::{Catalog, InstanceType};
+use crate::catalog::Catalog;
 use crate::delays::{DelayModel, DelaySample};
 
 /// Lifecycle state of a provisioned instance.
@@ -244,13 +244,6 @@ impl CloudProvider {
     /// Looks up an instance.
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
         self.instances.get(&id)
-    }
-
-    /// The catalog type of an instance.
-    pub fn instance_type(&self, id: InstanceId) -> Option<&InstanceType> {
-        self.instances
-            .get(&id)
-            .and_then(|i| self.catalog.get(i.type_id))
     }
 
     /// Iterates over every instance record still held — all instances

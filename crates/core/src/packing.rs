@@ -106,12 +106,8 @@ impl PackedConfig {
 /// # use eva_core::TaskSnapshot;
 /// # use eva_types::{DemandSpec, JobId, ResourceVector, SimDuration, TaskId, WorkloadKind};
 /// # fn t(j: u64, g: u32, c: u32, r: u64) -> TaskSnapshot {
-/// #     TaskSnapshot {
-/// #         id: TaskId::new(JobId(j), 0), workload: WorkloadKind(j as u32),
-/// #         demand: DemandSpec::uniform(ResourceVector::with_ram_gb(g, c, r)),
-/// #         checkpoint_delay: SimDuration::ZERO, launch_delay: SimDuration::ZERO,
-/// #         gang_size: 1, gang_coupled: false, assigned_to: None, remaining_hint: None,
-/// #     }
+/// #     let demand = DemandSpec::uniform(ResourceVector::with_ram_gb(g, c, r));
+/// #     TaskSnapshot::new(TaskId::new(JobId(j), 0), WorkloadKind(j as u32), demand)
 /// # }
 /// let catalog = Catalog::table3_example();
 /// // The paper's §4.2 walkthrough: τ1..τ4 pack into one it1 and one it3,

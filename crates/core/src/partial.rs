@@ -74,7 +74,7 @@ pub(crate) fn partial_over(
     let mut kept = Vec::new();
     let mut terminate: Vec<InstanceId> = Vec::new();
     for inst in &view.instances {
-        let mut set = eval.set(&inst.residents);
+        let mut set = eval.set(view.residents(inst));
         let tnrp = set.tnrp();
         match inst.ty {
             Some(ty) if set.tasks().len() > 0 && tnrp + 1e-9 >= ty.hourly_cost.as_dollars() => {
@@ -83,7 +83,7 @@ pub(crate) fn partial_over(
             // Empty, inefficient, or of an unknown type (treated as
             // inefficient so tasks escape).
             _ => {
-                subset.extend(&inst.residents);
+                subset.extend(view.residents(inst));
                 terminate.push(inst.id);
             }
         }
@@ -163,12 +163,12 @@ mod tests {
         instances: &'a [InstanceSnapshot],
         catalog: &'a Catalog,
     ) -> ClusterView<'a> {
-        ClusterView::of(&SchedulerContext {
-            now: SimTime::ZERO,
+        ClusterView::of(&SchedulerContext::new(
+            SimTime::ZERO,
             catalog,
             tasks,
             instances,
-        })
+        ))
     }
 
     fn run(
@@ -195,10 +195,7 @@ mod tests {
     }
 
     fn instance(id: u64, catalog: &Catalog, name: &str) -> InstanceSnapshot {
-        InstanceSnapshot {
-            id: InstanceId(id),
-            type_id: catalog.by_name(name).unwrap().id,
-        }
+        InstanceSnapshot::new(InstanceId(id), catalog.by_name(name).unwrap().id)
     }
 
     #[test]

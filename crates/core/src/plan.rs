@@ -8,10 +8,12 @@
 //!
 //! How a snapshot becomes the *current configuration* — which tasks sit
 //! on which instance of which type — is decided once, in
-//! [`ClusterView::of`]; every scheduler and the plan executor read it
-//! from there.
+//! [`ClusterView`]; every scheduler and the plan executor read it from
+//! there.
 
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::ops::Range;
 
 use eva_interference::TaskContext;
 use eva_types::{
@@ -47,6 +49,22 @@ pub struct TaskSnapshot {
 }
 
 impl TaskSnapshot {
+    /// Task `id` of a one-task job, unplaced, with no migration delay and
+    /// no runtime hint.
+    pub fn new(id: TaskId, workload: WorkloadKind, demand: DemandSpec) -> Self {
+        TaskSnapshot {
+            id,
+            workload,
+            demand,
+            checkpoint_delay: SimDuration::ZERO,
+            launch_delay: SimDuration::ZERO,
+            gang_size: 1,
+            gang_coupled: false,
+            assigned_to: None,
+            remaining_hint: None,
+        }
+    }
+
     /// Total migration delay (checkpoint + launch).
     pub fn migration_delay(&self) -> SimDuration {
         self.checkpoint_delay + self.launch_delay
@@ -56,16 +74,11 @@ impl TaskSnapshot {
 /// Task 0 of a one-task job, as this crate's unit tests build them.
 #[cfg(test)]
 pub(crate) fn test_task(job: u64, demand: ResourceVector, workload: u32) -> TaskSnapshot {
+    let (id, demand) = (TaskId::new(JobId(job), 0), DemandSpec::uniform(demand));
     TaskSnapshot {
-        id: TaskId::new(JobId(job), 0),
-        workload: WorkloadKind(workload),
-        demand: DemandSpec::uniform(demand),
         checkpoint_delay: SimDuration::from_secs(2),
         launch_delay: SimDuration::from_secs(10),
-        gang_size: 1,
-        gang_coupled: false,
-        assigned_to: None,
-        remaining_hint: None,
+        ..TaskSnapshot::new(id, WorkloadKind(workload), demand)
     }
 }
 
@@ -76,6 +89,13 @@ pub struct InstanceSnapshot {
     pub id: InstanceId,
     /// Its catalog type.
     pub type_id: InstanceTypeId,
+}
+
+impl InstanceSnapshot {
+    /// Instance `id`, of catalog type `type_id`.
+    pub fn new(id: InstanceId, type_id: InstanceTypeId) -> Self {
+        InstanceSnapshot { id, type_id }
+    }
 }
 
 /// Everything a scheduler sees at one scheduling round.
@@ -89,6 +109,23 @@ pub struct SchedulerContext<'a> {
     pub tasks: &'a [TaskSnapshot],
     /// All live instances.
     pub instances: &'a [InstanceSnapshot],
+}
+
+impl<'a> SchedulerContext<'a> {
+    /// The context at `now` of `tasks` on `instances`.
+    pub fn new(
+        now: SimTime,
+        catalog: &'a Catalog,
+        tasks: &'a [TaskSnapshot],
+        instances: &'a [InstanceSnapshot],
+    ) -> Self {
+        SchedulerContext {
+            now,
+            catalog,
+            tasks,
+            instances,
+        }
+    }
 }
 
 /// The instance slot an assignment targets.
@@ -107,6 +144,13 @@ pub struct Assignment {
     pub instance: PlannedInstance,
     /// The tasks assigned to it.
     pub tasks: Vec<TaskId>,
+}
+
+impl Assignment {
+    /// `tasks` on `instance`.
+    pub fn new(instance: PlannedInstance, tasks: Vec<TaskId>) -> Self {
+        Assignment { instance, tasks }
+    }
 }
 
 /// A target cluster configuration.
@@ -132,22 +176,25 @@ impl Plan {
     }
 
     /// Every task of `view` the plan places somewhere other than where it
-    /// sits now, in plan order. Tasks the view does not know are skipped.
+    /// sits now, in plan order. Tasks the view does not know are skipped,
+    /// and so is an assignment that lists exactly the residents of the
+    /// listed instance it targets, in order, while `ctx.tasks` lists no id
+    /// twice: none of its tasks moves.
     pub fn moves<'a>(&'a self, view: &'a ClusterView<'a>) -> impl Iterator<Item = Move<'a>> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .flat_map(move |(slot, a)| {
-                a.tasks.iter().filter_map(move |tid| {
-                    let pos = view.position(*tid)?;
-                    let task = &view.tasks[pos];
-                    let stays = matches!(
-                        (a.instance, task.assigned_to),
-                        (PlannedInstance::Existing(target), Some(current)) if target == current
-                    );
-                    (!stays).then_some(Move { task, pos, slot })
-                })
+        let mut hint = 0;
+        let changed = self.assignments.iter().enumerate();
+        let changed = changed.filter(move |(_, a)| !view.keeps(a, &mut hint));
+        changed.flat_map(move |(slot, a)| {
+            a.tasks.iter().filter_map(move |tid| {
+                let pos = view.position(*tid)?;
+                let task = &view.tasks[pos];
+                let stays = matches!(
+                    (a.instance, task.assigned_to),
+                    (PlannedInstance::Existing(target), Some(current)) if target == current
+                );
+                (!stays).then_some(Move { task, pos, slot })
             })
+        })
     }
 
     /// Number of new instances the plan launches.
@@ -177,7 +224,8 @@ impl Move<'_> {
     }
 }
 
-/// One listed instance of the current configuration.
+/// One listed instance of the current configuration. Its residents are a
+/// range of the view's flat list: [`ClusterView::residents`].
 #[derive(Debug, Clone)]
 pub struct InstanceView<'a> {
     /// The instance.
@@ -186,21 +234,35 @@ pub struct InstanceView<'a> {
     pub type_id: InstanceTypeId,
     /// Its catalog type (`None` when the catalog does not know it).
     pub ty: Option<&'a InstanceType>,
-    /// The tasks assigned to it, in `ctx.tasks` order.
-    pub residents: Vec<&'a TaskSnapshot>,
-    /// Their summed demand on `ty` (zero when the type is unknown).
+    /// Its residents' summed demand on `ty` (zero when the type is unknown).
     pub used: ResourceVector,
+    residents: Range<usize>,
 }
 
-impl InstanceView<'_> {
-    /// The residents' ids.
-    pub fn task_ids(&self) -> Vec<TaskId> {
-        self.residents.iter().map(|t| t.id).collect()
-    }
+/// Where each id of a listing is first listed: `None` when the ids ascend
+/// strictly, so that a binary search of the listing finds them.
+type Index<K> = Option<HashMap<K, usize, IdBuildHasher>>;
+
+fn index_by<T, K: Copy + Ord + Hash>(list: &[T], key: impl Fn(&T) -> K) -> Index<K> {
+    let ascends = list.windows(2).all(|w| key(&w[0]) < key(&w[1]));
+    let firsts = || list.iter().enumerate().rev().map(|(i, x)| (key(x), i));
+    (!ascends).then(|| firsts().collect())
 }
 
-/// The current configuration, derived from a [`SchedulerContext`] in one
-/// pass.
+/// The current configuration of a [`SchedulerContext`].
+///
+/// Residents sit in one flat list, grouped by instance in listing order,
+/// each group in `ctx.tasks` order: [`ClusterView::residents`]. Both
+/// constructors fill it in one pass over the tasks and build equal views.
+/// [`ClusterView::of`] finds each task's instance by its `assigned_to` id.
+/// [`ClusterView::with_hosts`] is handed it as a listing index and looks up
+/// no id: the world lists each ready row of its instance table once and
+/// hands each task the listing of the row that holds it.
+///
+/// A lookup by id finds the id's first listing. The world lists instances
+/// and tasks in strictly ascending id order, and a lookup there is a binary
+/// search. Other listings get a map: a job may declare its tasks out of
+/// index order, so even the world's `ctx.tasks` is not always sorted.
 #[derive(Debug, Clone)]
 pub struct ClusterView<'a> {
     /// The listed instances, in `ctx.instances` order.
@@ -210,52 +272,86 @@ pub struct ClusterView<'a> {
     /// `assigned_to` names an instance the context does not list (one being
     /// drained). Eva's Partial Reconfiguration re-places all of them.
     pub unplaced: Vec<&'a TaskSnapshot>,
-    index: HashMap<InstanceId, usize, IdBuildHasher>,
-    /// `ctx.tasks`, and the position there of each id's first listing.
+    residents: Vec<&'a TaskSnapshot>,
+    index: Index<InstanceId>,
+    /// `ctx.tasks`, with its id index.
     tasks: &'a [TaskSnapshot],
-    positions: HashMap<TaskId, usize, IdBuildHasher>,
+    positions: Index<TaskId>,
 }
 
 impl<'a> ClusterView<'a> {
     /// Derives the current configuration of `ctx`.
     pub fn of(ctx: &SchedulerContext<'a>) -> Self {
-        let listed = ctx.instances;
-        let mut instances: Vec<InstanceView<'a>> = Vec::with_capacity(listed.len());
-        let mut index = HashMap::with_capacity_and_hasher(listed.len(), IdBuildHasher::default());
-        for inst in listed {
-            index.entry(inst.id).or_insert(instances.len());
-            instances.push(InstanceView {
-                id: inst.id,
-                type_id: inst.type_id,
-                ty: ctx.catalog.get(inst.type_id),
-                residents: Vec::new(),
-                used: ResourceVector::ZERO,
-            });
+        let index = index_by(ctx.instances, |i| i.id);
+        let first = |id| match &index {
+            Some(map) => map.get(&id).copied(),
+            None => ctx.instances.binary_search_by_key(&id, |i| i.id).ok(),
+        };
+        let host = |t: &TaskSnapshot| t.assigned_to.and_then(first).map_or(u32::MAX, |i| i as u32);
+        Self::with_hosts(ctx, &ctx.tasks.iter().map(host).collect::<Vec<_>>())
+    }
+
+    /// The configuration of `ctx` with `ctx.tasks[pos]` on listing
+    /// `hosts[pos]` (none past the listing): [`ClusterView::of`] when that
+    /// is the first listing of each task's `assigned_to`.
+    pub fn with_hosts(ctx: &SchedulerContext<'a>, hosts: &[u32]) -> Self {
+        debug_assert_eq!(hosts.len(), ctx.tasks.len(), "one host per task");
+        let view = |inst: &InstanceSnapshot| InstanceView {
+            id: inst.id,
+            type_id: inst.type_id,
+            ty: ctx.catalog.get(inst.type_id),
+            used: ResourceVector::ZERO,
+            residents: 0..0,
+        };
+        let mut instances: Vec<InstanceView<'a>> = ctx.instances.iter().map(view).collect();
+        // Count each instance's residents, lay the ranges out in listing
+        // order, then fill them in task order.
+        let listed = instances.len();
+        for &h in hosts.iter().filter(|&&h| (h as usize) < listed) {
+            instances[h as usize].residents.end += 1;
         }
+        let mut start = 0;
+        for inst in &mut instances {
+            let n = inst.residents.end;
+            inst.residents = start..start;
+            start += n;
+        }
+        let mut residents = ctx.tasks.first().map_or_else(Vec::new, |t| vec![t; start]);
         let mut unplaced = Vec::new();
-        let tasks = ctx.tasks;
-        let mut positions =
-            HashMap::with_capacity_and_hasher(tasks.len(), IdBuildHasher::default());
-        for (pos, t) in tasks.iter().enumerate() {
-            positions.entry(t.id).or_insert(pos);
-            match t.assigned_to.and_then(|id| index.get(&id)) {
-                Some(&i) => {
-                    let inst = &mut instances[i];
-                    if let Some(ty) = inst.ty {
-                        inst.used += ty.demand_of(&t.demand);
-                    }
-                    inst.residents.push(t);
-                }
-                None => unplaced.push(t),
-            }
+        for (t, &h) in ctx.tasks.iter().zip(hosts) {
+            let Some(inst) = instances.get_mut(h as usize) else {
+                unplaced.push(t);
+                continue;
+            };
+            inst.used += inst
+                .ty
+                .map_or(ResourceVector::ZERO, |ty| ty.demand_of(&t.demand));
+            residents[inst.residents.end] = t;
+            inst.residents.end += 1;
         }
         ClusterView {
             instances,
             unplaced,
-            index,
-            tasks,
-            positions,
+            residents,
+            index: index_by(ctx.instances, |i| i.id),
+            tasks: ctx.tasks,
+            positions: index_by(ctx.tasks, |t| t.id),
         }
+    }
+
+    /// The residents of `inst`, one of this view's instances.
+    pub fn residents(&self, inst: &InstanceView<'a>) -> &[&'a TaskSnapshot] {
+        &self.residents[inst.residents.clone()]
+    }
+
+    /// The ids of `inst`'s residents.
+    pub fn task_ids(&self, inst: &InstanceView<'a>) -> Vec<TaskId> {
+        self.residents(inst).iter().map(|t| t.id).collect()
+    }
+
+    /// The assignment that keeps `inst` as it is: [`Plan::moves`] skips it.
+    pub fn keep(&self, inst: &InstanceView<'a>) -> Assignment {
+        Assignment::new(PlannedInstance::Existing(inst.id), self.task_ids(inst))
     }
 
     /// The listed instance `id`.
@@ -264,8 +360,11 @@ impl<'a> ClusterView<'a> {
     }
 
     /// The index into `instances` of `id`'s first listing.
-    pub(crate) fn slot(&self, id: InstanceId) -> Option<usize> {
-        self.index.get(&id).copied()
+    pub fn slot(&self, id: InstanceId) -> Option<usize> {
+        match &self.index {
+            Some(map) => map.get(&id).copied(),
+            None => self.instances.binary_search_by_key(&id, |i| i.id).ok(),
+        }
     }
 
     /// The task `id`.
@@ -275,7 +374,38 @@ impl<'a> ClusterView<'a> {
 
     /// The position of `id`'s first listing in `ctx.tasks`.
     fn position(&self, id: TaskId) -> Option<usize> {
-        self.positions.get(&id).copied()
+        match &self.positions {
+            Some(map) => map.get(&id).copied(),
+            None => self.tasks.binary_search_by_key(&id, |t| t.id).ok(),
+        }
+    }
+
+    /// [`ClusterView::slot`], trying listing `hint` first and leaving it
+    /// after the one found: a plan lists the instances it keeps in listing
+    /// order.
+    fn slot_after(&self, id: InstanceId, hint: &mut usize) -> Option<usize> {
+        let at_hint = self
+            .instances
+            .get(*hint)
+            .filter(|i| i.id == id && self.index.is_none());
+        let slot = at_hint.map(|_| *hint).or_else(|| self.slot(id));
+        *hint = slot.map_or(*hint, |s| s + 1);
+        slot
+    }
+
+    /// Whether `a` keeps the listed instance it targets as it is (see
+    /// [`Plan::moves`]).
+    fn keeps(&self, a: &Assignment, hint: &mut usize) -> bool {
+        let PlannedInstance::Existing(id) = a.instance else {
+            return false;
+        };
+        let once = self
+            .positions
+            .as_ref()
+            .is_none_or(|m| m.len() == self.tasks.len());
+        let ids = |i: usize| self.residents(&self.instances[i]).iter().map(|t| t.id);
+        let same = |i| ids(i).eq(a.tasks.iter().copied());
+        self.slot_after(id, hint).is_some_and(|i| once && same(i))
     }
 
     /// Tasks not assigned anywhere yet, in `ctx.tasks` order.
@@ -290,17 +420,18 @@ impl<'a> ClusterView<'a> {
     /// instance none of them targets.
     pub fn plan(&self, assignments: Vec<Assignment>) -> Plan {
         // `claimed[slot]`: an assignment targets the instance listed there.
-        let mut claimed = vec![false; self.instances.len()];
+        let (mut claimed, mut hint) = (vec![false; self.instances.len()], 0);
         let targets = assignments.iter().filter_map(|a| match a.instance {
-            PlannedInstance::Existing(id) => self.slot(id),
+            PlannedInstance::Existing(id) => self.slot_after(id, &mut hint),
             PlannedInstance::New(_) => None,
         });
         targets.for_each(|slot| claimed[slot] = true);
-        let ids = self.instances.iter().map(|i| i.id);
-        let terminate = ids.filter(|id| !self.slot(*id).is_some_and(|s| claimed[s]));
+        // A listing's first listing: itself, unless an id is listed twice.
+        let first = |i: usize| self.index.as_ref().map_or(i, |m| m[&self.instances[i].id]);
+        let unclaimed = (0..self.instances.len()).filter(|&i| !claimed[first(i)]);
         Plan {
             assignments,
-            terminate: terminate.collect(),
+            terminate: unclaimed.map(|i| self.instances[i].id).collect(),
             ..Plan::empty()
         }
     }
@@ -324,9 +455,10 @@ pub trait Scheduler {
     /// Human-readable name used in experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Produces the target configuration for this round. `view` is
-    /// [`ClusterView::of`]`(ctx)`: the caller derives it once and reads the
-    /// plan's [`Plan::moves`] against the same one.
+    /// Produces the target configuration for this round. `view` is the
+    /// current configuration of `ctx`, [`ClusterView::of`]`(ctx)` or the
+    /// world's equal [`ClusterView::with_hosts`]: the caller derives it once
+    /// and reads the plan's [`Plan::moves`] against the same one.
     fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan;
 
     /// [`Scheduler::plan_in`] for a caller that holds only the snapshot.
@@ -352,120 +484,120 @@ mod tests {
         }
     }
 
-    /// The plan's moves over `tasks`, with whether each is a first placement.
-    fn moves_of(plan: &Plan, tasks: &[TaskSnapshot]) -> Vec<(TaskId, bool)> {
+    /// `f` of the view of `tasks` on the listed `instances` (all of type 0).
+    fn with_view<R>(tasks: &[TaskSnapshot], ids: &[u64], f: impl FnOnce(&ClusterView) -> R) -> R {
         let catalog = Catalog::table3_example();
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
+        let listed = ids
+            .iter()
+            .map(|&id| InstanceSnapshot::new(InstanceId(id), InstanceTypeId(0)));
+        let instances = &listed.collect::<Vec<_>>();
+        f(&ClusterView::of(&SchedulerContext::new(
+            SimTime::ZERO,
+            &catalog,
             tasks,
-            instances: &[],
-        };
-        let view = ClusterView::of(&ctx);
-        let moves = plan.moves(&view).map(|m| (m.task.id, m.is_initial()));
-        moves.collect()
+            instances,
+        )))
     }
+
+    /// The moves of a plan of `assignments` as `(job, pos, slot, is_initial)`.
+    fn moves_in(
+        view: &ClusterView,
+        assignments: Vec<Assignment>,
+    ) -> Vec<(u64, usize, usize, bool)> {
+        let mut plan = Plan::empty();
+        plan.assignments = assignments;
+        let pin = |m: Move<'_>| (m.task.id.job.0, m.pos, m.slot, m.is_initial());
+        plan.moves(view).map(pin).collect()
+    }
+
+    /// An assignment of task 0 of each of `jobs` to `instance`.
+    fn to(instance: PlannedInstance, jobs: &[u64]) -> Assignment {
+        let tasks = jobs.iter().map(|&j| TaskId::new(JobId(j), 0)).collect();
+        Assignment { instance, tasks }
+    }
+    const ONE: PlannedInstance = PlannedInstance::Existing(InstanceId(1));
+    const NEW: PlannedInstance = PlannedInstance::New(InstanceTypeId(0));
 
     #[test]
     fn migrations_detect_moves_only() {
+        // Job 1 stays put, job 2 moves from instance 2 to 1, job 3 is placed.
         let tasks = vec![snap(1, 0, Some(1)), snap(2, 0, Some(2)), snap(3, 0, None)];
-        let plan = Plan {
-            assignments: vec![
-                Assignment {
-                    instance: PlannedInstance::Existing(InstanceId(1)),
-                    tasks: vec![TaskId::new(JobId(1), 0)], // Stays put.
-                },
-                Assignment {
-                    instance: PlannedInstance::Existing(InstanceId(1)),
-                    tasks: vec![TaskId::new(JobId(2), 0)], // Moves 2 → 1.
-                },
-                Assignment {
-                    instance: PlannedInstance::New(InstanceTypeId(0)),
-                    tasks: vec![TaskId::new(JobId(3), 0)], // Initial placement.
-                },
-            ],
-            terminate: vec![InstanceId(2)],
-            full_reconfiguration: false,
-        };
-        let moves = vec![(TaskId::new(JobId(2), 0), false), (tasks[2].id, true)];
-        assert_eq!(moves_of(&plan, &tasks), moves);
+        let mut plan = Plan::empty();
+        plan.assignments = vec![to(ONE, &[1]), to(ONE, &[2]), to(NEW, &[3])];
         assert_eq!(plan.new_instance_count(), 1);
+        let moves = with_view(&tasks, &[], |view| moves_in(view, plan.assignments));
+        assert_eq!(moves, vec![(2, 1, 1, false), (3, 2, 2, true)]);
     }
 
     #[test]
     fn moving_to_new_instance_counts_as_migration() {
-        let tasks = vec![snap(1, 0, Some(5))];
-        let plan = Plan {
-            assignments: vec![Assignment {
-                instance: PlannedInstance::New(InstanceTypeId(2)),
-                tasks: vec![TaskId::new(JobId(1), 0)],
-            }],
-            ..Plan::empty()
-        };
-        assert_eq!(moves_of(&plan, &tasks), vec![(tasks[0].id, false)]);
+        let moves = with_view(&[snap(1, 0, Some(5))], &[], |view| {
+            moves_in(view, vec![to(NEW, &[1])])
+        });
+        assert_eq!(moves, vec![(1, 0, 0, false)]);
     }
 
     #[test]
     fn view_groups_tasks_and_keeps_orphans_apart_from_pending() {
         // Instance 9 is not listed: its task is unplaced but not pending.
-        let tasks = vec![
-            snap(1, 0, Some(1)),
-            snap(2, 0, Some(9)),
-            snap(3, 0, None),
-            snap(4, 0, Some(1)),
-        ];
-        let instances = vec![
-            InstanceSnapshot {
-                id: InstanceId(1),
-                type_id: InstanceTypeId(0),
-            },
-            InstanceSnapshot {
-                id: InstanceId(2),
-                type_id: InstanceTypeId(0),
-            },
-        ];
-        let catalog = Catalog::table3_example();
-        let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            catalog: &catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let view = ClusterView::of(&ctx);
-        let ids = |set: &[&TaskSnapshot]| set.iter().map(|t| t.id.job.0).collect::<Vec<_>>();
-        assert_eq!(ids(&view.instances[0].residents), vec![1, 4]);
-        assert_eq!(view.instances[0].used, ResourceVector::new(2, 8, 2048));
-        assert!(view.instances[1].residents.is_empty());
-        assert_eq!(ids(&view.unplaced), vec![2, 3]);
-        assert_eq!(ids(&view.pending().collect::<Vec<_>>()), vec![3]);
-        assert!(view.instance(InstanceId(9)).is_none());
-
-        // Task 4 moves to instance 2, the orphan and the pending task are
-        // placed on a new instance; instance 1 keeps task 1.
-        let plan = view.plan(vec![
-            Assignment {
-                instance: PlannedInstance::Existing(InstanceId(1)),
-                tasks: vec![tasks[0].id],
-            },
-            Assignment {
-                instance: PlannedInstance::Existing(InstanceId(2)),
-                tasks: vec![tasks[3].id],
-            },
-            Assignment {
-                instance: PlannedInstance::New(InstanceTypeId(0)),
-                tasks: vec![tasks[1].id, tasks[2].id],
-            },
-        ]);
-        assert!(plan.terminate.is_empty());
-        let moves: Vec<(u64, usize, usize, bool)> = plan
-            .moves(&view)
-            .map(|m| (m.task.id.job.0, m.pos, m.slot, m.is_initial()))
+        let tasks = [(1, Some(1)), (2, Some(9)), (3, None), (4, Some(1))];
+        let tasks: Vec<_> = tasks
+            .into_iter()
+            .map(|(job, on)| snap(job, 0, on))
             .collect();
-        let want = vec![(4, 3, 1, false), (2, 1, 2, false), (3, 2, 2, true)];
-        assert_eq!(moves, want);
-        assert_eq!(
-            view.plan(Vec::new()).terminate,
-            vec![InstanceId(1), InstanceId(2)]
-        );
+        with_view(&tasks, &[1, 2], |view| {
+            let ids = |set: &[&TaskSnapshot]| set.iter().map(|t| t.id.job.0).collect::<Vec<_>>();
+            assert_eq!(ids(view.residents(&view.instances[0])), vec![1, 4]);
+            assert_eq!(view.instances[0].used, ResourceVector::new(2, 8, 2048));
+            assert!(view.residents(&view.instances[1]).is_empty());
+            assert_eq!(ids(&view.unplaced), vec![2, 3]);
+            assert_eq!(ids(&view.pending().collect::<Vec<_>>()), vec![3]);
+            assert!(view.instance(InstanceId(9)).is_none());
+            // Task 4 moves to instance 2, the orphan and the pending task
+            // are placed on a new instance; instance 1 keeps task 1.
+            let two = PlannedInstance::Existing(InstanceId(2));
+            let assignments = vec![to(ONE, &[1]), to(two, &[4]), to(NEW, &[2, 3])];
+            assert!(view.plan(assignments.clone()).terminate.is_empty());
+            let want = vec![(4, 3, 1, false), (2, 1, 2, false), (3, 2, 2, true)];
+            assert_eq!(moves_in(view, assignments), want);
+            let all = vec![InstanceId(1), InstanceId(2)];
+            assert_eq!(view.plan(Vec::new()).terminate, all);
+        });
+    }
+
+    #[test]
+    fn moves_of_reordered_partial_repeated_and_unknown_listings() {
+        // Instance 1 holds jobs 1 and 2, job 3 is pending, instance 2 is empty.
+        let tasks = vec![snap(1, 0, Some(1)), snap(2, 0, Some(1)), snap(3, 0, None)];
+        with_view(&tasks, &[1, 2], |view| {
+            // Its residents in another order, or some of them: nothing moves.
+            assert_eq!(moves_in(view, vec![to(ONE, &[2, 1])]), vec![]);
+            assert_eq!(moves_in(view, vec![to(ONE, &[2])]), vec![]);
+            // More than its residents: the pending task is placed, and job
+            // 9, which the view does not know, is skipped.
+            let more = vec![to(ONE, &[1, 2, 3, 9])];
+            assert_eq!(moves_in(view, more), vec![(3, 2, 0, true)]);
+            // A task the plan lists twice moves once per listing.
+            let twice = vec![to(NEW, &[1]), to(ONE, &[1, 2]), to(NEW, &[1])];
+            assert_eq!(
+                moves_in(view, twice),
+                vec![(1, 0, 0, false), (1, 0, 2, false)]
+            );
+        });
+    }
+
+    #[test]
+    fn a_task_listed_twice_is_read_at_its_first_listing() {
+        // Job 1's task is listed on instance 1, then again on instance 2.
+        let tasks = vec![snap(1, 0, Some(1)), snap(1, 0, Some(2))];
+        with_view(&tasks, &[1, 2], |view| {
+            assert_eq!(view.task(tasks[0].id), Some(&tasks[0]));
+            assert_eq!(view.residents(&view.instances[1]), [&tasks[1]]);
+            // Instance 2's residents are exactly what the plan keeps there,
+            // but the task read is the first listing, on instance 1.
+            let two = PlannedInstance::Existing(InstanceId(2));
+            assert_eq!(moves_in(view, vec![to(two, &[1])]), vec![(1, 0, 0, false)]);
+            assert_eq!(moves_in(view, vec![to(ONE, &[1])]), vec![]);
+        });
     }
 }

@@ -78,9 +78,8 @@ impl EvaScheduler {
         let reusable = reusable.into_iter().filter_map(|id| view.slot(id));
         reusable.for_each(|slot| available[slot] = true);
         let mut overlap = vec![(usize::MAX, 0); view.instances.len()];
-        let existing = |(id, tasks): (InstanceId, Vec<TaskId>)| Assignment {
-            instance: PlannedInstance::Existing(id),
-            tasks,
+        let existing = |(id, tasks): (InstanceId, Vec<TaskId>)| {
+            Assignment::new(PlannedInstance::Existing(id), tasks)
         };
         let mut assignments: Vec<Assignment> = kept.into_iter().map(existing).collect();
 
@@ -106,10 +105,7 @@ impl EvaScheduler {
                 }
                 None => PlannedInstance::New(inst.type_id),
             };
-            assignments.push(Assignment {
-                instance: target,
-                tasks: inst.tasks,
-            });
+            assignments.push(Assignment::new(target, inst.tasks));
         }
 
         // Anything live and unclaimed is terminated once drained.
@@ -236,12 +232,12 @@ mod tests {
         instances: &'a [InstanceSnapshot],
         now_hours: f64,
     ) -> SchedulerContext<'a> {
-        SchedulerContext {
-            now: SimTime::from_hours_f64(now_hours),
+        SchedulerContext::new(
+            SimTime::from_hours_f64(now_hours),
             catalog,
             tasks,
             instances,
-        }
+        )
     }
 
     #[test]
@@ -288,7 +284,7 @@ mod tests {
             let PlannedInstance::New(ty) = a.instance else {
                 panic!()
             };
-            instances.push(InstanceSnapshot { id, type_id: ty });
+            instances.push(InstanceSnapshot::new(id, ty));
             for tid in &a.tasks {
                 tasks_round2
                     .iter_mut()
@@ -310,10 +306,10 @@ mod tests {
         let catalog = Catalog::table3_example();
         // τ4 alone on an expensive it1 after its co-residents completed.
         let tasks = vec![task(4, 0, 4, 12, Some(0))];
-        let instances = vec![InstanceSnapshot {
-            id: InstanceId(0),
-            type_id: catalog.by_name("it1").unwrap().id,
-        }];
+        let instances = vec![InstanceSnapshot::new(
+            InstanceId(0),
+            catalog.by_name("it1").unwrap().id,
+        )];
         let mut eva = EvaScheduler::new(EvaConfig::eva());
         let plan = eva.plan(&ctx_with(&catalog, &tasks, &instances, 1.0));
         // Whatever branch wins, τ4 must not stay alone on it1.
@@ -454,9 +450,8 @@ mod tests {
         reusable: impl IntoIterator<Item = InstanceId>,
     ) -> Plan {
         let mut available: BTreeSet<InstanceId> = reusable.into_iter().collect();
-        let existing = |(id, tasks): &(InstanceId, Vec<TaskId>)| Assignment {
-            instance: PlannedInstance::Existing(*id),
-            tasks: tasks.clone(),
+        let existing = |(id, tasks): &(InstanceId, Vec<TaskId>)| {
+            Assignment::new(PlannedInstance::Existing(*id), tasks.clone())
         };
         let mut assignments: Vec<Assignment> = kept.iter().map(existing).collect();
         for inst in &packed.instances {
@@ -466,7 +461,7 @@ mod tests {
                 .filter_map(|id| view.instance(*id))
                 .filter(|live| live.type_id == inst.type_id)
                 .map(|live| {
-                    let overlap = live.residents.iter().filter(|t| want.contains(&t.id));
+                    let overlap = view.residents(live).iter().filter(|t| want.contains(&t.id));
                     (live.id, overlap.count())
                 })
                 .max_by_key(|(id, overlap)| (*overlap, std::cmp::Reverse(*id)));
@@ -477,10 +472,7 @@ mod tests {
                 }
                 _ => PlannedInstance::New(inst.type_id),
             };
-            assignments.push(Assignment {
-                instance: target,
-                tasks: inst.tasks.clone(),
-            });
+            assignments.push(Assignment::new(target, inst.tasks.clone()));
         }
         view.plan(assignments)
     }
@@ -508,10 +500,7 @@ mod tests {
         ];
         let instances: Vec<InstanceSnapshot> = [5, 7]
             .into_iter()
-            .map(|id| InstanceSnapshot {
-                id: InstanceId(id),
-                type_id: it1,
-            })
+            .map(|id| InstanceSnapshot::new(InstanceId(id), it1))
             .collect();
         let ctx = ctx_with(&catalog, &tasks, &instances, 0.0);
         let view = ClusterView::of(&ctx);
@@ -550,15 +539,12 @@ mod tests {
             let mut instances: Vec<InstanceSnapshot> = instance_types
                 .iter()
                 .enumerate()
-                .map(|(id, ty)| InstanceSnapshot {
-                    id: InstanceId(id as u64),
-                    type_id: InstanceTypeId(*ty),
-                })
+                .map(|(id, ty)| InstanceSnapshot::new(InstanceId(id as u64), InstanceTypeId(*ty)))
                 .collect();
             // Listing `repeat.0`, if there is one, again: residents and
             // type are the first listing's.
             if let Some(&InstanceSnapshot { id, .. }) = instances.get(repeat.0) {
-                instances.push(InstanceSnapshot { id, type_id: InstanceTypeId(repeat.1) });
+                instances.push(InstanceSnapshot::new(id, InstanceTypeId(repeat.1)));
             }
             // Host ids 0..6 may be listed; 6 stands for "unassigned" and 7
             // for an instance the context does not list.

@@ -52,15 +52,16 @@ mod reference {
         for inst in &view.instances {
             match inst.ty {
                 Some(ty)
-                    if !inst.residents.is_empty()
-                        && eval.tnrp_set(&inst.residents) + 1e-9 >= ty.hourly_cost.as_dollars() =>
+                    if !view.residents(inst).is_empty()
+                        && eval.tnrp_set(view.residents(inst)) + 1e-9
+                            >= ty.hourly_cost.as_dollars() =>
                 {
-                    kept.push((inst, ty, inst.residents.clone()));
+                    kept.push((inst, ty, view.residents(inst).to_vec()));
                 }
                 // Empty, inefficient, or of an unknown type (treated as
                 // inefficient so tasks escape).
                 _ => {
-                    subset.extend(&inst.residents);
+                    subset.extend(view.residents(inst));
                     terminate.push(inst.id);
                 }
             }

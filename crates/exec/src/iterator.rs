@@ -57,7 +57,7 @@ impl IteratorControl {
 
     /// True when a checkpoint is due: either requested cooperatively or
     /// the scheduled position has been reached.
-    pub fn checkpoint_due(&self) -> bool {
+    fn checkpoint_due(&self) -> bool {
         self.checkpoint.load(Ordering::SeqCst)
             || self.iterations.load(Ordering::SeqCst) >= self.checkpoint_at.load(Ordering::SeqCst)
     }

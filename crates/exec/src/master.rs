@@ -184,7 +184,7 @@ impl Master {
     }
 
     /// Stashes a task's checkpoint blob, replacing any earlier one.
-    pub fn stash_checkpoint(&mut self, task: TaskId, blob: &[u8]) {
+    fn stash_checkpoint(&mut self, task: TaskId, blob: &[u8]) {
         self.checkpoints.insert(task, blob.to_vec());
     }
 

@@ -446,6 +446,8 @@ pub(crate) struct InstRow {
     /// Mapped task slots, kept sorted (ascending task slot == ascending
     /// `TaskId`, preserving co-location iteration order).
     pub tasks: Vec<u32>,
+    /// When it is set up: a task placed on it starts no earlier.
+    pub ready_at: SimTime,
     /// Departure-checkpoint barrier: the earliest instant it may
     /// terminate ([`SimTime::ZERO`] = unset).
     pub busy_until: SimTime,
@@ -497,12 +499,6 @@ impl InstTable {
         self.by_id.get(&id).copied()
     }
 
-    /// Slot of `id`'s row if a round may place tasks on it.
-    pub fn ready(&self, id: InstanceId) -> Option<u32> {
-        self.get(id)
-            .filter(|&s| self.rows[s as usize].life == Life::Ready)
-    }
-
     /// Rows (counted instances) held.
     pub fn len(&self) -> usize {
         self.by_id.len()
@@ -530,14 +526,21 @@ impl InstTable {
         (at <= t).then_some((at, slot))
     }
 
-    /// Adds a freshly provisioned instance as a ready row with capacity
-    /// `cap`, recycling a free slot when there is one.
-    pub fn insert(&mut self, id: InstanceId, type_id: InstanceTypeId, cap: [f64; 3]) -> u32 {
+    /// Adds a freshly provisioned instance, set up at `at`, as a ready row
+    /// with capacity `cap`, recycling a free slot when there is one.
+    pub fn insert(
+        &mut self,
+        id: InstanceId,
+        ty: InstanceTypeId,
+        at: SimTime,
+        cap: [f64; 3],
+    ) -> u32 {
         let row = InstRow {
             id,
-            type_id,
+            type_id: ty,
             life: Life::Ready,
             tasks: Vec::new(),
+            ready_at: at,
             busy_until: SimTime::ZERO,
             straggle: 1.0,
             cap,
@@ -643,19 +646,30 @@ pub(crate) struct WorldArena {
     pub slot_of_spec: Vec<u32>,
 }
 
+/// The indices of `jobs` in ascending `JobId` order (a trace is arrival-
+/// ordered, which usually — but not necessarily — coincides). Jobs that
+/// share an ID keep their trace order.
+pub(crate) fn id_order(jobs: &[JobSpec]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
+    order.sort_by_key(|&i| jobs[i as usize].id);
+    order
+}
+
 impl WorldArena {
-    /// Interns every job and task ID of `trace` into slots. All dynamic
+    /// [`WorldArena::in_order`] of a trace whose job IDs are distinct.
+    #[cfg(test)]
+    pub fn from_trace(trace: &Trace) -> Self {
+        Self::in_order(trace, &id_order(trace.jobs()))
+    }
+
+    /// Interns every job and task ID of `trace` into slots, job slots in
+    /// `order`, the trace's [`id_order`] (its IDs distinct). All dynamic
     /// state starts at its pre-arrival default; instance rows are added
     /// as the provider provisions.
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub fn in_order(trace: &Trace, order: &[u32]) -> Self {
         let specs = trace.jobs();
         let n = specs.len();
         let total_tasks: usize = specs.iter().map(|j| j.tasks.len()).sum();
-
-        // Job slots in ascending JobId order (the trace is arrival-
-        // ordered, which usually — but not necessarily — coincides).
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| specs[i as usize].id);
 
         let mut jobs = JobArena {
             ids: Vec::with_capacity(n),
@@ -984,17 +998,21 @@ mod tests {
         let mut world = WorldArena::from_trace(&trace);
         let insts = &mut world.insts;
         let (ty, cap) = (InstanceTypeId(0), [1.0, 4.0, 1024.0]);
-        let a = insts.insert(InstanceId(0), ty, cap);
-        let b = insts.insert(InstanceId(1), ty, cap);
+        let a = insts.insert(InstanceId(0), ty, SimTime::ZERO, cap);
+        let b = insts.insert(InstanceId(1), ty, SimTime::ZERO, cap);
         assert_ne!(a, b);
-        assert_eq!(insts.ready(InstanceId(0)), Some(a));
+        let life = |insts: &InstTable, s: u32| insts.rows[s as usize].life();
+        assert_eq!(
+            (insts.get(InstanceId(0)), life(insts, a)),
+            (Some(a), Life::Ready)
+        );
         insts.rows[a as usize].straggle = 0.5;
         insts.set_life(a, Life::Draining);
         insts.set_life(b, Life::Draining);
         assert_eq!(insts.draining().collect::<Vec<_>>(), vec![a, b]);
         insts.set_life(a, Life::Terminating(SimTime::from_secs(30)));
         assert_eq!(insts.draining().collect::<Vec<_>>(), vec![b]);
-        assert_eq!(insts.ready(InstanceId(0)), None, "terminating is not ready");
+        assert_ne!(life(insts, a), Life::Ready, "terminating is not ready");
         assert_eq!(insts.first_due(SimTime::from_secs(29)), None);
         assert_eq!(
             insts.first_due(SimTime::from_secs(30)),
@@ -1004,7 +1022,7 @@ mod tests {
         assert_eq!(insts.get(InstanceId(0)), None);
         assert_eq!(insts.first_due(SimTime::from_secs(30)), None);
         // The recycled slot comes back clean for the next instance.
-        let c = insts.insert(InstanceId(7), ty, cap);
+        let c = insts.insert(InstanceId(7), ty, SimTime::ZERO, cap);
         assert_eq!(c, a);
         let row = &insts.rows[c as usize];
         assert_eq!((row.id, row.straggle), (InstanceId(7), 1.0));
@@ -1016,7 +1034,12 @@ mod tests {
     #[test]
     fn map_and_unmap_count_a_demand_only_when_the_mapping_changed() {
         let mut insts = InstTable::default();
-        let slot = insts.insert(InstanceId(0), InstanceTypeId(0), [1.0, 4.0, 1024.0]);
+        let slot = insts.insert(
+            InstanceId(0),
+            InstanceTypeId(0),
+            SimTime::ZERO,
+            [1.0, 4.0, 1024.0],
+        );
         let d = [1.0, 2.0, 512.0];
         insts.map(slot, 4, d, true);
         insts.map(slot, 4, d, true);

@@ -5,25 +5,33 @@
 //! the *observed* throughput of its own jobs and the co-location contexts
 //! they ran in, exactly as in the paper's evaluation (§5).
 
-use std::collections::BTreeMap;
-
 use eva_baselines::NoPackingScheduler;
-use eva_cloud::ProvisionRequest;
 use eva_core::{
     ClusterView, InstanceSnapshot, JobObservation, Plan, PlannedInstance, SchedulerContext,
     TaskSnapshot,
 };
 use eva_interference::TaskContext;
-use eva_types::{InstanceId, TaskId, WorkloadKind};
+use eva_types::{TaskId, WorkloadKind};
 
 use crate::arena::{work_span, Life, NO_SLOT};
 use crate::script::ExecActionKind;
 use crate::state::TaskState;
 use crate::world::{ClusterSim, Event};
 
-/// A round's scheduler snapshot: its task rows, the task slot of each
-/// row, and its instance rows.
-pub(crate) type Snapshot = (Vec<TaskSnapshot>, Vec<u32>, Vec<InstanceSnapshot>);
+/// A round's snapshot and moves, kept to reuse their buffers: the task
+/// rows with each one's slot and host (its instance's listing, [`NO_SLOT`]
+/// for none), the ready rows in ID order with each one's slot, each slot's
+/// listing, and the moves (task, its slot, assignment, listed row).
+#[derive(Debug, Default)]
+pub(crate) struct Snapshot {
+    tasks: Vec<TaskSnapshot>,
+    slots: Vec<u32>,
+    hosts: Vec<u32>,
+    instances: Vec<InstanceSnapshot>,
+    rows: Vec<u32>,
+    listing: Vec<u32>,
+    moves: Vec<(TaskId, u32, usize, u32)>,
+}
 
 impl ClusterSim {
     /// Moves (or first-places) the task in `tslot`, of an active job,
@@ -77,9 +85,7 @@ impl ClusterSim {
         } else {
             self.now()
         };
-        let dest = self.world.insts.rows[dslot as usize].id;
-        let ready_at = self.cloud.instance(dest).map_or(self.now(), |i| i.ready_at);
-        let ready = depart.max(ready_at) + launch;
+        let ready = depart.max(self.world.insts.rows[dslot as usize].ready_at) + launch;
 
         self.world.tasks.state[s] = TaskState::InTransit;
         if had_instance {
@@ -140,12 +146,28 @@ impl ClusterSim {
         })
     }
 
-    /// Builds the scheduler context snapshot in the last round's rows,
-    /// with the task slot of each task row.
+    /// Builds the scheduler context snapshot in the last round's buffers:
+    /// the ready rows first, so that each task row names its host's
+    /// listing.
     pub(crate) fn build_snapshot(&mut self) -> Snapshot {
-        let (mut tasks, mut slots, mut instances) = std::mem::take(&mut self.snapshot_scratch);
-        tasks.clear();
-        slots.clear();
+        let mut snap = std::mem::take(&mut self.snapshot_scratch);
+        let insts = &self.world.insts;
+        snap.instances.clear();
+        snap.rows.clear();
+        snap.listing.clear();
+        snap.listing.resize(insts.rows.len(), NO_SLOT);
+        for s in insts.slots() {
+            let row = &insts.rows[s as usize];
+            if row.life() == Life::Ready {
+                snap.listing[s as usize] = snap.instances.len() as u32;
+                snap.rows.push(s);
+                let (id, type_id) = (row.id, row.type_id);
+                snap.instances.push(InstanceSnapshot { id, type_id });
+            }
+        }
+        snap.tasks.clear();
+        snap.slots.clear();
+        snap.hosts.clear();
         let now = self.now();
         for &jslot in &self.world.jobs.active {
             let spec = self.job_spec(jslot);
@@ -154,8 +176,10 @@ impl ClusterSim {
             for (pos, tspec) in spec.tasks.iter().enumerate() {
                 let tslot = self.world.tasks.slot_by_pos[base + pos];
                 let assigned = self.world.tasks.assigned[tslot as usize];
-                slots.push(tslot);
-                tasks.push(TaskSnapshot {
+                snap.slots.push(tslot);
+                let host = snap.listing.get(assigned as usize);
+                snap.hosts.push(host.copied().unwrap_or(NO_SLOT));
+                snap.tasks.push(TaskSnapshot {
                     id: tspec.id,
                     workload: tspec.workload,
                     demand: tspec.demand,
@@ -169,67 +193,43 @@ impl ClusterSim {
                 });
             }
         }
-        instances.clear();
-        let insts = &self.world.insts;
-        let rows = insts.slots().map(|s| &insts.rows[s as usize]);
-        instances.extend(rows.filter(|row| row.life() == Life::Ready).map(|row| {
-            InstanceSnapshot {
-                id: row.id,
-                type_id: row.type_id,
-            }
-        }));
-        (tasks, slots, instances)
+        snap
     }
 
-    /// Executes a plan: provisions new instances, transfers the tasks in
-    /// `moves` (task → its slot and the index of its destination in
-    /// `plan.assignments`, as [`Plan::moves`] found them), marks
-    /// terminations. A refused provision is counted, and its tasks stay
-    /// where they are.
-    pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: BTreeMap<TaskId, (u32, usize)>) {
-        let dest: Vec<Option<InstanceId>> = plan
-            .assignments
-            .iter()
-            .map(|a| match a.instance {
-                PlannedInstance::Existing(id) => Some(id),
-                PlannedInstance::New(ty) => {
-                    let request = ProvisionRequest {
-                        type_id: ty,
-                        at: self.now(),
-                    };
-                    let Ok(id) = self.cloud.provision(request, &mut self.rng) else {
-                        self.provisions_failed += 1;
-                        return None;
-                    };
-                    self.count_provision(id);
-                    Some(id)
-                }
-            })
-            .collect();
-        // A destination's row, resolved when a task first moves there (a
-        // plan lists every instance it keeps, most of them receiving none).
-        let mut rows: Vec<Option<Option<u32>>> = vec![None; dest.len()];
-        for (tslot, slot) in moves.into_values() {
-            let Some(id) = dest[slot] else {
-                continue;
-            };
-            let row = *rows[slot].get_or_insert_with(|| self.world.insts.ready(id));
-            debug_assert!(row.is_some(), "a task sent to {id}, which is not ready");
-            if let Some(row) = row {
-                self.transfer_task(tslot, row);
+    /// Executes a plan: launches its new instances and transfers the tasks
+    /// of `moves` as [`ClusterSim::handle_round`] found them. A refused
+    /// launch is counted, and its tasks stay where they are.
+    pub(crate) fn execute_plan(&mut self, plan: &Plan, moves: &[(TaskId, u32, usize, u32)]) {
+        let mut launched = Vec::new(); // (assignment, its row)
+        for (k, a) in plan.assignments.iter().enumerate() {
+            if let PlannedInstance::New(type_id) = a.instance {
+                let row = self.launch(type_id);
+                launched.push((k, row));
             }
         }
-        // Defensive: never drain an instance the plan also assigns to.
-        for &id in plan
-            .terminate
-            .iter()
-            .filter(|&&id| !dest.contains(&Some(id)))
-        {
-            if let Some(islot) = self.world.insts.ready(id) {
-                self.world.insts.set_life(islot, Life::Draining);
+        for &(_, tslot, k, row) in moves {
+            let new = launched.iter().find(|l| l.0 == k);
+            debug_assert!(
+                new.is_some() || row != NO_SLOT,
+                "a task sent to an unlisted instance"
+            );
+            match new.map_or(row, |l| l.1) {
+                NO_SLOT => {}
+                row => self.transfer_task(tslot, row),
             }
         }
         self.try_terminations();
+    }
+
+    /// Calls `f` with the context and view a round would plan on now: a
+    /// test hook that holds the view to [`ClusterView::of`] of the context.
+    #[doc(hidden)]
+    pub fn round_view<R>(&mut self, f: impl FnOnce(&SchedulerContext, &ClusterView) -> R) -> R {
+        let snap = self.build_snapshot();
+        let ctx = SchedulerContext::new(self.now(), &self.catalog, &snap.tasks, &snap.instances);
+        let out = f(&ctx, &ClusterView::with_hosts(&ctx, &snap.hosts));
+        self.snapshot_scratch = snap;
+        out
     }
 
     /// One scheduling round: observe, plan, execute, and re-arm the next
@@ -241,25 +241,39 @@ impl ClusterSim {
         let mut scheduler = std::mem::replace(&mut self.scheduler, Box::new(NoPackingScheduler));
         scheduler.observe(&mut self.observations());
         self.scheduler = scheduler;
-        let (tasks, slots, instances) = self.build_snapshot();
-        let ctx = SchedulerContext {
-            now: self.now(),
-            catalog: &self.catalog,
-            tasks: &tasks,
-            instances: &instances,
-        };
-        let view = ClusterView::of(&ctx);
+        let mut snap = self.build_snapshot();
+        let ctx = SchedulerContext::new(self.now(), &self.catalog, &snap.tasks, &snap.instances);
+        let view = ClusterView::with_hosts(&ctx, &snap.hosts);
         let plan = self.scheduler.plan_in(&ctx, &view);
-        // Diffed against the view the scheduler saw; in task order, a
-        // task listed twice going where its last listing says.
-        let moves = plan.moves(&view);
-        let moves = moves.map(|m| (m.task.id, (slots[m.pos], m.slot))).collect();
-        self.rounds += 1;
-        if plan.full_reconfiguration {
-            self.full_rounds += 1;
+        // Diffed against the view the scheduler saw, each listed instance
+        // resolved to its row there. In task order, a task listed twice
+        // going where its last listing says (the stable sort keeps the
+        // reversed order).
+        let row = |id| view.slot(id).map_or(NO_SLOT, |i| snap.rows[i]);
+        snap.moves.clear();
+        for m in plan.moves(&view) {
+            let to = match plan.assignments[m.slot].instance {
+                PlannedInstance::Existing(id) => row(id),
+                PlannedInstance::New(_) => NO_SLOT,
+            };
+            snap.moves.push((m.task.id, snap.slots[m.pos], m.slot, to));
         }
-        self.execute_plan(&plan, moves);
-        self.snapshot_scratch = (tasks, slots, instances);
+        snap.moves.reverse();
+        snap.moves.sort_by_key(|m| m.0);
+        snap.moves.dedup_by_key(|m| m.0);
+        // Drain what the plan terminates, never an instance it assigns to.
+        let kept = |id| PlannedInstance::Existing(id);
+        let kept = |id| plan.assignments.iter().any(|a| a.instance == kept(id));
+        for &id in plan.terminate.iter().filter(|&&id| !kept(id)) {
+            if let Some(i) = view.slot(id) {
+                self.world.insts.set_life(snap.rows[i], Life::Draining);
+            }
+        }
+        drop(view);
+        self.rounds += 1;
+        self.full_rounds += plan.full_reconfiguration as u64;
+        self.execute_plan(&plan, &snap.moves);
+        self.snapshot_scratch = snap;
         self.recompute_completions();
 
         if !self.world.jobs.active.is_empty() {

@@ -23,12 +23,12 @@ use rand::rngs::StdRng;
 use eva_baselines::{
     NoPackingScheduler, OracleProfile, OwlScheduler, StratusScheduler, SynergyScheduler,
 };
-use eva_cloud::{Catalog, CloudProvider, DelayModel};
+use eva_cloud::{Catalog, CloudProvider, DelayModel, ProvisionRequest};
 use eva_core::{EvaScheduler, Scheduler};
 use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{add_lanes, lanes, quantize, work_of, Life, WorldArena, NO_SLOT};
+use crate::arena::{add_lanes, id_order, lanes, quantize, work_of, Life, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -170,6 +170,33 @@ fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
             || distinct_indices(&job.tasks))
 }
 
+/// `trace` less each job whose ID an earlier job holds (dropped as the
+/// streamed door drops it), and its ID order: dropping keeps the other
+/// jobs' order, so the order is re-indexed rather than sorted again.
+fn distinct_ids(trace: TraceHandle) -> (TraceHandle, Vec<u32>) {
+    let (jobs, order) = (trace.jobs(), id_order(trace.jobs()));
+    let repeats = |w: &&[u32]| jobs[w[0] as usize].id == jobs[w[1] as usize].id;
+    if !order.windows(2).any(|w| repeats(&w)) {
+        return (trace, order);
+    }
+    let mut keep = vec![true; jobs.len()];
+    for w in order.windows(2).filter(repeats) {
+        let later = w[1] as usize;
+        eprintln!(
+            "warning: dropping {}, whose id an active job holds",
+            jobs[later].id
+        );
+        keep[later] = false;
+    }
+    let kept_before = keep
+        .iter()
+        .scan(0, |n, &k| Some(std::mem::replace(n, *n + k as u32)));
+    let index: Vec<u32> = kept_before.collect();
+    let order = order.iter().filter(|&&i| keep[i as usize]);
+    let order = order.map(|&i| index[i as usize]).collect();
+    (TraceHandle::new(trace.subset(&keep)), order)
+}
+
 /// True when no two of `tasks` share an index (tasks declared out of
 /// index order; every generator declares them in order).
 #[cold]
@@ -186,7 +213,8 @@ impl ClusterSim {
     /// with a warning (the paper likewise removes them from the trace,
     /// §6.1); otherwise they could never complete and the simulation would
     /// not terminate. So are jobs of 2³² ms (49.7 days) of work or more,
-    /// which a progress lane cannot hold.
+    /// which a progress lane cannot hold, and each job whose ID an earlier
+    /// job of the trace holds.
     pub fn new(cfg: &SimConfig) -> Self {
         // Compile the fault plan from the *caller's* trace handle, before
         // feasibility filtering — the live backend compiles from the same
@@ -206,6 +234,7 @@ impl ClusterSim {
             }
             TraceHandle::new(Trace::new(feasible))
         };
+        let (trace, order) = distinct_ids(trace);
         let dropped_jobs = (cfg.trace.len() - trace.len()) as u64;
         let cfg = SimConfig {
             trace,
@@ -230,7 +259,7 @@ impl ClusterSim {
         };
         let delays = DelayModel::table1(cfg.fidelity);
         let cloud = CloudProvider::new(catalog.clone(), delays);
-        let world = WorldArena::from_trace(cfg.trace.trace());
+        let world = WorldArena::in_order(cfg.trace.trace(), &order);
 
         let mut sim = ClusterSim {
             catalog,
@@ -751,8 +780,8 @@ impl ClusterSim {
 
     /// Jobs dropped so far: no catalog type can host a task of theirs,
     /// their work does not fit a progress lane, their tasks do not carry
-    /// the job's ID under distinct indices, or (streamed) an active job
-    /// holds their ID.
+    /// the job's ID under distinct indices, or another job holds their ID
+    /// (streamed: an active one; batch: one earlier in the trace).
     pub fn jobs_dropped(&self) -> u64 {
         self.dropped_jobs
     }
@@ -1110,14 +1139,22 @@ impl ClusterSim {
 
     // ----- incremental integral accounting -------------------------------
 
-    /// Adds a freshly provisioned instance's row to the table. The
-    /// provider only provisions cataloged types, and the world's catalog
-    /// is the provider's.
-    pub(crate) fn count_provision(&mut self, id: InstanceId) {
-        let Some(ty) = self.cloud.instance_type(id) else {
-            return;
+    /// Provisions an instance of `type_id` (a cataloged type, as the world's
+    /// catalog is the provider's) and returns its new row, or [`NO_SLOT`].
+    pub(crate) fn launch(&mut self, type_id: eva_types::InstanceTypeId) -> u32 {
+        let at = self.now();
+        let Ok(id) = self
+            .cloud
+            .provision(ProvisionRequest { type_id, at }, &mut self.rng)
+        else {
+            self.provisions_failed += 1;
+            return NO_SLOT;
         };
-        self.world.insts.insert(id, ty.id, lanes(ty.capacity));
+        let inst = self.cloud.instance(id).expect("a provisioned instance");
+        let ty = self.catalog.get(inst.type_id).expect("a cataloged type");
+        self.world
+            .insts
+            .insert(id, ty.id, inst.ready_at, lanes(ty.capacity))
     }
 
     /// Maps (unmaps) the task in `tslot` onto (from) instance slot

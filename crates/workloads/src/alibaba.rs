@@ -130,7 +130,7 @@ impl AlibabaTraceConfig {
 }
 
 /// Samples a GPU count from the Table 8 mix.
-pub fn sample_gpu_count<R: Rng + ?Sized>(rng: &mut R) -> u32 {
+fn sample_gpu_count<R: Rng + ?Sized>(rng: &mut R) -> u32 {
     let u: f64 = rng.gen();
     let mut acc = 0.0;
     for (gpus, p) in TABLE8_GPU_MIX {

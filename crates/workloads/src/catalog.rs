@@ -36,7 +36,7 @@ pub struct WorkloadInfo {
 
 impl WorkloadInfo {
     /// True when the workload needs at least one GPU on P3 instances.
-    pub fn is_gpu(&self) -> bool {
+    fn is_gpu(&self) -> bool {
         self.demand.default.gpu > 0
     }
 

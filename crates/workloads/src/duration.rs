@@ -92,7 +92,7 @@ impl Default for AlibabaDurations {
 
 impl AlibabaDurations {
     /// Inverse CDF at probability `p ∈ [0, 1]` (hours).
-    pub fn inverse_cdf(&self, p: f64) -> f64 {
+    fn inverse_cdf(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         for w in self.knots.windows(2) {
             let (p0, h0) = w[0];

@@ -60,7 +60,7 @@ impl MultiGpuMix {
 }
 
 /// Draws 2, 4, or 8 GPUs with the paper's 5:4:1 weights.
-pub fn sample_multi_gpu_count<R: Rng + ?Sized>(rng: &mut R) -> u32 {
+fn sample_multi_gpu_count<R: Rng + ?Sized>(rng: &mut R) -> u32 {
     match rng.gen_range(0..10) {
         0..=4 => 2,
         5..=8 => 4,

@@ -25,7 +25,7 @@ use eva::prelude::*;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cli {
+struct Cli {
     command: Command,
 }
 
@@ -177,7 +177,7 @@ impl Default for ServeArgs {
 }
 
 /// Parses arguments (exposed for testing).
-pub fn parse(args: &[String]) -> Result<Cli, String> {
+fn parse(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter();
     let command = match it.next().map(String::as_str) {
         Some("simulate") => Command::Simulate(parse_sim_args(it, false)?.sim),

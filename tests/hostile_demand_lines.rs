@@ -191,3 +191,30 @@ fn jobs_whose_ids_collide_are_counted_as_dropped() {
     assert_eq!(sim.lines_rejected(), 0);
     assert_eq!(sim.run().jobs_completed as u64, n - 2);
 }
+
+#[test]
+fn a_batch_job_whose_id_an_earlier_one_holds_is_dropped() {
+    // Job 1 takes job 0's id (its tasks too) and arrival: the batch
+    // constructor drops it, as the streamed door would.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(7).into_jobs();
+    let n = jobs.len() as u64;
+    let (id, arrival) = (jobs[0].id, jobs[0].arrival);
+    jobs[1].id = id;
+    jobs[1].arrival = arrival;
+    jobs[1]
+        .tasks
+        .iter_mut()
+        .for_each(|t| t.id = TaskId::new(id, t.id.index));
+    let mut cfg = SimConfig::new(TraceHandle::new(Trace::new(jobs)), SchedulerKind::Stratus);
+    cfg.seed = 1;
+    let mut sim = ClusterSim::new(&cfg);
+    assert_eq!(sim.jobs_dropped(), 1);
+    let mut steps = 0u64;
+    while sim.step() {
+        steps += 1;
+        sim.audit_slots()
+            .unwrap_or_else(|e| panic!("step {steps}: {e}"));
+        assert!(steps < 200_000, "the world never drained");
+    }
+    assert_eq!(sim.run().jobs_completed as u64, n - 1);
+}

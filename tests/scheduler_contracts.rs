@@ -232,7 +232,7 @@ proptest! {
                 tasks.iter().filter(|t| t.assigned_to == Some(inst.id)).collect();
             let used: ResourceVector = residents.iter().map(|t| ty.demand_of(&t.demand)).sum();
             prop_assert_eq!((got.id, got.type_id, got.ty), (inst.id, inst.type_id, Some(ty)));
-            prop_assert_eq!(&got.residents, &residents);
+            prop_assert_eq!(view.residents(got), &residents[..]);
             prop_assert_eq!(got.used, used);
             prop_assert_eq!(view.instance(inst.id).map(|i| i.id), Some(inst.id));
         }
@@ -296,7 +296,7 @@ fn cluster_view_lookups_answer_with_the_first_listing() {
     let rows: Vec<(u64, u32, usize)> = view
         .instances
         .iter()
-        .map(|i| (i.id.0, i.type_id.0, i.residents.len()))
+        .map(|i| (i.id.0, i.type_id.0, view.residents(i).len()))
         .collect();
     assert_eq!(rows, vec![(7, 3, 2), (2, 0, 1), (7, 5, 0), (4, 1, 1)]);
     assert_eq!(view.instance(InstanceId(7)).unwrap().type_id.0, 3);
