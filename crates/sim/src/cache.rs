@@ -1,6 +1,6 @@
 //! Persistent, content-keyed report cache shared across experiments.
 //!
-//! Every `exp_*` binary and `eva sweep` runs grids of cells, and many
+//! `eva repro` and `eva sweep` run grids of cells, and many
 //! cells recur across experiments (fig4's No-Packing baseline is
 //! table13's No-Packing baseline on the same trace). A [`ReportCache`]
 //! memoizes finished cell reports on disk — under `results/cache/` by

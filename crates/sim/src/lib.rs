@@ -21,18 +21,17 @@
 //!   [`eva_workloads::TraceHandle`]; one long trace is [`serve()`]'s job,
 //!   and a sweep fills its threads with cells.
 //! * [`pool`] + [`cache`] — **layer 3 machinery**: the generic
-//!   deduplicating, longest-first, parallel [`CellPool`] every sweep
-//!   (simulation or solver-level) runs on, and the persistent
-//!   content-keyed [`ReportCache`] under `results/cache/` that turns
-//!   cross-experiment reruns into cache hits.
+//!   deduplicating, longest-first, parallel cell pool every sweep runs
+//!   on, and the persistent content-keyed [`ReportCache`] under
+//!   `results/cache/` that turns cross-experiment reruns into cache hits.
 //!
 //! Job progress integrates throughput over time exactly: throughput is
 //! piecewise-constant between events, so completion times are computed in
 //! closed form and re-derived whenever any co-location changes.
 //!
 //! [`SimConfig`] + [`run_simulation`] remain the single-cell experiment
-//! entry point used by every table/figure binary in `eva-bench`; the
-//! sweep layer is the batch entry point behind `eva sweep`.
+//! entry point; the sweep layer is the batch entry point behind `eva
+//! sweep` and `eva repro`.
 
 pub use eva_engine as engine;
 
@@ -56,7 +55,7 @@ pub use cache::{ReportCache, SCHEMA_VERSION};
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
 pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
-pub use pool::{CellPool, PoolStats, RunPlan};
+pub use pool::PoolStats;
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};
 pub use serve::{serve, ServeConfig, ServeOutcome};

@@ -1,7 +1,6 @@
 //! The generic parallel cell executor behind every sweep.
 //!
-//! [`CellPool`] is the machinery [`crate::SweepRunner`] and the
-//! solver-level micro-benchmark sweeps in `eva-bench` share: given `n`
+//! `CellPool` is the machinery under [`crate::SweepRunner`]: given `n`
 //! logical cells described by closures, it
 //!
 //! 1. **deduplicates** cells whose fingerprint matches (the first
@@ -60,22 +59,22 @@ impl PoolStats {
 /// represents each cell, and the representative execution order
 /// (longest first, index-tiebroken — fully deterministic).
 #[derive(Debug, Clone)]
-pub struct RunPlan {
+pub(crate) struct RunPlan {
     /// For every cell index, the index of its representative.
-    pub rep_of: Vec<usize>,
+    pub(crate) rep_of: Vec<usize>,
     /// Representative indices in execution order.
-    pub order: Vec<usize>,
+    pub(crate) order: Vec<usize>,
     /// Memoized fingerprint of every cell. The fingerprint closure runs
     /// exactly once per cell — dedup and every later cache lookup reuse
     /// these strings instead of re-deriving them.
-    pub keys: Vec<String>,
+    pub(crate) keys: Vec<String>,
 }
 
 impl RunPlan {
     /// Builds the plan from per-cell fingerprint and cost functions.
     /// `fingerprint` is invoked once per cell; the strings are kept on
     /// the plan ([`RunPlan::keys`]) for cache keying.
-    pub fn build(
+    pub(crate) fn build(
         count: usize,
         fingerprint: &(dyn Fn(usize) -> String + Sync),
         cost: &(dyn Fn(usize) -> u64 + Sync),
@@ -96,7 +95,7 @@ impl RunPlan {
     }
 
     /// Cells that actually execute after deduplication.
-    pub fn unique_count(&self) -> usize {
+    pub(crate) fn unique_count(&self) -> usize {
         self.order.len()
     }
 }
@@ -104,14 +103,14 @@ impl RunPlan {
 /// Multi-threaded, deduplicating, cache-backed executor for generic
 /// cells.
 #[derive(Debug, Clone, Copy)]
-pub struct CellPool {
+pub(crate) struct CellPool {
     threads: usize,
 }
 
 impl CellPool {
     /// A pool over `threads` workers; 0 selects the machine's available
     /// parallelism.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -123,7 +122,7 @@ impl CellPool {
     }
 
     /// The worker count this pool resolved to.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -139,7 +138,7 @@ impl CellPool {
     ///   experiments), not positional.
     /// * `run(i)` — computes the cell; must be a pure function of the
     ///   fingerprint.
-    pub fn run<R>(
+    pub(crate) fn run<R>(
         &self,
         count: usize,
         fingerprint: &(dyn Fn(usize) -> String + Sync),
@@ -150,49 +149,28 @@ impl CellPool {
     where
         R: Clone + Send + Serialize + Deserialize,
     {
-        let (results, _, stats) = self.run_flagged(count, fingerprint, cost, cache, run);
-        (results, stats)
-    }
-
-    /// [`CellPool::run`], additionally reporting **per logical cell**
-    /// whether its value was replayed from the persistent cache rather
-    /// than computed this run (duplicates inherit their representative's
-    /// flag). Timing-sensitive sweeps use this to stamp replayed rows in
-    /// their artifacts, so downstream consumers can tell a stored
-    /// measurement from a fresh one.
-    pub fn run_flagged<R>(
-        &self,
-        count: usize,
-        fingerprint: &(dyn Fn(usize) -> String + Sync),
-        cost: &(dyn Fn(usize) -> u64 + Sync),
-        cache: Option<&ReportCache>,
-        run: &(dyn Fn(usize) -> R + Sync),
-    ) -> (Vec<R>, Vec<bool>, PoolStats)
-    where
-        R: Clone + Send + Serialize + Deserialize,
-    {
         let plan = RunPlan::build(count, fingerprint, cost);
         let executed = AtomicUsize::new(0);
         let cache_hits = AtomicUsize::new(0);
 
-        // Representative `i` as `(result, replayed)`: from the cache when
-        // it holds `i`, otherwise computed (and stored).
-        let settle = |i: usize| -> (R, bool) {
+        // Representative `i`: from the cache when it holds `i`, otherwise
+        // computed (and stored).
+        let settle = |i: usize| -> R {
             let key = &plan.keys[i];
             if let Some(hit) = cache.and_then(|cache| cache.lookup::<R>(key)) {
                 cache_hits.fetch_add(1, Ordering::Relaxed);
-                return (hit, true);
+                return hit;
             }
             executed.fetch_add(1, Ordering::Relaxed);
             let fresh = run(i);
             if let Some(cache) = cache {
                 cache.store(key, &fresh);
             }
-            (fresh, false)
+            fresh
         };
 
         // Every representative once, longest first, on the pool's threads.
-        let slots: Vec<Mutex<Option<(R, bool)>>> = (0..count).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(plan.order.len()).max(1);
         std::thread::scope(|scope| {
@@ -206,7 +184,7 @@ impl CellPool {
                 });
             }
         });
-        let representatives: Vec<Option<(R, bool)>> = slots
+        let representatives: Vec<Option<R>> = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
@@ -214,23 +192,22 @@ impl CellPool {
             })
             .collect();
 
-        let (results, from_cache): (Vec<R>, Vec<bool>) = plan
+        let results: Vec<R> = plan
             .rep_of
             .iter()
             .map(|&rep| {
-                let (result, cached) = representatives[rep]
-                    .as_ref()
-                    .expect("every representative cell was claimed and completed");
-                (result.clone(), *cached)
+                representatives[rep]
+                    .clone()
+                    .expect("every representative cell was claimed and completed")
             })
-            .unzip();
+            .collect();
         let stats = PoolStats {
             total: count,
             unique: plan.unique_count(),
             executed: executed.into_inner(),
             cache_hits: cache_hits.into_inner(),
         };
-        (results, from_cache, stats)
+        (results, stats)
     }
 }
 
@@ -289,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn flags_mark_cached_cells_and_fan_out_to_duplicates() {
+    fn warm_duplicates_fan_out_from_one_cache_hit() {
         let dir = std::env::temp_dir().join(format!("eva-pool-flag-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ReportCache::new(&dir);
@@ -297,14 +274,19 @@ mod tests {
         let fp = |i: usize| format!("group-{}", i % 2);
         let run = |i: usize| (i % 2) as u64;
         let pool = CellPool::new(2);
-        let (_, flags, _) = pool.run_flagged(4, &fp, &|_| 1, Some(&cache), &run);
-        assert_eq!(flags, vec![false; 4], "cold run computes everything");
-        let (_, flags, stats) = pool.run_flagged(4, &fp, &|_| 1, Some(&cache), &run);
-        assert_eq!(flags, vec![true; 4], "warm duplicates inherit the hit");
-        assert!(stats.all_cached());
+        let (_, cold) = pool.run(4, &fp, &|_| 1, Some(&cache), &run);
+        assert_eq!((cold.unique, cold.executed, cold.cache_hits), (2, 2, 0));
+        let (warm_results, warm) = pool.run(4, &fp, &|_| 1, Some(&cache), &run);
+        assert_eq!(
+            warm_results,
+            vec![0, 1, 0, 1],
+            "warm duplicates inherit the hit"
+        );
+        assert_eq!((warm.unique, warm.executed, warm.cache_hits), (2, 0, 2));
+        assert!(warm.all_cached());
         // Without a cache nothing can be a replay.
-        let (_, flags, _) = pool.run_flagged(4, &fp, &|_| 1, None, &run);
-        assert_eq!(flags, vec![false; 4]);
+        let (_, uncached) = pool.run(4, &fp, &|_| 1, None, &run);
+        assert_eq!(uncached.cache_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,8 +41,7 @@ impl SchedulerKind {
         }
     }
 
-    /// Resolves a CLI-style scheduler name (the canonical parser shared by
-    /// the `eva` CLI and the `exp_*` binaries).
+    /// Resolves a CLI-style scheduler name (the `eva` CLI's parser).
     pub fn from_name(name: &str) -> Result<SchedulerKind, String> {
         Ok(match name.to_ascii_lowercase().as_str() {
             "eva" => SchedulerKind::Eva(EvaConfig::eva()),

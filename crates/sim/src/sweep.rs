@@ -3,7 +3,7 @@
 //! Every result in the paper is a grid of `(scheduler × trace × seed ×
 //! fidelity × interference × backend)` cells. [`SweepGrid`] declares such
 //! a grid once; [`SweepRunner`] fans the cells out across scoped worker
-//! threads (via the generic [`crate::pool::CellPool`]) and merges the
+//! threads (via the generic cell pool of [`crate::pool`]) and merges the
 //! per-cell [`SimReport`]s back **in stable cell order**, so the
 //! aggregated result — including its JSON serialization — is
 //! byte-identical for any thread count. Determinism holds because each

@@ -139,7 +139,6 @@ pub struct ClusterSim {
     pub(crate) fault_tokens: Vec<CancelToken>,
     pub(crate) active_stragglers: BTreeMap<usize, InstanceId>,
     pub(crate) preemption_log: Vec<(SimTime, InstanceId)>,
-    pub(crate) dropped_checkpoints: u64,
 
     // Metric accumulators (time integrals in hours).
     pub(crate) task_running_hours: f64,
@@ -286,7 +285,6 @@ impl ClusterSim {
             fault_tokens: Vec::new(),
             active_stragglers: BTreeMap::new(),
             preemption_log: Vec::new(),
-            dropped_checkpoints: 0,
             task_running_hours: 0.0,
             alloc_integral: [0.0; 3],
             capacity_integral: [0.0; 3],
@@ -656,7 +654,6 @@ impl ClusterSim {
                 self.world.jobs.mark_dirty(victim, now);
                 let p = &mut self.world.jobs.progress[victim as usize];
                 p.remaining += (p.total - p.remaining) / CKPT_DROP_DIVISOR;
-                self.dropped_checkpoints += 1;
                 self.recompute_completions();
             }
             FaultAction::Straggler { factor, .. } => {
@@ -704,11 +701,6 @@ impl ClusterSim {
         &self.preemption_log
     }
 
-    /// Sim-side checkpoint drops injected so far.
-    pub fn dropped_checkpoints(&self) -> u64 {
-        self.dropped_checkpoints
-    }
-
     /// Tasks currently mapped to `instance` (running or in transit).
     pub fn tasks_on(&self, instance: InstanceId) -> usize {
         let insts = &self.world.insts;
@@ -720,11 +712,6 @@ impl ClusterSim {
     /// The cloud provider (for invariant checks in tests).
     pub fn provider(&self) -> &CloudProvider {
         &self.cloud
-    }
-
-    /// The compiled fault plan this world injects.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Audits the world's slot bookkeeping (for invariant checks in

@@ -37,10 +37,10 @@ pub mod prelude {
     pub use eva_cloud::{Catalog, CloudProvider, DelayModel, FidelityMode};
     pub use eva_core::{EvaConfig, EvaScheduler, Plan, Scheduler, SchedulerContext, TaskSnapshot};
     pub use eva_sim::{
-        run_recorded, run_simulation, serve, BackendKind, CellPool, ClusterSim, FaultPlan,
-        FaultRegime, FaultSpec, LiveBackend, LiveOutcome, MetricsRegistry, MetricsSnapshot,
-        PoolStats, ReportCache, SchedulerKind, ServeConfig, ServeOutcome, SimConfig, SimReport,
-        SweepGrid, SweepResult, SweepRunner, SCHEMA_VERSION,
+        run_recorded, run_simulation, serve, BackendKind, ClusterSim, FaultPlan, FaultRegime,
+        FaultSpec, LiveBackend, LiveOutcome, MetricsRegistry, MetricsSnapshot, PoolStats,
+        ReportCache, SchedulerKind, ServeConfig, ServeOutcome, SimConfig, SimReport, SweepGrid,
+        SweepResult, SweepRunner, SCHEMA_VERSION,
     };
     pub use eva_types::{
         Cost, DemandSpec, InstanceId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,

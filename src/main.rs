@@ -15,13 +15,20 @@
 //! eva serve    --source synthetic:RATE|trace:PATH|stdin
 //!              [--scheduler NAME] [--seed N] [--period MINS]
 //!              [--duration HOURS] [--metrics-every SECS] [--max-jobs N]
+//! eva repro    <table>|all [--full] [--threads N]
+//!              [--faults REGIME[:INTENSITY]]
+//!              [--cache] [--no-cache] [--cache-dir DIR]
 //! eva workloads        # print the Table 7 workload catalog
 //! eva catalog          # print the 21-type AWS instance catalog
 //! ```
+//!
+//! A flag error exits 2 before anything is printed; a failed run exits 1.
 
 use std::process::ExitCode;
 
 use eva::prelude::*;
+
+mod repro;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +42,11 @@ enum Command {
     Compare(SimArgs),
     Sweep(SweepArgs),
     Serve(ServeArgs),
+    /// `eva repro <table>|all`: a table name checked by [`repro::check`].
+    Repro {
+        table: String,
+        args: SweepArgs,
+    },
     Workloads,
     Catalog,
     Help,
@@ -84,6 +96,8 @@ struct SweepArgs {
     cache: bool,
     /// Cache directory (`results/cache` when unset).
     cache_dir: Option<String>,
+    /// `repro` only: the paper-scale configurations.
+    full: bool,
 }
 
 impl Default for SweepArgs {
@@ -101,6 +115,7 @@ impl Default for SweepArgs {
             backends: vec!["sim".into()],
             cache: false,
             cache_dir: None,
+            full: false,
         }
     }
 }
@@ -180,10 +195,18 @@ impl Default for ServeArgs {
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter();
     let command = match it.next().map(String::as_str) {
-        Some("simulate") => Command::Simulate(parse_sim_args(it, false)?.sim),
-        Some("compare") => Command::Compare(parse_sim_args(it, false)?.sim),
-        Some("sweep") => Command::Sweep(parse_sim_args(it, true)?),
+        Some("simulate") => Command::Simulate(parse_sim_args(it, Flags::Run)?.sim),
+        Some("compare") => Command::Compare(parse_sim_args(it, Flags::Run)?.sim),
+        Some("sweep") => Command::Sweep(parse_sim_args(it, Flags::Sweep)?),
         Some("serve") => Command::Serve(parse_serve_args(it)?),
+        Some("repro") => {
+            let table = it.next().map_or("", String::as_str);
+            repro::check(table)?;
+            Command::Repro {
+                table: table.to_string(),
+                args: parse_sim_args(it, Flags::Repro)?,
+            }
+        }
         Some("workloads") => Command::Workloads,
         Some("catalog") => Command::Catalog,
         Some("help") | Some("--help") | Some("-h") | None => Command::Help,
@@ -192,16 +215,41 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(Cli { command })
 }
 
+/// Which subcommand's flags [`parse_sim_args`] accepts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Flags {
+    /// `simulate` and `compare`: one trace under one scheduler.
+    Run,
+    /// `sweep`: the trace flags, the grid's axes and the report cache.
+    Sweep,
+    /// `repro`: [`REPRO_FLAGS`] only, since every table fixes its trace.
+    Repro,
+}
+
+/// The flags `eva repro` takes.
+const REPRO_FLAGS: [&str; 6] = [
+    "--threads",
+    "--faults",
+    "--cache",
+    "--no-cache",
+    "--cache-dir",
+    "--full",
+];
+
 fn parse_sim_args<'a>(
     mut it: impl Iterator<Item = &'a String>,
-    sweep: bool,
+    mode: Flags,
 ) -> Result<SweepArgs, String> {
+    let sweep = mode == Flags::Sweep;
     let mut args = SweepArgs::default();
     while let Some(flag) = it.next() {
+        if mode == Flags::Repro && !REPRO_FLAGS.contains(&flag.as_str()) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
         let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
+                .ok_or_else(|| format!("{flag}: the flag needs a value"))
         };
         match flag.as_str() {
             "--jobs" => args.sim.jobs = value()?.parse().map_err(|e| format!("--jobs: {e}"))?,
@@ -211,8 +259,14 @@ fn parse_sim_args<'a>(
                     return Err("--rate: must be a positive number of jobs per hour".into());
                 }
             }
-            "--scheduler" if !sweep => args.sim.scheduler = value()?,
-            "--durations" => args.sim.durations = value()?,
+            "--scheduler" if mode == Flags::Run => {
+                args.sim.scheduler = value()?;
+                SchedulerKind::from_name(&args.sim.scheduler)?;
+            }
+            "--durations" => {
+                args.sim.durations = value()?;
+                duration_model(&args.sim.durations)?;
+            }
             "--seed" => args.sim.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--period" => {
                 args.sim.period_mins = value()?.parse().map_err(|e| format!("--period: {e}"))?;
@@ -245,15 +299,16 @@ fn parse_sim_args<'a>(
                     BackendKind::from_name(name).map_err(|e| format!("--backend: {e}"))?;
                 }
             }
-            "--cache" if sweep => args.cache = true,
-            "--no-cache" if sweep => {
+            "--cache" if mode != Flags::Run => args.cache = true,
+            "--no-cache" if mode != Flags::Run => {
                 args.cache = false;
                 args.cache_dir = None;
             }
-            "--cache-dir" if sweep => {
+            "--cache-dir" if mode != Flags::Run => {
                 args.cache_dir = Some(value()?);
                 args.cache = true;
             }
+            "--full" if mode == Flags::Repro => args.full = true,
             "--json" => args.sim.json = Some(value()?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -267,7 +322,7 @@ fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Serv
         let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
+                .ok_or_else(|| format!("{flag}: the flag needs a value"))
         };
         match flag.as_str() {
             "--source" => args.source = ServeSource::parse(&value()?)?,
@@ -307,18 +362,32 @@ fn parse_serve_args<'a>(mut it: impl Iterator<Item = &'a String>) -> Result<Serv
     Ok(args)
 }
 
+fn duration_model(name: &str) -> Result<DurationModelChoice, String> {
+    match name.to_ascii_lowercase().as_str() {
+        "alibaba" => Ok(DurationModelChoice::Alibaba),
+        "gavel" => Ok(DurationModelChoice::Gavel),
+        other => Err(format!("unknown duration model `{other}`")),
+    }
+}
+
 fn build_trace(args: &SimArgs) -> Result<Trace, String> {
-    let durations = match args.durations.to_ascii_lowercase().as_str() {
-        "alibaba" => DurationModelChoice::Alibaba,
-        "gavel" => DurationModelChoice::Gavel,
-        other => return Err(format!("unknown duration model `{other}`")),
-    };
     let cfg = AlibabaTraceConfig {
         num_jobs: args.jobs,
         arrival_rate_per_hour: args.rate,
-        durations,
+        durations: duration_model(&args.durations)?,
     };
     Ok(cfg.generate(args.seed))
+}
+
+/// The sweep runner `args` select: `--threads` workers, plus the report
+/// cache under `--cache` or `--cache-dir` (default `results/cache`).
+fn runner(args: &SweepArgs) -> SweepRunner {
+    let runner = SweepRunner::new(args.sim.threads);
+    if !args.cache {
+        return runner;
+    }
+    let dir = args.cache_dir.as_deref().unwrap_or("results/cache");
+    runner.with_cache(ReportCache::new(dir))
 }
 
 fn round_period(args: &SimArgs) -> SimDuration {
@@ -334,6 +403,7 @@ fn run(cli: Cli) -> Result<(), String> {
                  eva compare  [--jobs N] [--rate J/HR] [--durations ...] [--seed N] [--period MINS] [--faults REGIME[:INT]] [--threads N]\n  \
                  eva sweep    [--jobs N] [--rate J/HR] [--durations ...] [--schedulers A,B,..] [--seeds S1,S2,..] [--backend sim|live|sim,live] [--faults REGIME[:INT]] [--threads N] [--cache] [--no-cache] [--cache-dir DIR] [--period MINS] [--json FILE]\n  \
                  eva serve    --source synthetic:RATE|trace:PATH|stdin [--scheduler NAME] [--seed N] [--period MINS] [--duration HOURS] [--metrics-every SECS] [--max-jobs N]\n  \
+                 eva repro    <table>|all [--full] [--threads N] [--faults REGIME[:INT]] [--cache] [--no-cache] [--cache-dir DIR]\n  \
                  eva workloads\n  eva catalog\n\n\
                  SCHEDULERS: {}\n  BACKENDS: {} (`--backend sim,live` adds a grid axis: live cells\n\
                  replay the schedule through the real master/worker runtime)\n  \
@@ -347,9 +417,12 @@ fn run(cli: Cli) -> Result<(), String> {
                  and the longest cells are claimed first. A single `simulate` run is\n\
                  one cell, so `--threads` is accepted there but has no effect.\n\n\
                  `--cache` / `--cache-dir DIR` memoize cell reports on disk (default\n\
-                 DIR results/cache, shared with the exp_* binaries, keyed by trace\n\
+                 DIR results/cache, shared by sweep and repro, keyed by trace\n\
                  content + all knobs + code schema version); a warm rerun simulates\n\
-                 zero cells. `--no-cache` is the CLI default.",
+                 zero cells. `--no-cache` is the default.\n\n\
+                 `eva repro` prints one of the paper's tables or figures and writes\n\
+                 its results/*.json (`eva repro` alone lists the names); `all` runs\n\
+                 every one in paper order, and `--full` the paper-scale configurations.",
                 SchedulerKind::names().join(", "),
                 BackendKind::names().join(", "),
                 FaultRegime::names().join(", ")
@@ -422,14 +495,7 @@ fn run(cli: Cli) -> Result<(), String> {
                 .backends(backends)
                 .faults(vec![args.sim.faults])
                 .round_period(round_period(&args.sim));
-            let mut runner = SweepRunner::new(args.sim.threads);
-            if args.cache {
-                let dir = args
-                    .cache_dir
-                    .clone()
-                    .unwrap_or_else(|| "results/cache".to_string());
-                runner = runner.with_cache(ReportCache::new(dir));
-            }
+            let runner = runner(&args);
             println!(
                 "sweeping {} cells ({} schedulers × {} seeds × {} backends, {} jobs) on {} threads...",
                 grid.cell_count(),
@@ -458,6 +524,14 @@ fn run(cli: Cli) -> Result<(), String> {
             }
         }
         Command::Serve(args) => run_serve(args)?,
+        Command::Repro { table, args } => repro::run(
+            &table,
+            &repro::Repro {
+                runner: runner(&args),
+                faults: args.sim.faults,
+                full: args.full,
+            },
+        )?,
     }
     Ok(())
 }
@@ -530,11 +604,15 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args).and_then(run) {
+    let (result, failure) = match parse(&args) {
+        Ok(cli) => (run(cli), ExitCode::FAILURE),
+        Err(msg) => (Err(msg), ExitCode::from(2)),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            ExitCode::FAILURE
+            failure
         }
     }
 }
@@ -771,6 +849,37 @@ mod tests {
             panic!()
         };
         assert_eq!(default_args.backends, vec!["sim"]);
+    }
+
+    #[test]
+    fn parses_repro_flags() {
+        let Command::Repro { table, args } = parse(&argv(
+            "repro fig4 --full --threads 2 --faults straggler:2 --cache",
+        ))
+        .unwrap()
+        .command
+        else {
+            panic!()
+        };
+        assert_eq!(table, "fig4");
+        assert!(args.full && args.cache);
+        assert_eq!(args.sim.threads, 2);
+        assert_eq!(args.sim.faults.regime, FaultRegime::Straggler);
+        let Command::Repro { args, .. } = parse(&argv("repro all")).unwrap().command else {
+            panic!()
+        };
+        assert!(!args.full && !args.cache, "cold and small by default");
+        // Every table fixes its own trace; `--full` is repro-only.
+        for bad in [
+            "repro",
+            "repro nosuch",
+            "repro table1 --jobs 5",
+            "repro table11 --seed 3",
+            "repro fig4 --json out.json",
+            "sweep --full",
+        ] {
+            assert!(parse(&argv(bad)).is_err(), "should reject: {bad}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Smoke tests for the `eva` CLI: the catalog-style subcommands must exit
-//! zero and print real content, so the README quickstart keeps working.
+//! zero and print real content, so the README quickstart keeps working,
+//! and a flag error exits 2 with nothing on stdout.
 
 use std::process::Command;
 
@@ -44,7 +45,14 @@ fn help_lists_every_subcommand() {
     let out = run_eva(&["help"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for cmd in ["simulate", "compare", "sweep", "workloads", "catalog"] {
+    for cmd in [
+        "simulate",
+        "compare",
+        "sweep",
+        "repro",
+        "workloads",
+        "catalog",
+    ] {
         assert!(stdout.contains(cmd), "help does not mention `{cmd}`");
     }
     for flag in [
@@ -175,4 +183,77 @@ fn sweep_rejects_unknown_scheduler() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("slurm"), "stderr: {stderr}");
+}
+
+/// `args` exit 2 with `expected` on stderr and nothing on stdout: the
+/// flags are parsed before any work.
+fn assert_flag_error(args: &[&str], expected: &str) {
+    let out = run_eva(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} printed before failing: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn repro_cache_dir_without_a_value_fails_a_table_that_runs_no_sweep() {
+    assert_flag_error(
+        &["repro", "table1", "--cache-dir"],
+        "error: --cache-dir: the flag needs a value",
+    );
+}
+
+#[test]
+fn repro_cache_dir_without_a_value_fails_before_the_header() {
+    assert_flag_error(
+        &["repro", "fig4", "--cache-dir"],
+        "error: --cache-dir: the flag needs a value",
+    );
+}
+
+#[test]
+fn repro_unknown_fault_regime_fails_before_the_header() {
+    assert_flag_error(
+        &["repro", "fig4", "--faults", "meteor"],
+        "error: --faults: ",
+    );
+}
+
+#[test]
+fn repro_unknown_table_lists_the_names() {
+    assert_flag_error(&["repro", "nosuch"], "error: unknown table `nosuch`");
+    let out = run_eva(&["repro", "nosuch"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    for name in [
+        "table1",
+        "fig1",
+        "table4",
+        "table12",
+        "fig8",
+        "ablations",
+        "all",
+    ] {
+        assert!(stderr.contains(name), "`{name}` not listed: {stderr}");
+    }
+}
+
+#[test]
+fn repro_table11_is_the_same_on_one_and_two_threads() {
+    let one = run_eva(&["repro", "table11", "--threads", "1"]);
+    let two = run_eva(&["repro", "table11", "--threads", "2"]);
+    for out in [&one, &two] {
+        assert!(
+            out.status.success(),
+            "exit {:?}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let stdout = String::from_utf8(one.stdout).unwrap();
+    assert!(stdout.contains("Table 11: 32-job end-to-end"), "{stdout}");
+    assert_eq!(stdout, String::from_utf8(two.stdout).unwrap());
 }
