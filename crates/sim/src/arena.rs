@@ -3,11 +3,14 @@
 //! The world model used to key every per-event touch of job/task/instance
 //! state through `BTreeMap` searches — O(log n) pointer-chasing on the
 //! hottest path in the repo. IDs are newtyped integers, so instead the
-//! world interns them into contiguous `u32` slots at construction:
+//! world interns each job into contiguous `u32` slots when it arrives
+//! ([`WorldArena::intern_job`]), whether it came from a trace or a
+//! source:
 //!
-//! * **job slots** are assigned in ascending [`JobId`] order, so walking
-//!   `0..len` visits jobs exactly as the old `BTreeMap<JobId, _>`
-//!   iteration did;
+//! * **job slots** follow arrival order. The active set is kept in
+//!   [`JobId`] order, so walking it visits jobs exactly as the old
+//!   `BTreeMap<JobId, _>` iteration did (every generator numbers jobs in
+//!   arrival order, so without recycling slot order is ID order too);
 //! * **task slots** are job-major and ascending by [`TaskId`] within a
 //!   job, so each job's tasks form one contiguous slot range and a
 //!   sorted task-slot list is sorted by `TaskId`;
@@ -20,26 +23,21 @@
 //!   job, already folded into the host's report sums, releases its task
 //!   range and returns its slot through
 //!   [`JobArena::release`] — the same free-list discipline as
-//!   instance rows — so a long-lived streaming world holds state for the
-//!   in-flight window only, not for every job ever ingested. Streaming
-//!   worlds intern jobs out of ID order as they arrive
-//!   ([`WorldArena::intern_job`]), so the active set orders by *ID*
-//!   (identical to slot order whenever slots were interned in ID order),
-//!   and a scheduler sees a streamed world's jobs in the order it sees a
-//!   batch world's.
+//!   instance rows — so a long-lived world holds state for the
+//!   in-flight window only, not for every job ever ingested.
 //!
 //! IDs are admitted once: the host turns away a job whose tasks do not
-//! carry its own ID under distinct indices, and a streamed job whose ID
-//! an active job holds. Past the door the world names a task by its
+//! carry its own ID under distinct indices, and a job whose ID an active
+//! job holds. Past the door the world names a task by its
 //! slot and never maps an ID back to one: events carry slots, and a
 //! round's snapshot records the slot of each task row it lists.
 //!
 //! Dynamic state is stored as structure-of-arrays `Vec`s indexed by slot
 //! instead of map nodes, except a job's progress: settling reads and
 //! writes all of it for one job at a time, so it is one [`Progress`]
-//! record per slot. Job and task *specs* are never cloned — slots carry
-//! indices into the shared trace, so a million-job world costs a few flat
-//! vectors, not a second copy of the trace.
+//! record per slot. Trace specs are never cloned — a trace job's slot
+//! carries its index into the shared trace, so a million-job world costs
+//! a few flat vectors, not a second copy of the trace.
 //!
 //! A task's lifecycle states are specified by [`crate::state`], whose
 //! unit tests also pin a single job's advance arithmetic on a one-job
@@ -97,7 +95,6 @@ use eva_types::{
     InstanceId, InstanceTypeId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,
     WorkloadKind,
 };
-use eva_workloads::Trace;
 
 use crate::engine::CancelToken;
 use crate::state::TaskState;
@@ -180,21 +177,21 @@ impl Progress {
     }
 }
 
-/// Job state, slot-indexed in ascending [`JobId`] order.
-#[derive(Debug)]
+/// Job state, slot-indexed in arrival order.
+#[derive(Debug, Default)]
 pub(crate) struct JobArena {
-    /// Slot → job ID (ascending when interned from a trace; streaming
-    /// worlds recycle slots, out of ID order).
+    /// Slot → job ID (arrival order; recycled slots fall out of ID
+    /// order).
     pub ids: Vec<JobId>,
     /// Slot → index of the job's spec in the trace's job vector
-    /// ([`NO_SLOT`] for streamed jobs, whose specs live in
+    /// ([`NO_SLOT`] for a source's jobs, whose specs live in
     /// [`Self::owned`]).
     pub spec_idx: Vec<u32>,
     /// Slot → first task slot of the job's contiguous task range.
     pub task_start: Vec<u32>,
     /// Slot → length of the job's task range.
     pub task_count: Vec<u32>,
-    /// Owned specs for jobs interned from a stream (batch worlds leave
+    /// Owned specs for jobs interned from a source (a trace's jobs leave
     /// this empty and index the shared trace through `spec_idx`).
     /// Boxed so releasing a slot actually reclaims the spec's memory.
     pub owned: Vec<Option<Box<JobSpec>>>,
@@ -208,9 +205,9 @@ pub(crate) struct JobArena {
     pub done_event: Vec<Option<(SimTime, CancelToken)>>,
     /// Whether the job's arrival event has fired.
     pub arrived: Vec<bool>,
-    /// Arrived-and-not-done job slots, kept sorted (ascending slot ==
-    /// ascending `JobId`): the iteration set of every per-event loop,
-    /// so done and not-yet-arrived jobs cost nothing per event.
+    /// Arrived-and-not-done job slots, kept in ascending `JobId` order:
+    /// the iteration set of every per-event loop, so done jobs cost
+    /// nothing per event.
     pub active: Vec<u32>,
     /// Dirty flag, mirroring membership in [`Self::dirty_list`].
     pub dirty: Vec<bool>,
@@ -239,8 +236,7 @@ impl JobArena {
     /// Position of `slot` in the ID-ordered active set (`Ok` when
     /// listed). Ordering by ID keeps iteration — and therefore float
     /// accumulation — in `JobId` order even when recycled slots are
-    /// interned out of order; with trace interning, slot order *is* ID
-    /// order and this degenerates to the old slot-ordered search.
+    /// interned out of order.
     fn active_pos(&self, slot: u32) -> Result<usize, usize> {
         let key = self.ids[slot as usize];
         let ids = &self.ids;
@@ -364,10 +360,11 @@ impl JobArena {
     }
 }
 
-/// Task state, slot-indexed job-major in ascending [`TaskId`] order.
-#[derive(Debug)]
+/// Task state, slot-indexed job-major, ascending by [`TaskId`] within a
+/// job.
+#[derive(Debug, Default)]
 pub(crate) struct TaskArena {
-    /// Slot → task ID (ascending; slot order is ID order).
+    /// Slot → task ID (ascending within each job's range).
     pub ids: Vec<TaskId>,
     /// Slot → owning job's slot.
     pub job_slot: Vec<u32>,
@@ -636,102 +633,64 @@ fn lane_work(spec: &JobSpec) -> u64 {
     work.unwrap_or(u64::MAX)
 }
 
+/// Where a job's spec lives: at an index of the shared trace, or in a box
+/// the job's slot owns (a job from a source).
+pub(crate) enum Spec {
+    Trace(u32),
+    Owned(Box<JobSpec>),
+}
+
+impl Spec {
+    /// The spec itself, a trace index read in `trace`.
+    pub fn of<'a>(&'a self, trace: &'a [JobSpec]) -> &'a JobSpec {
+        match self {
+            Spec::Trace(i) => &trace[*i as usize],
+            Spec::Owned(spec) => spec,
+        }
+    }
+}
+
 /// The complete interned world state: jobs + tasks + instances.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WorldArena {
     pub jobs: JobArena,
     pub tasks: TaskArena,
     pub insts: InstTable,
-    /// Trace job index → job slot (arrival events carry trace indices).
-    pub slot_of_spec: Vec<u32>,
-}
-
-/// The indices of `jobs` in ascending `JobId` order (a trace is arrival-
-/// ordered, which usually — but not necessarily — coincides). Jobs that
-/// share an ID keep their trace order.
-pub(crate) fn id_order(jobs: &[JobSpec]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
-    order.sort_by_key(|&i| jobs[i as usize].id);
-    order
 }
 
 impl WorldArena {
-    /// [`WorldArena::in_order`] of a trace whose job IDs are distinct.
-    #[cfg(test)]
-    pub fn from_trace(trace: &Trace) -> Self {
-        Self::in_order(trace, &id_order(trace.jobs()))
+    /// Sizes the lanes for `jobs` jobs of `tasks` tasks in all (a trace's),
+    /// so interning them never regrows a lane.
+    pub fn reserve(&mut self, jobs: usize, tasks: usize) {
+        let (j, t) = (&mut self.jobs, &mut self.tasks);
+        j.ids.reserve_exact(jobs);
+        j.spec_idx.reserve_exact(jobs);
+        j.task_start.reserve_exact(jobs);
+        j.task_count.reserve_exact(jobs);
+        j.progress.reserve_exact(jobs);
+        j.completed_at.reserve_exact(jobs);
+        j.done_event.reserve_exact(jobs);
+        j.arrived.reserve_exact(jobs);
+        j.dirty.reserve_exact(jobs);
+        j.released.reserve_exact(jobs);
+        t.ids.reserve_exact(tasks);
+        t.job_slot.reserve_exact(tasks);
+        t.spec_pos.reserve_exact(tasks);
+        t.workload.reserve_exact(tasks);
+        t.state.reserve_exact(tasks);
+        t.assigned.reserve_exact(tasks);
+        t.migrations.reserve_exact(tasks);
+        t.transfer.reserve_exact(tasks);
+        t.slot_by_pos.reserve_exact(tasks);
     }
 
-    /// Interns every job and task ID of `trace` into slots, job slots in
-    /// `order`, the trace's [`id_order`] (its IDs distinct). All dynamic
-    /// state starts at its pre-arrival default; instance rows are added
-    /// as the provider provisions.
-    pub fn in_order(trace: &Trace, order: &[u32]) -> Self {
-        let specs = trace.jobs();
-        let n = specs.len();
-        let total_tasks: usize = specs.iter().map(|j| j.tasks.len()).sum();
-
-        let mut jobs = JobArena {
-            ids: Vec::with_capacity(n),
-            spec_idx: Vec::with_capacity(n),
-            task_start: Vec::with_capacity(n),
-            task_count: Vec::with_capacity(n),
-            owned: Vec::new(),
-            progress: Vec::with_capacity(n),
-            completed_at: vec![None; n],
-            done_event: vec![None; n],
-            arrived: vec![false; n],
-            active: Vec::new(),
-            dirty: vec![false; n],
-            dirty_list: Vec::new(),
-            released: vec![false; n],
-            free: Vec::new(),
-        };
-        let mut tasks = TaskArena {
-            ids: vec![TaskId::new(JobId(0), 0); total_tasks],
-            job_slot: vec![0; total_tasks],
-            spec_pos: vec![0; total_tasks],
-            workload: vec![WorkloadKind(0); total_tasks],
-            state: vec![TaskState::Pending; total_tasks],
-            assigned: vec![NO_SLOT; total_tasks],
-            migrations: vec![0; total_tasks],
-            transfer: vec![None; total_tasks],
-            slot_by_pos: vec![0; total_tasks],
-            free_ranges: BTreeMap::new(),
-        };
-        let mut slot_of_spec = vec![0u32; n];
-        let mut base = 0;
-        for (slot, &si) in order.iter().enumerate() {
-            let spec = &specs[si as usize];
-            debug_assert!(
-                jobs.ids.last().is_none_or(|last| *last < spec.id),
-                "duplicate job id {} in trace",
-                spec.id
-            );
-            slot_of_spec[si as usize] = slot as u32;
-            jobs.ids.push(spec.id);
-            jobs.spec_idx.push(si);
-            jobs.task_start.push(base);
-            jobs.task_count.push(spec.tasks.len() as u32);
-            jobs.progress.push(Progress::new(lane_work(spec)));
-            tasks.fill(base, slot as u32, spec);
-            base += spec.tasks.len() as u32;
-        }
-        debug_assert!(tasks.ids.windows(2).all(|w| w[0] < w[1]));
-
-        WorldArena {
-            jobs,
-            tasks,
-            insts: InstTable::default(),
-            slot_of_spec,
-        }
-    }
-
-    /// Interns one streamed job, recycling a released job slot and an
-    /// exact-fit released task range when available, appending fresh
-    /// lanes otherwise. The spec is owned by the slot (released with
-    /// it); all dynamic state starts at its pre-arrival default.
-    pub fn intern_job(&mut self, spec: JobSpec) -> u32 {
+    /// Interns an arriving job (a trace index is read in `trace`),
+    /// recycling a released job slot and an exact-fit released task range
+    /// when available, appending fresh lanes otherwise. An owned spec is
+    /// kept by the slot (released with it); all dynamic state starts at
+    /// its default, and the caller activates the job.
+    pub fn intern_job(&mut self, trace: &[JobSpec], job: Spec) -> u32 {
+        let spec = job.of(trace);
         let n_tasks = spec.tasks.len() as u32;
         let jobs = &mut self.jobs;
         let jslot = match jobs.free.pop() {
@@ -755,9 +714,6 @@ impl WorldArena {
                 s
             }
         };
-        while jobs.owned.len() <= jslot as usize {
-            jobs.owned.push(None);
-        }
         let base = match self
             .tasks
             .free_ranges
@@ -784,13 +740,19 @@ impl WorldArena {
 
         let js = jslot as usize;
         jobs.ids[js] = spec.id;
-        jobs.spec_idx[js] = NO_SLOT;
         jobs.task_start[js] = base;
         jobs.task_count[js] = n_tasks;
-        jobs.progress[js] = Progress::new(lane_work(&spec));
-
-        self.tasks.fill(base, jslot, &spec);
-        jobs.owned[js] = Some(Box::new(spec));
+        jobs.progress[js] = Progress::new(lane_work(spec));
+        self.tasks.fill(base, jslot, spec);
+        jobs.spec_idx[js] = match job {
+            Spec::Trace(i) => i,
+            Spec::Owned(spec) => {
+                jobs.owned
+                    .resize_with(jobs.owned.len().max(js + 1), || None);
+                jobs.owned[js] = Some(spec);
+                NO_SLOT
+            }
+        };
         jslot
     }
 
@@ -967,7 +929,7 @@ impl WorldArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_workloads::SyntheticTraceConfig;
+    use eva_workloads::{SyntheticTraceConfig, Trace};
     use proptest::prelude::*;
 
     /// The slot audit of a world whose jobs all arrived at time zero.
@@ -975,16 +937,25 @@ mod tests {
         world.audit(SimTime::ZERO, |_| SimTime::ZERO)
     }
 
+    /// A world holding every job of `trace`, interned in arrival order.
+    fn interned(trace: &Trace) -> WorldArena {
+        let mut world = WorldArena::default();
+        for i in 0..trace.len() as u32 {
+            world.intern_job(trace.jobs(), Spec::Trace(i));
+        }
+        world
+    }
+
     #[test]
     fn interning_orders_slots_by_id() {
         let trace = SyntheticTraceConfig::small_scale().generate(42);
-        let world = WorldArena::from_trace(&trace);
+        let world = interned(&trace);
         assert_eq!(world.jobs.ids.len(), trace.len());
         assert!(world.jobs.ids.windows(2).all(|w| w[0] < w[1]));
         assert!(world.tasks.ids.windows(2).all(|w| w[0] < w[1]));
         // Every trace index round-trips through its slot.
         for (idx, spec) in trace.jobs().iter().enumerate() {
-            let slot = world.slot_of_spec[idx];
+            let slot = idx as u32;
             assert_eq!(world.jobs.ids[slot as usize], spec.id);
             assert_eq!(world.jobs.spec_idx[slot as usize] as usize, idx);
             assert_eq!(world.jobs.task_range(slot).len(), spec.tasks.len());
@@ -995,7 +966,7 @@ mod tests {
     #[test]
     fn instance_rows_recycle_through_free_list() {
         let trace = SyntheticTraceConfig::small_scale().generate(1);
-        let mut world = WorldArena::from_trace(&trace);
+        let mut world = interned(&trace);
         let insts = &mut world.insts;
         let (ty, cap) = (InstanceTypeId(0), [1.0, 4.0, 1024.0]);
         let a = insts.insert(InstanceId(0), ty, SimTime::ZERO, cap);
@@ -1054,7 +1025,7 @@ mod tests {
     #[test]
     fn active_set_tracks_arrival_and_retirement_in_id_order() {
         let trace = SyntheticTraceConfig::small_scale().generate(3);
-        let mut world = WorldArena::from_trace(&trace);
+        let mut world = interned(&trace);
         world.jobs.activate(5, SimTime::ZERO);
         world.jobs.activate(1, SimTime::ZERO);
         world.jobs.activate(3, SimTime::ZERO);
@@ -1090,7 +1061,7 @@ mod tests {
     #[test]
     fn eta_rounds_to_the_nearest_millisecond() {
         let trace = SyntheticTraceConfig::small_scale().generate(9);
-        let mut jobs = WorldArena::from_trace(&trace).jobs;
+        let mut jobs = interned(&trace).jobs;
         let rate = quantize(0.5);
         jobs.progress[0].rate = rate;
         for (remaining, ms) in [(0, 0), (rate / 2 - 1, 0), (rate / 2, 1), (3 * rate - 1, 3)] {
@@ -1125,8 +1096,8 @@ mod tests {
                 .map(|(dt, rate)| (dt, rate.saturating_sub(RATE_ONE)))
                 .collect();
             let trace = SyntheticTraceConfig::small_scale().generate(9);
-            let mut often = WorldArena::from_trace(&trace).jobs;
-            let mut seldom = WorldArena::from_trace(&trace).jobs;
+            let mut often = interned(&trace).jobs;
+            let mut seldom = interned(&trace).jobs;
             let total = work_of(SimDuration::from_millis(total_ms)).unwrap();
             let start = SimTime::from_secs(5);
             for jobs in [&mut often, &mut seldom] {
@@ -1172,9 +1143,10 @@ mod tests {
             spec
         }
         let jobs = SyntheticTraceConfig::small_scale().generate(8).into_jobs();
-        let mut world = WorldArena::from_trace(&Trace::new(vec![]));
-        let a = world.intern_job(jobs[0].clone());
-        let b = world.intern_job(reid(jobs[1].clone(), JobId(1_000)));
+        let mut world = WorldArena::default();
+        let own = |spec: JobSpec| Spec::Owned(Box::new(spec));
+        let a = world.intern_job(&[], own(jobs[0].clone()));
+        let b = world.intern_job(&[], own(reid(jobs[1].clone(), JobId(1_000))));
         assert_ne!(a, b);
         assert_eq!(world.jobs.ids[a as usize], jobs[0].id);
         let a_range = world.jobs.task_range(a);
@@ -1195,7 +1167,7 @@ mod tests {
 
         // A same-shape job recycles both the job slot and the exact-fit
         // task range, which now carry its IDs.
-        let c = world.intern_job(reid(jobs[0].clone(), JobId(2_000)));
+        let c = world.intern_job(&[], own(reid(jobs[0].clone(), JobId(2_000))));
         assert_eq!(c, a, "job slot recycled");
         assert_eq!(world.jobs.task_range(c), a_range, "task range recycled");
         assert_eq!(world.jobs.ids[c as usize], JobId(2_000));

@@ -278,7 +278,7 @@ impl ClusterSim {
 
         if !self.world.jobs.active.is_empty() {
             self.schedule_round(self.now() + self.round_period);
-        } else if self.arrivals_remaining == 0 && self.stream_drained() {
+        } else if self.pending.is_none() {
             // Final cleanup: drain everything still ready, and tombstone
             // leftover fault events — a fault outliving the workload has
             // nothing to disturb, and letting it dispatch would drag the

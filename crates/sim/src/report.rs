@@ -35,12 +35,8 @@ pub(crate) fn finalize(mut sim: ClusterSim) -> SimReport {
         }
     };
 
-    // Streaming worlds have an empty trace; the first ingested job's
-    // arrival anchors the makespan instead.
-    let first_arrival = sim
-        .first_arrival_seen
-        .or_else(|| sim.cfg.trace.jobs().first().map(|j| j.arrival))
-        .unwrap_or(SimTime::ZERO);
+    // The first admitted job's arrival anchors the makespan.
+    let first_arrival = sim.first_arrival_seen.unwrap_or(SimTime::ZERO);
 
     SimReport {
         scheduler: sim.scheduler.name().to_string(),

@@ -127,12 +127,12 @@ pub struct SimConfig {
     /// pre-run [`crate::FaultPlan`] and inject on both backends.
     pub faults: crate::FaultSpec,
     /// Release each completed job's arena slots back to a free list
-    /// once its report contribution is summed, so live state tracks the
-    /// in-flight window instead of every job ever ingested (streaming
-    /// service mode; `eva serve` turns it on). Reports are byte-identical
-    /// either way — the retirement lockstep test holds the two in
-    /// lockstep per event. Not a sweep axis — cache fingerprints ignore
-    /// it.
+    /// once its report contribution is summed, for the next arriving job
+    /// to reuse, so live state tracks the in-flight window instead of
+    /// every job ever admitted, in a batch world as in a streamed one
+    /// (`eva serve` turns it on). Reports are byte-identical either way —
+    /// the retirement lockstep test holds the two in lockstep per event.
+    /// Not a sweep axis — cache fingerprints ignore it.
     pub retire_completed: bool,
 }
 

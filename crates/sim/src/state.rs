@@ -17,12 +17,11 @@ pub enum TaskState {
 
 #[cfg(test)]
 mod tests {
-    use crate::arena::{quantize, work_of, work_span, JobArena, RATE_ONE};
+    use crate::arena::{quantize, work_of, work_span, JobArena, Spec, WorldArena, RATE_ONE};
     use eva_types::{
         DemandSpec, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId, TaskSpec,
         WorkloadKind,
     };
-    use eva_workloads::Trace;
 
     /// The job arena of a world holding one single-task job of `hours`
     /// full-throughput work, in slot 0, arrived at time zero. Work is
@@ -43,7 +42,9 @@ mod tests {
             duration_at_full_tput: SimDuration::from_hours_f64(hours),
             gang_coupled: false,
         };
-        let mut jobs = crate::arena::WorldArena::from_trace(&Trace::new(vec![spec])).jobs;
+        let mut world = WorldArena::default();
+        world.intern_job(&[spec], Spec::Trace(0));
+        let mut jobs = world.jobs;
         jobs.activate(0, SimTime::ZERO);
         jobs
     }

@@ -7,10 +7,12 @@
 //! contains no scheduling policy itself; report assembly lives in the
 //! `report` module.
 //!
-//! World state lives in the slot-indexed arenas of the private `arena`
-//! module: job and task IDs intern to contiguous `u32` slots at
-//! construction, events carry slots instead of IDs, and the per-event hot
-//! loops walk flat vectors. Slot order is ID order, so every iteration
+//! Jobs come from a feed, the shared trace or a [`JobSource`], one pulled
+//! ahead of the clock. Each passes one door when it arrives: it is
+//! checked, interned into the slot-indexed arenas of the private `arena`
+//! module (its tasks into a contiguous `u32` slot range) and activated.
+//! Events carry slots instead of IDs, the per-event hot loops walk flat
+//! vectors, and the active set is kept in ID order, so every iteration
 //! happens in the sequence the former `BTreeMap`-keyed world produced.
 //! Each instance is one row of the arena's instance table, from its
 //! provision until the clock passes its termination.
@@ -28,7 +30,7 @@ use eva_core::{EvaScheduler, Scheduler};
 use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{add_lanes, id_order, lanes, quantize, work_of, Life, WorldArena, NO_SLOT};
+use crate::arena::{add_lanes, lanes, quantize, work_of, Life, Spec, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -41,8 +43,6 @@ use crate::state::TaskState;
 /// slots, not IDs — dispatch is a direct index, never a search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Event {
-    /// Trace job `i` arriving; its handler queues job `i + 1`'s arrival.
-    Arrival(usize),
     /// The transfer of the task in this slot landing: it starts running.
     TaskReady(u32),
     /// The job in this slot completing.
@@ -52,8 +52,8 @@ pub(crate) enum Event {
     Fault(usize),
     /// A windowed fault (capacity shock, straggler) lifting.
     FaultExpire(usize),
-    /// The pending streamed job's arrival instant (streaming worlds
-    /// pull one job ahead; the handler interns it and primes the next).
+    /// The pending job's arrival instant (the world pulls one job ahead;
+    /// the handler admits it and pulls the next).
     Ingest,
 }
 
@@ -66,9 +66,7 @@ impl SimEvent for Event {
             Event::Fault(_) | Event::FaultExpire(_) => 0,
             Event::TaskReady(_) => 0,
             Event::JobDone(_) => 1,
-            // An ingest *is* an arrival: same-time completions resolve
-            // first, the round that schedules the newcomer fires after.
-            Event::Arrival(_) | Event::Ingest => 2,
+            Event::Ingest => 2,
             Event::Round => 3,
         }
     }
@@ -94,13 +92,13 @@ pub(crate) struct CompletedSums {
     pub tput_q: u128,
 }
 
-/// A streaming world's connection to its [`JobSource`]: one job pulled
-/// ahead (`pending`), scheduled as an [`Event::Ingest`] at its arrival
-/// instant. Pulling ahead keeps the event heap's time horizon honest —
-/// the engine always knows when the next external arrival lands.
-pub(crate) struct StreamState {
-    source: Box<dyn JobSource>,
-    pending: Option<JobSpec>,
+/// Where a world's jobs come from. One is pulled ahead of the clock and
+/// queued as an [`Event::Ingest`] at its arrival instant, so the engine
+/// always knows when the next arrival lands.
+enum Feed {
+    /// The shared trace (`cfg.trace`), from this index on.
+    Trace(usize),
+    Source(Box<dyn JobSource>),
 }
 
 /// The simulated cluster: engine + world state + metric accumulators.
@@ -119,13 +117,12 @@ pub struct ClusterSim {
 
     pub(crate) engine: EventEngine<Event>,
     pub(crate) round_pending: bool,
-    pub(crate) arrivals_remaining: usize,
     pub(crate) recorder: Option<ExecScript>,
 
-    // Streaming service state (batch worlds: `stream` is `None`, the
-    // log stays empty unless retirement is on, and `first_arrival_seen`
-    // stays `None` so reports keep reading the trace).
-    pub(crate) stream: Option<StreamState>,
+    feed: Feed,
+    /// The job pulled off the feed, waiting for its arrival (`None` once
+    /// the feed is exhausted).
+    pub(crate) pending: Option<Spec>,
     pub(crate) retire_completed: bool,
     pub(crate) completed: CompletedSums,
     pub(crate) first_arrival_seen: Option<SimTime>,
@@ -169,33 +166,6 @@ fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
             || distinct_indices(&job.tasks))
 }
 
-/// `trace` less each job whose ID an earlier job holds (dropped as the
-/// streamed door drops it), and its ID order: dropping keeps the other
-/// jobs' order, so the order is re-indexed rather than sorted again.
-fn distinct_ids(trace: TraceHandle) -> (TraceHandle, Vec<u32>) {
-    let (jobs, order) = (trace.jobs(), id_order(trace.jobs()));
-    let repeats = |w: &&[u32]| jobs[w[0] as usize].id == jobs[w[1] as usize].id;
-    if !order.windows(2).any(|w| repeats(&w)) {
-        return (trace, order);
-    }
-    let mut keep = vec![true; jobs.len()];
-    for w in order.windows(2).filter(repeats) {
-        let later = w[1] as usize;
-        eprintln!(
-            "warning: dropping {}, whose id an active job holds",
-            jobs[later].id
-        );
-        keep[later] = false;
-    }
-    let kept_before = keep
-        .iter()
-        .scan(0, |n, &k| Some(std::mem::replace(n, *n + k as u32)));
-    let index: Vec<u32> = kept_before.collect();
-    let order = order.iter().filter(|&&i| keep[i as usize]);
-    let order = order.map(|&i| index[i as usize]).collect();
-    (TraceHandle::new(trace.subset(&keep)), order)
-}
-
 /// True when no two of `tasks` share an index (tasks declared out of
 /// index order; every generator declares them in order).
 #[cold]
@@ -206,39 +176,41 @@ fn distinct_indices(tasks: &[TaskSpec]) -> bool {
 }
 
 impl ClusterSim {
-    /// Builds the world for one experiment.
+    /// Builds the world for one experiment, fed from `cfg.trace`.
     ///
-    /// Jobs whose tasks fit no catalog instance type are dropped up front
-    /// with a warning (the paper likewise removes them from the trace,
-    /// §6.1); otherwise they could never complete and the simulation would
-    /// not terminate. So are jobs of 2³² ms (49.7 days) of work or more,
-    /// which a progress lane cannot hold, and each job whose ID an earlier
-    /// job of the trace holds.
+    /// Each job is checked when it arrives, as a source's are
+    /// ([`ClusterSim::from_source`]). Jobs whose tasks fit no catalog
+    /// instance type are dropped with a warning (the paper likewise removes
+    /// them from the trace, §6.1); otherwise they could never complete and
+    /// the simulation would not terminate. So are jobs of 2³² ms (49.7
+    /// days) of work or more, which a progress lane cannot hold, and each
+    /// job whose ID an active job holds.
     pub fn new(cfg: &SimConfig) -> Self {
-        // Compile the fault plan from the *caller's* trace handle, before
-        // feasibility filtering — the live backend compiles from the same
-        // handle, so both sides must hash the same horizon.
+        Self::build(cfg.clone(), Feed::Trace(0))
+    }
+
+    /// Builds a streaming world fed by `source` instead of a trace.
+    ///
+    /// Arrivals are pulled lazily, one ahead of the clock, and pass the
+    /// same door as a trace's — the world never holds more than the
+    /// in-flight window (plus, with [`SimConfig::retire_completed`] off,
+    /// retired lanes). `cfg.trace` is ignored; fault plans compile over the
+    /// empty-trace horizon, so streaming fault coverage comes from the
+    /// batch-mode lockstep tests.
+    pub fn from_source(cfg: &SimConfig, source: Box<dyn JobSource>) -> Self {
+        let cfg = SimConfig {
+            trace: TraceHandle::new(Trace::new(Vec::new())),
+            ..cfg.clone()
+        };
+        Self::build(cfg, Feed::Source(source))
+    }
+
+    fn build(cfg: SimConfig, feed: Feed) -> Self {
+        // The live backend compiles its fault plan from the same trace, so
+        // both sides hash the same horizon.
         let fault_plan = FaultPlan::for_trace(cfg.faults, cfg.seed, &cfg.trace);
         let catalog = Catalog::aws_eval_2025();
         let workloads = WorkloadCatalog::table7();
-        // The common case drops nothing, so the world shares the caller's
-        // trace by handle instead of cloning the job vector.
-        let (jobs, fits) = (cfg.trace.jobs(), |job: &JobSpec| schedulable(&catalog, job));
-        let trace = if jobs.iter().all(fits) {
-            cfg.trace.clone()
-        } else {
-            let (feasible, dropped): (Vec<_>, Vec<_>) = jobs.iter().cloned().partition(fits);
-            for job in &dropped {
-                eprintln!("warning: dropping unschedulable {}", job.id);
-            }
-            TraceHandle::new(Trace::new(feasible))
-        };
-        let (trace, order) = distinct_ids(trace);
-        let dropped_jobs = (cfg.trace.len() - trace.len()) as u64;
-        let cfg = SimConfig {
-            trace,
-            ..cfg.clone()
-        };
         let interference = match cfg.interference {
             InterferenceSpec::Measured => InterferenceModel::measured(&workloads),
             InterferenceSpec::Uniform(t) => InterferenceModel::uniform(&workloads, t),
@@ -258,7 +230,6 @@ impl ClusterSim {
         };
         let delays = DelayModel::table1(cfg.fidelity);
         let cloud = CloudProvider::new(catalog.clone(), delays);
-        let world = WorldArena::in_order(cfg.trace.trace(), &order);
 
         let mut sim = ClusterSim {
             catalog,
@@ -268,17 +239,17 @@ impl ClusterSim {
             scheduler,
             round_period: cfg.round_period,
             migration_delay_scale: cfg.migration_delay_scale,
-            world,
+            world: WorldArena::default(),
             engine: EventEngine::new(),
             round_pending: false,
-            arrivals_remaining: cfg.trace.len(),
             recorder: None,
-            stream: None,
+            feed,
+            pending: None,
             retire_completed: cfg.retire_completed,
             completed: CompletedSums::default(),
             first_arrival_seen: None,
             ingested_jobs: 0,
-            dropped_jobs,
+            dropped_jobs: 0,
             provisions_failed: 0,
             metrics: MetricsRegistry::default(),
             fault_plan,
@@ -289,7 +260,7 @@ impl ClusterSim {
             alloc_integral: [0.0; 3],
             capacity_integral: [0.0; 3],
             migration_count: 0,
-            total_tasks: cfg.trace.jobs().iter().map(|j| j.num_tasks()).sum(),
+            total_tasks: 0,
             rounds: 0,
             full_rounds: 0,
             full_scan: false,
@@ -297,11 +268,11 @@ impl ClusterSim {
             snapshot_scratch: Snapshot::default(),
             cfg,
         };
-        // Arrivals come from a cursor: only the first is queued, and each
-        // schedules the next (see `Event::Arrival`).
-        if let Some(first) = sim.cfg.trace.jobs().first() {
-            sim.engine.schedule(first.arrival, Event::Arrival(0));
-        }
+        // A trace's lanes are sized once (a source's trace is empty).
+        let jobs = sim.cfg.trace.jobs();
+        let tasks = jobs.iter().map(JobSpec::num_tasks).sum();
+        sim.world.reserve(jobs.len(), tasks);
+        sim.pull();
         // Inject the fault plan. Price steps compile straight into the
         // provider's billing schedule (they change no control-plane
         // behaviour); everything else enters the event heap as
@@ -338,86 +309,62 @@ impl ClusterSim {
         sim
     }
 
-    /// Builds a streaming world fed by `source` instead of a trace.
-    ///
-    /// Arrivals are pulled lazily, one ahead of the clock, through
-    /// `Event::Ingest` — the world never holds more than the in-flight
-    /// window (plus, with [`SimConfig::retire_completed`] off, retired
-    /// lanes). `cfg.trace` is ignored; fault plans compile over the
-    /// empty-trace horizon, so streaming fault coverage comes from the
-    /// batch-mode lockstep tests.
-    pub fn from_source(cfg: &SimConfig, source: Box<dyn JobSource>) -> Self {
-        let empty = SimConfig {
-            trace: TraceHandle::new(Trace::new(Vec::new())),
-            ..cfg.clone()
-        };
-        let mut sim = ClusterSim::new(&empty);
-        sim.stream = Some(StreamState {
-            source,
-            pending: None,
-        });
-        sim.prime_ingest();
-        sim
-    }
-
-    /// Pulls the next feasible job off the stream and schedules its
-    /// ingest. Infeasible jobs are dropped with the same warning as the
-    /// batch constructor's trace filter.
-    fn prime_ingest(&mut self) {
-        let Some(mut stream) = self.stream.take() else {
-            return;
-        };
-        debug_assert!(stream.pending.is_none(), "priming over a pending job");
-        while let Some(mut job) = stream.source.next_job() {
-            if !schedulable(&self.catalog, &job) {
-                eprintln!("warning: dropping unschedulable {}", job.id);
-                self.dropped_jobs += 1;
-                continue;
+    /// Pulls the next schedulable job off the feed and queues its
+    /// arrival. Unschedulable jobs are dropped with a warning.
+    fn pull(&mut self) {
+        debug_assert!(self.pending.is_none(), "pulling over a pending job");
+        let (trace, now) = (self.cfg.trace.jobs(), self.engine.now());
+        loop {
+            let job = match &mut self.feed {
+                Feed::Trace(next) if *next < trace.len() => {
+                    *next += 1;
+                    Spec::Trace(*next as u32 - 1)
+                }
+                Feed::Trace(_) => return,
+                Feed::Source(source) => {
+                    let Some(mut job) = source.next_job() else {
+                        return;
+                    };
+                    // A source that lags the clock still arrives causally:
+                    // the job arrives when the world can ingest it.
+                    job.arrival = job.arrival.max(now);
+                    Spec::Owned(Box::new(job))
+                }
+            };
+            let spec = job.of(trace);
+            if schedulable(&self.catalog, spec) {
+                self.engine.schedule(spec.arrival, Event::Ingest);
+                self.pending = Some(job);
+                return;
             }
-            // A source that lags the clock still arrives causally: the
-            // job arrives when the world can ingest it.
-            job.arrival = job.arrival.max(self.now());
-            let at = job.arrival;
-            stream.pending = Some(job);
-            self.stream = Some(stream);
-            self.engine.schedule(at, Event::Ingest);
-            return;
+            eprintln!("warning: dropping unschedulable {}", spec.id);
+            self.dropped_jobs += 1;
         }
-        self.stream = Some(stream);
     }
 
-    /// Interns the pending streamed job at its arrival instant, then
-    /// pulls the next one. A job whose ID an active job holds is dropped.
+    /// Admits the pending job at its arrival instant, then pulls the next
+    /// one. A job whose ID an active job holds is dropped.
     fn handle_ingest(&mut self) {
-        let Some(job) = self.stream.as_mut().and_then(|s| s.pending.take()) else {
-            return;
-        };
+        let job = self.pending.take().expect("an arrival with a job pending");
+        let spec = job.of(self.cfg.trace.jobs());
+        let (id, arrival, tasks) = (spec.id, spec.arrival, spec.num_tasks());
         let jobs = &self.world.jobs;
         let active = jobs
             .active
-            .binary_search_by_key(&job.id, |&s| jobs.ids[s as usize]);
+            .binary_search_by_key(&id, |&s| jobs.ids[s as usize]);
         if active.is_ok() {
-            eprintln!("warning: dropping {}, whose id an active job holds", job.id);
+            eprintln!("warning: dropping {id}, whose id an active job holds");
             self.dropped_jobs += 1;
-            self.prime_ingest();
-            return;
+        } else {
+            self.ingested_jobs += 1;
+            self.total_tasks += tasks;
+            self.first_arrival_seen.get_or_insert(arrival);
+            self.metrics.record_arrival();
+            let slot = self.world.intern_job(self.cfg.trace.jobs(), job);
+            self.world.jobs.activate(slot, self.now());
+            self.schedule_round(self.now());
         }
-        self.ingested_jobs += 1;
-        self.total_tasks += job.num_tasks();
-        if self.first_arrival_seen.is_none() {
-            self.first_arrival_seen = Some(job.arrival);
-        }
-        self.metrics.record_arrival();
-        let slot = self.world.intern_job(job);
-        self.world.jobs.activate(slot, self.now());
-        self.schedule_round(self.now());
-        self.prime_ingest();
-    }
-
-    /// True when no streamed job is waiting to be ingested (batch
-    /// worlds: always).
-    pub(crate) fn stream_drained(&self) -> bool {
-        self.stream.as_ref().is_none_or(|s| s.pending.is_none())
+        self.pull();
     }
 
     /// The current simulated instant.
@@ -519,19 +466,6 @@ impl ClusterSim {
 
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Arrival(idx) => {
-                // The trace is sorted by (arrival, id) and no other event
-                // shares an arrival's priority: arrivals pop in trace order,
-                // after same-instant readiness and completions.
-                if let Some(next) = self.cfg.trace.jobs().get(idx + 1) {
-                    self.engine.schedule(next.arrival, Event::Arrival(idx + 1));
-                }
-                self.arrivals_remaining -= 1;
-                self.metrics.record_arrival();
-                let slot = self.world.slot_of_spec[idx];
-                self.world.jobs.activate(slot, self.now());
-                self.schedule_round(self.now());
-            }
             Event::Ingest => self.handle_ingest(),
             Event::TaskReady(slot) => {
                 let s = slot as usize;
@@ -760,15 +694,16 @@ impl ClusterSim {
         self.engine.past_dated()
     }
 
-    /// Jobs ingested from a stream so far (0 for batch worlds).
+    /// Jobs admitted so far, from a trace or a source.
     pub fn jobs_ingested(&self) -> u64 {
         self.ingested_jobs
     }
 
     /// Jobs dropped so far: no catalog type can host a task of theirs,
     /// their work does not fit a progress lane, their tasks do not carry
-    /// the job's ID under distinct indices, or another job holds their ID
-    /// (streamed: an active one; batch: one earlier in the trace).
+    /// the job's ID under distinct indices (counted when the world pulls
+    /// them off its feed, one arrival ahead), or an active job holds their
+    /// ID (counted when they arrive).
     pub fn jobs_dropped(&self) -> u64 {
         self.dropped_jobs
     }
@@ -780,7 +715,10 @@ impl ClusterSim {
 
     /// Feed lines the job source skipped so far ([`JobSource::rejected`]).
     pub fn lines_rejected(&self) -> u64 {
-        self.stream.as_ref().map_or(0, |s| s.source.rejected())
+        match &self.feed {
+            Feed::Source(source) => source.rejected(),
+            Feed::Trace(_) => 0,
+        }
     }
 
     /// Arena job rows currently holding a live (unreleased) job — the

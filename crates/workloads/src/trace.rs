@@ -28,14 +28,6 @@ impl Trace {
         Trace { jobs }
     }
 
-    /// The jobs `keep` marks, in this trace's order.
-    pub fn subset(&self, keep: &[bool]) -> Trace {
-        let kept = self.jobs.iter().zip(keep).filter(|(_, &k)| k);
-        Trace {
-            jobs: kept.map(|(job, _)| job.clone()).collect(),
-        }
-    }
-
     /// The jobs in arrival order.
     pub fn jobs(&self) -> &[JobSpec] {
         &self.jobs

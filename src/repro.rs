@@ -15,7 +15,7 @@
 //! plain serial loop, never through the cache, so every runtime they
 //! print was measured by this run.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use eva::core::{full_reconfiguration, ReservationPrices, TnrpEvaluator, UnitTput};
@@ -158,21 +158,15 @@ fn add_schedulers(mut grid: SweepGrid, kinds: Vec<SchedulerKind>) -> SweepGrid {
     grid
 }
 
-/// Writes a JSON artifact into `results/`.
-fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
-    std::fs::create_dir_all(&dir).ok();
-    let path = dir.join(name);
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("   [saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialization failed for {name}: {e}"),
-    }
+/// Writes a JSON artifact to `results/<name>` under the working directory.
+fn save_json<T: Serialize>(name: &str, value: &T) -> Result<(), String> {
+    let path = Path::new("results").join(name);
+    let json = serde_json::to_string_pretty(value).map_err(|e| format!("{name}: {e}"))?;
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    println!("   [saved {}]", path.display());
+    Ok(())
 }
 
 fn mean(v: &[f64]) -> f64 {
@@ -355,7 +349,7 @@ fn table4(repro: &Repro) -> Result<(), String> {
             }
         })
         .collect();
-    save_json("table4.json", &results);
+    save_json("table4.json", &results)?;
 
     let np_ratio: Vec<f64> = results.iter().map(|r| r.np_ratio).collect();
     let fr_ratio: Vec<f64> = results.iter().map(|r| r.fr_ratio).collect();
@@ -420,7 +414,7 @@ fn table5(repro: &Repro) -> Result<(), String> {
             }
         })
         .collect();
-    save_json("table5.json", &results);
+    save_json("table5.json", &results)?;
     println!("{:<12} {:>12}", "Num. Tasks", "Runtime (s)");
     for row in &results {
         println!(
@@ -478,7 +472,7 @@ fn table6(repro: &Repro) -> Result<(), String> {
         );
     }
     let result = repro.run_grid(grid);
-    save_json("table6.json", &result);
+    save_json("table6.json", &result)?;
 
     // One comparison block per trial; the first entry is the baseline.
     let mut rows: Vec<(&str, Vec<f64>, Vec<f64>)> = vec![
@@ -626,7 +620,7 @@ fn table10(repro: &Repro) -> Result<(), String> {
         }
         println!();
     }
-    save_json("table10_fig3.json", &reports);
+    save_json("table10_fig3.json", &reports)?;
     Ok(())
 }
 
@@ -638,7 +632,7 @@ fn table11(repro: &Repro) -> Result<(), String> {
         SchedulerKind::paper_set(),
         "Table 11: 32-job end-to-end",
     );
-    save_json("table11.json", &reports);
+    save_json("table11.json", &reports)?;
     Ok(())
 }
 
@@ -762,8 +756,8 @@ fn table12(repro: &Repro) -> Result<(), String> {
         "\nnonzero-deltas: {nonzero} of {} (scheduler, regime) cells",
         rows.len()
     );
-    save_json("table12.json", &result);
-    save_json("table12_robustness.json", &rows);
+    save_json("table12.json", &result)?;
+    save_json("table12_robustness.json", &rows)?;
     Ok(())
 }
 
@@ -776,7 +770,7 @@ fn table13(repro: &Repro) -> Result<(), String> {
         SchedulerKind::paper_set(),
         "Table 13: Alibaba trace, Alibaba durations",
     );
-    save_json("table13.json", &reports);
+    save_json("table13.json", &reports)?;
     Ok(())
 }
 
@@ -789,7 +783,7 @@ fn table14(repro: &Repro) -> Result<(), String> {
         SchedulerKind::paper_set(),
         "Table 14: Alibaba trace, Gavel durations",
     );
-    save_json("table14.json", &reports);
+    save_json("table14.json", &reports)?;
     Ok(())
 }
 
@@ -828,7 +822,7 @@ fn fig4(repro: &Repro) -> Result<(), String> {
             );
         }
     }
-    save_json("fig4.json", &result);
+    save_json("fig4.json", &result)?;
     Ok(())
 }
 
@@ -866,7 +860,7 @@ fn fig5(repro: &Repro) -> Result<(), String> {
             100.0 * stratus.total_cost_dollars / base.total_cost_dollars,
         );
     }
-    save_json("fig5.json", &(base, result));
+    save_json("fig5.json", &(base, result))?;
     Ok(())
 }
 
@@ -911,7 +905,7 @@ fn fig6(repro: &Repro) -> Result<(), String> {
         &labels,
         &result,
     );
-    save_json("fig6.json", &result);
+    save_json("fig6.json", &result)?;
     Ok(())
 }
 
@@ -946,7 +940,7 @@ fn fig7(repro: &Repro) -> Result<(), String> {
         &labels,
         &result,
     );
-    save_json("fig7.json", &result);
+    save_json("fig7.json", &result)?;
     Ok(())
 }
 
@@ -975,7 +969,7 @@ fn fig8(repro: &Repro) -> Result<(), String> {
         &labels,
         &result,
     );
-    save_json("fig8.json", &result);
+    save_json("fig8.json", &result)?;
     Ok(())
 }
 
@@ -1041,7 +1035,7 @@ fn ablations(repro: &Repro) -> Result<(), String> {
     for (horizon, p) in priors {
         print_row(&format!("Eva ({horizon}-horizon prior p = {p})"));
     }
-    save_json("ablations.json", &result);
+    save_json("ablations.json", &result)?;
     Ok(())
 }
 

@@ -2,13 +2,27 @@
 //! zero and print real content, so the README quickstart keeps working,
 //! and a flag error exits 2 with nothing on stdout.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn run_eva(args: &[&str]) -> std::process::Output {
+    run_eva_in(Path::new("."), args)
+}
+
+fn run_eva_in(dir: &Path, args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_eva"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("failed to spawn the eva binary")
+}
+
+/// An empty directory of this process's own under the system temp dir.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("eva_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create a temp dir");
+    dir
 }
 
 #[test]
@@ -243,8 +257,14 @@ fn repro_unknown_table_lists_the_names() {
 
 #[test]
 fn repro_table11_is_the_same_on_one_and_two_threads() {
-    let one = run_eva(&["repro", "table11", "--threads", "1"]);
-    let two = run_eva(&["repro", "table11", "--threads", "2"]);
+    // Tables land in `results/` under the working directory.
+    let dir = fresh_dir("repro_threads");
+    let one = run_eva_in(&dir, &["repro", "table11", "--threads", "1"]);
+    assert!(
+        dir.join("results/table11.json").is_file(),
+        "no table11.json"
+    );
+    let two = run_eva_in(&dir, &["repro", "table11", "--threads", "2"]);
     for out in [&one, &two] {
         assert!(
             out.status.success(),
@@ -256,4 +276,17 @@ fn repro_table11_is_the_same_on_one_and_two_threads() {
     let stdout = String::from_utf8(one.stdout).unwrap();
     assert!(stdout.contains("Table 11: 32-job end-to-end"), "{stdout}");
     assert_eq!(stdout, String::from_utf8(two.stdout).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn repro_fails_when_it_cannot_save_a_table() {
+    // `results` is a plain file, so no table can be written under it.
+    let dir = fresh_dir("repro_unsaved");
+    std::fs::write(dir.join("results"), "").unwrap();
+    let out = run_eva_in(&dir, &["repro", "table11"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("results/table11.json"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,7 +95,8 @@ fn unschedulable_jobs_are_counted_as_dropped() {
 
     let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Stratus);
     cfg.seed = 1;
-    let sim = ClusterSim::new(&cfg);
+    let mut sim = ClusterSim::new(&cfg);
+    while sim.step() {}
     assert_eq!(sim.jobs_dropped(), 1);
     assert_eq!(sim.run().jobs_completed as u64, n - 1);
 }
@@ -142,11 +143,13 @@ fn jobs_whose_work_no_lane_can_hold_are_counted_as_dropped() {
     assert_eq!(outcome.lines_rejected, 0);
     assert_eq!(outcome.report.jobs_completed as u64, n - 2);
 
-    // One millisecond less fits, and the batch constructor drops the same.
+    // One millisecond less fits, and a batch world drops the same.
     jobs[2].duration_at_full_tput = SimDuration::from_millis((1 << 32) - 1);
     let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Stratus);
     cfg.seed = 1;
-    assert_eq!(ClusterSim::new(&cfg).jobs_dropped(), 1);
+    let mut sim = ClusterSim::new(&cfg);
+    while sim.step() {}
+    assert_eq!(sim.jobs_dropped(), 1);
 }
 
 #[test]
@@ -192,23 +195,20 @@ fn jobs_whose_ids_collide_are_counted_as_dropped() {
     assert_eq!(sim.run().jobs_completed as u64, n - 2);
 }
 
-#[test]
-fn a_batch_job_whose_id_an_earlier_one_holds_is_dropped() {
-    // Job 1 takes job 0's id (its tasks too) and arrival: the batch
-    // constructor drops it, as the streamed door would.
-    let mut jobs = SyntheticTraceConfig::small_scale().generate(7).into_jobs();
-    let n = jobs.len() as u64;
-    let (id, arrival) = (jobs[0].id, jobs[0].arrival);
-    jobs[1].id = id;
-    jobs[1].arrival = arrival;
-    jobs[1]
-        .tasks
+/// `job` under `id`, its tasks too.
+fn reid(job: &mut JobSpec, id: JobId) {
+    job.id = id;
+    job.tasks
         .iter_mut()
         .for_each(|t| t.id = TaskId::new(id, t.id.index));
+}
+
+/// Steps a batch world over `jobs` to exhaustion, auditing every step.
+fn audited_batch(jobs: Vec<JobSpec>, retire: bool) -> ClusterSim {
     let mut cfg = SimConfig::new(TraceHandle::new(Trace::new(jobs)), SchedulerKind::Stratus);
     cfg.seed = 1;
+    cfg.retire_completed = retire;
     let mut sim = ClusterSim::new(&cfg);
-    assert_eq!(sim.jobs_dropped(), 1);
     let mut steps = 0u64;
     while sim.step() {
         steps += 1;
@@ -216,5 +216,36 @@ fn a_batch_job_whose_id_an_earlier_one_holds_is_dropped() {
             .unwrap_or_else(|e| panic!("step {steps}: {e}"));
         assert!(steps < 200_000, "the world never drained");
     }
+    sim
+}
+
+#[test]
+fn a_batch_job_whose_id_an_earlier_one_holds_is_dropped() {
+    // Job 1 takes job 0's id (its tasks too) and arrival: it is dropped
+    // when it arrives, as the streamed door drops it.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(7).into_jobs();
+    let n = jobs.len() as u64;
+    let (id, arrival) = (jobs[0].id, jobs[0].arrival);
+    reid(&mut jobs[1], id);
+    jobs[1].arrival = arrival;
+    let sim = audited_batch(jobs, false);
+    assert_eq!(sim.jobs_dropped(), 1);
     assert_eq!(sim.run().jobs_completed as u64, n - 1);
+}
+
+#[test]
+fn a_batch_job_reusing_a_completed_jobs_ids_is_admitted() {
+    // The last job takes job 0's id (its tasks too) and arrives long after
+    // every other job completed: no active job holds the id, so it is
+    // admitted, as a stream admits it.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(7).into_jobs();
+    let n = jobs.len() as u64;
+    let (last, id) = (jobs.len() - 1, jobs[0].id);
+    reid(&mut jobs[last], id);
+    jobs[last].arrival = SimTime::from_hours_f64(10_000.0);
+    for retire in [false, true] {
+        let sim = audited_batch(jobs.clone(), retire);
+        assert_eq!((sim.jobs_dropped(), sim.jobs_ingested()), (0, n));
+        assert_eq!(sim.run().jobs_completed as u64, n, "retire {retire}");
+    }
 }

@@ -78,15 +78,17 @@ proptest! {
 
 #[test]
 fn retirement_frees_slots_in_batch_mode_too() {
-    // Batch worlds intern everything up front, so retirement cannot
-    // recycle rows — but it must still empty the live set and move
-    // every contribution into the completed log without changing the
-    // report.
+    // Batch worlds intern each job when it arrives, as streams do, so
+    // retirement recycles their rows too: the arena grows only to the
+    // peak of jobs live at once, and the live set ends empty.
     let mut cfg = SimConfig::new(trace(12, 3), SchedulerKind::Stratus);
     cfg.retire_completed = true;
     let mut sim = ClusterSim::new(&cfg);
-    while sim.step() {}
+    let mut peak = sim.live_job_slots();
+    while sim.step() {
+        peak = peak.max(sim.live_job_slots());
+    }
     assert_eq!(sim.live_job_slots(), 0, "every completed job released");
-    assert_eq!(sim.job_arena_rows(), 12, "batch rows are pre-interned");
+    assert_eq!(sim.job_arena_rows(), peak, "rows recycle");
     sim.audit_slots().expect("audit after full retirement");
 }

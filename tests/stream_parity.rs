@@ -1,9 +1,9 @@
-//! Safety rail for streaming ingestion: a batch trace replayed through
-//! the pull-based [`JobSource`] path (`ClusterSim::from_source` +
-//! `Event::Ingest`) must produce a report byte-identical to the
-//! construction-time interning path (`ClusterSim::new` + `Event::
-//! Arrival`) — with retirement off *and* on. Serialized-JSON equality
-//! makes every float bit observable.
+//! Safety rail for streaming ingestion: a batch trace replayed through a
+//! [`JobSource`] (`ClusterSim::from_source`, which owns each job it pulls)
+//! must produce a report byte-identical to the same trace fed by index
+//! (`ClusterSim::new`, which shares the trace) — with retirement off *and*
+//! on, under every paper scheduler. Both feeds pass one arrival door;
+//! serialized-JSON equality makes every float bit observable.
 
 use eva::prelude::*;
 
@@ -19,12 +19,16 @@ fn report_json(report: &SimReport) -> String {
 }
 
 fn assert_stream_matches_batch(trace: Trace, scheduler: SchedulerKind) {
+    let name = format!("{scheduler:?}");
     let cfg = batch_cfg(trace, scheduler);
     let batch = report_json(&ClusterSim::new(&cfg).run());
 
     let source = Box::new(TraceSource::new(cfg.trace.clone()));
     let streamed = report_json(&ClusterSim::from_source(&cfg, source).run());
-    assert_eq!(batch, streamed, "streamed trace diverged from batch");
+    assert_eq!(
+        batch, streamed,
+        "{name}: streamed trace diverged from batch"
+    );
 
     let mut retire = cfg.clone();
     retire.retire_completed = true;
@@ -32,7 +36,7 @@ fn assert_stream_matches_batch(trace: Trace, scheduler: SchedulerKind) {
     let streamed_retired = report_json(&ClusterSim::from_source(&retire, source).run());
     assert_eq!(
         batch, streamed_retired,
-        "streamed trace with retirement diverged from batch"
+        "{name}: streamed trace with retirement diverged from batch"
     );
 }
 
@@ -51,6 +55,16 @@ fn streamed_alibaba_trace_matches_batch_bytes() {
     }
     .generate(3);
     assert_stream_matches_batch(trace, SchedulerKind::NoPacking);
+}
+
+#[test]
+fn every_paper_scheduler_streams_the_batch_bytes() {
+    // Eva, Synergy and Owl learn from the observations each round pulls,
+    // so they hold the two feeds to the same observations as well.
+    let trace = SyntheticTraceConfig::small_scale().generate(11);
+    for scheduler in SchedulerKind::paper_set() {
+        assert_stream_matches_batch(trace.clone(), scheduler);
+    }
 }
 
 #[test]
