@@ -13,7 +13,9 @@
 //!   arrival order, so without recycling slot order is ID order too);
 //! * **task slots** are job-major and ascending by [`TaskId`] within a
 //!   job, so each job's tasks form one contiguous slot range and a
-//!   sorted task-slot list is sorted by `TaskId`;
+//!   sorted task-slot list is sorted by `TaskId`. The host puts a job's
+//!   tasks in index order before they pass its door, so a job's `k`-th
+//!   task is both slot `task_start + k` and `spec.tasks[k]`;
 //! * **instance slots** are allocated when the provider provisions and
 //!   recycled through a free list once the clock passes the instance's
 //!   termination. Each instance is one [`InstRow`] of the [`InstTable`]
@@ -28,7 +30,8 @@
 //!
 //! IDs are admitted once: the host turns away a job whose tasks do not
 //! carry its own ID under distinct indices, and a job whose ID an active
-//! job holds. Past the door the world names a task by its
+//! job holds. A job is interned and activated in one step, so every slot
+//! not released holds an active or a completed job. Past the door the world names a task by its
 //! slot and never maps an ID back to one: events carry slots, and a
 //! round's snapshot records the slot of each task row it lists.
 //!
@@ -56,11 +59,11 @@
 //! ([`JobArena::remaining_at`]), and settling ([`JobArena::settle`]) is
 //! that multiply written back. Products widen to `u128` and saturate, and
 //! saturating sums of non-negative terms associate, so settling at any
-//! set of instants leaves the same integers as settling once: the lazy
-//! world and the eager reference (`ClusterSim::use_full_scan_reference`)
-//! agree exactly. Nothing settles every job; readers ask for progress at
-//! `now`. The machinery is sound iff the host (`ClusterSim`) upholds, and
-//! `audit()` checks:
+//! set of instants leaves the same integers as settling once. Nothing
+//! settles every job; readers ask for progress at `now`. The machinery is
+//! sound iff the host (`ClusterSim`) upholds invariants 1–4, which
+//! `ClusterSim::audit_slots` checks after every event of the
+//! `lazy_oracle` tests:
 //!
 //! 1. **Dirty before different.** Any event that can change a job's
 //!    effective throughput (task placement/readiness, straggler factor,
@@ -70,19 +73,23 @@
 //!    actually prevailed.
 //! 2. **Recompute drains.** Every event that marks jobs dirty ends by
 //!    draining the dirty list (`recompute_completions`), refreshing each
-//!    dirty job's cached `rate` and completion event. Hence whenever the
-//!    clock moves the dirty list is empty and every cached rate is
-//!    current.
+//!    dirty job's cached `rate` and completion event. Hence between events
+//!    the dirty list is empty, every cached rate is the job's throughput
+//!    derived afresh, and every queued completion is `last + eta()`: a
+//!    settle keeps that sum, since `div_nearest(r − rate·dt, rate) =
+//!    div_nearest(r, rate) − dt`.
 //! 3. **Flags mirror the list.** `dirty[j]` ⇔ `j ∈ dirty_list`, and
-//!    only arrived, not-done jobs are ever flagged.
+//!    only active jobs are ever flagged.
 //! 4. **Conservation.** For every active job, `executing_ms + idle_ms`
 //!    is exactly `last − arrival`, `remaining ≤ total`, and `last ≤ now`.
 //!
-//! `ClusterSim::audit_slots` extends this with the incremental-integral
-//! invariant: the maintained capacity/allocation/running-task *rates*
-//! must equal a from-scratch scan of the provider's live instances, bit
-//! for bit (all components are integer-valued, so summation order cannot
-//! introduce drift).
+//! `audit()` checks that no job is dirty between events and invariant 4;
+//! `ClusterSim::audit_slots` checks the rest of 2, which covers 1 (a job
+//! left unmarked keeps a stale rate), and the incremental-integral
+//! invariant: the maintained
+//! capacity/allocation/running-task *rates* must equal a from-scratch
+//! scan of the provider's live instances, bit for bit (all components are
+//! integer-valued, so summation order cannot introduce drift).
 //!
 //! A job slot holds its queued completion's due time and cancel token
 //! ([`JobArena::done_event`]), a task slot its queued readiness's token
@@ -203,9 +210,7 @@ pub(crate) struct JobArena {
     /// event (`None` when none is queued), letting recompute skip
     /// re-pushing an event that would land at the same instant.
     pub done_event: Vec<Option<(SimTime, CancelToken)>>,
-    /// Whether the job's arrival event has fired.
-    pub arrived: Vec<bool>,
-    /// Arrived-and-not-done job slots, kept in ascending `JobId` order:
+    /// Active (interned, not done) job slots, kept in ascending `JobId` order:
     /// the iteration set of every per-event loop, so done jobs cost
     /// nothing per event.
     pub active: Vec<u32>,
@@ -244,9 +249,8 @@ impl JobArena {
             .binary_search_by(|&x| ids[x as usize].cmp(&key).then(x.cmp(&slot)))
     }
 
-    /// Marks the job arrived at `now` and inserts it into the active set.
-    pub fn activate(&mut self, slot: u32, now: SimTime) {
-        self.arrived[slot as usize] = true;
+    /// Starts the job's lanes at `now` and inserts it into the active set.
+    fn activate(&mut self, slot: u32, now: SimTime) {
         self.progress[slot as usize].last = now;
         if let Err(pos) = self.active_pos(slot) {
             self.active.insert(pos, slot);
@@ -273,7 +277,6 @@ impl JobArena {
         debug_assert!(self.done_event[s].is_none(), "releasing a queued job");
         debug_assert!(!self.dirty[s], "releasing a dirty job");
         debug_assert!(self.active_pos(slot).is_err(), "releasing an active job");
-        self.arrived[s] = false;
         self.completed_at[s] = None;
         self.progress[s] = Progress::default();
         if let Some(spec) = self.owned.get_mut(s) {
@@ -351,7 +354,7 @@ impl JobArena {
     /// the rate that actually prevailed (invariant 1).
     pub fn mark_dirty(&mut self, slot: u32, now: SimTime) {
         let s = slot as usize;
-        if !self.arrived[s] || self.completed_at[s].is_some() || self.dirty[s] {
+        if self.completed_at[s].is_some() || self.dirty[s] {
             return;
         }
         self.settle(slot, now);
@@ -368,8 +371,6 @@ pub(crate) struct TaskArena {
     pub ids: Vec<TaskId>,
     /// Slot → owning job's slot.
     pub job_slot: Vec<u32>,
-    /// Slot → the task's position in its job spec's task vector.
-    pub spec_pos: Vec<u32>,
     /// Slot → workload kind (cached from the spec for the tput loop).
     pub workload: Vec<WorkloadKind>,
     /// Lifecycle state.
@@ -380,10 +381,6 @@ pub(crate) struct TaskArena {
     pub migrations: Vec<u32>,
     /// Cancel token of the readiness event of the transfer in flight.
     pub transfer: Vec<Option<CancelToken>>,
-    /// Spec order: the slot of job `j`'s `pos`-th spec task is
-    /// `slot_by_pos[task_start[j] + pos]` (identity whenever spec tasks
-    /// are declared in index order, which every generator does).
-    pub slot_by_pos: Vec<u32>,
     /// Released task ranges awaiting exact-fit reuse: range length →
     /// start slots. Jobs release their whole contiguous range at once,
     /// so recycling preserves the job-major contiguity invariant.
@@ -396,24 +393,19 @@ impl TaskArena {
         self.state[slot as usize] == TaskState::Running
     }
 
-    /// Writes `spec`'s tasks, in their initial state, into the range at
-    /// `base` owned by job slot `jslot`: ascending by `TaskId`
-    /// (generators declare tasks in index order, but don't assume it).
+    /// Writes `spec`'s tasks, in their initial state and in the order the
+    /// spec lists them (index order, as the host admits them), into the
+    /// range at `base` owned by job slot `jslot`.
     fn fill(&mut self, base: u32, jslot: u32, spec: &JobSpec) {
-        let mut positions: Vec<u32> = (0..spec.tasks.len() as u32).collect();
-        positions.sort_by_key(|&p| spec.tasks[p as usize].id);
-        for (k, &pos) in positions.iter().enumerate() {
-            let t = &spec.tasks[pos as usize];
+        for (k, t) in spec.tasks.iter().enumerate() {
             debug_assert_eq!(t.id.job, spec.id, "task under foreign job");
             let ts = base as usize + k;
             self.ids[ts] = t.id;
             self.job_slot[ts] = jslot;
-            self.spec_pos[ts] = pos;
             self.workload[ts] = t.workload;
             self.state[ts] = TaskState::Pending;
             self.assigned[ts] = NO_SLOT;
             self.migrations[ts] = 0;
-            self.slot_by_pos[(base + pos) as usize] = ts as u32;
         }
     }
 }
@@ -670,26 +662,23 @@ impl WorldArena {
         j.progress.reserve_exact(jobs);
         j.completed_at.reserve_exact(jobs);
         j.done_event.reserve_exact(jobs);
-        j.arrived.reserve_exact(jobs);
         j.dirty.reserve_exact(jobs);
         j.released.reserve_exact(jobs);
         t.ids.reserve_exact(tasks);
         t.job_slot.reserve_exact(tasks);
-        t.spec_pos.reserve_exact(tasks);
         t.workload.reserve_exact(tasks);
         t.state.reserve_exact(tasks);
         t.assigned.reserve_exact(tasks);
         t.migrations.reserve_exact(tasks);
         t.transfer.reserve_exact(tasks);
-        t.slot_by_pos.reserve_exact(tasks);
     }
 
-    /// Interns an arriving job (a trace index is read in `trace`),
-    /// recycling a released job slot and an exact-fit released task range
-    /// when available, appending fresh lanes otherwise. An owned spec is
-    /// kept by the slot (released with it); all dynamic state starts at
-    /// its default, and the caller activates the job.
-    pub fn intern_job(&mut self, trace: &[JobSpec], job: Spec) -> u32 {
+    /// Interns a job arriving at `now` (a trace index is read in `trace`)
+    /// and activates it, recycling a released job slot and an exact-fit
+    /// released task range when available, appending fresh lanes
+    /// otherwise. An owned spec is kept by the slot (released with it);
+    /// all other dynamic state starts at its default.
+    pub fn intern_job(&mut self, trace: &[JobSpec], job: Spec, now: SimTime) -> u32 {
         let spec = job.of(trace);
         let n_tasks = spec.tasks.len() as u32;
         let jobs = &mut self.jobs;
@@ -708,7 +697,6 @@ impl WorldArena {
                 jobs.progress.push(Progress::default());
                 jobs.completed_at.push(None);
                 jobs.done_event.push(None);
-                jobs.arrived.push(false);
                 jobs.dirty.push(false);
                 jobs.released.push(false);
                 s
@@ -726,13 +714,11 @@ impl WorldArena {
                 for _ in 0..n_tasks {
                     self.tasks.ids.push(TaskId::new(spec.id, 0));
                     self.tasks.job_slot.push(jslot);
-                    self.tasks.spec_pos.push(0);
                     self.tasks.workload.push(WorkloadKind(0));
                     self.tasks.state.push(TaskState::Pending);
                     self.tasks.assigned.push(NO_SLOT);
                     self.tasks.migrations.push(0);
                     self.tasks.transfer.push(None);
-                    self.tasks.slot_by_pos.push(0);
                 }
                 b
             }
@@ -753,6 +739,7 @@ impl WorldArena {
                 NO_SLOT
             }
         };
+        jobs.activate(jslot, now);
         jslot
     }
 
@@ -779,69 +766,40 @@ impl WorldArena {
     /// description of the first violation. Backs the public
     /// `ClusterSim::audit_slots` test hook.
     pub fn audit(&self, now: SimTime, arrival: impl Fn(u32) -> SimTime) -> Result<(), String> {
-        for slot in 0..self.jobs.ids.len() {
-            // Released slots hold stale IDs; they must read as inert
-            // until reuse.
-            if self.jobs.released[slot]
-                && (self.jobs.arrived[slot]
-                    || self.jobs.completed_at[slot].is_some()
-                    || self.jobs.dirty[slot])
-            {
+        // Between events no job is dirty (invariants 2 and 3), and the
+        // active set lists exactly the slots holding an unfinished job.
+        let jobs = &self.jobs;
+        if !jobs.dirty_list.is_empty() {
+            let n = jobs.dirty_list.len();
+            return Err(format!("{n} dirty jobs outlived an event"));
+        }
+        for slot in 0..jobs.ids.len() as u32 {
+            let (s, done) = (slot as usize, jobs.is_done(slot));
+            if jobs.dirty[s] {
+                return Err(format!("job {} is flagged dirty", jobs.ids[s]));
+            }
+            // Released slots hold stale IDs; they must read as inert until
+            // reuse.
+            if jobs.released[s] && done {
                 return Err(format!("released job slot {slot} is not inert"));
             }
-        }
-        for slot in 0..self.jobs.ids.len() as u32 {
-            let should = self.jobs.arrived[slot as usize] && !self.jobs.is_done(slot);
-            let listed = self.jobs.active_pos(slot).is_ok();
-            let queued = self.jobs.done_event[slot as usize].is_some();
+            let should = !jobs.released[s] && !done;
+            let listed = jobs.active_pos(slot).is_ok();
+            let queued = jobs.done_event[s].is_some();
             if should != listed || (queued && !should) {
                 return Err(format!(
                     "job {} active-set membership {listed}, completion queued {queued} \
                      (expected {should})",
-                    self.jobs.ids[slot as usize]
+                    jobs.ids[s]
                 ));
             }
-        }
-        // Invariant 3 (module docs): flags mirror the list, and only
-        // active jobs are flagged.
-        let mut flagged = 0usize;
-        for slot in 0..self.jobs.ids.len() as u32 {
-            if self.jobs.dirty[slot as usize] {
-                flagged += 1;
-                if !self.jobs.arrived[slot as usize] || self.jobs.is_done(slot) {
-                    return Err(format!(
-                        "inactive job {} is flagged dirty",
-                        self.jobs.ids[slot as usize]
-                    ));
-                }
-            }
-        }
-        for &slot in &self.jobs.dirty_list {
-            if !self.jobs.dirty[slot as usize] {
-                return Err(format!(
-                    "dirty list holds unflagged job {}",
-                    self.jobs.ids[slot as usize]
-                ));
-            }
-        }
-        if self.jobs.dirty_list.len() != flagged {
-            return Err(format!(
-                "dirty list length {} != {} flagged jobs",
-                self.jobs.dirty_list.len(),
-                flagged
-            ));
         }
         // Strictly ascending: no two active jobs share an ID.
-        if !self
-            .jobs
-            .active
-            .windows(2)
-            .all(|w| self.jobs.ids[w[0] as usize] < self.jobs.ids[w[1] as usize])
-        {
+        let ascending = |w: &[u32]| jobs.ids[w[0] as usize] < jobs.ids[w[1] as usize];
+        if !jobs.active.windows(2).all(ascending) {
             return Err("active set out of JobId order".to_string());
         }
         // Invariant 4: exact conservation, lane by lane.
-        let jobs = &self.jobs;
         for &slot in &jobs.active {
             let (s, p) = (slot as usize, &jobs.progress[slot as usize]);
             let present = p.last.duration_since(arrival(slot)).as_millis();
@@ -937,11 +895,12 @@ mod tests {
         world.audit(SimTime::ZERO, |_| SimTime::ZERO)
     }
 
-    /// A world holding every job of `trace`, interned in arrival order.
+    /// A world holding every job of `trace`, interned in arrival order at
+    /// time zero.
     fn interned(trace: &Trace) -> WorldArena {
         let mut world = WorldArena::default();
         for i in 0..trace.len() as u32 {
-            world.intern_job(trace.jobs(), Spec::Trace(i));
+            world.intern_job(trace.jobs(), Spec::Trace(i), SimTime::ZERO);
         }
         world
     }
@@ -1026,14 +985,17 @@ mod tests {
     fn active_set_tracks_arrival_and_retirement_in_id_order() {
         let trace = SyntheticTraceConfig::small_scale().generate(3);
         let mut world = interned(&trace);
+        let all = world.jobs.active.clone();
+        assert_eq!(all, (0..trace.len() as u32).collect::<Vec<_>>());
+        for slot in [1, 3, 5] {
+            world.jobs.retire(slot);
+        }
         world.jobs.activate(5, SimTime::ZERO);
         world.jobs.activate(1, SimTime::ZERO);
+        assert_eq!(world.jobs.active[..5], [0, 1, 2, 4, 5]);
         world.jobs.activate(3, SimTime::ZERO);
-        assert_eq!(world.jobs.active, vec![1, 3, 5]);
-        world.jobs.retire(3);
-        assert_eq!(world.jobs.active, vec![1, 5]);
         world.jobs.activate(1, SimTime::ZERO); // double-activation is idempotent
-        assert_eq!(world.jobs.active, vec![1, 5]);
+        assert_eq!(world.jobs.active, all);
     }
 
     /// One job's lanes after `pieces` of (milliseconds, rate), computed
@@ -1145,12 +1107,12 @@ mod tests {
         let jobs = SyntheticTraceConfig::small_scale().generate(8).into_jobs();
         let mut world = WorldArena::default();
         let own = |spec: JobSpec| Spec::Owned(Box::new(spec));
-        let a = world.intern_job(&[], own(jobs[0].clone()));
-        let b = world.intern_job(&[], own(reid(jobs[1].clone(), JobId(1_000))));
+        let a = world.intern_job(&[], own(jobs[0].clone()), SimTime::ZERO);
+        let b = reid(jobs[1].clone(), JobId(1_000));
+        let b = world.intern_job(&[], own(b), SimTime::ZERO);
         assert_ne!(a, b);
         assert_eq!(world.jobs.ids[a as usize], jobs[0].id);
         let a_range = world.jobs.task_range(a);
-        world.jobs.activate(a, SimTime::ZERO);
         audit(&world).unwrap();
 
         // Complete and release the first job: its slot, task range, and
@@ -1167,7 +1129,8 @@ mod tests {
 
         // A same-shape job recycles both the job slot and the exact-fit
         // task range, which now carry its IDs.
-        let c = world.intern_job(&[], own(reid(jobs[0].clone(), JobId(2_000))));
+        let c = reid(jobs[0].clone(), JobId(2_000));
+        let c = world.intern_job(&[], own(c), SimTime::ZERO);
         assert_eq!(c, a, "job slot recycled");
         assert_eq!(world.jobs.task_range(c), a_range, "task range recycled");
         assert_eq!(world.jobs.ids[c as usize], JobId(2_000));

@@ -274,7 +274,10 @@ impl ReplayPlan {
         let mut totals: BTreeMap<TaskId, u64> = BTreeMap::new();
         let mut job_of: BTreeMap<JobId, &eva_types::JobSpec> = BTreeMap::new();
         for job in cfg.trace.jobs() {
-            job_of.insert(job.id, job);
+            // Keyed by ID, a job that reuses one would replay as the other.
+            if job_of.insert(job.id, job).is_some() {
+                return Err(format!("job id {} repeats in the trace", job.id));
+            }
             for t in &job.tasks {
                 totals.insert(
                     t.id,

@@ -54,7 +54,7 @@ pub use backend::{BackendKind, LiveBackend, LiveOutcome, LIVE_ITERS_PER_HOUR};
 pub use cache::{ReportCache, SCHEMA_VERSION};
 pub use eva_engine::{derive_seed, EventEngine, RngStreams, Scheduled, SimEvent};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultRegime, FaultSpec};
-pub use metrics::{CdfPoint, MetricsRegistry, MetricsSnapshot, SimReport};
+pub use metrics::{CdfPoint, MetricsSnapshot, SimReport};
 pub use pool::PoolStats;
 pub use runner::{run_recorded, run_simulation, InterferenceSpec, SchedulerKind, SimConfig};
 pub use script::{ExecAction, ExecActionKind, ExecScript};

@@ -143,7 +143,7 @@ impl WaitHistogram {
 /// `ClusterSim` as events fire and snapshotted per scheduler round (or
 /// on `eva serve`'s metrics interval).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     /// Jobs ingested/arrived so far.
     pub arrivals_total: u64,
     /// Jobs completed so far.

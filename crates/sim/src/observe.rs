@@ -39,7 +39,7 @@ impl ClusterSim {
     pub(crate) fn transfer_task(&mut self, tslot: u32, dslot: u32) {
         let s = tslot as usize;
         let jslot = self.world.tasks.job_slot[s];
-        let active = self.world.jobs.arrived[jslot as usize] && !self.world.jobs.is_done(jslot);
+        let active = !self.world.jobs.released[jslot as usize] && !self.world.jobs.is_done(jslot);
         debug_assert!(active, "moving a task of an inactive job");
         let (checkpoint, launch) = {
             let spec = self.task_spec(tslot);
@@ -109,10 +109,9 @@ impl ClusterSim {
 
     fn observation_of(&self, jslot: u32) -> Option<JobObservation> {
         let spec = self.job_spec(jslot);
-        let base = self.world.jobs.task_range(jslot).start;
+        let base = self.world.jobs.task_start[jslot as usize];
         let mut contexts = Vec::new();
-        for (pos, tspec) in spec.tasks.iter().enumerate() {
-            let tslot = self.world.tasks.slot_by_pos[base + pos];
+        for (tslot, tspec) in (base..).zip(&spec.tasks) {
             if !self.world.tasks.is_running(tslot) {
                 continue;
             }
@@ -136,7 +135,7 @@ impl ClusterSim {
             self.job_tput(jslot)
         } else {
             // Single-task jobs report the task's own throughput.
-            self.task_tput(self.world.tasks.slot_by_pos[base])
+            self.task_tput(base)
         };
         Some(JobObservation {
             job: spec.id,
@@ -171,10 +170,9 @@ impl ClusterSim {
         let now = self.now();
         for &jslot in &self.world.jobs.active {
             let spec = self.job_spec(jslot);
-            let base = self.world.jobs.task_range(jslot).start;
+            let base = self.world.jobs.task_start[jslot as usize];
             let remaining = work_span(self.world.jobs.remaining_at(jslot, now));
-            for (pos, tspec) in spec.tasks.iter().enumerate() {
-                let tslot = self.world.tasks.slot_by_pos[base + pos];
+            for (tslot, tspec) in (base..).zip(&spec.tasks) {
                 let assigned = self.world.tasks.assigned[tslot as usize];
                 snap.slots.push(tslot);
                 let host = snap.listing.get(assigned as usize);

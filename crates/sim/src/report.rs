@@ -12,7 +12,7 @@ pub(crate) fn finalize(mut sim: ClusterSim) -> SimReport {
 
     // Completed jobs were summed exactly as each completed.
     let done = sim.completed;
-    let jobs_completed = done.jobs as usize;
+    let jobs_completed = sim.metrics.completions_total as usize;
     let n = jobs_completed.max(1) as f64;
     let hours = |ms: u128| ms as f64 / SimDuration::from_hours(1).as_millis() as f64;
     let avg_jct_hours = hours(done.jct_ms) / n;

@@ -43,10 +43,8 @@ mod tests {
             gang_coupled: false,
         };
         let mut world = WorldArena::default();
-        world.intern_job(&[spec], Spec::Trace(0));
-        let mut jobs = world.jobs;
-        jobs.activate(0, SimTime::ZERO);
-        jobs
+        world.intern_job(&[spec], Spec::Trace(0), SimTime::ZERO);
+        world.jobs
     }
 
     fn hours(h: f64) -> SimTime {

@@ -8,14 +8,20 @@
 //! `report` module.
 //!
 //! Jobs come from a feed, the shared trace or a [`JobSource`], one pulled
-//! ahead of the clock. Each passes one door when it arrives: it is
-//! checked, interned into the slot-indexed arenas of the private `arena`
-//! module (its tasks into a contiguous `u32` slot range) and activated.
-//! Events carry slots instead of IDs, the per-event hot loops walk flat
-//! vectors, and the active set is kept in ID order, so every iteration
-//! happens in the sequence the former `BTreeMap`-keyed world produced.
-//! Each instance is one row of the arena's instance table, from its
-//! provision until the clock passes its termination.
+//! ahead of the clock with its tasks put in index order. Each passes one
+//! door when it arrives: it is checked, interned into the slot-indexed
+//! arenas of the private `arena` module (its tasks into a contiguous `u32`
+//! slot range) and activated. Events carry slots instead of IDs, the
+//! per-event hot loops walk flat vectors, and the active set is kept in ID
+//! order, so every iteration happens in the sequence the former
+//! `BTreeMap`-keyed world produced. Each instance is one row of the arena's
+//! instance table, from its provision until the clock passes its
+//! termination.
+//!
+//! The world is lazy: it settles a job's progress only where the job's
+//! rate changes and keeps the rates it integrates incrementally.
+//! [`ClusterSim::audit_slots`] holds what it caches to a fresh
+//! derivation.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -83,7 +89,6 @@ pub(crate) const CKPT_DROP_DIVISOR: u64 = 4;
 /// bytes, and no completed job is held for the sake of its sum.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CompletedSums {
-    pub jobs: u64,
     /// Σ job completion time, ms.
     pub jct_ms: u128,
     /// Σ time present but not executing, ms.
@@ -126,7 +131,6 @@ pub struct ClusterSim {
     pub(crate) retire_completed: bool,
     pub(crate) completed: CompletedSums,
     pub(crate) first_arrival_seen: Option<SimTime>,
-    pub(crate) ingested_jobs: u64,
     dropped_jobs: u64,
     pub(crate) provisions_failed: u64,
     pub(crate) metrics: MetricsRegistry,
@@ -146,10 +150,6 @@ pub struct ClusterSim {
     pub(crate) rounds: u64,
     pub(crate) full_rounds: u64,
 
-    /// Debug-only eager reference semantics (see
-    /// [`ClusterSim::use_full_scan_reference`]).
-    full_scan: bool,
-
     // Reusable hot-path scratch (per-event, allocation-free steady state).
     tput_buf: RefCell<Vec<WorkloadKind>>,
     pub(crate) snapshot_scratch: Snapshot,
@@ -157,22 +157,30 @@ pub struct ClusterSim {
 
 /// True when some catalog type can host each of the job's tasks alone,
 /// the job's work fits a progress lane, and its tasks carry the job's
-/// ID under distinct indices.
+/// ID under strictly ascending indices (the door sorts them first).
 fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
     let fits = |t: &TaskSpec| t.id.job == job.id && catalog.cheapest_fit(&t.demand).is_some();
     work_of(job.duration_at_full_tput).is_some()
         && job.tasks.iter().all(fits)
-        && (job.tasks.windows(2).all(|w| w[0].id.index < w[1].id.index)
-            || distinct_indices(&job.tasks))
+        && in_index_order(job)
 }
 
-/// True when no two of `tasks` share an index (tasks declared out of
-/// index order; every generator declares them in order).
+/// True when the job's tasks are declared strictly ascending by index.
+fn in_index_order(job: &JobSpec) -> bool {
+    job.tasks.windows(2).all(|w| w[0].id.index < w[1].id.index)
+}
+
+/// `job` with its tasks in index order (every generator declares them in
+/// order): a trace job becomes an owned, sorted copy, and the shared trace
+/// is left as it is.
 #[cold]
-fn distinct_indices(tasks: &[TaskSpec]) -> bool {
-    let mut indices: Vec<u32> = tasks.iter().map(|t| t.id.index).collect();
-    indices.sort_unstable();
-    indices.windows(2).all(|w| w[0] < w[1])
+fn into_index_order(job: Spec, trace: &[JobSpec]) -> Spec {
+    let mut spec = match job {
+        Spec::Trace(i) => Box::new(trace[i as usize].clone()),
+        Spec::Owned(spec) => spec,
+    };
+    spec.tasks.sort_by_key(|t| t.id.index);
+    Spec::Owned(spec)
 }
 
 impl ClusterSim {
@@ -248,7 +256,6 @@ impl ClusterSim {
             retire_completed: cfg.retire_completed,
             completed: CompletedSums::default(),
             first_arrival_seen: None,
-            ingested_jobs: 0,
             dropped_jobs: 0,
             provisions_failed: 0,
             metrics: MetricsRegistry::default(),
@@ -263,7 +270,6 @@ impl ClusterSim {
             total_tasks: 0,
             rounds: 0,
             full_rounds: 0,
-            full_scan: false,
             tput_buf: RefCell::new(Vec::new()),
             snapshot_scratch: Snapshot::default(),
             cfg,
@@ -309,8 +315,9 @@ impl ClusterSim {
         sim
     }
 
-    /// Pulls the next schedulable job off the feed and queues its
-    /// arrival. Unschedulable jobs are dropped with a warning.
+    /// Pulls the next schedulable job off the feed, its tasks in index
+    /// order, and queues its arrival. Unschedulable jobs are dropped with a
+    /// warning.
     fn pull(&mut self) {
         debug_assert!(self.pending.is_none(), "pulling over a pending job");
         let (trace, now) = (self.cfg.trace.jobs(), self.engine.now());
@@ -330,6 +337,11 @@ impl ClusterSim {
                     job.arrival = job.arrival.max(now);
                     Spec::Owned(Box::new(job))
                 }
+            };
+            let job = if in_index_order(job.of(trace)) {
+                job
+            } else {
+                into_index_order(job, trace)
             };
             let spec = job.of(trace);
             if schedulable(&self.catalog, spec) {
@@ -356,13 +368,12 @@ impl ClusterSim {
             eprintln!("warning: dropping {id}, whose id an active job holds");
             self.dropped_jobs += 1;
         } else {
-            self.ingested_jobs += 1;
             self.total_tasks += tasks;
             self.first_arrival_seen.get_or_insert(arrival);
             self.metrics.record_arrival();
-            let slot = self.world.intern_job(self.cfg.trace.jobs(), job);
-            self.world.jobs.activate(slot, self.now());
-            self.schedule_round(self.now());
+            let now = self.now();
+            self.world.intern_job(self.cfg.trace.jobs(), job, now);
+            self.schedule_round(now);
         }
         self.pull();
     }
@@ -381,20 +392,6 @@ impl ClusterSim {
     /// [`ExecScript`]); call before the first [`ClusterSim::step`].
     pub fn enable_recording(&mut self) {
         self.recorder = Some(ExecScript::default());
-    }
-
-    /// Switches this world to the debug-only reference semantics: advance
-    /// every active job eagerly at each clock segment at its freshly
-    /// derived throughput, re-derive every active job's completion
-    /// whenever completions are recomputed, and accumulate
-    /// allocation/capacity integrals by full scan, instead of the
-    /// O(changed) dirty-set path. Output is byte-identical either way (the
-    /// lazy-oracle proptest holds the two in lockstep); this exists so that
-    /// equivalence stays testable. Call before the first
-    /// [`ClusterSim::step`].
-    #[doc(hidden)]
-    pub fn use_full_scan_reference(&mut self) {
-        self.full_scan = true;
     }
 
     /// Takes the recorded script, ending recording.
@@ -419,19 +416,20 @@ impl ClusterSim {
         &self.cfg.trace.jobs()[self.world.jobs.spec_idx[s] as usize]
     }
 
-    /// The spec of the task in `tslot`.
+    /// The spec of the task in `tslot`: a job's `k`-th task in index
+    /// order is both slot `task_start + k` and `spec.tasks[k]`.
     pub(crate) fn task_spec(&self, tslot: u32) -> &TaskSpec {
         let jslot = self.world.tasks.job_slot[tslot as usize];
-        &self.job_spec(jslot).tasks[self.world.tasks.spec_pos[tslot as usize] as usize]
+        let k = tslot - self.world.jobs.task_start[jslot as usize];
+        &self.job_spec(jslot).tasks[k as usize]
     }
 
-    /// Fraction of the job in `jslot`'s work already completed, in `[0, 1]`.
+    /// Fraction of the active job in `jslot`'s work already completed, in
+    /// `[0, 1]`.
     pub(crate) fn job_progress_fraction_slot(&self, jslot: u32) -> f64 {
         let jobs = &self.world.jobs;
         let total = jobs.progress[jslot as usize].total;
-        if !jobs.arrived[jslot as usize] {
-            0.0
-        } else if total == 0 {
+        if total == 0 {
             1.0
         } else {
             let remaining = jobs.remaining_at(jslot, self.now());
@@ -648,19 +646,36 @@ impl ClusterSim {
         &self.cloud
     }
 
-    /// Audits the world's slot bookkeeping (for invariant checks in
-    /// tests): every instance ID must round-trip through its row back to
-    /// the same ID, the active set must hold no two jobs of one ID,
-    /// cross-references (task↔instance, task↔job, active set, dirty set)
-    /// must agree, no terminating instance may hold a task, the incrementally
-    /// maintained capacity/allocation/running-task rates must equal a
-    /// from-scratch scan of the provider's live instances bit for bit
-    /// (see the dirty-set invariants in the `arena` module docs), and the
-    /// instance table must list exactly the `(id, type)` pairs the
+    /// Audits the world between events (for invariant checks in tests):
+    /// every instance ID must round-trip through its row back to the same
+    /// ID, the active set must hold no two jobs of one ID, cross-references
+    /// (task↔instance, task↔job, active set, dirty set) must agree, and no
+    /// terminating instance may hold a task (see the invariants in the
+    /// `arena` module docs). What the lazy world keeps must equal what it
+    /// would derive afresh: the dirty list is empty, each active job's
+    /// cached rate is its throughput now and its queued completion is its
+    /// last settle plus its ETA at that rate (exact at any settle
+    /// instant), and the maintained capacity/allocation/running-task rates
+    /// equal a from-scratch scan of the provider's live instances bit for
+    /// bit. The instance table must list exactly the `(id, type)` pairs the
     /// provider reports live at this instant, in the same order.
     pub fn audit_slots(&self) -> Result<(), String> {
         let now = self.engine.now();
         self.world.audit(now, |slot| self.job_spec(slot).arrival)?;
+        let jobs = &self.world.jobs;
+        for &slot in &jobs.active {
+            let (s, rate) = (slot as usize, quantize(self.job_tput(slot)));
+            let p = &jobs.progress[s];
+            let due = jobs.eta(slot).map(|eta| p.last + eta);
+            let queued = jobs.done_event[s].map(|(at, _)| at);
+            if p.rate != rate || queued != due {
+                return Err(format!(
+                    "job {} holds rate {} and completion {queued:?}, \
+                     derives {rate} and {due:?}",
+                    jobs.ids[s], p.rate
+                ));
+            }
+        }
         let (scan, rates) = (self.scan_rates(now), self.world.insts.rates());
         if scan != rates {
             return Err(format!(
@@ -696,7 +711,7 @@ impl ClusterSim {
 
     /// Jobs admitted so far, from a trace or a source.
     pub fn jobs_ingested(&self) -> u64 {
-        self.ingested_jobs
+        self.metrics.arrivals_total
     }
 
     /// Jobs dropped so far: no catalog type can host a task of theirs,
@@ -753,14 +768,12 @@ impl ClusterSim {
         }
     }
 
-    /// Debug digest of every observable the lazy dirty-set path must
-    /// keep identical to the eager reference
-    /// ([`ClusterSim::use_full_scan_reference`]), and job retirement
-    /// identical to keeping every job: live jobs by ID with their lanes
-    /// settled at the current instant, the completed jobs' report sums,
-    /// and the global integrals (floats with shortest-roundtrip
-    /// formatting: distinct bits ⇒ distinct strings). Test-only; not part
-    /// of the stable API.
+    /// Debug digest of every observable that neither the instants jobs
+    /// are settled at nor job retirement may change: live jobs by ID with
+    /// their lanes settled at the current instant (reading it settles
+    /// every job), the completed jobs' report sums, and the global
+    /// integrals (floats with shortest-roundtrip formatting: distinct bits
+    /// ⇒ distinct strings). Test-only; not part of the stable API.
     #[doc(hidden)]
     pub fn oracle_digest(&mut self) -> String {
         use std::fmt::Write as _;
@@ -830,7 +843,6 @@ impl ClusterSim {
         // now, took its token along.
         let jct = now.duration_since(self.job_spec(slot).arrival);
         let done = &mut self.completed;
-        done.jobs += 1;
         done.jct_ms += u128::from(jct.as_millis());
         done.idle_ms += u128::from(p.idle_ms);
         done.tput_q += u128::from(self.world.jobs.mean_tput(slot));
@@ -904,33 +916,17 @@ impl ClusterSim {
             self.world.jobs.dirty_list.is_empty(),
             "dirty jobs crossed a segment boundary unsettled"
         );
-        if self.full_scan {
-            // Eager reference semantics: every active job advances at the
-            // throughput its tasks have now, not at its cached rate.
-            // Throughputs are pure reads, so all are computed first.
-            let rates: Vec<(u32, u64)> = (self.world.jobs.active.iter())
-                .map(|&slot| (slot, quantize(self.job_tput(slot))))
-                .collect();
-            for (slot, rate) in rates {
-                self.world.jobs.advance(slot, t, rate);
-            }
-        }
         self.integrate_to(now, t);
     }
 
     /// Accrues the metric integrals from `from` to `t`, a piece at a time:
     /// each row whose termination deadline falls in the span counts up to
-    /// that deadline and is dropped there. The eager reference rescans
-    /// the provider's live set at the start of each piece.
+    /// that deadline and is dropped there.
     fn integrate_to(&mut self, mut from: SimTime, t: SimTime) {
         loop {
             let due = self.world.insts.first_due(t);
             let until = due.map_or(t, |(at, _)| at);
-            let (cap, alloc, running) = if self.full_scan {
-                self.scan_rates(from)
-            } else {
-                self.world.insts.rates()
-            };
+            let (cap, alloc, running) = self.world.insts.rates();
             let dt_hours = until.duration_since(from).as_hours_f64();
             for r in 0..3 {
                 self.alloc_integral[r] += alloc[r] * dt_hours;
@@ -988,31 +984,22 @@ impl ClusterSim {
     /// push when the due time is unchanged — the outstanding event is
     /// still valid, so steady-state heap churn tracks what *changed*;
     /// otherwise the outstanding event is canceled in the engine.
-    /// The eager reference re-derives every active job instead: a
-    /// closed-form due time does not depend on the instant it is derived
-    /// at, so a clean job re-derives exactly the event it has, and any
-    /// job the lazy path failed to mark shows as a divergence.
+    /// `audit_slots` holds every clean job to the same derivation.
     pub(crate) fn recompute_completions(&mut self) {
-        if self.world.jobs.dirty_list.is_empty() && !self.full_scan {
+        if self.world.jobs.dirty_list.is_empty() {
             return;
         }
         // The list goes back empty with its capacity, so the steady-state
         // drain allocates nothing.
         let mut dirty = std::mem::take(&mut self.world.jobs.dirty_list);
-        for &slot in &dirty {
-            self.world.jobs.dirty[slot as usize] = false;
-        }
-        if self.full_scan {
-            dirty.clear();
-            dirty.extend_from_slice(&self.world.jobs.active);
-        }
-        // Ascending slot order: jobs reschedule in the same relative
-        // order in either mode.
+        // Ascending slot order: jobs reschedule in an order that does not
+        // depend on the order they were marked in.
         dirty.sort_unstable();
         let now = self.engine.now();
         for &slot in &dirty {
             let s = slot as usize;
-            if !self.world.jobs.arrived[s] || self.world.jobs.is_done(slot) {
+            self.world.jobs.dirty[s] = false;
+            if self.world.jobs.is_done(slot) {
                 continue;
             }
             // At the old rate up to now, at the new one from now on.

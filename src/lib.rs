@@ -38,9 +38,9 @@ pub mod prelude {
     pub use eva_core::{EvaConfig, EvaScheduler, Plan, Scheduler, SchedulerContext, TaskSnapshot};
     pub use eva_sim::{
         run_recorded, run_simulation, serve, BackendKind, ClusterSim, FaultPlan, FaultRegime,
-        FaultSpec, LiveBackend, LiveOutcome, MetricsRegistry, MetricsSnapshot, PoolStats,
-        ReportCache, SchedulerKind, ServeConfig, ServeOutcome, SimConfig, SimReport, SweepGrid,
-        SweepResult, SweepRunner, SCHEMA_VERSION,
+        FaultSpec, LiveBackend, LiveOutcome, MetricsSnapshot, PoolStats, ReportCache,
+        SchedulerKind, ServeConfig, ServeOutcome, SimConfig, SimReport, SweepGrid, SweepResult,
+        SweepRunner, SCHEMA_VERSION,
     };
     pub use eva_types::{
         Cost, DemandSpec, InstanceId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,

@@ -200,3 +200,23 @@ fn backend_axis_sweeps_both_variants_in_one_grid() {
         assert_eq!(s.report.makespan_hours, l.report.makespan_hours);
     }
 }
+
+#[test]
+fn a_trace_that_repeats_a_job_id_is_refused_by_the_live_replay() {
+    // The last job takes job 0's ids and arrives long after job 0 is done:
+    // the world admits it, but a replay keyed by id would lose one of them.
+    let mut jobs = trace(6, 5).into_jobs();
+    let (last, id) = (jobs.len() - 1, jobs[0].id);
+    jobs[last].id = id;
+    for t in &mut jobs[last].tasks {
+        t.id = TaskId::new(id, t.id.index);
+    }
+    jobs[last].arrival = SimTime::from_hours_f64(500.0);
+    let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::NoPacking);
+    cfg.fidelity = FidelityMode::Nominal;
+    assert_eq!(run_simulation(&cfg).jobs_completed, 6);
+    let err = LiveBackend
+        .run_detailed(&cfg)
+        .expect_err("a partial replay");
+    assert!(err.contains(&id.to_string()), "{err}");
+}

@@ -249,3 +249,77 @@ fn a_batch_job_reusing_a_completed_jobs_ids_is_admitted() {
         assert_eq!(sim.run().jobs_completed as u64, n, "retire {retire}");
     }
 }
+
+/// `jobs` with every job's tasks declared in reverse.
+fn reversed(jobs: &[JobSpec]) -> Vec<JobSpec> {
+    let mut jobs = jobs.to_vec();
+    jobs.iter_mut().for_each(|job| job.tasks.reverse());
+    jobs
+}
+
+/// Steps `sim` to exhaustion within a budget.
+fn drained(mut sim: ClusterSim) -> ClusterSim {
+    let mut steps = 0u64;
+    while sim.step() {
+        steps += 1;
+        assert!(steps < 200_000, "the world never drained");
+    }
+    sim
+}
+
+/// A world of Eva over `jobs` at seed 1, stepped to exhaustion.
+fn batch(jobs: Vec<JobSpec>) -> ClusterSim {
+    drained(ClusterSim::new(&eva_config(jobs)))
+}
+
+/// The same, with `jobs` streamed as JSON lines.
+fn streamed(jobs: &[JobSpec]) -> ClusterSim {
+    let lines: Vec<String> = jobs
+        .iter()
+        .map(|j| serde_json::to_string(j).unwrap())
+        .collect();
+    let feed = lines.join("\n").into_bytes();
+    let source = Box::new(JsonLinesSource::new(BufReader::new(Cursor::new(feed))));
+    drained(ClusterSim::from_source(&eva_config(Vec::new()), source))
+}
+
+fn eva_config(jobs: Vec<JobSpec>) -> SimConfig {
+    let mut cfg = SimConfig::new(Trace::new(jobs), SchedulerKind::Eva(EvaConfig::eva()));
+    cfg.seed = 1;
+    cfg
+}
+
+fn report_bytes(sim: ClusterSim) -> String {
+    serde_json::to_string(&sim.run()).unwrap()
+}
+
+#[test]
+fn tasks_declared_in_reverse_run_as_if_declared_in_order() {
+    // The door puts a job's tasks in index order, so the order a trace or
+    // a feed declares them in cannot reach the scheduler.
+    let jobs = SyntheticTraceConfig::small_scale().generate(11).into_jobs();
+    let reversed = reversed(&jobs);
+    assert!(
+        reversed.iter().zip(&jobs).any(|(r, j)| r.tasks != j.tasks),
+        "no gang job"
+    );
+    let in_order = report_bytes(batch(jobs));
+    assert_eq!(report_bytes(batch(reversed.clone())), in_order, "batch");
+    assert_eq!(report_bytes(streamed(&reversed)), in_order, "streamed");
+}
+
+#[test]
+fn a_job_repeating_a_task_index_is_dropped_in_any_order() {
+    // Job 1 repeats its first task's index; in reverse the repeat comes
+    // first. Either way the job is dropped and counted, batch and streamed.
+    let mut jobs = SyntheticTraceConfig::small_scale().generate(12).into_jobs();
+    let n = jobs.len() as u64;
+    let repeated = jobs[1].tasks[0].clone();
+    jobs[1].tasks.push(repeated);
+    for jobs in [jobs.clone(), reversed(&jobs)] {
+        for sim in [batch(jobs.clone()), streamed(&jobs)] {
+            assert_eq!((sim.jobs_dropped(), sim.jobs_ingested()), (1, n - 1));
+            assert_eq!(sim.run().jobs_completed as u64, n - 1);
+        }
+    }
+}

@@ -107,8 +107,8 @@ fn the_worlds_view_equals_the_view_of_its_context() {
 
 #[test]
 fn tasks_declared_out_of_index_order_keep_the_views_equal() {
-    // Every job declares its tasks in reverse: `ctx.tasks` is then not in
-    // id order wherever a job has two tasks or more.
+    // Every job declares its tasks in reverse. The world's door puts each
+    // job's tasks back in index order, and the views must still agree.
     let mut jobs = trace(9).jobs().to_vec();
     jobs.iter_mut().for_each(|job| job.tasks.reverse());
     let trace = Trace::new(jobs);
