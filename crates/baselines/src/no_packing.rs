@@ -27,21 +27,17 @@ impl Scheduler for NoPackingScheduler {
     }
 
     fn plan_in(&mut self, ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
-        // Keep every running task where it is.
-        let mut assignments: Vec<Assignment> = view
-            .instances
-            .iter()
-            .filter(|inst| !view.residents(inst).is_empty())
-            .map(|inst| view.keep(inst))
-            .collect();
         // New instances for pending tasks.
+        let mut assignments = Vec::new();
         for task in view.pending() {
             if let Some((ty, _)) = reservation_price(ctx.catalog, &task.demand) {
                 assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
-        // Drop empty instances.
-        view.plan(assignments)
+        // Every running task stays where it is; empty instances go.
+        view.plan(assignments, |i| {
+            !view.residents(&view.instances[i]).is_empty()
+        })
     }
 }
 

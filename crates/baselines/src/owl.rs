@@ -85,10 +85,10 @@ impl Scheduler for OwlScheduler {
         // Running tasks stay put unless their instance is no longer
         // cost-efficient under the oracle profile (e.g. a pair member
         // finished, stranding its partner on an oversized box) — such
-        // tasks rejoin the pending pool for re-placement. `kept[i]` is the
-        // assignment of listed instance `i` when it stays.
+        // tasks rejoin the pending pool for re-placement. `kept[i]`: listed
+        // instance `i` stays, implicitly unless a task joins it.
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
-        let mut kept: Vec<Option<usize>> = vec![None; view.instances.len()];
+        let mut kept = vec![false; view.instances.len()];
         for (i, inst) in view.instances.iter().enumerate() {
             let residents = view.residents(inst);
             if residents.is_empty() {
@@ -109,8 +109,7 @@ impl Scheduler for OwlScheduler {
                 tnrp + 1e-9 >= ty.hourly_cost.as_dollars()
             });
             if efficient {
-                kept[i] = Some(assignments.len());
-                assignments.push(view.keep(inst));
+                kept[i] = true;
             } else {
                 evicted.extend(residents);
             }
@@ -126,16 +125,15 @@ impl Scheduler for OwlScheduler {
             struct Join {
                 task: TaskId,
                 instance: InstanceId,
-                slot: usize,
+                resident: TaskId,
                 ratio: f64,
             }
             let mut joins: Vec<Join> = Vec::new();
             for task in &pool {
-                for (inst, slot) in view.instances.iter().zip(&kept) {
+                for (inst, _) in view.instances.iter().zip(&kept).filter(|(_, &k)| k) {
                     // Only instances kept above (cost-efficient) can host
                     // a join; evicted ones are being drained.
-                    let (Some(slot), [resident], Some(ty)) = (*slot, view.residents(inst), inst.ty)
-                    else {
+                    let ([resident], Some(ty)) = (view.residents(inst), inst.ty) else {
                         continue;
                     };
                     let tput_new = self.profile.estimate(task.workload, &[resident.workload]);
@@ -152,7 +150,7 @@ impl Scheduler for OwlScheduler {
                     joins.push(Join {
                         task: task.id,
                         instance: inst.id,
-                        slot,
+                        resident: resident.id,
                         ratio: tnrp / ty.hourly_cost.as_dollars().max(1e-9),
                     });
                 }
@@ -169,7 +167,11 @@ impl Scheduler for OwlScheduler {
                 }
                 joined.insert(j.task);
                 used_instances.insert(j.instance);
-                assignments[j.slot].tasks.push(j.task);
+                let tasks = vec![j.resident, j.task];
+                assignments.push(Assignment::new(
+                    PlannedInstance::Existing(j.instance),
+                    tasks,
+                ));
             }
         }
 

@@ -14,6 +14,10 @@
 //! completed group no longer justify their instance); empty instances
 //! terminate.
 //!
+//! A plan names only what a round changes (see `Plan`): an instance whose
+//! residents all stay is kept implicitly and listed only when it receives
+//! a task, with its residents and then the tasks it receives.
+//!
 //! # Which instances a task probes
 //!
 //! A round files each instance whose residents stay in the bucket of each
@@ -37,8 +41,9 @@ use eva_types::{ResourceVector, SimDuration};
 #[derive(Debug, Default)]
 pub struct StratusScheduler {
     /// Per listed instance: the capacity in use (residents that stay plus
-    /// tasks placed this round) and its assignment in the plan, if any.
-    rows: Vec<(ResourceVector, Option<usize>)>,
+    /// tasks placed this round), whether its residents stay, and its
+    /// assignment in the plan, if any.
+    rows: Vec<(ResourceVector, bool, Option<usize>)>,
     /// `buckets[b]`: (instance, its residents in bin `b`), in listing order.
     buckets: Vec<Vec<(usize, u32)>>,
     /// The instances no resident stays on, in listing order.
@@ -74,8 +79,9 @@ impl Scheduler for StratusScheduler {
         self.buckets.iter_mut().for_each(Vec::clear);
         self.vacant.clear();
 
-        // One pass over the listed instances: scale-in, keep, rows.
-        let mut assignments = Vec::with_capacity(view.instances.len() + view.unplaced.len());
+        // One pass over the listed instances: scale-in and rows. An
+        // instance whose residents stay is kept implicitly (see `Plan`).
+        let mut assignments = Vec::new();
         let mut evicted: Vec<&TaskSnapshot> = Vec::new();
         for (i, inst) in view.instances.iter().enumerate() {
             // Scale-in consolidation (the source of Stratus's rare
@@ -91,12 +97,11 @@ impl Scheduler for StratusScheduler {
             let cost = inst.ty.map_or(0.0, |ty| ty.hourly_cost.as_dollars());
             if residents.is_empty() || rp_sum + 1e-9 < cost {
                 evicted.extend(residents);
-                self.rows.push((ResourceVector::ZERO, None));
+                self.rows.push((ResourceVector::ZERO, false, None));
                 self.vacant.push(i);
                 continue;
             }
-            self.rows.push((inst.used, Some(assignments.len())));
-            assignments.push(view.keep(inst));
+            self.rows.push((inst.used, true, None));
             for hint in residents.iter().filter_map(|t| t.remaining_hint) {
                 let b = Self::runtime_bin(hint) as usize;
                 if self.buckets.len() <= b {
@@ -142,13 +147,17 @@ impl Scheduler for StratusScheduler {
                 leftover_by_bin.entry(bin).or_default().push(task);
                 continue;
             };
-            let (used, slot) = &mut self.rows[i];
+            let (used, stay, slot) = &mut self.rows[i];
             *used = total;
             let at = *slot.get_or_insert_with(|| {
-                assignments.push(Assignment::new(
-                    PlannedInstance::Existing(view.instances[i].id),
-                    Vec::new(),
-                ));
+                // The first task placed here: list the residents that stay.
+                let inst = &view.instances[i];
+                let tasks = if *stay {
+                    view.task_ids(inst)
+                } else {
+                    Vec::new()
+                };
+                assignments.push(Assignment::new(PlannedInstance::Existing(inst.id), tasks));
                 assignments.len() - 1
             });
             assignments[at].tasks.push(task.id);
@@ -199,7 +208,7 @@ impl Scheduler for StratusScheduler {
             }
         }
 
-        view.plan(assignments)
+        view.plan(assignments, |i| self.rows[i].1)
     }
 }
 

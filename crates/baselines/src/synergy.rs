@@ -141,7 +141,7 @@ impl Scheduler for SynergyScheduler {
                 assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
-        view.plan(assignments)
+        view.plan(assignments, |_| false)
     }
 
     fn observe(&mut self, observations: &mut dyn Iterator<Item = JobObservation>) {

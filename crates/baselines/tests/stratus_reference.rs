@@ -1,5 +1,19 @@
 //! `StratusScheduler::plan_in` held to the planner it replaced, plan for
-//! plan: same assignments in the same order, same terminations.
+//! plan: the same new instances in the same order, the same terminations,
+//! and the same task lists on the same existing instances.
+//!
+//! The reference lists each instance whose residents all stay, with exactly
+//! those residents: a pure keep listing, which `Plan::moves` skips. The
+//! product keeps such an instance implicitly (see `Plan`) and lists it only
+//! when it receives a task, so the comparison drops the reference's pure
+//! keep listings. It compares the other assignments to existing instances
+//! by instance, not by position, because the product lists them in the
+//! order it places their first task. The executor ignores that order: it
+//! launches the new instances in plan order, and it resolves each move to
+//! its destination instance and applies the moves in task order, so a
+//! plan that lists no task twice makes the same changes in any order of
+//! its assignments to existing instances. Neither plan may list a task
+//! twice.
 //!
 //! The reference below is that planner verbatim. It scans the catalog
 //! (`reservation_price`) for each resident in the scale-in sum and for each
@@ -198,7 +212,7 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         }
     }
 
-    view.plan(assignments)
+    view.plan(assignments, |_| false)
 }
 
 /// `2^bin` minutes plus `offset` milliseconds (at least 0): a bin boundary
@@ -275,6 +289,41 @@ fn arb_cluster(
         })
 }
 
+/// New instances, terminations, and task lists by existing instance.
+type Changes = (
+    Vec<Assignment>,
+    Vec<InstanceId>,
+    BTreeMap<InstanceId, Vec<TaskId>>,
+);
+
+/// The parts of a plan the executor acts on: its new instances in order,
+/// its terminations, and each existing instance's listed tasks, except a
+/// pure keep listing, which fails unless `keeps` allows it. Fails on a
+/// task or an instance listed twice.
+fn changes(plan: &Plan, view: &ClusterView<'_>, keeps: bool) -> Result<Changes, TestCaseError> {
+    let mut seen = std::collections::BTreeSet::new();
+    let (mut new, mut existing) = (Vec::new(), BTreeMap::new());
+    for a in &plan.assignments {
+        for t in &a.tasks {
+            prop_assert!(seen.insert(*t), "task {} listed twice", t);
+        }
+        match a.instance {
+            PlannedInstance::New(_) => new.push(a.clone()),
+            PlannedInstance::Existing(id) => {
+                let keep = view
+                    .instance(id)
+                    .is_some_and(|i| view.task_ids(i) == a.tasks);
+                prop_assert!(keeps || !keep, "pure keep listing of {}", id);
+                if !keep {
+                    let listed = existing.insert(id, a.tasks.clone());
+                    prop_assert!(listed.is_none(), "instance {} listed twice", id);
+                }
+            }
+        }
+    }
+    Ok((new, plan.terminate.clone(), existing))
+}
+
 /// Asserts that `stratus` plans what the reference plans for this cluster,
 /// through `plan_in` and through `plan`.
 fn holds_to_reference(
@@ -290,9 +339,12 @@ fn holds_to_reference(
         instances,
     };
     let view = ClusterView::of(&ctx);
-    let expected = reference_plan(&ctx, &view);
-    prop_assert_eq!(&stratus.plan_in(&ctx, &view), &expected);
-    prop_assert_eq!(&stratus.plan(&ctx), &expected);
+    let expected = changes(&reference_plan(&ctx, &view), &view, true)?;
+    prop_assert_eq!(
+        &changes(&stratus.plan_in(&ctx, &view), &view, false)?,
+        &expected
+    );
+    prop_assert_eq!(&changes(&stratus.plan(&ctx), &view, false)?, &expected);
     Ok(())
 }
 

@@ -153,11 +153,16 @@ impl Assignment {
     }
 }
 
-/// A target cluster configuration.
+/// A target cluster configuration, as the change it makes to the current
+/// one: the instances it launches, the tasks it moves and the instances it
+/// releases.
 ///
-/// Any live instance that appears neither in `assignments` nor is kept
-/// implicitly must be listed in `terminate`; the executor drains and
-/// terminates it.
+/// A listed instance that no assignment targets and `terminate` does not
+/// list is kept implicitly, with its residents where they are, and so a
+/// plan names only what it changes. An assignment to an existing instance
+/// lists every task there after the round: its residents that stay and
+/// the tasks it receives. The executor drains and terminates the instances
+/// in `terminate` that no assignment targets.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Plan {
     /// Target assignments (existing and new instances).
@@ -349,11 +354,6 @@ impl<'a> ClusterView<'a> {
         self.residents(inst).iter().map(|t| t.id).collect()
     }
 
-    /// The assignment that keeps `inst` as it is: [`Plan::moves`] skips it.
-    pub fn keep(&self, inst: &InstanceView<'a>) -> Assignment {
-        Assignment::new(PlannedInstance::Existing(inst.id), self.task_ids(inst))
-    }
-
     /// The listed instance `id`.
     pub fn instance(&self, id: InstanceId) -> Option<&InstanceView<'a>> {
         self.slot(id).map(|i| &self.instances[i])
@@ -381,8 +381,8 @@ impl<'a> ClusterView<'a> {
     }
 
     /// [`ClusterView::slot`], trying listing `hint` first and leaving it
-    /// after the one found: a plan lists the instances it keeps in listing
-    /// order.
+    /// after the one found: a plan that lists each instance it keeps lists
+    /// them in listing order.
     fn slot_after(&self, id: InstanceId, hint: &mut usize) -> Option<usize> {
         let at_hint = self
             .instances
@@ -416,9 +416,10 @@ impl<'a> ClusterView<'a> {
             .filter(|t| t.assigned_to.is_none())
     }
 
-    /// The plan with these assignments that terminates every listed
-    /// instance none of them targets.
-    pub fn plan(&self, assignments: Vec<Assignment>) -> Plan {
+    /// The plan with these assignments that keeps the listed instances
+    /// they target and those for which `keep` holds at the index of the
+    /// id's first listing, and terminates every other listing.
+    pub fn plan(&self, assignments: Vec<Assignment>, keep: impl Fn(usize) -> bool) -> Plan {
         // `claimed[slot]`: an assignment targets the instance listed there.
         let (mut claimed, mut hint) = (vec![false; self.instances.len()], 0);
         let targets = assignments.iter().filter_map(|a| match a.instance {
@@ -428,7 +429,10 @@ impl<'a> ClusterView<'a> {
         targets.for_each(|slot| claimed[slot] = true);
         // A listing's first listing: itself, unless an id is listed twice.
         let first = |i: usize| self.index.as_ref().map_or(i, |m| m[&self.instances[i].id]);
-        let unclaimed = (0..self.instances.len()).filter(|&i| !claimed[first(i)]);
+        let unclaimed = (0..self.instances.len()).filter(|&i| {
+            let i = first(i);
+            !claimed[i] && !keep(i)
+        });
         Plan {
             assignments,
             terminate: unclaimed.map(|i| self.instances[i].id).collect(),
@@ -557,11 +561,17 @@ mod tests {
             // are placed on a new instance; instance 1 keeps task 1.
             let two = PlannedInstance::Existing(InstanceId(2));
             let assignments = vec![to(ONE, &[1]), to(two, &[4]), to(NEW, &[2, 3])];
-            assert!(view.plan(assignments.clone()).terminate.is_empty());
+            assert!(view
+                .plan(assignments.clone(), |_| false)
+                .terminate
+                .is_empty());
             let want = vec![(4, 3, 1, false), (2, 1, 2, false), (3, 2, 2, true)];
             assert_eq!(moves_in(view, assignments), want);
             let all = vec![InstanceId(1), InstanceId(2)];
-            assert_eq!(view.plan(Vec::new()).terminate, all);
+            assert_eq!(view.plan(Vec::new(), |_| false).terminate, all);
+            // The predicate keeps instance 1 implicitly; nothing keeps 2.
+            let kept = view.plan(Vec::new(), |i| i == 0);
+            assert_eq!(kept.terminate, vec![InstanceId(2)]);
         });
     }
 

@@ -109,7 +109,7 @@ impl EvaScheduler {
         }
 
         // Anything live and unclaimed is terminated once drained.
-        view.plan(assignments)
+        view.plan(assignments, |_| false)
     }
 
     /// Migration cost `M` of adopting `plan` (dollars): each moved task's
@@ -474,7 +474,7 @@ mod tests {
             };
             assignments.push(Assignment::new(target, inst.tasks.clone()));
         }
-        view.plan(assignments)
+        view.plan(assignments, |_| false)
     }
 
     fn packed(type_id: InstanceTypeId, jobs: &[u64]) -> PackedInstance {

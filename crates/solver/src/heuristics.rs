@@ -1,9 +1,9 @@
-//! Classic VSBPP heuristics: first-fit decreasing and best-fit decreasing.
+//! The classic VSBPP heuristic, first-fit decreasing.
 //!
-//! Both order items by descending reservation price (the paper's notion of
-//! "size" in multi-dimensional space) and place each into an already-open
-//! bin when possible, opening the item's reservation-price type otherwise.
-//! They serve as warm starts and cross-checks for the exact solver.
+//! It orders items by descending reservation price (the paper's notion of
+//! "size" in multi-dimensional space) and places each into the first open
+//! bin that fits, opening the item's reservation-price type otherwise. It
+//! serves as the exact solver's warm start and as a cross-check.
 
 use eva_types::ResourceVector;
 
@@ -15,13 +15,10 @@ struct OpenBin {
     items: Vec<usize>,
 }
 
-/// Shared machinery: order items by descending reservation price, place by
-/// `pick` (which selects among fitting open bins), open the cheapest
-/// fitting type when no open bin fits.
-fn pack_decreasing(
-    problem: &PackingProblem,
-    pick: impl Fn(&[(usize, &OpenBin)]) -> Option<usize>,
-) -> Solution {
+/// First-fit decreasing: items by descending reservation price, each into
+/// the first open bin that fits, else into a new bin of the cheapest type
+/// that fits it.
+pub fn first_fit_decreasing(problem: &PackingProblem) -> Solution {
     let catalog = &problem.catalog;
     let types: Vec<_> = catalog.types().collect();
 
@@ -42,19 +39,13 @@ fn pack_decreasing(
     let mut unplaced = Vec::new();
     for idx in order {
         let item = &problem.items[idx];
-        // Candidate open bins that fit.
-        let fitting: Vec<(usize, &OpenBin)> = bins
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| {
-                let ty = types[b.type_idx];
-                b.used
-                    .checked_add(&ty.demand_of(&item.demand))
-                    .map(|u| u.fits_within(&ty.capacity))
-                    .unwrap_or(false)
-            })
-            .collect();
-        if let Some(bin_idx) = pick(&fitting) {
+        let fits = |b: &OpenBin| {
+            let ty = types[b.type_idx];
+            b.used
+                .checked_add(&ty.demand_of(&item.demand))
+                .is_some_and(|u| u.fits_within(&ty.capacity))
+        };
+        if let Some(bin_idx) = bins.iter().position(fits) {
             let ty = types[bins[bin_idx].type_idx];
             let add = ty.demand_of(&item.demand);
             bins[bin_idx].used = bins[bin_idx].used.checked_add(&add).unwrap();
@@ -89,31 +80,6 @@ fn pack_decreasing(
         unplaced,
         nodes_explored: 0,
     }
-}
-
-/// First-fit decreasing: each item goes to the first open bin that fits.
-pub fn first_fit_decreasing(problem: &PackingProblem) -> Solution {
-    pack_decreasing(problem, |fitting| fitting.first().map(|(i, _)| *i))
-}
-
-/// Best-fit decreasing: each item goes to the open bin whose remaining
-/// capacity (scalarized by the bin type's cost density) is tightest.
-pub fn best_fit_decreasing(problem: &PackingProblem) -> Solution {
-    pack_decreasing(problem, |fitting| {
-        fitting
-            .iter()
-            .min_by(|(_, a), (_, b)| {
-                let slack = |bin: &OpenBin| {
-                    // Fewer free "slots" = tighter fit; compare by summed
-                    // normalized free capacity.
-                    let used = bin.used;
-                    (used.gpu as f64) + (used.cpu as f64) / 64.0 + (used.ram_mb as f64) / 1e6
-                };
-                // Larger used = tighter.
-                slack(b).partial_cmp(&slack(a)).unwrap()
-            })
-            .map(|(i, _)| *i)
-    })
 }
 
 #[cfg(test)]
@@ -157,19 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn bfd_produces_valid_solution() {
-        let p = table3_problem();
-        let s = best_fit_decreasing(&p);
-        s.validate(&p).unwrap();
-        assert!(s.cost_dollars <= p.no_packing_cost().unwrap() + 1e-9);
-    }
-
-    #[test]
     fn heuristics_never_beat_lower_bound() {
         let p = table3_problem();
         let lb = p.lower_bound();
         assert!(first_fit_decreasing(&p).cost_dollars + 1e-9 >= lb);
-        assert!(best_fit_decreasing(&p).cost_dollars + 1e-9 >= lb);
     }
 
     #[test]

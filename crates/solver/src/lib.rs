@@ -10,8 +10,8 @@
 //!   lower bound, symmetry pruning, and a configurable time limit. Warm-
 //!   started with a heuristic incumbent it reproduces both Gurobi's
 //!   near-optimal incumbents and its timeout behaviour.
-//! * [`first_fit_decreasing`] / [`best_fit_decreasing`] — classic VSBPP
-//!   heuristics used as sanity baselines and for cross-validation.
+//! * [`first_fit_decreasing`] — the classic VSBPP heuristic, used as a
+//!   warm start and a sanity baseline.
 //!
 //! The solvers operate on a plain [`PackingProblem`] so they are usable
 //! outside the scheduler (and in property tests against each other).
@@ -21,5 +21,5 @@ pub mod heuristics;
 pub mod problem;
 
 pub use bnb::{branch_and_bound, BnbConfig};
-pub use heuristics::{best_fit_decreasing, first_fit_decreasing};
+pub use heuristics::first_fit_decreasing;
 pub use problem::{Item, PackingProblem, Solution};

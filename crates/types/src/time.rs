@@ -102,10 +102,15 @@ impl SimDuration {
     }
 
     /// Scales by a non-negative float factor (used for the migration-delay
-    /// sweeps of Figure 5, e.g. "2× delay").
+    /// sweeps of Figure 5, e.g. "2× delay"). A factor of 1 returns a
+    /// duration of at most 2⁵³ ms as it is, which the float round trip
+    /// reproduces exactly.
     pub fn scale(&self, factor: f64) -> SimDuration {
         if factor <= 0.0 {
             return SimDuration::ZERO;
+        }
+        if factor == 1.0 && self.0 <= 1 << 53 {
+            return *self;
         }
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
@@ -273,6 +278,12 @@ mod tests {
         assert_eq!(d.scale(2.0), SimDuration::from_secs(200));
         assert_eq!(d.scale(0.5), SimDuration::from_secs(50));
         assert_eq!(d.scale(-1.0), SimDuration::ZERO);
+        // A factor of 1 keeps every duration the float round trip keeps.
+        let slow = |d: SimDuration| SimDuration((d.0 as f64).round() as u64);
+        for ms in [0, 1, 999, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let d = SimDuration::from_millis(ms);
+            assert_eq!(d.scale(1.0), slow(d), "{ms} ms");
+        }
     }
 
     #[test]

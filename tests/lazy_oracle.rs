@@ -9,12 +9,13 @@
 //! to mark a job whose throughput it changes leaves a stale rate or
 //! completion behind, and the audit after that event reports it.
 //!
-//! The per-step case audits one world after every event. The long case
-//! steps two copies of one world, auditing both after every event: one
-//! reads `oracle_digest` after every event, which settles every job, the
-//! other reads nothing until both are exhausted. Their final digests and
-//! report bytes must be equal, so a result that depends on the instants
-//! jobs are settled at fails it. Every loop carries a step budget, so a
+//! The per-step cases audit one world after every event: drawn small
+//! worlds, and two fixed busy ones that reach the marks a small world
+//! rarely does. The long case steps two copies of one world, auditing
+//! both after every event: one reads `oracle_digest` after every event,
+//! which settles every job, the other reads nothing until both are
+//! exhausted. Their final digests and report bytes must be equal, so a
+//! result that depends on the instants jobs are settled at fails it. Every loop carries a step budget, so a
 //! world that never drains fails instead of hanging.
 
 use eva::prelude::*;
@@ -33,11 +34,15 @@ fn trace(jobs: usize, seed: u64, rate: f64) -> Trace {
     .generate(seed)
 }
 
-fn world(kind: SchedulerKind, jobs: usize, seed: u64, regime: &str) -> ClusterSim {
-    let mut cfg = SimConfig::new(trace(jobs, seed, 8.0), kind);
+fn config(kind: SchedulerKind, jobs: usize, seed: u64, rate: f64, regime: &str) -> SimConfig {
+    let mut cfg = SimConfig::new(trace(jobs, seed, rate), kind);
     cfg.seed = seed;
     cfg.faults = FaultSpec::parse(regime).expect("valid regime");
-    ClusterSim::new(&cfg)
+    cfg
+}
+
+fn world(kind: SchedulerKind, jobs: usize, seed: u64, regime: &str) -> ClusterSim {
+    ClusterSim::new(&config(kind, jobs, seed, 8.0, regime))
 }
 
 /// Steps `sim` to exhaustion within the step budget, auditing it after
@@ -81,6 +86,25 @@ proptest! {
         regime in regime(),
     ) {
         drain(&mut world(SchedulerKind::Stratus, jobs, seed, regime), false)?;
+    }
+}
+
+/// Stratus over 40 jobs arriving at 60 an hour, with a round every 10 s:
+/// more often than the 21 s and 30 s checkpoints of OpenFOAM and GPT2, so
+/// rounds land while tasks are in transit. Under capacity shocks a refused
+/// launch leaves some of an evicted instance's residents in place while
+/// the others move away; under checkpoint drops the surgery moves a job's
+/// completion. Each seed is one where a world that skips the matching mark
+/// fails the audit: `transfer_task` not touching the old host's jobs at
+/// step 369, and the ckpt-drop surgery settling its victim instead of
+/// marking it at step 93. No drawn case above caught either.
+#[test]
+fn busy_worlds_audit_clean_after_every_event() {
+    for (seed, regime) in [(11, "capacity-shock:4"), (0, "ckpt-drop:4")] {
+        let mut cfg = config(SchedulerKind::Stratus, 40, seed, 60.0, regime);
+        cfg.round_period = SimDuration::from_secs(10);
+        let audit = drain(&mut ClusterSim::new(&cfg), false);
+        audit.unwrap_or_else(|e| panic!("{regime}, seed {seed}: {e}"));
     }
 }
 

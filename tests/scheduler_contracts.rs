@@ -1,10 +1,13 @@
 //! Contract tests every scheduler must satisfy: plans must be executable
 //! (capacity-respecting, no duplicated tasks, terminate only untouched
-//! instances) on randomized cluster states — including tasks whose
-//! `assigned_to` names an instance the snapshot does not list, which is
-//! what the world produces while an instance drains. Observations are
-//! pulled only by the schedulers that learn from them, and `plan` is
-//! `plan_in` over `ClusterView::of`.
+//! instances, and keep no empty instance that no assignment targets) on
+//! randomized cluster states — including tasks whose `assigned_to` names
+//! an instance the snapshot does not list, which is what the world
+//! produces while an instance drains. No-Packing, Stratus and Owl keep an
+//! untouched instance implicitly, so each of their assignments to an
+//! existing instance moves a task there. Observations are pulled only by
+//! the schedulers that learn from them, and `plan` is `plan_in` over
+//! `ClusterView::of`.
 
 use proptest::prelude::*;
 
@@ -75,7 +78,8 @@ fn arb_state() -> impl Strategy<Value = (Vec<TaskSnapshot>, Vec<InstanceSnapshot
 /// The seven scheduler configurations, fresh, as `(scheduler,
 /// replaces_orphans, learns)`: whether it re-places a task assigned to an
 /// unlisted instance (Eva and Synergy do) or leaves it out of the plan
-/// (No-Packing, Stratus and Owl), and whether it reads its observations.
+/// (No-Packing, Stratus and Owl, which also keep untouched instances
+/// implicitly), and whether it reads its observations.
 fn schedulers() -> Vec<(Box<dyn Scheduler>, bool, bool)> {
     let workloads = WorkloadCatalog::table7();
     let kinds: Vec<WorkloadKind> = workloads.iter().map(|w| w.kind).collect();
@@ -150,12 +154,35 @@ fn check_plan(
         );
     }
     // Terminated instances receive no assignments.
+    let targets = |id| {
+        let on = |a: &Assignment| a.instance == PlannedInstance::Existing(id);
+        plan.assignments.iter().any(on)
+    };
     for id in &plan.terminate {
-        let assigned = plan
-            .assignments
-            .iter()
-            .any(|a| matches!(a.instance, PlannedInstance::Existing(i) if i == *id));
-        prop_assert!(!assigned, "{name}: assigns to terminated {id}");
+        prop_assert!(!targets(*id), "{name}: assigns to terminated {id}");
+    }
+    // An empty instance is either filled or released.
+    for inst in instances {
+        let empty = tasks.iter().all(|t| t.assigned_to != Some(inst.id));
+        let released = plan.terminate.contains(&inst.id);
+        prop_assert!(
+            !empty || targets(inst.id) || released,
+            "{name}: empty {} neither targeted nor terminated",
+            inst.id
+        );
+    }
+    // A scheduler that keeps untouched instances implicitly targets an
+    // existing instance only to move a task there.
+    let keeps_implicitly = !replaces_orphans;
+    if keeps_implicitly {
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, tasks, instances);
+        let view = ClusterView::of(&ctx);
+        let mut moved = vec![false; plan.assignments.len()];
+        plan.moves(&view).for_each(|m| moved[m.slot] = true);
+        for (a, moved) in plan.assignments.iter().zip(moved) {
+            let existing = matches!(a.instance, PlannedInstance::Existing(_));
+            prop_assert!(moved || !existing, "{name}: {:?} moves nothing", a.instance);
+        }
     }
     Ok(())
 }
@@ -335,7 +362,7 @@ fn plans_over_a_twice_listed_instance_are_the_parents() {
             instance,
             tasks: Vec::new(),
         };
-        let plan = view.plan(targets.iter().map(assignment).collect());
+        let plan = view.plan(targets.iter().map(assignment).collect(), |_| false);
         plan.terminate.iter().map(|id| id.0).collect()
     };
     let on = |id| PlannedInstance::Existing(InstanceId(id));
@@ -376,5 +403,47 @@ fn plans_over_a_twice_listed_instance_are_the_parents() {
     ];
     for (cfg, want) in configs {
         assert_eq!(shape(&EvaScheduler::new(cfg).plan(&ctx)), want);
+    }
+
+    // Stratus and No-Packing keep untouched instances implicitly, so what
+    // they answer is where each task moves (job, position, target) and what
+    // they drain, with task 5/0 listed twice and once. Each answer was
+    // captured while they still listed every instance they kept, and all
+    // but one stand. With 5/0 listed twice, that No-Packing also listed
+    // instance 4 with its resident, the second listing of 5/0, and so sent
+    // 5/0's first listing (on instance 2) there:
+    // `[(5, 1, "@4"), (1, 2, "c7i.xlarge")] drains []`.
+    let (_, twice) = twice_listed();
+    let answer = |tasks: &[TaskSnapshot], mut sched: Box<dyn Scheduler>| {
+        let ctx = SchedulerContext { tasks, ..ctx };
+        let (view, plan) = (ClusterView::of(&ctx), sched.plan(&ctx));
+        let target = |slot: usize| match plan.assignments[slot].instance {
+            PlannedInstance::Existing(id) => format!("@{}", id.0),
+            PlannedInstance::New(ty) => catalog.get(ty).unwrap().name.to_string(),
+        };
+        let moved = plan
+            .moves(&view)
+            .map(|m| (m.task.id.job.0, m.pos, target(m.slot)));
+        let drained: Vec<u64> = plan.terminate.iter().map(|id| id.0).collect();
+        format!("{:?} drains {drained:?}", moved.collect::<Vec<_>>())
+    };
+    let stratus = || Box::new(StratusScheduler::new());
+    let no_packing = || Box::new(NoPackingScheduler::new());
+    let cases: [(&[TaskSnapshot], Box<dyn Scheduler>, &str); 4] = [
+        (
+            &twice,
+            stratus(),
+            r#"[(5, 1, "c7i.large"), (1, 2, "c7i.2xlarge"), (5, 1, "c7i.2xlarge")] drains [2, 4]"#,
+        ),
+        (&twice, no_packing(), r#"[(1, 2, "c7i.xlarge")] drains []"#),
+        (
+            &tasks,
+            stratus(),
+            r#"[(5, 1, "c7i.large"), (1, 2, "c7i.xlarge")] drains [2, 4]"#,
+        ),
+        (&tasks, no_packing(), r#"[(1, 2, "c7i.xlarge")] drains [4]"#),
+    ];
+    for (tasks, sched, want) in cases {
+        assert_eq!(answer(tasks, sched), want);
     }
 }
