@@ -35,9 +35,8 @@ impl Scheduler for NoPackingScheduler {
             }
         }
         // Every running task stays where it is; empty instances go.
-        view.plan(assignments, |i| {
-            !view.residents(&view.instances[i]).is_empty()
-        })
+        let empty = |&i: &usize| view.residents(&view.instances[i]).is_empty();
+        view.plan(assignments, (0..view.instances.len()).filter(empty))
     }
 }
 

@@ -12,7 +12,9 @@
 //! otherwise new instances are sized for whole same-bin groups. Running
 //! tasks migrate only during scale-in consolidation (when leftovers of a
 //! completed group no longer justify their instance); empty instances
-//! terminate.
+//! terminate. Scale-in reads each instance's `reserved`, its residents'
+//! summed reservation prices, from the view: exact micro-dollars, which
+//! the world keeps on its instance rows, so a round prices no resident.
 //!
 //! A plan names only what a round changes (see `Plan`): an instance whose
 //! residents all stay is kept implicitly and listed only when it receives
@@ -35,15 +37,19 @@ use eva_core::{
     price_memo, Assignment, ClusterView, Plan, PlannedInstance, Scheduler, SchedulerContext,
     TaskSnapshot,
 };
-use eva_types::{ResourceVector, SimDuration};
+use eva_types::{Cost, FamilyKey, ResourceVector, SimDuration};
+
+/// An instance's free room and the family key its demands resolve by.
+type Room = (ResourceVector, FamilyKey);
 
 /// See the module docs. The fields are one round's scratch, kept to be reused.
 #[derive(Debug, Default)]
 pub struct StratusScheduler {
-    /// Per listed instance: the capacity in use (residents that stay plus
-    /// tasks placed this round), whether its residents stay, and its
-    /// assignment in the plan, if any.
-    rows: Vec<(ResourceVector, bool, Option<usize>)>,
+    /// Per listed instance: its room beside the residents that stay and the
+    /// tasks placed this round (`None` when it hosts nothing new: an unknown
+    /// type, or residents past its capacity), whether its residents stay,
+    /// and its assignment in the plan, if any.
+    rows: Vec<(Option<Room>, bool, Option<usize>)>,
     /// `buckets[b]`: (instance, its residents in bin `b`), in listing order.
     buckets: Vec<Vec<(usize, u32)>>,
     /// The instances no resident stays on, in listing order.
@@ -89,19 +95,17 @@ impl Scheduler for StratusScheduler {
             // leftovers' reservation prices no longer cover the instance,
             // the leftovers are re-placed and the instance released.
             let residents = view.residents(inst);
-            let rp_sum: f64 = residents
-                .iter()
-                .filter_map(|t| price(&t.demand))
-                .map(|c| c.as_dollars())
-                .sum();
-            let cost = inst.ty.map_or(0.0, |ty| ty.hourly_cost.as_dollars());
-            if residents.is_empty() || rp_sum + 1e-9 < cost {
+            let cost = inst.ty.map_or(Cost::ZERO, |ty| ty.hourly_cost);
+            let stay = !residents.is_empty() && inst.reserved >= cost;
+            let used = if stay { inst.used } else { Default::default() };
+            let room = inst.ty.filter(|ty| used.fits_within(&ty.capacity));
+            let room = room.map(|ty| (ty.capacity - used, ty.family.key()));
+            self.rows.push((room, stay, None));
+            if !stay {
                 evicted.extend(residents);
-                self.rows.push((ResourceVector::ZERO, false, None));
                 self.vacant.push(i);
                 continue;
             }
-            self.rows.push((inst.used, true, None));
             for hint in residents.iter().filter_map(|t| t.remaining_hint) {
                 let b = Self::runtime_bin(hint) as usize;
                 if self.buckets.len() <= b {
@@ -117,19 +121,19 @@ impl Scheduler for StratusScheduler {
         // Place pending tasks bin-first (module docs).
         let mut leftover_by_bin: BTreeMap<Option<i32>, Vec<&TaskSnapshot>> = BTreeMap::new();
         for task in view.pending().chain(evicted) {
-            // Its use with the task if it fits; an unknown type hosts nobody new.
+            // The task's demand there if it fits the room.
             let fit = |i: usize| {
-                let ty = view.instances[i].ty?;
-                let total = self.rows[i].0.checked_add(&ty.demand_of(&task.demand))?;
-                total.fits_within(&ty.capacity).then_some(total)
+                let (room, key) = self.rows[i].0?;
+                let demand = task.demand.for_key(key);
+                demand.fits_within(&room).then_some(demand)
             };
             let bin = task.remaining_hint.map(Self::runtime_bin);
             let bucket = bin.and_then(|b| self.buckets.get(b as usize));
-            // (instance, same-bin residents, its use with the task).
+            // (instance, same-bin residents, the task's demand there).
             let mut best: Option<(usize, u32, ResourceVector)> = None;
             for &(i, n) in bucket.into_iter().flatten() {
                 if best.is_none_or(|(_, s, _)| n > s) {
-                    best = fit(i).map(|total| (i, n, total)).or(best);
+                    best = fit(i).map(|demand| (i, n, demand)).or(best);
                 }
             }
             // An empty instance is only worth reusing when it is no more
@@ -138,17 +142,19 @@ impl Scheduler for StratusScheduler {
             if best.is_none() {
                 let mut rp = None;
                 best = self.vacant.iter().find_map(|&i| {
-                    let total = fit(i)?;
+                    let demand = fit(i)?;
                     let rp = *rp.get_or_insert_with(|| price(&task.demand).unwrap_or_default());
-                    (view.instances[i].ty?.hourly_cost <= rp).then_some((i, 0, total))
+                    (view.instances[i].ty?.hourly_cost <= rp).then_some((i, 0, demand))
                 });
             }
-            let Some((i, _, total)) = best else {
+            let Some((i, _, demand)) = best else {
                 leftover_by_bin.entry(bin).or_default().push(task);
                 continue;
             };
-            let (used, stay, slot) = &mut self.rows[i];
-            *used = total;
+            let (room, stay, slot) = &mut self.rows[i];
+            if let Some((room, _)) = room {
+                *room -= demand;
+            }
             let at = *slot.get_or_insert_with(|| {
                 // The first task placed here: list the residents that stay.
                 let inst = &view.instances[i];
@@ -208,7 +214,7 @@ impl Scheduler for StratusScheduler {
             }
         }
 
-        view.plan(assignments, |i| self.rows[i].1)
+        view.plan(assignments, self.vacant.iter().copied())
     }
 }
 
@@ -322,11 +328,45 @@ mod tests {
         };
         let catalog = Catalog::aws_eval_2025();
         assert_eq!(catalog.get(new_ty).unwrap().name, "p3.2xlarge");
+        // Scale-in reads the view's `reserved`: a sum equal to the box's
+        // price keeps it as it is, one micro-dollar less evicts the task.
+        let ty = catalog.by_name("p3.8xlarge").unwrap();
+        let listed = [InstanceSnapshot::new(InstanceId(0), ty.id)];
+        let ctx = SchedulerContext::new(SimTime::ZERO, &catalog, &tasks, &listed);
+        let plan = |micros| {
+            let sums = [(ty.demand_of(&tasks[0].demand), Cost::from_micros(micros))];
+            StratusScheduler::new().plan_in(&ctx, &ClusterView::with_hosts(&ctx, &[0], &sums))
+        };
+        assert_eq!(plan(12_240_000), Plan::empty());
+        assert_eq!(plan(12_239_999).terminate, vec![InstanceId(0)]);
     }
 
     #[test]
     fn empty_instances_terminate() {
         let plan = plan_for(&[], &[(3, "c7i.large")]);
         assert_eq!(plan.terminate, vec![InstanceId(3)]);
+    }
+
+    #[test]
+    fn a_probe_resolves_the_family_override_against_the_room() {
+        // Residents priced at their box's own cost, so both stay: 3 vCPUs
+        // are left on the c7i, 3 vCPUs and 24 GiB on the r7i.
+        let mut tasks = vec![task(1, 0, 5, 8, Some(0), 60)];
+        tasks.push(task(2, 0, 5, 40, Some(1), 60));
+        // Job 3 fits either room by its default demand only, job 4 the
+        // c7i's by its override only, job 5 the r7i's by its override only.
+        let cpus = |cpu| ResourceVector::with_ram_gb(0, cpu, 4);
+        for (job, default, c7i, r7i) in [(3, 2, 4, 4), (4, 6, 2, 6), (5, 6, 4, 3)] {
+            let mut t = task(job, 0, 0, 0, None, 60);
+            t.demand = DemandSpec::uniform(cpus(default)).with_family_override("c7i", cpus(c7i));
+            t.demand = t.demand.with_family_override("r7i", cpus(r7i));
+            tasks.push(t);
+        }
+        let plan = plan_for(&tasks, &[(0, "c7i.2xlarge"), (1, "r7i.2xlarge")]);
+        let jobs = |a: &Assignment| (a.instance, a.tasks.iter().map(|t| t.job.0).collect());
+        let placed: Vec<(PlannedInstance, Vec<u64>)> = plan.assignments.iter().map(jobs).collect();
+        let on = |id| PlannedInstance::Existing(InstanceId(id));
+        assert_eq!(placed[..2], [(on(0), vec![1, 4]), (on(1), vec![2, 5])]);
+        assert!(matches!(&placed[2], (PlannedInstance::New(_), jobs) if jobs == &[3]));
     }
 }

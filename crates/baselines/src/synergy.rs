@@ -141,7 +141,7 @@ impl Scheduler for SynergyScheduler {
                 assignments.push(Assignment::new(PlannedInstance::New(ty), vec![task.id]));
             }
         }
-        view.plan(assignments, |_| false)
+        view.plan(assignments, 0..view.instances.len())
     }
 
     fn observe(&mut self, observations: &mut dyn Iterator<Item = JobObservation>) {

@@ -212,7 +212,7 @@ fn reference_plan(ctx: &SchedulerContext<'_>, view: &ClusterView<'_>) -> Plan {
         }
     }
 
-    view.plan(assignments, |_| false)
+    view.plan(assignments, 0..view.instances.len())
 }
 
 /// `2^bin` minutes plus `offset` milliseconds (at least 0): a bin boundary

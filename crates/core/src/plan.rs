@@ -17,8 +17,8 @@ use std::ops::Range;
 
 use eva_interference::TaskContext;
 use eva_types::{
-    DemandSpec, IdBuildHasher, InstanceId, InstanceTypeId, JobId, ResourceVector, SimDuration,
-    SimTime, TaskId, WorkloadKind,
+    Cost, DemandSpec, IdBuildHasher, InstanceId, InstanceTypeId, JobId, ResourceVector,
+    SimDuration, SimTime, TaskId, WorkloadKind,
 };
 
 use eva_cloud::{Catalog, InstanceType};
@@ -241,6 +241,8 @@ pub struct InstanceView<'a> {
     pub ty: Option<&'a InstanceType>,
     /// Its residents' summed demand on `ty` (zero when the type is unknown).
     pub used: ResourceVector,
+    /// Its residents' summed reservation prices (§4.2) in the catalog.
+    pub reserved: Cost,
     residents: Range<usize>,
 }
 
@@ -259,10 +261,12 @@ fn index_by<T, K: Copy + Ord + Hash>(list: &[T], key: impl Fn(&T) -> K) -> Index
 /// Residents sit in one flat list, grouped by instance in listing order,
 /// each group in `ctx.tasks` order: [`ClusterView::residents`]. Both
 /// constructors fill it in one pass over the tasks and build equal views.
-/// [`ClusterView::of`] finds each task's instance by its `assigned_to` id.
-/// [`ClusterView::with_hosts`] is handed it as a listing index and looks up
-/// no id: the world lists each ready row of its instance table once and
-/// hands each task the listing of the row that holds it.
+/// [`ClusterView::of`] finds each task's instance by its `assigned_to` id
+/// and sums `used` and `reserved`. [`ClusterView::with_hosts`] is handed
+/// each task's instance as a listing index, so looks up no id, and each
+/// listing's sums: the world lists each ready row of its instance table
+/// once, with the sums the row keeps, and hands each task its row's
+/// listing.
 ///
 /// A lookup by id finds the id's first listing. The world lists instances
 /// and tasks in strictly ascending id order, and a lookup there is a binary
@@ -293,22 +297,40 @@ impl<'a> ClusterView<'a> {
             None => ctx.instances.binary_search_by_key(&id, |i| i.id).ok(),
         };
         let host = |t: &TaskSnapshot| t.assigned_to.and_then(first).map_or(u32::MAX, |i| i as u32);
-        Self::with_hosts(ctx, &ctx.tasks.iter().map(host).collect::<Vec<_>>())
+        let hosts: Vec<u32> = ctx.tasks.iter().map(host).collect();
+        let mut sums = vec![(ResourceVector::ZERO, Cost::ZERO); ctx.instances.len()];
+        let mut price = crate::price_memo(ctx.catalog);
+        for (t, &h) in ctx.tasks.iter().zip(&hosts) {
+            if let Some((used, reserved)) = sums.get_mut(h as usize) {
+                let ty = ctx.catalog.get(ctx.instances[h as usize].type_id);
+                *used += ty.map_or(ResourceVector::ZERO, |ty| ty.demand_of(&t.demand));
+                *reserved += price(&t.demand).unwrap_or_default();
+            }
+        }
+        Self::with_hosts(ctx, &hosts, &sums)
     }
 
     /// The configuration of `ctx` with `ctx.tasks[pos]` on listing
-    /// `hosts[pos]` (none past the listing): [`ClusterView::of`] when that
-    /// is the first listing of each task's `assigned_to`.
-    pub fn with_hosts(ctx: &SchedulerContext<'a>, hosts: &[u32]) -> Self {
+    /// `hosts[pos]` (none past the listing) and listing `i`'s `used` and
+    /// `reserved` in `sums[i]`: [`ClusterView::of`] when that is the first
+    /// listing of each task's `assigned_to`, and those are its residents'.
+    pub fn with_hosts(
+        ctx: &SchedulerContext<'a>,
+        hosts: &[u32],
+        sums: &[(ResourceVector, Cost)],
+    ) -> Self {
         debug_assert_eq!(hosts.len(), ctx.tasks.len(), "one host per task");
-        let view = |inst: &InstanceSnapshot| InstanceView {
+        debug_assert_eq!(sums.len(), ctx.instances.len(), "one sum per listing");
+        let view = |(inst, &(used, reserved)): (&InstanceSnapshot, _)| InstanceView {
             id: inst.id,
             type_id: inst.type_id,
             ty: ctx.catalog.get(inst.type_id),
-            used: ResourceVector::ZERO,
+            used,
+            reserved,
             residents: 0..0,
         };
-        let mut instances: Vec<InstanceView<'a>> = ctx.instances.iter().map(view).collect();
+        let mut instances: Vec<InstanceView<'a>> =
+            ctx.instances.iter().zip(sums).map(view).collect();
         // Count each instance's residents, lay the ranges out in listing
         // order, then fill them in task order.
         let listed = instances.len();
@@ -328,9 +350,6 @@ impl<'a> ClusterView<'a> {
                 unplaced.push(t);
                 continue;
             };
-            inst.used += inst
-                .ty
-                .map_or(ResourceVector::ZERO, |ty| ty.demand_of(&t.demand));
             residents[inst.residents.end] = t;
             inst.residents.end += 1;
         }
@@ -416,26 +435,31 @@ impl<'a> ClusterView<'a> {
             .filter(|t| t.assigned_to.is_none())
     }
 
-    /// The plan with these assignments that keeps the listed instances
-    /// they target and those for which `keep` holds at the index of the
-    /// id's first listing, and terminates every other listing.
-    pub fn plan(&self, assignments: Vec<Assignment>, keep: impl Fn(usize) -> bool) -> Plan {
+    /// The plan with these assignments that terminates, in listing order,
+    /// each listing whose id's first listing is among `candidates` (listing
+    /// indices, ascending) and no assignment targets, and keeps the rest.
+    pub fn plan(
+        &self,
+        assignments: Vec<Assignment>,
+        candidates: impl IntoIterator<Item = usize>,
+    ) -> Plan {
         // `claimed[slot]`: an assignment targets the instance listed there.
-        let (mut claimed, mut hint) = (vec![false; self.instances.len()], 0);
+        let (n, mut hint) = (self.instances.len(), 0);
+        let mut claimed = vec![false; n];
         let targets = assignments.iter().filter_map(|a| match a.instance {
             PlannedInstance::Existing(id) => self.slot_after(id, &mut hint),
             PlannedInstance::New(_) => None,
         });
         targets.for_each(|slot| claimed[slot] = true);
-        // A listing's first listing: itself, unless an id is listed twice.
-        let first = |i: usize| self.index.as_ref().map_or(i, |m| m[&self.instances[i].id]);
-        let unclaimed = (0..self.instances.len()).filter(|&i| {
-            let i = first(i);
-            !claimed[i] && !keep(i)
-        });
+        let mut gone: Vec<usize> = candidates.into_iter().filter(|&i| !claimed[i]).collect();
+        // Unless an id is listed twice, each listing is its id's first.
+        let id = |i: usize| self.instances[i].id;
+        if let Some(first) = &self.index {
+            gone = (0..n).filter(|&i| gone.contains(&first[&id(i)])).collect();
+        }
         Plan {
             assignments,
-            terminate: unclaimed.map(|i| self.instances[i].id).collect(),
+            terminate: gone.into_iter().map(id).collect(),
             ..Plan::empty()
         }
     }
@@ -561,16 +585,13 @@ mod tests {
             // are placed on a new instance; instance 1 keeps task 1.
             let two = PlannedInstance::Existing(InstanceId(2));
             let assignments = vec![to(ONE, &[1]), to(two, &[4]), to(NEW, &[2, 3])];
-            assert!(view
-                .plan(assignments.clone(), |_| false)
-                .terminate
-                .is_empty());
+            assert!(view.plan(assignments.clone(), 0..2).terminate.is_empty());
             let want = vec![(4, 3, 1, false), (2, 1, 2, false), (3, 2, 2, true)];
             assert_eq!(moves_in(view, assignments), want);
             let all = vec![InstanceId(1), InstanceId(2)];
-            assert_eq!(view.plan(Vec::new(), |_| false).terminate, all);
-            // The predicate keeps instance 1 implicitly; nothing keeps 2.
-            let kept = view.plan(Vec::new(), |i| i == 0);
+            assert_eq!(view.plan(Vec::new(), 0..2).terminate, all);
+            // Only instance 2 is a candidate: instance 1 is kept implicitly.
+            let kept = view.plan(Vec::new(), [1]);
             assert_eq!(kept.terminate, vec![InstanceId(2)]);
         });
     }

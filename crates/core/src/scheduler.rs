@@ -109,7 +109,7 @@ impl EvaScheduler {
         }
 
         // Anything live and unclaimed is terminated once drained.
-        view.plan(assignments, |_| false)
+        view.plan(assignments, 0..view.instances.len())
     }
 
     /// Migration cost `M` of adopting `plan` (dollars): each moved task's
@@ -474,7 +474,7 @@ mod tests {
             };
             assignments.push(Assignment::new(target, inst.tasks.clone()));
         }
-        view.plan(assignments, |_| false)
+        view.plan(assignments, 0..view.instances.len())
     }
 
     fn packed(type_id: InstanceTypeId, jobs: &[u64]) -> PackedInstance {

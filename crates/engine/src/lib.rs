@@ -15,6 +15,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::num::NonZeroU64;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,9 +31,10 @@ pub trait SimEvent {
 }
 
 /// Handle to a cancelable scheduled event (see
-/// [`EventEngine::schedule_cancelable`]).
+/// [`EventEngine::schedule_cancelable`]): its sequence number, which starts
+/// at 1, so an `Option<CancelToken>` takes no more room than the token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CancelToken(u64);
+pub struct CancelToken(NonZeroU64);
 
 /// An event popped from the queue together with its due time.
 #[derive(Debug, Clone)]
@@ -147,7 +149,7 @@ impl<E: SimEvent> EventEngine<E> {
     /// a completion superseded by a new due time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: E) -> CancelToken {
         self.schedule(at, event);
-        CancelToken(self.seq)
+        CancelToken(NonZeroU64::new(self.seq).expect("sequence numbers start at 1"))
     }
 
     /// Tombstones a cancelable event: if still queued it will be skipped
@@ -158,7 +160,7 @@ impl<E: SimEvent> EventEngine<E> {
     /// place, so fault-heavy million-event runs never carry more dead
     /// weight than live events.
     pub fn cancel(&mut self, token: CancelToken) {
-        self.canceled.insert(token.0);
+        self.canceled.insert(token.0.get());
         self.maybe_compact();
     }
 

@@ -99,7 +99,7 @@
 use std::collections::BTreeMap;
 
 use eva_types::{
-    InstanceId, InstanceTypeId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,
+    Cost, InstanceId, InstanceTypeId, JobId, JobSpec, ResourceVector, SimDuration, SimTime, TaskId,
     WorkloadKind,
 };
 
@@ -120,13 +120,6 @@ pub(crate) fn quantize(tput: f64) -> u64 {
 /// `r` as the rate lanes (GPU, CPU, RAM MB) the instance table sums.
 pub(crate) fn lanes(r: ResourceVector) -> [f64; 3] {
     [f64::from(r.gpu), f64::from(r.cpu), r.ram_mb as f64]
-}
-
-/// Adds `sign × x` into `sum`, lane by lane.
-pub(crate) fn add_lanes(sum: &mut [f64; 3], x: [f64; 3], sign: f64) {
-    for (s, v) in sum.iter_mut().zip(x) {
-        *s += sign * v;
-    }
 }
 
 /// The work of `duration` at unit throughput, in ms·quantum; `None` when
@@ -381,6 +374,8 @@ pub(crate) struct TaskArena {
     pub migrations: Vec<u32>,
     /// Cancel token of the readiness event of the transfer in flight.
     pub transfer: Vec<Option<CancelToken>>,
+    /// Reservation price (§4.2), set once when the host admits the job.
+    pub price: Vec<Cost>,
     /// Released task ranges awaiting exact-fit reuse: range length →
     /// start slots. Jobs release their whole contiguous range at once,
     /// so recycling preserves the job-major contiguity invariant.
@@ -435,6 +430,10 @@ pub(crate) struct InstRow {
     /// Mapped task slots, kept sorted (ascending task slot == ascending
     /// `TaskId`, preserving co-location iteration order).
     pub tasks: Vec<u32>,
+    /// The mapped tasks' summed demand on this row's type and summed
+    /// reservation prices: integer sums, which [`InstTable::map`] keeps.
+    pub used: ResourceVector,
+    pub reserved: Cost,
     /// When it is set up: a task placed on it starts no earlier.
     pub ready_at: SimTime,
     /// Departure-checkpoint barrier: the earliest instant it may
@@ -444,7 +443,7 @@ pub(crate) struct InstRow {
     pub straggle: f64,
     /// The instance type's capacity, which the row adds to the capacity
     /// rate while it lives.
-    cap: [f64; 3],
+    cap: ResourceVector,
 }
 
 impl InstRow {
@@ -473,12 +472,11 @@ pub(crate) struct InstTable {
     terminating: BTreeMap<(SimTime, InstanceId), u32>,
     /// The capacity, allocation and running-task rates the world
     /// integrates: the rows' capacities, their mapped tasks' demands and
-    /// how many of those run. Every component is an integer-valued `f64`,
-    /// so adding and later subtracting leaves the sums bit-identical to a
-    /// from-scratch scan in any order. A row is dropped only once its
-    /// tasks are gone, so it takes only its capacity along.
-    cap_rate: [f64; 3],
-    alloc_rate: [f64; 3],
+    /// how many of those run: integer sums, equal to a fresh scan in any
+    /// order. A row is dropped only once its tasks are gone, so it
+    /// takes only its capacity along.
+    cap_rate: ResourceVector,
+    alloc_rate: ResourceVector,
     running_rate: usize,
 }
 
@@ -495,7 +493,8 @@ impl InstTable {
 
     /// The capacity, allocation and running-task rates.
     pub fn rates(&self) -> ([f64; 3], [f64; 3], usize) {
-        (self.cap_rate, self.alloc_rate, self.running_rate)
+        let (cap, alloc) = (lanes(self.cap_rate), lanes(self.alloc_rate));
+        (cap, alloc, self.running_rate)
     }
 
     /// Slots of every row, in instance ID order.
@@ -522,13 +521,15 @@ impl InstTable {
         id: InstanceId,
         ty: InstanceTypeId,
         at: SimTime,
-        cap: [f64; 3],
+        cap: ResourceVector,
     ) -> u32 {
         let row = InstRow {
             id,
             type_id: ty,
             life: Life::Ready,
             tasks: Vec::new(),
+            used: ResourceVector::ZERO,
+            reserved: Cost::ZERO,
             ready_at: at,
             busy_until: SimTime::ZERO,
             straggle: 1.0,
@@ -546,7 +547,7 @@ impl InstTable {
         };
         let previous = self.by_id.insert(id, slot);
         debug_assert!(previous.is_none(), "instance {id} provisioned twice");
-        add_lanes(&mut self.cap_rate, cap, 1.0);
+        self.cap_rate += cap;
         slot
     }
 
@@ -555,29 +556,31 @@ impl InstTable {
         self.set_life(slot, Life::Ready); // out of its lifecycle index
         let row = &self.rows[slot as usize];
         debug_assert!(row.tasks.is_empty(), "dropping a row that holds tasks");
-        add_lanes(&mut self.cap_rate, row.cap, -1.0);
+        self.cap_rate -= row.cap;
         self.by_id.remove(&row.id);
         self.free.push(slot);
     }
 
     /// Maps (unmaps) task slot `task` onto (from) the row in `slot`,
-    /// keeping its task list sorted, and folds the task's `demand` into
-    /// (out of) the allocation rate when the mapping changed, so the rate
-    /// mirrors the mapping lists exactly.
-    pub fn map(&mut self, slot: u32, task: u32, demand: [f64; 3], mapped: bool) {
+    /// keeping its task list sorted, and folds the task's `demand` and
+    /// `price` into (out of) the row's sums and its demand into (out of) the
+    /// allocation rate when the mapping changed, so both mirror the mapping
+    /// lists exactly.
+    pub fn map(&mut self, slot: u32, task: u32, demand: ResourceVector, price: Cost, mapped: bool) {
         let row = &mut self.rows[slot as usize];
-        let sign = match (row.tasks.binary_search(&task), mapped) {
+        match (row.tasks.binary_search(&task), mapped) {
             (Err(pos), true) => {
                 row.tasks.insert(pos, task);
-                1.0
+                (row.used, row.reserved) = (row.used + demand, row.reserved + price);
+                self.alloc_rate += demand;
             }
             (Ok(pos), false) => {
                 row.tasks.remove(pos);
-                -1.0
+                (row.used, row.reserved) = (row.used - demand, row.reserved - price);
+                self.alloc_rate -= demand;
             }
-            _ => return,
-        };
-        add_lanes(&mut self.alloc_rate, demand, sign);
+            _ => {}
+        }
     }
 
     /// Counts a mapped task starting (stopping) running.
@@ -671,6 +674,7 @@ impl WorldArena {
         t.assigned.reserve_exact(tasks);
         t.migrations.reserve_exact(tasks);
         t.transfer.reserve_exact(tasks);
+        t.price.reserve_exact(tasks);
     }
 
     /// Interns a job arriving at `now` (a trace index is read in `trace`)
@@ -719,6 +723,7 @@ impl WorldArena {
                     self.tasks.assigned.push(NO_SLOT);
                     self.tasks.migrations.push(0);
                     self.tasks.transfer.push(None);
+                    self.tasks.price.push(Cost::ZERO);
                 }
                 b
             }
@@ -927,7 +932,7 @@ mod tests {
         let trace = SyntheticTraceConfig::small_scale().generate(1);
         let mut world = interned(&trace);
         let insts = &mut world.insts;
-        let (ty, cap) = (InstanceTypeId(0), [1.0, 4.0, 1024.0]);
+        let (ty, cap) = (InstanceTypeId(0), ResourceVector::new(1, 4, 1024));
         let a = insts.insert(InstanceId(0), ty, SimTime::ZERO, cap);
         let b = insts.insert(InstanceId(1), ty, SimTime::ZERO, cap);
         assert_ne!(a, b);
@@ -959,26 +964,6 @@ mod tests {
         assert_eq!(row.life, Life::Ready);
         assert_eq!(insts.slots().collect::<Vec<_>>(), vec![b, c], "ID order");
         audit(&world).unwrap();
-    }
-
-    #[test]
-    fn map_and_unmap_count_a_demand_only_when_the_mapping_changed() {
-        let mut insts = InstTable::default();
-        let slot = insts.insert(
-            InstanceId(0),
-            InstanceTypeId(0),
-            SimTime::ZERO,
-            [1.0, 4.0, 1024.0],
-        );
-        let d = [1.0, 2.0, 512.0];
-        insts.map(slot, 4, d, true);
-        insts.map(slot, 4, d, true);
-        assert_eq!(insts.rates().1, d, "double map is a no-op");
-        assert_eq!(insts.rows[slot as usize].tasks, vec![4]);
-        insts.map(slot, 4, d, false);
-        insts.map(slot, 4, d, false);
-        assert_eq!(insts.rates().1, [0.0; 3], "double unmap is a no-op");
-        assert!(insts.rows[slot as usize].tasks.is_empty());
     }
 
     #[test]
@@ -1040,6 +1025,37 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Maps and unmaps over two rows, in any order and repeated, count a
+        /// task's demand and price only when its mapping changes: each row's
+        /// sums, and the allocation rate, equal a fresh sum over the tasks
+        /// the rows list, and a row emptied to be dropped holds zero.
+        #[test]
+        fn map_and_unmap_count_a_demand_only_when_the_mapping_changed(
+            ops in collection::vec((0u32..12, 0usize..2, 0u8..2), 1..80),
+        ) {
+            let demand = |t: u32| ResourceVector::new(t % 3, 2 * t + 1, 512 * u64::from(t));
+            let price = |t: u32| Cost::from_micros(89_250 * u64::from(t + 1));
+            let sum = |ts: &[u32]| -> (ResourceVector, Cost) {
+                (ts.iter().map(|&t| demand(t)).sum(), ts.iter().map(|&t| price(t)).sum())
+            };
+            let mut insts = InstTable::default();
+            let (ty, cap) = (InstanceTypeId(0), ResourceVector::new(8, 8, 8));
+            let rows = [0, 1].map(|i| insts.insert(InstanceId(i), ty, SimTime::ZERO, cap));
+            for (task, row, mapped) in ops {
+                insts.map(rows[row], task, demand(task), price(task), mapped == 1);
+                let held = rows.map(|s| &insts.rows[s as usize]);
+                for row in held {
+                    prop_assert_eq!((row.used, row.reserved), sum(&row.tasks));
+                }
+                prop_assert_eq!(insts.rates().1, super::lanes(held[0].used + held[1].used));
+            }
+            let (slot, tasks) = (rows[0], insts.rows[rows[0] as usize].tasks.clone());
+            tasks.iter().for_each(|&t| insts.map(slot, t, demand(t), price(t), false));
+            let row = &insts.rows[slot as usize];
+            prop_assert_eq!((row.used, row.reserved), (ResourceVector::ZERO, Cost::ZERO));
+            insts.remove(slot);
+        }
 
         /// Rates that change at random milliseconds, with the job settled
         /// at a random subset of other instants as well, leave the same

@@ -11,7 +11,7 @@ use eva_core::{
     TaskSnapshot,
 };
 use eva_interference::TaskContext;
-use eva_types::{TaskId, WorkloadKind};
+use eva_types::{Cost, ResourceVector, TaskId, WorkloadKind};
 
 use crate::arena::{work_span, Life, NO_SLOT};
 use crate::script::ExecActionKind;
@@ -20,8 +20,8 @@ use crate::world::{ClusterSim, Event};
 
 /// A round's snapshot and moves, kept to reuse their buffers: the task
 /// rows with each one's slot and host (its instance's listing, [`NO_SLOT`]
-/// for none), the ready rows in ID order with each one's slot, each slot's
-/// listing, and the moves (task, its slot, assignment, listed row).
+/// for none), the ready rows in ID order with each one's slot and sums,
+/// each slot's listing, and the moves (task, its slot, assignment, row).
 #[derive(Debug, Default)]
 pub(crate) struct Snapshot {
     tasks: Vec<TaskSnapshot>,
@@ -29,6 +29,7 @@ pub(crate) struct Snapshot {
     hosts: Vec<u32>,
     instances: Vec<InstanceSnapshot>,
     rows: Vec<u32>,
+    sums: Vec<(ResourceVector, Cost)>,
     listing: Vec<u32>,
     moves: Vec<(TaskId, u32, usize, u32)>,
 }
@@ -153,6 +154,7 @@ impl ClusterSim {
         let insts = &self.world.insts;
         snap.instances.clear();
         snap.rows.clear();
+        snap.sums.clear();
         snap.listing.clear();
         snap.listing.resize(insts.rows.len(), NO_SLOT);
         for s in insts.slots() {
@@ -160,6 +162,7 @@ impl ClusterSim {
             if row.life() == Life::Ready {
                 snap.listing[s as usize] = snap.instances.len() as u32;
                 snap.rows.push(s);
+                snap.sums.push((row.used, row.reserved));
                 let (id, type_id) = (row.id, row.type_id);
                 snap.instances.push(InstanceSnapshot { id, type_id });
             }
@@ -225,7 +228,8 @@ impl ClusterSim {
     pub fn round_view<R>(&mut self, f: impl FnOnce(&SchedulerContext, &ClusterView) -> R) -> R {
         let snap = self.build_snapshot();
         let ctx = SchedulerContext::new(self.now(), &self.catalog, &snap.tasks, &snap.instances);
-        let out = f(&ctx, &ClusterView::with_hosts(&ctx, &snap.hosts));
+        let view = ClusterView::with_hosts(&ctx, &snap.hosts, &snap.sums);
+        let out = f(&ctx, &view);
         self.snapshot_scratch = snap;
         out
     }
@@ -241,7 +245,7 @@ impl ClusterSim {
         self.scheduler = scheduler;
         let mut snap = self.build_snapshot();
         let ctx = SchedulerContext::new(self.now(), &self.catalog, &snap.tasks, &snap.instances);
-        let view = ClusterView::with_hosts(&ctx, &snap.hosts);
+        let view = ClusterView::with_hosts(&ctx, &snap.hosts, &snap.sums);
         let plan = self.scheduler.plan_in(&ctx, &view);
         // Diffed against the view the scheduler saw, each listed instance
         // resolved to its row there. In task order, a task listed twice

@@ -33,10 +33,12 @@ use eva_baselines::{
 };
 use eva_cloud::{Catalog, CloudProvider, DelayModel, ProvisionRequest};
 use eva_core::{EvaScheduler, Scheduler};
-use eva_types::{InstanceId, JobSpec, SimDuration, SimTime, TaskSpec, WorkloadKind};
+use eva_types::{
+    Cost, InstanceId, JobSpec, ResourceVector, SimDuration, SimTime, TaskSpec, WorkloadKind,
+};
 use eva_workloads::{InterferenceModel, JobSource, Trace, TraceHandle, WorkloadCatalog};
 
-use crate::arena::{add_lanes, lanes, quantize, work_of, Life, Spec, WorldArena, NO_SLOT};
+use crate::arena::{lanes, quantize, work_of, Life, Spec, WorldArena, NO_SLOT};
 use crate::engine::{CancelToken, EventEngine, RngStreams, SimEvent, DELAY_STREAM};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot, SimReport};
@@ -126,8 +128,9 @@ pub struct ClusterSim {
 
     feed: Feed,
     /// The job pulled off the feed, waiting for its arrival (`None` once
-    /// the feed is exhausted).
+    /// the feed is exhausted), and its tasks' reservation prices.
     pub(crate) pending: Option<Spec>,
+    pending_prices: Vec<Cost>,
     pub(crate) retire_completed: bool,
     pub(crate) completed: CompletedSums,
     pub(crate) first_arrival_seen: Option<SimTime>,
@@ -157,9 +160,14 @@ pub struct ClusterSim {
 
 /// True when some catalog type can host each of the job's tasks alone,
 /// the job's work fits a progress lane, and its tasks carry the job's
-/// ID under strictly ascending indices (the door sorts them first).
-fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
-    let fits = |t: &TaskSpec| t.id.job == job.id && catalog.cheapest_fit(&t.demand).is_some();
+/// ID under strictly ascending indices (the door sorts them first); then
+/// `prices` holds each task's reservation price (§4.2), in order.
+fn schedulable(catalog: &Catalog, job: &JobSpec, prices: &mut Vec<Cost>) -> bool {
+    prices.clear();
+    let fits = |t: &TaskSpec| {
+        let ty = catalog.cheapest_fit(&t.demand);
+        t.id.job == job.id && ty.map(|ty| prices.push(ty.hourly_cost)).is_some()
+    };
     work_of(job.duration_at_full_tput).is_some()
         && job.tasks.iter().all(fits)
         && in_index_order(job)
@@ -253,6 +261,7 @@ impl ClusterSim {
             recorder: None,
             feed,
             pending: None,
+            pending_prices: Vec::new(),
             retire_completed: cfg.retire_completed,
             completed: CompletedSums::default(),
             first_arrival_seen: None,
@@ -344,7 +353,7 @@ impl ClusterSim {
                 into_index_order(job, trace)
             };
             let spec = job.of(trace);
-            if schedulable(&self.catalog, spec) {
+            if schedulable(&self.catalog, spec, &mut self.pending_prices) {
                 self.engine.schedule(spec.arrival, Event::Ingest);
                 self.pending = Some(job);
                 return;
@@ -372,7 +381,9 @@ impl ClusterSim {
             self.first_arrival_seen.get_or_insert(arrival);
             self.metrics.record_arrival();
             let now = self.now();
-            self.world.intern_job(self.cfg.trace.jobs(), job, now);
+            let jslot = self.world.intern_job(self.cfg.trace.jobs(), job, now);
+            let range = self.world.jobs.task_range(jslot);
+            self.world.tasks.price[range].copy_from_slice(&self.pending_prices);
             self.schedule_round(now);
         }
         self.pull();
@@ -657,8 +668,10 @@ impl ClusterSim {
     /// last settle plus its ETA at that rate (exact at any settle
     /// instant), and the maintained capacity/allocation/running-task rates
     /// equal a from-scratch scan of the provider's live instances bit for
-    /// bit. The instance table must list exactly the `(id, type)` pairs the
-    /// provider reports live at this instant, in the same order.
+    /// bit, and each row's `used` and `reserved` a fresh sum over its mapped
+    /// tasks, each priced afresh. The instance table must list exactly the
+    /// `(id, type)` pairs the provider reports live at this instant, in the
+    /// same order.
     pub fn audit_slots(&self) -> Result<(), String> {
         let now = self.engine.now();
         self.world.audit(now, |slot| self.job_spec(slot).arrival)?;
@@ -676,7 +689,7 @@ impl ClusterSim {
                 ));
             }
         }
-        let (scan, rates) = (self.scan_rates(now), self.world.insts.rates());
+        let (scan, rates) = (self.scan_rates(now)?, self.world.insts.rates());
         if scan != rates {
             return Err(format!(
                 "incremental rates diverged from the live-set scan: \
@@ -959,24 +972,36 @@ impl ClusterSim {
 
     /// The capacity, allocation and running-task rates of the provider's
     /// live set at `now`, from scratch: what the maintained rates must
-    /// equal.
-    fn scan_rates(&self, now: SimTime) -> ([f64; 3], [f64; 3], usize) {
-        let (mut cap, mut alloc, mut running) = ([0.0f64; 3], [0.0f64; 3], 0);
+    /// equal. Each row's `used` and `reserved` must equal a fresh sum over
+    /// its mapped tasks, each priced afresh.
+    fn scan_rates(&self, now: SimTime) -> Result<([f64; 3], [f64; 3], usize), String> {
+        let (mut cap, mut alloc, mut running) = (ResourceVector::ZERO, ResourceVector::ZERO, 0);
         for inst in self.cloud.live_instances(now) {
             let Some(ty) = self.catalog.get(inst.type_id) else {
                 continue;
             };
-            add_lanes(&mut cap, lanes(ty.capacity), 1.0);
+            cap += ty.capacity;
             let Some(islot) = self.world.insts.get(inst.id) else {
                 continue;
             };
-            for &tslot in &self.world.insts.rows[islot as usize].tasks {
-                let d = ty.demand_of(&self.task_spec(tslot).demand);
-                add_lanes(&mut alloc, lanes(d), 1.0);
+            let row = &self.world.insts.rows[islot as usize];
+            let mut sums = (ResourceVector::ZERO, Cost::ZERO);
+            for &tslot in &row.tasks {
+                let demand = &self.task_spec(tslot).demand;
+                let price = self.catalog.cheapest_fit(demand);
+                sums.0 += ty.demand_of(demand);
+                sums.1 += price.map_or(Cost::ZERO, |ty| ty.hourly_cost);
                 running += usize::from(self.world.tasks.is_running(tslot));
             }
+            if (row.used, row.reserved) != sums {
+                let (id, held) = (inst.id, (row.used, row.reserved));
+                return Err(format!(
+                    "instance {id} holds {held:?}, its tasks sum to {sums:?}"
+                ));
+            }
+            alloc += sums.0;
         }
-        (cap, alloc, running)
+        Ok((lanes(cap), lanes(alloc), running))
     }
 
     /// Re-derives the completion events of jobs marked dirty since the
@@ -1066,16 +1091,18 @@ impl ClusterSim {
         let ty = self.catalog.get(inst.type_id).expect("a cataloged type");
         self.world
             .insts
-            .insert(id, ty.id, inst.ready_at, lanes(ty.capacity))
+            .insert(id, ty.id, inst.ready_at, ty.capacity)
     }
 
     /// Maps (unmaps) the task in `tslot` onto (from) instance slot
-    /// `islot`, with the demand it places on that instance's type.
+    /// `islot`, with the demand it places on that instance's type and its
+    /// reservation price.
     pub(crate) fn map_task(&mut self, islot: u32, tslot: u32, mapped: bool) {
         let type_id = self.world.insts.rows[islot as usize].type_id;
         let ty = self.catalog.get(type_id).expect("rows hold catalog types");
-        let demand = lanes(ty.demand_of(&self.task_spec(tslot).demand));
-        self.world.insts.map(islot, tslot, demand, mapped);
+        let demand = ty.demand_of(&self.task_spec(tslot).demand);
+        let price = self.world.tasks.price[tslot as usize];
+        self.world.insts.map(islot, tslot, demand, price, mapped);
     }
 
     /// Drops the row in `islot` and its capacity from the rate (it holds
@@ -1124,7 +1151,8 @@ mod tests {
                 let ty = sim.catalog.get(inst.type_id).unwrap();
                 let end = inst.terminated_at.expect("every instance terminated");
                 let hours = end.duration_since(inst.requested_at).as_hours_f64();
-                add_lanes(&mut expected, lanes(ty.capacity), hours);
+                let cap = lanes(ty.capacity);
+                expected = [0, 1, 2].map(|r| expected[r] + hours * cap[r]);
             }
             for (r, (got, want)) in sim.capacity_integral.iter().zip(expected).enumerate() {
                 assert!(

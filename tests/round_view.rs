@@ -1,10 +1,12 @@
 //! The world builds each round's `ClusterView` from its instance table
 //! (`ClusterView::with_hosts`: each task handed its host's listing index,
-//! no instance id looked up). It must equal `ClusterView::of`, which
-//! derives the view from the same context alone: the same instances in
-//! the same order, the same residents (the very same task rows) in the
-//! same order, the same `used`, unplaced and pending tasks, and the same
-//! answers to lookups by id. Checked at every event boundary, so at every
+//! no instance id looked up, and each listing the `used` and `reserved`
+//! sums its row keeps), through the same snapshot a round plans on. It
+//! must equal `ClusterView::of`, which derives the view from the same
+//! context alone: the same instances in the same order, the same residents
+//! (the very same task rows) in the same order, the same `used` and
+//! `reserved`, unplaced and pending tasks, and the same answers to lookups
+//! by id. Checked at every event boundary, so at every
 //! state a round can plan on, for the seven scheduler configurations
 //! under three fault regimes, batch and streamed.
 
@@ -44,7 +46,7 @@ fn differs(ctx: &SchedulerContext<'_>, world: &ClusterView<'_>) -> Option<String
             of.instances.len()
         ));
     }
-    let key = |i: &InstanceView<'_>| (i.id, i.type_id, i.ty.map(|t| t.id), i.used);
+    let key = |i: &InstanceView<'_>| (i.id, i.type_id, i.ty.map(|t| t.id), i.used, i.reserved);
     for (w, o) in world.instances.iter().zip(&of.instances) {
         if key(w) != key(o) || !same_rows(world.residents(w), of.residents(o)) {
             return Some(format!("instance {} differs", w.id));

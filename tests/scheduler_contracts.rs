@@ -258,9 +258,11 @@ proptest! {
             let residents: Vec<&TaskSnapshot> =
                 tasks.iter().filter(|t| t.assigned_to == Some(inst.id)).collect();
             let used: ResourceVector = residents.iter().map(|t| ty.demand_of(&t.demand)).sum();
+            let priced = residents.iter().filter_map(|t| catalog.cheapest_fit(&t.demand));
+            let reserved: Cost = priced.map(|ty| ty.hourly_cost).sum();
             prop_assert_eq!((got.id, got.type_id, got.ty), (inst.id, inst.type_id, Some(ty)));
             prop_assert_eq!(view.residents(got), &residents[..]);
-            prop_assert_eq!(got.used, used);
+            prop_assert_eq!((got.used, got.reserved), (used, reserved));
             prop_assert_eq!(view.instance(inst.id).map(|i| i.id), Some(inst.id));
         }
         let pending: Vec<&TaskSnapshot> = tasks.iter().filter(|t| t.assigned_to.is_none()).collect();
@@ -362,7 +364,8 @@ fn plans_over_a_twice_listed_instance_are_the_parents() {
             instance,
             tasks: Vec::new(),
         };
-        let plan = view.plan(targets.iter().map(assignment).collect(), |_| false);
+        let assignments = targets.iter().map(assignment).collect();
+        let plan = view.plan(assignments, 0..view.instances.len());
         plan.terminate.iter().map(|id| id.0).collect()
     };
     let on = |id| PlannedInstance::Existing(InstanceId(id));
