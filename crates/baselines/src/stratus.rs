@@ -349,12 +349,12 @@ mod tests {
 
     #[test]
     fn a_probe_resolves_the_family_override_against_the_room() {
-        // Residents priced at their box's own cost, so both stay: 3 vCPUs
-        // are left on the c7i, 3 vCPUs and 24 GiB on the r7i.
+        // Residents priced at their box's own cost stay: 3 vCPUs are left on
+        // the c7i, 3 vCPUs and 24 GiB on the r7i. Job 3 fits either room by
+        // its default demand only, job 4 the c7i's and job 5 the r7i's by
+        // its override there only.
         let mut tasks = vec![task(1, 0, 5, 8, Some(0), 60)];
         tasks.push(task(2, 0, 5, 40, Some(1), 60));
-        // Job 3 fits either room by its default demand only, job 4 the
-        // c7i's by its override only, job 5 the r7i's by its override only.
         let cpus = |cpu| ResourceVector::with_ram_gb(0, cpu, 4);
         for (job, default, c7i, r7i) in [(3, 2, 4, 4), (4, 6, 2, 6), (5, 6, 4, 3)] {
             let mut t = task(job, 0, 0, 0, None, 60);

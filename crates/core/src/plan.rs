@@ -452,6 +452,7 @@ impl<'a> ClusterView<'a> {
         });
         targets.for_each(|slot| claimed[slot] = true);
         let mut gone: Vec<usize> = candidates.into_iter().filter(|&i| !claimed[i]).collect();
+        debug_assert!(gone.windows(2).all(|w| w[0] < w[1]), "candidates ascend");
         // Unless an id is listed twice, each listing is its id's first.
         let id = |i: usize| self.instances[i].id;
         if let Some(first) = &self.index {

@@ -15,7 +15,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use std::num::NonZeroU64;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,10 +30,9 @@ pub trait SimEvent {
 }
 
 /// Handle to a cancelable scheduled event (see
-/// [`EventEngine::schedule_cancelable`]): its sequence number, which starts
-/// at 1, so an `Option<CancelToken>` takes no more room than the token.
+/// [`EventEngine::schedule_cancelable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CancelToken(NonZeroU64);
+pub struct CancelToken(u64);
 
 /// An event popped from the queue together with its due time.
 #[derive(Debug, Clone)]
@@ -149,7 +147,7 @@ impl<E: SimEvent> EventEngine<E> {
     /// a completion superseded by a new due time.
     pub fn schedule_cancelable(&mut self, at: SimTime, event: E) -> CancelToken {
         self.schedule(at, event);
-        CancelToken(NonZeroU64::new(self.seq).expect("sequence numbers start at 1"))
+        CancelToken(self.seq)
     }
 
     /// Tombstones a cancelable event: if still queued it will be skipped
@@ -160,7 +158,7 @@ impl<E: SimEvent> EventEngine<E> {
     /// place, so fault-heavy million-event runs never carry more dead
     /// weight than live events.
     pub fn cancel(&mut self, token: CancelToken) {
-        self.canceled.insert(token.0.get());
+        self.canceled.insert(token.0);
         self.maybe_compact();
     }
 

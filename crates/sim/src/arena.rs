@@ -374,8 +374,6 @@ pub(crate) struct TaskArena {
     pub migrations: Vec<u32>,
     /// Cancel token of the readiness event of the transfer in flight.
     pub transfer: Vec<Option<CancelToken>>,
-    /// Reservation price (§4.2), set once when the host admits the job.
-    pub price: Vec<Cost>,
     /// Released task ranges awaiting exact-fit reuse: range length →
     /// start slots. Jobs release their whole contiguous range at once,
     /// so recycling preserves the job-major contiguity invariant.
@@ -674,7 +672,6 @@ impl WorldArena {
         t.assigned.reserve_exact(tasks);
         t.migrations.reserve_exact(tasks);
         t.transfer.reserve_exact(tasks);
-        t.price.reserve_exact(tasks);
     }
 
     /// Interns a job arriving at `now` (a trace index is read in `trace`)
@@ -723,7 +720,6 @@ impl WorldArena {
                     self.tasks.assigned.push(NO_SLOT);
                     self.tasks.migrations.push(0);
                     self.tasks.transfer.push(None);
-                    self.tasks.price.push(Cost::ZERO);
                 }
                 b
             }
@@ -894,6 +890,7 @@ mod tests {
     use super::*;
     use eva_workloads::{SyntheticTraceConfig, Trace};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// The slot audit of a world whose jobs all arrived at time zero.
     fn audit(world: &WorldArena) -> Result<(), String> {
@@ -1027,34 +1024,39 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Maps and unmaps over two rows, in any order and repeated, count a
-        /// task's demand and price only when its mapping changes: each row's
-        /// sums, and the allocation rate, equal a fresh sum over the tasks
-        /// the rows list, and a row emptied to be dropped holds zero.
+        /// task's demand and price only when its mapping changes: each row
+        /// lists the tasks a model set holds, and its sums and the allocation
+        /// rate equal a scratch sum over the model; a row emptied to be
+        /// dropped holds zero.
         #[test]
         fn map_and_unmap_count_a_demand_only_when_the_mapping_changed(
             ops in collection::vec((0u32..12, 0usize..2, 0u8..2), 1..80),
         ) {
             let demand = |t: u32| ResourceVector::new(t % 3, 2 * t + 1, 512 * u64::from(t));
             let price = |t: u32| Cost::from_micros(89_250 * u64::from(t + 1));
-            let sum = |ts: &[u32]| -> (ResourceVector, Cost) {
-                (ts.iter().map(|&t| demand(t)).sum(), ts.iter().map(|&t| price(t)).sum())
+            let sum = |m: &BTreeSet<u32>| -> (ResourceVector, Cost) {
+                (m.iter().map(|&t| demand(t)).sum(), m.iter().map(|&t| price(t)).sum())
             };
             let mut insts = InstTable::default();
             let (ty, cap) = (InstanceTypeId(0), ResourceVector::new(8, 8, 8));
             let rows = [0, 1].map(|i| insts.insert(InstanceId(i), ty, SimTime::ZERO, cap));
-            for (task, row, mapped) in ops {
-                insts.map(rows[row], task, demand(task), price(task), mapped == 1);
-                let held = rows.map(|s| &insts.rows[s as usize]);
-                for row in held {
-                    prop_assert_eq!((row.used, row.reserved), sum(&row.tasks));
+            let mut model = [BTreeSet::new(), BTreeSet::new()];
+            for (task, r, mapped) in ops {
+                insts.map(rows[r], task, demand(task), price(task), mapped == 1);
+                _ = if mapped == 1 { model[r].insert(task) } else { model[r].remove(&task) };
+                for (&s, m) in rows.iter().zip(&model) {
+                    let row = &insts.rows[s as usize];
+                    prop_assert_eq!(&row.tasks, &m.iter().copied().collect::<Vec<_>>());
+                    prop_assert_eq!((row.used, row.reserved), sum(m));
                 }
-                prop_assert_eq!(insts.rates().1, super::lanes(held[0].used + held[1].used));
+                prop_assert_eq!(insts.rates().1, super::lanes(sum(&model[0]).0 + sum(&model[1]).0));
             }
-            let (slot, tasks) = (rows[0], insts.rows[rows[0] as usize].tasks.clone());
-            tasks.iter().for_each(|&t| insts.map(slot, t, demand(t), price(t), false));
-            let row = &insts.rows[slot as usize];
+            for &t in &model[0] {
+                insts.map(rows[0], t, demand(t), price(t), false);
+            }
+            let row = &insts.rows[rows[0] as usize];
             prop_assert_eq!((row.used, row.reserved), (ResourceVector::ZERO, Cost::ZERO));
-            insts.remove(slot);
+            insts.remove(rows[0]);
         }
 
         /// Rates that change at random milliseconds, with the job settled

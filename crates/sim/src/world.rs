@@ -128,9 +128,8 @@ pub struct ClusterSim {
 
     feed: Feed,
     /// The job pulled off the feed, waiting for its arrival (`None` once
-    /// the feed is exhausted), and its tasks' reservation prices.
+    /// the feed is exhausted).
     pub(crate) pending: Option<Spec>,
-    pending_prices: Vec<Cost>,
     pub(crate) retire_completed: bool,
     pub(crate) completed: CompletedSums,
     pub(crate) first_arrival_seen: Option<SimTime>,
@@ -160,14 +159,9 @@ pub struct ClusterSim {
 
 /// True when some catalog type can host each of the job's tasks alone,
 /// the job's work fits a progress lane, and its tasks carry the job's
-/// ID under strictly ascending indices (the door sorts them first); then
-/// `prices` holds each task's reservation price (§4.2), in order.
-fn schedulable(catalog: &Catalog, job: &JobSpec, prices: &mut Vec<Cost>) -> bool {
-    prices.clear();
-    let fits = |t: &TaskSpec| {
-        let ty = catalog.cheapest_fit(&t.demand);
-        t.id.job == job.id && ty.map(|ty| prices.push(ty.hourly_cost)).is_some()
-    };
+/// ID under strictly ascending indices (the door sorts them first).
+fn schedulable(catalog: &Catalog, job: &JobSpec) -> bool {
+    let fits = |t: &TaskSpec| t.id.job == job.id && catalog.cheapest_fit(&t.demand).is_some();
     work_of(job.duration_at_full_tput).is_some()
         && job.tasks.iter().all(fits)
         && in_index_order(job)
@@ -261,7 +255,6 @@ impl ClusterSim {
             recorder: None,
             feed,
             pending: None,
-            pending_prices: Vec::new(),
             retire_completed: cfg.retire_completed,
             completed: CompletedSums::default(),
             first_arrival_seen: None,
@@ -353,7 +346,7 @@ impl ClusterSim {
                 into_index_order(job, trace)
             };
             let spec = job.of(trace);
-            if schedulable(&self.catalog, spec, &mut self.pending_prices) {
+            if schedulable(&self.catalog, spec) {
                 self.engine.schedule(spec.arrival, Event::Ingest);
                 self.pending = Some(job);
                 return;
@@ -381,9 +374,7 @@ impl ClusterSim {
             self.first_arrival_seen.get_or_insert(arrival);
             self.metrics.record_arrival();
             let now = self.now();
-            let jslot = self.world.intern_job(self.cfg.trace.jobs(), job, now);
-            let range = self.world.jobs.task_range(jslot);
-            self.world.tasks.price[range].copy_from_slice(&self.pending_prices);
+            self.world.intern_job(self.cfg.trace.jobs(), job, now);
             self.schedule_round(now);
         }
         self.pull();
@@ -985,21 +976,18 @@ impl ClusterSim {
                 continue;
             };
             let row = &self.world.insts.rows[islot as usize];
-            let mut sums = (ResourceVector::ZERO, Cost::ZERO);
+            let (mut used, mut reserved) = (ResourceVector::ZERO, Cost::ZERO);
             for &tslot in &row.tasks {
                 let demand = &self.task_spec(tslot).demand;
-                let price = self.catalog.cheapest_fit(demand);
-                sums.0 += ty.demand_of(demand);
-                sums.1 += price.map_or(Cost::ZERO, |ty| ty.hourly_cost);
+                let price = self.catalog.cheapest_fit(demand).map(|ty| ty.hourly_cost);
+                used += ty.demand_of(demand);
+                reserved += price.unwrap_or_default();
                 running += usize::from(self.world.tasks.is_running(tslot));
             }
-            if (row.used, row.reserved) != sums {
-                let (id, held) = (inst.id, (row.used, row.reserved));
-                return Err(format!(
-                    "instance {id} holds {held:?}, its tasks sum to {sums:?}"
-                ));
+            if (row.used, row.reserved) != (used, reserved) {
+                return Err(format!("instance {} holds sums its tasks do not", inst.id));
             }
-            alloc += sums.0;
+            alloc += used;
         }
         Ok((lanes(cap), lanes(alloc), running))
     }
@@ -1096,12 +1084,13 @@ impl ClusterSim {
 
     /// Maps (unmaps) the task in `tslot` onto (from) instance slot
     /// `islot`, with the demand it places on that instance's type and its
-    /// reservation price.
+    /// reservation price (§4.2).
     pub(crate) fn map_task(&mut self, islot: u32, tslot: u32, mapped: bool) {
         let type_id = self.world.insts.rows[islot as usize].type_id;
         let ty = self.catalog.get(type_id).expect("rows hold catalog types");
-        let demand = ty.demand_of(&self.task_spec(tslot).demand);
-        let price = self.world.tasks.price[tslot as usize];
+        let spec = &self.task_spec(tslot).demand;
+        let price = self.catalog.cheapest_fit(spec).map(|ty| ty.hourly_cost);
+        let (demand, price) = (ty.demand_of(spec), price.unwrap_or_default());
         self.world.insts.map(islot, tslot, demand, price, mapped);
     }
 
